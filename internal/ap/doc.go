@@ -18,7 +18,8 @@
 // bit-serial pass structure on the CAM array model, WordMachine is the
 // word-level reference semantics, and ExecPlan/Machine is the
 // production engine — programs lowered once into dense ops with a
-// value-range analysis that removes provably-identity wraps, replayed
-// over reusable arenas. All three are proved bit-identical on
-// randomized programs.
+// value-range analysis that removes provably-identity wraps and packs
+// rows into 16-, 32- or 64-bit lanes, so one word op advances several
+// rows, replayed over reusable arenas. All three are proved
+// bit-identical on randomized programs.
 package ap

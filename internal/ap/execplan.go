@@ -1,6 +1,9 @@
 package ap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ExecPlan is a Program lowered for repeated execution. The WordMachine
 // re-validates and re-interprets the instruction list on every run and
@@ -13,10 +16,12 @@ import "fmt"
 //     inference, so op size IS interpreter memory traffic);
 //   - a static value-range analysis marks every op whose result provably
 //     fits its destination format — including all of a sound compiler
-//     emission — so its row loop skips masking entirely (the width ≥ 63
-//     case falls out of the same flag);
-//   - a Copy immediately followed by in-place Add/Sub instructions on the
-//     copied column fuses into one row pass;
+//     emission — so it runs as plain word arithmetic over packed lanes
+//     with no per-row wrap (the width ≥ 63 case falls out of the same
+//     flag);
+//   - the same analysis picks the lane width: the narrowest of 16, 32 or
+//     64 bits whose guarded range holds every value a column can carry,
+//     so one 64-bit word op advances 4, 2 or 1 CAM rows;
 //   - the columns that must read as zero at entry (read before written)
 //     are recorded, so machine reuse clears only those instead of the
 //     whole arena.
@@ -26,18 +31,21 @@ import "fmt"
 // compiled-artifact cache) and replays it from many goroutines at once
 // through per-worker Machines. Machine execution is bit-identical to
 // WordMachine.Run — TestMachineMatchesWordRandomPrograms proves it over
-// randomized programs.
+// randomized programs at every lane width.
 type ExecPlan struct {
 	cols []Col
 	ops  []planOp
-	// Side tables for the rare variable-length op variants.
-	multi  [][]copyDst
-	chains [][]chainLink
+	// multi is the side table of multi-destination copies, indexed by
+	// planOp.ext.
+	multi [][]copyDst
 	// zero lists the columns that must read as zero at entry: every
 	// column some op reads before any op writes it. Reset clears exactly
 	// these on arena reuse — programs fully write everything else before
 	// looking at it, so stale rows from a previous plan are unobservable.
 	zero []int32
+	// lane is the lane width in bits (16, 32 or 64) the Machine packs
+	// this plan's rows at.
+	lane uint8
 }
 
 // planKind discriminates the resolved operation variants of a planOp.
@@ -50,7 +58,6 @@ const (
 	planAdd
 	planSub
 	planNeg
-	planFused // copy + in-place add/sub chain, one row pass
 )
 
 // copyDst is one destination of a multi-destination copy with its own
@@ -62,12 +69,6 @@ type copyDst struct {
 	unsigned bool
 }
 
-// chainLink is one fused in-place accumulation step: acc = wrap(acc + sgn·vals[a][r]).
-type chainLink struct {
-	a   int32
-	sgn int64 // +1 for add, -1 for sub
-}
-
 // planOp flags.
 const (
 	flagWide     = 1 << iota // wrapping is provably the identity
@@ -77,9 +78,8 @@ const (
 // planOp is one resolved operation, deliberately compact: large networks
 // stream millions of ops per inference, so the op array's footprint is
 // the interpreter's front-end memory traffic. Wrap masks derive from
-// width with two shifts at dispatch; the rare multi-destination and
-// fused variants park their variable-length tails in the plan's side
-// tables, indexed by ext.
+// width with two shifts at dispatch; the rare multi-destination copy
+// parks its destination list in the plan's side table, indexed by ext.
 type planOp struct {
 	kind  planKind
 	flags uint8
@@ -87,15 +87,16 @@ type planOp struct {
 	dst   int32
 	a     int32
 	b     int32
-	ext   int32 // side-table index (planCopyMulti, planFused)
+	ext   int32 // side-table index (planCopyMulti)
 }
 
 func (op *planOp) wide() bool     { return op.flags&flagWide != 0 }
 func (op *planOp) unsigned() bool { return op.flags&flagUnsigned != 0 }
 
-// NewExecPlan validates p and lowers it into a dense op list, then runs
-// the range analysis and zero-set computation described on ExecPlan. The
-// returned plan references p's column table but never mutates it.
+// NewExecPlan validates p and lowers it one instruction to one op, then
+// runs the range analysis (wrap elision and lane width) and zero-set
+// computation described on ExecPlan. The returned plan references p's
+// column table but never mutates it.
 func NewExecPlan(p *Program) (*ExecPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -104,9 +105,7 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		return nil, fmt.Errorf("ap: exec plan: %d columns overflow the op encoding", len(p.Cols))
 	}
 	plan := &ExecPlan{cols: p.Cols, ops: make([]planOp, 0, len(p.Instrs))}
-	instrs := p.Instrs
-	for i := 0; i < len(instrs); i++ {
-		ins := instrs[i]
+	for _, ins := range p.Instrs {
 		w := ins.Width
 		if w > 64 {
 			w = 64 // wrap is the identity from 63 up; clamp into uint8 range
@@ -119,6 +118,7 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		case OpClear:
 			op.kind = planClear
 		case OpCopy:
+			op.kind = planCopy
 			if p.Cols[ins.Dst].Unsigned {
 				op.flags |= flagUnsigned
 			}
@@ -130,33 +130,6 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 				}
 				op.ext = int32(len(plan.multi))
 				plan.multi = append(plan.multi, dsts)
-				plan.ops = append(plan.ops, op)
-				continue
-			}
-			// Fuse the in-place accumulation chain that follows a plain
-			// copy onto the same column. Validation guarantees every chain
-			// instruction has the destination's width and never reads it
-			// as A, so one pass per row reproduces the sequential wraps
-			// exactly.
-			var chain []chainLink
-			for j := i + 1; j < len(instrs); j++ {
-				nxt := instrs[j]
-				if !nxt.InPlace || nxt.Dst != ins.Dst || (nxt.Op != OpAdd && nxt.Op != OpSub) {
-					break
-				}
-				sgn := int64(1)
-				if nxt.Op == OpSub {
-					sgn = -1
-				}
-				chain = append(chain, chainLink{a: int32(nxt.A), sgn: sgn})
-				i = j
-			}
-			if len(chain) > 0 {
-				op.kind = planFused
-				op.ext = int32(len(plan.chains))
-				plan.chains = append(plan.chains, chain)
-			} else {
-				op.kind = planCopy
 			}
 		case OpAdd:
 			op.kind = planAdd
@@ -177,9 +150,12 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 // Columns returns the number of columns the plan's programs operate on.
 func (p *ExecPlan) Columns() int { return len(p.cols) }
 
-// Ops returns the resolved operation count (fusion can make it smaller
-// than the source program's instruction count).
+// Ops returns the resolved operation count.
 func (p *ExecPlan) Ops() int { return len(p.ops) }
+
+// LaneBits returns the lane width the plan executes at: a Machine packs
+// 64/LaneBits rows into every arena word.
+func (p *ExecPlan) LaneBits() int { return int(p.lane) }
 
 // rangeSat bounds the interval analysis so interval arithmetic can never
 // overflow int64 (sums of two in-bound endpoints stay below 2^62).
@@ -232,40 +208,69 @@ func fitsFormat(l, h int64, w int, unsigned bool) bool {
 	return l >= fl && h <= fh
 }
 
-// analyzeRanges propagates value intervals through the op list and marks
+// laneFor returns the narrowest lane whose guarded range holds every
+// value in [l, h]. A lane of L < 64 bits stores v + 2^(L-2) and keeps its
+// top bit spare, so it carries v ∈ [-2^(L-2), 2^(L-2)); the 64-bit lane
+// is plain two's complement and carries anything.
+func laneFor(l, h int64) uint8 {
+	for _, lane := range [...]uint8{16, 32} {
+		if g := int64(1) << (lane - 2); l >= -g && h < g {
+			return lane
+		}
+	}
+	return 64
+}
+
+// analyzeRanges propagates value intervals through the op list, marks
 // every op whose result provably fits its destination format as wide
-// (wrap is the identity there). Soundness rests on the entry state:
-// loads wrap to each column's format before Run, and unwritten columns
-// are zero, so every column starts inside its format range. An op that
-// may wrap resets its destination to the full format interval, exactly
-// matching the truncating execution path.
+// (wrap is the identity there), and sizes the plan's lanes to the union
+// of every interval a column can hold. Soundness rests on the entry
+// state: loads wrap to each column's format before Run, and unwritten
+// columns are zero, so every column starts inside its format range. An
+// op that may wrap resets its destination to the full format interval,
+// exactly matching the truncating execution path.
 func (plan *ExecPlan) analyzeRanges() {
 	n := len(plan.cols)
 	lo := make([]int64, n)
 	hi := make([]int64, n)
+	var minV, maxV int64 // union of every entry band and op result
+	set := func(c int32, l, h int64) {
+		lo[c], hi[c] = l, h
+		minV, maxV = min(minV, l), max(maxV, h)
+	}
 	for c, col := range plan.cols {
-		lo[c], hi[c] = formatRange(col.Width, col.Unsigned)
+		l, h := formatRange(col.Width, col.Unsigned)
+		set(int32(c), l, h)
 	}
 	for i := range plan.ops {
 		op := &plan.ops[i]
 		w := int(op.width)
 		switch op.kind {
 		case planClear:
-			lo[op.dst], hi[op.dst] = 0, 0
+			set(op.dst, 0, 0)
 		case planCopy:
 			if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, op.unsigned()) {
 				op.flags |= flagWide
-				lo[op.dst], hi[op.dst] = lo[op.a], hi[op.a]
+				set(op.dst, lo[op.a], hi[op.a])
 			} else {
-				lo[op.dst], hi[op.dst] = formatRange(w, op.unsigned())
+				l, h := formatRange(w, op.unsigned())
+				set(op.dst, l, h)
 			}
 		case planCopyMulti:
+			// Wide only when no destination wraps; a destination the copy
+			// provably leaves intact keeps the source interval either way.
+			l, h, all := lo[op.a], hi[op.a], true
 			for _, cd := range plan.multi[op.ext] {
-				if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, cd.unsigned) {
-					lo[cd.col], hi[cd.col] = lo[op.a], hi[op.a]
+				if op.wide() || fitsFormat(l, h, w, cd.unsigned) {
+					set(cd.col, l, h)
 				} else {
-					lo[cd.col], hi[cd.col] = formatRange(w, cd.unsigned)
+					all = false
+					fl, fh := formatRange(w, cd.unsigned)
+					set(cd.col, fl, fh)
 				}
+			}
+			if all {
+				op.flags |= flagWide
 			}
 		case planAdd, planSub, planNeg:
 			var l, h int64
@@ -279,38 +284,18 @@ func (plan *ExecPlan) analyzeRanges() {
 			}
 			if op.wide() || fitsFormat(l, h, w, false) {
 				op.flags |= flagWide
-				lo[op.dst], hi[op.dst] = l, h
 			} else {
-				lo[op.dst], hi[op.dst] = formatRange(w, false)
+				l, h = formatRange(w, false)
 			}
-		case planFused:
-			l, h := lo[op.a], hi[op.a]
-			ok := op.wide() || fitsFormat(l, h, w, op.unsigned())
-			if !ok {
-				l, h = formatRange(w, op.unsigned())
-			}
-			for _, ln := range plan.chains[op.ext] {
-				if ln.sgn > 0 {
-					l, h = addSat(l, lo[ln.a]), addSat(h, hi[ln.a])
-				} else {
-					l, h = addSat(l, -hi[ln.a]), addSat(h, -lo[ln.a])
-				}
-				if !op.wide() && !fitsFormat(l, h, w, false) {
-					ok = false
-					l, h = formatRange(w, false)
-				}
-			}
-			if ok {
-				op.flags |= flagWide
-			}
-			lo[op.dst], hi[op.dst] = l, h
+			set(op.dst, l, h)
 		}
 	}
+	plan.lane = laneFor(minV, maxV)
 }
 
 // findZeroCols records every column read before it is written (in op
 // order); loads may overwrite them afterwards, but an unloaded slot — a
-// strip tail's unused plane, say — must read as zero.
+// strip tail's unused plane, say, or a padding tap — must read as zero.
 func (plan *ExecPlan) findZeroCols() {
 	written := make([]bool, len(plan.cols))
 	queued := make([]bool, len(plan.cols))
@@ -325,7 +310,7 @@ func (plan *ExecPlan) findZeroCols() {
 		switch op.kind {
 		case planClear:
 			written[op.dst] = true
-		case planCopy:
+		case planCopy, planNeg:
 			read(op.a)
 			written[op.dst] = true
 		case planCopyMulti:
@@ -337,112 +322,148 @@ func (plan *ExecPlan) findZeroCols() {
 			read(op.a)
 			read(op.b)
 			written[op.dst] = true
-		case planNeg:
-			read(op.a)
-			written[op.dst] = true
-		case planFused:
-			read(op.a)
-			for _, ln := range plan.chains[op.ext] {
-				read(ln.a)
-			}
-			written[op.dst] = true
 		}
 	}
 }
 
-// maskSign derives the wrap constants of a non-wide op.
-func (op *planOp) maskSign() (mask, sign int64) {
-	return int64(1)<<op.width - 1, int64(1) << (op.width - 1)
-}
-
-// Machine executes an ExecPlan over reusable column storage. Unlike
-// WordMachine it allocates nothing per execution: Reset rebinds the same
-// flat arena to a (plan, rows) pair, growing the backing slices only when
-// a larger shape arrives, so a worker that replays many programs reaches
-// an allocation-free steady state. A Machine is not safe for concurrent
-// use; share plans, not machines.
+// Machine executes an ExecPlan over reusable, lane-packed column
+// storage: every column is a run of 64-bit words holding 64/L rows each,
+// L the plan's lane width, so one word op advances that many CAM rows at
+// once — the software image of the AP applying one add/sub program to
+// every row in parallel.
+//
+// A lane of L < 64 bits stores its value offset by 2^(L-2) and keeps the
+// top bit spare. Every stored lane is then below 2^(L-1), the sum of two
+// lanes cannot carry into the next lane up, and word-wide b + a − bias
+// is b + a in every lane — b + bias − a is b − a — with no masking at
+// all. The 64-bit lane is the same loop with bias 0: plain
+// two's-complement int64.
+//
+// Unlike WordMachine it allocates nothing per execution: Reset rebinds
+// the same flat arena to a (plan, rows) pair, growing the backing slice
+// only when a larger shape arrives, so a worker that replays many
+// programs reaches an allocation-free steady state. A Machine is not
+// safe for concurrent use; share plans, not machines.
 type Machine struct {
 	plan  *ExecPlan
 	rows  int
-	flat  []int64
-	vals  [][]int64
-	links [][]int64 // scratch: fused-chain operand slices
-	sgns  []int64   // scratch: fused-chain signs
+	words int    // words per column: ⌈rows·lane/64⌉
+	lane  uint   // lane width in bits
+	lg    uint   // log2(lane)
+	mask  uint64 // low lane of a word
+	rep   uint64 // bit 0 of every lane: x·rep copies a lane value x into all
+	one   int64  // the offset of one lane (0 at 64 bits)
+	bias  uint64 // one in every lane: the encoding of an all-zero word
+	flat  []uint64
 }
 
 // Reset binds m to plan with the given active row count. Only the
-// columns the plan reads before writing are zeroed on arena reuse (the
-// rest are fully written before any op looks at them), so a reused
-// machine behaves exactly like a freshly allocated WordMachine for every
-// observable column; columns the plan neither writes nor zeroes are
-// undefined after reuse.
+// columns the plan reads before writing are zeroed (the rest are fully
+// written before any op looks at them), so a reused machine behaves
+// exactly like a freshly allocated WordMachine for every observable
+// column; columns the plan neither writes nor zeroes are undefined.
 func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	if rows <= 0 {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))
 	}
-	nc := len(plan.cols)
-	need := nc * rows
-	fresh := cap(m.flat) < need
-	if fresh {
-		m.flat = make([]int64, need)
+	lane := uint(plan.lane)
+	m.plan, m.rows, m.lane = plan, rows, lane
+	m.words = (rows*int(lane) + 63) >> 6
+	m.lg = uint(bits.TrailingZeros(lane))
+	m.mask = ^uint64(0) >> (64 - lane)
+	m.one = 0
+	if lane < 64 {
+		m.one = 1 << (lane - 2)
+	}
+	m.rep = ^uint64(0) / m.mask
+	m.bias = uint64(m.one) * m.rep
+	if need := len(plan.cols) * m.words; cap(m.flat) < need {
+		m.flat = make([]uint64, need)
 	} else {
 		m.flat = m.flat[:need]
 	}
-	if cap(m.vals) < nc {
-		m.vals = make([][]int64, nc)
-	} else {
-		m.vals = m.vals[:nc]
+	for _, c := range plan.zero {
+		fill(m.col(c), m.bias)
 	}
-	for c := 0; c < nc; c++ {
-		m.vals[c] = m.flat[c*rows : (c+1)*rows : (c+1)*rows]
-	}
-	if !fresh {
-		for _, c := range plan.zero {
-			clear(m.vals[c])
-		}
-	}
-	m.plan, m.rows = plan, rows
 }
 
-// Rows returns the active row count.
-func (m *Machine) Rows() int { return m.rows }
+// col returns the words of one column.
+func (m *Machine) col(c int32) []uint64 {
+	return m.flat[int(c)*m.words:][:m.words]
+}
 
-// SetColumnInt32 stores vals into rows [row0, row0+len(vals)) of col,
-// wrapped to the column's stored format — the in-place counterpart of
-// WordMachine.SetColumn for batched loads that address one row segment
-// per batch item.
+func fill(s []uint64, v uint64) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// get and put read and write one row of a column: the per-lane form
+// behind the rare wrapping ops and Column.
+func (m *Machine) get(c int32, r int) int64 {
+	bit := uint(r) * m.lane
+	return int64(m.flat[int(c)*m.words+int(bit>>6)]>>(bit&63)&m.mask) - m.one
+}
+
+func (m *Machine) put(c int32, r int, v int64) {
+	bit := uint(r) * m.lane
+	w := &m.flat[int(c)*m.words+int(bit>>6)]
+	*w = *w&^(m.mask<<(bit&63)) | (uint64(v+m.one)&m.mask)<<(bit&63)
+}
+
+// LoadRows stores src[0], src[stride], … src[(n-1)·stride] into rows
+// [row0, row0+n) of col, wrapped to the column's stored format — the
+// in-place counterpart of WordMachine.SetColumn, and the gather primitive
+// of the functional simulator: one call moves a run of im2col rows
+// straight from an input-tensor row into lanes, whatever the convolution
+// stride, and row0 need not be word-aligned.
 //
 //rtmap:noalloc
-func (m *Machine) SetColumnInt32(col, row0 int, vals []int32) {
-	if row0 < 0 || row0+len(vals) > m.rows {
-		panic(fmt.Sprintf("ap: SetColumnInt32 rows [%d,%d) outside machine rows %d",
-			row0, row0+len(vals), m.rows))
+func (m *Machine) LoadRows(col, row0, n int, src []int32, stride int) {
+	if row0 < 0 || n < 0 || row0+n > m.rows {
+		panic(fmt.Sprintf("ap: LoadRows rows [%d,%d) outside machine rows %d", row0, row0+n, m.rows))
 	}
+	// The wrap to the stored format runs once per word, on all its lanes
+	// at once: keep the format's bits, add the lane offset, and subtract
+	// 2^width where the format's sign bit is set. No lane carries or
+	// borrows (the format is narrower than the lane's guarded range), an
+	// unsigned column has no sign bit, and from 63 bits up every int32
+	// already fits.
 	meta := m.plan.cols[col]
-	dst := m.vals[col][row0 : row0+len(vals)]
-	if meta.Width >= 63 {
-		for i, v := range vals {
-			dst[i] = int64(v)
+	fmask, fsign := m.mask*m.rep, uint64(0)
+	if meta.Width < 63 {
+		fmask = (uint64(1)<<uint(meta.Width) - 1) * m.rep
+		if !meta.Unsigned {
+			fsign = uint64(1) << uint(meta.Width-1) * m.rep
 		}
-		return
 	}
-	mask := int64(1)<<uint(meta.Width) - 1
-	if meta.Unsigned {
-		for i, v := range vals {
-			dst[i] = int64(v) & mask
+	words := m.col(int32(col))
+	// One store per touched word: gather its lanes in a register, wrap
+	// them, and merge under the mask of the lanes written when the run
+	// starts or ends inside the word.
+	lane := m.lane
+	bit := uint(row0) * lane
+	w, lo := int(bit>>6), bit&63
+	for i := 0; i < n; w, lo = w+1, 0 {
+		end := min(i+int((64-lo)>>m.lg), n)
+		var raw uint64
+		sh := lo
+		for ; i < end; i, sh = i+1, sh+lane {
+			raw |= (uint64(src[i*stride]) & m.mask) << sh
 		}
-		return
-	}
-	sign := int64(1) << uint(meta.Width-1)
-	for i, v := range vals {
-		w := int64(v) & mask
-		dst[i] = w - (w&sign)<<1
+		val := raw&fmask + m.bias - (raw&fsign)<<1
+		if sh-lo == 64 {
+			words[w] = val
+		} else {
+			msk := ^uint64(0) >> (64 - (sh - lo)) << lo
+			words[w] = words[w]&^msk | val&msk
+		}
 	}
 }
 
 // AccumulateColumn adds rows [row0, row0+len(dst)) of col into dst
 // without allocating — the inter-strip reduction of the functional
-// simulator, which previously copied every column before accumulating.
+// simulator.
 //
 //rtmap:noalloc
 func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
@@ -450,9 +471,11 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d",
 			row0, row0+len(dst), m.rows))
 	}
-	src := m.vals[col][row0 : row0+len(dst)]
-	for i, v := range src {
-		dst[i] += int32(v)
+	words := m.col(int32(col))
+	bit := uint(row0) * m.lane
+	for i := range dst {
+		dst[i] += int32(int64(words[bit>>6]>>(bit&63)&m.mask) - m.one)
+		bit += m.lane
 	}
 }
 
@@ -460,140 +483,96 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 // hot path uses AccumulateColumn).
 func (m *Machine) Column(col int) []int64 {
 	out := make([]int64, m.rows)
-	copy(out, m.vals[col])
+	for r := range out {
+		out[r] = m.get(int32(col), r)
+	}
 	return out
 }
 
 // Run executes the plan over all active rows. It cannot fail and does not
 // allocate: every structural error was rejected when the plan was built.
+// Ops proved wrap-free — every op of a sound compiler emission — run as
+// carry-isolated word arithmetic over whole columns; the rest take the
+// per-lane path.
 //
 //rtmap:noalloc
 func (m *Machine) Run() {
-	vals := m.vals
+	flat, w, bias := m.flat, m.words, m.bias
 	for i := range m.plan.ops {
 		op := &m.plan.ops[i]
+		if !op.wide() && op.kind != planClear {
+			m.runWrapping(op)
+			continue
+		}
+		o := int(op.dst) * w
+		d := flat[o : o+w]
 		switch op.kind {
-		case planAdd:
-			d := vals[op.dst]
-			a, b := vals[op.a][:len(d)], vals[op.b][:len(d)]
-			if op.wide() {
-				for r := range d {
-					d[r] = b[r] + a[r]
-				}
-			} else {
-				mask, sign := op.maskSign()
-				for r := range d {
-					v := (b[r] + a[r]) & mask
-					d[r] = v - (v&sign)<<1
-				}
-			}
-		case planSub:
-			d := vals[op.dst]
-			a, b := vals[op.a][:len(d)], vals[op.b][:len(d)]
-			if op.wide() {
-				for r := range d {
-					d[r] = b[r] - a[r]
-				}
-			} else {
-				mask, sign := op.maskSign()
-				for r := range d {
-					v := (b[r] - a[r]) & mask
-					d[r] = v - (v&sign)<<1
-				}
-			}
-		case planCopy:
-			m.runCopy(op, op.dst, op.unsigned())
-		case planCopyMulti:
-			for _, cd := range m.plan.multi[op.ext] {
-				m.runCopy(op, cd.col, cd.unsigned)
+		case planAdd, planSub:
+			// One loop for both, so the add/sub mix of a program costs no
+			// branch: b − a is b + ^a + 1 word-wide, whatever the lanes.
+			// add: b + a − bias; sub: b + ^a + (bias + 1).
+			neg := -uint64(op.kind - planAdd)
+			c := (bias ^ ^neg) + 1
+			oa, ob := int(op.a)*w, int(op.b)*w
+			a, b := flat[oa : oa+w][:len(d)], flat[ob : ob+w][:len(d)]
+			for k := range d {
+				d[k] = b[k] + (a[k] ^ neg) + c
 			}
 		case planNeg:
-			d := vals[op.dst]
-			a := vals[op.a][:len(d)]
-			if op.wide() {
-				for r := range d {
-					d[r] = -a[r]
-				}
-			} else {
-				mask, sign := op.maskSign()
-				for r := range d {
-					v := (-a[r]) & mask
-					d[r] = v - (v&sign)<<1
-				}
+			a := m.col(op.a)[:len(d)]
+			for k := range d {
+				d[k] = bias<<1 - a[k]
+			}
+		case planCopy:
+			copy(d, m.col(op.a))
+		case planCopyMulti:
+			for _, cd := range m.plan.multi[op.ext] {
+				copy(m.col(cd.col), m.col(op.a))
 			}
 		case planClear:
-			clear(vals[op.dst])
-		case planFused:
-			m.runFused(op)
+			fill(d, bias)
 		}
 	}
 }
 
-// runCopy writes wrap(a, width, unsigned) into one destination column.
-// The wrap is branchless: v − ((v & sign) << 1) subtracts 2·sign exactly
-// when the sign bit of the masked value is set.
+// runWrapping executes one op whose result may leave its destination
+// format, row by row: decode the operand lanes, compute, truncate to the
+// destination's stored format, re-encode. The wrap is branchless —
+// v − ((v & sign) << 1) subtracts 2·sign exactly when the sign bit of
+// the masked value is set, and an unsigned copy destination has no sign
+// bit, so each destination of a multi-destination copy wraps with its
+// own signedness.
 //
 //rtmap:noalloc
-func (m *Machine) runCopy(op *planOp, dst int32, unsigned bool) {
-	d := m.vals[dst]
-	a := m.vals[op.a][:len(d)]
-	switch {
-	case op.wide():
-		copy(d, a)
-	case unsigned:
-		mask, _ := op.maskSign()
-		for r := range d {
-			d[r] = a[r] & mask
-		}
-	default:
-		mask, sign := op.maskSign()
-		for r := range d {
-			v := a[r] & mask
-			d[r] = v - (v&sign)<<1
-		}
-	}
-}
-
-// runFused executes a copy plus its in-place accumulation chain in one
-// row pass, reproducing the per-instruction wraps of the sequential
-// semantics step by step (an unsigned destination zeroes the copy's
-// sign-extension mask instead of branching per row).
-//
-//rtmap:noalloc
-func (m *Machine) runFused(op *planOp) {
-	chain := m.plan.chains[op.ext]
-	links := m.links[:0]
-	sgns := m.sgns[:0]
-	for _, l := range chain {
-		links = append(links, m.vals[l.a]) //rtmap:alloc-ok — scratch reuses capacity at steady state
-		sgns = append(sgns, l.sgn)         //rtmap:alloc-ok — scratch reuses capacity at steady state
-	}
-	m.links, m.sgns = links, sgns
-
-	d := m.vals[op.dst]
-	a := m.vals[op.a][:len(d)]
-	if op.wide() {
-		for r := range d {
-			acc := a[r]
-			for k, col := range links {
-				acc += sgns[k] * col[r]
-			}
-			d[r] = acc
+func (m *Machine) runWrapping(op *planOp) {
+	if op.kind == planCopyMulti {
+		for _, cd := range m.plan.multi[op.ext] {
+			m.wrapRows(op, cd.col, cd.unsigned)
 		}
 		return
 	}
-	mask, sign := op.maskSign()
-	copySign := sign
-	if op.unsigned() {
-		copySign = 0
+	m.wrapRows(op, op.dst, op.unsigned())
+}
+
+//rtmap:noalloc
+func (m *Machine) wrapRows(op *planOp, dst int32, unsigned bool) {
+	mask, sign := int64(1)<<op.width-1, int64(0)
+	if !unsigned {
+		sign = int64(1) << (op.width - 1)
 	}
-	for r := range d {
-		acc := a[r] & mask
-		acc -= (acc & copySign) << 1
-		for k, col := range links {
-			acc = (acc + sgns[k]*col[r]) & mask
-			acc -= (acc & sign) << 1
+	for r := 0; r < m.rows; r++ {
+		v := m.get(op.a, r)
+		switch op.kind {
+		case planAdd:
+			v = m.get(op.b, r) + v
+		case planSub:
+			v = m.get(op.b, r) - v
+		case planNeg:
+			v = -v
+		case planCopy, planCopyMulti, planClear:
+			// a copy stores v as it is; a clear never wraps
 		}
-		d[r] = acc
+		v &= mask
+		m.put(dst, r, v-(v&sign)<<1)
 	}
 }

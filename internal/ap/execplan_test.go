@@ -7,16 +7,22 @@ import (
 
 // randomProgram generates a valid program over nData columns with random
 // widths/signedness, biased to emit the copy → in-place add/sub chains
-// the code generator produces (the ExecPlan fusion path). wide adds
-// 63/64-bit columns to exercise the no-wrap fast paths.
-func randomProgram(rng *rand.Rand, wide bool) *Program {
+// the code generator produces. lane is the lane width the plan must
+// lower to: 16 keeps every column narrow, 32 makes the first column and
+// a third of the rest 16–30 bits, 64 makes them 61–64 bits (straddling
+// the wrap-identity threshold, 63, to exercise the no-wrap paths).
+func randomProgram(rng *rand.Rand, lane int) *Program {
 	nData := 3 + rng.IntN(4)
 	widths := make([]int, nData)
 	unsigned := make([]bool, nData)
 	for i := range widths {
 		widths[i] = 3 + rng.IntN(6)
-		if wide && rng.IntN(3) == 0 {
-			widths[i] = 61 + rng.IntN(4) // straddle the wrap-identity threshold (63)
+		if lane > 16 && (i == 0 || rng.IntN(3) == 0) {
+			if lane == 32 {
+				widths[i] = 16 + rng.IntN(15)
+			} else {
+				widths[i] = 61 + rng.IntN(4)
+			}
 		}
 		unsigned[i] = rng.IntN(3) == 0
 	}
@@ -87,7 +93,7 @@ func randomProgram(rng *rand.Rand, wide bool) *Program {
 				}
 			}
 			p.Instrs = append(p.Instrs, ins)
-		case 5: // copy followed by an accumulation chain (fusion shape)
+		case 5: // copy followed by an accumulation chain (the codegen shape)
 			a := pick()
 			if a == dst {
 				continue
@@ -107,6 +113,11 @@ func randomProgram(rng *rand.Rand, wide bool) *Program {
 		}
 	}
 	return p
+}
+
+// setRows loads consecutive values into rows [row0, row0+len(vals)).
+func setRows(m *Machine, col, row0 int, vals []int32) {
+	m.LoadRows(col, row0, len(vals), vals, 1)
 }
 
 func loadRandom(rng *rand.Rand, p *Program, rows int) [][]int64 {
@@ -135,51 +146,74 @@ func loadRandom(rng *rand.Rand, p *Program, rows int) [][]int64 {
 	return vals
 }
 
+// testLanes maps a trial index to the lane width its random program is
+// generated for.
+var testLanes = [...]int{16, 32, 64}
+
 // Property: ExecPlan Machine execution is bit-identical to the word-level
-// reference on randomized programs, including multi-destination copies,
-// fused accumulation chains, reused machines (Reset) and wide columns.
+// reference on randomized programs at every lane width — multi-destination
+// copies, wrapping and wrap-free ops, reused machines (Reset), wide
+// columns — over row counts on both sides of every word boundary. Columns
+// load in two segments cut at a random row, the way batch items land at
+// row b·n: rarely a multiple of the lane count.
 func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 	var m Machine // reused across trials: Reset must fully rebind state
-	for trial := 0; trial < 60; trial++ {
-		rng := rand.New(rand.NewPCG(uint64(trial), 0xa11ec))
-		p := randomProgram(rng, trial%2 == 0)
-		if p == nil {
-			continue
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("trial %d: generated invalid program: %v", trial, err)
-		}
-		rows := 2 + rng.IntN(9)
-		wm, err := NewWordMachine(p, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewExecPlan(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		m.Reset(plan, rows)
+	for _, lane := range testLanes {
+		for _, rows := range []int{1, 3, 4, 5, 31, 33, 49, 64, 65} {
+			for trial := 0; trial < 8; trial++ {
+				rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0xa11ec+uint64(lane)))
+				p := randomProgram(rng, lane)
+				if p == nil {
+					continue
+				}
+				if err := p.Validate(); err != nil {
+					t.Fatalf("lane %d rows %d trial %d: generated invalid program: %v", lane, rows, trial, err)
+				}
+				wm, err := NewWordMachine(p, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := NewExecPlan(p)
+				if err != nil {
+					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+				}
+				if plan.LaneBits() != lane {
+					t.Fatalf("lane %d rows %d trial %d: plan lowered to %d-bit lanes\ncolumns: %+v",
+						lane, rows, trial, plan.LaneBits(), p.Cols)
+				}
+				m.Reset(plan, rows)
 
-		vals := loadRandom(rng, p, rows)
-		v32 := make([]int32, rows)
-		for c := 1; c < len(p.Cols); c++ {
-			wm.SetColumn(c, vals[c])
-			for r, v := range vals[c] {
-				v32[r] = int32(v)
-			}
-			m.SetColumnInt32(c, 0, v32)
-		}
-		if err := wm.Run(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		m.Run()
-		for c := 1; c < len(p.Cols); c++ {
-			want := wm.Column(c)
-			got := m.Column(c)
-			for r := 0; r < rows; r++ {
-				if got[r] != want[r] {
-					t.Fatalf("trial %d: col %d row %d: plan %d != word %d\nprogram: %v",
-						trial, c, r, got[r], want[r], p.Instrs)
+				vals := loadRandom(rng, p, rows)
+				v32 := make([]int32, rows)
+				cut := rng.IntN(rows + 1)
+				for c := 1; c < len(p.Cols); c++ {
+					wm.SetColumn(c, vals[c])
+					for r, v := range vals[c] {
+						v32[r] = int32(v)
+					}
+					setRows(&m, c, cut, v32[cut:])
+					setRows(&m, c, 0, v32[:cut])
+				}
+				if err := wm.Run(); err != nil {
+					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+				}
+				m.Run()
+				acc := make([]int32, rows-cut)
+				for c := 1; c < len(p.Cols); c++ {
+					want := wm.Column(c)
+					got := m.Column(c)
+					clear(acc)
+					m.AccumulateColumn(c, cut, acc)
+					for r := 0; r < rows; r++ {
+						if got[r] != want[r] {
+							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != word %d\nprogram: %v",
+								lane, rows, trial, c, r, got[r], want[r], p.Instrs)
+						}
+						if r >= cut && acc[r-cut] != int32(want[r]) {
+							t.Fatalf("lane %d rows %d trial %d: col %d row %d: accumulated %d != word %d",
+								lane, rows, trial, c, r, acc[r-cut], int32(want[r]))
+						}
+					}
 				}
 			}
 		}
@@ -234,7 +268,7 @@ func TestExecMatchesWordMixedSignCopy(t *testing.T) {
 	for r, v := range srcVals {
 		v32[r] = int32(v)
 	}
-	m.SetColumnInt32(src, 0, v32)
+	setRows(&m, src, 0, v32)
 	m.Run()
 
 	for _, col := range []int{d1, d2} {
@@ -259,9 +293,9 @@ func TestExecMatchesWordMixedSignCopy(t *testing.T) {
 	}
 }
 
-// Fusion collapses copy → in-place chains into fewer resolved ops while
-// preserving exact results (covered by the randomized property above).
-func TestExecPlanFusesCopyChains(t *testing.T) {
+// The lowering is one op per instruction — copy → in-place chains stay
+// three ops — so the plan op count is the program's instruction count.
+func TestExecPlanOneOpPerInstruction(t *testing.T) {
 	p := buildProgram([]int{5, 5, 5}, []bool{false, false, false})
 	p.Instrs = []Instr{
 		{Op: OpCopy, Dst: 2, A: 1, Width: 5},
@@ -273,8 +307,8 @@ func TestExecPlanFusesCopyChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Ops() != 2 {
-		t.Fatalf("expected copy+add+sub to fuse into 1 op (2 total), got %d", plan.Ops())
+	if plan.Ops() != len(p.Instrs) {
+		t.Fatalf("plan has %d ops for %d instructions", plan.Ops(), len(p.Instrs))
 	}
 }
 
@@ -310,7 +344,7 @@ func TestWidth62CopyWraps(t *testing.T) {
 	var m Machine
 	m.Reset(plan, rows)
 	wm.SetColumn(colA, []int64{1 << 30, 1 << 30})
-	m.SetColumnInt32(colA, 0, []int32{1 << 30, 1 << 30})
+	setRows(&m, colA, 0, []int32{1 << 30, 1 << 30})
 	if err := wm.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +359,9 @@ func TestWidth62CopyWraps(t *testing.T) {
 	}
 }
 
-// SetColumnInt32 wraps to the stored format and AccumulateColumn adds in
-// place over a row segment — the batched load/reduce primitives.
+// LoadRows wraps to the stored format and gathers a strided source, and
+// AccumulateColumn adds in place over a row segment — the batched
+// load/reduce primitives.
 func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	p := buildProgram([]int{4, 8}, []bool{true, false})
 	plan, err := NewExecPlan(p)
@@ -335,8 +370,8 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	}
 	var m Machine
 	m.Reset(plan, 6)
-	m.SetColumnInt32(1, 0, []int32{15, 16, 17})  // 4-bit unsigned: wraps mod 16
-	m.SetColumnInt32(1, 3, []int32{-1, 255, 31}) // segment load at row 3
+	setRows(&m, 1, 0, []int32{15, 16, 17})  // 4-bit unsigned: wraps mod 16
+	setRows(&m, 1, 3, []int32{-1, 255, 31}) // segment load at row 3
 	want := []int64{15, 0, 1, 15, 15, 15}
 	for r, w := range m.Column(1) {
 		if w != want[r] {
@@ -348,6 +383,14 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	for i, v := range acc {
 		if v != 115 {
 			t.Fatalf("acc[%d] = %d, want 115", i, v)
+		}
+	}
+	// Every second source element into the signed 8-bit column, starting
+	// mid-word: 200 wraps to -56.
+	m.LoadRows(2, 1, 4, []int32{1, 99, -2, 99, 200, 99, 127}, 2)
+	for r, w := range []int64{1, -2, -56, 127} {
+		if got := m.Column(2)[1+r]; got != w {
+			t.Fatalf("strided row %d: %d, want %d", 1+r, got, w)
 		}
 	}
 }

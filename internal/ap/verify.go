@@ -5,8 +5,9 @@ import "fmt"
 // This file is the static plan verifier: an independent audit of the
 // guarantees NewExecPlan's lowering and analyses claim. The execution
 // engine is fast precisely because those analyses elide work — ~99% of
-// ops run without wrap masks on the strength of the value-range
-// analysis, and Machine.Reset clears only the zero set — so a compiler
+// ops run as unmasked word arithmetic over packed lanes on the strength
+// of the value-range analysis, the lanes are as narrow as that analysis
+// allows, and Machine.Reset clears only the zero set — so a compiler
 // bug here corrupts inference results silently instead of failing. The
 // auditor re-derives every claim from the source program with separately
 // written analyses and reports structured violations, so a bad plan is
@@ -39,7 +40,8 @@ const (
 	// semantics.
 	InvAliasing = "aliasing"
 	// InvCorrespondence: the op stream does not correspond to the
-	// source program under the documented lowering (fusion included).
+	// source program under the documented one-instruction-one-op
+	// lowering.
 	InvCorrespondence = "correspondence"
 	// InvMaskElision: an op claims wrapping is the identity but the
 	// re-derived value intervals cannot prove it.
@@ -47,6 +49,11 @@ const (
 	// InvZeroSet: a column is read before any op writes it but is
 	// missing from the reset set, so arena reuse leaks stale rows.
 	InvZeroSet = "zero-set"
+	// InvLane: the plan's lane width is not one the machine packs, or
+	// some column's entry band or some op's result does not fit a lane
+	// minus its guard bit — a carry would cross into the neighbouring
+	// row.
+	InvLane = "lane"
 )
 
 // Violation is one invariant failure found by AuditPlan. Op is the plan
@@ -70,15 +77,18 @@ func (v Violation) String() string {
 //     dispatch set (InvCoverage), and no op's destination aliases a
 //     column it still reads in the same pass (InvAliasing);
 //   - correspondence: the op stream is exactly what the documented
-//     lowering (including copy/accumulate fusion) produces from p
+//     lowering produces from p, one op per instruction
 //     (InvCorrespondence);
 //   - mask elision: every op flagged wide provably never wraps, by a
 //     re-derived interval analysis over the machine's semantics
 //     (InvMaskElision);
+//   - lane width: by the same re-derived intervals, every value a column
+//     can hold — at entry and after every op — fits the plan's lane with
+//     its guard bit to spare (InvLane);
 //   - zero-set soundness: every column read before it is written is in
 //     the plan's reset set (InvZeroSet).
 //
-// A nil return means the plan is proved consistent with p under all four
+// A nil return means the plan is proved consistent with p under all five
 // invariant families. Structural violations abort the audit early (the
 // later analyses would index out of bounds); the remaining families are
 // all checked so one pass reports every independent failure.
@@ -124,6 +134,9 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		if !colOK(z) {
 			bad(-1, InvBounds, "zero-set column %d outside 0..%d", z, ncols-1)
 		}
+	}
+	if plan.lane != 16 && plan.lane != 32 && plan.lane != 64 {
+		bad(-1, InvLane, "lane width %d is not 16, 32 or 64", plan.lane)
 	}
 
 	for i := range plan.ops {
@@ -181,26 +194,6 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 					bad(i, InvAliasing, "multi-copy destination %d aliases the source", cd.col)
 				}
 			}
-		case planFused:
-			if op.ext < 0 || int(op.ext) >= len(plan.chains) {
-				bad(i, InvBounds, "fused-chain side table index %d outside 0..%d", op.ext, len(plan.chains)-1)
-				continue
-			}
-			for k, ln := range plan.chains[op.ext] {
-				if !colOK(ln.a) {
-					bad(i, InvBounds, "chain link %d column %d outside 0..%d", k, ln.a, ncols-1)
-					continue
-				}
-				if ln.sgn != 1 && ln.sgn != -1 {
-					bad(i, InvCorrespondence, "chain link %d sign %d is not ±1", k, ln.sgn)
-				}
-				if ln.a == op.dst {
-					// The one-pass chain reads the link column before the
-					// destination row is written; sequential semantics
-					// would observe the freshly copied value.
-					bad(i, InvAliasing, "chain link %d reads the destination column %d", k, op.dst)
-				}
-			}
 		default:
 			// Exhaustive opcode coverage: a kind the interpreter's
 			// dispatch switch does not know silently executes as a no-op.
@@ -212,11 +205,11 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 			bad(i, InvBounds, "operand A column %d outside 0..%d", op.a, ncols-1)
 			continue
 		}
-		// Signedness flag: copies (and their fused form) wrap with the
-		// destination's declared signedness; everything else wraps
-		// signed and must not carry the flag.
+		// Signedness flag: copies wrap with the destination's declared
+		// signedness; everything else wraps signed and must not carry
+		// the flag.
 		switch op.kind {
-		case planCopy, planCopyMulti, planFused:
+		case planCopy, planCopyMulti:
 			if op.unsigned() != plan.cols[op.dst].Unsigned {
 				bad(i, InvFlags, "copy signedness flag %v != destination column metadata %v", op.unsigned(), plan.cols[op.dst].Unsigned)
 			}
@@ -240,18 +233,14 @@ type xop struct {
 	a, b  int32
 	width uint8
 	dsts  []copyDst
-	chain []chainLink
 }
 
 // expectedLowering re-derives the op stream the documented lowering
 // produces from p: one op per instruction, multi-destination copies
-// carrying their destination list, and a plain copy absorbing the
-// in-place add/sub chain that follows it on the same destination.
+// carrying their destination list.
 func expectedLowering(p *Program) []xop {
 	var out []xop
-	instrs := p.Instrs
-	for i := 0; i < len(instrs); i++ {
-		ins := instrs[i]
+	for _, ins := range p.Instrs {
 		w := ins.Width
 		if w > 64 {
 			w = 64
@@ -276,21 +265,6 @@ func expectedLowering(p *Program) []xop {
 				break
 			}
 			x.kind = planCopy
-			for j := i + 1; j < len(instrs); j++ {
-				nxt := instrs[j]
-				if !nxt.InPlace || nxt.Dst != ins.Dst || (nxt.Op != OpAdd && nxt.Op != OpSub) {
-					break
-				}
-				sgn := int64(1)
-				if nxt.Op == OpSub {
-					sgn = -1
-				}
-				x.chain = append(x.chain, chainLink{a: int32(nxt.A), sgn: sgn})
-				i = j
-			}
-			if len(x.chain) > 0 {
-				x.kind = planFused
-			}
 		}
 		out = append(out, x)
 	}
@@ -299,8 +273,8 @@ func expectedLowering(p *Program) []xop {
 
 // auditCorrespondence proves the plan's op stream is exactly the
 // expected lowering of p: every field the machine dispatches on must
-// match (operand columns, widths, kinds, destination lists, fused
-// chains). A flipped opcode, a perturbed column index, or a corrupted
+// match (operand columns, widths, kinds, destination lists). A
+// flipped opcode, a perturbed column index, or a corrupted
 // side table all surface here with the offending op index.
 func (plan *ExecPlan) auditCorrespondence(p *Program) []Violation {
 	var out []Violation
@@ -348,20 +322,6 @@ func (plan *ExecPlan) auditCorrespondence(p *Program) []Violation {
 					bad(i, "multi-copy destination %d is %+v, program has %+v", k, dsts[k], x.dsts[k])
 				}
 			}
-		case planFused:
-			if op.dst != x.dst || op.a != x.a {
-				bad(i, "fused (dst %d, a %d), program (dst %d, a %d)", op.dst, op.a, x.dst, x.a)
-			}
-			chain := plan.chains[op.ext]
-			if len(chain) != len(x.chain) {
-				bad(i, "%d fused chain links, program has %d", len(chain), len(x.chain))
-				continue
-			}
-			for k := range chain {
-				if chain[k] != x.chain[k] {
-					bad(i, "chain link %d is %+v, program has %+v", k, chain[k], x.chain[k])
-				}
-			}
 		}
 	}
 	return out
@@ -370,7 +330,7 @@ func (plan *ExecPlan) auditCorrespondence(p *Program) []Violation {
 // --- independent interval analysis -----------------------------------
 //
 // The helpers below re-derive, from column widths alone, the exact
-// facts the wrap-elision proof needs. They intentionally do not call
+// facts the wrap-elision and lane-width proofs need. They intentionally do not call
 // formatRange/fitsFormat/addSat: the audit must not inherit a bug from
 // the analysis it checks.
 
@@ -422,13 +382,28 @@ func auditNoWrap(l, h int64, w int, unsigned bool) bool {
 	return l >= bl && h <= bh
 }
 
+// auditLaneHolds reports whether every value in [l, h] fits one lane of
+// the machine's packed layout: a lane below 64 bits stores v + 2^(lane-2)
+// under a spare top bit, so it holds v ∈ [-2^(lane-2), 2^(lane-2) − 1]; a
+// 64-bit lane is a whole two's-complement word.
+func auditLaneHolds(lane uint8, l, h int64) bool {
+	if lane == 64 {
+		return true
+	}
+	guard := int64(1) << (lane - 2)
+	return -guard <= l && h <= guard-1
+}
+
 // auditRanges re-derives the value interval of every column under the
-// machine's execution semantics and checks each claimed wrap elision
-// against it. Entry state: loads wrap to each column's stored format
-// and unwritten columns read zero, so every column starts inside its
-// format band. A wide op keeps its exact result interval (that is what
-// the machine computes); a truncating op collapses its destination to
-// the stored format band, which soundly over-approximates any wrap.
+// machine's execution semantics and checks each claimed wrap elision,
+// and the plan's lane width, against it. Entry state: loads wrap to each
+// column's stored format and unwritten columns read zero, so every
+// column starts inside its format band. A wide op keeps its exact result
+// interval (that is what the machine computes); a truncating op
+// collapses its destination to the stored format band, which soundly
+// over-approximates any wrap. Every interval a column ever takes must
+// fit a lane: the word arithmetic of the wide ops is only per-row
+// arithmetic while no lane carries into its neighbour.
 func (plan *ExecPlan) auditRanges() []Violation {
 	var out []Violation
 	bad := func(op int, format string, args ...any) {
@@ -437,42 +412,49 @@ func (plan *ExecPlan) auditRanges() []Violation {
 	n := len(plan.cols)
 	lo := make([]int64, n)
 	hi := make([]int64, n)
+	hold := func(op int, c int32, l, h int64) {
+		lo[c], hi[c] = l, h
+		if !auditLaneHolds(plan.lane, l, h) {
+			out = append(out, Violation{Op: op, Invariant: InvLane,
+				Detail: fmt.Sprintf("column %d holds [%d, %d], which does not fit a %d-bit lane under its guard bit", c, l, h, plan.lane)})
+		}
+	}
 	for c, col := range plan.cols {
-		lo[c], hi[c] = auditBand(col.Width, col.Unsigned)
+		l, h := auditBand(col.Width, col.Unsigned)
+		hold(-1, int32(c), l, h)
 	}
 	for i := range plan.ops {
 		op := &plan.ops[i]
 		w := int(op.width)
 		switch op.kind {
 		case planClear:
-			lo[op.dst], hi[op.dst] = 0, 0
+			hold(i, op.dst, 0, 0)
 		case planCopy:
 			l, h := lo[op.a], hi[op.a]
 			if op.wide() {
 				if !auditNoWrap(l, h, w, op.unsigned()) {
 					bad(i, "mask-free copy of [%d, %d] into a %d-bit column is not provably wrap-free", l, h, w)
 				}
-				lo[op.dst], hi[op.dst] = l, h
 			} else {
-				lo[op.dst], hi[op.dst] = auditBand(w, op.unsigned())
+				l, h = auditBand(w, op.unsigned())
 			}
+			hold(i, op.dst, l, h)
 		case planCopyMulti:
-			l, h := lo[op.a], hi[op.a]
 			for _, cd := range plan.multi[op.ext] {
+				l, h := lo[op.a], hi[op.a]
 				switch {
 				case op.wide():
 					if !auditNoWrap(l, h, w, cd.unsigned) {
 						bad(i, "mask-free multi-copy of [%d, %d] into %d-bit column %d is not provably wrap-free", l, h, w, cd.col)
 					}
-					lo[cd.col], hi[cd.col] = l, h
 				case auditNoWrap(l, h, w, cd.unsigned):
 					// The truncating copy is provably the identity here, so
 					// the destination keeps the exact source interval — the
 					// fact later elision proofs may rest on.
-					lo[cd.col], hi[cd.col] = l, h
 				default:
-					lo[cd.col], hi[cd.col] = auditBand(w, cd.unsigned)
+					l, h = auditBand(w, cd.unsigned)
 				}
+				hold(i, cd.col, l, h)
 			}
 		case planAdd, planSub, planNeg:
 			var l, h int64
@@ -488,42 +470,10 @@ func (plan *ExecPlan) auditRanges() []Violation {
 				if !auditNoWrap(l, h, w, false) {
 					bad(i, "mask-free arithmetic result [%d, %d] in a %d-bit column is not provably wrap-free", l, h, w)
 				}
-				lo[op.dst], hi[op.dst] = l, h
 			} else {
-				lo[op.dst], hi[op.dst] = auditBand(w, false)
+				l, h = auditBand(w, false)
 			}
-		case planFused:
-			l, h := lo[op.a], hi[op.a]
-			if op.wide() {
-				if !auditNoWrap(l, h, w, op.unsigned()) {
-					bad(i, "mask-free fused copy of [%d, %d] into a %d-bit column is not provably wrap-free", l, h, w)
-				}
-				for k, ln := range plan.chains[op.ext] {
-					if ln.sgn > 0 {
-						l, h = auditSatAdd(l, lo[ln.a]), auditSatAdd(h, hi[ln.a])
-					} else {
-						l, h = auditSatAdd(l, -hi[ln.a]), auditSatAdd(h, -lo[ln.a])
-					}
-					if !auditNoWrap(l, h, w, false) {
-						bad(i, "mask-free fused chain link %d result [%d, %d] in a %d-bit column is not provably wrap-free", k, l, h, w)
-					}
-				}
-			} else {
-				if !auditNoWrap(l, h, w, op.unsigned()) {
-					l, h = auditBand(w, op.unsigned())
-				}
-				for _, ln := range plan.chains[op.ext] {
-					if ln.sgn > 0 {
-						l, h = auditSatAdd(l, lo[ln.a]), auditSatAdd(h, hi[ln.a])
-					} else {
-						l, h = auditSatAdd(l, -hi[ln.a]), auditSatAdd(h, -lo[ln.a])
-					}
-					if !auditNoWrap(l, h, w, false) {
-						l, h = auditBand(w, false)
-					}
-				}
-			}
-			lo[op.dst], hi[op.dst] = l, h
+			hold(i, op.dst, l, h)
 		}
 	}
 	return out
@@ -564,12 +514,6 @@ func (plan *ExecPlan) auditZeroSet() []Violation {
 		case planAdd, planSub:
 			read(i, op.a)
 			read(i, op.b)
-			written[op.dst] = true
-		case planFused:
-			read(i, op.a)
-			for _, ln := range plan.chains[op.ext] {
-				read(i, ln.a)
-			}
 			written[op.dst] = true
 		}
 	}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"rtmap/internal/ap"
@@ -112,6 +113,29 @@ type TileProgram struct {
 	planOnce sync.Once
 	plan     *ap.ExecPlan
 	planErr  error
+
+	inputsOnce sync.Once
+	inputs     []InputBinding
+}
+
+// InputBinding is one entry of TileProgram.InputBindings: virtual input
+// column Virt carries patch position K of resident channel Chan.
+type InputBinding struct {
+	Virt, Chan, K int
+}
+
+// Inputs returns InputBindings in virtual-column order, built on first
+// use and memoized like ExecPlan. Replay walks it once per task: a slice
+// in arena order instead of a map in random order.
+func (tp *TileProgram) Inputs() []InputBinding {
+	tp.inputsOnce.Do(func() {
+		tp.inputs = make([]InputBinding, 0, len(tp.InputBindings))
+		for v, bind := range tp.InputBindings {
+			tp.inputs = append(tp.inputs, InputBinding{Virt: v, Chan: bind[0], K: bind[1]})
+		}
+		sort.Slice(tp.inputs, func(i, j int) bool { return tp.inputs[i].Virt < tp.inputs[j].Virt })
+	})
+	return tp.inputs
 }
 
 // ExecPlan returns Prog lowered for repeated execution, built on first

@@ -15,10 +15,11 @@
 // bit-identically to single-device execution.
 //
 // Functional execution runs on the batched, pooled engine of exec.go:
-// ForwardAPBatch/RunConvBatch lay a batch's im2col rows side by side so
-// every (strip, tile, row-range) program is interpreted once per batch
-// through precompiled ap.ExecPlans, with sync.Pool-backed scratch and a
-// persistent worker pool. ForwardAP is the batch-of-one wrapper, and
+// ForwardAPBatch/RunConvBatch lay a batch's im2col rows end to end so
+// every (strip, tile) program is interpreted once per cache-sized block
+// of them through precompiled ap.ExecPlans, on lane-packed arenas each
+// task gathers straight from the input tensors, over a persistent
+// worker pool. ForwardAP is the batch-of-one wrapper, and
 // ForwardAPBaseline retains the pre-ExecPlan interpreter as the
 // rtmap-bench -exec A/B baseline and as an independent oracle.
 package sim

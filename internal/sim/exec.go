@@ -15,86 +15,82 @@ import (
 // This file is the batched, pooled functional execution engine: the hot
 // path that replays compiled AP programs. The CAM array's whole economy
 // is amortizing one program over many rows, and the engine mirrors that
-// in software — a batch of N inputs lays its im2col rows side by side
-// and every (strip, tile, row-group) program is interpreted once for all
-// of them, through precompiled ap.ExecPlans, pooled arenas, and a
-// persistent worker pool across (tile, row-group) tasks. Results are
-// bit-identical to the retained single-input interpreter
-// (ForwardAPBaseline); TestForwardAPBatchMatchesSerial proves it.
+// in software — a batch of N inputs lays its im2col rows end to end in
+// one row space, every row packs into a lane of the machine's 64-bit
+// words, and every (strip, tile) program is interpreted once per
+// cache-sized block of those rows, through precompiled ap.ExecPlans,
+// pooled arenas, and a persistent worker pool. Results are bit-identical
+// to the retained single-input interpreter (ForwardAPBaseline);
+// TestForwardAPBatchMatchesSerial proves it.
 
-// i32Pool recycles im2col scratch buffers; machinePool recycles the
-// column arenas of inline (non-worker) execution. Both reach an
-// allocation-free steady state once the shapes of a workload have been
-// seen — TestRunConvBatchIntoAllocFree gates it.
-var (
-	i32Pool     sync.Pool // *[]int32
-	machinePool = sync.Pool{New: func() any { return new(ap.Machine) }}
-	ctxPool     = sync.Pool{New: func() any { return new(convCtx) }}
-)
+// ctxPool recycles the per-call task state and machines the column
+// arenas, so the steady-state path allocates nothing once the shapes of
+// a workload have been seen — TestRunConvBatchIntoAllocFree gates it.
+var ctxPool = sync.Pool{New: func() any { return new(convCtx) }}
 
-func getI32(n int) *[]int32 {
-	if p, ok := i32Pool.Get().(*[]int32); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
+// machines is the free list of column arenas: a task takes one for its
+// run and returns it, most recently used first, so the process holds as
+// many as it has ever run tasks at once, each grown to the largest shape
+// it has replayed. Not a sync.Pool: a collection would drop megabytes of
+// arena that the next layer allocates again.
+var machines struct {
+	sync.Mutex
+	free []*ap.Machine
+}
+
+func getMachine() *ap.Machine {
+	machines.Lock()
+	defer machines.Unlock()
+	if n := len(machines.free); n > 0 {
+		m := machines.free[n-1]
+		machines.free = machines.free[:n-1]
+		return m
 	}
-	s := make([]int32, n)
-	return &s
+	return new(ap.Machine)
+}
+
+func putMachine(m *ap.Machine) {
+	machines.Lock()
+	machines.free = append(machines.free, m)
+	machines.Unlock()
 }
 
 // convCtx is the shared state of one batched conv execution; tasks index
 // into it. Pooled so the steady-state path allocates nothing.
 type convCtx struct {
 	plan  *core.LayerPlan
-	cols  []int32 // im2col scratch: [item][channel][k·P+pos]
-	cin   int
-	kp    int // K·P per (item, channel) segment
-	p     int
-	batch int
+	plans []*ap.ExecPlan // [strip·tiles + tile], lowered before any task runs
+	spec  tensor.ConvSpec
+	wout  int // output row length: im2col rows [oh·wout, (oh+1)·wout) share an input row
+	ins   []*tensor.Int
 	outs  []*tensor.Int
 	tile  []int // tile row offsets
 
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error
+	wg sync.WaitGroup
+	// mu orders the accumulation of tasks that split one output region
+	// by strip.
+	mu sync.Mutex
 }
 
-// colSeg returns item b's im2col matrix for global input channel ci.
-func (ctx *convCtx) colSeg(b, ci int) []int32 {
-	off := (b*ctx.cin + ci) * ctx.kp
-	return ctx.cols[off : off+ctx.kp]
-}
-
-func (ctx *convCtx) fail(err error) {
-	ctx.mu.Lock()
-	if ctx.err == nil {
-		ctx.err = err
-	}
-	ctx.mu.Unlock()
-}
-
-func (ctx *convCtx) failed() bool {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	return ctx.err != nil
-}
-
-// convTask is one (tile, row-group) unit of work: it owns a disjoint
-// output region (tile → output channels, row group → output positions)
-// and serially accumulates every strip's partial sums into it, so tasks
-// never contend and the inter-strip reduction stays exact (int32 adds
-// commute bit-exactly regardless of task order).
+// convTask is one (strip-group, tile, row-block) unit of work. Rows are
+// numbered across the batch — item b's output position p is row b·P + p —
+// so a block may start mid-item and span several. A task that runs every
+// strip owns its output region (tile → output channels, block → output
+// positions) outright; tasks that share a region between strip groups
+// take ctx.mu around their accumulation. Either way the inter-strip
+// reduction stays exact: int32 adds commute bit for bit regardless of
+// task order.
 type convTask struct {
 	ctx    *convCtx
 	tile   int
-	r0, r1 int
+	s0, s1 int // strips
+	g0, g1 int // rows
 }
 
-// The persistent worker pool. Workers own a Machine each (its arena
-// grows to the largest shape it has replayed and is then reused), so
-// task execution allocates nothing. submitConv never blocks on a
-// saturated pool: the submitter runs the task inline instead, which
-// keeps progress even when many batched executions overlap (the serving
-// fleet runs one per device goroutine).
+// The persistent worker pool. submitConv never blocks on a saturated
+// pool: the submitter runs the task inline instead, which keeps progress
+// even when many batched executions overlap (the serving fleet runs one
+// per device goroutine).
 var (
 	workersOnce sync.Once
 	workCh      chan convTask
@@ -105,9 +101,8 @@ func startWorkers() {
 	workCh = make(chan convTask, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
-			m := new(ap.Machine)
 			for t := range workCh {
-				runConvTask(t, m)
+				runConvTask(t)
 			}
 		}()
 	}
@@ -117,81 +112,144 @@ func submitConv(t convTask) {
 	select {
 	case workCh <- t:
 	default:
-		m := machinePool.Get().(*ap.Machine)
-		runConvTask(t, m)
-		machinePool.Put(m)
+		runConvTask(t)
 	}
 }
 
-// runConvTask executes one (tile, row-group) across every strip and all
-// batch items: the machine holds n·batch rows (item b's row group lives
-// at rows [b·n, (b+1)·n)) and each strip's program runs once for the
-// whole batch.
+// runConvTask executes one row block of one tile across its strips:
+// each strip's program runs once for the whole block, on rows gathered
+// straight from the input tensors.
 //
 //rtmap:noalloc
-func runConvTask(t convTask, m *ap.Machine) {
+func runConvTask(t convTask) {
 	ctx := t.ctx
 	defer ctx.wg.Done()
-	if ctx.failed() {
-		return
-	}
-	n := t.r1 - t.r0
-	rows := n * ctx.batch
-	for _, sp := range ctx.plan.StripPlans {
+	m := getMachine()
+	defer putMachine(m)
+	p, tiles := ctx.plan.P, len(ctx.tile)
+	shared := t.s1-t.s0 < len(ctx.plan.StripPlans)
+	for s := t.s0; s < t.s1; s++ {
+		sp := &ctx.plan.StripPlans[s]
 		tp := sp.Programs[t.tile]
-		plan, err := tp.ExecPlan()
-		if err != nil {
-			ctx.fail(err)
-			return
-		}
-		m.Reset(plan, rows)
-		for virt, bind := range tp.InputBindings {
-			chLocal, k := bind[0], bind[1]
-			if chLocal >= len(sp.Channels) {
+		m.Reset(ctx.plans[s*tiles+t.tile], t.g1-t.g0)
+		for _, in := range tp.Inputs() {
+			if in.Chan >= len(sp.Channels) {
 				continue // plane slot unused by this strip's tail
 			}
-			global := sp.Channels[chLocal]
-			for b := 0; b < ctx.batch; b++ {
-				src := ctx.colSeg(b, global)[k*ctx.p+t.r0 : k*ctx.p+t.r1]
-				m.SetColumnInt32(virt, b*n, src)
+			ci, kh, kw := sp.Channels[in.Chan], in.K/ctx.spec.Fw, in.K%ctx.spec.Fw
+			for g := t.g0; g < t.g1; {
+				b, p0 := g/p, g%p
+				n := min(p-p0, t.g1-g)
+				ctx.gather(m, in.Virt, g-t.g0, ctx.ins[b], ci, kh, kw, p0, p0+n)
+				g += n
 			}
 		}
 		m.Run()
+		if shared {
+			ctx.mu.Lock()
+		}
 		for o, accV := range tp.AccVirt {
-			co := ctx.tile[t.tile] + o
-			for b := 0; b < ctx.batch; b++ {
-				out := ctx.outs[b]
-				base := out.Shape.Index(0, co, 0, 0)
-				m.AccumulateColumn(accV, b*n, out.Data[base+t.r0:base+t.r1])
+			base := (ctx.tile[t.tile] + o) * p
+			for g := t.g0; g < t.g1; {
+				b, p0 := g/p, g%p
+				n := min(p-p0, t.g1-g)
+				m.AccumulateColumn(accV, g-t.g0, ctx.outs[b].Data[base+p0:base+p0+n])
+				g += n
 			}
+		}
+		if shared {
+			ctx.mu.Unlock()
 		}
 	}
 }
 
-// taskChunk picks the row range each task simulates in one machine
-// pass. Rows are independent in the word-level semantics, so the camRows
-// hardware granularity is not a semantic boundary: fusing row groups
-// into one pass amortizes program interpretation over many more rows
-// (results stay bit-identical — physically it is several row groups side
-// by side). The chunk still splits enough to feed the worker pool and
-// caps the machine arena so the column working set stays cache-resident.
-func taskChunk(p, tiles, batch, cols, camRows int) int {
-	chunk := p
-	if w := runtime.GOMAXPROCS(0); tiles < 2*w {
-		if c := (p*tiles + 2*w - 1) / (2 * w); c < chunk {
-			chunk = c
+// gather loads im2col rows [p0, p1) of one (channel, tap) of in into rows
+// [row0, …) of a machine column: per output row, the taps that land
+// inside the input are one strided run of an input row. Padding taps are
+// not written — an input column is read before it is written, so Reset
+// has already zeroed it.
+//
+//rtmap:noalloc
+func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, in *tensor.Int, ci, kh, kw, p0, p1 int) {
+	h, w := in.Shape.H, in.Shape.W
+	stride, wout := ctx.spec.Stride, ctx.wout
+	// Output columns [lo, hi) are those whose tap ow·stride + off is in
+	// [0, w).
+	off := kw - ctx.spec.Pad
+	lo, hi := 0, 0
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if w-1-off >= 0 {
+		hi = (w-1-off)/stride + 1
+	}
+	plane := in.Data[ci*h*w : (ci+1)*h*w]
+	oh, ow := p0/wout, p0%wout
+	for p := p0; p < p1; oh, ow = oh+1, 0 {
+		n := min(wout-ow, p1-p)
+		if ih := oh*stride + kh - ctx.spec.Pad; ih >= 0 && ih < h {
+			if a, b := max(ow, lo), min(ow+n, hi); a < b {
+				m.LoadRows(col, row0+a-ow, b-a, plane[ih*w+a*stride+off:], stride)
+			}
 		}
+		p += n
+		row0 += n
 	}
-	if cols > 0 {
-		// ~2 MiB of int64 columns per machine.
-		if c := (2 << 20) / 8 / (cols * batch); c < chunk {
-			chunk = c
+}
+
+// Task shape. Rows are independent in the word-level semantics, so the
+// camRows hardware granularity is not a semantic boundary: a task runs
+// as many rows per program pass as keep its machine arena in L2, which
+// amortizes op dispatch over the block without streaming every column
+// from memory on every op that touches it.
+const (
+	// arenaBudget caps a task's machine arena (columns × words × 8 bytes).
+	arenaBudget = 2 << 20
+	// lineWords floors a block at one cache line of lanes per column:
+	// below it a task moves whole lines to use part of each.
+	lineWords = 8
+	// handoffWork is the ops × rows a task must keep for a split to pay
+	// for handing the other half to a worker.
+	handoffWork = 1 << 15
+)
+
+// taskShape sizes the tasks of one layer execution: the row-block length
+// and the strips per task. rows counts every batch item's rows; cols and
+// ops are the widest column table and the largest per-tile op count (all
+// strips) among the layer's plans, lanes the fewest rows per word.
+//
+// Blocks start as long as arenaBudget allows. While that leaves a worker
+// with fewer than two tasks, strips split into groups first — a strip
+// group runs its own ops once, so the split adds no dispatch — and then
+// blocks shorten, which re-runs every op per block: never below
+// lineWords, and neither split below handoffWork per task.
+func taskShape(rows, tiles, strips, cols, ops, lanes, workers int) (block, perTask int) {
+	want := 1 // blocks × strip groups per tile that feed the pool
+	if workers > 1 {
+		want = (2*workers + tiles - 1) / tiles
+	}
+	line := lanes * lineWords
+	// blocks counts the blocks of a given length, folding a last block
+	// shorter than a cache line into the others.
+	blocks := func(block int) int {
+		n := (rows + block - 1) / block
+		if rows/n < line {
+			n = max(1, rows/line)
 		}
+		return n
 	}
-	if chunk < min(camRows, p) {
-		chunk = min(camRows, p)
+	block = min(rows, lanes*max(lineWords, arenaBudget/8/cols))
+	n := blocks(block)
+	groups := min(strips, (want+n-1)/n, max(1, ops*block/handoffWork))
+	if n*groups < want {
+		floor := max(line, (handoffWork*groups+ops-1)/ops)
+		feed := (want + groups - 1) / groups
+		block = min(block, max((rows+feed-1)/feed, floor))
+		n = blocks(block)
 	}
-	return chunk
+	// Even the blocks out, whole words each.
+	block = ((rows+n-1)/n + lanes - 1) / lanes * lanes
+	return block, (strips + groups - 1) / groups
 }
 
 // RunConvBatchInto executes one compiled conv/linear layer for a batch
@@ -210,8 +268,7 @@ func RunConvBatchInto(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int) e
 	if len(ins) == 0 || len(ins) != len(outs) {
 		return fmt.Errorf("sim: batch of %d inputs with %d outputs", len(ins), len(outs))
 	}
-	lay := &c.Net.Layers[layerIdx]
-	spec := lay.ConvSpec()
+	spec := c.Net.Layers[layerIdx].ConvSpec()
 	outShape := spec.OutShape(ins[0].Shape)
 	for b, in := range ins {
 		if in.Shape.N != 1 {
@@ -225,59 +282,81 @@ func RunConvBatchInto(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int) e
 		}
 		clear(outs[b].Data)
 	}
-	for _, sp := range plan.StripPlans {
-		if len(sp.Programs) != len(plan.TileSizes) {
-			return fmt.Errorf("sim: layer %d: strip has %d programs, want %d",
-				layerIdx, len(sp.Programs), len(plan.TileSizes))
-		}
-	}
-
-	p := plan.P
-	camRows := c.Cfg.Par.CAMRows
-	kp := spec.Fh * spec.Fw * p
-
-	// im2col every (item, channel) into one pooled scratch buffer.
-	scratch := getI32(len(ins) * spec.Cin * kp)
 	ctx := ctxPool.Get().(*convCtx)
-	ctx.plan, ctx.cols, ctx.cin, ctx.kp, ctx.p = plan, *scratch, spec.Cin, kp, p
-	ctx.batch, ctx.outs, ctx.err = len(ins), outs, nil
-	for b, in := range ins {
-		for ci := 0; ci < spec.Cin; ci++ {
-			tensor.Im2ColChannelInto(ctx.colSeg(b, ci), in, 0, ci, spec)
+	ctx.plan, ctx.spec, ctx.wout, ctx.ins, ctx.outs = plan, spec, outShape.W, ins, outs
+	err := ctx.run(layerIdx)
+	ctx.plan, ctx.ins, ctx.outs = nil, nil, nil
+	clear(ctx.plans)
+	ctxPool.Put(ctx)
+	return err
+}
+
+// shape lowers every program of the layer (memoized on the tile
+// program, so tasks have no error path) and sizes the tasks from the
+// layer's extremes.
+func (ctx *convCtx) shape(layerIdx int) (block, perTask int, err error) {
+	plan := ctx.plan
+	tiles, strips := len(plan.TileSizes), len(plan.StripPlans)
+	ctx.plans = ctx.plans[:0]
+	cols, lanes := 1, 64
+	for _, sp := range plan.StripPlans {
+		if len(sp.Programs) != tiles {
+			return 0, 0, fmt.Errorf("sim: layer %d: strip has %d programs, want %d", layerIdx, len(sp.Programs), tiles)
+		}
+		for _, tp := range sp.Programs {
+			ep, err := tp.ExecPlan()
+			if err != nil {
+				return 0, 0, err
+			}
+			ctx.plans = append(ctx.plans, ep)
+			cols = max(cols, ep.Columns())
+			lanes = min(lanes, 64/ep.LaneBits())
 		}
 	}
-	if cap(ctx.tile) < len(plan.TileSizes) {
-		ctx.tile = make([]int, len(plan.TileSizes))
-	} else {
-		ctx.tile = ctx.tile[:len(plan.TileSizes)]
+	ops := 1
+	for t := 0; t < tiles; t++ {
+		n := 0
+		for s := 0; s < strips; s++ {
+			n += ctx.plans[s*tiles+t].Ops()
+		}
+		ops = max(ops, n)
 	}
+	block, perTask = taskShape(len(ctx.ins)*plan.P, tiles, strips, cols, ops, lanes, runtime.GOMAXPROCS(0))
+	return block, perTask, nil
+}
+
+// run shapes the layer's tasks and executes them.
+func (ctx *convCtx) run(layerIdx int) error {
+	block, perTask, err := ctx.shape(layerIdx)
+	if err != nil {
+		return err
+	}
+	plan := ctx.plan
+	ctx.tile = ctx.tile[:0]
 	off := 0
-	for t, ts := range plan.TileSizes {
-		ctx.tile[t] = off
+	for _, ts := range plan.TileSizes {
+		ctx.tile = append(ctx.tile, off)
 		off += ts
 	}
-
+	rows, strips := len(ctx.ins)*plan.P, len(plan.StripPlans)
 	workersOnce.Do(startWorkers)
-	maxCols := 0
-	for _, tp := range plan.StripPlans[0].Programs {
-		if n := len(tp.Prog.Cols); n > maxCols {
-			maxCols = n
-		}
-	}
-	chunk := taskChunk(p, len(plan.TileSizes), len(ins), maxCols, camRows)
+	// The caller keeps the last task for itself: it would otherwise only
+	// wait, and a layer that is one task never pays a hand-off.
+	var last convTask
 	for t := range plan.TileSizes {
-		for r0 := 0; r0 < p; r0 += chunk {
-			r1 := min(r0+chunk, p)
-			ctx.wg.Add(1)
-			submitConv(convTask{ctx: ctx, tile: t, r0: r0, r1: r1})
+		for s0 := 0; s0 < strips; s0 += perTask {
+			for g0 := 0; g0 < rows; g0 += block {
+				if last.ctx != nil {
+					submitConv(last)
+				}
+				ctx.wg.Add(1)
+				last = convTask{ctx: ctx, tile: t, s0: s0, s1: min(s0+perTask, strips), g0: g0, g1: min(g0+block, rows)}
+			}
 		}
 	}
+	runConvTask(last)
 	ctx.wg.Wait()
-	err := ctx.err
-	ctx.plan, ctx.cols, ctx.outs, ctx.err = nil, nil, nil, nil
-	ctxPool.Put(ctx)
-	i32Pool.Put(scratch)
-	return err
+	return nil
 }
 
 // RunConvBatch is RunConvBatchInto with freshly allocated outputs: one

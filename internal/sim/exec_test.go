@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rtmap/internal/core"
@@ -94,6 +95,139 @@ func TestRunConvBatchMatchesBaseline(t *testing.T) {
 			}
 			if !outs[b].Equal(want) {
 				t.Fatalf("trial %d item %d: batched conv != baseline", trial, b)
+			}
+		}
+	}
+}
+
+// The two task splits that share work inside one layer, N ∈ {1, 3, 8}
+// against the pre-ExecPlan interpreter item by item: a P = 49 layer with
+// two tiles, whose row blocks cut items mid-word (49 rows per item, 4
+// rows per word), and a P = 1 layer with two strips and enough ops that
+// the strips run as separate tasks accumulating into one output region.
+func TestRunConvBatchSplitsMatchBaseline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // strips only split to feed more than one worker
+	for _, tc := range []struct {
+		name                string
+		net                 *model.Network
+		tiles, strips, p    int
+		splitStripsAtBatch1 bool
+	}{
+		{"two-tile", singleConvNet(31, 128, 288, 3, 2, 1, 14, 0.5), 2, 3, 49, false},
+		{"two-strip", singleConvNet(32, 3000, 48, 1, 1, 0, 1, 0.5), 1, 2, 1, true},
+	} {
+		c := compileNet(t, tc.net, true)
+		plan := c.Layers[0]
+		if len(plan.TileSizes) != tc.tiles || len(plan.StripPlans) != tc.strips || plan.P != tc.p {
+			t.Fatalf("%s: compiled to %d tiles, %d strips, P=%d; the test needs %d, %d, %d",
+				tc.name, len(plan.TileSizes), len(plan.StripPlans), plan.P, tc.tiles, tc.strips, tc.p)
+		}
+		if tc.splitStripsAtBatch1 {
+			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, 1)}
+			if _, perTask, err := ctx.shape(0); err != nil || perTask >= tc.strips {
+				t.Fatalf("%s: %d strips per task (err %v); the test needs them split", tc.name, perTask, err)
+			}
+		}
+		for _, n := range []int{1, 3, 8} {
+			ins := make([]*tensor.Int, n)
+			for b := range ins {
+				tr, err := tc.net.ForwardInt(randInput(uint64(40*n+b), tc.net.InputShape))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins[b] = tr.InputCodes
+			}
+			outs, err := RunConvBatch(c, 0, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, in := range ins {
+				want, err := runConvBaseline(c, 0, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !outs[b].Equal(want) {
+					t.Fatalf("%s N=%d item %d: batched conv != baseline", tc.name, n, b)
+				}
+			}
+		}
+	}
+}
+
+// A task must keep enough work to pay for its hand-off: every tinycnn
+// layer at batch 8 — 19 to 46 ops over at most 512 rows — stays one task
+// however many workers there are to feed.
+func TestTinyConvStaysOneTask(t *testing.T) {
+	c := compileNet(t, model.TinyCNN(model.DefaultConfig()), true)
+	for _, procs := range []int{1, 2, 16} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i, plan := range c.Layers {
+			if plan.Class != core.ClassConv {
+				continue
+			}
+			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, 8)}
+			block, perTask, err := ctx.shape(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := 8 * plan.P; block < rows || perTask != len(plan.StripPlans) {
+				t.Errorf("GOMAXPROCS %d: %s at batch 8 splits into blocks of %d of %d rows, %d of %d strips per task",
+					procs, plan.Name, block, rows, perTask, len(plan.StripPlans))
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// taskShape on the shapes the budget was taken on (vgg9 and resnet18, 4
+// rows per word, 2 workers), and its invariants over a sweep.
+func TestTaskShape(t *testing.T) {
+	for _, tc := range []struct {
+		name                                 string
+		rows, tiles, strips, cols, ops       int
+		wantBlock, wantBlocks, wantStripsPer int
+	}{
+		// 64 rows of 16 329 columns: two blocks, each one cache line of
+		// lanes per column — the floor, not camRows, sets the block.
+		{"vgg9 conv3_1 b1", 64, 1, 1, 16329, 44099, 32, 2, 1},
+		{"vgg9 conv3_1 b8", 512, 1, 1, 16329, 44099, 64, 8, 1},
+		// Two strips and only two blocks: the strips split too.
+		{"vgg9 conv3_2 b1", 64, 1, 2, 16301, 88113, 32, 2, 1},
+		// One row: nothing to split but the strips.
+		{"vgg9 fc1 b1", 1, 1, 4, 1281, 210598, 4, 1, 1},
+		{"vgg9 fc2 b1", 1, 1, 4, 321, 14056, 4, 1, 4},
+		// The arena budget, not the worker count, sets the block.
+		{"vgg9 conv1_2 b8", 8192, 1, 1, 3034, 6304, 344, 24, 1},
+		// 49 rows is under two cache lines of lanes: one block, and the two
+		// tiles' strips split instead.
+		{"resnet18 layer4 b1", 49, 2, 4, 20244, 175383, 52, 1, 2},
+	} {
+		block, perTask := taskShape(tc.rows, tc.tiles, tc.strips, tc.cols, tc.ops, 4, 2)
+		blocks := (tc.rows + block - 1) / block
+		if block != tc.wantBlock || blocks != tc.wantBlocks || perTask != tc.wantStripsPer {
+			t.Errorf("%s: blocks of %d rows (%d of them), %d strips per task; want %d (%d), %d",
+				tc.name, block, blocks, perTask, tc.wantBlock, tc.wantBlocks, tc.wantStripsPer)
+		}
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 8} {
+			for rows := 1; rows < 3000; rows += 37 {
+				for _, cols := range []int{9, 300, 20000} {
+					for _, ops := range []int{1, 19, 5000, 300000} {
+						block, perTask := taskShape(rows, 2, 3, cols, ops, lanes, workers)
+						words := block / lanes
+						switch {
+						case block < 1 || block%lanes != 0:
+							t.Fatalf("block of %d rows at %d rows per word", block, lanes)
+						case perTask < 1 || perTask > 3:
+							t.Fatalf("%d strips per task of 3", perTask)
+						case words >= 2*lineWords && cols*(words-1)*8 > arenaBudget:
+							t.Fatalf("rows %d cols %d: %d-word blocks overflow the arena budget", rows, cols, words)
+						case words < lineWords && block < rows:
+							t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
+						}
+					}
+				}
 			}
 		}
 	}

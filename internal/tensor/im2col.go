@@ -9,22 +9,11 @@ package tensor
 // M is returned row-major: M[k*P + p] is patch element k of output point p,
 // with P = Hout·Wout.
 func Im2ColChannel(in *Int, n, c int, spec ConvSpec) []int32 {
-	k := spec.Fh * spec.Fw
-	p := ConvOutDim(in.Shape.H, spec.Fh, spec.Stride, spec.Pad) *
-		ConvOutDim(in.Shape.W, spec.Fw, spec.Stride, spec.Pad)
-	m := make([]int32, k*p)
-	Im2ColChannelInto(m, in, n, c, spec)
-	return m
-}
-
-// Im2ColChannelInto is Im2ColChannel writing into caller-owned storage
-// (len(m) must be Fh·Fw·Hout·Wout), so batched execution can lower many
-// inputs through pooled scratch without allocating.
-func Im2ColChannelInto(m []int32, in *Int, n, c int, spec ConvSpec) {
 	is := in.Shape
 	hout := ConvOutDim(is.H, spec.Fh, spec.Stride, spec.Pad)
 	wout := ConvOutDim(is.W, spec.Fw, spec.Stride, spec.Pad)
 	p := hout * wout
+	m := make([]int32, spec.Fh*spec.Fw*p)
 	for kh := 0; kh < spec.Fh; kh++ {
 		for kw := 0; kw < spec.Fw; kw++ {
 			row := kh*spec.Fw + kw
@@ -41,6 +30,7 @@ func Im2ColChannelInto(m []int32, in *Int, n, c int, spec ConvSpec) {
 			}
 		}
 	}
+	return m
 }
 
 // Im2Col lowers the full input (one batch element) into a (Cin·Fh·Fw) ×

@@ -1,8 +1,9 @@
 // Package verify statically audits compiled execution plans.
 //
-// The ExecPlan engine elides almost all wrap masks on the strength of a
-// compile-time value-range analysis and skips Reset work via a zero-set
-// analysis; a bug in either corrupts inference results silently. This
+// The ExecPlan engine elides almost all wrap masks and narrows its lanes
+// on the strength of a compile-time value-range analysis, and skips
+// Reset work via a zero-set analysis; a bug in either corrupts inference
+// results silently. This
 // package re-checks every retained tile program with an independent
 // abstract interpreter (ap.AuditPlan) and reports structured, fully
 // located diagnostics — model, layer, strip, tile, op index, violated
