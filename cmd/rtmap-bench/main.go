@@ -10,8 +10,6 @@
 //	rtmap-bench -shards 6 -net tinycnn -json -out DIR   # BENCH_shards.json
 //	rtmap-bench -replicas 4        # data-parallel replication frontier
 //	rtmap-bench -replicas 4 -json -out DIR              # BENCH_replicas.json
-//	rtmap-bench -exec 8            # batched execution engine vs baseline
-//	rtmap-bench -exec 8 -json -out DIR                  # BENCH_exec.json
 //	rtmap-bench -trace-overhead    # serving-path tracing overhead (off/sampled/full)
 //	rtmap-bench -trace-overhead -json -out DIR          # BENCH_trace.json
 //	rtmap-bench -slo               # SLO scheduler vs static config: goodput under mixed deadlines
@@ -37,7 +35,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"rtmap"
@@ -56,7 +53,6 @@ func main() {
 		movement  = flag.Bool("movement", false, "report data-movement energy shares (§V-C)")
 		endurance = flag.Bool("endurance", false, "report write-endurance lifetime (§V-C)")
 		shards    = flag.Int("shards", 0, "sweep pipeline sharding from 1 to N stages and report the stage-count/throughput frontier")
-		execB     = flag.Int("exec", 0, "sweep the batched functional execution engine at batch sizes 1..N (powers of two) against the retained baseline interpreter")
 		replicas  = flag.Int("replicas", 0, "sweep data-parallel replication from 1 to N replicas and report the aggregate-throughput frontier")
 		traceOH   = flag.Bool("trace-overhead", false, "measure the serving path's tracing overhead: tinycnn request cost with tracing off, 1-in-16 sampled, and fully traced with layer spans")
 		sloB      = flag.Bool("slo", false, "drive a mixed-deadline workload against a static configuration and the SLO scheduler (deadline-aware batching, shedding, autoscaling) at the same offered load and compare goodput")
@@ -72,7 +68,7 @@ func main() {
 		noCache   = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
 	)
 	flag.Parse()
-	if !*table2 && !*fig4 && !*cse && !*movement && !*endurance && *shards <= 0 && *replicas <= 0 && *execB <= 0 && !*traceOH && !*sloB && !*clusterB {
+	if !*table2 && !*fig4 && !*cse && !*movement && !*endurance && *shards <= 0 && *replicas <= 0 && !*traceOH && !*sloB && !*clusterB {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -219,29 +215,6 @@ func main() {
 			}
 		}
 		addJSON("shards", map[string]any{"network": name, "frontier": rows})
-	}
-
-	if *execB > 0 {
-		name := *netFilter
-		if name == "" {
-			name = "resnet18"
-		}
-		sec, err := execSweep(name, *seed, *execB, compileConfig(*noCache), progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !*jsonOut {
-			fmt.Printf("\nFunctional execution engine — %s (batched ExecPlan engine vs baseline interpreter, GOMAXPROCS=%d)\n",
-				name, sec.GoMaxProcs)
-			fmt.Printf("baseline: %.3f ms/infer (%.1f infer/s single-stream)\n",
-				sec.BaselineNSPerInfer/1e6, 1e9/sec.BaselineNSPerInfer)
-			fmt.Printf("%-7s %-14s %-12s %s\n", "batch", "ms/infer", "infer/s", "speedup_vs_baseline")
-			for _, r := range sec.Frontier {
-				fmt.Printf("%-7d %-14.4f %-12.1f %.2fx\n",
-					r.Batch, r.NSPerInfer/1e6, r.InfersPerSec, r.Speedup)
-			}
-		}
-		addJSON("exec", sec)
 	}
 
 	if *traceOH {
@@ -458,109 +431,6 @@ func shardSweep(name string, seed uint64, maxK int, cfg rtmap.CompileConfig) ([]
 		}
 	}
 	return rows, nil
-}
-
-// execSection is the JSON artifact of the functional-execution engine
-// sweep (bench/BENCH_exec.json).
-type execSection struct {
-	Network    string `json:"network"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	// BaselineNSPerInfer is the single-stream per-inference time of the
-	// retained pre-ExecPlan interpreter (RunFunctionalBaseline).
-	BaselineNSPerInfer float64   `json:"baseline_ns_per_infer"`
-	Frontier           []execRow `json:"frontier"`
-}
-
-// execRow is one batch-size point of the engine sweep.
-type execRow struct {
-	Batch        int     `json:"batch"`
-	NSPerInfer   float64 `json:"ns_per_infer"`
-	InfersPerSec float64 `json:"infer_per_s"`
-	// Speedup is per-inference throughput relative to the baseline
-	// interpreter's single stream.
-	Speedup float64 `json:"speedup_vs_baseline"`
-}
-
-// benchLoop measures ns per call of f: one warmup call, then repeats
-// until two seconds or five calls, whichever comes first (big networks
-// take minutes per call; small ones need the averaging).
-func benchLoop(f func() error) (float64, error) {
-	if err := f(); err != nil { // warmup: lazy plan builds, pool growth
-		return 0, err
-	}
-	var reps int
-	start := time.Now()
-	for time.Since(start) < 2*time.Second && reps < 5 {
-		if err := f(); err != nil {
-			return 0, err
-		}
-		reps++
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(reps), nil
-}
-
-// execSweep compiles the named network with programs retained, checks
-// the two interpreters agree bit for bit on a probe input, and measures
-// baseline single-stream plus the batched engine at batch sizes 1..maxB
-// (powers of two).
-func execSweep(name string, seed uint64, maxB int, cfg rtmap.CompileConfig, progress func(string)) (*execSection, error) {
-	net, err := buildNet(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg.KeepPrograms = true
-	progress(fmt.Sprintf("compiling %s with programs retained", name))
-	comp, err := rtmap.Compile(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ins := workload.Inputs(net.InputShape, maxB, seed+1)
-
-	progress("cross-checking engine vs baseline interpreter")
-	want, err := rtmap.RunFunctionalBaseline(comp, ins[0])
-	if err != nil {
-		return nil, err
-	}
-	got, err := rtmap.RunFunctional(comp, ins[0])
-	if err != nil {
-		return nil, err
-	}
-	for i := range net.Layers {
-		if !got.Outputs[i].Equal(want.Outputs[i]) {
-			return nil, fmt.Errorf("engine diverges from baseline at layer %d", i)
-		}
-	}
-
-	sec := &execSection{Network: name, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	progress("measuring baseline interpreter (single stream)")
-	sec.BaselineNSPerInfer, err = benchLoop(func() error {
-		_, err := rtmap.RunFunctionalBaseline(comp, ins[0])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for b := 1; b <= maxB; b *= 2 {
-		batch := ins[:b]
-		progress(fmt.Sprintf("measuring batched engine at batch %d", b))
-		ns, err := benchLoop(func() error {
-			_, err := rtmap.RunFunctionalBatch(comp, batch)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := execRow{
-			Batch:        b,
-			NSPerInfer:   ns / float64(b),
-			InfersPerSec: 1e9 * float64(b) / ns,
-		}
-		if sec.BaselineNSPerInfer > 0 {
-			row.Speedup = sec.BaselineNSPerInfer / row.NSPerInfer
-		}
-		sec.Frontier = append(sec.Frontier, row)
-	}
-	return sec, nil
 }
 
 // replicaSection groups one network's replication frontier in the JSON

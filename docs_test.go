@@ -45,6 +45,51 @@ func TestPackageDocs(t *testing.T) {
 	}
 }
 
+// TestInternalPackagesImported makes "packages nothing imports are
+// deleted" a gate: every internal/* directory must be imported by at
+// least one non-test Go file outside itself.
+func TestInternalPackagesImported(t *testing.T) {
+	const prefix = "rtmap/internal/"
+	imported := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			name, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), prefix)
+			if ok && !strings.HasPrefix(filepath.ToSlash(path), "internal/"+name+"/") {
+				imported[name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !imported[d.Name()] {
+			t.Errorf("package internal/%s: no non-test file outside it imports it — delete it or use it", d.Name())
+		}
+	}
+}
+
 // TestExportedDocsRootAPI audits the public API file: every exported
 // symbol rtmap.go declares must have a doc comment (the godoc surface is
 // the contract the serving and benchmark tools are written against).

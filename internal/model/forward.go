@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"time"
 
 	"rtmap/internal/quant"
 	"rtmap/internal/tensor"
@@ -36,9 +37,7 @@ func (t *IntTrace) InputOf(n *Network, i int, arg int) *tensor.Int {
 // ReLU+requantize step. This is the "software accuracy" baseline the AP
 // must match bit-for-bit.
 func (n *Network) ForwardInt(in *tensor.Float) (*IntTrace, error) {
-	return n.ForwardIntQuantized(in, func(x *tensor.Int, l *Layer) *tensor.Int {
-		return tensor.ConvIntTernarySparse(x, l.W.W, l.ConvSpec())
-	})
+	return n.forwardInt(in, ConvReference)
 }
 
 // ForwardIntQuantized runs the integer path with a custom conv/linear
@@ -48,81 +47,164 @@ func (n *Network) ForwardInt(in *tensor.Float) (*IntTrace, error) {
 // isolate exactly the compute-substrate difference.
 func (n *Network) ForwardIntQuantized(in *tensor.Float,
 	conv func(x *tensor.Int, l *Layer) *tensor.Int) (*IntTrace, error) {
+	return n.forwardInt(in, func(_ int, l *Layer, xs, outs []*tensor.Int) error {
+		for j, x := range xs {
+			outs[j] = conv(x, l)
+		}
+		return nil
+	})
+}
+
+func (n *Network) forwardInt(in *tensor.Float, conv ConvExec) (*IntTrace, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	tr, err := n.NewTrace(in)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.ExecLayers([]*IntTrace{tr}, 0, len(n.Layers), conv, nil); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// NewTrace is the one entry to the integer path: it checks in against the
+// network's input shape and returns an empty trace seeded with the
+// quantized input codes.
+func (n *Network) NewTrace(in *tensor.Float) (*IntTrace, error) {
 	want := n.InputShape
-	if in.Shape.C != want.C || in.Shape.H != want.H || in.Shape.W != want.W {
-		return nil, fmt.Errorf("model %s: input shape %v, want CxHxW %dx%dx%d",
-			n.Name, in.Shape, want.C, want.H, want.W)
+	if in.Shape.C != want.C || in.Shape.H != want.H || in.Shape.W != want.W ||
+		len(in.Data) != in.Shape.Elems() {
+		return nil, fmt.Errorf("model %s: input shape %v holding %d values, want CxHxW %dx%dx%d",
+			n.Name, in.Shape, len(in.Data), want.C, want.H, want.W)
 	}
 	codes := tensor.NewInt(in.Shape)
 	for i, v := range in.Data {
 		codes.Data[i] = n.InputQ.Quantize(v)
 	}
-	tr := &IntTrace{
+	return &IntTrace{
 		Outputs:    make([]*tensor.Int, len(n.Layers)),
 		Scales:     make([]float64, len(n.Layers)),
 		InputCodes: codes,
+	}, nil
+}
+
+// ConvExec computes conv/linear layer i (l is &n.Layers[i]) for a batch:
+// xs[j] holds item j's input codes, and the executor stores item j's
+// accumulated, pre-requantization output in outs[j]. It is the only thing
+// that differs between the software reference, the AP engine and the
+// crossbar/DeepCAM baselines.
+type ConvExec func(i int, l *Layer, xs, outs []*tensor.Int) error
+
+// ConvReference is the software-reference executor: sparse ternary
+// add/sub accumulation, item by item.
+func ConvReference(_ int, l *Layer, xs, outs []*tensor.Int) error {
+	for j, x := range xs {
+		outs[j] = tensor.ConvIntTernarySparse(x, l.W.W, l.ConvSpec())
 	}
-	getT := func(idx int) *tensor.Int {
-		if idx == InputRef {
-			return codes
+	return nil
+}
+
+// LayerHook observes one layer's execution: its index and name, the
+// wall-clock start (UnixNano) and duration of the interpretation. Hooks
+// feed the sampled per-layer tracing spans of the serving stack; a nil
+// hook costs one branch per layer and no clock reads, so the untraced hot
+// path is unchanged.
+type LayerHook func(layer int, name string, startUnixNS, durNS int64)
+
+// ExecLayers executes the layer range [lo, hi) on every trace, reading
+// inputs from and writing outputs back to each: conv/linear layers once
+// per layer for the whole batch through conv, every other kind on its
+// exact integer semantics — written here and nowhere else. An input
+// tensor a trace does not hold is an error, so a sharded stage run proves
+// its boundary transfer set is sufficient. hook, when non-nil, is called
+// once per layer for the whole batch, not per item.
+func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook LayerHook) error {
+	getT := func(tr *IntTrace, i, arg int) (*tensor.Int, error) {
+		if x := tr.InputOf(n, i, arg); x != nil {
+			return x, nil
 		}
-		return tr.Outputs[idx]
+		what := "network input"
+		if idx := n.Layers[i].Inputs[arg]; idx != InputRef {
+			what = fmt.Sprintf("layer %d output", idx)
+		}
+		return nil, fmt.Errorf("layer %d (%s): %s not resident", i, n.Layers[i].Name, what)
 	}
-	getS := func(idx int) float64 {
+	getS := func(tr *IntTrace, idx int) float64 {
 		if idx == InputRef {
 			return float64(n.InputQ.Step)
 		}
 		return tr.Scales[idx]
 	}
-
-	for i := range n.Layers {
+	xs := make([]*tensor.Int, len(trs))
+	outs := make([]*tensor.Int, len(trs))
+	for i := lo; i < hi; i++ {
 		l := &n.Layers[i]
-		x := getT(l.Inputs[0])
-		s := getS(l.Inputs[0])
-		switch l.Kind {
-		case KindConv, KindLinear:
-			tr.Outputs[i] = conv(x, l)
-			tr.Scales[i] = s * float64(l.WScale)
-		case KindMaxPool:
-			tr.Outputs[i] = tensor.MaxPoolInt(x, l.Pool)
-			tr.Scales[i] = s
-		case KindGlobalAvgPool:
-			tr.Outputs[i] = tensor.GlobalAvgPoolInt(x)
-			tr.Scales[i] = s
-		case KindActQuant:
-			out := tensor.NewInt(x.Shape)
-			scale := s / float64(l.Q.Step)
-			for j, c := range x.Data {
-				out.Data[j] = RequantCode(c, scale, l.Q, l.ReLU)
+		var start time.Time
+		if hook != nil {
+			start = time.Now()
+		}
+		for j, tr := range trs {
+			x, err := getT(tr, i, 0)
+			if err != nil {
+				return err
 			}
-			tr.Outputs[i] = out
-			tr.Scales[i] = float64(l.Q.Step)
-		case KindAdd:
-			y := getT(l.Inputs[1])
-			sy := getS(l.Inputs[1])
-			if !scalesClose(s, sy) {
-				return nil, fmt.Errorf("layer %d (%s): residual scales differ (%g vs %g)",
-					i, l.Name, s, sy)
+			xs[j] = x
+		}
+		if l.Kind == KindConv || l.Kind == KindLinear {
+			if err := conv(i, l, xs, outs); err != nil {
+				return err
 			}
-			out := x.Clone()
-			out.AddInt(y)
-			tr.Outputs[i] = out
-			tr.Scales[i] = s
-		case KindFlatten:
-			out := &tensor.Int{
-				Shape: tensor.Shape{N: x.Shape.N, C: x.Shape.C * x.Shape.H * x.Shape.W, H: 1, W: 1},
-				Data:  x.Data,
+		}
+		for j, tr := range trs {
+			x, s := xs[j], getS(tr, l.Inputs[0])
+			switch l.Kind {
+			case KindConv, KindLinear:
+				tr.Outputs[i] = outs[j]
+				tr.Scales[i] = s * float64(l.WScale)
+			case KindMaxPool:
+				tr.Outputs[i] = tensor.MaxPoolInt(x, l.Pool)
+				tr.Scales[i] = s
+			case KindGlobalAvgPool:
+				tr.Outputs[i] = tensor.GlobalAvgPoolInt(x)
+				tr.Scales[i] = s
+			case KindActQuant:
+				out := tensor.NewInt(x.Shape)
+				scale := s / float64(l.Q.Step)
+				for k, c := range x.Data {
+					out.Data[k] = RequantCode(c, scale, l.Q, l.ReLU)
+				}
+				tr.Outputs[i] = out
+				tr.Scales[i] = float64(l.Q.Step)
+			case KindAdd:
+				y, err := getT(tr, i, 1)
+				if err != nil {
+					return err
+				}
+				if sy := getS(tr, l.Inputs[1]); !scalesClose(s, sy) {
+					return fmt.Errorf("layer %d (%s): residual scales differ (%g vs %g)",
+						i, l.Name, s, sy)
+				}
+				out := x.Clone()
+				out.AddInt(y)
+				tr.Outputs[i] = out
+				tr.Scales[i] = s
+			case KindFlatten:
+				tr.Outputs[i] = &tensor.Int{
+					Shape: tensor.Shape{N: x.Shape.N, C: x.Shape.C * x.Shape.H * x.Shape.W, H: 1, W: 1},
+					Data:  x.Data,
+				}
+				tr.Scales[i] = s
+			default:
+				return fmt.Errorf("layer %d: unknown kind %v", i, l.Kind)
 			}
-			tr.Outputs[i] = out
-			tr.Scales[i] = s
-		default:
-			return nil, fmt.Errorf("layer %d: unknown kind %v", i, l.Kind)
+		}
+		if hook != nil {
+			hook(i, l.Name, start.UnixNano(), time.Since(start).Nanoseconds())
 		}
 	}
-	return tr, nil
+	return nil
 }
 
 // RequantCode applies the fused activation/requantization step to one

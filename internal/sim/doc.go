@@ -1,8 +1,8 @@
 // Package sim evaluates compiled networks on the RTM-AP model: an
 // analytic performance/energy estimator driven by the figures of merit of
 // §V (the same methodology as the paper's functional simulator), an exact
-// functional executor that replays emitted AP programs on the word-level
-// machine and proves bit-exactness against the software reference, and
+// functional executor that replays emitted AP programs on the lane-packed
+// ap.Machine and proves bit-exactness against the software reference, and
 // the §V-C write-endurance analysis.
 //
 // The batch and pipeline cost models extend the per-inference analysis
@@ -19,7 +19,9 @@
 // every (strip, tile) program is interpreted once per cache-sized block
 // of them through precompiled ap.ExecPlans, on lane-packed arenas each
 // task gathers straight from the input tensors, over a persistent
-// worker pool. ForwardAP is the batch-of-one wrapper, and
-// ForwardAPBaseline retains the pre-ExecPlan interpreter as the
-// rtmap-bench -exec A/B baseline and as an independent oracle.
+// worker pool. ForwardAP is the batch-of-one wrapper. The engine is a
+// conv executor and nothing more: the layer walk, input validation and
+// the integer semantics of every other layer kind are
+// model.Network.ExecLayers, the same code model.Network.ForwardInt — the
+// one oracle — runs with the software convolution plugged in.
 package sim

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"rtmap/internal/ap"
 	"rtmap/internal/core"
@@ -19,9 +18,11 @@ import (
 // one row space, every row packs into a lane of the machine's 64-bit
 // words, and every (strip, tile) program is interpreted once per
 // cache-sized block of those rows, through precompiled ap.ExecPlans,
-// pooled arenas, and a persistent worker pool. Results are bit-identical
-// to the retained single-input interpreter (ForwardAPBaseline);
-// TestForwardAPBatchMatchesSerial proves it.
+// pooled arenas, and a persistent worker pool. Only conv/linear layers
+// run here; the layer walk and every other layer's integer semantics are
+// model.Network.ExecLayers, shared with the software reference
+// (ForwardInt), against which TestForwardAPBatchMatchesSerial proves the
+// results bit-identical.
 
 // ctxPool recycles the per-call task state and machines the column
 // arenas, so the steady-state path allocates nothing once the shapes of
@@ -381,12 +382,9 @@ func RunConvBatch(c *core.Compiled, layerIdx int, ins []*tensor.Int) ([]*tensor.
 	return outs, nil
 }
 
-// LayerHook observes one layer's execution on the functional engine:
-// its index and name, the wall-clock start (UnixNano) and duration of
-// the interpretation. Hooks feed the sampled per-layer tracing spans of
-// the serving stack; a nil hook costs one branch per layer and no clock
-// reads, so the untraced hot path is unchanged.
-type LayerHook func(layer int, name string, startUnixNS, durNS int64)
+// LayerHook observes one layer's execution on the functional engine
+// (see model.LayerHook).
+type LayerHook = model.LayerHook
 
 // ForwardAPBatch runs the full network functionally for a batch of
 // inputs, every conv/linear layer executed once per (strip, tile,
@@ -404,125 +402,31 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 	}
 	trs := make([]*model.IntTrace, len(ins))
 	for i, in := range ins {
-		trs[i] = quantizeInput(c, in)
+		tr, err := c.Net.NewTrace(in)
+		if err != nil {
+			return nil, err
+		}
+		trs[i] = tr
 	}
-	if err := execLayersBatch(c, trs, 0, len(c.Net.Layers), true, hook); err != nil {
+	if err := c.Net.ExecLayers(trs, 0, len(c.Net.Layers), convExec(c, true), hook); err != nil {
 		return nil, err
 	}
 	return trs, nil
 }
 
-// execLayers executes the layer range [lo, hi) of the compiled network on
-// one trace — the single-item view of execLayersBatch, kept as the entry
-// point of the sharded stage runner.
-func execLayers(c *core.Compiled, tr *model.IntTrace, lo, hi int, bitExact bool, hook LayerHook) error {
-	return execLayersBatch(c, []*model.IntTrace{tr}, lo, hi, bitExact, hook)
-}
-
-// execLayersBatch executes the layer range [lo, hi) on every trace,
-// reading inputs from and writing outputs back to each. bitExact selects
-// the executor for conv/linear layers: the batched AP engine (one
-// program interpretation per (strip, tile, row-group) for the whole
-// batch) or the integer software reference — the two are proved
-// bit-identical. An input tensor a trace does not hold is an error, so a
-// sharded stage run proves its boundary transfer set is sufficient.
-// hook, when non-nil, observes every layer's wall-clock interpretation
-// time (one call per layer for the whole batch, not per item).
-func execLayersBatch(c *core.Compiled, trs []*model.IntTrace, lo, hi int, bitExact bool, hook LayerHook) error {
-	n := c.Net
-	getT := func(tr *model.IntTrace, idx int) (*tensor.Int, error) {
-		if idx == model.InputRef {
-			if tr.InputCodes == nil {
-				return nil, fmt.Errorf("sim: network input not resident")
-			}
-			return tr.InputCodes, nil
-		}
-		if tr.Outputs[idx] == nil {
-			return nil, fmt.Errorf("sim: layer %d output not resident", idx)
-		}
-		return tr.Outputs[idx], nil
+// convExec is the conv/linear executor a functional run plugs into the
+// model's layer walker: the batched AP engine (one program interpretation
+// per (strip, tile, row-block) for the whole batch) when bitExact, else
+// the integer software reference — the two are proved bit-identical.
+func convExec(c *core.Compiled, bitExact bool) model.ConvExec {
+	if !bitExact {
+		return model.ConvReference
 	}
-	getS := func(tr *model.IntTrace, idx int) float64 {
-		if idx == model.InputRef {
-			return float64(n.InputQ.Step)
+	return func(i int, l *model.Layer, xs, outs []*tensor.Int) error {
+		spec := l.ConvSpec()
+		for j, x := range xs {
+			outs[j] = tensor.NewInt(spec.OutShape(x.Shape))
 		}
-		return tr.Scales[idx]
+		return RunConvBatchInto(c, i, xs, outs)
 	}
-	convIns := make([]*tensor.Int, len(trs))
-	convOuts := make([]*tensor.Int, len(trs))
-	for i := lo; i < hi; i++ {
-		l := &n.Layers[i]
-		var layerStart time.Time
-		if hook != nil {
-			layerStart = time.Now()
-		}
-		if (l.Kind == model.KindConv || l.Kind == model.KindLinear) && bitExact {
-			for j, tr := range trs {
-				x, err := getT(tr, l.Inputs[0])
-				if err != nil {
-					return fmt.Errorf("sim: layer %d (%s): %w", i, l.Name, err)
-				}
-				convIns[j] = x
-				convOuts[j] = tensor.NewInt(l.ConvSpec().OutShape(x.Shape))
-			}
-			if err := RunConvBatchInto(c, i, convIns, convOuts); err != nil {
-				return err
-			}
-			for j, tr := range trs {
-				tr.Outputs[i] = convOuts[j]
-				tr.Scales[i] = getS(tr, l.Inputs[0]) * float64(l.WScale)
-			}
-			if hook != nil {
-				hook(i, l.Name, layerStart.UnixNano(), time.Since(layerStart).Nanoseconds())
-			}
-			continue
-		}
-		for _, tr := range trs {
-			x, err := getT(tr, l.Inputs[0])
-			if err != nil {
-				return fmt.Errorf("sim: layer %d (%s): %w", i, l.Name, err)
-			}
-			s := getS(tr, l.Inputs[0])
-			switch l.Kind {
-			case model.KindConv, model.KindLinear:
-				tr.Outputs[i] = tensor.ConvIntTernarySparse(x, l.W.W, l.ConvSpec())
-				tr.Scales[i] = s * float64(l.WScale)
-			case model.KindMaxPool:
-				tr.Outputs[i] = tensor.MaxPoolInt(x, l.Pool)
-				tr.Scales[i] = s
-			case model.KindGlobalAvgPool:
-				tr.Outputs[i] = tensor.GlobalAvgPoolInt(x)
-				tr.Scales[i] = s
-			case model.KindActQuant:
-				out := tensor.NewInt(x.Shape)
-				scale := s / float64(l.Q.Step)
-				for j, cv := range x.Data {
-					out.Data[j] = model.RequantCode(cv, scale, l.Q, l.ReLU)
-				}
-				tr.Outputs[i] = out
-				tr.Scales[i] = float64(l.Q.Step)
-			case model.KindAdd:
-				y, err := getT(tr, l.Inputs[1])
-				if err != nil {
-					return fmt.Errorf("sim: layer %d (%s): %w", i, l.Name, err)
-				}
-				out := x.Clone()
-				out.AddInt(y)
-				tr.Outputs[i] = out
-				tr.Scales[i] = s
-			case model.KindFlatten:
-				tr.Outputs[i] = &tensor.Int{
-					Shape: tensor.Shape{N: x.Shape.N, C: x.Shape.C * x.Shape.H * x.Shape.W, H: 1, W: 1},
-					Data:  x.Data,
-				}
-				tr.Scales[i] = s
-			default:
-				return fmt.Errorf("sim: unknown layer kind %v", l.Kind)
-			}
-		}
-		if hook != nil {
-			hook(i, l.Name, layerStart.UnixNano(), time.Since(layerStart).Nanoseconds())
-		}
-	}
-	return nil
 }

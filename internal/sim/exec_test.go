@@ -21,8 +21,8 @@ func assertTraceEqual(t *testing.T, net *model.Network, got, want *model.IntTrac
 }
 
 // The batched engine's core property: ForwardAPBatch is bit-identical to
-// per-item ForwardAP AND to the retained pre-ExecPlan interpreter
-// (ForwardAPBaseline) for N ∈ {1, 3, 8}, on both a sequential and a
+// per-item ForwardAP AND to the software reference run serially
+// (ForwardInt per input) for N ∈ {1, 3, 8}, on both a sequential and a
 // residual network.
 func TestForwardAPBatchMatchesSerial(t *testing.T) {
 	nets := map[string]*model.Network{
@@ -50,11 +50,11 @@ func TestForwardAPBatchMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertTraceEqual(t, net, got[i], serial, fmt.Sprintf("item %d vs serial", i))
-					base, err := ForwardAPBaseline(c, in)
+					ref, err := net.ForwardInt(in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertTraceEqual(t, net, got[i], base, fmt.Sprintf("item %d vs baseline", i))
+					assertTraceEqual(t, net, got[i], ref, fmt.Sprintf("item %d vs ForwardInt", i))
 				}
 			})
 		}
@@ -62,10 +62,9 @@ func TestForwardAPBatchMatchesSerial(t *testing.T) {
 }
 
 // Randomized single conv layers across strides, pads, kernel shapes and
-// channel counts: the batched engine must equal the pre-ExecPlan
-// interpreter (and through it, the direct integer convolution) item by
-// item.
-func TestRunConvBatchMatchesBaseline(t *testing.T) {
+// channel counts: the batched engine must equal the software reference's
+// direct integer convolution (ForwardInt's layer-0 output) item by item.
+func TestRunConvBatchMatchesForwardInt(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		cin := 1 + trial%5
 		k := 1 + trial%3
@@ -75,37 +74,33 @@ func TestRunConvBatchMatchesBaseline(t *testing.T) {
 		c := compileNet(t, net, true)
 
 		const n = 5
-		ins := make([]*tensor.Int, n)
+		ins, want := make([]*tensor.Int, n), make([]*tensor.Int, n)
 		for b := range ins {
 			in := randInput(uint64(trial*10+b), net.InputShape)
 			tr, err := net.ForwardInt(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ins[b] = tr.InputCodes
+			ins[b], want[b] = tr.InputCodes, tr.Outputs[0]
 		}
 		outs, err := RunConvBatch(c, 0, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b, in := range ins {
-			want, err := runConvBaseline(c, 0, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !outs[b].Equal(want) {
-				t.Fatalf("trial %d item %d: batched conv != baseline", trial, b)
+		for b := range ins {
+			if !outs[b].Equal(want[b]) {
+				t.Fatalf("trial %d item %d: batched conv != ForwardInt", trial, b)
 			}
 		}
 	}
 }
 
 // The two task splits that share work inside one layer, N ∈ {1, 3, 8}
-// against the pre-ExecPlan interpreter item by item: a P = 49 layer with
+// against ForwardInt's layer-0 output item by item: a P = 49 layer with
 // two tiles, whose row blocks cut items mid-word (49 rows per item, 4
 // rows per word), and a P = 1 layer with two strips and enough ops that
 // the strips run as separate tasks accumulating into one output region.
-func TestRunConvBatchSplitsMatchBaseline(t *testing.T) {
+func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // strips only split to feed more than one worker
 	for _, tc := range []struct {
 		name                string
@@ -129,25 +124,21 @@ func TestRunConvBatchSplitsMatchBaseline(t *testing.T) {
 			}
 		}
 		for _, n := range []int{1, 3, 8} {
-			ins := make([]*tensor.Int, n)
+			ins, want := make([]*tensor.Int, n), make([]*tensor.Int, n)
 			for b := range ins {
 				tr, err := tc.net.ForwardInt(randInput(uint64(40*n+b), tc.net.InputShape))
 				if err != nil {
 					t.Fatal(err)
 				}
-				ins[b] = tr.InputCodes
+				ins[b], want[b] = tr.InputCodes, tr.Outputs[0]
 			}
 			outs, err := RunConvBatch(c, 0, ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for b, in := range ins {
-				want, err := runConvBaseline(c, 0, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !outs[b].Equal(want) {
-					t.Fatalf("%s N=%d item %d: batched conv != baseline", tc.name, n, b)
+			for b := range ins {
+				if !outs[b].Equal(want[b]) {
+					t.Fatalf("%s N=%d item %d: batched conv != ForwardInt", tc.name, n, b)
 				}
 			}
 		}
@@ -381,24 +372,6 @@ func BenchmarkRunFunctional(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ForwardAP(c, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunFunctionalBaseline is the same workload on the retained
-// pre-ExecPlan interpreter — the A/B partner of BenchmarkRunFunctional.
-func BenchmarkRunFunctionalBaseline(b *testing.B) {
-	for _, name := range []string{"tinycnn", "miniresnet18"} {
-		b.Run(name, func(b *testing.B) {
-			net, c := benchNet(b, name)
-			in := randInput(7, net.InputShape)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ForwardAPBaseline(c, in); err != nil {
 					b.Fatal(err)
 				}
 			}

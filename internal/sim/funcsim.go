@@ -3,21 +3,20 @@ package sim
 import (
 	"fmt"
 
-	"rtmap/internal/ap"
 	"rtmap/internal/core"
 	"rtmap/internal/model"
 	"rtmap/internal/tensor"
 )
 
 // RunConv executes one compiled conv/linear layer functionally: every
-// (strip, tile, row-group) program runs on the word-level AP machine with
-// its im2col inputs, strip partials are reduced, and the accumulated OFM
-// (pre-requantization) is returned. Requires Config.KeepPrograms.
+// (strip, tile) program runs on the batched ExecPlan engine (exec.go)
+// with a batch of one, strip partials are reduced, and the accumulated
+// OFM (pre-requantization) is returned. Requires Config.KeepPrograms.
 //
-// The word-level machine is bit-exact with the pass-level CAM execution
-// (proved by the ap package's randomized equivalence tests), so this
-// output is exactly what the physical array would produce. Execution runs
-// on the batched ExecPlan engine (exec.go) with a batch of one.
+// The engine's ap.Machine is bit-exact with the word-level machine and,
+// through it, with the pass-level CAM execution (proved by the ap
+// package's randomized equivalence tests), so this output is exactly
+// what the physical array would produce.
 func RunConv(c *core.Compiled, layerIdx int, in *tensor.Int) (*tensor.Int, error) {
 	if in.Shape.N != 1 {
 		return nil, fmt.Errorf("sim: functional simulation runs batch 1, got %d", in.Shape.N)
@@ -40,143 +39,4 @@ func ForwardAP(c *core.Compiled, in *tensor.Float) (*model.IntTrace, error) {
 		return nil, err
 	}
 	return trs[0], nil
-}
-
-// quantizeInput builds an empty trace seeded with the quantized network
-// input codes.
-func quantizeInput(c *core.Compiled, in *tensor.Float) *model.IntTrace {
-	n := c.Net
-	codes := tensor.NewInt(tensor.Shape{N: 1, C: n.InputShape.C, H: n.InputShape.H, W: n.InputShape.W})
-	for i, v := range in.Data {
-		codes.Data[i] = n.InputQ.Quantize(v)
-	}
-	return &model.IntTrace{
-		Outputs:    make([]*tensor.Int, len(n.Layers)),
-		Scales:     make([]float64, len(n.Layers)),
-		InputCodes: codes,
-	}
-}
-
-// ForwardAPBaseline is the pre-ExecPlan functional executor: one freshly
-// allocated WordMachine per (strip, tile, row-group), serial layer by
-// layer. It is retained deliberately — as the measured baseline of the
-// rtmap-bench -exec engine sweep, and as an independent oracle the
-// batched engine is tested against (two interpreters of the same
-// programs must agree bit for bit).
-func ForwardAPBaseline(c *core.Compiled, in *tensor.Float) (*model.IntTrace, error) {
-	tr := quantizeInput(c, in)
-	if err := execLayersBaseline(c, tr, 0, len(c.Net.Layers)); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// runConvBaseline is the original single-input interpreter behind
-// ForwardAPBaseline.
-func runConvBaseline(c *core.Compiled, layerIdx int, in *tensor.Int) (*tensor.Int, error) {
-	plan := c.Layers[layerIdx]
-	if plan.Class != core.ClassConv {
-		return nil, fmt.Errorf("sim: layer %d (%s) is not conv-like", layerIdx, plan.Name)
-	}
-	if len(plan.StripPlans) == 0 {
-		return nil, fmt.Errorf("sim: layer %d compiled without KeepPrograms", layerIdx)
-	}
-	if in.Shape.N != 1 {
-		return nil, fmt.Errorf("sim: functional simulation runs batch 1, got %d", in.Shape.N)
-	}
-	lay := &c.Net.Layers[layerIdx]
-	spec := lay.ConvSpec()
-	out := tensor.NewInt(spec.OutShape(in.Shape))
-	p := plan.P
-	camRows := c.Cfg.Par.CAMRows
-
-	// im2col per input channel (K×P, row-major).
-	cols := make([][]int32, spec.Cin)
-	for ci := 0; ci < spec.Cin; ci++ {
-		cols[ci] = tensor.Im2ColChannel(in, 0, ci, spec)
-	}
-
-	// Tile row offsets.
-	tileLo := make([]int, len(plan.TileSizes))
-	off := 0
-	for t, ts := range plan.TileSizes {
-		tileLo[t] = off
-		off += ts
-	}
-
-	for _, sp := range plan.StripPlans {
-		if len(sp.Programs) != len(plan.TileSizes) {
-			return nil, fmt.Errorf("sim: layer %d: strip has %d programs, want %d",
-				layerIdx, len(sp.Programs), len(plan.TileSizes))
-		}
-		for t, tp := range sp.Programs {
-			for r0 := 0; r0 < p; r0 += camRows {
-				r1 := r0 + camRows
-				if r1 > p {
-					r1 = p
-				}
-				n := r1 - r0
-				m, err := ap.NewWordMachine(tp.Prog, n)
-				if err != nil {
-					return nil, err
-				}
-				vals := make([]int64, n)
-				for virt, bind := range tp.InputBindings {
-					chLocal, k := bind[0], bind[1]
-					if chLocal >= len(sp.Channels) {
-						continue // plane slot unused by this strip's tail
-					}
-					global := sp.Channels[chLocal]
-					src := cols[global][k*p+r0 : k*p+r1]
-					for i, v := range src {
-						vals[i] = int64(v)
-					}
-					m.SetColumn(virt, vals)
-				}
-				if err := m.Run(); err != nil {
-					return nil, err
-				}
-				for o, accV := range tp.AccVirt {
-					co := tileLo[t] + o
-					acc := m.Column(accV)
-					base := out.Shape.Index(0, co, 0, 0)
-					for i := 0; i < n; i++ {
-						out.Data[base+r0+i] += int32(acc[i]) // inter-strip reduction
-					}
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// execLayersBaseline is the serial layer loop of the baseline executor
-// (conv/linear layers via runConvBaseline, everything else on the exact
-// integer semantics shared with the batched engine).
-func execLayersBaseline(c *core.Compiled, tr *model.IntTrace, lo, hi int) error {
-	n := c.Net
-	for i := lo; i < hi; i++ {
-		l := &n.Layers[i]
-		if l.Kind == model.KindConv || l.Kind == model.KindLinear {
-			x := tr.InputOf(n, i, 0)
-			if x == nil {
-				return fmt.Errorf("sim: layer %d (%s): input not resident", i, l.Name)
-			}
-			out, err := runConvBaseline(c, i, x)
-			if err != nil {
-				return err
-			}
-			s := float64(n.InputQ.Step)
-			if ref := l.Inputs[0]; ref != model.InputRef {
-				s = tr.Scales[ref]
-			}
-			tr.Outputs[i] = out
-			tr.Scales[i] = s * float64(l.WScale)
-			continue
-		}
-		if err := execLayersBatch(c, []*model.IntTrace{tr}, i, i+1, false, nil); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -37,7 +37,10 @@ func NewShardRun(c *core.Compiled, sp *core.ShardPlan, in *tensor.Float) (*Shard
 	if len(sp.Stages) == 0 || sp.Stages[len(sp.Stages)-1].Hi != len(c.Layers) {
 		return nil, fmt.Errorf("sim: shard plan does not cover the %d-layer network", len(c.Layers))
 	}
-	tr := quantizeInput(c, in)
+	tr, err := c.Net.NewTrace(in)
+	if err != nil {
+		return nil, err
+	}
 	return &ShardRun{
 		c: c, sp: sp,
 		ctxT: map[int]*tensor.Int{model.InputRef: tr.InputCodes},
@@ -54,30 +57,20 @@ func (r *ShardRun) Stage() int { return r.stage }
 // Logits returns the final layer output codes; nil until Done.
 func (r *ShardRun) Logits() *tensor.Int { return r.logits }
 
-// Step executes the next stage. bitExact selects the word-level AP
-// machine for conv/linear layers; false runs the (bit-identical) integer
-// software reference.
+// Step executes the next stage: StepBatch on a batch of one.
 func (r *ShardRun) Step(bitExact bool) error {
-	if r.Done() {
-		return fmt.Errorf("sim: shard run already complete")
-	}
-	st := r.sp.Stages[r.stage]
-	tr := r.buildStore()
-	if err := execLayers(r.c, tr, st.Lo, st.Hi, bitExact, nil); err != nil {
-		return fmt.Errorf("sim: stage %d [%d,%d): %w", r.stage, st.Lo, st.Hi, err)
-	}
-	return r.finishStage(tr)
+	return StepBatch([]*ShardRun{r}, bitExact)[0]
 }
 
 // StepBatch advances a set of runs positioned at the same stage of the
-// same compiled plan by one stage, executing their conv layers through
-// the batched engine (one program interpretation per (strip, tile,
-// row-group) for all runs). Results are bit-identical to stepping each
-// run alone. The returned slice has one entry per run; a batch-wide
+// same compiled plan by one stage. bitExact selects the batched AP engine
+// for conv/linear layers (one program interpretation per (strip, tile,
+// row-block) for all runs); false runs the (bit-identical) integer
+// software reference. Results are bit-identical to stepping each run
+// alone. The returned slice has one entry per run; a batch-wide
 // execution failure is attributed to every run it aborted (the runs are
 // structurally identical, so it would have failed each of them alone
-// too). Runs that are mismatched or already complete fall back to
-// individual Steps.
+// too). Mismatched runs are stepped one by one.
 func StepBatch(runs []*ShardRun, bitExact bool) []error {
 	return StepBatchHook(runs, bitExact, nil)
 }
@@ -91,30 +84,31 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 	if len(runs) == 0 {
 		return errs
 	}
-	uniform := true
-	for _, r := range runs {
-		if r.c != runs[0].c || r.sp != runs[0].sp || r.stage != runs[0].stage || r.Done() {
-			uniform = false
-			break
+	r0 := runs[0]
+	for _, r := range runs[1:] {
+		if r.c != r0.c || r.sp != r0.sp || r.stage != r0.stage {
+			for i, r := range runs {
+				errs[i] = r.Step(bitExact)
+			}
+			return errs
 		}
 	}
-	if !uniform {
-		for i, r := range runs {
-			errs[i] = r.Step(bitExact)
-		}
-		return errs
-	}
-	st := runs[0].sp.Stages[runs[0].stage]
-	trs := make([]*model.IntTrace, len(runs))
-	for i, r := range runs {
-		trs[i] = r.buildStore()
-	}
-	if err := execLayersBatch(runs[0].c, trs, st.Lo, st.Hi, bitExact, hook); err != nil {
-		err = fmt.Errorf("sim: stage %d [%d,%d): %w", runs[0].stage, st.Lo, st.Hi, err)
+	fail := func(err error) []error {
 		for i := range errs {
 			errs[i] = err
 		}
 		return errs
+	}
+	if r0.Done() {
+		return fail(fmt.Errorf("sim: shard run already complete"))
+	}
+	st := r0.sp.Stages[r0.stage]
+	trs := make([]*model.IntTrace, len(runs))
+	for i, r := range runs {
+		trs[i] = r.buildStore()
+	}
+	if err := r0.c.Net.ExecLayers(trs, st.Lo, st.Hi, convExec(r0.c, bitExact), hook); err != nil {
+		return fail(fmt.Errorf("sim: stage %d [%d,%d): %w", r0.stage, st.Lo, st.Hi, err))
 	}
 	for i, r := range runs {
 		errs[i] = r.finishStage(trs[i])

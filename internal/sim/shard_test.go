@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rtmap/internal/core"
@@ -83,6 +85,61 @@ func TestShardRunReferenceModeMatchesForwardInt(t *testing.T) {
 	}
 	if err := run.Step(false); err == nil {
 		t.Error("Step after Done must error")
+	}
+}
+
+// Residency is the walker's check, not the engine's: a stage that reads a
+// tensor its predecessor did not ship fails on the reference executor
+// (bitExact=false) exactly as it does on the AP engine.
+func TestShardStageNonResidentInputReferenceMode(t *testing.T) {
+	net := model.TinyResNet(model.DefaultConfig())
+	c := compileNet(t, net, true)
+	sp := partitionEven(t, c, Analyze(c), 3)
+	short := *sp
+	short.Stages = append([]core.StageRange(nil), sp.Stages...)
+	// Withhold the tensor stage 1's first layer reads.
+	dropped := net.Layers[sp.Stages[1].Lo].Inputs[0]
+	short.Stages[0].XferRefs = nil
+	for _, ref := range sp.Stages[0].XferRefs {
+		if ref != dropped {
+			short.Stages[0].XferRefs = append(short.Stages[0].XferRefs, ref)
+		}
+	}
+	for _, bitExact := range []bool{false, true} {
+		run, err := NewShardRun(c, &short, randInput(12, net.InputShape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Step(bitExact); err != nil {
+			t.Fatalf("bitExact=%v: stage 0: %v", bitExact, err)
+		}
+		err = run.Step(bitExact)
+		want := fmt.Sprintf("layer %d output not resident", dropped)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("bitExact=%v: stage 1 without ref %d: got %v, want %q", bitExact, dropped, err, want)
+		}
+	}
+}
+
+// The residual-add scale check belongs to the shared walker, so a net
+// whose skip and main branches land on different grids fails with the
+// same error on the software reference, the AP engine and sharded replay.
+func TestMismatchedResidualScalesFailEverywhere(t *testing.T) {
+	net := model.TinyResNet(model.DefaultConfig())
+	c := compileNet(t, net, true)
+	sp := partitionEven(t, c, Analyze(c), 3)
+	net.Layers[net.LayerByName("block1.qskip")].Q.Step *= 2
+	in := randInput(13, net.InputShape)
+
+	_, ref := net.ForwardInt(in)
+	if ref == nil || !strings.Contains(ref.Error(), "block1.add") || !strings.Contains(ref.Error(), "residual scales differ") {
+		t.Fatalf("ForwardInt: got %v, want a residual-scale error at block1.add", ref)
+	}
+	if _, err := ForwardAP(c, in); err == nil || err.Error() != ref.Error() {
+		t.Errorf("ForwardAP: got %v, want %v", err, ref)
+	}
+	if _, err := ForwardAPSharded(c, sp, in); err == nil || !strings.HasSuffix(err.Error(), ref.Error()) {
+		t.Errorf("ForwardAPSharded: got %v, want a stage error ending in %q", err, ref)
 	}
 }
 

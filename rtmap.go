@@ -132,8 +132,9 @@ func CountOps(net *Network) (OpCounts, error) {
 }
 
 // RunFunctional executes the compiled network's AP programs bit-exactly on
-// the word-level machine (requires CompileConfig.KeepPrograms) and returns
-// the integer trace; it must equal Network.ForwardInt exactly.
+// the lane-packed ExecPlan engine, as a batch of one (requires
+// CompileConfig.KeepPrograms), and returns the integer trace; it must
+// equal Network.ForwardInt exactly.
 func RunFunctional(c *Compiled, in *FloatTensor) (*IntTrace, error) {
 	return sim.ForwardAP(c, in)
 }
@@ -147,16 +148,6 @@ func RunFunctional(c *Compiled, in *FloatTensor) (*IntTrace, error) {
 // CompileConfig.KeepPrograms).
 func RunFunctionalBatch(c *Compiled, ins []*FloatTensor) ([]*IntTrace, error) {
 	return sim.ForwardAPBatch(c, ins)
-}
-
-// RunFunctionalBaseline executes one input on the retained pre-ExecPlan
-// interpreter (a freshly allocated word machine per strip, tile and row
-// group). It exists for two reasons: as the measured baseline of the
-// rtmap-bench -exec engine sweep, and as an independent oracle the
-// batched engine is tested against — two interpreters of the same
-// programs must agree bit for bit.
-func RunFunctionalBaseline(c *Compiled, in *FloatTensor) (*IntTrace, error) {
-	return sim.ForwardAPBaseline(c, in)
 }
 
 // Calibrate fits all activation quantizers of net on calibration inputs.

@@ -2,8 +2,10 @@ package rtmap
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"rtmap/internal/tensor"
 	"rtmap/internal/workload"
 	"rtmap/internal/xbar"
 )
@@ -283,9 +285,54 @@ func TestShardingPublicAPI(t *testing.T) {
 	}
 }
 
+// Every functional entry validates the input against the network's
+// CxHxW before quantizing it — the check ForwardInt always made — where
+// an over-long tensor used to index past the input codes and a short one
+// was silently zero-filled.
+func TestRunFunctionalRejectsMisshapenInput(t *testing.T) {
+	net := BuildTinyResNet(DefaultModelConfig())
+	cfg := DefaultCompileConfig()
+	cfg.KeepPrograms = true
+	comp, err := Compile(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Partition(comp, Analyze(comp), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := workload.Inputs(net.InputShape, 1, 23)[0]
+	is := net.InputShape
+	shaped := func(c, h, w int) *FloatTensor {
+		return tensor.NewFloat(tensor.Shape{N: 1, C: c, H: h, W: w})
+	}
+	for name, in := range map[string]*FloatTensor{
+		"long":                             shaped(is.C, is.H+1, is.W),
+		"short":                            shaped(is.C, is.H-1, is.W),
+		"wrong C":                          shaped(is.C+1, is.H, is.W),
+		"wrong W":                          shaped(is.C, is.H, is.W*2),
+		"long data under the right shape":  {Shape: is, Data: append(append([]float32(nil), good.Data...), 0)},
+		"short data under the right shape": {Shape: is, Data: good.Data[:len(good.Data)-1]},
+	} {
+		_, want := net.ForwardInt(in)
+		if want == nil || !strings.Contains(want.Error(), "want CxHxW") {
+			t.Fatalf("%s: ForwardInt: got %v, want an input-shape error", name, want)
+		}
+		for entry, run := range map[string]func() error{
+			"RunFunctional":        func() error { _, err := RunFunctional(comp, in); return err },
+			"RunFunctionalBatch":   func() error { _, err := RunFunctionalBatch(comp, []*FloatTensor{good, in}); return err },
+			"RunFunctionalSharded": func() error { _, err := RunFunctionalSharded(comp, sp, in); return err },
+		} {
+			if err := run(); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s: got %v, want %v", name, entry, err, want)
+			}
+		}
+	}
+}
+
 // TestRunFunctionalBatchPublicAPI states the execution engine's
 // contract through the public API: RunFunctionalBatch is bit-identical
-// per item to RunFunctional and to the retained baseline interpreter.
+// per item to RunFunctional and to the software reference (ForwardInt).
 func TestRunFunctionalBatchPublicAPI(t *testing.T) {
 	net := BuildTinyResNet(DefaultModelConfig())
 	cfg := DefaultCompileConfig()
@@ -304,7 +351,7 @@ func TestRunFunctionalBatchPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := RunFunctionalBaseline(comp, in)
+		ref, err := net.ForwardInt(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +359,8 @@ func TestRunFunctionalBatchPublicAPI(t *testing.T) {
 			if !trs[i].Outputs[l].Equal(serial.Outputs[l]) {
 				t.Fatalf("item %d layer %d: batch != serial", i, l)
 			}
-			if !trs[i].Outputs[l].Equal(base.Outputs[l]) {
-				t.Fatalf("item %d layer %d: batch != baseline interpreter", i, l)
+			if !trs[i].Outputs[l].Equal(ref.Outputs[l]) {
+				t.Fatalf("item %d layer %d: batch != ForwardInt", i, l)
 			}
 		}
 	}
