@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rtmap"
+	"rtmap/internal/dispatch"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -184,23 +185,12 @@ func buildSLOWorkload(mix []sloClassSpec, seed uint64) (*sloWorkload, error) {
 	}
 	wl := &sloWorkload{}
 
-	// Proportional fill (Bresenham-style) over 10 slots so the class
-	// sequence is deterministic and interleaved.
-	total := 0
-	for _, c := range mix {
-		total += c.weight
+	weights := make([]int, len(mix))
+	for i, c := range mix {
+		weights[i] = c.weight
 	}
-	assigned := make([]int, len(mix))
-	for i := 0; i < 10; i++ {
-		best, bestLag := 0, -1.0
-		for j, c := range mix {
-			lag := float64(c.weight)*float64(i+1)/float64(total) - float64(assigned[j])
-			if lag > bestLag {
-				best, bestLag = j, lag
-			}
-		}
-		assigned[best]++
-		wl.schedule = append(wl.schedule, &mix[best])
+	for _, c := range dispatch.MixSchedule(weights, 10) {
+		wl.schedule = append(wl.schedule, &mix[c])
 	}
 
 	sparsity := 0.8

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	neturl "net/url"
@@ -58,6 +57,8 @@ import (
 	"syscall"
 	"time"
 
+	"rtmap/internal/dispatch"
+	"rtmap/internal/metrics"
 	"rtmap/internal/serve"
 	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
@@ -324,7 +325,7 @@ func parseMix(spec string) (*sloMix, error) {
 		return nil, nil
 	}
 	m := &sloMix{}
-	total := 0
+	var weights []int
 	for _, part := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) != 3 {
@@ -339,23 +340,10 @@ func parseMix(spec string) (*sloMix, error) {
 			return nil, fmt.Errorf("entry %q: deadline_ms must be a non-negative number", part)
 		}
 		m.classes = append(m.classes, c)
-		total += c.weight
+		weights = append(weights, c.weight)
 	}
-	// Proportional fill by running quota (Bresenham-style): slot i goes
-	// to the class furthest behind its weight share, which interleaves
-	// classes instead of batching each one's slots together.
-	const slots = 100
-	assigned := make([]int, len(m.classes))
-	for i := 0; i < slots; i++ {
-		best, bestLag := 0, -1.0
-		for j, c := range m.classes {
-			lag := float64(c.weight)*float64(i+1)/float64(total) - float64(assigned[j])
-			if lag > bestLag {
-				best, bestLag = j, lag
-			}
-		}
-		assigned[best]++
-		m.schedule = append(m.schedule, &m.classes[best])
+	for _, c := range dispatch.MixSchedule(weights, 100) {
+		m.schedule = append(m.schedule, &m.classes[c])
 	}
 	return m, nil
 }
@@ -727,24 +715,9 @@ func inspectOnce(client *http.Client, url string, body []byte) error {
 }
 
 // percentileMS returns the nearest-rank p-quantile of the sorted latency
-// slice in milliseconds: the smallest element with at least ceil(p·n)
-// observations at or below it. The index clamps to [0, n-1], so p=0,
-// p=1, and tiny samples (n=0/1/2) are all well-defined — the previous
-// int(p·(n-1)) truncation both drifted low for mid percentiles and
-// depended on float rounding to stay in range at p=1.
+// sample, in milliseconds.
 func percentileMS(sorted []time.Duration, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i].Seconds() * 1e3
+	return metrics.NearestRank(sorted, p).Seconds() * 1e3
 }
 
 func report(in reportInput, jsonOut bool, outFile string) {

@@ -46,7 +46,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 8, "micro-batch size cap (1 disables coalescing)")
 		window     = flag.Duration("batch-window", 2*time.Millisecond, "max wait for follow-up requests when forming a batch")
 		maxModels  = flag.Int("max-models", 4, "compiled models resident before LRU eviction")
-		shards     = flag.Int("shard-stages", 0, "serve each model as a pipeline of N layer-range stages pinned to distinct devices (0/1 = whole-model dispatch; clamped to -devices)")
+		shards     = flag.Int("shard-stages", 0, "serve each model as a pipeline of N layer-range stages pinned to distinct devices (0/1 = the default one-stage pipeline, the whole model on one device; clamped to -devices)")
 		replicas   = flag.Int("replicas", 1, "data-parallel copies of each model placed on disjoint devices; batches balance across live replicas and fail over on device loss")
 		failDev    = flag.Int("fail-device", -1, "fault injection: mark this device dead -fail-after into the run (-1 disables)")
 		failAfter  = flag.Duration("fail-after", 2*time.Second, "delay before the -fail-device fault fires")

@@ -2,7 +2,8 @@
 // classes and deadlines (request.go), deadline-aware micro-batch
 // formation (former.go), queue-delay estimation and load shedding
 // (shed.go), replica/device placement selection (place.go), and the
-// replica/stage autoscaler (scaler.go).
+// replica/stage autoscaler (scaler.go). The load generators' class-mix
+// schedule sits beside the classes it spreads (request.go).
 //
 // Everything in this package is pure policy: no goroutines, no
 // channels, no wall-clock reads. Time enters exclusively through

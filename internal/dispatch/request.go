@@ -82,3 +82,33 @@ type Ticket struct {
 func (t Ticket) Expired(now time.Time) bool {
 	return !t.Deadline.IsZero() && !t.Deadline.After(now)
 }
+
+// MixSchedule spreads a weighted class mix over a repeating schedule of
+// the given length: entry i is the index of the class that fills slot i.
+// The fill is proportional by running quota (Bresenham-style) — each slot
+// goes to the class furthest behind its weight share, ties to the
+// earlier class — which interleaves classes instead of batching each
+// one's slots together and gives every class its exact share whenever
+// the shares are whole. Load generators cycle through it so two runs
+// offer the same class sequence regardless of worker interleaving.
+// Weights must be positive.
+func MixSchedule(weights []int, slots int) []int {
+	total := 0
+	for _, w := range weights {
+		total += w
+	}
+	assigned := make([]int, len(weights))
+	schedule := make([]int, slots)
+	for i := range schedule {
+		best, bestLag := 0, -1.0
+		for j, w := range weights {
+			lag := float64(w)*float64(i+1)/float64(total) - float64(assigned[j])
+			if lag > bestLag {
+				best, bestLag = j, lag
+			}
+		}
+		assigned[best]++
+		schedule[i] = best
+	}
+	return schedule
+}

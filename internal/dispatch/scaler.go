@@ -37,9 +37,9 @@ type Signal struct {
 	MaxDevices int
 	MaxStages  int
 	// Throughput prices a candidate config in sustainable requests per
-	// second. The caller builds it from the sim cost models
-	// (AnalyzeReplicatedBatch / AnalyzePipeline) calibrated against
-	// measured service time; it must be monotone in Replicas.
+	// second. The caller builds it from the sim pipeline cost model
+	// (Replicas per AnalyzePipeline bottleneck interval) calibrated
+	// against measured service time; it must be monotone in Replicas.
 	Throughput func(Config) float64
 }
 

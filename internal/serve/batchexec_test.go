@@ -25,14 +25,14 @@ func makeItems(t *testing.T, model string, n int, seed uint64) []*item {
 	return items
 }
 
-// The device executor now hands whole batches to sim.ForwardAPBatch; a
+// The device executor steps a whole batch through sim.StepBatch; a
 // mixed bit-exact/reference batch of 8 must come back bit-identical to
 // per-item RunFunctional (reference items produce the same logits by the
 // software-accuracy property).
 func TestBatchedExecBitExact(t *testing.T) {
 	s := New(Options{Devices: 2, MaxBatch: 8, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -51,7 +51,7 @@ func TestBatchedExecBitExact(t *testing.T) {
 func TestBatchedFailoverRequeueBitExact(t *testing.T) {
 	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: 8, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -84,7 +84,7 @@ func TestBatchedFailoverRequeueBitExact(t *testing.T) {
 func TestBatchedShardedExecBitExact(t *testing.T) {
 	s := New(Options{Devices: 2, ShardStages: 2, MaxBatch: 8, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -92,7 +92,7 @@ func TestBatchedShardedExecBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.placed().shard == nil {
+	if e.placed().stages() != 2 {
 		t.Fatal("entry not sharded")
 	}
 	items := makeItems(t, "tinyresnet", 8, 79)

@@ -10,15 +10,18 @@
 // bit-identical, so the mode trades verification strength for speed, not
 // accuracy.
 //
-// With Options.ShardStages > 1 the scheduler switches from whole-model
-// dispatch to pipeline-parallel sharding: each admitted model is split
-// into contiguous layer-range stages (core.Partition, balanced on the
-// analytic per-layer latency), every stage is pinned to a distinct fleet
-// device, and micro-batches stream device to device through the stages —
-// so one large model occupies several simulated APs concurrently instead
-// of serializing on one. Stage costs (including inter-stage activation
-// transfers) are priced by sim.AnalyzePipeline, and the sharded
-// functional path stays bit-identical to single-device execution.
+// There is one batch executor (Fleet.execStage): every admitted model is
+// a pipeline of K contiguous layer-range stages (core.Partition, balanced
+// on the analytic per-layer latency), and a batch advances one stage per
+// device visit. K is 1 by default — the whole model on whichever device
+// is least loaded, priced exactly as sim.AnalyzeBatch prices the batch.
+// Options.ShardStages > 1 deepens the same pipeline rather than selecting
+// another path: every stage is pinned to a distinct fleet device and
+// micro-batches stream device to device through the stages, so one large
+// model occupies several simulated APs concurrently instead of
+// serializing on one. Stage costs (including inter-stage activation
+// transfers) are priced by sim.AnalyzePipeline, and execution stays
+// bit-identical at every K.
 //
 // Options.Replicas > 1 adds the data-parallel ("wide") axis: every
 // admitted model gets R device-disjoint placements, batches balance

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -68,7 +69,7 @@ func assertBitExact(t *testing.T, comp *core.Compiled, items []*item) {
 func TestFailoverRequeueBitExact(t *testing.T) {
 	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: 4, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -166,7 +167,7 @@ func TestFailoverUnderLoadBitExact(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if err := s.Shutdown(t.Context()); err != nil {
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +222,7 @@ func TestShardedFailoverBitExact(t *testing.T) {
 			}
 		}
 	}
-	if err := s.Shutdown(t.Context()); err != nil {
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertBitExact(t, compiledRef(t, "tinyresnet"), items)
@@ -232,7 +233,7 @@ func TestShardedFailoverBitExact(t *testing.T) {
 func TestFailoverExhaustionFailsCleanly(t *testing.T) {
 	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: 2, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()

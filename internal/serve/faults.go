@@ -26,7 +26,7 @@ const maxFailoverAttempts = 3
 
 // FailDevice marks a fleet device dead, simulating a device loss. The
 // device's goroutine stays up to drain its queue: every batch queued or
-// arriving on the dead device — including sharded batches mid-pipeline —
+// arriving on the dead device — at whichever stage of its pipeline —
 // is requeued onto a surviving replica instead of executing, so no
 // admitted work is lost as long as a live replica remains. (The one
 // batch already executing at the failure instant completes on the dead
@@ -48,9 +48,9 @@ func (f *Fleet) FailDevice(id int) error {
 	return nil
 }
 
-// requeue re-dispatches a batch that reached a dead device. Sharded
-// batches restart from stage 0 on the new replica: partial pipeline state
-// is discarded and recomputed (deterministically, so logits stay
+// requeue re-dispatches a batch that reached a dead device. The batch
+// restarts from stage 0 on the new replica: partial pipeline state is
+// discarded and recomputed (deterministically, so logits stay
 // bit-exact), and items that already received a result are skipped via
 // apBatch.done. The pending bump for the new dispatch lands before the
 // dead device retires the current receive, so a drain never races past a

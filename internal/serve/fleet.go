@@ -8,17 +8,16 @@ import (
 
 	"rtmap/internal/dispatch"
 	"rtmap/internal/energy"
-	"rtmap/internal/model"
 	"rtmap/internal/sim"
-	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
 )
 
 // BatchInfo is the per-batch accounting attached to every result: which
 // simulated device ran the batch, how large it was, how long the item
 // waited in queues (wall time), and what the batch cost on the simulated
-// hardware (sim.AnalyzeBatch pipelined-load pricing; for sharded models,
-// the sum of the per-stage sim.AnalyzeStageBatch prices).
+// hardware (the sum of the per-stage sim.AnalyzeStageBatch prices — for
+// the default one-stage pipeline, exactly sim.AnalyzeBatch's
+// pipelined-load pricing).
 type BatchInfo struct {
 	Device int `json:"device"`
 	Size   int `json:"size"`
@@ -28,25 +27,25 @@ type BatchInfo struct {
 	// Requeues counts device-failure failovers this batch survived before
 	// completing. Zero on the happy path.
 	Requeues int `json:"requeues,omitempty"`
-	// QueueWallNS is the wall-clock time from enqueue to execution start
-	// (for sharded models: to the start of the first stage).
+	// QueueWallNS is the wall-clock time from enqueue to the start of the
+	// first stage.
 	QueueWallNS int64 `json:"queue_wall_ns"`
 	// SimLatencyNS is the simulated device latency of the whole batch;
 	// SimPerSampleNS is the amortized per-sample share.
 	SimLatencyNS   float64 `json:"sim_latency_ns"`
 	SimPerSampleNS float64 `json:"sim_per_sample_ns"`
 	SimEnergyPJ    float64 `json:"sim_energy_pj"`
-	// Stages and Path report pipeline-sharded execution: the stage count
-	// and the device each stage ran on. Absent for unsharded models.
+	// Stages and Path report a pipeline deeper than one stage: the stage
+	// count and the device each stage ran on. Absent at one stage, where
+	// Device says it all.
 	Stages int   `json:"stages,omitempty"`
 	Path   []int `json:"path,omitempty"`
 }
 
 // replica is one independent placement of a model across the fleet: one
-// device per pipeline stage (a single device for unsharded models).
-// Placements of the same entry are device-disjoint, so one device failure
-// kills at most one replica. devs is immutable after admission; batches is
-// guarded by Fleet.mu.
+// device per pipeline stage. Placements of the same entry are
+// device-disjoint, so one device failure kills at most one replica. devs
+// is immutable after admission; batches is guarded by Fleet.mu.
 type replica struct {
 	id      int
 	devs    []int
@@ -54,21 +53,14 @@ type replica struct {
 }
 
 // apBatch is one dispatched unit of work: a model entry plus the items
-// coalesced for it. Sharded batches traverse the fleet stage by stage,
-// carrying their per-item pipeline state. A batch that reaches a dead
-// device is requeued onto a surviving replica (bounded attempts); done
-// tracks which items already received a result so a restart never
-// delivers twice.
+// coalesced for it. A batch traverses the fleet stage by stage, carrying
+// its per-item pipeline state. A batch that reaches a dead device is
+// requeued onto a surviving replica (bounded attempts); done tracks which
+// items already received a result so a restart never delivers twice.
 type apBatch struct {
 	e     *entry
 	items []*item
 	done  []bool
-	// cancelled marks items retired by the deadline gate (expireDue):
-	// they are done without having executed, so the post-execution span
-	// and phase-metric loops must skip them. Allocated lazily — the
-	// no-deadline hot path never pays for it.
-	cancelled []bool
-
 	// pl is the entry placement captured at dispatch: the batch keeps
 	// one consistent view of shard plan, replicas, and wear costs even
 	// if the autoscaler swaps the entry's placement mid-flight. Failover
@@ -81,7 +73,7 @@ type apBatch struct {
 	devs     []int
 	attempts int
 
-	// Pipeline state (sharded entries only).
+	// Pipeline state.
 	stage   int
 	runs    []*sim.ShardRun
 	path    []int
@@ -139,10 +131,9 @@ type device struct {
 // per-device queues. Submit places a batch on a device, blocking when
 // that device's queue is full:
 //
-//   - replicated entries pick the least-loaded live replica and go to its
-//     first (or only) device;
-//   - sharded batches then hop device to device through the replica's
-//     stage pipeline;
+//   - pinned entries pick the least-loaded live replica and go to its
+//     first device, then hop device to device through the replica's
+//     remaining stages (none, for the default one-stage pipeline);
 //   - unpinned entries go to the live device with the fewest outstanding
 //     batches (ties to the least simulated busy time).
 type Fleet struct {
@@ -337,8 +328,8 @@ func (f *Fleet) Submit(b *apBatch) {
 	d.ch <- b
 }
 
-// forward hands a sharded batch to its next stage's device. The pending
-// count is bumped before this batch's current execution retires, so the
+// forward hands a batch to its next stage's device. The pending count
+// is bumped before this batch's current execution retires, so the
 // fleet never looks drained with a hop in flight; the send runs on its
 // own goroutine so a device goroutine never blocks on another device's
 // full queue (queues of different models may point at each other).
@@ -445,19 +436,10 @@ func (f *Fleet) expireDue(b *apBatch, now time.Time, where string) int {
 		if b.firstTraced(i) {
 			f.itemSpan(it, b, "expired", -1, -1, now, 0, where)
 		}
-		if b.cancelled == nil {
-			b.cancelled = make([]bool, len(b.items))
-		}
-		b.cancelled[i] = true
 		b.done[i] = true
 		it.res <- itemResult{err: errExpired}
 	}
 	return live
-}
-
-// wasCancelled reports whether item i was retired by the deadline gate.
-func (b *apBatch) wasCancelled(i int) bool {
-	return b.cancelled != nil && b.cancelled[i]
 }
 
 // expireItem cancels one item that expired before ever reaching the
@@ -493,7 +475,7 @@ func (f *Fleet) run(d *device) {
 		if dead {
 			f.requeue(d, b)
 		} else {
-			f.execBatch(d, b)
+			f.execStage(d, b)
 		}
 		f.mu.Lock()
 		d.queued--
@@ -522,117 +504,30 @@ func (f *Fleet) dilate(simNS float64, start time.Time) {
 	}
 }
 
-// execBatch runs every item of the batch on this device and prices the
-// batch on the simulated hardware. Bit-exact items replay the compiled AP
-// programs (sim.ForwardAP); reference items run the quantized software
-// reference — both paths produce identical logits.
-func (f *Fleet) execBatch(d *device, b *apBatch) {
-	if b.pl.shard != nil {
-		f.execStage(d, b)
-		return
-	}
-	start := time.Now()
-	// Deadline gate: items that expired while queued are cancelled, not
-	// executed. A fully expired batch never touches the device.
-	if f.expireDue(b, start, "before execution") == 0 {
-		return
-	}
-	br := sim.AnalyzeBatch(b.e.report, len(b.items))
-	f.mu.Lock()
-	d.busyNS += br.LatencyNS
-	d.batches++
-	d.meter.Spend(br.EnergyPJ, b.pl.writesPerSample(0)*float64(len(b.items)))
-	f.mu.Unlock()
-	f.waitQueueSpans(b, d.id, start)
-
-	// The whole batch executes in one engine pass: bit-exact items run
-	// through sim.ForwardAPBatch (one program interpretation per (strip,
-	// tile, row-group) for all of them — bit-identical to per-item
-	// ForwardAP, enforced by TestBatchedExecBitExact), reference items
-	// through the per-item software reference.
-	var exactIns []*tensor.Float
-	for i, it := range b.items {
-		if !b.done[i] && it.bitExact {
-			exactIns = append(exactIns, it.in)
-		}
-	}
-	var exactTrs []*model.IntTrace
-	var exactErr error
-	if len(exactIns) > 0 {
-		exactTrs, exactErr = sim.ForwardAPBatchHook(b.e.comp, exactIns, f.layerHook(b, d.id, -1))
-	}
-	f.dilate(br.LatencyNS, start)
-
-	next := 0
-	for i, it := range b.items {
-		if b.done[i] {
-			continue
-		}
-		res := itemResult{info: BatchInfo{
-			Device:         d.id,
-			Size:           len(b.items),
-			Replica:        b.replica,
-			Requeues:       b.attempts,
-			QueueWallNS:    start.Sub(it.enq).Nanoseconds(),
-			SimLatencyNS:   br.LatencyNS,
-			SimPerSampleNS: br.PerSampleNS(),
-			SimEnergyPJ:    br.EnergyPJ,
-		}}
-		var tr *model.IntTrace
-		var err error
-		if it.bitExact {
-			tr, err = nil, exactErr
-			if exactErr == nil {
-				tr = exactTrs[next]
-			}
-			next++
-		} else {
-			tr, err = b.e.net.ForwardInt(it.in)
-		}
-		if err != nil {
-			res.err = err
-		} else {
-			lg := tr.Logits()
-			res.logits = append([]int32(nil), lg.Data...)
-			res.argmax = lg.ArgmaxInt()[0]
-		}
-		b.done[i] = true
-		it.res <- res
-	}
-	execDur := time.Since(start)
-	b.e.est.Observe(len(b.items), execDur, f.parallelism(b))
-	if f.metrics != nil {
-		f.metrics.ObserveBatch(len(b.items), br.LatencyNS, br.EnergyPJ)
-		f.metrics.ObserveExec(0, execDur)
-		for i, it := range b.items {
-			if b.wasCancelled(i) {
-				continue // never executed: no phases to attribute
-			}
-			disp := dispatchOf(it)
-			f.metrics.ObserveItemPhases(disp.Sub(it.enq), start.Sub(disp), execDur)
-		}
-	}
-	for i, it := range b.items {
-		if b.wasCancelled(i) || !b.firstTraced(i) {
-			continue
-		}
-		f.itemSpan(it, b, "exec", d.id, -1, start, execDur, "")
-	}
-}
-
-// execStage runs one pipeline stage of a sharded batch on this device:
-// every item advances one stage of its ShardRun, the stage is priced by
-// the pipeline cost model, and the batch either hops to the next stage's
-// device or delivers its results.
+// execStage is the one batch executor: it runs one pipeline stage of the
+// batch on this device — for the default one-stage pipeline, the whole
+// model. Every item advances one stage of its ShardRun (bit-exact items
+// replay the compiled AP programs, reference items run the quantized
+// software reference; both produce identical logits), the stage is priced
+// by the pipeline cost model, and the batch either hops to the next
+// stage's device or delivers its results.
 func (f *Fleet) execStage(d *device, b *apBatch) {
-	stageStart := time.Now()
+	start := time.Now()
+	// A one-stage pipeline looks like what it is, a whole-model dispatch:
+	// one "exec" span outside any stage, no stage count or device path.
+	k, span, spanStage := b.pl.stages(), "stage", b.stage
+	if k == 1 {
+		span, spanStage = "exec", -1
+	}
 	if b.stage == 0 {
-		// Deadline gate, stage 0 only: once a batch has bought pipeline
-		// work, finishing beats discarding it partway through.
-		if f.expireDue(b, stageStart, "before stage 0") == 0 {
+		// Deadline gate, stage 0 only: items that expired while queued are
+		// cancelled, not executed, and a fully expired batch never touches
+		// the device — but once a batch has bought pipeline work, finishing
+		// beats discarding it partway through.
+		if f.expireDue(b, start, "before execution") == 0 {
 			return
 		}
-		b.started = stageStart
+		b.started = start
 		b.runs = make([]*sim.ShardRun, len(b.items))
 		for i, it := range b.items {
 			if b.done[i] {
@@ -646,11 +541,11 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			}
 			b.runs[i] = run
 		}
-		f.waitQueueSpans(b, d.id, stageStart)
+		f.waitQueueSpans(b, d.id, start)
 	} else if f.tracer != nil && !b.hop.IsZero() {
 		for i, it := range b.items {
 			if !b.done[i] && b.firstTraced(i) {
-				f.itemSpan(it, b, "hop", d.id, b.stage, b.hop, stageStart.Sub(b.hop), "")
+				f.itemSpan(it, b, "hop", d.id, b.stage, b.hop, start.Sub(b.hop), "")
 			}
 		}
 	}
@@ -659,7 +554,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 	f.mu.Lock()
 	d.busyNS += br.LatencyNS
 	d.batches++
-	d.meter.Spend(br.EnergyPJ, b.pl.writesPerSample(b.stage)*float64(len(b.items)))
+	d.meter.Spend(br.EnergyPJ, b.pl.stageWrites[b.stage]*float64(len(b.items)))
 	f.mu.Unlock()
 	b.simNS += br.LatencyNS
 	b.simPJ += br.EnergyPJ
@@ -668,10 +563,11 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 	// Advance every live run one stage in one batched engine pass per
 	// bit-exactness mode (a coalesced batch can mix modes; each group's
 	// runs share their stage's program interpretations).
-	hook := f.layerHook(b, d.id, b.stage)
-	for _, exact := range []bool{true, false} {
-		var group []*sim.ShardRun
-		var idx []int
+	hook := f.layerHook(b, d.id, spanStage)
+	group := make([]*sim.ShardRun, 0, len(b.items))
+	idx := make([]int, 0, len(b.items))
+	for _, exact := range [...]bool{true, false} {
+		group, idx = group[:0], idx[:0]
 		for i, it := range b.items {
 			if b.runs[i] == nil || it.bitExact != exact {
 				continue // failed or already delivered at an earlier stage
@@ -679,9 +575,9 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			group = append(group, b.runs[i])
 			idx = append(idx, i)
 		}
-		for k, err := range sim.StepBatchHook(group, exact, hook) {
+		for j, err := range sim.StepBatchHook(group, exact, hook) {
 			if err != nil {
-				i := idx[k]
+				i := idx[j]
 				b.done[i] = true
 				b.items[i].res <- itemResult{err: err}
 				b.runs[i] = nil
@@ -689,47 +585,47 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		}
 	}
 
-	f.dilate(br.LatencyNS, stageStart)
+	f.dilate(br.LatencyNS, start)
 
-	stageDur := time.Since(stageStart)
-	b.execNS += stageDur.Nanoseconds()
-	if f.metrics != nil {
-		f.metrics.ObserveExec(b.stage, stageDur)
-	}
+	// The span is recorded before any result is delivered: a client that
+	// reads its trace the moment its response arrives must find it there.
+	dur := time.Since(start)
+	b.execNS += dur.Nanoseconds()
 	for i, it := range b.items {
 		if !b.done[i] && b.firstTraced(i) {
-			f.itemSpan(it, b, "stage", d.id, b.stage, stageStart, stageDur, "")
+			f.itemSpan(it, b, span, d.id, spanStage, start, dur, "")
 		}
 	}
+	if f.metrics != nil {
+		f.metrics.ObserveExec(b.stage, dur)
+	}
 
-	if b.stage < len(b.pl.shard.Stages)-1 {
+	if b.stage < k-1 {
 		b.stage++
 		f.forward(b.devs[b.stage], b)
 		return
 	}
 
+	info := BatchInfo{
+		Device:         d.id,
+		Size:           len(b.items),
+		Replica:        b.replica,
+		Requeues:       b.attempts,
+		SimLatencyNS:   b.simNS,
+		SimPerSampleNS: b.simNS / float64(len(b.items)),
+		SimEnergyPJ:    b.simPJ,
+	}
+	if k > 1 {
+		info.Stages, info.Path = k, b.path
+	}
 	for i, it := range b.items {
 		if b.runs[i] == nil {
 			continue
 		}
 		lg := b.runs[i].Logits()
+		info.QueueWallNS = b.started.Sub(it.enq).Nanoseconds()
 		b.done[i] = true
-		it.res <- itemResult{
-			logits: append([]int32(nil), lg.Data...),
-			argmax: lg.ArgmaxInt()[0],
-			info: BatchInfo{
-				Device:         d.id,
-				Size:           len(b.items),
-				Replica:        b.replica,
-				Requeues:       b.attempts,
-				QueueWallNS:    b.started.Sub(it.enq).Nanoseconds(),
-				SimLatencyNS:   b.simNS,
-				SimPerSampleNS: b.simNS / float64(len(b.items)),
-				SimEnergyPJ:    b.simPJ,
-				Stages:         len(b.pl.shard.Stages),
-				Path:           b.path,
-			},
-		}
+		it.res <- itemResult{logits: append([]int32(nil), lg.Data...), argmax: lg.ArgmaxInt()[0], info: info}
 		if f.metrics != nil {
 			disp := dispatchOf(it)
 			f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))

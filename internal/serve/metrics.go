@@ -93,8 +93,8 @@ type Metrics struct {
 
 	// phases decomposes request wall time per delivered item, indexed
 	// like phaseNames; stageExec attributes execution wall time to
-	// pipeline stages (index 0 doubles as the unsharded exec histogram),
-	// grown on demand to the deepest stage observed.
+	// pipeline stages (a one-stage pipeline fills index 0 only), grown on
+	// demand to the deepest stage observed.
 	phases    [len(phaseNames)]metrics.Histogram
 	stageExec []metrics.Histogram
 }
@@ -132,11 +132,8 @@ func (m *Metrics) ObserveItemPhases(wait, queue, exec time.Duration) {
 }
 
 // ObserveExec attributes one batch's execution wall time to a pipeline
-// stage (stage 0 for unsharded dispatch).
+// stage.
 func (m *Metrics) ObserveExec(stage int, wall time.Duration) {
-	if stage < 0 {
-		stage = 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.stageExec) <= stage {

@@ -114,13 +114,13 @@ type entry struct {
 	// analytic cost model against it.
 	est dispatch.DelayEstimator
 
-	// layerWrites caches sim.LayerWrites(comp) so rescaling can rebuild
-	// per-stage wear costs without re-deriving the endurance model.
+	// layerWrites caches sim.LayerWrites(comp) so each new stage count
+	// sums its per-stage wear costs without re-deriving the endurance model.
 	layerWrites []float64
 
-	// pipes memoizes the layer partition and pipeline pricing per stage
-	// count: the autoscaler flips between stage counts repeatedly and
-	// core.Partition is quadratic in layers.
+	// pipes memoizes the layer partition, its pipeline pricing and wear
+	// costs per stage count: the autoscaler flips between stage counts
+	// repeatedly and core.Partition is quadratic in layers.
 	pipeMu sync.Mutex
 	pipes  map[int]*pipePlan
 
@@ -132,62 +132,36 @@ type entry struct {
 }
 
 // placement is one immutable snapshot of how an entry occupies the
-// fleet: the pipeline shard plan and its pricing (nil for unsharded),
-// the data-parallel replica placements (nil for unpinned whole-fleet
-// dispatch), and the per-stage wear costs. Registry.Rescale builds a
-// fresh placement and swaps the entry's pointer; the structs themselves
-// are never mutated after publication.
+// fleet: its K-stage pipeline plan (K = 1, the whole model on one device,
+// unless sharding was asked for) and the data-parallel replica placements
+// (nil for unpinned whole-fleet dispatch). Registry.Rescale builds a fresh
+// placement and swaps the entry's pointer; the structs themselves are
+// never mutated after publication.
 type placement struct {
-	shard       *core.ShardPlan
-	pipeline    *sim.PipelineReport
-	replicas    []*replica
-	stageWrites []float64
+	*pipePlan
+	replicas []*replica
 }
 
-// unplaced is the shared zero placement hand-built test entries (which
-// never run admit) observe: unpinned, unsharded, zero wear.
-var unplaced placement
+// placed returns the entry's current placement; admit stores one before
+// the entry becomes reachable.
+func (e *entry) placed() *placement { return e.place.Load() }
 
-// placed returns the entry's current placement, never nil.
-func (e *entry) placed() *placement {
-	if pl := e.place.Load(); pl != nil {
-		return pl
-	}
-	return &unplaced
-}
-
-// stages returns the pipeline depth of the placement (1 when unsharded).
-func (pl *placement) stages() int {
-	if pl.shard != nil {
-		return len(pl.shard.Stages)
-	}
-	return 1
-}
+// stages returns the pipeline depth of the placement.
+func (pl *placement) stages() int { return len(pl.shard.Stages) }
 
 // config reports the placement as a scaler configuration.
 func (pl *placement) config() dispatch.Config {
-	c := dispatch.Config{Replicas: 1, Stages: pl.stages()}
-	if len(pl.replicas) > 0 {
-		c.Replicas = len(pl.replicas)
-	}
-	return c
-}
-
-// writesPerSample returns the stage's per-sample write wear (stage 0
-// for unsharded dispatch). Entries placed before the wear model was
-// computed (hand-built test entries) report 0.
-func (pl *placement) writesPerSample(stage int) float64 {
-	if stage < 0 || stage >= len(pl.stageWrites) {
-		return 0
-	}
-	return pl.stageWrites[stage]
+	return dispatch.Config{Replicas: max(1, len(pl.replicas)), Stages: pl.stages()}
 }
 
 // pipePlan is one memoized stage partition: the layer-range shard plan
-// for a stage count plus its pipeline pricing.
+// for a stage count, its pipeline pricing, and the per-sample write wear
+// of each stage (the fleet meters cumulative device writes from it at
+// each dispatch).
 type pipePlan struct {
-	shard    *core.ShardPlan
-	pipeline *sim.PipelineReport
+	shard       *core.ShardPlan
+	pipeline    *sim.PipelineReport
+	stageWrites []float64
 }
 
 // pipePlanFor returns the entry's memoized partition for k stages,
@@ -210,7 +184,12 @@ func (e *entry) pipePlanFor(k int) (*pipePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp := &pipePlan{shard: sp, pipeline: pr}
+	pp := &pipePlan{shard: sp, pipeline: pr, stageWrites: make([]float64, len(sp.Stages))}
+	for si, st := range sp.Stages {
+		for _, w := range e.layerWrites[st.Lo:st.Hi] {
+			pp.stageWrites[si] += w
+		}
+	}
 	if e.pipes == nil {
 		e.pipes = map[int]*pipePlan{}
 	}
@@ -277,10 +256,11 @@ type BatchOptions struct {
 }
 
 // NewRegistry returns an empty registry. The compile config is forced to
-// retain programs (bit-exact mode replays them). shardStages > 1 admits
-// every model as a layer-range pipeline of that many stages (clamped to
-// the live fleet size and the model's layer count), each stage pinned to
-// a fleet device; <= 1 keeps whole-model dispatch. replicas > 1 places
+// retain programs (bit-exact mode replays them). Every model is admitted
+// as a layer-range pipeline of shardStages stages (clamped to the live
+// fleet size and the model's layer count, and to at least the one stage
+// that holds the whole model), each stage of a deeper pipeline pinned to
+// its own fleet device. replicas > 1 places
 // that many independent copies of every model across the fleet (clamped
 // to fleet capacity); batches balance across live replicas and fail over
 // on device loss.
@@ -521,61 +501,28 @@ func (r *Registry) buildNet(spec Spec) (*model.Network, error) {
 }
 
 // buildPlacement realizes a (replicas, stages) configuration for a
-// compiled entry: the pipeline shard plan (memoized per stage count)
-// and the data-parallel replica placements. The stage count clamps to
-// the live fleet size and the layer count; the replica count clamps to
-// live-devices/stages so placements stay device-disjoint. A clamp down
-// to one stage and one replica leaves the entry on the plain unpinned
-// whole-model dispatch path — unless the registry runs pinned
-// (autoscale mode), where even 1r×1s is a placement the scaler can grow.
+// compiled entry: the pipeline plan (memoized per stage count) and the
+// data-parallel replica placements. The stage count clamps to the live
+// fleet size and the layer count, and is never below one; the replica
+// count clamps to live-devices/stages so placements stay device-disjoint.
+// One stage and one replica dispatch unpinned across the whole fleet —
+// unless the registry runs pinned (autoscale mode), where even 1r×1s is a
+// placement the scaler can grow.
 func (r *Registry) buildPlacement(e *entry, cfg dispatch.Config) (*placement, error) {
-	pl := &placement{}
-	k := cfg.Stages
-	if live := r.fleet.NumLive(); k > live {
-		k = live
+	k := max(1, min(cfg.Stages, r.fleet.NumLive(), len(e.comp.Layers)))
+	pp, err := e.pipePlanFor(k)
+	if err != nil {
+		return nil, err
 	}
-	if k > len(e.comp.Layers) {
-		k = len(e.comp.Layers)
-	}
-	if k > 1 {
-		pp, err := e.pipePlanFor(k)
-		if err != nil {
-			return nil, err
-		}
-		pl.shard, pl.pipeline = pp.shard, pp.pipeline
-	}
-
-	stages := pl.stages()
-	reps := cfg.Replicas
-	if reps < 1 {
-		reps = 1
-	}
-	if pl.shard != nil || reps > 1 || r.pinned {
-		placed := r.fleet.PinReplicas(reps, stages)
-		if len(placed) == 0 {
+	pl := &placement{pipePlan: pp}
+	if reps := max(1, cfg.Replicas); k > 1 || reps > 1 || r.pinned {
+		pl.replicas = r.fleet.PinReplicas(reps, k)
+		if len(pl.replicas) == 0 {
 			// Same condition as a resident model with every replica dead, so
 			// it classifies the same way (HTTP 503, not 500).
 			return nil, fmt.Errorf("%w: fewer than %d live devices for one %d-stage placement",
-				errNoReplica, stages, stages)
+				errNoReplica, k, k)
 		}
-		pl.replicas = placed
-	}
-
-	// Per-stage wear costs from the cached endurance model: the fleet
-	// meters cumulative device writes from these at each dispatch.
-	if pl.shard != nil {
-		pl.stageWrites = make([]float64, len(pl.shard.Stages))
-		for si, st := range pl.shard.Stages {
-			for i := st.Lo; i < st.Hi; i++ {
-				pl.stageWrites[si] += e.layerWrites[i]
-			}
-		}
-	} else {
-		total := 0.0
-		for _, wv := range e.layerWrites {
-			total += wv
-		}
-		pl.stageWrites = []float64{total}
 	}
 	return pl, nil
 }
@@ -645,10 +592,10 @@ type LoadedInfo struct {
 	// PerInferNS is the analytic single-inference latency (ns) of the
 	// model on the simulated device.
 	PerInferNS float64 `json:"sim_latency_ns"`
-	// Stages, StageDevices and BottleneckNS report pipeline sharding:
-	// stage count, the device each stage of the first replica is pinned
-	// to, and the simulated steady-state inter-sample interval. Absent
-	// for unsharded models.
+	// Stages, StageDevices and BottleneckNS report a pipeline deeper than
+	// one stage: stage count, the device each stage of the first replica is
+	// pinned to, and the simulated steady-state inter-sample interval.
+	// Absent for one-stage models.
 	Stages       int     `json:"stages,omitempty"`
 	StageDevices []int   `json:"stage_devices,omitempty"`
 	BottleneckNS float64 `json:"sim_bottleneck_ns,omitempty"`
@@ -690,14 +637,12 @@ func (r *Registry) Loaded() []LoadedInfo {
 			Arrays: e.comp.PoolArrays, PerInferNS: e.report.TotalLatencyNS,
 		}
 		pl := e.placed()
-		if pl.shard != nil {
-			info.Stages = len(pl.shard.Stages)
+		if k := pl.stages(); k > 1 {
+			info.Stages = k
 			info.BottleneckNS = pl.pipeline.BottleneckNS
+			info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
 		}
 		if len(pl.replicas) > 0 {
-			if pl.shard != nil {
-				info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
-			}
 			info.Replicas = len(pl.replicas)
 			live, batches := r.fleet.ReplicaStats(pl.replicas)
 			info.ReplicaLive = live

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"rtmap/internal/dispatch"
-	"rtmap/internal/sim"
 )
 
 // scalerState is the autoscale loop's per-entry bookkeeping: the
@@ -19,7 +18,7 @@ type scalerState struct {
 // scaleLoop is the autoscaler: every AutoscaleInterval it derives each
 // resident model's arrival rate and queue-delay signal, asks its
 // dispatch.Scaler for a configuration (candidates priced by the
-// simulator's replicated-batch and pipeline cost models, calibrated
+// simulator's pipeline cost model, calibrated
 // against the measured per-item interval), and applies resizes through
 // Registry.Rescale. Runs until Shutdown closes scaleStop.
 func (s *Server) scaleLoop() {
@@ -67,20 +66,13 @@ func (s *Server) scaleEntry(states map[*entry]*scalerState, e *entry, now time.T
 	st.lastArrivals, st.lastTick = arr, now
 
 	depth := int(e.batcher.depth.Load())
-	maxStages := s.opts.ShardStages
-	if maxStages < 1 {
-		maxStages = 1
-	}
-	if n := len(e.comp.Layers); maxStages > n {
-		maxStages = n
-	}
 	prev := st.sc.Current()
 	cfg, changed, reason := st.sc.Evaluate(dispatch.Signal{
 		ArrivalPerSec: rate,
 		QueueDepth:    depth,
 		QueueDelay:    e.est.Estimate(depth),
 		MaxDevices:    s.fleet.NumLive(),
-		MaxStages:     maxStages,
+		MaxStages:     min(s.opts.ShardStages, len(e.comp.Layers)), // the scaler floors it at 1
 		Throughput:    s.throughputModel(e),
 	})
 	if !changed {
@@ -99,9 +91,9 @@ func (s *Server) scaleEntry(states map[*entry]*scalerState, e *entry, now time.T
 }
 
 // throughputModel prices candidate configurations for one entry in
-// requests per second. The shape comes from the simulator — replicas
-// divide the steady-state marginal interval (sim.AnalyzeReplicatedBatch),
-// stages are bounded by the pipeline bottleneck (sim.AnalyzePipeline) —
+// requests per second. The shape comes from the simulator — every
+// replica retires one sample per bottleneck interval of its K-stage
+// pipeline (sim.AnalyzePipeline; at K = 1 the batch model's marginal) —
 // and the absolute scale is calibrated by the measured per-item interval
 // of the current deployment, so the simulated ns axis never has to match
 // wall time. Returns nil until a measurement exists: the scaler stays
@@ -112,13 +104,6 @@ func (s *Server) throughputModel(e *entry) func(dispatch.Config) float64 {
 		return nil
 	}
 	simTP := func(c dispatch.Config) float64 {
-		if c.Stages <= 1 {
-			rb := sim.AnalyzeReplicatedBatch(e.report, s.opts.MaxBatch, c.Replicas)
-			if rb.SteadyNS <= 0 {
-				return 0
-			}
-			return 1e9 / rb.SteadyNS
-		}
 		pp, err := e.pipePlanFor(c.Stages)
 		if err != nil || pp.pipeline.BottleneckNS <= 0 {
 			return 0

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,7 +31,7 @@ func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})

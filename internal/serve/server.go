@@ -37,11 +37,12 @@ type Options struct {
 	Window   time.Duration
 	// MaxModels bounds the compiled-model registry (LRU eviction beyond).
 	MaxModels int
-	// ShardStages > 1 serves every model as a layer-range pipeline of
-	// that many stages (clamped to Devices and the model's layer count):
-	// each stage is pinned to a fleet device and micro-batches stream
-	// through the stages instead of whole batches dispatching to one
-	// device. <= 1 keeps whole-model dispatch.
+	// ShardStages is the depth of the layer-range pipeline every model is
+	// served as, clamped to Devices and the model's layer count. The
+	// default (anything <= 1) is one stage: the whole model on one device,
+	// batches dispatched to whichever is least loaded. Deeper pipelines run
+	// on the same executor, each stage pinned to its own fleet device with
+	// micro-batches streaming through the stages.
 	ShardStages int
 	// Replicas > 1 places that many independent copies of every admitted
 	// model across the fleet (device-disjoint placements, clamped to
@@ -93,8 +94,8 @@ type Options struct {
 	MaxQueueDelay time.Duration
 	// Autoscale starts the scheduler that grows and shrinks every
 	// model's replica/stage placement from live queue signals, pricing
-	// candidate configurations with the simulator's batch and pipeline
-	// cost models. Implies pinned placements (replica scaling needs a
+	// candidate configurations with the simulator's pipeline cost
+	// model. Implies pinned placements (replica scaling needs a
 	// placement to grow, so even 1-replica models are pinned).
 	Autoscale bool
 	// AutoscaleInterval is the scaler's evaluation tick (default 250ms).

@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,7 +142,7 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Shutdown(t.Context()); err != nil {
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i, it := range items {
@@ -151,4 +157,105 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 			t.Fatalf("item %d has no result after drain", i)
 		}
 	}
+}
+
+// One executor, every stage count: a coalesced batch mixing a bit-exact
+// and a reference request serves ForwardInt's logits at ShardStages 0, 1
+// and 2. At one stage the batch is priced exactly as sim.AnalyzeBatch
+// prices it, and neither the response nor /v1/models mentions a pipeline.
+func TestOneExecutorAcrossStageCounts(t *testing.T) {
+	comp := compiledRef(t, "tinyresnet")
+	rep := sim.Analyze(comp)
+	const n = 3
+	inputs := workload.Inputs(comp.Net.InputShape, 2*n, 21)
+
+	for _, stages := range []int{0, 1, 2} {
+		// The window is long and MaxBatch exact, so the two requests leave
+		// as one batch the moment the second arrives.
+		s, ts := testServer(t, Options{Devices: 2, ShardStages: stages, MaxBatch: 2 * n, Window: 5 * time.Second})
+		if _, err := s.Registry().Get(Spec{Model: "tinyresnet", ActBits: 4, Sparsity: 0.8, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		bodies := make([][]byte, 2)
+		for r := range bodies {
+			req := InferRequest{Model: "tinyresnet", BitExact: r == 0}
+			for _, in := range inputs[r*n : (r+1)*n] {
+				req.Inputs = append(req.Inputs, in.Data)
+			}
+			body, err := json.Marshal(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bodies[r] = fetch(t, http.MethodPost, ts.URL+"/v1/infer", body)
+			}()
+		}
+		wg.Wait()
+		models := fetch(t, http.MethodGet, ts.URL+"/v1/models", nil)
+
+		for r, body := range bodies {
+			var out InferResponse
+			if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != n {
+				t.Fatalf("stages=%d request %d: %v in %s", stages, r, err, body)
+			}
+			for i, res := range out.Results {
+				want, err := comp.Net.ForwardInt(inputs[r*n+i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Logits, want.Logits().Data) {
+					t.Errorf("stages=%d request %d input %d: logits %v, ForwardInt %v", stages, r, i, res.Logits, want.Logits().Data)
+				}
+				b := res.Batch
+				if b.Size != 2*n {
+					t.Fatalf("stages=%d: batch of %d, want the two requests coalesced into %d", stages, b.Size, 2*n)
+				}
+				if br := sim.AnalyzeBatch(rep, b.Size); stages <= 1 && (b.SimLatencyNS != br.LatencyNS || b.SimEnergyPJ != br.EnergyPJ) {
+					t.Errorf("stages=%d: priced %g ns / %g pJ, AnalyzeBatch %g ns / %g pJ",
+						stages, b.SimLatencyNS, b.SimEnergyPJ, br.LatencyNS, br.EnergyPJ)
+				}
+			}
+		}
+		// The keys are there at two stages, so their absence below means
+		// something.
+		docs := map[string][]byte{"response": bodies[0], "/v1/models": models}
+		carried := map[string][]string{
+			"response":   {`"stages"`, `"path"`},
+			"/v1/models": {`"stages"`, `"stage_devices"`, `bottleneck_ns"`},
+		}
+		for what, doc := range docs {
+			keys := carried[what]
+			if stages <= 1 {
+				keys = append(carried["response"], carried["/v1/models"]...)
+			}
+			for _, key := range keys {
+				if has := bytes.Contains(doc, []byte(key)); has != (stages > 1) {
+					t.Errorf("stages=%d: %s carries %s = %v\n%s", stages, what, key, has, doc)
+				}
+			}
+		}
+	}
+}
+
+// fetch returns the body of a request that must answer 200.
+func fetch(t *testing.T, method, url string, body []byte) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("%s %s: HTTP %d, %v: %s", method, url, resp.StatusCode, err, doc)
+	}
+	return doc
 }

@@ -26,7 +26,7 @@ import (
 func TestFailoverMixedSLO(t *testing.T) {
 	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: 4, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()

@@ -139,29 +139,25 @@ func getTraces(t *testing.T, url, query string) tracesResponse {
 	return out
 }
 
-// TestTracedShardedRequestEndToEnd is the tentpole's acceptance test: a
-// request carrying an X-Rtmap-Trace header through a sharded + replicated
-// server yields spans whose phase durations tile the reported http wall
-// time, visible via /debug/traces.
-func TestTracedShardedRequestEndToEnd(t *testing.T) {
-	_, ts := testServer(t, Options{Devices: 4, ShardStages: 2, Replicas: 2,
-		MaxBatch: 4, Window: time.Millisecond, TraceLayerSample: 1})
-
+// tracedSpans warms tinycnn up on the server, posts a two-sample bit-exact
+// request under trace ID id, and returns that trace's spans from
+// /debug/traces, grouped by name.
+func tracedSpans(t *testing.T, url, id string) map[string][]trace.Span {
+	t.Helper()
 	sh, _ := ZooShape("tinycnn")
 	// Warm up untraced so the traced request's wait span measures batching,
 	// not model admission (compilation happens inside the first handler).
-	if _, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", BitExact: true,
+	if _, resp := postInfer(t, url, InferRequest{Model: "tinycnn", BitExact: true,
 		Inputs: workload.InputData(sh, 1, 20)}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up: HTTP %d", resp.StatusCode)
 	}
 
-	const id = "e2e-trace-1"
 	body, err := json.Marshal(&InferRequest{Model: "tinycnn", BitExact: true,
 		Inputs: workload.InputData(sh, 2, 21)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/infer", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/infer", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +175,13 @@ func TestTracedShardedRequestEndToEnd(t *testing.T) {
 		t.Fatalf("response echoes trace ID %q, want %q", got, id)
 	}
 
-	got := getTraces(t, ts.URL, "?trace="+id)
+	got := getTraces(t, url, "?trace="+id)
 	byName := map[string][]trace.Span{}
 	for _, sp := range got.Spans {
 		if sp.Model != "tinycnn" {
 			t.Errorf("span %s carries model %q, want tinycnn", sp.Name, sp.Model)
 		}
 		byName[sp.Name] = append(byName[sp.Name], sp)
-	}
-	for name, want := range map[string]int{"http": 1, "wait": 1, "queue": 1, "hop": 1, "stage": 2} {
-		if len(byName[name]) != want {
-			t.Fatalf("%d %q spans, want %d (multi-sample requests must dedupe): %+v",
-				len(byName[name]), name, want, got.Spans)
-		}
 	}
 	if len(byName["layer"]) == 0 {
 		t.Fatal("no layer spans despite TraceLayerSample=1")
@@ -201,6 +191,40 @@ func TestTracedShardedRequestEndToEnd(t *testing.T) {
 			t.Errorf("layer span without a layer name: %+v", sp)
 		}
 	}
+	return byName
+}
+
+// wantSpanCounts fails unless the trace holds exactly the given number of
+// spans of each listed name.
+func wantSpanCounts(t *testing.T, byName map[string][]trace.Span, want map[string]int) {
+	t.Helper()
+	for name, n := range want {
+		if len(byName[name]) != n {
+			t.Fatalf("%d %q spans, want %d (multi-sample requests must dedupe): %+v",
+				len(byName[name]), name, n, byName)
+		}
+	}
+}
+
+// TestTracedShardedRequestEndToEnd is the tentpole's acceptance test: a
+// request carrying an X-Rtmap-Trace header through a sharded + replicated
+// server yields spans whose phase durations tile the reported http wall
+// time, visible via /debug/traces. The same request through the default
+// one-stage pipeline shows a whole-model dispatch instead.
+func TestTracedShardedRequestEndToEnd(t *testing.T) {
+	_, one := testServer(t, Options{Devices: 2, MaxBatch: 4, Window: time.Millisecond, TraceLayerSample: 1})
+	unsharded := tracedSpans(t, one.URL, "e2e-trace-0")
+	wantSpanCounts(t, unsharded, map[string]int{"http": 1, "wait": 1, "queue": 1, "exec": 1, "stage": 0, "hop": 0})
+	for _, sp := range append(unsharded["exec"], unsharded["layer"]...) {
+		if sp.Stage != -1 || sp.Replica != -1 {
+			t.Errorf("one-stage %s span on stage %d replica %d, want -1/-1 (unpinned whole-model dispatch)", sp.Name, sp.Stage, sp.Replica)
+		}
+	}
+
+	_, ts := testServer(t, Options{Devices: 4, ShardStages: 2, Replicas: 2,
+		MaxBatch: 4, Window: time.Millisecond, TraceLayerSample: 1})
+	byName := tracedSpans(t, ts.URL, "e2e-trace-1")
+	wantSpanCounts(t, byName, map[string]int{"http": 1, "wait": 1, "queue": 1, "hop": 1, "stage": 2, "exec": 0})
 	s0, s1 := byName["stage"][0], byName["stage"][1]
 	if s0.Stage+s1.Stage != 1 || s0.Stage == s1.Stage {
 		t.Fatalf("stage spans cover stages %d and %d, want 0 and 1", s0.Stage, s1.Stage)
@@ -300,7 +324,7 @@ func TestOversizedTraceHeaderIgnored(t *testing.T) {
 func TestFailoverRequeueKeepsTrace(t *testing.T) {
 	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: 4, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
-		if err := s.Shutdown(t.Context()); err != nil {
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()

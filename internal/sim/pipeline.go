@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtmap/internal/core"
+	"rtmap/internal/energy"
 )
 
 // StageReport prices one pipeline stage of a sharded plan.
@@ -60,9 +61,9 @@ func (p *PipelineReport) SteadyInfersPerSec() float64 {
 // AnalyzePipeline prices a sharded batch pipeline from a single-device
 // analysis: per-stage fill and marginal latencies, inter-stage activation
 // transfer cost from the movement model, and the steady-state bottleneck.
-// For a one-stage plan the result degenerates to AnalyzeBatch's pricing:
-// FillNS equals rep.TotalLatencyNS and BottleneckNS equals the batch
-// model's MarginalNS (no transfers).
+// For a one-stage plan the result is AnalyzeBatch's pricing exactly:
+// FillNS equals rep.TotalLatencyNS, BottleneckNS equals the batch
+// model's MarginalNS (no transfers) and the energy is rep.Total's.
 func AnalyzePipeline(c *core.Compiled, rep *Report, sp *core.ShardPlan) (*PipelineReport, error) {
 	if len(rep.Layers) != len(c.Layers) {
 		return nil, fmt.Errorf("sim: report covers %d layers, plan has %d", len(rep.Layers), len(c.Layers))
@@ -74,12 +75,16 @@ func AnalyzePipeline(c *core.Compiled, rep *Report, sp *core.ShardPlan) (*Pipeli
 	pr := &PipelineReport{}
 	for si, st := range sp.Stages {
 		sr := StageReport{Lo: st.Lo, Hi: st.Hi}
+		// Summed per component in Analyze's order, so a one-stage plan
+		// prices bit-for-bit as AnalyzeBatch does, energy included.
+		var spent energy.Breakdown
 		for _, lr := range rep.Layers[st.Lo:st.Hi] {
 			sr.FillNS += lr.LatencyNS
 			busy := lr.ComputeNS + lr.ReduceNS + lr.RequantNS
 			sr.MarginalNS += max(busy, lr.LoadNS)
-			sr.EnergyPJ += lr.Energy.TotalPJ()
+			spent.Add(lr.Energy)
 		}
+		sr.EnergyPJ = spent.TotalPJ()
 		if si < len(sp.Stages)-1 {
 			sr.XferBits = st.XferBits
 			sr.XferNS = float64(st.XferBits) * p.MoveNSPerBit

@@ -20,15 +20,16 @@ type ShardRun struct {
 	sp *core.ShardPlan
 
 	stage int
-	// Boundary context carried between stages, keyed by producer layer
-	// index (model.InputRef for the quantized network input).
-	ctxT map[int]*tensor.Int
-	ctxS map[int]float64
+	// store is the trace the next stage's ExecLayers call runs against:
+	// NewTrace's result before stage 0, afterwards a fresh trace holding
+	// exactly the tensors the finished stage shipped. A one-stage run
+	// therefore allocates what ForwardAPBatch does. The last stage's store
+	// is kept: it holds the logits.
+	store *model.IntTrace
 
 	// trace accumulates every layer output when the run was created with
 	// tracing on (ForwardAPSharded); nil otherwise.
-	trace  *model.IntTrace
-	logits *tensor.Int
+	trace *model.IntTrace
 }
 
 // NewShardRun quantizes the input and prepares a run positioned before
@@ -41,11 +42,7 @@ func NewShardRun(c *core.Compiled, sp *core.ShardPlan, in *tensor.Float) (*Shard
 	if err != nil {
 		return nil, err
 	}
-	return &ShardRun{
-		c: c, sp: sp,
-		ctxT: map[int]*tensor.Int{model.InputRef: tr.InputCodes},
-		ctxS: map[int]float64{model.InputRef: float64(c.Net.InputQ.Step)},
-	}, nil
+	return &ShardRun{c: c, sp: sp, store: tr}, nil
 }
 
 // Done reports whether every stage has executed.
@@ -55,11 +52,20 @@ func (r *ShardRun) Done() bool { return r.stage >= len(r.sp.Stages) }
 func (r *ShardRun) Stage() int { return r.stage }
 
 // Logits returns the final layer output codes; nil until Done.
-func (r *ShardRun) Logits() *tensor.Int { return r.logits }
+func (r *ShardRun) Logits() *tensor.Int {
+	if !r.Done() {
+		return nil
+	}
+	return r.store.Logits()
+}
 
-// Step executes the next stage: StepBatch on a batch of one.
+// Step executes the next stage of this run alone.
 func (r *ShardRun) Step(bitExact bool) error {
-	return StepBatch([]*ShardRun{r}, bitExact)[0]
+	if err := r.exec([]*model.IntTrace{r.store}, bitExact, nil); err != nil {
+		return err
+	}
+	r.ship()
+	return nil
 }
 
 // StepBatch advances a set of runs positioned at the same stage of the
@@ -85,97 +91,61 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 		return errs
 	}
 	r0 := runs[0]
-	for _, r := range runs[1:] {
+	trs := make([]*model.IntTrace, len(runs))
+	for i, r := range runs {
 		if r.c != r0.c || r.sp != r0.sp || r.stage != r0.stage {
 			for i, r := range runs {
 				errs[i] = r.Step(bitExact)
 			}
 			return errs
 		}
+		trs[i] = r.store
 	}
-	fail := func(err error) []error {
-		for i := range errs {
-			errs[i] = err
+	err := r0.exec(trs, bitExact, hook)
+	for i, r := range runs {
+		if errs[i] = err; err == nil {
+			r.ship()
 		}
-		return errs
-	}
-	if r0.Done() {
-		return fail(fmt.Errorf("sim: shard run already complete"))
-	}
-	st := r0.sp.Stages[r0.stage]
-	trs := make([]*model.IntTrace, len(runs))
-	for i, r := range runs {
-		trs[i] = r.buildStore()
-	}
-	if err := r0.c.Net.ExecLayers(trs, st.Lo, st.Hi, convExec(r0.c, bitExact), hook); err != nil {
-		return fail(fmt.Errorf("sim: stage %d [%d,%d): %w", r0.stage, st.Lo, st.Hi, err))
-	}
-	for i, r := range runs {
-		errs[i] = r.finishStage(trs[i])
 	}
 	return errs
 }
 
-// buildStore assembles the stage's working store, holding exactly the
-// carried boundary tensors.
-func (r *ShardRun) buildStore() *model.IntTrace {
-	n := len(r.c.Net.Layers)
-	tr := &model.IntTrace{
-		Outputs: make([]*tensor.Int, n),
-		Scales:  make([]float64, n),
+// exec runs r's next stage over trs: the stores of r and of every run
+// stepping with it.
+func (r *ShardRun) exec(trs []*model.IntTrace, bitExact bool, hook LayerHook) error {
+	if r.Done() {
+		return fmt.Errorf("sim: shard run already complete")
 	}
-	for ref, t := range r.ctxT {
-		if ref == model.InputRef {
-			tr.InputCodes = t
-		} else {
-			tr.Outputs[ref] = t
-			tr.Scales[ref] = r.ctxS[ref]
-		}
+	st := r.sp.Stages[r.stage]
+	if err := r.c.Net.ExecLayers(trs, st.Lo, st.Hi, convExec(r.c, bitExact), hook); err != nil {
+		return fmt.Errorf("sim: stage %d [%d,%d): %w", r.stage, st.Lo, st.Hi, err)
 	}
-	return tr
+	return nil
 }
 
-// finishStage records the executed stage's results and ships the
-// boundary live set to the next stage (or captures the logits on the
-// last one).
-func (r *ShardRun) finishStage(tr *model.IntTrace) error {
-	st := r.sp.Stages[r.stage]
-	n := len(r.c.Net.Layers)
+// ship retires the executed stage: unless it was the last, the next
+// stage's store receives exactly the boundary live set (XferRefs). A
+// tensor the plan withholds stays nil there, and the walker's residency
+// check fails the stage that reads it.
+func (r *ShardRun) ship() {
+	st, done := r.sp.Stages[r.stage], r.store
 	if r.trace != nil {
-		if r.stage == 0 {
-			r.trace.InputCodes = tr.InputCodes
-		}
-		for i := st.Lo; i < st.Hi; i++ {
-			r.trace.Outputs[i] = tr.Outputs[i]
-			r.trace.Scales[i] = tr.Scales[i]
-		}
+		copy(r.trace.Outputs[st.Lo:st.Hi], done.Outputs[st.Lo:st.Hi])
+		copy(r.trace.Scales[st.Lo:st.Hi], done.Scales[st.Lo:st.Hi])
 	}
-
-	if r.stage == len(r.sp.Stages)-1 {
-		r.logits = tr.Outputs[n-1]
-		r.ctxT, r.ctxS = nil, nil
-		r.stage++
-		return nil
+	r.stage++
+	if r.Done() {
+		return
 	}
-	// Ship exactly the boundary live set to the next stage.
-	nextT := make(map[int]*tensor.Int, len(st.XferRefs))
-	nextS := make(map[int]float64, len(st.XferRefs))
+	n := len(done.Outputs)
+	r.store = &model.IntTrace{Outputs: make([]*tensor.Int, n), Scales: make([]float64, n)}
 	for _, ref := range st.XferRefs {
 		if ref == model.InputRef {
-			nextT[ref] = tr.InputCodes
-			nextS[ref] = float64(r.c.Net.InputQ.Step)
+			r.store.InputCodes = done.InputCodes
 			continue
 		}
-		t := tr.Outputs[ref]
-		if t == nil {
-			return fmt.Errorf("sim: stage %d boundary ref %d not produced", r.stage, ref)
-		}
-		nextT[ref] = t
-		nextS[ref] = tr.Scales[ref]
+		r.store.Outputs[ref], r.store.Scales[ref] = done.Outputs[ref], done.Scales[ref]
 	}
-	r.ctxT, r.ctxS = nextT, nextS
-	r.stage++
-	return nil
 }
 
 // ForwardAPSharded replays the network stage by stage under the shard
@@ -189,8 +159,9 @@ func ForwardAPSharded(c *core.Compiled, sp *core.ShardPlan, in *tensor.Float) (*
 		return nil, err
 	}
 	run.trace = &model.IntTrace{
-		Outputs: make([]*tensor.Int, len(c.Net.Layers)),
-		Scales:  make([]float64, len(c.Net.Layers)),
+		Outputs:    make([]*tensor.Int, len(c.Net.Layers)),
+		Scales:     make([]float64, len(c.Net.Layers)),
+		InputCodes: run.store.InputCodes,
 	}
 	for !run.Done() {
 		if err := run.Step(true); err != nil {

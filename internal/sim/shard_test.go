@@ -8,6 +8,7 @@ import (
 
 	"rtmap/internal/core"
 	"rtmap/internal/model"
+	"rtmap/internal/tensor"
 )
 
 func partitionEven(t *testing.T, c *core.Compiled, rep *Report, k int) *core.ShardPlan {
@@ -256,5 +257,42 @@ func TestAnalyzePipelineAccounting(t *testing.T) {
 		if br.MarginalNS > pr.BottleneckNS+1e-12 {
 			t.Errorf("stage %d: marginal %g exceeds bottleneck %g", si, br.MarginalNS, pr.BottleneckNS)
 		}
+	}
+}
+
+// An unsharded model is a one-stage pipeline, so stepping it must cost
+// what the whole-model batch entry point costs: the run's first store is
+// the NewTrace result, with no boundary context built beside it.
+func TestOneStageShardRunAllocatesNoMoreThanForwardAPBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net := model.TinyCNN(model.DefaultConfig())
+	c := compileNet(t, net, true)
+	sp := partitionEven(t, c, Analyze(c), 1)
+	in := randInput(14, net.InputShape)
+
+	whole := func() {
+		if _, err := ForwardAPBatchHook(c, []*tensor.Float{in}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged := func() {
+		run, err := NewShardRun(c, sp, in)
+		if err == nil {
+			err = run.Step(true)
+		}
+		if err != nil || !run.Done() {
+			t.Fatalf("one-stage run: done=%v, %v", run.Done(), err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		whole() // warm the pools, the worker fleet, and every ExecPlan
+		staged()
+	}
+	want, got := testing.AllocsPerRun(100, whole), testing.AllocsPerRun(100, staged)
+	t.Logf("ForwardAPBatchHook %.0f allocs, one-stage NewShardRun+Step %.0f", want, got)
+	if got > want {
+		t.Fatalf("one-stage NewShardRun+Step allocates %.0f times, ForwardAPBatchHook %.0f", got, want)
 	}
 }
