@@ -236,7 +236,7 @@ func (r *Router) handleModels(w http.ResponseWriter, req *http.Request) {
 			cancel()
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := serve.ReadBody(resp.Body, resp.ContentLength, r.opts.MaxBodyBytes)
 		resp.Body.Close()
 		cancel()
 		if err != nil {
@@ -286,20 +286,6 @@ func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 		TotalRecorded uint64       `json:"total_recorded"`
 		Dropped       uint64       `json:"dropped"`
 	}{spans, total, total - uint64(len(spans))})
-}
-
-// inferProbe is the minimal decode of a proxied inference body: the
-// router needs the routing key plus the SLO fields (the policy is
-// deadline- and class-aware even when clients set them in the body
-// rather than headers); the payload is relayed verbatim. Field names
-// mirror serve.InferRequest.
-type inferProbe struct {
-	Model      string   `json:"model"`
-	ActBits    int      `json:"act_bits"`
-	Sparsity   *float64 `json:"sparsity"`
-	Seed       uint64   `json:"seed"`
-	Class      string   `json:"class"`
-	DeadlineMS float64  `json:"deadline_ms"`
 }
 
 // maxDeadlineMS mirrors the node-side 24h deadline clamp: it keeps
@@ -352,46 +338,21 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(req.Body, r.opts.MaxBodyBytes+1))
-	if err != nil {
-		httpJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error(), Kind: "bad_request"})
-		return
-	}
-	if int64(len(body)) > r.opts.MaxBodyBytes {
+	body, err := serve.ReadBody(req.Body, req.ContentLength, r.opts.MaxBodyBytes)
+	if errors.Is(err, serve.ErrBodyTooLarge) {
 		httpJSON(w, http.StatusRequestEntityTooLarge,
 			errorResponse{Error: "request body exceeds router limit", Kind: "bad_request"})
 		return
 	}
-	var probe inferProbe
-	if err := json.Unmarshal(body, &probe); err != nil || probe.Model == "" {
+	if err != nil {
+		httpJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error(), Kind: "bad_request"})
+		return
+	}
+	rt, hasModel := routeOf(body, req.Header, t0)
+	if !hasModel {
 		httpJSON(w, http.StatusBadRequest,
 			errorResponse{Error: "request carries no model name", Kind: "bad_request"})
 		return
-	}
-
-	// Headers win over body fields, same precedence as the node's
-	// parseSLO; malformed values are forwarded untouched for the node to
-	// reject rather than second-guessed here.
-	cs := probe.Class
-	if h := req.Header.Get(serve.ClassHeader); h != "" {
-		cs = h
-	}
-	class, _ := dispatch.ParseClass(cs)
-	ms := probe.DeadlineMS
-	if h := req.Header.Get(serve.DeadlineHeader); h != "" {
-		// ParseFloat, not Atoi: the node accepts fractional milliseconds,
-		// and the router's clamp must fire for every deadline the node
-		// would enforce.
-		if v, err := strconv.ParseFloat(h, 64); err == nil {
-			ms = v
-		}
-	}
-	deadline := time.Time{}
-	if ms > 0 && !math.IsInf(ms, 0) && !math.IsNaN(ms) {
-		if ms > maxDeadlineMS {
-			ms = maxDeadlineMS
-		}
-		deadline = t0.Add(time.Duration(ms * float64(time.Millisecond)))
 	}
 
 	traceID := req.Header.Get(serve.TraceHeader)
@@ -399,8 +360,7 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 		traceID = trace.NewID()
 	}
 
-	key := RouteKey(probe.Model, probe.ActBits, probe.Sparsity, probe.Seed)
-	res := r.proxyWithPolicy(req.Context(), key, probe.Model, class, deadline, traceID, body, req.Header)
+	res := r.proxyWithPolicy(req.Context(), rt.key, rt.model, rt.class, rt.deadline, traceID, body, req.Header)
 
 	wall := time.Since(t0)
 	if traceID != "" {
@@ -409,7 +369,7 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 			detail = res.node
 		}
 		r.tracer.Record(trace.Span{
-			TraceID: traceID, Name: "route", Model: probe.Model,
+			TraceID: traceID, Name: "route", Model: rt.model,
 			Device: -1, Replica: -1, Stage: -1,
 			Start: t0.UnixNano(), Dur: wall.Nanoseconds(), Detail: detail,
 		})
@@ -418,7 +378,7 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 	if res == nil {
 		r.metrics.ObserveShed()
 		r.metrics.ObserveRequest(wall, false)
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if !rt.deadline.IsZero() && !time.Now().Before(rt.deadline) {
 			// The deadline ran out before any attempt produced an
 			// answer: the request is expired, not the cluster dead.
 			httpJSON(w, http.StatusServiceUnavailable,
@@ -454,6 +414,56 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Rtmap-Node", res.node)
 	w.WriteHeader(res.status)
 	w.Write(res.body)
+}
+
+// route is what the router reads from a request to place and police it;
+// the payload is relayed verbatim.
+type route struct {
+	key      string // RouteKey of the model variant
+	model    string
+	class    dispatch.Class
+	deadline time.Time // zero: none
+}
+
+// routeOf decodes the header of a proxied inference body — the
+// activations are skipped, not parsed (serve.DecodeInferHeader) — and
+// resolves the SLO fields against the request headers. The policy is
+// deadline- and class-aware even when clients set them in the body.
+// false means the body names no model.
+func routeOf(body []byte, hdr http.Header, now time.Time) (route, bool) {
+	probe, err := serve.DecodeInferHeader(body)
+	if err != nil || probe.Model == "" {
+		return route{}, false
+	}
+
+	// Headers win over body fields, same precedence as the node's
+	// parseSLO; malformed values are forwarded untouched for the node to
+	// reject rather than second-guessed here.
+	cs := probe.Class
+	if h := hdr.Get(serve.ClassHeader); h != "" {
+		cs = h
+	}
+	class, _ := dispatch.ParseClass(cs)
+	ms := probe.DeadlineMS
+	if h := hdr.Get(serve.DeadlineHeader); h != "" {
+		// ParseFloat, not Atoi: the node accepts fractional milliseconds,
+		// and the router's clamp must fire for every deadline the node
+		// would enforce.
+		if v, err := strconv.ParseFloat(h, 64); err == nil {
+			ms = v
+		}
+	}
+	deadline := time.Time{}
+	if ms > 0 && !math.IsInf(ms, 0) && !math.IsNaN(ms) {
+		if ms > maxDeadlineMS {
+			ms = maxDeadlineMS
+		}
+		deadline = now.Add(time.Duration(ms * float64(time.Millisecond)))
+	}
+	return route{
+		key:   RouteKey(probe.Model, probe.ActBits, probe.Sparsity, probe.Seed),
+		model: probe.Model, class: class, deadline: deadline,
+	}, true
 }
 
 // errorResponse mirrors the node-side error document so router-origin
@@ -763,7 +773,7 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 	defer resp.Body.Close()
 	res.status = resp.StatusCode
 	res.header = resp.Header
-	res.body, err = io.ReadAll(resp.Body)
+	res.body, err = serve.ReadBody(resp.Body, resp.ContentLength, r.opts.MaxBodyBytes)
 	if err != nil {
 		// Response truncated mid-body. Zero bytes were relayed (we
 		// buffer), so retrying is still safe.

@@ -158,6 +158,7 @@ type TileBuilder struct {
 
 	accVirt  []int
 	inBind   map[int][2]int
+	inVirt   map[[2]int]int // inBind reversed: (channel, patch position) -> virtual column
 	stats    Stats
 	finished bool
 }
@@ -173,6 +174,7 @@ func NewTileBuilder(lay Layout) (*TileBuilder, error) {
 		prog:   &ap.Program{},
 		pool:   sched.NewColumnPool(lay.TempCols),
 		inBind: make(map[int][2]int),
+		inVirt: make(map[[2]int]int),
 	}
 	// Virtual column 0: carry.
 	b.prog.Carry = b.newVirt(ap.Col{Name: "carry", Base: lay.CarryBase, Width: 1}, lay.CarryCol)
@@ -200,10 +202,8 @@ func (b *TileBuilder) newVirt(c ap.Col, phys int) int {
 // k for resident channel ch.
 func (b *TileBuilder) inputVirt(ch, k int) int {
 	key := [2]int{ch, k}
-	for v, bind := range b.inBind {
-		if bind == key {
-			return v
-		}
+	if v, ok := b.inVirt[key]; ok {
+		return v
 	}
 	plane := ch / b.lay.ChansPerPlane
 	slot := ch % b.lay.ChansPerPlane
@@ -214,6 +214,7 @@ func (b *TileBuilder) inputVirt(ch, k int) int {
 		Unsigned: b.lay.ActUnsigned,
 	}, b.lay.InputCols[plane][k])
 	b.inBind[v] = key
+	b.inVirt[key] = v
 	return v
 }
 

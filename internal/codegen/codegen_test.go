@@ -1,7 +1,9 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"rtmap/internal/ap"
@@ -214,5 +216,48 @@ func TestInPlaceShareOfChains(t *testing.T) {
 	}
 	if float64(st.DFGInPlace) < 0.5*float64(st.DFGOps) {
 		t.Errorf("in-place share %d/%d too low for chain-heavy DFGs", st.DFGInPlace, st.DFGOps)
+	}
+}
+
+// The builder finds an operand's column through a reverse index kept
+// beside the bindings. Two fresh builders fed the same fragments must emit
+// the same tile, and each (channel, position) must own exactly the column
+// named after it — a lookup that missed would mint a second one.
+func TestInputColumnsUniqueAndRepeatable(t *testing.T) {
+	const k, cout = 9, 8
+	build := func() *TileProgram {
+		b, err := NewTileBuilder(testLayout(k, 4, 16, cout, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ch := 0; ch < 3; ch++ {
+			if err := b.AddChannel(ch, buildGraph(t, uint64(40+ch), cout, k, 0.5, true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tp, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	a, b := build(), build()
+	if !reflect.DeepEqual(a.Prog, b.Prog) || !reflect.DeepEqual(a.Phys, b.Phys) ||
+		!reflect.DeepEqual(a.AccVirt, b.AccVirt) || !reflect.DeepEqual(a.Inputs(), b.Inputs()) {
+		t.Fatal("two builds of one tile differ")
+	}
+	seen := map[[2]int]bool{}
+	for _, in := range a.Inputs() {
+		key := [2]int{in.Chan, in.K}
+		if seen[key] {
+			t.Errorf("channel %d position %d bound to two columns", in.Chan, in.K)
+		}
+		seen[key] = true
+		if got, want := a.Prog.Cols[in.Virt].Name, fmt.Sprintf("x[ch%d][%d]", in.Chan, in.K); got != want {
+			t.Errorf("column %d is %s, bound as %s", in.Virt, got, want)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("tile binds no input column")
 	}
 }

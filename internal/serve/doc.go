@@ -32,4 +32,11 @@
 // Admission failures a client can cause (a malformed model file behind
 // Options.ModelFiles) are errors mapped to HTTP 400; panics are reserved
 // for internal invariant violations (see docs/ARCHITECTURE.md).
+//
+// InferRequest and InferResponse are the client's documents. The server
+// side of the request format is wire.go, shared with internal/cluster:
+// a body is split at its "inputs" values, encoding/json decodes the
+// hundred bytes around them, the router stops there, and the node parses
+// the activations with the float conversion encoding/json itself uses
+// (docs/ARCHITECTURE.md "Wire format").
 package serve

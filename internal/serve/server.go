@@ -465,10 +465,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// InferRequest is the /v1/infer wire format. Each element of Inputs is
-// one sample: the input tensor flattened in NCHW order (N=1). Omitted
-// build parameters take the paper's defaults (4-bit activations, 0.8
-// sparsity, seed 1).
+// InferRequest is the /v1/infer request document as a client writes it
+// (rtmap-load, the chaos driver and the benchmark marshal this struct).
+// Each element of Inputs is one sample: the input tensor flattened in NCHW
+// order (N=1). Omitted build parameters take the paper's defaults (4-bit
+// activations, 0.8 sparsity, seed 1). The server never unmarshals a body
+// into it: wire.go decodes the fields other than Inputs through
+// encoding/json and parses the activations itself, into one flat slice.
 type InferRequest struct {
 	Model    string   `json:"model"`
 	ActBits  int      `json:"act_bits,omitempty"`
@@ -636,8 +639,17 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusServiceUnavailable, kindUnavailable, "server draining")
 		return
 	}
-	var req InferRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
+	body, err := ReadBody(r.Body, r.ContentLength, maxBodyBytes)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrBodyTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		fail(code, kindBadRequest, "reading request: %v", err)
+		return
+	}
+	req, in, err := decodeInfer(body, s.opts.MaxInputs)
+	if err != nil {
 		fail(http.StatusBadRequest, kindBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -649,12 +661,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 		cls, deadline = c, d
 	}
-	if len(req.Inputs) == 0 {
+	if in.rows() == 0 {
 		fail(http.StatusBadRequest, kindBadRequest, "no inputs")
 		return
 	}
-	if len(req.Inputs) > s.opts.MaxInputs {
-		fail(http.StatusBadRequest, kindBadRequest, "request carries %d inputs, limit %d", len(req.Inputs), s.opts.MaxInputs)
+	if in.rows() > s.opts.MaxInputs {
+		// The parser stopped counting one row past the limit.
+		fail(http.StatusBadRequest, kindBadRequest, "request carries more than %d inputs", s.opts.MaxInputs)
 		return
 	}
 	spec := Spec{Model: req.Model, ActBits: req.ActBits, Sparsity: 0.8, Seed: req.Seed}
@@ -707,7 +720,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// (HTTP 429 + Retry-After) rather than queue work that would blow
 	// the operator bound or provably miss its own deadline.
 	if !s.opts.DisableSLO {
-		depth := int(e.batcher.depth.Load()) + len(req.Inputs)
+		depth := int(e.batcher.depth.Load()) + in.rows()
 		if v := s.shed.Admit(cls, deadline, time.Now(), e.est.Estimate(depth)); !v.Accept {
 			retry := int(math.Ceil(v.RetryAfter.Seconds()))
 			if retry < 1 {
@@ -727,17 +740,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	shape := e.net.InputShape
-	items := make([]*item, len(req.Inputs))
-	for i, vals := range req.Inputs {
+	items := make([]*item, in.rows())
+	tensors := make([]tensor.Float, in.rows()) // each aliases its row of the parsed matrix
+	for i := range items {
+		vals := in.row(i)
 		if len(vals) != shape.Elems() {
 			fail(http.StatusBadRequest, kindBadRequest, "input %d: %d values, %s wants %d (NCHW %v)",
 				i, len(vals), spec.Model, shape.Elems(), shape)
 			return
 		}
-		t := tensor.NewFloat(shape)
-		copy(t.Data, vals)
+		tensors[i] = tensor.Float{Shape: shape, Data: vals}
 		items[i] = &item{
-			in: t, bitExact: req.BitExact, enq: time.Now(), res: make(chan itemResult, 1),
+			in: &tensors[i], bitExact: req.BitExact, enq: time.Now(), res: make(chan itemResult, 1),
 			class: cls, deadline: deadline,
 			trace: traceID, layers: traceLayers,
 		}
