@@ -1,6 +1,6 @@
 // Command rtmap-serve runs the batched multi-tenant inference server: an
 // HTTP/JSON front end over the compiler, the compiled-artifact cache, an
-// adaptive per-model micro-batcher, and a simulated fleet of AP devices
+// work-conserving per-model micro-batcher, and a simulated fleet of AP devices
 // priced by the paper's cost model.
 //
 //	rtmap-serve                                  # defaults: :8080, 4 devices
@@ -44,13 +44,13 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		devices    = flag.Int("devices", 4, "simulated AP devices in the fleet")
 		maxBatch   = flag.Int("max-batch", 8, "micro-batch size cap (1 disables coalescing)")
-		window     = flag.Duration("batch-window", 2*time.Millisecond, "max wait for follow-up requests when forming a batch")
+		window     = flag.Duration("batch-window", 2*time.Millisecond, "cap on how long a non-full batch is held while every device is busy (an idle device is dispatched to at once)")
 		maxModels  = flag.Int("max-models", 4, "compiled models resident before LRU eviction")
 		shards     = flag.Int("shard-stages", 0, "serve each model as a pipeline of N layer-range stages pinned to distinct devices (0/1 = the default one-stage pipeline, the whole model on one device; clamped to -devices)")
 		replicas   = flag.Int("replicas", 1, "data-parallel copies of each model placed on disjoint devices; batches balance across live replicas and fail over on device loss")
 		failDev    = flag.Int("fail-device", -1, "fault injection: mark this device dead -fail-after into the run (-1 disables)")
 		failAfter  = flag.Duration("fail-after", 2*time.Second, "delay before the -fail-device fault fires")
-		queue      = flag.Int("queue", 64, "per-model and per-device queue capacity")
+		queue      = flag.Int("queue", 64, "per-model queue capacity in requests and per-device queue capacity in batches")
 		maxInputs  = flag.Int("max-inputs", 64, "samples accepted per /v1/infer request")
 		noCache    = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
 		traceBuf   = flag.Int("trace-buf", 4096, "span ring-buffer capacity behind /debug/traces")

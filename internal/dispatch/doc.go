@@ -1,6 +1,7 @@
 // Package dispatch holds the serving scheduler's policy logic: priority
-// classes and deadlines (request.go), deadline-aware micro-batch
-// formation (former.go), queue-delay estimation and load shedding
+// classes and deadlines (request.go), work-conserving, deadline-aware
+// micro-batch formation (former.go: dispatch to an idle device at once,
+// batch only what queues behind busy ones), queue-delay estimation and load shedding
 // (shed.go), replica/device placement selection (place.go), and the
 // replica/stage autoscaler (scaler.go). The load generators' class-mix
 // schedule sits beside the classes it spreads (request.go).

@@ -7,9 +7,10 @@ import "time"
 type FormerOptions struct {
 	// MaxBatch caps batch size (default 8; 1 disables coalescing).
 	MaxBatch int
-	// Window bounds how long formation waits for follow-up work after
-	// the first ticket of a batch (default 2ms). The effective wait is
-	// adaptive — see NextWindow.
+	// Window is the cap on hold time while every device is busy: a
+	// non-full batch that finds no idle device leaves formation at most
+	// this long after its oldest ticket arrived (default 2ms). With an
+	// idle device nothing is held at all — see SetIdle.
 	Window time.Duration
 	// StarveLimit bounds bulk starvation: a bulk ticket that has waited
 	// at least this long is promoted into the next batch ahead of the
@@ -37,15 +38,19 @@ func (o FormerOptions) withDefaults() FormerOptions {
 // decision, never a clock or a goroutine, so scripted tests drive it
 // deterministically.
 //
-// Decision rules, in order:
+// Formation is work-conserving: pending work never waits beside an idle
+// device, and batches grow only from what queues up while every device
+// is busy. Decision rules, in order:
 //
 //   - tickets whose deadline has already passed are cancelled (returned
 //     as expired) before they can occupy batch capacity;
 //   - a full batch (MaxBatch pending) dispatches immediately;
-//   - otherwise the batch dispatches when the coalescing window closes —
-//     or EARLIER, at the latest instant that still leaves the tightest
-//     pending deadline its estimated execution time (early close: a
-//     tight deadline is never sacrificed to batching opportunity);
+//   - pending work and an idle device (SetIdle) dispatch immediately;
+//   - otherwise every device is busy and the batch is held for what
+//     arrives meanwhile, until the latest instant that still leaves the
+//     tightest pending deadline its estimated execution time (early
+//     close: a tight deadline is never sacrificed to batching
+//     opportunity) or until the window cap, whichever is sooner;
 //   - composition takes interactive first, then standard, then bulk,
 //     FIFO within a class, so interactive never queues behind bulk; a
 //     bulk ticket that has starved past StarveLimit is promoted to the
@@ -55,18 +60,39 @@ func (o FormerOptions) withDefaults() FormerOptions {
 // goroutine.
 type Former struct {
 	opts FormerOptions
-	wait time.Duration // adaptive window, see NextWindow
 	// perItem is the caller-refreshed per-item execution estimate the
 	// early-close rule prices dispatch-to-completion with.
 	perItem time.Duration
-	q       [NumClasses][]Ticket // pending, indexed by Class.rank()
-	n       int
+	// idle is the caller-refreshed answer to "does the target placement
+	// have a device with nothing queued".
+	idle bool
+	last CloseReason          // why the latest batch closed
+	q    [NumClasses][]Ticket // pending, indexed by Class.rank()
+	n    int
+}
+
+// CloseReason says which decision rule closed a batch.
+type CloseReason int
+
+const (
+	CloseFull     CloseReason = iota // MaxBatch tickets were pending
+	CloseIdle                        // a device was idle
+	CloseDeadline                    // early close for a pending deadline
+	CloseWindow                      // held for the whole window cap behind busy devices
+	CloseDrain                       // forced (shutdown drain)
+)
+
+// NumCloseReasons is the number of close reasons (array sizing).
+const NumCloseReasons = 5
+
+// String returns the reason's metric-label and span-detail spelling.
+func (r CloseReason) String() string {
+	return [NumCloseReasons]string{"full", "idle", "deadline", "window", "drain"}[r]
 }
 
 // NewFormer returns an empty Former.
 func NewFormer(opts FormerOptions) *Former {
-	opts = opts.withDefaults()
-	return &Former{opts: opts, wait: opts.Window}
+	return &Former{opts: opts.withDefaults()}
 }
 
 // Push adds one ticket to the pending set.
@@ -78,9 +104,6 @@ func (f *Former) Push(t Ticket) {
 // Pending returns the number of tickets waiting to be formed.
 func (f *Former) Pending() int { return f.n }
 
-// Window returns the current adaptive coalescing window.
-func (f *Former) Window() time.Duration { return f.wait }
-
 // SetPerItemEstimate refreshes the per-item execution time estimate
 // used by the early-close rule (0 disables early close until the
 // caller has a measurement).
@@ -91,23 +114,40 @@ func (f *Former) SetPerItemEstimate(d time.Duration) {
 	f.perItem = d
 }
 
+// SetIdle refreshes whether the target placement has an idle device.
+// While it does, Form dispatches whatever is pending at once; a fresh
+// Former assumes busy.
+func (f *Former) SetIdle(idle bool) { f.idle = idle }
+
+// LastClose reports why the batch most recently returned by Form
+// closed.
+func (f *Former) LastClose() CloseReason { return f.last }
+
 // Form decides whether a batch should dispatch at now. It returns the
 // formed batch (nil when formation should keep waiting), the tickets
 // cancelled because their deadline already passed, and — when batch is
 // nil and tickets remain — the wake time at which the decision changes
-// without further arrivals. force dispatches whatever is pending
-// regardless of the window (drain paths). Callers loop until batch
-// comes back nil: one call forms at most MaxBatch.
+// without further arrivals or a device going idle. force dispatches
+// whatever is pending regardless of the window (drain paths). Callers
+// loop until batch comes back nil: one call forms at most MaxBatch.
 func (f *Former) Form(now time.Time, force bool) (batch, expired []Ticket, wake time.Time) {
 	expired = f.dropExpired(now)
 	if f.n == 0 {
 		return nil, expired, time.Time{}
 	}
-	if !force && f.n < f.opts.MaxBatch {
-		close := f.closeTime()
+	switch {
+	case force:
+		f.last = CloseDrain
+	case f.n >= f.opts.MaxBatch:
+		f.last = CloseFull
+	case f.idle:
+		f.last = CloseIdle
+	default:
+		close, why := f.closeTime()
 		if close.After(now) {
 			return nil, expired, close
 		}
+		f.last = why
 	}
 	return f.compose(now), expired, time.Time{}
 }
@@ -130,12 +170,13 @@ func (f *Former) dropExpired(now time.Time) []Ticket {
 	return out
 }
 
-// closeTime is the instant formation stops waiting: the adaptive
-// window measured from the oldest pending ticket, pulled earlier by any
-// pending deadline so that dispatch still leaves it the estimated
-// execution time of the would-be batch.
-func (f *Former) closeTime() time.Time {
-	var close time.Time
+// closeTime is the instant a batch held behind busy devices stops
+// waiting, and which rule set it: the window cap measured from the
+// oldest pending ticket, pulled earlier by any pending deadline so that
+// dispatch still leaves it the estimated execution time of the
+// would-be batch.
+func (f *Former) closeTime() (close time.Time, why CloseReason) {
+	why = CloseWindow
 	est := time.Duration(min(f.n, f.opts.MaxBatch)) * f.perItem
 	if est <= 0 {
 		// Cold start: no execution estimate yet. Still close strictly
@@ -145,23 +186,23 @@ func (f *Former) closeTime() time.Time {
 	}
 	for c := range f.q {
 		for _, t := range f.q[c] {
-			windowEnd := t.Enqueued.Add(f.wait)
+			windowEnd := t.Enqueued.Add(f.opts.Window)
 			if close.IsZero() || windowEnd.Before(close) {
-				close = windowEnd
+				close, why = windowEnd, CloseWindow
 			}
 			if !t.Deadline.IsZero() {
 				if latest := t.Deadline.Add(-est); latest.Before(close) {
-					close = latest
+					close, why = latest, CloseDeadline
 				}
 			}
 		}
 	}
-	return close
+	return close, why
 }
 
 // compose pops up to MaxBatch tickets in priority order: a starved
 // bulk ticket first (anti-starvation), then interactive, standard,
-// bulk, FIFO within each class. Updates the adaptive window.
+// bulk, FIFO within each class.
 func (f *Former) compose(now time.Time) []Ticket {
 	batch := make([]Ticket, 0, min(f.n, f.opts.MaxBatch))
 	bulk := ClassBulk.rank()
@@ -177,21 +218,5 @@ func (f *Former) compose(now time.Time) []Ticket {
 			f.n--
 		}
 	}
-	f.wait = NextWindow(f.wait, len(batch), f.opts.MaxBatch, f.opts.Window)
 	return batch
-}
-
-// NextWindow is the adaptive coalescing-window update: full batches
-// halve the wait (floored at window/8) because traffic is dense enough
-// that waiting longer only adds latency; everything else doubles it
-// back (capped at the configured window) to recover batching
-// opportunity. The restore must trigger on every non-full batch, not
-// just singletons: under moderate traffic that fills 2..MaxBatch-1
-// items per window a singleton may never occur, and a once-halved
-// window would otherwise stay small forever.
-func NextWindow(wait time.Duration, size, maxBatch int, window time.Duration) time.Duration {
-	if size >= maxBatch {
-		return max(wait/2, window/8)
-	}
-	return min(wait*2, window)
 }

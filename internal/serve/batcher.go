@@ -50,15 +50,17 @@ type itemResult struct {
 	err    error
 }
 
-// batcher coalesces queued items for one model into micro-batches. The
-// formation policy — priority classes, deadline early-close, adaptive
-// coalescing window, bulk anti-starvation — lives in dispatch.Former;
-// this goroutine owns only the clock, the channel, and the handoff to
-// the fleet. The first item of a batch opens a coalescing window; the
-// batch dispatches when it reaches MaxBatch items, the (adaptive)
-// window expires, or a pending deadline forces an early close —
-// whichever comes first. Items whose deadline passes while they wait
-// are cancelled with errExpired, never dispatched.
+// batcher turns one model's queued items into micro-batches. The
+// formation policy — work-conserving dispatch, priority classes,
+// deadline early-close, bulk anti-starvation — lives in dispatch.Former;
+// this goroutine owns only the clock, the channel, the fleet's idle
+// signal and the handoff to the fleet. A request's items enter formation
+// together. While the placement has an idle device they leave at once;
+// while every device is busy they are held and joined by what arrives
+// meanwhile, and leave when the batch reaches MaxBatch items, a device
+// frees, a pending deadline forces an early close, or the window cap
+// expires — whichever comes first. Items whose deadline passes while
+// they wait are cancelled with errExpired, never dispatched.
 type batcher struct {
 	e     *entry
 	fleet *Fleet
@@ -73,7 +75,8 @@ type batcher struct {
 
 	mu     sync.RWMutex // guards closed vs in-flight sends
 	closed bool
-	ch     chan *item
+	ch     chan []*item  // one request's items per send
+	wake   chan struct{} // the fleet's device-freed signal, see Fleet.idleOrWake
 	done   chan struct{}
 }
 
@@ -91,25 +94,27 @@ func newBatcher(e *entry, fleet *Fleet, opts BatchOptions) *batcher {
 		e:     e,
 		fleet: fleet,
 		opts:  opts,
-		ch:    make(chan *item, opts.Queue),
+		ch:    make(chan []*item, opts.Queue),
+		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
 	go b.run()
 	return b
 }
 
-// submit enqueues one item, blocking when the queue is full
-// (backpressure). The read lock is held across the send so close() cannot
-// close the channel under an in-flight sender.
-func (b *batcher) submit(it *item) error {
+// submit enqueues the items of one request as a group, all or none,
+// blocking when the queue is full (backpressure). The read lock is held
+// across the send so close() cannot close the channel under an
+// in-flight sender.
+func (b *batcher) submit(items []*item) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
 		return errClosed
 	}
-	b.depth.Add(1)
-	b.arrivals.Add(1)
-	b.ch <- it
+	b.depth.Add(int64(len(items)))
+	b.arrivals.Add(int64(len(items)))
+	b.ch <- items
 	return nil
 }
 
@@ -128,37 +133,47 @@ func (b *batcher) close() {
 func (b *batcher) run() {
 	defer close(b.done)
 	f := dispatch.NewFormer(dispatch.FormerOptions{MaxBatch: b.opts.MaxBatch, Window: b.opts.Window})
+	// One timer for the batcher's life, armed only while a batch is held
+	// behind busy devices.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
 	for {
-		it, ok := <-b.ch
-		if !ok {
-			b.drain(f)
-			return
+		select {
+		case group, ok := <-b.ch:
+			if !ok {
+				b.drain(f)
+				return
+			}
+			for _, it := range group {
+				f.Push(ticketOf(it))
+			}
+		case <-b.wake:
+		case <-timer.C:
+			armed = false
 		}
-		f.Push(ticketOf(it))
-		// Form until the Former wants to wait for arrivals that haven't
-		// happened yet, then sleep until its wake time or the next item.
+		if armed && !timer.Stop() {
+			<-timer.C
+		}
+		armed = false
+		// Form until the Former wants to wait, then sleep until an
+		// arrival, a device freeing, or its wake time.
 		for f.Pending() > 0 {
 			f.SetPerItemEstimate(b.e.est.PerItem())
+			if f.Pending() < b.opts.MaxBatch { // a full batch leaves either way
+				f.SetIdle(b.fleet.idleOrWake(b.e.placed(), b.wake))
+			}
 			batch, expired, wake := f.Form(time.Now(), false)
 			b.retire(expired)
-			if len(batch) > 0 {
-				b.dispatch(batch)
-				continue
-			}
-			if f.Pending() == 0 {
+			if len(batch) == 0 {
+				if f.Pending() > 0 {
+					timer.Reset(time.Until(wake))
+					armed = true
+				}
 				break
 			}
-			timer := time.NewTimer(time.Until(wake))
-			select {
-			case it, ok := <-b.ch:
-				timer.Stop()
-				if !ok {
-					b.drain(f)
-					return
-				}
-				f.Push(ticketOf(it))
-			case <-timer.C:
-			}
+			b.dispatch(batch, f.LastClose())
 		}
 	}
 }
@@ -171,7 +186,7 @@ func (b *batcher) drain(f *dispatch.Former) {
 		batch, expired, _ := f.Form(time.Now(), true)
 		b.retire(expired)
 		if len(batch) > 0 {
-			b.dispatch(batch)
+			b.dispatch(batch, f.LastClose())
 		}
 	}
 }
@@ -180,8 +195,9 @@ func ticketOf(it *item) dispatch.Ticket {
 	return dispatch.Ticket{Class: it.class, Deadline: it.deadline, Enqueued: it.enq, Payload: it}
 }
 
-// dispatch stamps one formed batch and submits it to the fleet.
-func (b *batcher) dispatch(batch []dispatch.Ticket) {
+// dispatch stamps one formed batch with its dispatch time and close
+// reason and submits it to the fleet.
+func (b *batcher) dispatch(batch []dispatch.Ticket, why dispatch.CloseReason) {
 	items := make([]*item, len(batch))
 	now := time.Now()
 	for i, tk := range batch {
@@ -190,7 +206,12 @@ func (b *batcher) dispatch(batch []dispatch.Ticket) {
 		items[i] = it
 	}
 	b.depth.Add(-int64(len(items)))
-	b.fleet.Submit(newAPBatch(b.e, items))
+	if m := b.fleet.metrics; m != nil {
+		m.ObserveBatchClose(why)
+	}
+	ab := newAPBatch(b.e, items)
+	ab.closed = why.String()
+	b.fleet.Submit(ab)
 }
 
 // retire cancels tickets whose deadline passed while they waited in

@@ -1,10 +1,14 @@
 // Package serve is the traffic-facing layer of the stack: a concurrent
 // HTTP/JSON inference server over the compiler and simulator. It keeps a
 // registry of compiled models (compiled on demand through the
-// content-addressed artifact cache, evicted by LRU), coalesces queued
-// requests per model in an adaptive micro-batcher, and dispatches batches
-// onto a simulated fleet of AP devices whose per-batch cost is priced by
-// the internal/sim cost model. Inference itself runs either bit-exactly
+// content-addressed artifact cache, evicted by LRU), forms micro-batches
+// per model, and dispatches them onto a simulated fleet of AP devices
+// whose per-batch cost is priced by the internal/sim cost model. Batch
+// formation is work-conserving: a request's samples enter together, leave
+// at once when the model's placement has an idle device, and are held to
+// coalesce with later arrivals only while every device is busy — until
+// one frees (Fleet.idleOrWake), the batch fills, a deadline presses, or
+// Options.Window, the cap on that hold, runs out. Inference itself runs either bit-exactly
 // (sim.ForwardAP replays the emitted AP programs) or on the quantized
 // software reference (model.ForwardInt) — the two are proved
 // bit-identical, so the mode trades verification strength for speed, not

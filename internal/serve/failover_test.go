@@ -154,7 +154,7 @@ func TestFailoverUnderLoadBitExact(t *testing.T) {
 		defer wg.Done()
 		for i, in := range ins {
 			items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
-			if err := e.batcher.submit(items[i]); err != nil {
+			if err := e.batcher.submit(items[i : i+1]); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
 			}
@@ -213,7 +213,7 @@ func TestShardedFailoverBitExact(t *testing.T) {
 	items := make([]*item, n)
 	for i, in := range ins {
 		items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
-		if err := e.batcher.submit(items[i]); err != nil {
+		if err := e.batcher.submit(items[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if i == n/2 { // kill the second stage of replica 0 mid-pipeline
@@ -248,7 +248,7 @@ func TestFailoverExhaustionFailsCleanly(t *testing.T) {
 	}
 	sh, _ := ZooShape("tinycnn")
 	it := &item{in: workload.Inputs(sh, 1, 3)[0], enq: time.Now(), res: make(chan itemResult, 1)}
-	if err := e.batcher.submit(it); err != nil {
+	if err := e.batcher.submit([]*item{it}); err != nil {
 		t.Fatal(err)
 	}
 	res := <-it.res

@@ -42,6 +42,9 @@ func (f *Fleet) FailDevice(id int) error {
 	already := f.devices[id].dead
 	f.devices[id].dead = true
 	f.mu.Unlock()
+	// A batcher waiting on this device must look again: its placement may
+	// have nothing alive left, and then its batch should fail now.
+	f.wakeBatchers()
 	if !already && f.metrics != nil {
 		f.metrics.ObserveDeviceFailure()
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,6 +62,9 @@ type apBatch struct {
 	e     *entry
 	items []*item
 	done  []bool
+	// closed is the formation rule that closed the batch (the wait span's
+	// detail); empty for work submitted to the fleet directly.
+	closed string
 	// pl is the entry placement captured at dispatch: the batch keeps
 	// one consistent view of shard plan, replicas, and wear costs even
 	// if the autoscaler swaps the entry's placement mid-flight. Failover
@@ -153,6 +157,11 @@ type Fleet struct {
 	pending int        // batches admitted but not yet retired
 	devices []*device
 	wg      sync.WaitGroup
+
+	// wakers are the batchers holding a batch behind busy devices, each
+	// registered by idleOrWake and signalled (then forgotten) when a
+	// device frees or the set of live devices changes. Guarded by mu.
+	wakers []chan struct{}
 
 	// devScratch and repScratch are reusable load-snapshot buffers for
 	// the dispatch policy functions, guarded by mu like the counters
@@ -304,6 +313,72 @@ func (f *Fleet) placeLocked(b *apBatch) (*device, bool) {
 	return f.devices[pick], true
 }
 
+// idleOrWake reports whether a batch dispatched to pl now would start
+// executing at once: some live replica's head device (unpinned: any live
+// device) has nothing queued. It also answers true when nothing is
+// alive, so a doomed batch still reaches Submit and fails fast with
+// errNoReplica. A false answer registers wake (capacity 1) to be
+// signalled when a device retires its last queued batch. Check and
+// registration share one hold of f.mu, and queued only changes under
+// f.mu, so the wake-up cannot be lost: a device that frees does so
+// either before the check, which then sees it, or after the
+// registration, which it then fires.
+func (f *Fleet) idleOrWake(pl *placement, wake chan struct{}) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	alive := false
+	if len(pl.replicas) > 0 {
+		for _, rep := range pl.replicas {
+			if !f.replicaLiveLocked(rep) {
+				continue
+			}
+			if f.devices[rep.devs[0]].queued == 0 {
+				return true
+			}
+			alive = true
+		}
+	} else {
+		for _, d := range f.devices {
+			if d.dead {
+				continue
+			}
+			if d.queued == 0 {
+				return true
+			}
+			alive = true
+		}
+	}
+	if !alive {
+		return true
+	}
+	if !slices.Contains(f.wakers, wake) {
+		f.wakers = append(f.wakers, wake)
+	}
+	return false
+}
+
+// wakeBatchers makes every registered batcher re-check its placement;
+// for changes other than a device freeing (a device died, a placement
+// was rescaled onto other devices).
+func (f *Fleet) wakeBatchers() {
+	f.mu.Lock()
+	wakers := f.wakers
+	f.wakers = nil
+	f.mu.Unlock()
+	signal(wakers)
+}
+
+// signal fires wake-ups without blocking (each has capacity 1, and one
+// pending signal is as good as two). Called without f.mu.
+func signal(wakers []chan struct{}) {
+	for _, w := range wakers {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // Submit schedules the batch onto the fleet. Batches arriving after Close
 // (an evicted model's batcher draining late) fail their items with
 // errClosed instead of executing; batches with no live replica fail with
@@ -380,7 +455,7 @@ func (f *Fleet) waitQueueSpans(b *apBatch, dev int, start time.Time) {
 			continue
 		}
 		disp := dispatchOf(it)
-		f.itemSpan(it, b, "wait", -1, -1, it.enq, disp.Sub(it.enq), "")
+		f.itemSpan(it, b, "wait", -1, -1, it.enq, disp.Sub(it.enq), b.closed)
 		f.itemSpan(it, b, "queue", dev, -1, disp, start.Sub(disp), "")
 	}
 }
@@ -484,8 +559,16 @@ func (f *Fleet) run(d *device) {
 			panic(fmt.Sprintf("serve: fleet accounting underflow (device %d queued %d, pending %d)",
 				d.id, d.queued, f.pending))
 		}
+		// The device is free: batches held while it was busy leave now. (A
+		// dead device emptying its queue fires too; a spurious wake-up
+		// costs the batcher one re-check.)
+		var wakers []chan struct{}
+		if d.queued == 0 {
+			wakers, f.wakers = f.wakers, nil
+		}
 		f.cond.Broadcast()
 		f.mu.Unlock()
+		signal(wakers)
 	}
 }
 

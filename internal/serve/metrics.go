@@ -71,6 +71,10 @@ type Metrics struct {
 	simLatencyNS float64
 	simEnergyPJ  float64
 
+	// batchClose counts batches leaving formation by the rule that closed
+	// them, indexed by dispatch.CloseReason.
+	batchClose [dispatch.NumCloseReasons]int64
+
 	requeues       int64 // batches requeued off dead devices
 	deviceFailures int64 // devices marked dead
 
@@ -150,6 +154,13 @@ func (m *Metrics) ObserveBatch(size int, simNS, simPJ float64) {
 	m.batchSizeSum += int64(size)
 	m.simLatencyNS += simNS
 	m.simEnergyPJ += simPJ
+}
+
+// ObserveBatchClose records why formation closed one batch.
+func (m *Metrics) ObserveBatchClose(why dispatch.CloseReason) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.batchClose[why]++
 }
 
 // ObserveRequeue records one batch requeued off a dead device onto a
@@ -243,7 +254,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra func(io.Writer)) {
 		m.requeues, m.deviceFailures, m.planVerifyFails,
 		m.dataflowVerifyFails, m.certHits, m.certMisses,
 		m.simLatencyNS, m.simEnergyPJ}
-	slo := m.slo
+	slo, batchClose := m.slo, m.batchClose
 	deadlineMet, deadlineMissed := m.deadlineMet, m.deadlineMissed
 	scaleUps, scaleDowns := m.scaleUps, m.scaleDowns
 	lat := m.lat.Clone()
@@ -262,6 +273,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra func(io.Writer)) {
 	fmt.Fprintf(w, "# TYPE rtmap_request_errors_total counter\nrtmap_request_errors_total %d\n", snap.errors)
 	fmt.Fprintf(w, "# TYPE rtmap_batches_total counter\nrtmap_batches_total %d\n", snap.batches)
 	fmt.Fprintf(w, "# TYPE rtmap_batched_samples_total counter\nrtmap_batched_samples_total %d\n", snap.batchSizeSum)
+	fmt.Fprintf(w, "# TYPE rtmap_batch_close_total counter\n")
+	for why, n := range batchClose {
+		fmt.Fprintf(w, "rtmap_batch_close_total{reason=%q} %d\n", dispatch.CloseReason(why), n)
+	}
 	fmt.Fprintf(w, "# TYPE rtmap_sim_device_ns_total counter\nrtmap_sim_device_ns_total %g\n", snap.simLatencyNS)
 	fmt.Fprintf(w, "# TYPE rtmap_sim_energy_pj_total counter\nrtmap_sim_energy_pj_total %g\n", snap.simEnergyPJ)
 	fmt.Fprintf(w, "# TYPE rtmap_requeued_batches_total counter\nrtmap_requeued_batches_total %d\n", snap.requeues)

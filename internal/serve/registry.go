@@ -251,8 +251,8 @@ type Registry struct {
 // BatchOptions are the micro-batcher knobs shared by every model entry.
 type BatchOptions struct {
 	MaxBatch int           // batch size cap (1 disables coalescing)
-	Window   time.Duration // max wait for follow-up requests after the first
-	Queue    int           // per-model pending-request queue capacity
+	Window   time.Duration // cap on hold time while every device is busy
+	Queue    int           // per-model intake capacity, in requests (groups of samples)
 }
 
 // NewRegistry returns an empty registry. The compile config is forced to
@@ -538,6 +538,7 @@ func (r *Registry) Rescale(e *entry, cfg dispatch.Config) (dispatch.Config, erro
 		return dispatch.Config{}, err
 	}
 	e.place.Store(pl)
+	r.fleet.wakeBatchers() // a held batch may have idle devices now
 	return pl.config(), nil
 }
 

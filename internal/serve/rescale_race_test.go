@@ -66,7 +66,7 @@ func TestRescaleRacesAdmitsAndSubmits(t *testing.T) {
 				default:
 				}
 				it := &item{in: inputs[(w+i)%len(inputs)], enq: time.Now(), res: make(chan itemResult, 1)}
-				if err := cur.Load().batcher.submit(it); err != nil {
+				if err := cur.Load().batcher.submit([]*item{it}); err != nil {
 					if errors.Is(err, errClosed) {
 						if _, err := readmit(); err != nil {
 							t.Errorf("re-admit: %v", err)

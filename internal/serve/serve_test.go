@@ -181,6 +181,7 @@ func TestHealthModelsMetrics(t *testing.T) {
 	for _, want := range []string{
 		"rtmap_requests_total 1", "rtmap_inferences_total 1",
 		"rtmap_batches_total", "rtmap_models_loaded 1",
+		`rtmap_batch_close_total{reason="idle"} 1`, `rtmap_batch_close_total{reason="window"} 0`,
 		"rtmap_request_seconds_bucket", "rtmap_device_sim_busy_ns_total",
 	} {
 		if !strings.Contains(body, want) {

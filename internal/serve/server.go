@@ -30,9 +30,10 @@ type Options struct {
 	Addr string
 	// Devices is the size of the simulated AP device fleet.
 	Devices int
-	// MaxBatch caps micro-batch size; Window bounds how long the batcher
-	// waits for follow-up requests after the first (see batcher docs for
-	// the adaptive shrink rule).
+	// MaxBatch caps micro-batch size; Window is the cap on hold time while
+	// every device is busy: a request that finds an idle device is
+	// dispatched at once, and a batch held behind busy devices leaves when
+	// one frees, it fills, a deadline presses, or Window runs out.
 	MaxBatch int
 	Window   time.Duration
 	// MaxModels bounds the compiled-model registry (LRU eviction beyond).
@@ -58,7 +59,9 @@ type Options struct {
 	// (model.WriteJSON format), keyed by serving name. Files decode at
 	// admission; a malformed file fails that request with HTTP 400.
 	ModelFiles map[string]string
-	// Queue is the per-model and per-device queue capacity.
+	// Queue is the per-model intake capacity in requests (a request's
+	// samples enter formation together) and the per-device queue capacity
+	// in batches; senders block beyond it.
 	Queue int
 	// Cache overrides the compiled-artifact cache consulted by model
 	// admissions; nil uses the process-wide shared cache, and NoCache
@@ -742,6 +745,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	shape := e.net.InputShape
 	items := make([]*item, in.rows())
 	tensors := make([]tensor.Float, in.rows()) // each aliases its row of the parsed matrix
+	enq := time.Now()                          // a request's samples arrive together
 	for i := range items {
 		vals := in.row(i)
 		if len(vals) != shape.Elems() {
@@ -751,22 +755,17 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 		tensors[i] = tensor.Float{Shape: shape, Data: vals}
 		items[i] = &item{
-			in: &tensors[i], bitExact: req.BitExact, enq: time.Now(), res: make(chan itemResult, 1),
+			in: &tensors[i], bitExact: req.BitExact, enq: enq, res: make(chan itemResult, 1),
 			class: cls, deadline: deadline,
 			trace: traceID, layers: traceLayers,
 		}
 	}
 
 	// Submit with eviction retry: a concurrently evicted entry refuses
-	// intake, so re-resolve the model (recompiling if needed) and go on
-	// from the first unsubmitted item.
+	// intake (the whole request — nothing was queued), so re-resolve the
+	// model (recompiling if needed) and submit again.
 	const maxReadmits = 4
-	for i, readmits := 0, 0; i < len(items); {
-		err := e.batcher.submit(items[i])
-		if err == nil {
-			i++
-			continue
-		}
+	for readmits := 0; e.batcher.submit(items) != nil; {
 		if readmits++; readmits > maxReadmits {
 			fail(http.StatusServiceUnavailable, kindUnavailable, "model thrashing: evicted %d times during one request", readmits)
 			return

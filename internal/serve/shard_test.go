@@ -138,7 +138,7 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 	items := make([]*item, len(ins))
 	for i, in := range ins {
 		items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
-		if err := e.batcher.submit(items[i]); err != nil {
+		if err := e.batcher.submit(items[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,12 +170,19 @@ func TestOneExecutorAcrossStageCounts(t *testing.T) {
 	inputs := workload.Inputs(comp.Net.InputShape, 2*n, 21)
 
 	for _, stages := range []int{0, 1, 2} {
-		// The window is long and MaxBatch exact, so the two requests leave
-		// as one batch the moment the second arrives.
+		// Every head device is held busy, the window cap is long and
+		// MaxBatch exact, so the two requests leave formation as one full
+		// batch the moment the second arrives.
 		s, ts := testServer(t, Options{Devices: 2, ShardStages: stages, MaxBatch: 2 * n, Window: 5 * time.Second})
-		if _, err := s.Registry().Get(Spec{Model: "tinyresnet", ActBits: 4, Sparsity: 0.8, Seed: 1}); err != nil {
+		e, err := s.Registry().Get(Spec{Model: "tinyresnet", ActBits: 4, Sparsity: 0.8, Seed: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		heads := len(e.placed().replicas) // pinned: one head device per replica
+		if heads == 0 {
+			heads = s.fleet.NumDevices() // unpinned: any device may take the batch
+		}
+		release := holdFleet(t, s.fleet, e, heads)
 		var wg sync.WaitGroup
 		bodies := make([][]byte, 2)
 		for r := range bodies {
@@ -193,6 +200,8 @@ func TestOneExecutorAcrossStageCounts(t *testing.T) {
 				bodies[r] = fetch(t, http.MethodPost, ts.URL+"/v1/infer", body)
 			}()
 		}
+		waitFor(t, "the coalesced batch to queue behind the blockers", func() bool { return s.fleet.Pending() == heads+1 })
+		release()
 		wg.Wait()
 		models := fetch(t, http.MethodGet, ts.URL+"/v1/models", nil)
 
