@@ -10,8 +10,6 @@
 //	rtmap-bench -shards 6 -net tinycnn -json -out DIR   # BENCH_shards.json
 //	rtmap-bench -replicas 4        # data-parallel replication frontier
 //	rtmap-bench -replicas 4 -json -out DIR              # BENCH_replicas.json
-//	rtmap-bench -trace-overhead    # serving-path tracing overhead (off/sampled/full)
-//	rtmap-bench -trace-overhead -json -out DIR          # BENCH_trace.json
 //	rtmap-bench -slo               # SLO scheduler vs static config: goodput under mixed deadlines
 //	rtmap-bench -slo -json -out DIR                     # BENCH_slo.json
 //	rtmap-bench -cluster           # router tier: 1-node vs 3-node throughput + node-kill recovery
@@ -24,22 +22,16 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"time"
 
 	"rtmap"
-	"rtmap/internal/serve"
-	"rtmap/internal/workload"
 )
 
 func main() {
@@ -54,7 +46,6 @@ func main() {
 		endurance = flag.Bool("endurance", false, "report write-endurance lifetime (§V-C)")
 		shards    = flag.Int("shards", 0, "sweep pipeline sharding from 1 to N stages and report the stage-count/throughput frontier")
 		replicas  = flag.Int("replicas", 0, "sweep data-parallel replication from 1 to N replicas and report the aggregate-throughput frontier")
-		traceOH   = flag.Bool("trace-overhead", false, "measure the serving path's tracing overhead: tinycnn request cost with tracing off, 1-in-16 sampled, and fully traced with layer spans")
 		sloB      = flag.Bool("slo", false, "drive a mixed-deadline workload against a static configuration and the SLO scheduler (deadline-aware batching, shedding, autoscaling) at the same offered load and compare goodput")
 		sloDur    = flag.Duration("slo-duration", 3*time.Second, "measurement window per -slo arm")
 		clusterB  = flag.Bool("cluster", false, "measure the router tier: aggregate throughput at 1 vs 3 rtmap-serve nodes under identical dilated load, then a mid-load node kill timing failover detection")
@@ -68,7 +59,7 @@ func main() {
 		noCache   = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
 	)
 	flag.Parse()
-	if !*table2 && !*fig4 && !*cse && !*movement && !*endurance && *shards <= 0 && *replicas <= 0 && !*traceOH && !*sloB && !*clusterB {
+	if !*table2 && !*fig4 && !*cse && !*movement && !*endurance && *shards <= 0 && *replicas <= 0 && !*sloB && !*clusterB {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -215,23 +206,6 @@ func main() {
 			}
 		}
 		addJSON("shards", map[string]any{"network": name, "frontier": rows})
-	}
-
-	if *traceOH {
-		sec, err := traceOverheadSweep(*seed, *noCache, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !*jsonOut {
-			fmt.Printf("\nTracing overhead — %s (batch-%d bit-exact requests through the in-process serving path)\n",
-				sec.Network, sec.Batch)
-			fmt.Printf("%-9s %-14s %-12s %-14s %s\n", "mode", "ms/request", "req/s", "overhead_pct", "spans")
-			for _, r := range sec.Modes {
-				fmt.Printf("%-9s %-14.4f %-12.1f %-14.2f %d\n",
-					r.Mode, r.NSPerRequest/1e6, 1e9/r.NSPerRequest, r.OverheadPct, r.Spans)
-			}
-		}
-		addJSON("trace", sec)
 	}
 
 	if *sloB {
@@ -452,122 +426,6 @@ type replicaRow struct {
 	Batch64LatencyNS float64 `json:"batch64_latency_ns"`
 	// Speedup is aggregate throughput relative to one replica.
 	Speedup float64 `json:"speedup_vs_single"`
-}
-
-// traceSection is the JSON artifact of the tracing-overhead smoke
-// (bench/BENCH_trace.json): one row per tracing mode, with overhead
-// relative to tracing off. The CI bench job regenerates it so a span
-// fast-path regression shows up as an overhead jump.
-type traceSection struct {
-	Network  string         `json:"network"`
-	Batch    int            `json:"batch"`
-	Requests int            `json:"requests"`
-	Modes    []traceModeRow `json:"modes"`
-}
-
-// traceModeRow is one tracing mode's measurement.
-type traceModeRow struct {
-	// Mode is "off" (no tracer traffic), "sampled" (1-in-16 requests, 1-in-8
-	// of those with layer spans — the recommended production setting), or
-	// "full" (every request traced with layer spans — the worst case).
-	Mode         string  `json:"mode"`
-	NSPerRequest float64 `json:"ns_per_request"`
-	ReqPerSec    float64 `json:"req_per_s"`
-	// OverheadPct is this mode's per-request cost increase over "off".
-	OverheadPct float64 `json:"overhead_pct_vs_off"`
-	// Spans is how many spans the mode recorded across the measured
-	// requests (sanity: off must record none, full the most).
-	Spans uint64 `json:"spans_recorded"`
-}
-
-// traceOverheadSweep drives batch-8 bit-exact tinycnn requests through an
-// in-process Server (httptest recorders, no sockets) under each tracing
-// mode and measures the per-request wall cost. Batch 8 fills MaxBatch, so
-// every request dispatches immediately instead of waiting out the batch
-// window, and the measurement tracks handler+engine+span cost.
-func traceOverheadSweep(seed uint64, noCache bool, progress func(string)) (*traceSection, error) {
-	const batch, warmup, reps = 8, 20, 300
-	net, err := buildNet("tinycnn", seed)
-	if err != nil {
-		return nil, err
-	}
-	sparsity := 0.8
-	req := serve.InferRequest{
-		Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed,
-		BitExact: true, Inputs: workload.InputData(net.InputShape, batch, seed+1000),
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
-
-	modes := []struct {
-		name          string
-		sample, layer int
-		header        bool
-	}{
-		{name: "off"},
-		{name: "sampled", sample: 16, layer: 8},
-		{name: "full", layer: 1, header: true},
-	}
-	sec := &traceSection{Network: "tinycnn", Batch: batch, Requests: reps}
-	var baseNS float64
-	for _, m := range modes {
-		progress(fmt.Sprintf("measuring serving path with tracing %s", m.name))
-		srv := serve.New(serve.Options{
-			Devices: 2, MaxBatch: batch, MaxModels: 2,
-			TraceBuf: 1 << 15, TraceSample: m.sample, TraceLayerSample: m.layer,
-			NoCache: noCache, Logf: func(string, ...any) {},
-		})
-		do := func(i int) error {
-			r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
-			r.Header.Set("Content-Type", "application/json")
-			if m.header {
-				r.Header.Set(serve.TraceHeader, fmt.Sprintf("oh%s%d", m.name, i))
-			}
-			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, r)
-			if w.Code != http.StatusOK {
-				return fmt.Errorf("tracing %s: HTTP %d: %s", m.name, w.Code, w.Body.String())
-			}
-			return nil
-		}
-		for i := 0; i < warmup; i++ {
-			if err := do(i); err != nil {
-				return nil, err
-			}
-		}
-		// Best of three rounds: the per-request cost is sub-millisecond, so
-		// one scheduler hiccup would otherwise dominate the mean.
-		before := srv.Tracer().Total()
-		ns := math.Inf(1)
-		for round := 0; round < 3; round++ {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if err := do(warmup + round*reps + i); err != nil {
-					return nil, err
-				}
-			}
-			if r := float64(time.Since(start).Nanoseconds()) / reps; r < ns {
-				ns = r
-			}
-		}
-		spans := (srv.Tracer().Total() - before) / 3
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			return nil, err
-		}
-		row := traceModeRow{Mode: m.name, NSPerRequest: ns, ReqPerSec: 1e9 / ns, Spans: spans}
-		if m.name == "off" {
-			baseNS = ns
-		} else if baseNS > 0 {
-			row.OverheadPct = (ns - baseNS) / baseNS * 100
-		}
-		sec.Modes = append(sec.Modes, row)
-	}
-	return sec, nil
 }
 
 // replicaSweep compiles the named network once and prices data-parallel

@@ -1,18 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtmap"
-	"rtmap/internal/dispatch"
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -65,12 +62,7 @@ type sloMixEntry struct {
 // sloArm is one serving configuration's measured outcome ledger.
 type sloArm struct {
 	Config        string                 `json:"config"`
-	Sent          int64                  `json:"sent"`
-	Accepted      int64                  `json:"accepted"`
-	Shed          int64                  `json:"shed"`
-	Expired       int64                  `json:"expired"`
-	Failed        int64                  `json:"failed"`
-	Goodput       int64                  `json:"goodput"`
+	loadgen.Tally                        // sent, accepted, shed, expired, failed, goodput
 	GoodputPerSec float64                `json:"goodput_per_s"`
 	FinalReplicas int                    `json:"final_replicas"`
 	Classes       map[string]sloArmClass `json:"classes"`
@@ -86,17 +78,9 @@ type sloArmClass struct {
 	Goodput    int64   `json:"goodput"`
 }
 
-// sloClassSpec is one class of the driven mix.
-type sloClassSpec struct {
-	name     string
-	weight   int
-	deadline time.Duration // 0 = none
-}
-
-// sloWorkload is everything both arms share: the class schedule, the
+// sloWorkload is what both arms share besides the class mix: the
 // request bodies, and the reference logits for bit-exact spot checks.
 type sloWorkload struct {
-	schedule    []*sloClassSpec // deterministic 10-slot proportional fill
 	bodies      [][]byte
 	exactBodies [][]byte  // bit-exact variants, verified against wantLogits
 	wantLogits  [][]int32 // reference logits per exactBodies index
@@ -114,21 +98,18 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 	// capacity, backlogs convert into missed deadlines, and the
 	// autoscaler's cost-model pricing matches observed wall time.
 	const wallScale = 1000
-	mix := []sloClassSpec{
-		{name: "interactive", weight: 5, deadline: 50 * time.Millisecond},
-		{name: "standard", weight: 3, deadline: 200 * time.Millisecond},
-		{name: "bulk", weight: 2, deadline: 0},
-	}
-	wl, err := buildSLOWorkload(mix, seed)
+	mix := loadgen.NewMix([]loadgen.Class{
+		{Name: "interactive", Weight: 5, DeadlineMS: 50},
+		{Name: "standard", Weight: 3, DeadlineMS: 200},
+		{Name: "bulk", Weight: 2},
+	}, 10)
+	wl, err := buildSLOWorkload(seed)
 	if err != nil {
 		return nil, err
 	}
 	sec := &sloSection{Network: "tinycnn", DurationS: dur.Seconds(), WallScale: wallScale}
-	for _, c := range mix {
-		sec.Mix = append(sec.Mix, sloMixEntry{
-			Class: c.name, WeightPct: c.weight * 10,
-			DeadlineMS: float64(c.deadline) / float64(time.Millisecond),
-		})
+	for _, c := range mix.Classes {
+		sec.Mix = append(sec.Mix, sloMixEntry{Class: c.Name, WeightPct: c.Weight * 10, DeadlineMS: c.DeadlineMS})
 	}
 
 	staticOpts := serve.Options{
@@ -156,18 +137,14 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 	sec.OfferedPerSec = capacity * 1.3
 
 	progress(fmt.Sprintf("driving static arm at %.0f req/s for %v", sec.OfferedPerSec, dur))
-	st, err := driveSLOArm(staticOpts, "static 2 replicas, SLO off", sec.OfferedPerSec, dur, wl, sec)
-	if err != nil {
+	if sec.Static, err = driveSLOArm(staticOpts, "static 2 replicas, SLO off", sec.OfferedPerSec, dur, mix, wl, sec); err != nil {
 		return nil, err
 	}
-	sec.Static = *st
 
 	progress(fmt.Sprintf("driving SLO arm at %.0f req/s for %v", sec.OfferedPerSec, dur))
-	sl, err := driveSLOArm(sloOpts, "autoscale from 1 replica, shed at 25ms backlog", sec.OfferedPerSec, dur, wl, sec)
-	if err != nil {
+	if sec.SLO, err = driveSLOArm(sloOpts, "autoscale from 1 replica, shed at 25ms backlog", sec.OfferedPerSec, dur, mix, wl, sec); err != nil {
 		return nil, err
 	}
-	sec.SLO = *sl
 
 	if sec.Static.Goodput > 0 {
 		sec.GoodputRatio = float64(sec.SLO.Goodput) / float64(sec.Static.Goodput)
@@ -177,37 +154,17 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 
 // buildSLOWorkload pre-builds the request bodies and the bit-exact
 // reference logits the spot checks compare against.
-func buildSLOWorkload(mix []sloClassSpec, seed uint64) (*sloWorkload, error) {
+func buildSLOWorkload(seed uint64) (*sloWorkload, error) {
 	const pool, exactPool = 16, 4
 	net, err := buildNet("tinycnn", seed)
 	if err != nil {
 		return nil, err
 	}
 	wl := &sloWorkload{}
-
-	weights := make([]int, len(mix))
-	for i, c := range mix {
-		weights[i] = c.weight
-	}
-	for _, c := range dispatch.MixSchedule(weights, 10) {
-		wl.schedule = append(wl.schedule, &mix[c])
-	}
-
 	sparsity := 0.8
-	data := workload.InputData(net.InputShape, pool+exactPool, seed+1000)
-	marshal := func(inputs [][]float32, exact bool) ([]byte, error) {
-		req := serve.InferRequest{
-			Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed,
-			BitExact: exact, Inputs: inputs,
-		}
-		return json.Marshal(&req)
-	}
-	for i := 0; i < pool; i++ {
-		b, err := marshal(data[i:i+1], false)
-		if err != nil {
-			return nil, err
-		}
-		wl.bodies = append(wl.bodies, b)
+	req := serve.InferRequest{Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed}
+	if wl.bodies, err = loadgen.Bodies(req, workload.InputData(net.InputShape, pool, seed+1000), 1); err != nil {
+		return nil, err
 	}
 
 	// Reference logits from the standalone engine: the serving path must
@@ -218,14 +175,12 @@ func buildSLOWorkload(mix []sloClassSpec, seed uint64) (*sloWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	exactIns := workload.Inputs(net.InputShape, exactPool, seed+1000+pool)
-	for i := 0; i < exactPool; i++ {
-		b, err := marshal([][]float32{exactIns[i].Data}, true)
-		if err != nil {
-			return nil, err
-		}
-		wl.exactBodies = append(wl.exactBodies, b)
-		tr, err := rtmap.RunFunctional(comp, exactIns[i])
+	req.BitExact = true
+	if wl.exactBodies, err = loadgen.Bodies(req, workload.InputData(net.InputShape, exactPool, seed+1000+pool), 1); err != nil {
+		return nil, err
+	}
+	for _, in := range workload.Inputs(net.InputShape, exactPool, seed+1000+pool) {
+		tr, err := rtmap.RunFunctional(comp, in)
 		if err != nil {
 			return nil, err
 		}
@@ -234,215 +189,104 @@ func buildSLOWorkload(mix []sloClassSpec, seed uint64) (*sloWorkload, error) {
 	return wl, nil
 }
 
+// withServer boots a throwaway in-process server, admits (compiles) the
+// model with one warm-up request outside any measured window, hands run
+// the server and a client that calls its handler directly, and shuts the
+// server down afterwards.
+func withServer(opts serve.Options, warmup []byte, run func(*serve.Server, *http.Client) error) error {
+	srv := serve.New(opts)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	client := loadgen.InProcess(srv.Handler())
+	if err := loadgen.Post(context.Background(), client, loadgen.Shot{Body: warmup}).Failure(); err != nil {
+		return fmt.Errorf("warm-up: %w", err)
+	}
+	return run(srv, client)
+}
+
 // calibrateCapacity measures the static configuration's closed-loop
 // throughput on a throwaway server, so the offered rate tracks the host
 // instead of a hardcoded number.
 func calibrateCapacity(opts serve.Options, body []byte) (float64, error) {
-	srv := serve.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	var capacity float64
+	err := withServer(opts, body, func(_ *serve.Server, client *http.Client) error {
+		// Enough closed-loop workers to keep every replica's batcher full:
+		// with dilated devices the measurement is saturation throughput, not
+		// latency-bound round-trips.
+		const workers = 64
+		led := loadgen.NewLedger(nil)
+		ctx, cancel := context.WithTimeout(context.Background(), 700*time.Millisecond)
 		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	do := func() error {
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
-		r.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			return fmt.Errorf("calibration: HTTP %d: %s", w.Code, w.Body.String())
+		start := time.Now()
+		loadgen.Closed(ctx, workers, func(int) {
+			led.Record(nil, loadgen.Post(context.Background(), client, loadgen.Shot{Body: body}), 0)
+		})
+		if led.Total.Accepted == 0 || led.Total.Accepted != led.Total.Sent {
+			return fmt.Errorf("outcomes %v, want every request accepted", led.Categories)
 		}
+		capacity = float64(led.Total.Accepted) / time.Since(start).Seconds()
 		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("calibration: %w", err)
 	}
-	if err := do(); err != nil { // warm-up: admission compiles the model
-		return 0, err
-	}
-	// Enough closed-loop workers to keep every replica's batcher full:
-	// with dilated devices the measurement is saturation throughput, not
-	// latency-bound round-trips.
-	const workers = 64
-	var count atomic.Int64
-	var firstErr atomic.Value
-	start := time.Now()
-	deadline := start.Add(700 * time.Millisecond)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if err := do(); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				count.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start).Seconds()
-	c := float64(count.Load()) / elapsed
-	if c <= 0 {
-		return 0, fmt.Errorf("calibration measured zero throughput")
-	}
-	return c, nil
+	return capacity, nil
 }
 
 // driveSLOArm runs one serving configuration under the shared open-loop
-// workload and returns its outcome ledger. Bit-exact spot checks (one
-// request in 8) verify logits against the reference engine and
-// accumulate into sec.BitExactChecked/BitExactViolations.
+// workload and returns its outcome ledger; latency, and so goodput, is
+// owed from each request's due time. Under overload the in-flight bound
+// turns excess arrivals into client-side queueing, identically for both
+// arms. Bit-exact spot checks (one request in 8) verify logits against
+// the reference engine into sec.BitExactChecked/BitExactViolations.
 func driveSLOArm(opts serve.Options, config string, rate float64, dur time.Duration,
-	wl *sloWorkload, sec *sloSection) (*sloArm, error) {
-	srv := serve.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	mix *loadgen.Mix, wl *sloWorkload, sec *sloSection) (sloArm, error) {
+	arm := sloArm{Config: config, Classes: map[string]sloArmClass{}}
+	err := withServer(opts, wl.bodies[0], func(srv *serve.Server, client *http.Client) error {
+		led := loadgen.NewLedger(mix)
+		var mu sync.Mutex // guards sec's spot-check counters
+		ctx, cancel := context.WithTimeout(context.Background(), dur)
 		defer cancel()
-		srv.Shutdown(ctx)
-	}()
+		loadgen.Open(ctx, rate, 512, func(n int, due time.Time) {
+			c := mix.At(n)
+			body, exactIdx := wl.bodies[n%len(wl.bodies)], -1
+			if n%8 == 0 {
+				exactIdx = (n / 8) % len(wl.exactBodies)
+				body = wl.exactBodies[exactIdx]
+			}
+			o := loadgen.Post(context.Background(), client, loadgen.Shot{Body: body, Class: c.Name, DeadlineMS: c.DeadlineMS})
+			led.Record(c, o, time.Since(due))
+			if exactIdx < 0 || o.Status != http.StatusOK {
+				return
+			}
+			logits, _ := o.Logits() // an unreadable 200 is a violation too
+			mu.Lock()
+			defer mu.Unlock()
+			sec.BitExactChecked++
+			if len(logits) != 1 || !slices.Equal(logits[0], wl.wantLogits[exactIdx]) {
+				sec.BitExactViolations++
+			}
+		})
 
-	// Warm-up admits (compiles) the model outside the window.
-	{
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(wl.bodies[0]))
-		r.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			return nil, fmt.Errorf("%s warm-up: HTTP %d: %s", config, w.Code, w.Body.String())
-		}
-	}
-
-	arm := &sloArm{Config: config, Classes: map[string]sloArmClass{}}
-	tally := map[string]*sloArmClass{}
-	for i := range wl.schedule {
-		c := wl.schedule[i]
-		if tally[c.name] == nil {
-			tally[c.name] = &sloArmClass{DeadlineMS: float64(c.deadline) / float64(time.Millisecond)}
-		}
-	}
-	var mu sync.Mutex
-	var exactChecked, exactBad int
-
-	shoot := func(n int) {
-		sc := wl.schedule[n%len(wl.schedule)]
-		exact := n%8 == 0
-		var body []byte
-		var exactIdx int
-		if exact {
-			exactIdx = (n / 8) % len(wl.exactBodies)
-			body = wl.exactBodies[exactIdx]
-		} else {
-			body = wl.bodies[n%len(wl.bodies)]
-		}
-		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
-		r.Header.Set("Content-Type", "application/json")
-		r.Header.Set(serve.ClassHeader, sc.name)
-		if sc.deadline > 0 {
-			r.Header.Set(serve.DeadlineHeader,
-				fmt.Sprintf("%g", float64(sc.deadline)/float64(time.Millisecond)))
-		}
-		t0 := time.Now()
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
-		wall := time.Since(t0)
-
-		good := false
-		var logits []int32
-		if w.Code == http.StatusOK {
-			good = sc.deadline == 0 || wall <= sc.deadline
-			if exact {
-				var resp serve.InferResponse
-				if err := json.Unmarshal(w.Body.Bytes(), &resp); err == nil && len(resp.Results) > 0 {
-					logits = resp.Results[0].Logits
-				}
+		arm.Tally = led.Total
+		arm.GoodputPerSec = float64(arm.Goodput) / dur.Seconds()
+		for _, c := range mix.Classes {
+			ct := led.Classes[c.Name]
+			arm.Classes[c.Name] = sloArmClass{
+				DeadlineMS: c.DeadlineMS, Sent: ct.Sent, Accepted: ct.Accepted,
+				Shed: ct.Shed, Expired: ct.Expired, Goodput: ct.Goodput,
 			}
 		}
-		var kind string
-		if w.Code != http.StatusOK {
-			var eresp struct {
-				Kind string `json:"kind"`
-			}
-			json.Unmarshal(w.Body.Bytes(), &eresp)
-			kind = eresp.Kind
+		if loaded := srv.Registry().Loaded(); len(loaded) > 0 {
+			arm.FinalReplicas = loaded[0].Replicas
 		}
-
-		mu.Lock()
-		defer mu.Unlock()
-		ct := tally[sc.name]
-		ct.Sent++
-		arm.Sent++
-		switch {
-		case w.Code == http.StatusOK:
-			ct.Accepted++
-			arm.Accepted++
-			if good {
-				ct.Goodput++
-				arm.Goodput++
-			}
-		case w.Code == http.StatusTooManyRequests:
-			ct.Shed++
-			arm.Shed++
-		case w.Code == http.StatusServiceUnavailable && kind == "expired":
-			ct.Expired++
-			arm.Expired++
-		default:
-			arm.Failed++
-		}
-		if logits != nil {
-			exactChecked++
-			want := wl.wantLogits[exactIdx]
-			if len(logits) != len(want) {
-				exactBad++
-			} else {
-				for j := range want {
-					if logits[j] != want[j] {
-						exactBad++
-						break
-					}
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("%s: %w", config, err)
 	}
-
-	// Open loop with catch-up pacing: every wakeup dispatches however
-	// many arrivals the schedule owes (a sleep-based ticker tops out at
-	// the kernel timer granularity, ~1ms, and silently halves the offered
-	// rate). Bounded in-flight: under overload the semaphore converts
-	// excess arrivals into client-side queueing, which both arms
-	// experience identically.
-	sem := make(chan struct{}, 512)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for n := 0; ; {
-		elapsed := time.Since(start)
-		if elapsed >= dur {
-			break
-		}
-		for target := int(rate * elapsed.Seconds()); n < target; n++ {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				shoot(n)
-			}(n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wg.Wait()
-
-	elapsed := dur.Seconds()
-	arm.GoodputPerSec = float64(arm.Goodput) / elapsed
-	for name, ct := range tally {
-		arm.Classes[name] = *ct
-	}
-	if loaded := srv.Registry().Loaded(); len(loaded) > 0 {
-		arm.FinalReplicas = loaded[0].Replicas
-	}
-	sec.BitExactChecked += exactChecked
-	sec.BitExactViolations += exactBad
-	return arm, nil
+	return arm, err
 }

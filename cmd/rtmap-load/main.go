@@ -10,6 +10,12 @@
 //	rtmap-load -model tinycnn -trace-sample 16            # trace 1-in-16, join vs server spans
 //	rtmap-load -model tinycnn -rate 400 -mix "interactive:50:25,standard:30:100,bulk:20:0"
 //
+// The open loop (-rate) keeps a schedule: request i is due at start +
+// i/rate, one the pacer wakes up late for is sent at once rather than
+// dropped, and latency runs from the due time, so a stall is charged to
+// every request it delays. The report says what was offered and sent
+// (offered_per_s, sent_per_s) and how late the generator ran (lateness_ms).
+//
 // With -mix, each request carries a priority class and deadline drawn
 // from a deterministic 100-slot schedule of class:weight:deadline_ms
 // entries (deadline 0 = none). Sheds (HTTP 429) and expiries (HTTP 503
@@ -38,15 +44,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
+	"maps"
 	"net/http"
 	neturl "net/url"
 	"os"
@@ -54,10 +57,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rtmap/internal/dispatch"
+	"rtmap/internal/loadgen"
 	"rtmap/internal/metrics"
 	"rtmap/internal/serve"
 	"rtmap/internal/tensor"
@@ -90,7 +93,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mix, err := parseMix(*mixSpec)
+	mix, err := loadgen.ParseMix(*mixSpec)
 	if err != nil {
 		log.Fatalf("-mix: %v", err)
 	}
@@ -100,280 +103,101 @@ func main() {
 		log.Fatal(err)
 	}
 
-	bodies := buildPayloads(payloadSpec{
-		model: *modelName, bits: *bits, sparsity: *sparsity, seed: *seed,
-		bitExact: *bitExact, batch: *batch, n: *payloads, shape: shape,
-	})
+	*batch = max(*batch, 1)
+	bodies, err := loadgen.Bodies(
+		serve.InferRequest{Model: *modelName, ActBits: *bits, Sparsity: sparsity, Seed: *seed, BitExact: *bitExact},
+		workload.InputData(shape, max(*payloads, 1)**batch, *seed+1000), *batch)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *concurrency * 2,
 		MaxIdleConnsPerHost: *concurrency * 2,
 	}}
-	inferURL := *url + "/v1/infer"
 
 	// Warm-up: admit (compile) the model and open connections before the
 	// measurement window.
-	if _, err := post(client, inferURL, bodies[0], "", nil); err != nil {
+	warm := loadgen.Post(context.Background(), client, loadgen.Shot{URL: *url, Body: bodies[0]})
+	if err := warm.Failure(); err != nil {
 		log.Fatalf("warm-up request: %v", err)
 	}
 	if *inspect {
-		if err := inspectOnce(client, inferURL, bodies[0]); err != nil {
+		if err := inspectOnce(warm); err != nil {
 			log.Fatalf("inspect request: %v", err)
 		}
 	}
 
-	var (
-		mu          sync.Mutex
-		latencies   []time.Duration // per-request: attempts plus retry backoff
-		attemptLats []time.Duration // per-attempt: each wire round trip
-		categories  = map[string]int64{}
-		errs        int
-		rejected    int
-		retried     int64
-		slo         map[string]*classTally
-	)
-	if mix != nil {
-		slo = map[string]*classTally{}
-		for _, c := range mix.classes {
-			slo[c.name] = &classTally{deadlineMS: c.deadlineMS}
-		}
-	}
-	recordAttempt := func(d time.Duration, category string) {
-		mu.Lock()
-		attemptLats = append(attemptLats, d)
-		categories[category]++
-		mu.Unlock()
-	}
-	record := func(d time.Duration, sc *sloClass, sh shot, err error) {
-		cat := classify(sh, err)
-		mu.Lock()
-		defer mu.Unlock()
-		var ct *classTally
-		if sc != nil {
-			ct = slo[sc.name]
-			ct.sent++
-		}
-		switch cat {
-		case "ok":
-			latencies = append(latencies, d)
-			if ct != nil {
-				ct.accepted++
-				if sc.deadlineMS == 0 || d.Seconds()*1e3 <= sc.deadlineMS {
-					ct.goodput++
-				}
-			}
-		case "http_429", "http_503":
-			// Clean backpressure: an error document with Retry-After. With a
-			// mix, sheds and expiries are expected per-class outcomes; with
-			// -rejects-ok, any of them is an expected rejection; otherwise
-			// the legacy contract holds and they fail the run.
-			expected := *rejectsOK
-			switch {
-			case ct == nil:
-			case cat == "http_429":
-				ct.shed++
-				expected = true
-			case sh.kind == "expired":
-				ct.expired++
-				expected = true
-			case *rejectsOK:
-				ct.shed++
-			default:
-				ct.failed++
-			}
-			if expected {
-				rejected++
-			} else {
-				errs++
-			}
-		default:
-			errs++
-			if ct != nil {
-				ct.failed++
-			}
-		}
-	}
-
+	rep := loadReport{Model: *modelName, BitExact: *bitExact, Batch: *batch, OfferedPerS: *rate, Categories: map[string]int64{}}
+	run := samples{mix: mix, ledger: loadgen.NewLedger(mix)}
+	var mu sync.Mutex // guards rep's counters and run's slices
 	tj := newTraceJoin(*traceSample)
 
 	// fire issues request i end to end: the attempt/retry loop, per-attempt
-	// taxonomy accounting, and the per-request outcome.
-	fire := func(i int) {
-		id := tj.id()
-		sc := mix.next()
-		t0 := time.Now()
-		var sh shot
-		var err error
+	// taxonomy accounting, and the per-request outcome. Latency is owed
+	// from due — the schedule's time in the open loop, now in the closed.
+	fire := func(i int, due time.Time) {
+		shot := loadgen.Shot{URL: *url, Body: bodies[i%len(bodies)], TraceID: tj.id()}
+		sc := mix.At(i)
+		if sc != nil {
+			shot.Class, shot.DeadlineMS = sc.Name, sc.DeadlineMS
+		}
+		sent := time.Now()
+		var o loadgen.Outcome
 		for attempt := 0; ; attempt++ {
 			a0 := time.Now()
-			sh, err = post(client, inferURL, bodies[i%len(bodies)], id, sc)
-			recordAttempt(time.Since(a0), classify(sh, err))
-			if attempt >= *retries || !retryable(classify(sh, err), sh.kind) {
+			o = loadgen.Post(context.Background(), client, shot)
+			retry := attempt < *retries && o.Retryable()
+			mu.Lock()
+			run.attempts = append(run.attempts, time.Since(a0))
+			rep.Categories[o.Category()]++
+			if retry {
+				rep.Retries++
+			}
+			mu.Unlock()
+			if !retry {
 				break
 			}
-			mu.Lock()
-			retried++
-			mu.Unlock()
-			backoff := (10 * time.Millisecond) << uint(attempt)
-			if backoff > 250*time.Millisecond {
-				backoff = 250 * time.Millisecond
-			}
-			time.Sleep(backoff)
+			time.Sleep(dispatch.Backoff(10*time.Millisecond, 250*time.Millisecond, attempt))
 		}
-		d := time.Since(t0)
-		record(d, sc, sh, err)
-		if err == nil && sh.status == http.StatusOK {
-			tj.record(id, d)
+		done := time.Now()
+		wall := done.Sub(due)
+		run.ledger.Record(sc, o, wall)
+		mu.Lock()
+		defer mu.Unlock()
+		if *rate > 0 {
+			run.lateness = append(run.lateness, sent.Sub(due))
+		}
+		switch {
+		case o.Status == http.StatusOK:
+			run.latencies = append(run.latencies, wall)
+			tj.record(shot.TraceID, done.Sub(sent))
+		case o.Backpressure() && (*rejectsOK || sc != nil && (o.Status == http.StatusTooManyRequests || o.Kind == "expired")):
+			// Clean backpressure the run expects: any of it under
+			// -rejects-ok, a class's sheds and expiries under -mix.
+			rep.Rejected++
+		default:
+			rep.Errors++
 		}
 	}
 
+	// ctx ends the starting of requests; the ones in flight land.
+	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	start := time.Now()
-	deadline := start.Add(*duration)
 	if *rate > 0 {
-		openLoop(*rate, deadline, fire)
+		loadgen.Open(ctx, *rate, 1024, fire)
 	} else {
-		closedLoop(*concurrency, deadline, fire)
+		loadgen.Closed(ctx, *concurrency, func(i int) { fire(i, time.Now()) })
 	}
-	elapsed := time.Since(start)
+	run.elapsed = time.Since(start)
+	cancel()
 
-	report(reportInput{
-		model: *modelName, mode: mode(*rate), bitExact: *bitExact,
-		batch: *batch, latencies: latencies, errs: errs, elapsed: elapsed,
-		attempts: attemptLats, categories: categories,
-		rejected: rejected, retried: retried,
-		trace: tj.join(*url, *modelName), slo: slo,
-	}, *jsonOut, *outFile)
-	if errs > 0 {
+	rep.Trace = tj.join(*url, *modelName)
+	rep.summarize(run)
+	rep.write(run, *jsonOut, *outFile)
+	if rep.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-// classify maps one attempt's outcome onto the error taxonomy: HTTP
-// answers by status, transport failures by cause. The categories let a
-// failed run say how it failed — connect_refused means nobody listens,
-// timeout means something accepted and stalled, http_503 means a node
-// answered and declined — which is exactly the distinction the cluster
-// chaos gates and the router's retry policy reason about.
-func classify(sh shot, err error) string {
-	if sh.status != 0 {
-		switch {
-		case sh.status == http.StatusOK:
-			return "ok"
-		case sh.status == http.StatusTooManyRequests:
-			return "http_429"
-		case sh.status == http.StatusServiceUnavailable:
-			return "http_503"
-		case sh.status >= 500:
-			return "http_5xx"
-		case sh.status >= 400:
-			return "http_4xx"
-		}
-		return fmt.Sprintf("http_%d", sh.status)
-	}
-	switch {
-	case err == nil:
-		return "other" // status 0 with no error should not happen
-	case errors.Is(err, syscall.ECONNREFUSED):
-		return "connect_refused"
-	case errors.Is(err, syscall.ECONNRESET):
-		return "reset"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return "timeout"
-	}
-	return "other"
-}
-
-// retryable reports whether an attempt's outcome is transient enough to
-// re-fire under -retry: refused dials, timeouts, resets, and non-expired
-// 503s (a shedding or draining server invites a retry with Retry-After;
-// an expired deadline cannot succeed on one).
-func retryable(category, kind string) bool {
-	switch category {
-	case "connect_refused", "timeout", "reset":
-		return true
-	case "http_503":
-		return kind != "expired"
-	}
-	return false
-}
-
-// sloClass is one -mix entry: a priority class and the deadline budget
-// its requests carry (0 = no deadline).
-type sloClass struct {
-	name       string
-	weight     int
-	deadlineMS float64
-}
-
-// sloMix assigns each request a class from a deterministic 100-slot
-// schedule proportional to the entry weights, so two runs with the same
-// flags offer the same class sequence regardless of worker interleaving.
-type sloMix struct {
-	classes  []sloClass
-	schedule []*sloClass
-	n        atomic.Uint64
-}
-
-// parseMix decodes "class:weight:deadline_ms,..." into a mix; an empty
-// spec returns nil (SLO headers off).
-func parseMix(spec string) (*sloMix, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	m := &sloMix{}
-	var weights []int
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("entry %q: want class:weight:deadline_ms", part)
-		}
-		var c sloClass
-		c.name = strings.TrimSpace(fields[0])
-		if _, err := fmt.Sscanf(fields[1], "%d", &c.weight); err != nil || c.weight <= 0 {
-			return nil, fmt.Errorf("entry %q: weight must be a positive integer", part)
-		}
-		if _, err := fmt.Sscanf(fields[2], "%g", &c.deadlineMS); err != nil || c.deadlineMS < 0 {
-			return nil, fmt.Errorf("entry %q: deadline_ms must be a non-negative number", part)
-		}
-		m.classes = append(m.classes, c)
-		weights = append(weights, c.weight)
-	}
-	for _, c := range dispatch.MixSchedule(weights, 100) {
-		m.schedule = append(m.schedule, &m.classes[c])
-	}
-	return m, nil
-}
-
-// next returns the class of the next request. Safe on a nil receiver
-// (mix disabled): every request is classless.
-func (m *sloMix) next() *sloClass {
-	if m == nil {
-		return nil
-	}
-	return m.schedule[(m.n.Add(1)-1)%uint64(len(m.schedule))]
-}
-
-// classTally is the client-side per-class ledger; the accounting-audit
-// test in internal/serve checks the server agrees with the same sums.
-type classTally struct {
-	deadlineMS float64
-	sent       int64
-	accepted   int64
-	shed       int64
-	expired    int64
-	failed     int64
-	goodput    int64 // accepted AND inside the class deadline budget
-}
-
-func mode(rate float64) string {
-	if rate > 0 {
-		return "open"
-	}
-	return "closed"
 }
 
 // discoverShape asks the server for the model's input shape, so the
@@ -404,132 +228,6 @@ func discoverShape(baseURL, model string) (tensor.Shape, error) {
 		}
 	}
 	return tensor.Shape{}, fmt.Errorf("model %q not served at %s", model, baseURL)
-}
-
-type payloadSpec struct {
-	model    string
-	bits     int
-	sparsity float64
-	seed     uint64
-	bitExact bool
-	batch    int
-	n        int
-	shape    tensor.Shape
-}
-
-func buildPayloads(s payloadSpec) [][]byte {
-	if s.n < 1 {
-		s.n = 1
-	}
-	if s.batch < 1 {
-		s.batch = 1
-	}
-	data := workload.InputData(s.shape, s.n*s.batch, s.seed+1000)
-	bodies := make([][]byte, s.n)
-	for i := range bodies {
-		req := serve.InferRequest{
-			Model: s.model, ActBits: s.bits, Sparsity: &s.sparsity, Seed: s.seed,
-			BitExact: s.bitExact, Inputs: data[i*s.batch : (i+1)*s.batch],
-		}
-		b, err := json.Marshal(&req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bodies[i] = b
-	}
-	return bodies
-}
-
-// shot is one request's classified outcome: the HTTP status plus, for
-// non-200 answers, the structured error kind the server attached.
-type shot struct {
-	status int
-	kind   string
-}
-
-// post fires one request, attaching the trace header and the class's
-// SLO headers when set. The returned error covers transport failures
-// only — HTTP-level rejections come back classified in the shot, and
-// the caller decides whether they are errors (no -mix) or expected
-// outcomes (sheds and expiries under a mix). Without a mix (sc nil), a
-// non-200 status is also returned as an error to keep the legacy
-// contract for warm-up and plain runs.
-func post(client *http.Client, url string, body []byte, traceID string, sc *sloClass) (shot, error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return shot{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(serve.TraceHeader, traceID)
-	}
-	if sc != nil {
-		req.Header.Set(serve.ClassHeader, sc.name)
-		if sc.deadlineMS > 0 {
-			req.Header.Set(serve.DeadlineHeader, fmt.Sprintf("%g", sc.deadlineMS))
-		}
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return shot{}, err
-	}
-	defer resp.Body.Close()
-	sh := shot{status: resp.StatusCode}
-	if resp.StatusCode == http.StatusOK {
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return sh, err
-		}
-		return sh, nil
-	}
-	var eresp struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&eresp); err == nil {
-		sh.kind = eresp.Kind
-	}
-	io.Copy(io.Discard, resp.Body)
-	if sc == nil {
-		return sh, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return sh, nil
-}
-
-// closedLoop runs `workers` goroutines that each fire the next request as
-// soon as the previous one returns.
-func closedLoop(workers int, deadline time.Time, fire func(i int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(deadline); i++ {
-				fire(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// openLoop fires requests on a fixed schedule regardless of completions
-// (up to a bounded number in flight), which measures latency under a
-// target arrival rate rather than a target concurrency.
-func openLoop(rate float64, deadline time.Time, fire func(i int)) {
-	interval := time.Duration(float64(time.Second) / rate)
-	sem := make(chan struct{}, 1024)
-	var wg sync.WaitGroup
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for i := 0; time.Now().Before(deadline); i++ {
-		<-tick.C
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fire(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // traceJoin samples 1-in-N requests with a client-chosen trace ID and,
@@ -649,18 +347,12 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 		log.Printf("trace join: %d of %d sampled traces missing from /debug/traces (ring buffer wrapped? raise rtmap-serve -trace-buf)",
 			sampled-len(agg), sampled)
 	}
-	quantiles := func(ds []time.Duration) map[string]float64 {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return map[string]float64{
-			"p50": percentileMS(ds, 0.50), "p95": percentileMS(ds, 0.95), "p99": percentileMS(ds, 0.99),
-		}
-	}
 	if len(walls) > 0 {
-		out["client_wall_ms"] = quantiles(walls)
+		out["client_wall_ms"] = quantilesMS(walls)
 	}
 	server := map[string]map[string]float64{}
 	for name, ds := range byPhase {
-		server[name] = quantiles(ds)
+		server[name] = quantilesMS(ds)
 	}
 	if len(server) > 0 {
 		out["server_phase_ms"] = server
@@ -668,36 +360,66 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 	return out
 }
 
-type reportInput struct {
-	model      string
-	mode       string
-	bitExact   bool
-	batch      int
-	latencies  []time.Duration  // per-request wall time of 200s (retries included)
-	attempts   []time.Duration  // per-attempt wire round trips, every outcome
-	categories map[string]int64 // taxonomy tally across attempts
-	errs       int
-	rejected   int   // clean backpressure accepted as expected (mix or -rejects-ok)
-	retried    int64 // retry attempts fired under -retry
-	elapsed    time.Duration
-	trace      map[string]any         // traceJoin.join output; nil when -trace-sample is off
-	slo        map[string]*classTally // per-class ledger; nil when -mix is off
+// samples is what a run measured, before loadReport.summarize reduces it.
+type samples struct {
+	latencies []time.Duration // per-request wall time of 200s, from due (retries included)
+	attempts  []time.Duration // per-attempt wire round trips, every outcome
+	lateness  []time.Duration // open loop: send − due of every request
+	elapsed   time.Duration
+	mix       *loadgen.Mix    // nil when -mix is off
+	ledger    *loadgen.Ledger // per-request outcomes, per class and in total
 }
 
-// inspectOnce fires one request and prints the server's batch accounting
-// for its first sample: the simulated device (or, for sharded models,
-// the pipeline stage count and device path) and the simulated cost.
-func inspectOnce(client *http.Client, url string, body []byte) error {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
+// loadReport is the JSON report; the CI gates read requests, rejected,
+// errors, categories, retries, offered_per_s and sent_per_s by name.
+// Errors, Rejected (backpressure the run expects), Retries and Categories
+// (across attempts) count as the run goes; summarize fills in the rest.
+type loadReport struct {
+	Model     string  `json:"model"`
+	Mode      string  `json:"mode"`
+	BitExact  bool    `json:"bit_exact"`
+	Batch     int     `json:"batch"`
+	Requests  int     `json:"requests"`
+	Errors    int     `json:"errors"`
+	Rejected  int     `json:"rejected"`
+	ElapsedS  float64 `json:"elapsed_s"`
+	ReqPerS   float64 `json:"req_per_s"`
+	InferPerS float64 `json:"infer_per_s"`
+	// Open loop only: the rate asked for (-rate), the rate of calls
+	// actually made, and how late the generator made them (send − due).
+	OfferedPerS float64            `json:"offered_per_s,omitempty"`
+	SentPerS    float64            `json:"sent_per_s,omitempty"`
+	LatenessMS  map[string]float64 `json:"lateness_ms,omitempty"`
+	LatencyMS   map[string]float64 `json:"latency_ms"`
+	Categories  map[string]int64   `json:"categories,omitempty"`
+	// Per-attempt latency diverges from per-request latency exactly when
+	// retries fired: each attempt is one wire round trip, the request is
+	// what the caller waited (attempts plus backoff).
+	Retries          int64              `json:"retries,omitempty"`
+	Attempts         int                `json:"attempts,omitempty"`
+	AttemptLatencyMS map[string]float64 `json:"attempt_latency_ms,omitempty"`
+	Trace            map[string]any     `json:"trace,omitempty"`
+	SLO              *sloReport         `json:"slo,omitempty"`
+}
+
+// sloReport is the -mix section: the per-class ledger and goodput.
+type sloReport struct {
+	Classes     map[string]classReport `json:"classes"`
+	Goodput     int64                  `json:"goodput"`
+	GoodputPerS float64                `json:"goodput_per_s"`
+}
+
+type classReport struct {
+	DeadlineMS    float64 `json:"deadline_ms"`
+	loadgen.Tally         // sent, accepted, shed, expired, failed, goodput
+}
+
+// inspectOnce prints the server's batch accounting for the first sample
+// of an answered request (the warm-up): the simulated device (or, for
+// sharded models, the stage count and device path) and the simulated cost.
+func inspectOnce(o loadgen.Outcome) error {
 	var out serve.InferResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(o.Body, &out); err != nil {
 		return err
 	}
 	if len(out.Results) == 0 {
@@ -720,136 +442,98 @@ func percentileMS(sorted []time.Duration, p float64) float64 {
 	return metrics.NearestRank(sorted, p).Seconds() * 1e3
 }
 
-func report(in reportInput, jsonOut bool, outFile string) {
-	sort.Slice(in.latencies, func(i, j int) bool { return in.latencies[i] < in.latencies[j] })
-	n := len(in.latencies)
-	pct := func(p float64) float64 { return percentileMS(in.latencies, p) }
+// quantilesMS sorts ds in place and returns its p50/p95/p99 in ms.
+func quantilesMS(ds []time.Duration) map[string]float64 {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return map[string]float64{"p50": percentileMS(ds, 0.50), "p95": percentileMS(ds, 0.95), "p99": percentileMS(ds, 0.99)}
+}
+
+// summarize reduces the run's samples into the report's derived fields.
+func (r *loadReport) summarize(run samples) {
+	n, secs := len(run.latencies), run.elapsed.Seconds()
+	r.Requests, r.ElapsedS = n, secs
+	r.ReqPerS = float64(n) / secs
+	r.InferPerS = r.ReqPerS * float64(r.Batch)
+	r.LatencyMS = quantilesMS(run.latencies)
+	r.LatencyMS["max"] = percentileMS(run.latencies, 1)
 	var sum time.Duration
-	for _, d := range in.latencies {
+	for _, d := range run.latencies {
 		sum += d
 	}
-	meanMS := 0.0
-	if n > 0 {
-		meanMS = sum.Seconds() * 1e3 / float64(n)
+	r.LatencyMS["mean"] = sum.Seconds() * 1e3 / float64(max(n, 1))
+	r.Mode = "closed"
+	if r.OfferedPerS > 0 {
+		r.Mode = "open"
+		r.SentPerS = float64(run.ledger.Total.Sent) / secs
+		r.LatenessMS = quantilesMS(run.lateness)
 	}
-	reqPerSec := float64(n) / in.elapsed.Seconds()
-	out := map[string]any{
-		"model":       in.model,
-		"mode":        in.mode,
-		"bit_exact":   in.bitExact,
-		"batch":       in.batch,
-		"requests":    n,
-		"errors":      in.errs,
-		"rejected":    in.rejected,
-		"elapsed_s":   in.elapsed.Seconds(),
-		"req_per_s":   reqPerSec,
-		"infer_per_s": reqPerSec * float64(in.batch),
-		"latency_ms":  map[string]float64{"mean": meanMS, "p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99), "max": pct(1.0)},
+	if r.Retries > 0 {
+		r.Attempts = len(run.attempts)
+		r.AttemptLatencyMS = quantilesMS(run.attempts)
+		r.AttemptLatencyMS["max"] = percentileMS(run.attempts, 1)
 	}
-	if len(in.categories) > 0 {
-		out["categories"] = in.categories
-	}
-	// Per-attempt latency diverges from per-request latency exactly when
-	// retries fired: each attempt is one wire round trip, the request is
-	// what the caller waited (attempts plus backoff).
-	if in.retried > 0 {
-		sort.Slice(in.attempts, func(i, j int) bool { return in.attempts[i] < in.attempts[j] })
-		apct := func(p float64) float64 { return percentileMS(in.attempts, p) }
-		out["retries"] = in.retried
-		out["attempts"] = len(in.attempts)
-		out["attempt_latency_ms"] = map[string]float64{
-			"p50": apct(0.50), "p95": apct(0.95), "p99": apct(0.99), "max": apct(1.0),
+	if run.mix != nil {
+		goodput := run.ledger.Total.Goodput
+		r.SLO = &sloReport{Classes: map[string]classReport{}, Goodput: goodput, GoodputPerS: float64(goodput) / secs}
+		for _, c := range run.mix.Classes {
+			r.SLO.Classes[c.Name] = classReport{DeadlineMS: c.DeadlineMS, Tally: *run.ledger.Classes[c.Name]}
 		}
 	}
-	if in.trace != nil {
-		out["trace"] = in.trace
+}
+
+// write emits the summarized report: to outFile as JSON when named, and
+// to stdout as JSON or text.
+func (r *loadReport) write(run samples, jsonOut bool, outFile string) {
+	doc, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		log.Fatal(err)
 	}
-	var goodputTotal int64
-	if in.slo != nil {
-		classes := map[string]any{}
-		for name, ct := range in.slo {
-			classes[name] = map[string]any{
-				"deadline_ms": ct.deadlineMS,
-				"sent":        ct.sent,
-				"accepted":    ct.accepted,
-				"shed":        ct.shed,
-				"expired":     ct.expired,
-				"failed":      ct.failed,
-				"goodput":     ct.goodput,
-			}
-			goodputTotal += ct.goodput
-		}
-		out["slo"] = map[string]any{
-			"classes":       classes,
-			"goodput":       goodputTotal,
-			"goodput_per_s": float64(goodputTotal) / in.elapsed.Seconds(),
-		}
-	}
+	doc = append(doc, '\n')
 	if outFile != "" {
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(outFile, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(outFile, doc, 0o644); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s", outFile)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if _, err := os.Stdout.Write(doc); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	fmt.Printf("%s (%s loop, batch %d, bit_exact=%v): %d requests, %d rejected, %d errors in %.2fs\n",
-		in.model, in.mode, in.batch, in.bitExact, n, in.rejected, in.errs, in.elapsed.Seconds())
-	fmt.Printf("throughput: %.1f req/s (%.1f inferences/s)\n", reqPerSec, reqPerSec*float64(in.batch))
+		r.Model, r.Mode, r.Batch, r.BitExact, r.Requests, r.Rejected, r.Errors, r.ElapsedS)
+	fmt.Printf("throughput: %.1f req/s (%.1f inferences/s)\n", r.ReqPerS, r.InferPerS)
+	if r.Mode == "open" {
+		fmt.Printf("offered: %.1f req/s asked, %.1f req/s sent; generator lateness ms: p50 %.2f  p99 %.2f\n",
+			r.OfferedPerS, r.SentPerS, r.LatenessMS["p50"], r.LatenessMS["p99"])
+	}
+	lat := r.LatencyMS
 	fmt.Printf("latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
-		meanMS, pct(0.50), pct(0.95), pct(0.99), pct(1.0))
-	if nonOK := int64(len(in.attempts)) - in.categories["ok"]; nonOK > 0 {
-		names := make([]string, 0, len(in.categories))
-		for name := range in.categories {
-			if name != "ok" {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		fmt.Print("outcomes:")
-		for _, name := range names {
-			fmt.Printf("  %s %d", name, in.categories[name])
-		}
-		fmt.Println()
+		lat["mean"], lat["p50"], lat["p95"], lat["p99"], lat["max"])
+	nonOK := maps.Clone(r.Categories)
+	if delete(nonOK, "ok"); len(nonOK) > 0 {
+		list := fmt.Sprint(nonOK) // "map[name:count ...]", in key order
+		fmt.Printf("outcomes: %s\n", list[len("map["):len(list)-1])
 	}
-	if in.retried > 0 {
-		sort.Slice(in.attempts, func(i, j int) bool { return in.attempts[i] < in.attempts[j] })
-		apct := func(p float64) float64 { return percentileMS(in.attempts, p) }
+	if r.Retries > 0 {
+		al := r.AttemptLatencyMS
 		fmt.Printf("retries: %d (%d attempts total); attempt latency ms: p50 %.2f  p95 %.2f  p99 %.2f\n",
-			in.retried, len(in.attempts), apct(0.50), apct(0.95), apct(0.99))
+			r.Retries, r.Attempts, al["p50"], al["p95"], al["p99"])
 	}
-	if in.slo != nil {
-		var sentTotal int64
-		for _, ct := range in.slo {
-			sentTotal += ct.sent
-		}
+	if r.SLO != nil {
 		fmt.Printf("goodput: %.1f req/s in-deadline (%d of %d sent)\n",
-			float64(goodputTotal)/in.elapsed.Seconds(), goodputTotal, sentTotal)
-		names := make([]string, 0, len(in.slo))
-		for name := range in.slo {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ct := in.slo[name]
+			r.SLO.GoodputPerS, r.SLO.Goodput, run.ledger.Total.Sent)
+		for _, c := range run.mix.Classes {
+			ct := r.SLO.Classes[c.Name]
 			fmt.Printf("  %-11s deadline %6.1fms: sent %5d  ok %5d  goodput %5d  shed %5d  expired %5d  failed %3d\n",
-				name, ct.deadlineMS, ct.sent, ct.accepted, ct.goodput, ct.shed, ct.expired, ct.failed)
+				c.Name, ct.DeadlineMS, ct.Sent, ct.Accepted, ct.Goodput, ct.Shed, ct.Expired, ct.Failed)
 		}
 	}
-	if in.trace != nil {
-		fmt.Printf("trace join: %v sampled, %v joined via /debug/traces\n", in.trace["sampled"], in.trace["joined"])
-		if phases, ok := in.trace["server_phase_ms"].(map[string]map[string]float64); ok {
-			wall, _ := in.trace["client_wall_ms"].(map[string]float64)
+	if r.Trace != nil {
+		fmt.Printf("trace join: %v sampled, %v joined via /debug/traces\n", r.Trace["sampled"], r.Trace["joined"])
+		if phases, ok := r.Trace["server_phase_ms"].(map[string]map[string]float64); ok {
+			wall, _ := r.Trace["client_wall_ms"].(map[string]float64)
 			fmt.Printf("  p50 ms: client %.2f", wall["p50"])
 			for _, name := range []string{"http", "wait", "queue", "exec", "stage", "hop"} {
 				if q, ok := phases[name]; ok {

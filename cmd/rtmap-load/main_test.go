@@ -1,9 +1,74 @@
 package main
 
 import (
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"rtmap/internal/loadgen"
 )
+
+// The JSON report's keys are an interface: CI's drill gate reads
+// requests, rejected, errors, categories and retries by name, its
+// open-loop gate offered_per_s and sent_per_s, and bench/BENCH_serve_*
+// are this document. Optional sections appear only with what they
+// describe (open loop, retries, -trace-sample, -mix).
+func TestReportKeys(t *testing.T) {
+	keys := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, 0, len(m))
+		for k := range m {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return strings.Join(names, " ")
+	}
+	ok := loadgen.Outcome{Status: 200}
+	ms := []time.Duration{time.Millisecond}
+
+	closed := loadReport{Model: "tinycnn", Batch: 1, Categories: map[string]int64{"ok": 1}}
+	run := samples{elapsed: time.Second, latencies: ms, attempts: ms, ledger: loadgen.NewLedger(nil)}
+	run.ledger.Record(nil, ok, time.Millisecond)
+	closed.summarize(run)
+	const always = "batch bit_exact categories elapsed_s errors infer_per_s latency_ms mode model rejected req_per_s requests"
+	if got := keys(closed); got != always {
+		t.Errorf("closed-loop report keys:\n got %s\nwant %s", got, always)
+	}
+
+	mix, err := loadgen.ParseMix("interactive:50:25,bulk:50:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := loadReport{Model: "tinycnn", Batch: 1, OfferedPerS: 100, Categories: map[string]int64{"ok": 1, "http_503": 1}, Retries: 1}
+	doc.Trace = map[string]any{"sampled": 0, "joined": 0}
+	run = samples{elapsed: time.Second, latencies: ms, attempts: append(ms, ms...), lateness: ms, mix: mix, ledger: loadgen.NewLedger(mix)}
+	run.ledger.Record(mix.At(0), ok, time.Millisecond)
+	doc.summarize(run)
+	const optional = " attempt_latency_ms attempts lateness_ms offered_per_s retries sent_per_s slo trace"
+	want := strings.Fields(always + optional)
+	sort.Strings(want)
+	if got := keys(doc); got != strings.Join(want, " ") {
+		t.Errorf("full report keys:\n got %s\nwant %s", got, strings.Join(want, " "))
+	}
+	if got, want := keys(doc.SLO), "classes goodput goodput_per_s"; got != want {
+		t.Errorf("slo keys: got %s, want %s", got, want)
+	}
+	if got, want := keys(doc.SLO.Classes["interactive"]), "accepted deadline_ms expired failed goodput sent shed"; got != want {
+		t.Errorf("slo.classes.* keys: got %s, want %s", got, want)
+	}
+	if doc.Mode != "open" || doc.SentPerS != 1 || doc.OfferedPerS != 100 {
+		t.Errorf("open-loop report says mode %q, offered %g/s, sent %g/s; want open, 100, 1", doc.Mode, doc.OfferedPerS, doc.SentPerS)
+	}
+}
 
 // Nearest-rank percentiles over tiny samples: every p must stay in
 // range and follow the ceil(p·n)-1 definition.

@@ -9,9 +9,9 @@
 // faults — partition, hang, slow, flap — at the router's transport
 // without touching the node.
 //
-// Drive generates closed-loop load through the router and checks the
-// two cluster invariants the chaos suite gates on: accepted requests
-// are never dropped (every non-rejected answer is a well-formed 200),
-// and results are bit-exact no matter which node — or which retry or
-// hedge attempt — served them.
+// Drive generates closed-loop load through the router (internal/loadgen
+// paces, posts and names the outcomes) and checks the two cluster
+// invariants the chaos suite gates on: accepted requests are never
+// dropped (every non-rejected answer is a well-formed 200), and results
+// are bit-exact no matter which node, retry or hedge served them.
 package chaos

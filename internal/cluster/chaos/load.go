@@ -1,15 +1,14 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -53,17 +52,14 @@ type Report struct {
 	Errors     int64 // transport failures and non-backpressure HTTP errors
 	Mismatches int64 // 200s whose logits differ from the model's reference
 
-	// ByCategory counts outcomes: "ok", "http_429", "http_503",
-	// "transport", "http_<other>", "mismatch".
+	// ByCategory counts outcomes by loadgen.Outcome.Category, plus
+	// "malformed" (a 200 whose body does not decode) and "mismatch".
 	ByCategory map[string]int64
 	// Samples holds the first few error/mismatch descriptions.
 	Samples []string
 }
 
 func (r *Report) record(category string, sample string) {
-	if r.ByCategory == nil {
-		r.ByCategory = map[string]int64{}
-	}
 	r.ByCategory[category]++
 	if sample != "" && len(r.Samples) < 8 {
 		r.Samples = append(r.Samples, sample)
@@ -82,7 +78,8 @@ func (r *Report) String() string {
 // Drive runs closed-loop load through the router until ctx ends,
 // checking every 200 for bit-exactness against the model's first
 // accepted answer (inference is deterministic, so any divergence means
-// a retry, hedge or failover corrupted a result).
+// a retry, hedge or failover corrupted a result). Requests carry ctx, so
+// the ones in flight when it ends are cancelled and not counted.
 func (c *Cluster) Drive(ctx context.Context, opts DriveOptions) (*Report, error) {
 	if len(opts.Models) == 0 {
 		opts.Models = []string{"tinycnn", "tinyresnet"}
@@ -106,150 +103,78 @@ func (c *Cluster) Drive(ctx context.Context, opts DriveOptions) (*Report, error)
 		if !ok {
 			return nil, fmt.Errorf("chaos: model %q is not in the zoo", m)
 		}
+		data := workload.InputData(sh, opts.Inputs, opts.Seed)
 		for v := 1; v <= opts.Variants; v++ {
-			req := serve.InferRequest{Model: m, Seed: uint64(v)}
-			for _, in := range workload.Inputs(sh, opts.Inputs, opts.Seed) {
-				req.Inputs = append(req.Inputs, in.Data)
-			}
-			b, err := json.Marshal(req)
+			bodies, err := loadgen.Bodies(serve.InferRequest{Model: m, Seed: uint64(v)}, data, opts.Inputs)
 			if err != nil {
 				return nil, err
 			}
-			variants = append(variants, &driveVariant{
-				name:  fmt.Sprintf("%s/seed%d", m, v),
-				model: m,
-				body:  b,
-			})
+			variants = append(variants, &driveVariant{name: fmt.Sprintf("%s/seed%d", m, v), body: bodies[0]})
 		}
 	}
 
-	var (
-		mu     sync.Mutex
-		report Report
-		refs   = map[string]string{} // variant -> canonical logits key
-	)
+	var mu sync.Mutex
+	report := Report{ByCategory: map[string]int64{}}
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	fire := func(v *driveVariant) {
-		category, sample, logits := c.shoot(ctx, client, v, opts)
+		o := loadgen.Post(ctx, client, loadgen.Shot{
+			URL: c.routerURL, Body: v.body,
+			Class: opts.Class, DeadlineMS: float64(opts.DeadlineMS),
+		})
+		category, sample := o.Category(), ""
+		if category == "cancelled" {
+			return // ctx ended mid-request: not a cluster outcome at all
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		report.Sent++
-		switch category {
-		case "ok":
+		switch {
+		case o.Status == http.StatusOK:
+			logits, err := o.Logits()
+			if err != nil {
+				report.Errors++
+				report.record("malformed", fmt.Sprintf("%s: %v", v.name, err))
+				return
+			}
 			report.OK++
-			key := logitsKey(logits)
-			if ref, seen := refs[v.name]; !seen {
-				refs[v.name] = key
-			} else if ref != key {
+			if v.ref == nil {
+				v.ref = logits
+			} else if !slices.EqualFunc(v.ref, logits, slices.Equal[[]int32]) {
 				report.Mismatches++
 				report.record("mismatch", fmt.Sprintf("%s: logits diverged from reference", v.name))
 				return
 			}
-		case "http_429", "http_503":
+		case o.Backpressure():
 			report.Rejected++
-		case "cancelled":
-			// ctx ended mid-request: not a cluster outcome at all.
-			report.Sent--
-			return
 		default:
 			report.Errors++
+			sample = fmt.Sprintf("%s: %v", v.name, o.Failure())
 		}
 		report.record(category, sample)
 	}
 
-	var wg sync.WaitGroup
 	if opts.Pinned {
+		var wg sync.WaitGroup
 		for _, v := range variants {
-			for w := 0; w < opts.Workers; w++ {
-				wg.Add(1)
-				go func(v *driveVariant) {
-					defer wg.Done()
-					for ctx.Err() == nil {
-						fire(v)
-					}
-				}(v)
-			}
-		}
-	} else {
-		for w := 0; w < opts.Workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				for i := 0; ctx.Err() == nil; i++ {
-					fire(variants[(w+i)%len(variants)])
-				}
-			}(w)
+				loadgen.Closed(ctx, opts.Workers, func(int) { fire(v) })
+			}()
 		}
+		wg.Wait()
+	} else {
+		loadgen.Closed(ctx, opts.Workers, func(i int) { fire(variants[i%len(variants)]) })
 	}
-	wg.Wait()
 	return &report, nil
 }
 
-// driveVariant is one (model, seed) request body the driver cycles.
+// driveVariant is one (model, seed) request body the driver cycles, and
+// the logits of its first accepted answer: the bit-exact reference every
+// later 200 is compared with (guarded by Drive's mutex).
 type driveVariant struct {
-	name  string // model/seedN, the reference-logits key
-	model string
-	body  []byte
-}
-
-// shoot issues one request and classifies its outcome.
-func (c *Cluster) shoot(ctx context.Context, client *http.Client, v *driveVariant, opts DriveOptions) (category, sample string, logits [][]int32) {
-	model := v.model
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.routerURL+"/v1/infer", bytes.NewReader(v.body))
-	if err != nil {
-		return "transport", err.Error(), nil
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if opts.Class != "" {
-		req.Header.Set(serve.ClassHeader, opts.Class)
-	}
-	if opts.DeadlineMS > 0 {
-		req.Header.Set(serve.DeadlineHeader, fmt.Sprint(opts.DeadlineMS))
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return "cancelled", "", nil
-		}
-		return "transport", fmt.Sprintf("%s: %v", model, err), nil
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ctx.Err() != nil {
-			return "cancelled", "", nil
-		}
-		return "transport", fmt.Sprintf("%s: reading body: %v", model, err), nil
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var out serve.InferResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return "http_200_malformed", fmt.Sprintf("%s: %v", model, err), nil
-		}
-		for _, r := range out.Results {
-			logits = append(logits, r.Logits)
-		}
-		return "ok", "", logits
-	case http.StatusTooManyRequests:
-		return "http_429", "", nil
-	case http.StatusServiceUnavailable:
-		return "http_503", "", nil
-	default:
-		return fmt.Sprintf("http_%d", resp.StatusCode),
-			fmt.Sprintf("%s: HTTP %d: %.120s", model, resp.StatusCode, raw), nil
-	}
-}
-
-// logitsKey canonicalizes a response's logits for bit-exact comparison.
-func logitsKey(logits [][]int32) string {
-	var b bytes.Buffer
-	for _, row := range logits {
-		for _, v := range row {
-			fmt.Fprintf(&b, "%d,", v)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
+	name string // model/seedN
+	body []byte
+	ref  [][]int32
 }

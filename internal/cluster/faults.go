@@ -111,10 +111,10 @@ type faultState struct {
 	armed time.Time
 }
 
-// NewFaultInjector wraps next (nil: http.DefaultTransport).
+// NewFaultInjector wraps next (nil: defaultTransport).
 func NewFaultInjector(next http.RoundTripper) *FaultInjector {
 	if next == nil {
-		next = http.DefaultTransport
+		next = defaultTransport()
 	}
 	return &FaultInjector{next: next, faults: map[string]faultState{}}
 }

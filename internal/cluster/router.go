@@ -57,7 +57,7 @@ type Options struct {
 	HedgeFallback time.Duration
 
 	// Transport overrides the proxy/probe transport; the fault-injection
-	// harness hooks in here (nil: http.DefaultTransport).
+	// harness hooks in here (nil: defaultTransport).
 	Transport http.RoundTripper
 
 	// TraceBuf is the span ring capacity (0: trace.DefaultCapacity);
@@ -119,6 +119,16 @@ type Router struct {
 	draining atomic.Bool
 }
 
+// defaultTransport is the proxy/probe transport when the caller supplies
+// none: http.DefaultTransport with room for a router's idle connections.
+// At the stock two per host, above two concurrent requests to a node
+// nearly every attempt dials and leaves a socket in TIME-WAIT.
+func defaultTransport() http.RoundTripper {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	return t
+}
+
 // New constructs a Router (not yet listening, prober not yet started).
 func New(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
@@ -128,7 +138,7 @@ func New(opts Options) (*Router, error) {
 	}
 	transport := opts.Transport
 	if transport == nil {
-		transport = http.DefaultTransport
+		transport = defaultTransport()
 	}
 	opts.Health.Logf = opts.Logf
 	r := &Router{
@@ -526,17 +536,7 @@ func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class d
 				r.metrics.ObserveBudgetExhausted()
 				break
 			}
-			shift := attempt - 1
-			if shift > 20 {
-				// base<<~40 overflows Duration negative, which would slip
-				// under the cap comparison and hot-loop; past 20 doublings
-				// every sane base exceeds the cap anyway.
-				shift = 20
-			}
-			backoff := r.opts.BackoffBase << shift
-			if backoff <= 0 || backoff > r.opts.BackoffCap {
-				backoff = r.opts.BackoffCap
-			}
+			backoff := dispatch.Backoff(r.opts.BackoffBase, r.opts.BackoffCap, attempt-1)
 			if !sleepCtx(ctx, backoff) {
 				r.breakers.CancelTrial(node)
 				break

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -488,5 +490,68 @@ func TestRouterAttemptTimeoutFailsOverHangs(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("hung node stalled the request for %v", elapsed)
+	}
+}
+
+// A Router built with Transport nil must keep its connections to a node:
+// 16 concurrent requests, 20 rounds, should open about 16 sockets and
+// reuse them. With http.DefaultTransport's two idle connections per
+// host, 14 of every round's 16 requests dial (≈ 280 in total).
+func TestRouterDefaultTransportKeepsNodeConnections(t *testing.T) {
+	const concurrent, rounds = 16, 20
+	// Hold every request of a round in the node until all have arrived,
+	// so each round really needs `concurrent` connections at once.
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	arrived, round := 0, 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/infer", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		if arrived++; arrived == concurrent {
+			arrived = 0
+			round++
+			cond.Broadcast()
+		} else {
+			for mine := round; mine == round; {
+				cond.Wait()
+			}
+		}
+		mu.Unlock()
+		ok200(`{"model":"m","results":[]}`)(w, r)
+	})
+	var opened atomic.Int32
+	node := httptest.NewUnstartedServer(mux)
+	node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	node.Start()
+	t.Cleanup(node.Close)
+
+	_, ts := newTestRouter(t, Options{Transport: nil}, node.URL)
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		for c := 0; c < concurrent; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(`{"model":"m","inputs":[[1,2,3]]}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("HTTP %d", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := opened.Load(); n >= 40 {
+		t.Fatalf("router opened %d connections to one node for %d rounds of %d concurrent requests, want < 40", n, rounds, concurrent)
 	}
 }

@@ -3,8 +3,8 @@
 // micro-batch formation (former.go: dispatch to an idle device at once,
 // batch only what queues behind busy ones), queue-delay estimation and load shedding
 // (shed.go), replica/device placement selection (place.go), and the
-// replica/stage autoscaler (scaler.go). The load generators' class-mix
-// schedule sits beside the classes it spreads (request.go).
+// replica/stage autoscaler (scaler.go). The load generator's class-mix
+// schedule (request.go) and the one retry backoff (timeout.go) live here.
 //
 // Everything in this package is pure policy: no goroutines, no
 // channels, no wall-clock reads. Time enters exclusively through

@@ -68,3 +68,19 @@ func (t AttemptTimeouts) AttemptTimeout(c Class, remaining time.Duration) time.D
 
 // MinAttemptTimeout is the floor under deadline-clamped attempt timeouts.
 const MinAttemptTimeout = 10 * time.Millisecond
+
+// Backoff is the capped exponential delay before retry number `retry`
+// (0 = the first retry): base·2^retry, at most limit. A shift that
+// overflows Duration — negative from retry 40 at a 10 ms base, zero from
+// 63 — a non-positive base and a negative retry all give limit, so a
+// retry loop can never stop sleeping.
+func Backoff(base, limit time.Duration, retry int) time.Duration {
+	if base <= 0 || retry < 0 || retry > 62 {
+		return limit
+	}
+	d := base << retry
+	if d>>retry != base || d > limit {
+		return limit
+	}
+	return d
+}

@@ -410,8 +410,10 @@ func TestFailoverRequeueKeepsTrace(t *testing.T) {
 
 // BenchmarkServeSubmitTraced is BenchmarkServeSubmit with one traced
 // item per batch — the steady-state cost of span recording on the
-// submit→execute→deliver path (compare the two in bench output; the CI
-// smoke tracks the same ratio via rtmap-bench -trace-overhead).
+// submit→execute→deliver path (compare the two in bench output: equal
+// allocs/op; `go run ./benchmark --workload serve_saturated --trace 1`
+// prices the same thing end to end as trace.overhead_share and
+// trace.record_ns).
 func BenchmarkServeSubmitTraced(b *testing.B) {
 	s := New(Options{Devices: 1, MaxBatch: 8, Window: time.Millisecond})
 	defer s.Shutdown(context.Background())
