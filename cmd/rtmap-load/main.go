@@ -302,9 +302,7 @@ func (t *traceJoin) join(baseURL, model string) map[string]any {
 		log.Printf("trace join: /debug/traces: HTTP %d", resp.StatusCode)
 		return out
 	}
-	var body struct {
-		Spans []trace.Span `json:"spans"`
-	}
+	var body trace.Dump
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		log.Printf("trace join: decoding /debug/traces: %v", err)
 		return out

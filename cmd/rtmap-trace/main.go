@@ -117,17 +117,13 @@ func scrape(baseURL string) ([]trace.Span, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/debug/traces: HTTP %d", resp.StatusCode)
 	}
-	var body struct {
-		Spans   []trace.Span `json:"spans"`
-		Total   uint64       `json:"total_recorded"`
-		Dropped uint64       `json:"dropped"`
-	}
+	var body trace.Dump
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, fmt.Errorf("decoding /debug/traces: %w", err)
 	}
 	if body.Dropped > 0 {
 		log.Printf("note: ring buffer dropped %d of %d spans (raise rtmap-serve -trace-buf or use -trace-out)",
-			body.Dropped, body.Total)
+			body.Dropped, body.TotalRecorded)
 	}
 	return body.Spans, nil
 }

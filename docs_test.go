@@ -1,6 +1,8 @@
 package rtmap
 
 import (
+	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rtmap/internal/cluster"
+	"rtmap/internal/metrics"
+	"rtmap/internal/serve"
 )
 
 // TestPackageDocs is the documentation gate CI runs: every internal/
@@ -135,4 +141,104 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
+}
+
+// TestMetricsDocumented holds the "Metrics catalogue" table in
+// docs/ARCHITECTURE.md to what the two serving tiers actually export:
+// every family either tier's registry declares has a row giving its
+// type, labels, tier and meaning (the # HELP text, verbatim), and every
+// row names a family that still exists.
+func TestMetricsDocumented(t *testing.T) {
+	silent := func(string, ...any) {}
+	node := serve.New(serve.Options{Logf: silent})
+	defer node.Shutdown(context.Background())
+	router, err := cluster.New(cluster.Options{Nodes: []string{"http://node"}, Logf: silent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, tier := range []struct {
+		name string
+		fams []*metrics.Family
+	}{{"node", node.MetricFamilies()}, {"router", router.MetricFamilies()}} {
+		for _, f := range tier.fams {
+			labels := ""
+			if len(f.Labels) > 0 {
+				labels = "`" + strings.Join(f.Labels, "`, `") + "`"
+			}
+			row := func(tier string) string {
+				return fmt.Sprintf("| `%s` | %s | %s | %s | %s |", f.Name, f.Kind, labels, tier, f.Help)
+			}
+			if want[f.Name] == row("node") {
+				want[f.Name] = row("both") // the runtime families
+			} else if want[f.Name] != "" {
+				t.Errorf("family %s means different things on the two tiers", f.Name)
+			} else {
+				want[f.Name] = row(tier.name)
+			}
+		}
+	}
+	if len(want) < 50 {
+		t.Fatalf("only %d families declared — registries not wired?", len(want))
+	}
+
+	doc, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := strings.Cut(string(doc), "### Metrics catalogue\n")
+	if !found {
+		t.Fatal("docs/ARCHITECTURE.md has no \"### Metrics catalogue\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		name, _, isRow := strings.Cut(strings.TrimPrefix(line, "| `"), "`")
+		if !isRow || !strings.HasPrefix(line, "| `rtmap_") {
+			continue
+		}
+		documented[name] = true
+		switch {
+		case want[name] == "":
+			t.Errorf("catalogue row for %s: no tier exports that family any more", name)
+		case line != want[name]:
+			t.Errorf("catalogue row for %s is stale\n have %s\n want %s", name, line, want[name])
+		}
+	}
+	for name, row := range want {
+		if !documented[name] {
+			t.Errorf("family %s is exported but not in the catalogue; add\n%s", name, row)
+		}
+	}
+}
+
+// TestOneExposition keeps internal/metrics the only renderer of the
+// Prometheus text format: no other non-test Go file may spell a # TYPE
+// line.
+func TestOneExposition(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || filepath.ToSlash(path) == "internal/metrics" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(src), "# TYPE") {
+			t.Errorf("%s renders exposition text itself; declare the family on a metrics.Registry", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -29,7 +29,8 @@
 //     model's p95 delay, first response wins, loser cancelled), and
 //     graceful degradation to 503 + Retry-After when every owner of a
 //     model is open or down. /metrics exports per-node health, retry/
-//     hedge/breaker counters and attempt-level latency histograms;
+//     hedge/breaker counters and attempt-level latency histograms
+//     (metrics.go; docs/ARCHITECTURE.md "Metrics catalogue");
 //     route/retry/hedge spans join node-side traces through the
 //     X-Rtmap-Trace header.
 //   - FaultInjector: node-level fault injection at the router's

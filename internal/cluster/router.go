@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"rtmap/internal/dispatch"
+	"rtmap/internal/metrics"
 	"rtmap/internal/serve"
 	"rtmap/internal/trace"
 )
@@ -110,6 +110,7 @@ type Router struct {
 	budget   *RetryBudget
 	lat      *Latencies
 	metrics  *Metrics
+	families *metrics.Registry // everything GET /metrics renders
 	tracer   *trace.Tracer
 	client   *http.Client
 
@@ -141,6 +142,7 @@ func New(opts Options) (*Router, error) {
 		transport = defaultTransport()
 	}
 	opts.Health.Logf = opts.Logf
+	families := new(metrics.Registry)
 	r := &Router{
 		opts:     opts,
 		ring:     ring,
@@ -148,7 +150,8 @@ func New(opts Options) (*Router, error) {
 		breakers: NewBreakers(opts.Nodes, opts.Breaker),
 		budget:   NewRetryBudget(opts.BudgetEarn, opts.BudgetBurst),
 		lat:      NewLatencies(),
-		metrics:  NewMetrics(),
+		metrics:  NewMetrics(families, opts.Nodes),
+		families: families,
 		tracer:   trace.New(opts.TraceBuf, opts.TraceSample, 0),
 		// No client-level timeout: each attempt carries its own
 		// class-derived context deadline.
@@ -161,12 +164,14 @@ func New(opts Options) (*Router, error) {
 		r.breakers.Reset(node)
 		r.opts.Logf("cluster: node %s rejoined, breaker reset", node)
 	})
+	collectMembership(families, r.health, r.breakers)
+	metrics.RegisterRuntime(families)
 	r.mux.HandleFunc("GET /healthz", r.handleHealth)
 	r.mux.HandleFunc("POST /v1/infer", r.handleInfer)
 	r.mux.HandleFunc("GET /v1/models", r.handleModels)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
+	r.mux.Handle("GET /metrics", families)
 	r.mux.HandleFunc("GET /cluster", r.handleCluster)
-	r.mux.HandleFunc("GET /debug/traces", r.handleTraces)
+	r.mux.Handle("GET /debug/traces", r.tracer)
 	r.http = &http.Server{Handler: r.mux}
 	return r, nil
 }
@@ -182,6 +187,9 @@ func (r *Router) Breakers() *Breakers { return r.breakers }
 
 // Metrics exposes the router counters (tests, the bench).
 func (r *Router) Metrics() *Metrics { return r.metrics }
+
+// MetricFamilies lists every family GET /metrics exports (the docs gate).
+func (r *Router) MetricFamilies() []*metrics.Family { return r.families.Families() }
 
 // Ring exposes the hash ring (tests, /cluster).
 func (r *Router) Ring() *Ring { return r.ring }
@@ -222,10 +230,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
-		httpJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	httpJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleModels proxies the model listing from the first routable node
@@ -258,13 +266,8 @@ func (r *Router) handleModels(w http.ResponseWriter, req *http.Request) {
 		w.Write(body)
 		return
 	}
-	shedJSON(w, "no routable node")
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.metrics.WritePrometheus(w, r.health, r.breakers)
-	fmt.Fprintf(w, "# TYPE rtmap_router_health_cycles_total counter\nrtmap_router_health_cycles_total %d\n", r.health.Cycles())
+	w.Header().Set("Retry-After", "1")
+	serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "no routable node", Kind: serve.KindUnavailable})
 }
 
 // clusterResponse is the /cluster member-table document.
@@ -285,22 +288,8 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 			NodeHealth: nh, Breaker: r.breakers.State(nh.Node).String(),
 		})
 	}
-	httpJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
-
-func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
-	spans := r.tracer.Snapshot()
-	total := r.tracer.Total()
-	httpJSON(w, http.StatusOK, struct {
-		Spans         []trace.Span `json:"spans"`
-		TotalRecorded uint64       `json:"total_recorded"`
-		Dropped       uint64       `json:"dropped"`
-	}{spans, total, total - uint64(len(spans))})
-}
-
-// maxDeadlineMS mirrors the node-side 24h deadline clamp: it keeps
-// extreme client floats out of the float→Duration conversion.
-const maxDeadlineMS = 24 * 60 * 60 * 1000
 
 // RouteKey is the ring key of one model variant: the architecture name
 // plus the build parameters that change its compiled artifact. Hashing
@@ -341,34 +330,34 @@ type proxyResult struct {
 
 func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
+	// refuse answers a router-made error and, like every way out of the
+	// handler, counts the request: requests_total = ok + failed = calls.
+	refuse := func(code int, kind, msg string) {
+		r.metrics.ObserveRequest(time.Since(t0), false)
+		serve.WriteJSON(w, code, serve.ErrorResponse{Error: msg, Kind: kind})
+	}
 	if r.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		httpJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "router draining", Kind: "unavailable"})
+		refuse(http.StatusServiceUnavailable, serve.KindUnavailable, "router draining")
 		return
 	}
 
 	body, err := serve.ReadBody(req.Body, req.ContentLength, r.opts.MaxBodyBytes)
 	if errors.Is(err, serve.ErrBodyTooLarge) {
-		httpJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: "request body exceeds router limit", Kind: "bad_request"})
+		refuse(http.StatusRequestEntityTooLarge, serve.KindBadRequest, "request body exceeds router limit")
 		return
 	}
 	if err != nil {
-		httpJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error(), Kind: "bad_request"})
+		refuse(http.StatusBadRequest, serve.KindBadRequest, "reading body: "+err.Error())
 		return
 	}
 	rt, hasModel := routeOf(body, req.Header, t0)
 	if !hasModel {
-		httpJSON(w, http.StatusBadRequest,
-			errorResponse{Error: "request carries no model name", Kind: "bad_request"})
+		refuse(http.StatusBadRequest, serve.KindBadRequest, "request carries no model name")
 		return
 	}
 
-	traceID := req.Header.Get(serve.TraceHeader)
-	if traceID == "" && r.tracer.SampleRequest() {
-		traceID = trace.NewID()
-	}
+	traceID := r.tracer.Intake(req.Header.Get(serve.TraceHeader))
 
 	res := r.proxyWithPolicy(req.Context(), rt.key, rt.model, rt.class, rt.deadline, traceID, body, req.Header)
 
@@ -386,20 +375,17 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 	}
 
 	if res == nil {
-		r.metrics.ObserveShed()
-		r.metrics.ObserveRequest(wall, false)
+		r.metrics.sheds.Inc()
 		if !rt.deadline.IsZero() && !time.Now().Before(rt.deadline) {
 			// The deadline ran out before any attempt produced an
 			// answer: the request is expired, not the cluster dead.
-			httpJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "deadline expired before an attempt completed", Kind: "expired"})
+			refuse(http.StatusServiceUnavailable, serve.KindExpired, "deadline expired before an attempt completed")
 			return
 		}
 		// No routable owner, or the policy gave up without a response to
 		// relay: the cluster as a whole sheds.
 		w.Header().Set("Retry-After", "1")
-		httpJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "no live owner for model", Kind: "unavailable"})
+		refuse(http.StatusServiceUnavailable, serve.KindUnavailable, "no live owner for model")
 		return
 	}
 	if res.outcome != outcomeRelay {
@@ -407,10 +393,8 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 		// No node accepted the request, so this is a clean retryable
 		// rejection (503), same contract as a breaker/owner shed — the
 		// router never converts an unaccepted request into a hard error.
-		r.metrics.ObserveRequest(wall, false)
 		w.Header().Set("Retry-After", "1")
-		httpJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: fmt.Sprintf("node %s: %v", res.node, res.err), Kind: "unavailable"})
+		refuse(http.StatusServiceUnavailable, serve.KindUnavailable, fmt.Sprintf("node %s: %v", res.node, res.err))
 		return
 	}
 
@@ -437,50 +421,23 @@ type route struct {
 
 // routeOf decodes the header of a proxied inference body — the
 // activations are skipped, not parsed (serve.DecodeInferHeader) — and
-// resolves the SLO fields against the request headers. The policy is
-// deadline- and class-aware even when clients set them in the body.
-// false means the body names no model.
+// resolves the SLO fields against the request headers as the node will
+// (serve.ResolveSLO). The policy is deadline- and class-aware even when
+// clients set them in the body. false means the body names no model.
 func routeOf(body []byte, hdr http.Header, now time.Time) (route, bool) {
 	probe, err := serve.DecodeInferHeader(body)
 	if err != nil || probe.Model == "" {
 		return route{}, false
 	}
 
-	// Headers win over body fields, same precedence as the node's
-	// parseSLO; malformed values are forwarded untouched for the node to
-	// reject rather than second-guessed here.
-	cs := probe.Class
-	if h := hdr.Get(serve.ClassHeader); h != "" {
-		cs = h
-	}
-	class, _ := dispatch.ParseClass(cs)
-	ms := probe.DeadlineMS
-	if h := hdr.Get(serve.DeadlineHeader); h != "" {
-		// ParseFloat, not Atoi: the node accepts fractional milliseconds,
-		// and the router's clamp must fire for every deadline the node
-		// would enforce.
-		if v, err := strconv.ParseFloat(h, 64); err == nil {
-			ms = v
-		}
-	}
-	deadline := time.Time{}
-	if ms > 0 && !math.IsInf(ms, 0) && !math.IsNaN(ms) {
-		if ms > maxDeadlineMS {
-			ms = maxDeadlineMS
-		}
-		deadline = now.Add(time.Duration(ms * float64(time.Millisecond)))
-	}
+	// A class or deadline the node will refuse routes as standard class
+	// with no deadline; the body and headers are forwarded untouched and
+	// the node answers the authoritative 400.
+	class, deadline, _ := serve.ResolveSLO(hdr, &probe, now)
 	return route{
 		key:   RouteKey(probe.Model, probe.ActBits, probe.Sparsity, probe.Seed),
 		model: probe.Model, class: class, deadline: deadline,
 	}, true
-}
-
-// errorResponse mirrors the node-side error document so router-origin
-// errors are indistinguishable in shape from node-origin ones.
-type errorResponse struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind,omitempty"`
 }
 
 // proxyWithPolicy runs the full robustness policy for one request:
@@ -533,7 +490,7 @@ func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class d
 				// attempt will run: release the trial or it leaks and the
 				// node is refused forever.
 				r.breakers.CancelTrial(node)
-				r.metrics.ObserveBudgetExhausted()
+				r.metrics.budgetExhausted.Inc()
 				break
 			}
 			backoff := dispatch.Backoff(r.opts.BackoffBase, r.opts.BackoffCap, attempt-1)
@@ -546,7 +503,7 @@ func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class d
 				r.breakers.CancelTrial(node)
 				break
 			}
-			r.metrics.ObserveRetry()
+			r.metrics.retries.Inc()
 			if traceID != "" {
 				reason := "transport"
 				if last != nil && last.status != 0 {
@@ -644,7 +601,7 @@ func (r *Router) hedgedAttempt(ctx context.Context, primary, key, model string, 
 					// Allow admitted the candidate but the budget refused
 					// the hedge: release any half-open trial admission.
 					r.breakers.CancelTrial(hedgeNode)
-					r.metrics.ObserveBudgetExhausted()
+					r.metrics.budgetExhausted.Inc()
 					hedgeNode = ""
 				}
 				continue
@@ -801,7 +758,7 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 		res.outcome = outcomeRelay
 		r.lat.Observe(model, res.wall)
 		r.metrics.ObserveAttempt(node, attemptOK, res.wall)
-	case res.status == http.StatusServiceUnavailable && errKind(res.body) != "expired":
+	case res.status == http.StatusServiceUnavailable && errKind(res.body) != serve.KindExpired:
 		// 503 kind unavailable: the node is draining or lost capacity for
 		// this model — the canonical safe retry (kind "expired" is the
 		// request's own deadline talking; another node can't beat it).
@@ -819,7 +776,7 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 
 // errKind extracts the "kind" field of a node error document.
 func errKind(body []byte) string {
-	var e errorResponse
+	var e serve.ErrorResponse
 	if json.Unmarshal(body, &e) == nil {
 		return e.Kind
 	}
@@ -836,18 +793,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// shedJSON answers a router-level 503 with Retry-After.
-func shedJSON(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	httpJSON(w, http.StatusServiceUnavailable, errorResponse{Error: msg, Kind: "unavailable"})
-}
-
-// httpJSON writes v as a JSON response (the serve package's helper is
-// unexported; four lines beats an export).
-func httpJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

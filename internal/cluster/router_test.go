@@ -2,21 +2,26 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"rtmap/internal/dispatch"
 	"rtmap/internal/serve"
+	"rtmap/internal/trace"
 )
 
 // stubNode is one fake rtmap-serve backend: healthy /healthz plus a
@@ -553,5 +558,128 @@ func TestRouterDefaultTransportKeepsNodeConnections(t *testing.T) {
 	}
 	if n := opened.Load(); n >= 40 {
 		t.Fatalf("router opened %d connections to one node for %d rounds of %d concurrent requests, want < 40", n, rounds, concurrent)
+	}
+}
+
+// Every call of the /v1/infer handler is counted exactly once, whichever
+// way out it takes: the four exits before routing (draining, oversized
+// body, unreadable body, no model name) used to be counted nowhere, so
+// rtmap_router_requests_total could not be checked against what clients
+// sent.
+func TestRouterCountsEveryRequest(t *testing.T) {
+	stub := newStub(t, ok200(`{"model":"m","results":[]}`))
+	r, ts := newTestRouter(t, Options{MaxBodyBytes: 64}, stub.ts.URL)
+	calls := []struct {
+		name string
+		body io.Reader
+		prep func()
+		want int
+	}{
+		{"relayed", strings.NewReader(`{"model":"m","inputs":[[1,2,3]]}`), nil, http.StatusOK},
+		{"oversized body", strings.NewReader(`{"model":"m","inputs":[[` + strings.Repeat("1,", 64) + `1]]}`), nil, http.StatusRequestEntityTooLarge},
+		{"unreadable body", iotest.ErrReader(errors.New("connection reset")), nil, http.StatusBadRequest},
+		{"no model name", strings.NewReader(`{"inputs":[[1,2,3]]}`), nil, http.StatusBadRequest},
+		{"draining", strings.NewReader(`{"model":"m","inputs":[[1,2,3]]}`), func() { r.draining.Store(true) }, http.StatusServiceUnavailable},
+	}
+	for _, c := range calls {
+		if c.prep != nil {
+			c.prep()
+		}
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", c.body))
+		if rec.Code != c.want {
+			t.Errorf("%s: HTTP %d, want %d: %s", c.name, rec.Code, c.want, rec.Body)
+		}
+	}
+	body := scrape(t, ts.URL)
+	value := func(series string) int {
+		m := regexp.MustCompile(`(?m)^` + series + ` (\d+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("/metrics has no %s:\n%s", series, body)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	total, ok, failed := value("rtmap_router_requests_total"), value("rtmap_router_requests_ok_total"), value("rtmap_router_requests_failed_total")
+	if total != len(calls) || ok != 1 || total != ok+failed {
+		t.Errorf("requests_total %d, ok %d, failed %d after %d calls of which 1 relayed a 200", total, ok, failed, len(calls))
+	}
+	if n := value("rtmap_router_request_seconds_count"); n != len(calls) {
+		t.Errorf("request_seconds_count %d, want %d", n, len(calls))
+	}
+}
+
+// The router applies the node's trace intake rule: an ID longer than 64
+// bytes is ignored — neither recorded in route spans nor forwarded to a
+// node that would drop it, leaving two halves of a trace that never
+// join — and a 64-byte one is honoured.
+func TestRouterIgnoresOversizedTraceID(t *testing.T) {
+	var forwarded atomic.Value
+	stub := newStub(t, func(w http.ResponseWriter, r *http.Request) {
+		forwarded.Store(r.Header.Get(serve.TraceHeader))
+		ok200(`{"model":"m","results":[]}`)(w, r)
+	})
+	r, ts := newTestRouter(t, Options{}, stub.ts.URL)
+	for _, c := range []struct {
+		id     string
+		traced bool
+	}{
+		{strings.Repeat("a", trace.MaxIDLen), true},
+		{strings.Repeat("b", trace.MaxIDLen+1), false},
+	} {
+		before := r.tracer.Total()
+		if resp, raw := postInfer(t, ts.URL, "m", map[string]string{serve.TraceHeader: c.id}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
+		}
+		want := ""
+		if c.traced {
+			want = c.id
+		}
+		if got := forwarded.Load(); got != want {
+			t.Errorf("%d-byte trace ID: node saw %q, want %q", len(c.id), got, want)
+		}
+		if recorded := r.tracer.Total() > before; recorded != c.traced {
+			t.Errorf("%d-byte trace ID: route span recorded = %v, want %v", len(c.id), recorded, c.traced)
+		}
+	}
+}
+
+// The router's /debug/traces is the node's: same document, same
+// ?trace= and ?model= filters (rtmap-load -trace-sample sends ?model= to
+// whichever tier it is pointed at).
+func TestRouterTracesEndpointFilters(t *testing.T) {
+	stub := newStub(t, ok200(`{"model":"m","results":[]}`))
+	_, ts := newTestRouter(t, Options{}, stub.ts.URL)
+	for _, rq := range [][2]string{{"m1", "trace-one"}, {"m2", "trace-two"}, {"m2", "trace-three"}} {
+		if resp, raw := postInfer(t, ts.URL, rq[0], map[string]string{serve.TraceHeader: rq[1]}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
+		}
+	}
+	for _, c := range []struct {
+		query string
+		want  []string // trace IDs, oldest first
+	}{
+		{"", []string{"trace-one", "trace-two", "trace-three"}},
+		{"?trace=trace-two", []string{"trace-two"}},
+		{"?model=m2", []string{"trace-two", "trace-three"}},
+		{"?model=m2&trace=trace-one", []string{}},
+	} {
+		resp, err := http.Get(ts.URL + "/debug/traces" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d trace.Dump
+		err = json.NewDecoder(resp.Body).Decode(&d)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []string{}
+		for _, sp := range d.Spans {
+			got = append(got, sp.TraceID)
+		}
+		if !slices.Equal(got, c.want) || d.TotalRecorded != 3 || d.Dropped != 0 {
+			t.Errorf("/debug/traces%s: traces %v (total %d, dropped %d), want %v of 3 recorded", c.query, got, d.TotalRecorded, d.Dropped, c.want)
+		}
 	}
 }

@@ -93,10 +93,14 @@ func FuzzRouterProbe(f *testing.F) {
 			DeadlineMS float64  `json:"deadline_ms"`
 		}
 		if took && json.Unmarshal(body, &ref) == nil && ref.Model != "" {
-			class, _ := dispatch.ParseClass(ref.Class)
-			want := route{key: RouteKey(ref.Model, ref.ActBits, ref.Sparsity, ref.Seed), model: ref.Model, class: class}
-			if ms := ref.DeadlineMS; ms > 0 {
-				want.deadline = now.Add(time.Duration(min(ms, maxDeadlineMS) * float64(time.Millisecond)))
+			// A class or deadline the node will answer 400 to routes as
+			// standard class with no deadline.
+			want := route{key: RouteKey(ref.Model, ref.ActBits, ref.Sparsity, ref.Seed), model: ref.Model, class: dispatch.ClassStandard}
+			if class, err := dispatch.ParseClass(ref.Class); err == nil && ref.DeadlineMS >= 0 {
+				want.class = class
+				if ms := ref.DeadlineMS; ms > 0 {
+					want.deadline = now.Add(time.Duration(min(ms, serve.MaxDeadlineMS) * float64(time.Millisecond)))
+				}
 			}
 			if got != want {
 				t.Fatalf("probe %+v, full decode %+v: %q", got, want, body)

@@ -206,9 +206,7 @@ func (b *batcher) dispatch(batch []dispatch.Ticket, why dispatch.CloseReason) {
 		items[i] = it
 	}
 	b.depth.Add(-int64(len(items)))
-	if m := b.fleet.metrics; m != nil {
-		m.ObserveBatchClose(why)
-	}
+	b.fleet.metrics.batchClose[why].Inc()
 	ab := newAPBatch(b.e, items)
 	ab.closed = why.String()
 	b.fleet.Submit(ab)

@@ -186,7 +186,9 @@ func TestBatcherDispatchesToIdleFleet(t *testing.T) {
 			med, s.opts.Window, queued[n-1])
 	}
 	var body strings.Builder
-	s.metrics.WritePrometheus(&body, nil)
+	if err := s.families.Write(&body); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		fmt.Sprintf(`rtmap_batch_close_total{reason="idle"} %d`, n),
 		`rtmap_batch_close_total{reason="window"} 0`,

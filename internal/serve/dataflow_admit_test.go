@@ -37,7 +37,7 @@ func TestAdmitRejectsDataflowFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("HTTP %d, want 400", resp.StatusCode)
 	}
-	var er errorResponse
+	var er ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

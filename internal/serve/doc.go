@@ -32,7 +32,9 @@
 // across live replicas, and the fault layer (FailDevice) requeues work
 // from a dead device onto a surviving replica with bounded retries —
 // re-execution is deterministic, so failover preserves bit-exact
-// results. Per-replica health is exposed on /v1/models and /metrics.
+// results. Per-replica health is exposed on /v1/models and /metrics;
+// everything /metrics exports is declared in metrics.go on an
+// internal/metrics Registry (docs/ARCHITECTURE.md "Metrics catalogue").
 // Admission failures a client can cause (a malformed model file behind
 // Options.ModelFiles) are errors mapped to HTTP 400; panics are reserved
 // for internal invariant violations (see docs/ARCHITECTURE.md).

@@ -45,8 +45,8 @@ func (f *Fleet) FailDevice(id int) error {
 	// A batcher waiting on this device must look again: its placement may
 	// have nothing alive left, and then its batch should fail now.
 	f.wakeBatchers()
-	if !already && f.metrics != nil {
-		f.metrics.ObserveDeviceFailure()
+	if !already {
+		f.metrics.deviceFailures.Inc()
 	}
 	return nil
 }
@@ -89,9 +89,7 @@ func (f *Fleet) requeue(from *device, b *apBatch) {
 	d.queued++
 	f.pending++
 	f.mu.Unlock()
-	if f.metrics != nil {
-		f.metrics.ObserveRequeue()
-	}
+	f.metrics.requeues.Inc()
 	// Cold path: the batch just lost its device, so span formatting cost
 	// is irrelevant. Device records the DEAD device the batch bounced
 	// off; the new placement shows up in the retry's queue/stage spans.

@@ -9,6 +9,7 @@ import (
 
 	"rtmap/internal/dispatch"
 	"rtmap/internal/energy"
+	"rtmap/internal/metrics"
 	"rtmap/internal/sim"
 	"rtmap/internal/trace"
 )
@@ -141,6 +142,8 @@ type device struct {
 //   - unpinned entries go to the live device with the fewest outstanding
 //     batches (ties to the least simulated busy time).
 type Fleet struct {
+	// metrics is the node's instrument set; the batchers and the model
+	// registry observe through it too.
 	metrics *Metrics
 	// tracer, when non-nil, receives spans for items carrying a trace ID
 	// (set once by serve.New before traffic; a bare Fleet works without).
@@ -179,13 +182,17 @@ type Fleet struct {
 }
 
 // NewFleet starts n device goroutines with per-device queues of depth
-// queueCap.
+// queueCap. A nil m (a bare Fleet, outside a Server) observes into a
+// private registry nobody scrapes.
 func NewFleet(n, queueCap int, m *Metrics) *Fleet {
 	if n <= 0 {
 		n = 1
 	}
 	if queueCap <= 0 {
 		queueCap = 64
+	}
+	if m == nil {
+		m = NewMetrics(new(metrics.Registry), n)
 	}
 	f := &Fleet{metrics: m}
 	f.cond = sync.NewCond(&f.mu)
@@ -679,9 +686,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			f.itemSpan(it, b, span, d.id, spanStage, start, dur, "")
 		}
 	}
-	if f.metrics != nil {
-		f.metrics.ObserveExec(b.stage, dur)
-	}
+	f.metrics.ObserveExec(b.stage, dur)
 
 	if b.stage < k-1 {
 		b.stage++
@@ -709,14 +714,13 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		info.QueueWallNS = b.started.Sub(it.enq).Nanoseconds()
 		b.done[i] = true
 		it.res <- itemResult{logits: append([]int32(nil), lg.Data...), argmax: lg.ArgmaxInt()[0], info: info}
-		if f.metrics != nil {
-			disp := dispatchOf(it)
-			f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
-		}
+		disp := dispatchOf(it)
+		f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
 	}
-	if f.metrics != nil {
-		f.metrics.ObserveBatch(len(b.items), b.simNS, b.simPJ)
-	}
+	f.metrics.batches.Inc()
+	f.metrics.batchedSamples.Add(int64(len(b.items)))
+	f.metrics.simDeviceNS.Add(b.simNS)
+	f.metrics.simEnergyPJ.Add(b.simPJ)
 	b.e.est.Observe(len(b.items), time.Duration(b.execNS), f.parallelism(b))
 }
 

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sync"
+	"strconv"
 	"time"
 
 	"rtmap/internal/dispatch"
@@ -56,155 +54,113 @@ func classIndex(c dispatch.Class) int {
 // className returns the exposition label of a class row.
 func className(i int) string { return dispatch.Class(i).String() }
 
-// Metrics accumulates the serving counters exposed at /metrics in
-// Prometheus text exposition format. Hand-rolled: the module carries no
-// dependencies, and the format is a few lines of text.
+// Metrics holds the instruments the node's request path updates, all
+// resolved by NewMetrics: an observation is an atomic add or one histogram's
+// own lock, so handlers, batchers and device goroutines share nothing.
 type Metrics struct {
-	mu sync.Mutex
+	requests, inferences, errors, batches, batchedSamples *metrics.Counter
+	requeues, deviceFailures, scaleUps, scaleDowns        *metrics.Counter
+	planVerifyFails, dataflowVerifyFails                  *metrics.Counter
+	certHits, certMisses                                  *metrics.Counter
+	simDeviceNS, simEnergyPJ                              *metrics.FloatCounter
 
-	requests   int64 // HTTP inference requests
-	inferences int64 // individual samples served
-	errors     int64 // failed requests
+	batchClose                  [dispatch.NumCloseReasons]*metrics.Counter // by dispatch.CloseReason
+	deadlineMet, deadlineMissed [dispatch.NumClasses]*metrics.Counter
 
-	batches      int64
-	batchSizeSum int64
-	simLatencyNS float64
-	simEnergyPJ  float64
+	// slo is the per-class request ledger, [class][outcome]. A collector
+	// renders the cells and their per-class sum from one read, so the
+	// submitted total partitions exactly in every scrape.
+	slo [dispatch.NumClasses][numOutcomes]metrics.Counter
 
-	// batchClose counts batches leaving formation by the rule that closed
-	// them, indexed by dispatch.CloseReason.
-	batchClose [dispatch.NumCloseReasons]int64
-
-	requeues       int64 // batches requeued off dead devices
-	deviceFailures int64 // devices marked dead
-
-	planVerifyFails int64 // model admissions rejected by the plan verifier
-
-	dataflowVerifyFails int64 // admissions rejected by the dataflow verifier
-	certHits            int64 // admissions proved by a stored plan certificate
-	certMisses          int64 // admissions that paid a full dataflow verification
-
-	// slo is the per-class request ledger, [class][outcome]; deadline
-	// counts met/missed results among accepted requests that carried a
-	// deadline. scaleUps/scaleDowns count autoscaler resizes.
-	slo            [dispatch.NumClasses][numOutcomes]int64
-	deadlineMet    [dispatch.NumClasses]int64
-	deadlineMissed [dispatch.NumClasses]int64
-	scaleUps       int64
-	scaleDowns     int64
-
-	lat metrics.Histogram // whole-request wall time
-
-	// phases decomposes request wall time per delivered item, indexed
-	// like phaseNames; stageExec attributes execution wall time to
-	// pipeline stages (a one-stage pipeline fills index 0 only), grown on
-	// demand to the deepest stage observed.
-	phases    [len(phaseNames)]metrics.Histogram
-	stageExec []metrics.Histogram
+	// lat is whole-request wall time; phases decomposes it per delivered
+	// item, indexed like phaseNames; stageExec attributes execution wall
+	// time to pipeline stages (a one-stage pipeline fills index 0 only).
+	lat       *metrics.Histogram
+	phases    [len(phaseNames)]*metrics.Histogram
+	stageExec []*metrics.Histogram
 }
 
-func NewMetrics() *Metrics {
-	m := &Metrics{lat: metrics.NewHistogram(latencyBuckets)}
-	for i := range m.phases {
-		m.phases[i] = metrics.NewHistogram(latencyBuckets)
+// NewMetrics declares the request-path families on reg. stages bounds
+// the pipeline depth ObserveExec will see (the fleet size).
+func NewMetrics(reg *metrics.Registry, stages int) *Metrics {
+	counter := func(name, help string, labels ...string) *metrics.Family {
+		return reg.Declare(metrics.KindCounter, name, help, labels...)
+	}
+	m := &Metrics{
+		requests:            counter("rtmap_requests_total", "POST /v1/infer requests finished, whatever their outcome.").Counter(),
+		inferences:          counter("rtmap_inferences_total", "Input samples served in successful requests.").Counter(),
+		errors:              counter("rtmap_request_errors_total", "Requests answered with any 4xx or 5xx.").Counter(),
+		batches:             counter("rtmap_batches_total", "Batches that ran to completion on the fleet.").Counter(),
+		batchedSamples:      counter("rtmap_batched_samples_total", "Samples in completed batches; over rtmap_batches_total, the mean batch size.").Counter(),
+		simDeviceNS:         counter("rtmap_sim_device_ns_total", "Modeled device latency of completed batches, summed over stages (cost model, ns).").FloatCounter(),
+		simEnergyPJ:         counter("rtmap_sim_energy_pj_total", "Modeled energy of completed batches (cost model, pJ).").FloatCounter(),
+		requeues:            counter("rtmap_requeued_batches_total", "Batches requeued off a dead device onto a surviving replica.").Counter(),
+		deviceFailures:      counter("rtmap_device_failures_total", "Devices marked dead.").Counter(),
+		planVerifyFails:     counter("rtmap_plan_verify_failures_total", "Model admissions rejected because a compiled plan failed static verification.").Counter(),
+		dataflowVerifyFails: counter("rtmap_dataflow_verify_failures_total", "Model admissions rejected by the whole-artifact dataflow verifier.").Counter(),
+		certHits:            counter("rtmap_certificate_hits_total", "Admissions proved by a stored plan certificate instead of re-verification.").Counter(),
+		certMisses:          counter("rtmap_certificate_misses_total", "Admissions that paid a full dataflow verification (and stored its certificate).").Counter(),
+		lat:                 reg.Declare(metrics.KindHistogram, "rtmap_request_seconds", "Wall time of a /v1/infer request inside the handler.").Histogram(latencyBuckets),
+	}
+	closes := counter("rtmap_batch_close_total", "Batches leaving formation, by the rule that closed them: full, idle device, deadline pressure, window cap, drain.", "reason")
+	for why := range m.batchClose {
+		m.batchClose[why] = closes.Counter(dispatch.CloseReason(why).String())
+	}
+	// Every (class, outcome) cell is emitted — zeros included — so audits
+	// can assert exact equalities without guessing at absent series.
+	sloRequests := counter("rtmap_slo_requests_total", "Finished requests by priority class and terminal outcome; every request lands in exactly one cell.", "class", "outcome")
+	sloSubmitted := counter("rtmap_slo_submitted_total", "Requests submitted per class: the sum of the class's outcome cells, read in the same scrape.", "class")
+	reg.Collect(func(s *metrics.Scrape) {
+		for c := range m.slo {
+			var sum int64
+			for o := range m.slo[c] {
+				n := m.slo[c][o].Load()
+				sum += n
+				s.Int(sloRequests, n, className(c), outcomeNames[o])
+			}
+			s.Int(sloSubmitted, sum, className(c))
+		}
+	})
+	deadlines := counter("rtmap_slo_deadline_total", "Accepted deadline-bearing requests, by whether they finished inside their budget.", "class", "result")
+	for c := range m.deadlineMet {
+		m.deadlineMet[c] = deadlines.Counter(className(c), "met")
+		m.deadlineMissed[c] = deadlines.Counter(className(c), "missed")
+	}
+	scales := counter("rtmap_scaler_decisions_total", "Autoscaler resizes applied, by direction of the device count.", "direction")
+	m.scaleUps, m.scaleDowns = scales.Counter("up"), scales.Counter("down")
+	phases := reg.Declare(metrics.KindHistogram, "rtmap_request_phase_seconds", "Per delivered sample: wait (enqueue to batch dispatch), queue (dispatch to execution start), exec (execution, summed over stages).", "phase")
+	for i, name := range phaseNames {
+		m.phases[i] = phases.Histogram(latencyBuckets, name)
+	}
+	stageExec := reg.Declare(metrics.KindHistogram, "rtmap_stage_exec_seconds", "Execution wall time of one batch on one pipeline stage; a stage appears once it has run.", "stage")
+	stageExec.Sparse = true
+	for i := 0; i < stages; i++ {
+		m.stageExec = append(m.stageExec, stageExec.Histogram(latencyBuckets, strconv.Itoa(i)))
 	}
 	return m
 }
 
 // ObserveRequest records one finished /v1/infer request.
 func (m *Metrics) ObserveRequest(wall time.Duration, samples int, failed bool) {
-	s := wall.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests++
-	m.inferences += int64(samples)
+	m.requests.Inc()
+	m.inferences.Add(int64(samples))
 	if failed {
-		m.errors++
+		m.errors.Inc()
 	}
-	m.lat.Observe(s)
+	m.lat.Observe(wall.Seconds())
 }
 
-// ObserveItemPhases records one delivered item's wall-time
-// decomposition: batcher wait, fleet queue, and execution (summed over
-// pipeline stages for sharded models).
+// ObserveItemPhases records one delivered item's wall-time decomposition:
+// batcher wait, fleet queue, execution (summed over pipeline stages).
 func (m *Metrics) ObserveItemPhases(wait, queue, exec time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.phases[0].Observe(wait.Seconds())
 	m.phases[1].Observe(queue.Seconds())
 	m.phases[2].Observe(exec.Seconds())
 }
 
-// ObserveExec attributes one batch's execution wall time to a pipeline
-// stage.
+// ObserveExec attributes one batch's execution wall time to a stage.
 func (m *Metrics) ObserveExec(stage int, wall time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.stageExec) <= stage {
-		m.stageExec = append(m.stageExec, metrics.NewHistogram(latencyBuckets))
-	}
 	m.stageExec[stage].Observe(wall.Seconds())
-}
-
-// ObserveBatch records one batch dispatched to a device.
-func (m *Metrics) ObserveBatch(size int, simNS, simPJ float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batches++
-	m.batchSizeSum += int64(size)
-	m.simLatencyNS += simNS
-	m.simEnergyPJ += simPJ
-}
-
-// ObserveBatchClose records why formation closed one batch.
-func (m *Metrics) ObserveBatchClose(why dispatch.CloseReason) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batchClose[why]++
-}
-
-// ObserveRequeue records one batch requeued off a dead device onto a
-// surviving replica.
-func (m *Metrics) ObserveRequeue() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requeues++
-}
-
-// ObserveDeviceFailure records one device marked dead.
-func (m *Metrics) ObserveDeviceFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deviceFailures++
-}
-
-// ObservePlanVerifyFailure records one model admission rejected because
-// its compiled plans failed static verification.
-func (m *Metrics) ObservePlanVerifyFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.planVerifyFails++
-}
-
-// ObserveDataflowVerifyFailure records one model admission rejected
-// because the whole-artifact dataflow verifier refuted it.
-func (m *Metrics) ObserveDataflowVerifyFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dataflowVerifyFails++
-}
-
-// ObserveCertificate records one clean dataflow admission: a hit means
-// a stored plan certificate was trusted in place of re-verification, a
-// miss means the artifact was verified from scratch (and certified).
-func (m *Metrics) ObserveCertificate(hit bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if hit {
-		m.certHits++
-	} else {
-		m.certMisses++
-	}
 }
 
 // ObserveSLO records one finished request in the per-class ledger.
@@ -213,123 +169,54 @@ func (m *Metrics) ObserveSLO(class dispatch.Class, outcome SLOOutcome) {
 	if outcome < 0 || int(outcome) >= numOutcomes {
 		outcome = OutcomeFailed
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.slo[classIndex(class)][outcome]++
+	m.slo[classIndex(class)][outcome].Inc()
 }
 
-// ObserveDeadline records whether an accepted, deadline-bearing request
-// was served within its budget.
-func (m *Metrics) ObserveDeadline(class dispatch.Class, met bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if met {
-		m.deadlineMet[classIndex(class)]++
-	} else {
-		m.deadlineMissed[classIndex(class)]++
-	}
+// collectFleet declares the per-device families, fed from one Fleet.Stats
+// snapshot per scrape so the series agree with each other.
+func collectFleet(reg *metrics.Registry, fleet *Fleet) {
+	up := reg.Declare(metrics.KindGauge, "rtmap_device_up", "1 while the device is alive, 0 once it is marked dead.", "device")
+	queued := reg.Declare(metrics.KindGauge, "rtmap_device_queue_depth", "Batches queued on or executing on the device.", "device")
+	batches := reg.Declare(metrics.KindCounter, "rtmap_device_batches_total", "Batch stages the device has executed.", "device")
+	busy := reg.Declare(metrics.KindCounter, "rtmap_device_sim_busy_ns_total", "Modeled time the device spent executing (cost model, ns).", "device")
+	energy := reg.Declare(metrics.KindCounter, "rtmap_device_energy_pj_total", "Modeled energy the device spent (cost model, pJ).", "device")
+	writes := reg.Declare(metrics.KindCounter, "rtmap_device_writes_total", "Modeled write wear: writes to the device's busiest cell (endurance model).", "device")
+	reg.Collect(func(s *metrics.Scrape) {
+		for _, d := range fleet.Stats() {
+			id := strconv.Itoa(d.ID)
+			s.Bool(up, d.Up, id)
+			s.Int(queued, int64(d.Queued), id)
+			s.Int(batches, d.Batches, id)
+			s.Float(busy, d.SimBusyNS, id)
+			s.Float(energy, d.EnergyPJ, id)
+			s.Float(writes, d.Writes, id)
+		}
+	})
 }
 
-// ObserveScale records one applied autoscaler resize.
-func (m *Metrics) ObserveScale(up bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if up {
-		m.scaleUps++
-	} else {
-		m.scaleDowns++
-	}
-}
-
-// WritePrometheus renders the counters. extra, when non-nil, appends
-// caller-owned series (gauges that live outside Metrics).
-func (m *Metrics) WritePrometheus(w io.Writer, extra func(io.Writer)) {
-	m.mu.Lock()
-	snap := struct {
-		requests, inferences, errors, batches, batchSizeSum int64
-		requeues, deviceFailures, planVerifyFails           int64
-		dataflowVerifyFails, certHits, certMisses           int64
-		simLatencyNS, simEnergyPJ                           float64
-	}{m.requests, m.inferences, m.errors, m.batches, m.batchSizeSum,
-		m.requeues, m.deviceFailures, m.planVerifyFails,
-		m.dataflowVerifyFails, m.certHits, m.certMisses,
-		m.simLatencyNS, m.simEnergyPJ}
-	slo, batchClose := m.slo, m.batchClose
-	deadlineMet, deadlineMissed := m.deadlineMet, m.deadlineMissed
-	scaleUps, scaleDowns := m.scaleUps, m.scaleDowns
-	lat := m.lat.Clone()
-	var phases [len(phaseNames)]metrics.Histogram
-	for i := range m.phases {
-		phases[i] = m.phases[i].Clone()
-	}
-	stageExec := make([]metrics.Histogram, len(m.stageExec))
-	for i := range m.stageExec {
-		stageExec[i] = m.stageExec[i].Clone()
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(w, "# TYPE rtmap_requests_total counter\nrtmap_requests_total %d\n", snap.requests)
-	fmt.Fprintf(w, "# TYPE rtmap_inferences_total counter\nrtmap_inferences_total %d\n", snap.inferences)
-	fmt.Fprintf(w, "# TYPE rtmap_request_errors_total counter\nrtmap_request_errors_total %d\n", snap.errors)
-	fmt.Fprintf(w, "# TYPE rtmap_batches_total counter\nrtmap_batches_total %d\n", snap.batches)
-	fmt.Fprintf(w, "# TYPE rtmap_batched_samples_total counter\nrtmap_batched_samples_total %d\n", snap.batchSizeSum)
-	fmt.Fprintf(w, "# TYPE rtmap_batch_close_total counter\n")
-	for why, n := range batchClose {
-		fmt.Fprintf(w, "rtmap_batch_close_total{reason=%q} %d\n", dispatch.CloseReason(why), n)
-	}
-	fmt.Fprintf(w, "# TYPE rtmap_sim_device_ns_total counter\nrtmap_sim_device_ns_total %g\n", snap.simLatencyNS)
-	fmt.Fprintf(w, "# TYPE rtmap_sim_energy_pj_total counter\nrtmap_sim_energy_pj_total %g\n", snap.simEnergyPJ)
-	fmt.Fprintf(w, "# TYPE rtmap_requeued_batches_total counter\nrtmap_requeued_batches_total %d\n", snap.requeues)
-	fmt.Fprintf(w, "# TYPE rtmap_device_failures_total counter\nrtmap_device_failures_total %d\n", snap.deviceFailures)
-	fmt.Fprintf(w, "# TYPE rtmap_plan_verify_failures_total counter\nrtmap_plan_verify_failures_total %d\n", snap.planVerifyFails)
-	fmt.Fprintf(w, "# TYPE rtmap_dataflow_verify_failures_total counter\nrtmap_dataflow_verify_failures_total %d\n", snap.dataflowVerifyFails)
-	fmt.Fprintf(w, "# TYPE rtmap_certificate_hits_total counter\nrtmap_certificate_hits_total %d\n", snap.certHits)
-	fmt.Fprintf(w, "# TYPE rtmap_certificate_misses_total counter\nrtmap_certificate_misses_total %d\n", snap.certMisses)
-
-	// The SLO ledger emits every (class, outcome) cell — zeros included —
-	// so audits can assert exact equalities without guessing at absent
-	// series, and submitted is derived from the same snapshot so the
-	// accounting identity (sum of outcomes == submitted) holds exactly.
-	fmt.Fprintf(w, "# TYPE rtmap_slo_requests_total counter\n")
-	for c := range slo {
-		for o, n := range slo[c] {
-			fmt.Fprintf(w, "rtmap_slo_requests_total{class=%q,outcome=%q} %d\n",
-				className(c), outcomeNames[o], n)
+// collectModels declares the per-model families, fed from one
+// Registry.Loaded snapshot per scrape.
+func collectModels(reg *metrics.Registry, models *Registry) {
+	loaded := reg.Declare(metrics.KindGauge, "rtmap_models_loaded", "Model variants resident in the registry, admissions still compiling included.")
+	stages := reg.Declare(metrics.KindGauge, "rtmap_model_stages", "Pipeline depth the model is served at.", "model")
+	bottleneck := reg.Declare(metrics.KindGauge, "rtmap_model_sim_bottleneck_ns", "Modeled steady-state interval between samples of a pipeline deeper than one stage (ns).", "model")
+	replicas := reg.Declare(metrics.KindGauge, "rtmap_model_replicas", "Replica placements of a pinned model.", "model")
+	live := reg.Declare(metrics.KindGauge, "rtmap_model_replicas_live", "Replica placements whose devices are all alive.", "model")
+	depth := reg.Declare(metrics.KindGauge, "rtmap_model_queue_depth", "Samples admitted but not yet dispatched from batch formation.", "model")
+	delay := reg.Declare(metrics.KindGauge, "rtmap_model_queue_delay_est_seconds", "Queue delay admission control prices the model's backlog at: the figure it sheds on.", "model")
+	reg.Collect(func(s *metrics.Scrape) {
+		s.Int(loaded, int64(models.Len()))
+		for _, m := range models.Loaded() {
+			s.Int(stages, int64(max(m.Stages, 1)), m.Key)
+			if m.Stages > 0 {
+				s.Float(bottleneck, m.BottleneckNS, m.Key)
+			}
+			if m.Replicas > 0 {
+				s.Int(replicas, int64(m.Replicas), m.Key)
+				s.Int(live, int64(*m.LiveReplicas), m.Key)
+			}
+			s.Int(depth, m.QueueDepth, m.Key)
+			s.Float(delay, m.QueueDelayEstMS/1e3, m.Key)
 		}
-	}
-	fmt.Fprintf(w, "# TYPE rtmap_slo_submitted_total counter\n")
-	for c := range slo {
-		var sum int64
-		for _, n := range slo[c] {
-			sum += n
-		}
-		fmt.Fprintf(w, "rtmap_slo_submitted_total{class=%q} %d\n", className(c), sum)
-	}
-	fmt.Fprintf(w, "# TYPE rtmap_slo_deadline_total counter\n")
-	for c := range deadlineMet {
-		fmt.Fprintf(w, "rtmap_slo_deadline_total{class=%q,result=\"met\"} %d\n", className(c), deadlineMet[c])
-		fmt.Fprintf(w, "rtmap_slo_deadline_total{class=%q,result=\"missed\"} %d\n", className(c), deadlineMissed[c])
-	}
-	fmt.Fprintf(w, "# TYPE rtmap_scaler_decisions_total counter\n")
-	fmt.Fprintf(w, "rtmap_scaler_decisions_total{direction=\"up\"} %d\n", scaleUps)
-	fmt.Fprintf(w, "rtmap_scaler_decisions_total{direction=\"down\"} %d\n", scaleDowns)
-
-	fmt.Fprintf(w, "# TYPE rtmap_request_seconds histogram\n")
-	lat.Write(w, "rtmap_request_seconds", "")
-
-	fmt.Fprintf(w, "# TYPE rtmap_request_phase_seconds histogram\n")
-	for i, name := range phaseNames {
-		phases[i].Write(w, "rtmap_request_phase_seconds", fmt.Sprintf("phase=%q,", name))
-	}
-
-	if len(stageExec) > 0 {
-		fmt.Fprintf(w, "# TYPE rtmap_stage_exec_seconds histogram\n")
-		for i := range stageExec {
-			stageExec[i].Write(w, "rtmap_stage_exec_seconds", fmt.Sprintf("stage=\"%d\",", i))
-		}
-	}
-
-	if extra != nil {
-		extra(w)
-	}
+	})
 }

@@ -237,9 +237,6 @@ type Registry struct {
 	// re-admitting an evicted model skips the verification pass
 	// entirely. Tests inject failing or counting verifiers here.
 	dataflowVerify func(*core.Compiled) (bool, error)
-	// metrics, when non-nil, receives the verification-failure counter
-	// (wired by serve.New; a bare Registry works without it).
-	metrics *Metrics
 
 	mu         sync.Mutex
 	seq        int64
@@ -418,9 +415,7 @@ func (r *Registry) admit(e *entry) {
 		verifyPlans = core.VerifyCompiled
 	}
 	if err := verifyPlans(comp); err != nil {
-		if r.metrics != nil {
-			r.metrics.ObservePlanVerifyFailure()
-		}
+		r.fleet.metrics.planVerifyFails.Inc()
 		e.err = &badModelError{fmt.Errorf("serve: verifying %s: %w", e.key, err)}
 		return
 	}
@@ -437,14 +432,14 @@ func (r *Registry) admit(e *entry) {
 	}
 	hit, err := verifyDataflow(comp)
 	if err != nil {
-		if r.metrics != nil {
-			r.metrics.ObserveDataflowVerifyFailure()
-		}
+		r.fleet.metrics.dataflowVerifyFails.Inc()
 		e.err = &badModelError{fmt.Errorf("serve: verifying %s dataflow: %w", e.key, err)}
 		return
 	}
-	if r.metrics != nil {
-		r.metrics.ObserveCertificate(hit)
+	if hit {
+		r.fleet.metrics.certHits.Inc()
+	} else {
+		r.fleet.metrics.certMisses.Inc()
 	}
 	e.net = net
 	e.comp = comp

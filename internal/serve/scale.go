@@ -86,7 +86,11 @@ func (s *Server) scaleEntry(states map[*entry]*scalerState, e *entry, now time.T
 	// The fleet may have clamped the ask; track what actually happened so
 	// the scaler never re-asks for capacity that does not exist.
 	st.sc.SetCurrent(applied)
-	s.metrics.ObserveScale(applied.Devices() > prev.Devices())
+	if applied.Devices() > prev.Devices() {
+		s.metrics.scaleUps.Inc()
+	} else {
+		s.metrics.scaleDowns.Inc()
+	}
 	s.opts.Logf("autoscale %s: %v -> %v (%s)", e.key, prev, applied, reason)
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"rtmap/internal/core"
 	"rtmap/internal/dispatch"
+	"rtmap/internal/metrics"
 	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
 	"rtmap/internal/verify"
@@ -164,6 +165,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts     Options
 	metrics  *Metrics
+	families *metrics.Registry // everything GET /metrics renders
 	tracer   *trace.Tracer
 	fleet    *Fleet
 	reg      *Registry
@@ -191,7 +193,8 @@ type Server struct {
 // New constructs a Server (not yet listening).
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	m := NewMetrics()
+	families := new(metrics.Registry)
+	m := NewMetrics(families, opts.Devices)
 	fleet := NewFleet(opts.Devices, opts.Queue, m)
 	compile := core.DefaultConfig()
 	if opts.Cache != nil {
@@ -203,8 +206,10 @@ func New(opts Options) *Server {
 	reg := NewRegistry(compile, opts.MaxModels, fleet,
 		BatchOptions{MaxBatch: opts.MaxBatch, Window: opts.Window, Queue: opts.Queue},
 		opts.ShardStages, opts.Replicas)
-	reg.metrics = m
 	reg.pinned = opts.Autoscale
+	collectModels(families, reg)
+	collectFleet(families, fleet)
+	metrics.RegisterRuntime(families)
 	for name, path := range opts.ModelFiles {
 		if err := reg.RegisterModelFile(name, path); err != nil {
 			opts.Logf("ignoring model file %s: %v", path, err)
@@ -218,7 +223,7 @@ func New(opts Options) *Server {
 	fleet.tracer = tr
 	fleet.WallScale = opts.WallScale
 
-	s := &Server{opts: opts, metrics: m, tracer: tr, fleet: fleet, reg: reg, mux: http.NewServeMux()}
+	s := &Server{opts: opts, metrics: m, families: families, tracer: tr, fleet: fleet, reg: reg, mux: http.NewServeMux()}
 	s.shed = dispatch.ShedPolicy{MaxQueueDelay: opts.MaxQueueDelay}
 	if opts.Autoscale {
 		// Started here rather than in Serve: httptest and benchmark
@@ -230,8 +235,8 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("POST /v1/infer", s.handleInfer)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
+	s.mux.Handle("GET /metrics", families)
+	s.mux.Handle("GET /debug/traces", tr)
 	if opts.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -253,6 +258,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry exposes the model registry (load generators warm models up
 // front; tests inspect residency).
 func (s *Server) Registry() *Registry { return s.reg }
+
+// MetricFamilies lists every family GET /metrics exports (the docs gate).
+func (s *Server) MetricFamilies() []*metrics.Family { return s.families.Families() }
 
 // Listen binds the configured address and returns the resolved one.
 func (s *Server) Listen() (net.Addr, error) {
@@ -362,10 +370,10 @@ func (s *Server) Abort() error {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	httpJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // modelsResponse lists the servable zoo and the resident compiled models.
@@ -394,78 +402,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Model: fm.Name, InputNCHW: [4]int{fm.Shape.N, fm.Shape.C, fm.Shape.H, fm.Shape.W},
 		})
 	}
-	httpJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w, func(w io.Writer) {
-		fmt.Fprintf(w, "# TYPE rtmap_models_loaded gauge\nrtmap_models_loaded %d\n", s.reg.Len())
-		stats := s.fleet.Stats() // one snapshot: the series stay consistent
-		fmt.Fprintf(w, "# TYPE rtmap_device_up gauge\n")
-		for _, d := range stats {
-			up := 0
-			if d.Up {
-				up = 1
-			}
-			fmt.Fprintf(w, "rtmap_device_up{device=\"%d\"} %d\n", d.ID, up)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_device_queue_depth gauge\n")
-		for _, d := range stats {
-			fmt.Fprintf(w, "rtmap_device_queue_depth{device=\"%d\"} %d\n", d.ID, d.Queued)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_device_batches_total counter\n")
-		for _, d := range stats {
-			fmt.Fprintf(w, "rtmap_device_batches_total{device=\"%d\"} %d\n", d.ID, d.Batches)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_device_sim_busy_ns_total counter\n")
-		for _, d := range stats {
-			fmt.Fprintf(w, "rtmap_device_sim_busy_ns_total{device=\"%d\"} %g\n", d.ID, d.SimBusyNS)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_device_energy_pj_total counter\n")
-		for _, d := range stats {
-			fmt.Fprintf(w, "rtmap_device_energy_pj_total{device=\"%d\"} %g\n", d.ID, d.EnergyPJ)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_device_writes_total counter\n")
-		for _, d := range stats {
-			fmt.Fprintf(w, "rtmap_device_writes_total{device=\"%d\"} %g\n", d.ID, d.Writes)
-		}
-		loaded := s.reg.Loaded()
-		fmt.Fprintf(w, "# TYPE rtmap_model_stages gauge\n")
-		for _, m := range loaded {
-			stages := m.Stages
-			if stages == 0 {
-				stages = 1
-			}
-			fmt.Fprintf(w, "rtmap_model_stages{model=%q} %d\n", m.Key, stages)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_model_sim_bottleneck_ns gauge\n")
-		for _, m := range loaded {
-			if m.Stages > 0 {
-				fmt.Fprintf(w, "rtmap_model_sim_bottleneck_ns{model=%q} %g\n", m.Key, m.BottleneckNS)
-			}
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_model_replicas gauge\n")
-		for _, m := range loaded {
-			if m.Replicas > 0 {
-				fmt.Fprintf(w, "rtmap_model_replicas{model=%q} %d\n", m.Key, m.Replicas)
-			}
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_model_replicas_live gauge\n")
-		for _, m := range loaded {
-			if m.Replicas > 0 {
-				fmt.Fprintf(w, "rtmap_model_replicas_live{model=%q} %d\n", m.Key, *m.LiveReplicas)
-			}
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_model_queue_depth gauge\n")
-		for _, m := range loaded {
-			fmt.Fprintf(w, "rtmap_model_queue_depth{model=%q} %d\n", m.Key, m.QueueDepth)
-		}
-		fmt.Fprintf(w, "# TYPE rtmap_model_queue_delay_est_seconds gauge\n")
-		for _, m := range loaded {
-			fmt.Fprintf(w, "rtmap_model_queue_delay_est_seconds{model=%q} %g\n", m.Key, m.QueueDelayEstMS/1e3)
-		}
-	})
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // InferRequest is the /v1/infer request document as a client writes it
@@ -511,7 +448,8 @@ type InferResponse struct {
 	WallMS  float64       `json:"wall_ms"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the error document both serving tiers answer with.
+type ErrorResponse struct {
 	Error string `json:"error"`
 	// Kind classifies the failure for programmatic clients:
 	// "bad_request", "not_found", "bad_model", "shed", "expired",
@@ -522,15 +460,15 @@ type errorResponse struct {
 	Diagnostics []verify.Diagnostic `json:"diagnostics,omitempty"`
 }
 
-// Error kinds, as carried in errorResponse.Kind.
+// Error kinds, as carried in ErrorResponse.Kind.
 const (
-	kindBadRequest  = "bad_request"
-	kindNotFound    = "not_found"
-	kindBadModel    = "bad_model"
-	kindShed        = "shed"
-	kindExpired     = "expired"
-	kindUnavailable = "unavailable"
-	kindInternal    = "internal"
+	KindBadRequest  = "bad_request"
+	KindNotFound    = "not_found"
+	KindBadModel    = "bad_model"
+	KindShed        = "shed"
+	KindExpired     = "expired"
+	KindUnavailable = "unavailable"
+	KindInternal    = "internal"
 )
 
 // TraceHeader is the HTTP header carrying a client-chosen trace ID:
@@ -547,18 +485,20 @@ const (
 	DeadlineHeader = "X-Rtmap-Deadline-Ms"
 )
 
-// maxDeadlineMS caps client deadlines at 24h: beyond that the value is
+// MaxDeadlineMS caps client deadlines at 24h: beyond that the value is
 // operationally meaningless, and the clamp keeps extreme floats (1e300)
 // out of the float→Duration conversion, whose out-of-range behavior is
 // implementation-defined.
-const maxDeadlineMS = 24 * 60 * 60 * 1000
+const MaxDeadlineMS = 24 * 60 * 60 * 1000
 
-// parseSLO resolves a request's priority class and absolute deadline
-// (zero when none). Headers win over body fields. Errors are client
-// errors (HTTP 400).
-func parseSLO(r *http.Request, req *InferRequest, now time.Time) (dispatch.Class, time.Time, error) {
+// ResolveSLO resolves a request's priority class and absolute deadline
+// (zero when none) from its headers and decoded body; headers win over
+// body fields. Errors are client errors: the node answers them 400; the
+// router routes on what comes back with one — standard class, no
+// deadline — and leaves the 400 to the node.
+func ResolveSLO(hdr http.Header, req *InferRequest, now time.Time) (dispatch.Class, time.Time, error) {
 	cs := req.Class
-	if h := r.Header.Get(ClassHeader); h != "" {
+	if h := hdr.Get(ClassHeader); h != "" {
 		cs = h
 	}
 	cls, err := dispatch.ParseClass(cs)
@@ -566,7 +506,7 @@ func parseSLO(r *http.Request, req *InferRequest, now time.Time) (dispatch.Class
 		return dispatch.ClassStandard, time.Time{}, err
 	}
 	ms := req.DeadlineMS
-	if h := r.Header.Get(DeadlineHeader); h != "" {
+	if h := hdr.Get(DeadlineHeader); h != "" {
 		v, err := strconv.ParseFloat(h, 64)
 		if err != nil {
 			return dispatch.ClassStandard, time.Time{},
@@ -581,8 +521,8 @@ func parseSLO(r *http.Request, req *InferRequest, now time.Time) (dispatch.Class
 	if ms == 0 {
 		return cls, time.Time{}, nil
 	}
-	if ms > maxDeadlineMS {
-		ms = maxDeadlineMS
+	if ms > MaxDeadlineMS {
+		ms = MaxDeadlineMS
 	}
 	return cls, now.Add(time.Duration(ms * float64(time.Millisecond))), nil
 }
@@ -592,13 +532,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve the request's trace identity up front so even failed
 	// requests leave an http span behind.
-	traceID := r.Header.Get(TraceHeader)
-	if len(traceID) > 64 {
-		traceID = ""
-	}
-	if traceID == "" && s.tracer.SampleRequest() {
-		traceID = trace.NewID()
-	}
+	traceID := s.tracer.Intake(r.Header.Get(TraceHeader))
 	traceLayers := traceID != "" && s.tracer.SampleLayers()
 	model := ""
 	httpSpan := func(detail string) {
@@ -617,6 +551,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// that classify as standard class (the server cannot know better).
 	cls := dispatch.ClassStandard
 	var deadline time.Time
+	var diags []verify.Diagnostic // a verifier's findings, for the error document
 
 	// fail answers one classified error and settles the request's SLO
 	// ledger row — every request lands in exactly one outcome, so
@@ -624,22 +559,22 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	fail := func(code int, kind string, format string, args ...any) {
 		out := OutcomeFailed
 		switch kind {
-		case kindShed:
+		case KindShed:
 			out = OutcomeShed
-		case kindExpired:
+		case KindExpired:
 			out = OutcomeExpired
 		}
 		s.metrics.ObserveSLO(cls, out)
 		s.metrics.ObserveRequest(time.Since(start), 0, true)
 		httpSpan(fmt.Sprintf("error %d", code))
-		httpJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})
+		WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...), Kind: kind, Diagnostics: diags})
 	}
 	if s.draining.Load() {
 		// Drain window: the listener is closing but this keep-alive
 		// connection raced one more request in. Refuse it retryably
 		// instead of queueing work the fleet wind-down would strand.
 		w.Header().Set("Retry-After", "1")
-		fail(http.StatusServiceUnavailable, kindUnavailable, "server draining")
+		fail(http.StatusServiceUnavailable, KindUnavailable, "server draining")
 		return
 	}
 	body, err := ReadBody(r.Body, r.ContentLength, maxBodyBytes)
@@ -648,29 +583,29 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrBodyTooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		fail(code, kindBadRequest, "reading request: %v", err)
+		fail(code, KindBadRequest, "reading request: %v", err)
 		return
 	}
 	req, in, err := decodeInfer(body, s.opts.MaxInputs)
 	if err != nil {
-		fail(http.StatusBadRequest, kindBadRequest, "decoding request: %v", err)
+		fail(http.StatusBadRequest, KindBadRequest, "decoding request: %v", err)
 		return
 	}
 	if !s.opts.DisableSLO {
-		c, d, err := parseSLO(r, &req, start)
+		c, d, err := ResolveSLO(r.Header, &req, start)
 		if err != nil {
-			fail(http.StatusBadRequest, kindBadRequest, "%v", err)
+			fail(http.StatusBadRequest, KindBadRequest, "%v", err)
 			return
 		}
 		cls, deadline = c, d
 	}
 	if in.rows() == 0 {
-		fail(http.StatusBadRequest, kindBadRequest, "no inputs")
+		fail(http.StatusBadRequest, KindBadRequest, "no inputs")
 		return
 	}
 	if in.rows() > s.opts.MaxInputs {
 		// The parser stopped counting one row past the limit.
-		fail(http.StatusBadRequest, kindBadRequest, "request carries more than %d inputs", s.opts.MaxInputs)
+		fail(http.StatusBadRequest, KindBadRequest, "request carries more than %d inputs", s.opts.MaxInputs)
 		return
 	}
 	spec := Spec{Model: req.Model, ActBits: req.ActBits, Sparsity: 0.8, Seed: req.Seed}
@@ -685,7 +620,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		spec.Sparsity = *req.Sparsity
 	}
 	if spec.ActBits < 2 || spec.ActBits > 8 || spec.Sparsity < 0 || spec.Sparsity >= 1 {
-		fail(http.StatusBadRequest, kindBadRequest, "build parameters out of range (act_bits 2..8, sparsity [0,1))")
+		fail(http.StatusBadRequest, KindBadRequest, "build parameters out of range (act_bits 2..8, sparsity [0,1))")
 		return
 	}
 
@@ -695,24 +630,20 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// Unknown names are 404; a model definition the client supplied
 		// (malformed model file, or one whose plans fail static
 		// verification) is 400; internal faults stay 500.
-		code, kind := http.StatusInternalServerError, kindInternal
+		code, kind := http.StatusInternalServerError, KindInternal
 		switch {
 		case !s.reg.Knows(spec.Model):
-			code, kind = http.StatusNotFound, kindNotFound
+			code, kind = http.StatusNotFound, KindNotFound
 		case IsBadModel(err):
-			code, kind = http.StatusBadRequest, kindBadModel
+			code, kind = http.StatusBadRequest, KindBadModel
 		case errors.Is(err, errNoReplica):
-			code, kind = http.StatusServiceUnavailable, kindUnavailable // no live capacity to place it
+			code, kind = http.StatusServiceUnavailable, KindUnavailable // no live capacity to place it
 		}
 		var ve *verify.Error
 		if errors.As(err, &ve) {
 			// Verifier rejections return the full located diagnostics so
 			// the client sees exactly which plan op violated what.
-			s.metrics.ObserveSLO(cls, OutcomeFailed)
-			s.metrics.ObserveRequest(time.Since(start), 0, true)
-			httpSpan(fmt.Sprintf("error %d", code))
-			httpJSON(w, code, errorResponse{Error: err.Error(), Kind: kind, Diagnostics: ve.Diags})
-			return
+			diags = ve.Diags
 		}
 		fail(code, kind, "%v", err)
 		return
@@ -737,7 +668,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 					Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), Detail: v.Reason,
 				})
 			}
-			fail(http.StatusTooManyRequests, kindShed, "shed: %s (retry after %ds)", v.Reason, retry)
+			fail(http.StatusTooManyRequests, KindShed, "shed: %s (retry after %ds)", v.Reason, retry)
 			return
 		}
 	}
@@ -749,7 +680,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	for i := range items {
 		vals := in.row(i)
 		if len(vals) != shape.Elems() {
-			fail(http.StatusBadRequest, kindBadRequest, "input %d: %d values, %s wants %d (NCHW %v)",
+			fail(http.StatusBadRequest, KindBadRequest, "input %d: %d values, %s wants %d (NCHW %v)",
 				i, len(vals), spec.Model, shape.Elems(), shape)
 			return
 		}
@@ -767,11 +698,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	const maxReadmits = 4
 	for readmits := 0; e.batcher.submit(items) != nil; {
 		if readmits++; readmits > maxReadmits {
-			fail(http.StatusServiceUnavailable, kindUnavailable, "model thrashing: evicted %d times during one request", readmits)
+			fail(http.StatusServiceUnavailable, KindUnavailable, "model thrashing: evicted %d times during one request", readmits)
 			return
 		}
 		if e, err = s.reg.Get(spec); err != nil {
-			fail(http.StatusServiceUnavailable, kindUnavailable, "model evicted and re-admission failed: %v", err)
+			fail(http.StatusServiceUnavailable, KindUnavailable, "model evicted and re-admission failed: %v", err)
 			return
 		}
 	}
@@ -780,12 +711,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	for i, it := range items {
 		res := <-it.res
 		if res.err != nil {
-			code, kind := http.StatusInternalServerError, kindInternal
+			code, kind := http.StatusInternalServerError, KindInternal
 			switch {
 			case errors.Is(res.err, errNoReplica):
-				code, kind = http.StatusServiceUnavailable, kindUnavailable // resident but its capacity is gone
+				code, kind = http.StatusServiceUnavailable, KindUnavailable // resident but its capacity is gone
 			case errors.Is(res.err, errExpired):
-				code, kind = http.StatusServiceUnavailable, kindExpired // cancelled, not executed late
+				code, kind = http.StatusServiceUnavailable, KindExpired // cancelled, not executed late
 			}
 			fail(code, kind, "input %d: %v", i, res.err)
 			return
@@ -797,50 +728,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !deadline.IsZero() {
 		// Deadline accounting uses the same clock domain the deadline was
 		// minted in: a request is "met" when it finished inside its budget.
-		s.metrics.ObserveDeadline(cls, !time.Now().After(deadline))
+		result := &s.metrics.deadlineMet
+		if time.Now().After(deadline) {
+			result = &s.metrics.deadlineMissed
+		}
+		result[classIndex(cls)].Inc()
 	}
 	s.metrics.ObserveRequest(time.Since(start), len(items), false)
 	httpSpan("")
-	httpJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// tracesResponse is the /debug/traces wire format: the retained spans
-// (oldest first, after filters), how many spans were ever recorded, and
-// how many the bounded ring has dropped.
-type tracesResponse struct {
-	Spans         []trace.Span `json:"spans"`
-	TotalRecorded uint64       `json:"total_recorded"`
-	Dropped       uint64       `json:"dropped"`
-}
-
-// handleTraces serves the span ring buffer as JSON. Query parameters
-// trace= and model= filter to one trace ID / one model name.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	wantTrace, wantModel := q.Get("trace"), q.Get("model")
-	spans := s.tracer.Snapshot()
-	total := s.tracer.Total()
-	dropped := total - uint64(len(spans))
-	if wantTrace != "" || wantModel != "" {
-		kept := spans[:0]
-		for _, sp := range spans {
-			if wantTrace != "" && sp.TraceID != wantTrace {
-				continue
-			}
-			if wantModel != "" && sp.Model != wantModel {
-				continue
-			}
-			kept = append(kept, sp)
-		}
-		spans = kept
-	}
-	if spans == nil {
-		spans = []trace.Span{}
-	}
-	httpJSON(w, http.StatusOK, tracesResponse{Spans: spans, TotalRecorded: total, Dropped: dropped})
-}
-
-func httpJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)

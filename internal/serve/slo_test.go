@@ -199,7 +199,7 @@ func FuzzInferAdmission(f *testing.F) {
 		default:
 			t.Fatalf("class=%q deadline=%q: HTTP %d, want 200/400/429/503", class, deadline, resp.StatusCode)
 		}
-		var eresp errorResponse
+		var eresp ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
 			t.Fatalf("class=%q deadline=%q: HTTP %d with unparsable error body: %v",
 				class, deadline, resp.StatusCode, err)
@@ -286,7 +286,7 @@ func TestSLOAccountingAudit(t *testing.T) {
 		case http.StatusTooManyRequests:
 			outcome = "shed"
 		case http.StatusServiceUnavailable:
-			var eresp errorResponse
+			var eresp ErrorResponse
 			if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
 				t.Errorf("503 with unparsable body: %v", err)
 				return

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rtmap/internal/metrics"
 	"rtmap/internal/trace"
 	"rtmap/internal/workload"
 )
@@ -22,7 +23,8 @@ import (
 // series' _count, and _sum/_count lines must exist — the invariants a
 // scraper's quantile math silently depends on.
 func TestHistogramExpositionCumulative(t *testing.T) {
-	m := NewMetrics()
+	reg := new(metrics.Registry)
+	m := NewMetrics(reg, 2)
 	// Spread observations across buckets, including one past the largest
 	// finite bound (overflow lands only in +Inf).
 	for _, s := range []float64{0.0001, 0.0007, 0.003, 0.02, 0.3, 5.0} {
@@ -36,7 +38,9 @@ func TestHistogramExpositionCumulative(t *testing.T) {
 	m.ObserveExec(1, 4*time.Second) // overflow in a labeled series
 
 	var buf bytes.Buffer
-	m.WritePrometheus(&buf, nil)
+	if err := reg.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
 
 	bucketRE := regexp.MustCompile(`^(\w+)_bucket\{(.*)le="([^"]+)"\} (\d+)$`)
 	countRE := regexp.MustCompile(`^(\w+)_count(?:\{(.+)\})? (\d+)$`)
@@ -122,7 +126,7 @@ func TestHistogramExpositionCumulative(t *testing.T) {
 }
 
 // getTraces fetches /debug/traces with the given query string.
-func getTraces(t *testing.T, url, query string) tracesResponse {
+func getTraces(t *testing.T, url, query string) trace.Dump {
 	t.Helper()
 	resp, err := http.Get(url + "/debug/traces" + query)
 	if err != nil {
@@ -132,7 +136,7 @@ func getTraces(t *testing.T, url, query string) tracesResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/traces: HTTP %d", resp.StatusCode)
 	}
-	var out tracesResponse
+	var out trace.Dump
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

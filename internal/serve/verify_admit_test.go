@@ -38,7 +38,7 @@ func TestAdmitRejectsVerifierFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("HTTP %d, want 400", resp.StatusCode)
 	}
-	var er errorResponse
+	var er ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

@@ -184,14 +184,14 @@ func FuzzInferDecode(f *testing.F) {
 func TestInferWireNarrowings(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	row := strings.TrimSuffix(strings.Repeat("1,", 128), ",")
-	post := func(body string) (int, errorResponse) {
+	post := func(body string) (int, ErrorResponse) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var e errorResponse
+		var e ErrorResponse
 		if resp.StatusCode != http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 				t.Fatal(err)
@@ -212,7 +212,7 @@ func TestInferWireNarrowings(t *testing.T) {
 		{"hex float", `{"model":"tinycnn","inputs":[[0x1p-2,` + row[2:] + `]]}`},
 	} {
 		code, e := post(c.body)
-		if code != http.StatusBadRequest || e.Kind != kindBadRequest || !strings.HasPrefix(e.Error, "decoding request:") {
+		if code != http.StatusBadRequest || e.Kind != KindBadRequest || !strings.HasPrefix(e.Error, "decoding request:") {
 			t.Errorf("%s: HTTP %d %+v, want a 400 bad_request from the decoder", c.name, code, e)
 		}
 	}
@@ -247,7 +247,7 @@ func TestInferBodyStrictness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if doc := readAll(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(doc, kindBadRequest) {
+		if doc := readAll(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(doc, KindBadRequest) {
 			t.Errorf("over-limit body (declared %v): HTTP %d %s, want 413 bad_request", declared, resp.StatusCode, doc)
 		}
 	}

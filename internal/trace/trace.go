@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 )
@@ -132,6 +133,22 @@ func (t *Tracer) SampleRequest() bool {
 	return t.reqN.Add(1)%uint64(t.sampleEvery) == 0
 }
 
+// MaxIDLen bounds a client-chosen trace ID; a longer one is ignored.
+const MaxIDLen = 64
+
+// Intake resolves a request's trace identity, the one rule both serving
+// tiers apply: the client's ID when its header carries 1 to MaxIDLen bytes,
+// else a fresh ID when the request is sampled, else "" (untraced).
+func (t *Tracer) Intake(header string) string {
+	if header != "" && len(header) <= MaxIDLen {
+		return header
+	}
+	if t.SampleRequest() {
+		return NewID()
+	}
+	return ""
+}
+
 // SampleLayers reports whether the next traced request should also
 // record per-layer spans (1-in-layerEvery; false when disabled).
 func (t *Tracer) SampleLayers() bool {
@@ -161,6 +178,33 @@ func (t *Tracer) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
+}
+
+// Dump is the GET /debug/traces document: the retained spans (oldest
+// first, after filters), how many spans were ever recorded, and how many
+// the bounded ring has dropped.
+type Dump struct {
+	Spans         []Span `json:"spans"`
+	TotalRecorded uint64 `json:"total_recorded"`
+	Dropped       uint64 `json:"dropped"`
+}
+
+// ServeHTTP is the /debug/traces handler both serving tiers mount: the
+// span ring as a Dump, filtered to one trace ID and/or one model name by
+// the query parameters trace= and model=.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	wantTrace, wantModel := q.Get("trace"), q.Get("model")
+	spans := t.Snapshot()
+	d := Dump{Spans: []Span{}, TotalRecorded: t.Total()} // never null, even when empty
+	d.Dropped = d.TotalRecorded - uint64(len(spans))
+	for _, sp := range spans {
+		if (wantTrace == "" || sp.TraceID == wantTrace) && (wantModel == "" || sp.Model == wantModel) {
+			d.Spans = append(d.Spans, sp)
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(d) // a failed write is a client that hung up
 }
 
 // Flush drains the JSONL sink's buffer (no-op without a sink).

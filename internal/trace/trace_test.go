@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,29 @@ func TestSampling(t *testing.T) {
 	off := New(0, 0, 0)
 	if off.SampleRequest() || off.SampleLayers() {
 		t.Error("sampling disabled (0) must never sample")
+	}
+}
+
+// Intake is the trace identity rule of both tiers: a header of 1 to
+// MaxIDLen bytes is the ID and costs no sample; an empty or oversized one
+// falls to sampling, which mints a fresh ID or leaves the request untraced.
+func TestIntake(t *testing.T) {
+	longest, oversized := strings.Repeat("x", MaxIDLen), strings.Repeat("x", MaxIDLen+1)
+	off := New(0, 0, 0)
+	for header, want := range map[string]string{"abc": "abc", longest: longest, "": "", oversized: ""} {
+		if got := off.Intake(header); got != want {
+			t.Errorf("header-only tracer: Intake(%d bytes) = %q, want %q", len(header), got, want)
+		}
+	}
+	every2 := New(0, 2, 0)
+	if got := every2.Intake("abc"); got != "abc" {
+		t.Errorf("Intake(abc) = %q", got)
+	}
+	if got := every2.Intake(""); got != "" {
+		t.Errorf("first headerless request of a 1-in-2 sample traced as %q", got)
+	}
+	if got := every2.Intake(oversized); len(got) != 16 {
+		t.Errorf("second headerless request of a 1-in-2 sample got ID %q, want a fresh 16-hex one", got)
 	}
 }
 
