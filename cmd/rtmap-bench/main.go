@@ -222,7 +222,7 @@ func main() {
 			}
 			printArm(sec.Static)
 			printArm(sec.SLO)
-			fmt.Printf("goodput ratio (slo/static): %.2fx   bit-exact spot checks: %d, violations: %d\n",
+			fmt.Printf("goodput ratio (slo/static): %.2fx   bit-exact checks: %d, violations: %d\n",
 				sec.GoodputRatio, sec.BitExactChecked, sec.BitExactViolations)
 		}
 		addJSON("slo", sec)

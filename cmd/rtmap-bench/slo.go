@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"rtmap"
 	"rtmap/internal/loadgen"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
@@ -46,8 +45,9 @@ type sloSection struct {
 	// GoodputRatio is SLO-arm goodput over static-arm goodput at the
 	// same offered load; the acceptance floor is 1.5.
 	GoodputRatio float64 `json:"goodput_ratio"`
-	// BitExactViolations counts sampled bit-exact responses whose logits
-	// diverged from the reference engine. Must be zero.
+	// BitExactChecked counts the responses checked against the software
+	// reference — every 200 of both arms — and BitExactViolations those
+	// whose logits diverged from it. Must be zero.
 	BitExactViolations int `json:"bit_exact_violations"`
 	BitExactChecked    int `json:"bit_exact_checked"`
 }
@@ -79,11 +79,11 @@ type sloArmClass struct {
 }
 
 // sloWorkload is what both arms share besides the class mix: the
-// request bodies, and the reference logits for bit-exact spot checks.
+// request bodies and, for each, the logits the software reference
+// computes — what every 200 must carry, deadline pressure or not.
 type sloWorkload struct {
-	bodies      [][]byte
-	exactBodies [][]byte  // bit-exact variants, verified against wantLogits
-	wantLogits  [][]int32 // reference logits per exactBodies index
+	bodies     [][]byte
+	wantLogits [][]int32 // model.ForwardInt's logits, per body
 }
 
 // sloSweep builds the shared workload, calibrates the offered rate
@@ -152,10 +152,10 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 	return sec, nil
 }
 
-// buildSLOWorkload pre-builds the request bodies and the bit-exact
-// reference logits the spot checks compare against.
+// buildSLOWorkload pre-builds the request bodies and the reference
+// logits every response is checked against.
 func buildSLOWorkload(seed uint64) (*sloWorkload, error) {
-	const pool, exactPool = 16, 4
+	const pool = 16
 	net, err := buildNet("tinycnn", seed)
 	if err != nil {
 		return nil, err
@@ -166,21 +166,8 @@ func buildSLOWorkload(seed uint64) (*sloWorkload, error) {
 	if wl.bodies, err = loadgen.Bodies(req, workload.InputData(net.InputShape, pool, seed+1000), 1); err != nil {
 		return nil, err
 	}
-
-	// Reference logits from the standalone engine: the serving path must
-	// reproduce them bit for bit, deadline pressure or not.
-	cfg := rtmap.CompileConfigWithCache(nil, false)
-	cfg.KeepPrograms = true
-	comp, err := rtmap.Compile(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	req.BitExact = true
-	if wl.exactBodies, err = loadgen.Bodies(req, workload.InputData(net.InputShape, exactPool, seed+1000+pool), 1); err != nil {
-		return nil, err
-	}
-	for _, in := range workload.Inputs(net.InputShape, exactPool, seed+1000+pool) {
-		tr, err := rtmap.RunFunctional(comp, in)
+	for _, in := range workload.Inputs(net.InputShape, pool, seed+1000) {
+		tr, err := net.ForwardInt(in)
 		if err != nil {
 			return nil, err
 		}
@@ -240,33 +227,29 @@ func calibrateCapacity(opts serve.Options, body []byte) (float64, error) {
 // workload and returns its outcome ledger; latency, and so goodput, is
 // owed from each request's due time. Under overload the in-flight bound
 // turns excess arrivals into client-side queueing, identically for both
-// arms. Bit-exact spot checks (one request in 8) verify logits against
-// the reference engine into sec.BitExactChecked/BitExactViolations.
+// arms. Every 200 is checked against the reference logits of its body
+// into sec.BitExactChecked/BitExactViolations.
 func driveSLOArm(opts serve.Options, config string, rate float64, dur time.Duration,
 	mix *loadgen.Mix, wl *sloWorkload, sec *sloSection) (sloArm, error) {
 	arm := sloArm{Config: config, Classes: map[string]sloArmClass{}}
 	err := withServer(opts, wl.bodies[0], func(srv *serve.Server, client *http.Client) error {
 		led := loadgen.NewLedger(mix)
-		var mu sync.Mutex // guards sec's spot-check counters
+		var mu sync.Mutex // guards sec's check counters
 		ctx, cancel := context.WithTimeout(context.Background(), dur)
 		defer cancel()
 		loadgen.Open(ctx, rate, 512, func(n int, due time.Time) {
 			c := mix.At(n)
-			body, exactIdx := wl.bodies[n%len(wl.bodies)], -1
-			if n%8 == 0 {
-				exactIdx = (n / 8) % len(wl.exactBodies)
-				body = wl.exactBodies[exactIdx]
-			}
-			o := loadgen.Post(context.Background(), client, loadgen.Shot{Body: body, Class: c.Name, DeadlineMS: c.DeadlineMS})
+			b := n % len(wl.bodies)
+			o := loadgen.Post(context.Background(), client, loadgen.Shot{Body: wl.bodies[b], Class: c.Name, DeadlineMS: c.DeadlineMS})
 			led.Record(c, o, time.Since(due))
-			if exactIdx < 0 || o.Status != http.StatusOK {
+			if o.Status != http.StatusOK {
 				return
 			}
 			logits, _ := o.Logits() // an unreadable 200 is a violation too
 			mu.Lock()
 			defer mu.Unlock()
 			sec.BitExactChecked++
-			if len(logits) != 1 || !slices.Equal(logits[0], wl.wantLogits[exactIdx]) {
+			if len(logits) != 1 || !slices.Equal(logits[0], wl.wantLogits[b]) {
 				sec.BitExactViolations++
 			}
 		})

@@ -6,7 +6,7 @@
 //
 //	rtmap-load -url http://127.0.0.1:8080 -model tinycnn -duration 5s -concurrency 8
 //	rtmap-load -model tinycnn -rate 200 -duration 10s     # open loop, 200 req/s
-//	rtmap-load -model tinycnn -batch 4 -bit-exact -json
+//	rtmap-load -model tinycnn -batch 4 -json
 //	rtmap-load -model tinycnn -trace-sample 16            # trace 1-in-16, join vs server spans
 //	rtmap-load -model tinycnn -rate 400 -mix "interactive:50:25,standard:30:100,bulk:20:0"
 //
@@ -82,7 +82,6 @@ func main() {
 		rate        = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
 		batch       = flag.Int("batch", 1, "inputs per request")
 		payloads    = flag.Int("payloads", 16, "distinct pre-built payloads cycled through")
-		bitExact    = flag.Bool("bit-exact", false, "request bit-exact AP execution instead of the software reference")
 		jsonOut     = flag.Bool("json", false, "emit the results as JSON")
 		outFile     = flag.String("out", "", "also write the JSON report to this file (BENCH_*.json artifact feed)")
 		inspect     = flag.Bool("inspect", false, "print one response's batch accounting (device path, pipeline stages, simulated cost) before the run")
@@ -105,7 +104,7 @@ func main() {
 
 	*batch = max(*batch, 1)
 	bodies, err := loadgen.Bodies(
-		serve.InferRequest{Model: *modelName, ActBits: *bits, Sparsity: sparsity, Seed: *seed, BitExact: *bitExact},
+		serve.InferRequest{Model: *modelName, ActBits: *bits, Sparsity: sparsity, Seed: *seed},
 		workload.InputData(shape, max(*payloads, 1)**batch, *seed+1000), *batch)
 	if err != nil {
 		log.Fatal(err)
@@ -128,7 +127,7 @@ func main() {
 		}
 	}
 
-	rep := loadReport{Model: *modelName, BitExact: *bitExact, Batch: *batch, OfferedPerS: *rate, Categories: map[string]int64{}}
+	rep := loadReport{Model: *modelName, Batch: *batch, OfferedPerS: *rate, Categories: map[string]int64{}}
 	run := samples{mix: mix, ledger: loadgen.NewLedger(mix)}
 	var mu sync.Mutex // guards rep's counters and run's slices
 	tj := newTraceJoin(*traceSample)
@@ -375,7 +374,6 @@ type samples struct {
 type loadReport struct {
 	Model     string  `json:"model"`
 	Mode      string  `json:"mode"`
-	BitExact  bool    `json:"bit_exact"`
 	Batch     int     `json:"batch"`
 	Requests  int     `json:"requests"`
 	Errors    int     `json:"errors"`
@@ -499,8 +497,8 @@ func (r *loadReport) write(run samples, jsonOut bool, outFile string) {
 		}
 		return
 	}
-	fmt.Printf("%s (%s loop, batch %d, bit_exact=%v): %d requests, %d rejected, %d errors in %.2fs\n",
-		r.Model, r.Mode, r.Batch, r.BitExact, r.Requests, r.Rejected, r.Errors, r.ElapsedS)
+	fmt.Printf("%s (%s loop, batch %d): %d requests, %d rejected, %d errors in %.2fs\n",
+		r.Model, r.Mode, r.Batch, r.Requests, r.Rejected, r.Errors, r.ElapsedS)
 	fmt.Printf("throughput: %.1f req/s (%.1f inferences/s)\n", r.ReqPerS, r.InferPerS)
 	if r.Mode == "open" {
 		fmt.Printf("offered: %.1f req/s asked, %.1f req/s sent; generator lateness ms: p50 %.2f  p99 %.2f\n",

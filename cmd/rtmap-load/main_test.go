@@ -39,7 +39,7 @@ func TestReportKeys(t *testing.T) {
 	run := samples{elapsed: time.Second, latencies: ms, attempts: ms, ledger: loadgen.NewLedger(nil)}
 	run.ledger.Record(nil, ok, time.Millisecond)
 	closed.summarize(run)
-	const always = "batch bit_exact categories elapsed_s errors infer_per_s latency_ms mode model rejected req_per_s requests"
+	const always = "batch categories elapsed_s errors infer_per_s latency_ms mode model rejected req_per_s requests"
 	if got := keys(closed); got != always {
 		t.Errorf("closed-loop report keys:\n got %s\nwant %s", got, always)
 	}

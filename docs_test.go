@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,33 +213,65 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 }
 
-// TestOneExposition keeps internal/metrics the only renderer of the
-// Prometheus text format: no other non-test Go file may spell a # TYPE
-// line.
-func TestOneExposition(t *testing.T) {
+// eachNonTestGoFile visits every non-test Go file of the tree, skipping
+// hidden directories and the directories skip names (slash paths).
+func eachNonTestGoFile(t *testing.T, skip []string, visit func(path string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") || filepath.ToSlash(path) == "internal/metrics" {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || slices.Contains(skip, filepath.ToSlash(path)) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if strings.Contains(string(src), "# TYPE") {
-			t.Errorf("%s renders exposition text itself; declare the family on a metrics.Registry", path)
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			visit(path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOneExposition keeps internal/metrics the only renderer of the
+// Prometheus text format: no other non-test Go file may spell a # TYPE
+// line.
+func TestOneExposition(t *testing.T) {
+	eachNonTestGoFile(t, []string{"internal/metrics"}, func(path string) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "# TYPE") {
+			t.Errorf("%s renders exposition text itself; declare the family on a metrics.Registry", path)
+		}
+	})
+}
+
+// TestOracleOffServingPath keeps the oracle independent of what it
+// checks: the software convolution (model.ConvReference) is named by no
+// non-test Go file outside internal/model, and nothing under
+// internal/serve or internal/sim names ForwardInt — served inferences
+// run on the engine, and only tests, rtmap.Verify and the benchmark's
+// checker compare against the reference. Parsed, so comments may.
+func TestOracleOffServingPath(t *testing.T) {
+	fset := token.NewFileSet()
+	eachNonTestGoFile(t, []string{"internal/model", "benchmark"}, func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slash := filepath.ToSlash(path)
+		serving := strings.HasPrefix(slash, "internal/serve/") || strings.HasPrefix(slash, "internal/sim/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "ConvReference" || serving && id.Name == "ForwardInt") {
+				t.Errorf("%s: %s is the oracle's; serving code runs the engine", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+	})
 }

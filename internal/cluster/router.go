@@ -10,6 +10,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -357,26 +358,23 @@ func (r *Router) handleInfer(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	traceID := r.tracer.Intake(req.Header.Get(serve.TraceHeader))
-
-	res := r.proxyWithPolicy(req.Context(), rt.key, rt.model, rt.class, rt.deadline, traceID, body, req.Header)
+	c := &call{
+		route: rt, traceID: r.tracer.Intake(req.Header.Get(serve.TraceHeader)),
+		body: body, hdr: req.Header,
+		untried: r.ring.Owners(rt.key, len(r.opts.Nodes)),
+	}
+	res := r.proxyWithPolicy(req.Context(), c)
 
 	wall := time.Since(t0)
-	if traceID != "" {
-		detail := "failed"
-		if res != nil && res.outcome == outcomeRelay {
-			detail = res.node
-		}
-		r.tracer.Record(trace.Span{
-			TraceID: traceID, Name: "route", Model: rt.model,
-			Device: -1, Replica: -1, Stage: -1,
-			Start: t0.UnixNano(), Dur: wall.Nanoseconds(), Detail: detail,
-		})
+	detail := "failed"
+	if res != nil && res.outcome == outcomeRelay {
+		detail = res.node
 	}
+	r.tracer.Event(c.traceID, "route", rt.model, t0, wall, detail)
 
 	if res == nil {
 		r.metrics.sheds.Inc()
-		if !rt.deadline.IsZero() && !time.Now().Before(rt.deadline) {
+		if c.expired(time.Now()) {
 			// The deadline ran out before any attempt produced an
 			// answer: the request is expired, not the cluster dead.
 			refuse(http.StatusServiceUnavailable, serve.KindExpired, "deadline expired before an attempt completed")
@@ -440,52 +438,71 @@ func routeOf(body []byte, hdr http.Header, now time.Time) (route, bool) {
 	}, true
 }
 
+// call is one client request on its way through the policy: what
+// handleInfer read from it, and which of its owners it has yet to be sent
+// to. The policy goroutine alone touches untried; attempts running beside
+// it (a hedge race) only read the rest.
+type call struct {
+	route
+	traceID string // "": untraced
+	body    []byte
+	hdr     http.Header
+	// untried is the key's ring owners, in preference order, less those an
+	// attempt or a hedge has gone to (a list, not a set beside the owners:
+	// a request walks two or three of them and must not allocate for it).
+	untried []string
+}
+
+// expired reports whether the request's deadline, if it has one, has
+// passed: no further attempt can beat it.
+func (c *call) expired(now time.Time) bool {
+	return !c.deadline.IsZero() && !now.Before(c.deadline)
+}
+
+// next returns the first untried owner, in ring (preference) order, that
+// is routable and whose breaker admits a request — possibly as a
+// half-open trial, which a caller that then sends nothing must release
+// (CancelTrial). "" means no owner is left; the caller takes the one it
+// uses.
+func (r *Router) next(c *call) string {
+	now := time.Now()
+	for _, n := range c.untried {
+		if r.health.State(n).Routable() && r.breakers.Allow(n, now) {
+			return n
+		}
+	}
+	return ""
+}
+
+// take marks node tried: no later attempt or hedge of this call goes to it.
+func (c *call) take(node string) {
+	c.untried = slices.DeleteFunc(c.untried, func(n string) bool { return n == node })
+}
+
 // proxyWithPolicy runs the full robustness policy for one request:
 // walk the key's owners in ring order, skip unroutable/broken nodes,
 // retry safe failures with capped exponential backoff under the model's
 // retry budget, hedge interactive first attempts. Returns nil when no
-// attempt could even be made. key places the request on the ring
-// (RouteKey); model names it for budgets, metrics and spans.
-func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class dispatch.Class, deadline time.Time, traceID string, body []byte, hdr http.Header) *proxyResult {
-	owners := r.ring.Owners(key, len(r.opts.Nodes))
-	r.budget.Earn(model)
-
-	tried := make(map[string]bool, len(owners))
-	// nextOwner returns the first routable, breaker-admitted owner not
-	// yet tried, in ring (preference) order.
-	nextOwner := func() (string, bool) {
-		now := time.Now()
-		for _, n := range owners {
-			if tried[n] || !r.health.State(n).Routable() {
-				continue
-			}
-			if !r.breakers.Allow(n, now) {
-				continue
-			}
-			return n, true
-		}
-		return "", false
-	}
+// attempt could even be made.
+func (r *Router) proxyWithPolicy(ctx context.Context, c *call) *proxyResult {
+	r.budget.Earn(c.model)
 
 	var last *proxyResult
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
-		if ctx.Err() != nil {
+		// A spent deadline ends the walk: another attempt cannot beat it,
+		// so relay what we have (or shed) instead of burning full-length
+		// attempts on an already-dead request.
+		if ctx.Err() != nil || c.expired(time.Now()) {
 			break
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			// Deadline spent: another attempt cannot beat it. Relay what
-			// we have (or shed) instead of burning full-length attempts
-			// on an already-dead request.
+		node := r.next(c)
+		if node == "" {
 			break
 		}
-		node, ok := nextOwner()
-		if !ok {
-			break
-		}
-		tried[node] = true
+		c.take(node)
 
 		if attempt > 0 {
-			if !r.budget.Spend(model) {
+			if !r.budget.Spend(c.model) {
 				// Allow admitted node (possibly a half-open trial) but no
 				// attempt will run: release the trial or it leaks and the
 				// node is refused forever.
@@ -494,53 +511,37 @@ func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class d
 				break
 			}
 			backoff := dispatch.Backoff(r.opts.BackoffBase, r.opts.BackoffCap, attempt-1)
-			if !sleepCtx(ctx, backoff) {
-				r.breakers.CancelTrial(node)
-				break
-			}
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				// Deadline passed during the backoff sleep.
+			if !sleepCtx(ctx, backoff) || c.expired(time.Now()) {
+				// Cancelled, or the deadline passed, during the backoff sleep.
 				r.breakers.CancelTrial(node)
 				break
 			}
 			r.metrics.retries.Inc()
-			if traceID != "" {
+			if c.traceID != "" {
 				reason := "transport"
 				if last != nil && last.status != 0 {
 					reason = fmt.Sprintf("http_%d", last.status)
 				}
-				r.tracer.Record(trace.Span{
-					TraceID: traceID, Name: "retry", Model: model,
-					Device: -1, Replica: -1, Stage: -1,
-					Start: time.Now().UnixNano(), Dur: backoff.Nanoseconds(),
-					Detail: fmt.Sprintf("attempt %d -> %s after %s", attempt+1, node, reason),
-				})
+				r.tracer.Event(c.traceID, "retry", c.model, time.Now(), backoff,
+					fmt.Sprintf("attempt %d -> %s after %s", attempt+1, node, reason))
 			}
 		}
 
-		var res *proxyResult
-		if attempt == 0 && class == dispatch.ClassInteractive && !r.opts.DisableHedge {
-			res = r.hedgedAttempt(ctx, node, key, model, class, deadline, traceID, body, hdr, tried)
+		if attempt == 0 && c.class == dispatch.ClassInteractive && !r.opts.DisableHedge {
+			last = r.hedgedAttempt(ctx, c, node)
 		} else {
-			res = r.attempt(ctx, node, model, class, deadline, traceID, body, hdr)
+			last = r.attempt(ctx, c, node)
 		}
-		last = res
-		switch res.outcome {
-		case outcomeRelay:
-			return res
-		case outcomeCancelled:
-			return res
+		if last.outcome != outcomeRetryable {
+			return last // relayed, or our own context ended
 		}
 		// outcomeRetryable: walk on to the next owner.
 	}
-	if last != nil && last.outcome == outcomeRetryable {
-		// Exhausted attempts/budget/owners on a retryable failure: if the
-		// last failure was an HTTP 503 we can still relay it (it carries
-		// the node's Retry-After); a pure transport error has no response.
-		if last.status != 0 {
-			last.outcome = outcomeRelay
-		}
-		return last
+	if last != nil && last.outcome == outcomeRetryable && last.status != 0 {
+		// Exhausted attempts/budget/owners on a retryable failure: an HTTP
+		// 503 can still be relayed (it carries the node's Retry-After); a
+		// pure transport error has no response.
+		last.outcome = outcomeRelay
 	}
 	return last
 }
@@ -550,16 +551,16 @@ func (r *Router) proxyWithPolicy(ctx context.Context, key, model string, class d
 // a hedge fires at the next owner and the first response wins; the
 // loser's context is cancelled. Only the winner is relayed, so results
 // stay bit-exact regardless of which copy ran.
-func (r *Router) hedgedAttempt(ctx context.Context, primary, key, model string, class dispatch.Class, deadline time.Time, traceID string, body []byte, hdr http.Header, tried map[string]bool) *proxyResult {
+func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string) *proxyResult {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	results := make(chan *proxyResult, 2)
 	go func() {
-		results <- r.attempt(hctx, primary, model, class, deadline, traceID, body, hdr)
+		results <- r.attempt(hctx, c, primary)
 	}()
 
-	delay := r.lat.P95(model, r.opts.HedgeFallback)
+	delay := r.lat.P95(c.model, r.opts.HedgeFallback)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 
@@ -586,17 +587,11 @@ func (r *Router) hedgedAttempt(ctx context.Context, primary, key, model string, 
 			if hedgeNode != "" {
 				continue
 			}
-			// Pick the next distinct routable owner; spend a budget token
-			// (a hedge is a speculative retry and amplifies identically).
-			now := time.Now()
-			for _, n := range r.ring.Owners(key, len(r.opts.Nodes)) {
-				if n == primary || tried[n] || !r.health.State(n).Routable() || !r.breakers.Allow(n, now) {
-					continue
-				}
-				hedgeNode = n
-				break
-			}
-			if hedgeNode == "" || !r.budget.Spend(model) {
+			// Pick the next owner (the primary is already taken); spend a
+			// budget token (a hedge is a speculative retry and amplifies
+			// identically).
+			hedgeNode = r.next(c)
+			if hedgeNode == "" || !r.budget.Spend(c.model) {
 				if hedgeNode != "" {
 					// Allow admitted the candidate but the budget refused
 					// the hedge: release any half-open trial admission.
@@ -606,18 +601,14 @@ func (r *Router) hedgedAttempt(ctx context.Context, primary, key, model string, 
 				}
 				continue
 			}
-			if traceID != "" {
-				r.tracer.Record(trace.Span{
-					TraceID: traceID, Name: "hedge", Model: model,
-					Device: -1, Replica: -1, Stage: -1,
-					Start: time.Now().UnixNano(), Dur: delay.Nanoseconds(),
-					Detail: fmt.Sprintf("%s -> %s after %s", primary, hedgeNode, delay),
-				})
+			if c.traceID != "" {
+				r.tracer.Event(c.traceID, "hedge", c.model, time.Now(), delay,
+					fmt.Sprintf("%s -> %s after %s", primary, hedgeNode, delay))
 			}
-			tried[hedgeNode] = true
+			c.take(hedgeNode)
 			inFlight++
 			go func(n string) {
-				results <- r.attempt(hctx, n, model, class, deadline, traceID, body, hdr)
+				results <- r.attempt(hctx, c, n)
 			}(hedgeNode)
 		}
 	}
@@ -630,18 +621,18 @@ func (r *Router) hedgedAttempt(ctx context.Context, primary, key, model string, 
 // attempt issues one proxied POST /v1/infer against one node under the
 // class-derived attempt timeout, classifies the outcome, and feeds the
 // health tracker and the node's breaker.
-func (r *Router) attempt(ctx context.Context, node, model string, class dispatch.Class, deadline time.Time, traceID string, body []byte, hdr http.Header) *proxyResult {
+func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult {
 	remaining := time.Duration(0)
-	if !deadline.IsZero() {
-		remaining = time.Until(deadline)
+	if !c.deadline.IsZero() {
+		remaining = time.Until(c.deadline)
 	}
-	timeout := r.opts.Timeout.AttemptTimeout(class, remaining)
+	timeout := r.opts.Timeout.AttemptTimeout(c.class, remaining)
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
 	t0 := time.Now()
 	res := &proxyResult{node: node}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, node+"/v1/infer", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, node+"/v1/infer", bytes.NewReader(c.body))
 	if err != nil {
 		// Nothing was sent: release any trial admission rather than leak it.
 		r.breakers.CancelTrial(node)
@@ -649,10 +640,10 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if v := hdr.Get(serve.ClassHeader); v != "" {
+	if v := c.hdr.Get(serve.ClassHeader); v != "" {
 		req.Header.Set(serve.ClassHeader, v)
 	}
-	if !deadline.IsZero() {
+	if !c.deadline.IsZero() {
 		// Forward the *remaining* budget, not the client's original: the
 		// node reads the header as milliseconds from its own receipt, so
 		// relaying it verbatim would restart the full budget on every
@@ -663,15 +654,15 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 			ms = 0.001
 		}
 		req.Header.Set(serve.DeadlineHeader, strconv.FormatFloat(ms, 'f', -1, 64))
-	} else if v := hdr.Get(serve.DeadlineHeader); v != "" {
+	} else if v := c.hdr.Get(serve.DeadlineHeader); v != "" {
 		// Unparseable client value: relay verbatim so the node rejects it
 		// with the authoritative 400.
 		req.Header.Set(serve.DeadlineHeader, v)
 	}
-	if traceID != "" {
+	if c.traceID != "" {
 		// Forward the (possibly router-minted) trace ID so node-side
 		// spans join the router's route/retry/hedge spans.
-		req.Header.Set(serve.TraceHeader, traceID)
+		req.Header.Set(serve.TraceHeader, c.traceID)
 	}
 
 	resp, err := r.client.Do(req)
@@ -756,7 +747,7 @@ func (r *Router) attempt(ctx context.Context, node, model string, class dispatch
 	switch {
 	case res.status < 400:
 		res.outcome = outcomeRelay
-		r.lat.Observe(model, res.wall)
+		r.lat.Observe(c.model, res.wall)
 		r.metrics.ObserveAttempt(node, attemptOK, res.wall)
 	case res.status == http.StatusServiceUnavailable && errKind(res.body) != serve.KindExpired:
 		// 503 kind unavailable: the node is draining or lost capacity for

@@ -18,10 +18,9 @@ var errClosed = errors.New("serve: model evicted or server draining")
 // its result is delivered on (buffered, so the executor never blocks on a
 // departed caller).
 type item struct {
-	in       *tensor.Float
-	bitExact bool
-	enq      time.Time
-	res      chan itemResult
+	in  *tensor.Float
+	enq time.Time
+	res chan itemResult
 
 	// class and deadline are the request's SLO metadata: formation
 	// orders batches by class, the early-close rule prices deadlines,

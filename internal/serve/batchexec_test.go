@@ -2,15 +2,14 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"rtmap/internal/workload"
 )
 
-// makeItems builds n queued inference items over random inputs; every
-// other item runs in bit-exact mode so one coalesced batch exercises
-// both executor groups of the device loop.
+// makeItems builds n queued inference items over random inputs.
 func makeItems(t *testing.T, model string, n int, seed uint64) []*item {
 	t.Helper()
 	sh, ok := ZooShape(model)
@@ -20,15 +19,13 @@ func makeItems(t *testing.T, model string, n int, seed uint64) []*item {
 	ins := workload.Inputs(sh, n, seed)
 	items := make([]*item, n)
 	for i, in := range ins {
-		items[i] = &item{in: in, bitExact: i%2 == 0, enq: time.Now(), res: make(chan itemResult, 1)}
+		items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
 	}
 	return items
 }
 
 // The device executor steps a whole batch through sim.StepBatch; a
-// mixed bit-exact/reference batch of 8 must come back bit-identical to
-// per-item RunFunctional (reference items produce the same logits by the
-// software-accuracy property).
+// batch of 8 must come back bit-identical to per-item RunFunctional.
 func TestBatchedExecBitExact(t *testing.T) {
 	s := New(Options{Devices: 2, MaxBatch: 8, Window: time.Millisecond, Logf: t.Logf})
 	defer func() {
@@ -100,6 +97,23 @@ func TestBatchedShardedExecBitExact(t *testing.T) {
 	assertBitExact(t, compiledRef(t, "tinyresnet"), items)
 }
 
+// An item of a batch is answered once. A second delivery would block a
+// device goroutine forever on the result channel, so it is a panic — an
+// internal invariant, named after its subsystem.
+func TestDeliverTwicePanics(t *testing.T) {
+	b := newAPBatch(&entry{}, []*item{{res: make(chan itemResult, 1)}})
+	b.deliver(0, itemResult{err: errExpired})
+	if res := <-b.items[0].res; res.err != errExpired || !b.done[0] {
+		t.Fatalf("first delivery: result %+v, done %v", res, b.done[0])
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "serve: ") {
+			t.Errorf("second delivery: recovered %q, want a panic with the serve: prefix", msg)
+		}
+	}()
+	b.deliver(0, itemResult{})
+}
+
 // BenchmarkServeSubmit measures the fleet submit → batched execution →
 // result delivery path on coalesced batches of 8 (the serving layer's
 // steady-state unit of work).
@@ -117,7 +131,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		items := make([]*item, len(ins))
 		for j, in := range ins {
-			items[j] = &item{in: in, bitExact: true, enq: time.Now(), res: make(chan itemResult, 1)}
+			items[j] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
 		}
 		s.fleet.Submit(newAPBatch(e, items))
 		for _, it := range items {

@@ -8,11 +8,11 @@
 // at once when the model's placement has an idle device, and are held to
 // coalesce with later arrivals only while every device is busy — until
 // one frees (Fleet.idleOrWake), the batch fills, a deadline presses, or
-// Options.Window, the cap on that hold, runs out. Inference itself runs either bit-exactly
-// (sim.ForwardAP replays the emitted AP programs) or on the quantized
-// software reference (model.ForwardInt) — the two are proved
-// bit-identical, so the mode trades verification strength for speed, not
-// accuracy.
+// Options.Window, the cap on that hold, runs out. Every inference replays
+// the emitted AP programs on the batched engine (sim.StepBatch); the
+// quantized software reference it is bit-identical to (model.ForwardInt)
+// is the oracle tests check served logits against, and nothing in this
+// package runs it.
 //
 // There is one batch executor (Fleet.execStage): every admitted model is
 // a pipeline of K contiguous layer-range stages (core.Partition, balanced

@@ -91,7 +91,7 @@ func TestFailoverRequeueBitExact(t *testing.T) {
 	ins := workload.Inputs(sh, 3, 11)
 	items := make([]*item, len(ins))
 	for i, in := range ins {
-		items[i] = &item{in: in, bitExact: i == 0, enq: time.Now(), res: make(chan itemResult, 1)}
+		items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
 	}
 	b := newAPBatch(e, items)
 	f := s.fleet
@@ -128,6 +128,51 @@ func TestFailoverRequeueBitExact(t *testing.T) {
 				t.Fatalf("item %d logit %d: failover served %d, RunFunctional %d", i, j, res.logits[j], want[j])
 			}
 		}
+	}
+}
+
+// The delay estimator amortises a batch over the replicas that run
+// batches side by side — the live ones. With one of two replicas dead the
+// deployment retires items at one device's rate, and the per-item
+// interval admission prices the queue with must say so: counting the
+// dead replica halves it (and doubles what -max-queue-delay lets in).
+func TestDelayEstimatorCountsLiveReplicas(t *testing.T) {
+	// Dilated, so a batch holds its device for at least its modeled
+	// latency × WallScale whatever the host.
+	const wallScale, n = 2000, 4
+	s := New(Options{Devices: 2, Replicas: 2, MaxBatch: n, WallScale: wallScale, Logf: t.Logf})
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	e, err := s.Registry().Get(Spec{Model: "tinycnn", ActBits: 4, Sparsity: 0.8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.placed().replicas) != 2 {
+		t.Fatalf("%d replicas placed, want 2", len(e.placed().replicas))
+	}
+	if err := s.FailDevice(e.placed().replicas[0].devs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var exec time.Duration
+	for round := uint64(0); round < 3; round++ {
+		items := makeItems(t, "tinycnn", n, round)
+		s.fleet.Submit(newAPBatch(e, items))
+		for i, it := range items {
+			res := <-it.res
+			if res.err != nil {
+				t.Fatalf("round %d item %d: %v", round, i, res.err)
+			}
+			exec = time.Duration(res.info.SimLatencyNS * wallScale)
+		}
+	}
+	// The estimator observes a batch after delivering it, before retiring it.
+	waitFor(t, "the last batch to retire", func() bool { return s.fleet.Pending() == 0 })
+	if got, floor := e.est.PerItem(), exec/n; got < floor {
+		t.Errorf("per-item interval %v with one of two replicas alive, want at least exec/items = %v (exec/(2·items) = %v amortises over the dead replica)",
+			got, floor, floor/2)
 	}
 }
 

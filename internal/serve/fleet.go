@@ -58,7 +58,7 @@ type replica struct {
 // coalesced for it. A batch traverses the fleet stage by stage, carrying
 // its per-item pipeline state. A batch that reaches a dead device is
 // requeued onto a surviving replica (bounded attempts); done tracks which
-// items already received a result so a restart never delivers twice.
+// items already received a result (see deliver).
 type apBatch struct {
 	e     *entry
 	items []*item
@@ -97,6 +97,18 @@ type apBatch struct {
 // capturing the entry's current placement.
 func newAPBatch(e *entry, items []*item) *apBatch {
 	return &apBatch{e: e, items: items, done: make([]bool, len(items)), replica: -1, pl: e.placed()}
+}
+
+// deliver hands item i its result: the one place an item of a batch is
+// answered. An item is answered once — a second send would block a
+// device goroutine forever on the capacity-1 channel — so a repeat is an
+// internal invariant violation, not an error.
+func (b *apBatch) deliver(i int, res itemResult) {
+	if b.done[i] {
+		panic(fmt.Sprintf("serve: item %d of a %d-item batch delivered twice", i, len(b.items)))
+	}
+	b.done[i] = true
+	b.items[i].res <- res
 }
 
 // firstTraced reports whether item i is the first item carrying its
@@ -491,12 +503,10 @@ func (f *Fleet) layerHook(b *apBatch, dev, stage int) sim.LayerHook {
 
 // fail delivers err to every item that does not have a result yet.
 func fail(b *apBatch, err error) {
-	for i, it := range b.items {
-		if b.done[i] {
-			continue
+	for i := range b.items {
+		if !b.done[i] {
+			b.deliver(i, itemResult{err: err})
 		}
-		b.done[i] = true
-		it.res <- itemResult{err: err}
 	}
 }
 
@@ -518,8 +528,7 @@ func (f *Fleet) expireDue(b *apBatch, now time.Time, where string) int {
 		if b.firstTraced(i) {
 			f.itemSpan(it, b, "expired", -1, -1, now, 0, where)
 		}
-		b.done[i] = true
-		it.res <- itemResult{err: errExpired}
+		b.deliver(i, itemResult{err: errExpired})
 	}
 	return live
 }
@@ -528,24 +537,27 @@ func (f *Fleet) expireDue(b *apBatch, now time.Time, where string) int {
 // fleet (formation-queue cancellation by the batcher) — there is no
 // batch context, so the span carries only the trace identity.
 func (f *Fleet) expireItem(e *entry, it *item, where string) {
-	if f.tracer != nil && it.trace != "" {
-		f.tracer.Record(trace.Span{
-			TraceID: it.trace, Name: "expired", Model: e.spec.Model,
-			Device: -1, Replica: -1, Stage: -1,
-			Start: time.Now().UnixNano(), Detail: where,
-		})
-	}
+	f.tracer.Event(it.trace, "expired", e.spec.Model, time.Now(), 0, where)
 	it.res <- itemResult{err: errExpired}
 }
 
 // parallelism is how many batches the batch's deployment can execute
-// concurrently: its replica count, or the whole live fleet for
-// unpinned entries. Scales the entry's per-item interval estimate.
+// concurrently: its live replicas, or the whole live fleet for unpinned
+// entries. Scales the entry's per-item interval estimate, so a dead
+// replica must not count: the queue drains at the survivors' rate.
 func (f *Fleet) parallelism(b *apBatch) int {
-	if n := len(b.pl.replicas); n > 0 {
-		return n
+	if len(b.pl.replicas) == 0 {
+		return f.NumLive()
 	}
-	return f.NumLive()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, rep := range b.pl.replicas {
+		if f.replicaLiveLocked(rep) {
+			n++
+		}
+	}
+	return n
 }
 
 func (f *Fleet) run(d *device) {
@@ -596,11 +608,10 @@ func (f *Fleet) dilate(simNS float64, start time.Time) {
 
 // execStage is the one batch executor: it runs one pipeline stage of the
 // batch on this device — for the default one-stage pipeline, the whole
-// model. Every item advances one stage of its ShardRun (bit-exact items
-// replay the compiled AP programs, reference items run the quantized
-// software reference; both produce identical logits), the stage is priced
-// by the pipeline cost model, and the batch either hops to the next
-// stage's device or delivers its results.
+// model. Every live item advances one stage of its ShardRun in one
+// batched replay of the compiled AP programs, the stage is priced by the
+// pipeline cost model, and the batch either hops to the next stage's
+// device or delivers its results.
 func (f *Fleet) execStage(d *device, b *apBatch) {
 	start := time.Now()
 	// A one-stage pipeline looks like what it is, a whole-model dispatch:
@@ -625,8 +636,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			}
 			run, err := sim.NewShardRun(b.e.comp, b.pl.shard, it.in)
 			if err != nil {
-				b.done[i] = true
-				it.res <- itemResult{err: err}
+				b.deliver(i, itemResult{err: err})
 				continue
 			}
 			b.runs[i] = run
@@ -650,28 +660,20 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 	b.simPJ += br.EnergyPJ
 	b.path = append(b.path, d.id)
 
-	// Advance every live run one stage in one batched engine pass per
-	// bit-exactness mode (a coalesced batch can mix modes; each group's
-	// runs share their stage's program interpretations).
-	hook := f.layerHook(b, d.id, spanStage)
-	group := make([]*sim.ShardRun, 0, len(b.items))
+	// Advance every live run one stage in one batched engine pass: the
+	// runs share their stage's program interpretations.
+	live := make([]*sim.ShardRun, 0, len(b.items))
 	idx := make([]int, 0, len(b.items))
-	for _, exact := range [...]bool{true, false} {
-		group, idx = group[:0], idx[:0]
-		for i, it := range b.items {
-			if b.runs[i] == nil || it.bitExact != exact {
-				continue // failed or already delivered at an earlier stage
-			}
-			group = append(group, b.runs[i])
+	for i, run := range b.runs {
+		if run != nil { // nil: failed or already delivered at an earlier stage
+			live = append(live, run)
 			idx = append(idx, i)
 		}
-		for j, err := range sim.StepBatchHook(group, exact, hook) {
-			if err != nil {
-				i := idx[j]
-				b.done[i] = true
-				b.items[i].res <- itemResult{err: err}
-				b.runs[i] = nil
-			}
+	}
+	for j, err := range sim.StepBatch(live, f.layerHook(b, d.id, spanStage)) {
+		if err != nil {
+			b.deliver(idx[j], itemResult{err: err})
+			b.runs[idx[j]] = nil
 		}
 	}
 
@@ -712,8 +714,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		}
 		lg := b.runs[i].Logits()
 		info.QueueWallNS = b.started.Sub(it.enq).Nanoseconds()
-		b.done[i] = true
-		it.res <- itemResult{logits: append([]int32(nil), lg.Data...), argmax: lg.ArgmaxInt()[0], info: info}
+		b.deliver(i, itemResult{logits: append([]int32(nil), lg.Data...), argmax: lg.ArgmaxInt()[0], info: info})
 		disp := dispatchOf(it)
 		f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
 	}

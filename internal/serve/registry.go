@@ -253,7 +253,7 @@ type BatchOptions struct {
 }
 
 // NewRegistry returns an empty registry. The compile config is forced to
-// retain programs (bit-exact mode replays them). Every model is admitted
+// retain programs (every inference replays them). Every model is admitted
 // as a layer-range pipeline of shardStages stages (clamped to the live
 // fleet size and the model's layer count, and to at least the one stage
 // that holds the whole model), each stage of a deeper pipeline pinned to

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,9 +59,9 @@ func postInfer(t *testing.T, url string, req InferRequest) (*InferResponse, *htt
 }
 
 // TestInferBitExactEndToEnd is the subsystem's acceptance test: a batch
-// of synthetic inputs posted to /v1/infer in bit-exact mode returns
-// exactly the logits sim.ForwardAP (the rtmap.RunFunctional path)
-// produces on the same compiled network and inputs.
+// of synthetic inputs posted to /v1/infer returns exactly the logits
+// sim.ForwardAP (the rtmap.RunFunctional path) produces on the same
+// compiled network and inputs.
 func TestInferBitExactEndToEnd(t *testing.T) {
 	_, ts := testServer(t, Options{MaxBatch: 4, Window: 5 * time.Millisecond})
 
@@ -110,23 +110,49 @@ func TestInferBitExactEndToEnd(t *testing.T) {
 	}
 }
 
-// The reference path must serve the same logits as the bit-exact path
-// (the proved equivalence the mode switch relies on).
+// Wire compatibility of the retired bit_exact key (the test's name is
+// from when it selected between two executors): a body that sets it
+// true, sets it false or leaves it out is accepted and answered with the
+// same logits, model.ForwardInt's, at one stage and through a pipeline.
 func TestReferenceModeMatchesBitExact(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	sh, _ := ZooShape("tinyresnet")
-	in := workload.InputData(sh, 2, 7)
-	exact, resp := postInfer(t, ts.URL, InferRequest{Model: "tinyresnet", BitExact: true, Inputs: in})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d", resp.StatusCode)
-	}
-	ref, resp := postInfer(t, ts.URL, InferRequest{Model: "tinyresnet", Inputs: in})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d", resp.StatusCode)
-	}
-	for i := range exact.Results {
-		if fmt.Sprint(exact.Results[i].Logits) != fmt.Sprint(ref.Results[i].Logits) {
-			t.Fatalf("input %d: bit-exact %v != reference %v", i, exact.Results[i].Logits, ref.Results[i].Logits)
+	for _, tc := range []struct {
+		model string
+		opts  Options
+	}{
+		{"tinycnn", Options{}},
+		{"tinyresnet", Options{ShardStages: 2}},
+	} {
+		_, ts := testServer(t, tc.opts)
+		net := zoo[tc.model].build(model.Config{ActBits: 4, Sparsity: 0.8, Seed: 1})
+		inputs := workload.Inputs(net.InputShape, 2, 7)
+		req := InferRequest{Model: tc.model}
+		want := make([][]int32, len(inputs))
+		for i, in := range inputs {
+			req.Inputs = append(req.Inputs, in.Data)
+			ref, err := net.ForwardInt(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = ref.Logits().Data
+		}
+		omitted, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"bit_exact":true,`, `"bit_exact":false,`, ""} {
+			body := append([]byte("{"+key), omitted[1:]...)
+			var out InferResponse
+			if err := json.Unmarshal(fetch(t, http.MethodPost, ts.URL+"/v1/infer", body), &out); err != nil || len(out.Results) != len(inputs) {
+				t.Fatalf("%s with %q: %v, %d results", tc.model, key, err, len(out.Results))
+			}
+			for i := range inputs {
+				if !slices.Equal(out.Results[i].Logits, want[i]) {
+					t.Errorf("%s with %q, input %d: logits %v, ForwardInt %v", tc.model, key, i, out.Results[i].Logits, want[i])
+				}
+				if got, want := out.Results[i].Batch.Stages, tc.opts.ShardStages; got != want {
+					t.Errorf("%s with %q, input %d: %d pipeline stages reported, want %d", tc.model, key, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -315,16 +315,7 @@ func (s *Server) FailDevice(id int) error { return s.fleet.FailDevice(id) }
 // the bound, lingering connections are force-closed and the fleet
 // wind-down abandoned — a SIGTERM always terminates the process.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.scaleStop != nil {
-		s.scaleOnce.Do(func() { close(s.scaleStop) })
-		<-s.scaleDone
-	}
-	s.faultMu.Lock()
-	if s.faultTimer != nil {
-		s.faultTimer.Stop()
-	}
-	s.faultMu.Unlock()
+	s.stopBackground()
 	if s.opts.DrainTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -355,6 +346,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // left running (a crash does not unwind state either); the chaos
 // harness uses Abort to kill cluster nodes mid-load.
 func (s *Server) Abort() error {
+	s.stopBackground()
+	return s.http.Close()
+}
+
+// stopBackground is how both ways down begin: refuse new work, then stop
+// the goroutines the server itself started — the scaler (waited for) and
+// the armed fault injection.
+func (s *Server) stopBackground() {
 	s.draining.Store(true)
 	if s.scaleStop != nil {
 		s.scaleOnce.Do(func() { close(s.scaleStop) })
@@ -365,7 +364,6 @@ func (s *Server) Abort() error {
 		s.faultTimer.Stop()
 	}
 	s.faultMu.Unlock()
-	return s.http.Close()
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -417,9 +415,10 @@ type InferRequest struct {
 	ActBits  int      `json:"act_bits,omitempty"`
 	Sparsity *float64 `json:"sparsity,omitempty"`
 	Seed     uint64   `json:"seed,omitempty"`
-	// BitExact replays the compiled AP programs on the word-level machine
-	// (slow, bit-exact); otherwise the quantized software reference runs
-	// (fast, proved bit-identical).
+	// BitExact is decoded and ignored, kept because bodies in the wild (and
+	// the benchmark's) carry the key: there is nothing to select, every
+	// inference replays the compiled AP programs on the one engine,
+	// bit-identical to model.ForwardInt.
 	BitExact bool        `json:"bit_exact,omitempty"`
 	Inputs   [][]float32 `json:"inputs"`
 	// Class is the request's priority class ("interactive", "standard",
@@ -540,11 +539,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set(TraceHeader, traceID)
-		s.tracer.Record(trace.Span{
-			TraceID: traceID, Name: "http", Model: model,
-			Device: -1, Replica: -1, Stage: -1,
-			Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), Detail: detail,
-		})
+		s.tracer.Event(traceID, "http", model, start, time.Since(start), detail)
 	}
 
 	// SLO identity of the request: resolved after decode; failures before
@@ -661,13 +656,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 				retry = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			if traceID != "" {
-				s.tracer.Record(trace.Span{
-					TraceID: traceID, Name: "shed", Model: model,
-					Device: -1, Replica: -1, Stage: -1,
-					Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), Detail: v.Reason,
-				})
-			}
+			s.tracer.Event(traceID, "shed", model, start, time.Since(start), v.Reason)
 			fail(http.StatusTooManyRequests, KindShed, "shed: %s (retry after %ds)", v.Reason, retry)
 			return
 		}
@@ -686,7 +675,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 		tensors[i] = tensor.Float{Shape: shape, Data: vals}
 		items[i] = &item{
-			in: &tensors[i], bitExact: req.BitExact, enq: enq, res: make(chan itemResult, 1),
+			in: &tensors[i], enq: enq, res: make(chan itemResult, 1),
 			class: cls, deadline: deadline,
 			trace: traceID, layers: traceLayers,
 		}

@@ -19,8 +19,9 @@ import (
 
 // Sharded serving is only worth having if it stays bit-exact: logits
 // streamed through the stage pipeline must equal the single-device
-// RunFunctional path, in both execution modes, and the batch accounting
-// must show the batch actually traversed distinct pinned devices.
+// RunFunctional path, with or without the ignored bit_exact key, and the
+// batch accounting must show the batch actually traversed distinct pinned
+// devices.
 func TestShardedInferBitExact(t *testing.T) {
 	_, ts := testServer(t, Options{Devices: 3, ShardStages: 3, MaxBatch: 4, Window: 5 * time.Millisecond})
 
@@ -76,7 +77,8 @@ func TestShardedInferBitExact(t *testing.T) {
 		}
 	}
 
-	// Reference mode through the same pipeline serves identical logits.
+	// The same body without the bit_exact key — a reference-mode request,
+	// when there was one — serves identical logits.
 	req.BitExact = false
 	ref, resp := postInfer(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -85,7 +87,7 @@ func TestShardedInferBitExact(t *testing.T) {
 	for i := range ref.Results {
 		for j, v := range ref.Results[i].Logits {
 			if v != out.Results[i].Logits[j] {
-				t.Fatalf("input %d logit %d: reference %d != bit-exact %d", i, j, v, out.Results[i].Logits[j])
+				t.Fatalf("input %d logit %d: %d without bit_exact, %d with", i, j, v, out.Results[i].Logits[j])
 			}
 		}
 	}
@@ -159,10 +161,11 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
-// One executor, every stage count: a coalesced batch mixing a bit-exact
-// and a reference request serves ForwardInt's logits at ShardStages 0, 1
-// and 2. At one stage the batch is priced exactly as sim.AnalyzeBatch
-// prices it, and neither the response nor /v1/models mentions a pipeline.
+// One executor, every stage count: a batch coalesced from two requests —
+// one carrying the ignored bit_exact key, one not — serves ForwardInt's
+// logits at ShardStages 0, 1 and 2. At one stage the batch is priced
+// exactly as sim.AnalyzeBatch prices it, and neither the response nor
+// /v1/models mentions a pipeline.
 func TestOneExecutorAcrossStageCounts(t *testing.T) {
 	comp := compiledRef(t, "tinyresnet")
 	rep := sim.Analyze(comp)

@@ -48,7 +48,7 @@ func TestFailoverMixedSLO(t *testing.T) {
 	items := []*item{
 		{in: ins[0], enq: now, res: make(chan itemResult, 1),
 			class: dispatch.ClassInteractive, deadline: now.Add(time.Hour),
-			trace: "trace-live", bitExact: true},
+			trace: "trace-live"},
 		{in: ins[1], enq: now, res: make(chan itemResult, 1),
 			class: dispatch.ClassStandard, deadline: now.Add(-time.Millisecond),
 			trace: "trace-dead"},

@@ -357,8 +357,7 @@ func TestFailoverRequeueKeepsTrace(t *testing.T) {
 	ins := workload.Inputs(sh, 3, 11)
 	items := make([]*item, len(ins))
 	for i, in := range ins {
-		items[i] = &item{in: in, bitExact: i == 0, enq: time.Now(),
-			res: make(chan itemResult, 1), trace: id}
+		items[i] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1), trace: id}
 	}
 	b := newAPBatch(e, items)
 	f := s.fleet
@@ -436,7 +435,7 @@ func BenchmarkServeSubmitTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		items := make([]*item, len(ins))
 		for j, in := range ins {
-			items[j] = &item{in: in, bitExact: true, enq: time.Now(), res: make(chan itemResult, 1)}
+			items[j] = &item{in: in, enq: time.Now(), res: make(chan itemResult, 1)}
 		}
 		items[0].trace = ids[i%len(ids)]
 		s.fleet.Submit(newAPBatch(e, items))

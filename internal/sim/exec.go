@@ -408,20 +408,16 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 		}
 		trs[i] = tr
 	}
-	if err := c.Net.ExecLayers(trs, 0, len(c.Net.Layers), convExec(c, true), hook); err != nil {
+	if err := c.Net.ExecLayers(trs, 0, len(c.Net.Layers), convExec(c), hook); err != nil {
 		return nil, err
 	}
 	return trs, nil
 }
 
-// convExec is the conv/linear executor a functional run plugs into the
-// model's layer walker: the batched AP engine (one program interpretation
-// per (strip, tile, row-block) for the whole batch) when bitExact, else
-// the integer software reference — the two are proved bit-identical.
-func convExec(c *core.Compiled, bitExact bool) model.ConvExec {
-	if !bitExact {
-		return model.ConvReference
-	}
+// convExec is the conv/linear executor every functional run plugs into
+// the model's layer walker: the batched AP engine, one program
+// interpretation per (strip, tile, row-block) for the whole batch.
+func convExec(c *core.Compiled) model.ConvExec {
 	return func(i int, l *model.Layer, xs, outs []*tensor.Int) error {
 		spec := l.ConvSpec()
 		for j, x := range xs {

@@ -251,7 +251,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		}
 	}
 	for !runs[0].Done() {
-		for i, err := range StepBatch(runs, true) {
+		for i, err := range StepBatch(runs, nil) {
 			if err != nil {
 				t.Fatalf("run %d: %v", i, err)
 			}
@@ -276,7 +276,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 	}
 	mixed := []*ShardRun{runs[0], fresh}
 	for !fresh.Done() {
-		errs := StepBatch(mixed, true)
+		errs := StepBatch(mixed, nil)
 		if errs[0] == nil {
 			t.Fatal("completed run must error on further steps")
 		}

@@ -60,8 +60,8 @@ func (r *ShardRun) Logits() *tensor.Int {
 }
 
 // Step executes the next stage of this run alone.
-func (r *ShardRun) Step(bitExact bool) error {
-	if err := r.exec([]*model.IntTrace{r.store}, bitExact, nil); err != nil {
+func (r *ShardRun) Step() error {
+	if err := r.exec([]*model.IntTrace{r.store}, nil); err != nil {
 		return err
 	}
 	r.ship()
@@ -69,23 +69,15 @@ func (r *ShardRun) Step(bitExact bool) error {
 }
 
 // StepBatch advances a set of runs positioned at the same stage of the
-// same compiled plan by one stage. bitExact selects the batched AP engine
-// for conv/linear layers (one program interpretation per (strip, tile,
-// row-block) for all runs); false runs the (bit-identical) integer
-// software reference. Results are bit-identical to stepping each run
-// alone. The returned slice has one entry per run; a batch-wide
-// execution failure is attributed to every run it aborted (the runs are
-// structurally identical, so it would have failed each of them alone
-// too). Mismatched runs are stepped one by one.
-func StepBatch(runs []*ShardRun, bitExact bool) []error {
-	return StepBatchHook(runs, bitExact, nil)
-}
-
-// StepBatchHook is StepBatch with a per-layer observation hook (nil
-// behaves exactly like StepBatch). The non-uniform fallback path steps
-// runs individually and drops the hook — mixed batches are a recovery
-// corner, not an attribution target.
-func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
+// same compiled plan by one stage on the batched AP engine: one program
+// interpretation per (strip, tile, row-block) for all runs, bit-identical
+// to stepping each run alone. hook observes each layer (nil: none). The
+// returned slice has one entry per run; a batch-wide execution failure is
+// attributed to every run it aborted (the runs are structurally
+// identical, so it would have failed each of them alone too). Mismatched
+// runs are stepped one by one, without the hook — mixed batches are a
+// recovery corner, not an attribution target.
+func StepBatch(runs []*ShardRun, hook LayerHook) []error {
 	errs := make([]error, len(runs))
 	if len(runs) == 0 {
 		return errs
@@ -95,13 +87,13 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 	for i, r := range runs {
 		if r.c != r0.c || r.sp != r0.sp || r.stage != r0.stage {
 			for i, r := range runs {
-				errs[i] = r.Step(bitExact)
+				errs[i] = r.Step()
 			}
 			return errs
 		}
 		trs[i] = r.store
 	}
-	err := r0.exec(trs, bitExact, hook)
+	err := r0.exec(trs, hook)
 	for i, r := range runs {
 		if errs[i] = err; err == nil {
 			r.ship()
@@ -112,12 +104,12 @@ func StepBatchHook(runs []*ShardRun, bitExact bool, hook LayerHook) []error {
 
 // exec runs r's next stage over trs: the stores of r and of every run
 // stepping with it.
-func (r *ShardRun) exec(trs []*model.IntTrace, bitExact bool, hook LayerHook) error {
+func (r *ShardRun) exec(trs []*model.IntTrace, hook LayerHook) error {
 	if r.Done() {
 		return fmt.Errorf("sim: shard run already complete")
 	}
 	st := r.sp.Stages[r.stage]
-	if err := r.c.Net.ExecLayers(trs, st.Lo, st.Hi, convExec(r.c, bitExact), hook); err != nil {
+	if err := r.c.Net.ExecLayers(trs, st.Lo, st.Hi, convExec(r.c), hook); err != nil {
 		return fmt.Errorf("sim: stage %d [%d,%d): %w", r.stage, st.Lo, st.Hi, err)
 	}
 	return nil
@@ -164,7 +156,7 @@ func ForwardAPSharded(c *core.Compiled, sp *core.ShardPlan, in *tensor.Float) (*
 		InputCodes: run.store.InputCodes,
 	}
 	for !run.Done() {
-		if err := run.Step(true); err != nil {
+		if err := run.Step(); err != nil {
 			return nil, err
 		}
 	}

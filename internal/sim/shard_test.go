@@ -60,9 +60,9 @@ func TestForwardAPShardedBitExact(t *testing.T) {
 	}
 }
 
-// The reference-mode (software) stage executor must agree with
-// model.ForwardInt logits the same way the bit-exact path does.
-func TestShardRunReferenceModeMatchesForwardInt(t *testing.T) {
+// A sharded run stepped to completion serves model.ForwardInt's logits,
+// and stepping past the last stage is an error.
+func TestShardRunMatchesForwardInt(t *testing.T) {
 	net := model.TinyResNet(model.DefaultConfig())
 	c := compileNet(t, net, true)
 	rep := Analyze(c)
@@ -77,22 +77,22 @@ func TestShardRunReferenceModeMatchesForwardInt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !run.Done() {
-		if err := run.Step(false); err != nil {
+		if err := run.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !run.Logits().Equal(ref.Logits()) {
-		t.Fatalf("reference-mode sharded logits %v, ForwardInt %v", run.Logits().Data, ref.Logits().Data)
+		t.Fatalf("sharded logits %v, ForwardInt %v", run.Logits().Data, ref.Logits().Data)
 	}
-	if err := run.Step(false); err == nil {
+	if err := run.Step(); err == nil {
 		t.Error("Step after Done must error")
 	}
 }
 
-// Residency is the walker's check, not the engine's: a stage that reads a
-// tensor its predecessor did not ship fails on the reference executor
-// (bitExact=false) exactly as it does on the AP engine.
-func TestShardStageNonResidentInputReferenceMode(t *testing.T) {
+// Residency is the walker's check: a stage that reads a tensor its
+// predecessor did not ship fails instead of reading state a real device
+// would not hold.
+func TestShardStageNonResidentInput(t *testing.T) {
 	net := model.TinyResNet(model.DefaultConfig())
 	c := compileNet(t, net, true)
 	sp := partitionEven(t, c, Analyze(c), 3)
@@ -106,19 +106,17 @@ func TestShardStageNonResidentInputReferenceMode(t *testing.T) {
 			short.Stages[0].XferRefs = append(short.Stages[0].XferRefs, ref)
 		}
 	}
-	for _, bitExact := range []bool{false, true} {
-		run, err := NewShardRun(c, &short, randInput(12, net.InputShape))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := run.Step(bitExact); err != nil {
-			t.Fatalf("bitExact=%v: stage 0: %v", bitExact, err)
-		}
-		err = run.Step(bitExact)
-		want := fmt.Sprintf("layer %d output not resident", dropped)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("bitExact=%v: stage 1 without ref %d: got %v, want %q", bitExact, dropped, err, want)
-		}
+	run, err := NewShardRun(c, &short, randInput(12, net.InputShape))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Step(); err != nil {
+		t.Fatalf("stage 0: %v", err)
+	}
+	err = run.Step()
+	want := fmt.Sprintf("layer %d output not resident", dropped)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("stage 1 without ref %d: got %v, want %q", dropped, err, want)
 	}
 }
 
@@ -280,7 +278,7 @@ func TestOneStageShardRunAllocatesNoMoreThanForwardAPBatch(t *testing.T) {
 	staged := func() {
 		run, err := NewShardRun(c, sp, in)
 		if err == nil {
-			err = run.Step(true)
+			err = run.Step()
 		}
 		if err != nil || !run.Done() {
 			t.Fatalf("one-stage run: done=%v, %v", run.Done(), err)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Span is one timed phase of a request's path through the serving
@@ -115,6 +116,23 @@ func (t *Tracer) Record(sp Span) {
 		t.sinkLocked(sp)
 	}
 	t.mu.Unlock()
+}
+
+// Event records a request-level span — one bound to no device, replica
+// or stage: a tier's root span (http, route) or a decision taken about
+// the request as a whole (shed, expired, retry, hedge). A nil tracer or
+// an empty id (an untraced request) records nothing.
+//
+//rtmap:noalloc
+func (t *Tracer) Event(id, name, model string, start time.Time, dur time.Duration, detail string) {
+	if t == nil || id == "" {
+		return
+	}
+	t.Record(Span{ //rtmap:alloc-ok a value copied into the ring, never on the heap
+		TraceID: id, Name: name, Model: model,
+		Device: -1, Replica: -1, Stage: -1,
+		Start: start.UnixNano(), Dur: dur.Nanoseconds(), Detail: detail,
+	})
 }
 
 // sinkLocked encodes one span onto the JSONL sink. Kept out of Record

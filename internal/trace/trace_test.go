@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRingWrapOldestFirst(t *testing.T) {
@@ -34,6 +35,30 @@ func TestSnapshotBeforeWrap(t *testing.T) {
 	got := tr.Snapshot()
 	if len(got) != 2 || got[0].Name != "http" || got[1].Name != "wait" {
 		t.Fatalf("snapshot = %+v, want [http wait]", got)
+	}
+}
+
+// Event is the request-level span: no device, replica or stage; nothing
+// recorded for an untraced request or on a nil tracer; no allocation
+// either way (it sits on the /v1/infer path of both tiers).
+func TestEvent(t *testing.T) {
+	tr := New(8, 0, 0)
+	start := time.Unix(3, 14)
+	tr.Event("", "http", "tinycnn", start, time.Millisecond, "")
+	(*Tracer)(nil).Event("id", "http", "tinycnn", start, time.Millisecond, "")
+	if n := tr.Total(); n != 0 {
+		t.Fatalf("%d spans recorded for an untraced request, want 0", n)
+	}
+	tr.Event("id", "shed", "tinycnn", start, time.Millisecond, "why")
+	want := Span{TraceID: "id", Name: "shed", Model: "tinycnn", Device: -1, Replica: -1, Stage: -1,
+		Start: start.UnixNano(), Dur: int64(time.Millisecond), Detail: "why"}
+	if got := tr.Snapshot(); len(got) != 1 || got[0] != want {
+		t.Fatalf("recorded %+v, want [%+v]", got, want)
+	}
+	for _, id := range []string{"", "id"} {
+		if n := testing.AllocsPerRun(100, func() { tr.Event(id, "http", "tinycnn", start, time.Millisecond, "") }); n != 0 {
+			t.Errorf("Event(%q) allocates %v times per call, want 0", id, n)
+		}
 	}
 }
 
