@@ -11,14 +11,16 @@ import (
 // all of that exactly once, at build time:
 //
 //   - the program is validated once, so execution has no error paths;
-//   - every instruction becomes a dense, 20-byte planOp with resolved
-//     column indices (large networks stream millions of ops per
-//     inference, so op size IS interpreter memory traffic);
-//   - a static value-range analysis marks every op whose result provably
+//   - a static value-range analysis finds every op whose result provably
 //     fits its destination format — including all of a sound compiler
 //     emission — so it runs as plain word arithmetic over packed lanes
 //     with no per-row wrap (the width ≥ 63 case falls out of the same
 //     flag);
+//   - every instruction becomes one 12-byte planOp, in program order
+//     (large networks stream millions of ops per inference, so op size IS
+//     interpreter memory traffic): a wrap-free Add or Sub — all but the
+//     leading Clears of a compiled program — is three column indices and
+//     a sign bit that Run executes undecoded, anything else an escape;
 //   - the same analysis picks the lane width: the narrowest of 16, 32 or
 //     64 bits whose guarded range holds every value a column can carry,
 //     so one 64-bit word op advances 4, 2 or 1 CAM rows;
@@ -34,9 +36,14 @@ import (
 // randomized programs at every lane width.
 type ExecPlan struct {
 	cols []Col
-	ops  []planOp
+	// ops is the program, one op per instruction: what Run executes, the
+	// analyses read and AuditPlan audits.
+	ops []planOp
+	// esc holds the full form of every op that is not a fast op, in
+	// program order, indexed by the escape's planOp.dst.
+	esc []escOp
 	// multi is the side table of multi-destination copies, indexed by
-	// planOp.ext.
+	// escOp.ext.
 	multi [][]copyDst
 	// zero lists the columns that must read as zero at entry: every
 	// column some op reads before any op writes it. Reset clears exactly
@@ -48,7 +55,18 @@ type ExecPlan struct {
 	lane uint8
 }
 
-// planKind discriminates the resolved operation variants of a planOp.
+// planOp is one op of the stream. A fast op — an Add or Sub proved
+// wrap-free — is dst = b ± a over whole columns: three column indices,
+// opSub in a's spare top bit. Anything else is an escape: dst is opEsc
+// plus the op's index in ExecPlan.esc, a and b are zero.
+type planOp struct{ dst, a, b uint32 }
+
+const (
+	opEsc = 1 << 31 // planOp.dst: escape to the side table
+	opSub = 1 << 31 // planOp.a: subtract
+)
+
+// planKind discriminates the resolved operation variants of an escOp.
 type planKind uint8
 
 const (
@@ -69,18 +87,16 @@ type copyDst struct {
 	unsigned bool
 }
 
-// planOp flags.
+// escOp flags.
 const (
 	flagWide     = 1 << iota // wrapping is provably the identity
 	flagUnsigned             // destination signedness (copy wrap only)
 )
 
-// planOp is one resolved operation, deliberately compact: large networks
-// stream millions of ops per inference, so the op array's footprint is
-// the interpreter's front-end memory traffic. Wrap masks derive from
-// width with two shifts at dispatch; the rare multi-destination copy
-// parks its destination list in the plan's side table, indexed by ext.
-type planOp struct {
+// escOp is the full form of one op: what an escape points at, and what
+// at decodes any op into. Wrap masks derive from width with two shifts
+// at dispatch; a multi-destination copy's list is plan.multi[ext].
+type escOp struct {
 	kind  planKind
 	flags uint8
 	width uint8
@@ -90,13 +106,36 @@ type planOp struct {
 	ext   int32 // side-table index (planCopyMulti)
 }
 
-func (op *planOp) wide() bool     { return op.flags&flagWide != 0 }
-func (op *planOp) unsigned() bool { return op.flags&flagUnsigned != 0 }
+func (op *escOp) wide() bool     { return op.flags&flagWide != 0 }
+func (op *escOp) unsigned() bool { return op.flags&flagUnsigned != 0 }
 
-// NewExecPlan validates p and lowers it one instruction to one op, then
-// runs the range analysis (wrap elision and lane width) and zero-set
-// computation described on ExecPlan. The returned plan references p's
-// column table but never mutates it.
+// emit appends op to the stream in its one encoding: a wide Add or Sub
+// as a fast op, anything else as an escape.
+func (plan *ExecPlan) emit(op escOp) {
+	if op.wide() && (op.kind == planAdd || op.kind == planSub) {
+		plan.ops = append(plan.ops, planOp{uint32(op.dst), uint32(op.a) | uint32(op.kind-planAdd)<<31, uint32(op.b)})
+		return
+	}
+	plan.ops = append(plan.ops, planOp{dst: opEsc | uint32(len(plan.esc))})
+	plan.esc = append(plan.esc, op)
+}
+
+// at decodes op i into its full form — the one reader of the encoding
+// besides Run, shared by the analyses and the auditor.
+func (plan *ExecPlan) at(i int) escOp {
+	op := plan.ops[i]
+	if op.dst&opEsc != 0 {
+		return plan.esc[op.dst&^opEsc]
+	}
+	return escOp{kind: planAdd + planKind(op.a>>31), flags: flagWide, width: uint8(min(plan.cols[op.dst].Width, 64)),
+		dst: int32(op.dst), a: int32(op.a &^ opSub), b: int32(op.b)}
+}
+
+// NewExecPlan validates p and lowers it one instruction to one op, in one
+// pass: the range analysis (wrap elision and lane width, see ranges)
+// judges each op as it is resolved, because its verdict picks the op's
+// encoding. The zero set is computed from the finished stream. The
+// returned plan references p's column table but never mutates it.
 func NewExecPlan(p *Program) (*ExecPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -105,12 +144,10 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		return nil, fmt.Errorf("ap: exec plan: %d columns overflow the op encoding", len(p.Cols))
 	}
 	plan := &ExecPlan{cols: p.Cols, ops: make([]planOp, 0, len(p.Instrs))}
+	ra := newRanges(p.Cols)
 	for _, ins := range p.Instrs {
-		w := ins.Width
-		if w > 64 {
-			w = 64 // wrap is the identity from 63 up; clamp into uint8 range
-		}
-		op := planOp{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), width: uint8(w)}
+		// wrap is the identity from 63 bits up; clamp into uint8 range
+		op := escOp{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), width: uint8(min(ins.Width, 64))}
 		if ins.Width >= 63 {
 			op.flags |= flagWide
 		}
@@ -140,9 +177,10 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		default:
 			return nil, fmt.Errorf("ap: exec plan: %w", errUnknownOpcode(ins.Op))
 		}
-		plan.ops = append(plan.ops, op)
+		ra.step(&op, plan.multi)
+		plan.emit(op)
 	}
-	plan.analyzeRanges()
+	plan.lane = laneFor(ra.minV, ra.maxV)
 	plan.findZeroCols()
 	return plan, nil
 }
@@ -221,76 +259,80 @@ func laneFor(l, h int64) uint8 {
 	return 64
 }
 
-// analyzeRanges propagates value intervals through the op list, marks
-// every op whose result provably fits its destination format as wide
-// (wrap is the identity there), and sizes the plan's lanes to the union
-// of every interval a column can hold. Soundness rests on the entry
-// state: loads wrap to each column's format before Run, and unwritten
-// columns are zero, so every column starts inside its format range. An
-// op that may wrap resets its destination to the full format interval,
-// exactly matching the truncating execution path.
-func (plan *ExecPlan) analyzeRanges() {
-	n := len(plan.cols)
-	lo := make([]int64, n)
-	hi := make([]int64, n)
-	var minV, maxV int64 // union of every entry band and op result
-	set := func(c int32, l, h int64) {
-		lo[c], hi[c] = l, h
-		minV, maxV = min(minV, l), max(maxV, h)
-	}
-	for c, col := range plan.cols {
+// ranges propagates value intervals through a program as NewExecPlan
+// lowers it: step marks every op whose result provably fits its
+// destination format as wide (wrap is the identity there), and [minV,
+// maxV] — the union of every interval a column can hold — sizes the
+// plan's lanes. Soundness rests on the entry state: loads wrap to each
+// column's format before Run, and unwritten columns are zero, so every
+// column starts inside its format range. An op that may wrap resets its
+// destination to the full format interval, exactly matching the
+// truncating execution path.
+type ranges struct {
+	lo, hi     []int64
+	minV, maxV int64
+}
+
+func newRanges(cols []Col) *ranges {
+	ra := &ranges{lo: make([]int64, len(cols)), hi: make([]int64, len(cols))}
+	for c, col := range cols {
 		l, h := formatRange(col.Width, col.Unsigned)
-		set(int32(c), l, h)
+		ra.set(int32(c), l, h)
 	}
-	for i := range plan.ops {
-		op := &plan.ops[i]
-		w := int(op.width)
-		switch op.kind {
-		case planClear:
-			set(op.dst, 0, 0)
-		case planCopy:
-			if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, op.unsigned()) {
-				op.flags |= flagWide
-				set(op.dst, lo[op.a], hi[op.a])
-			} else {
-				l, h := formatRange(w, op.unsigned())
-				set(op.dst, l, h)
-			}
-		case planCopyMulti:
-			// Wide only when no destination wraps; a destination the copy
-			// provably leaves intact keeps the source interval either way.
-			l, h, all := lo[op.a], hi[op.a], true
-			for _, cd := range plan.multi[op.ext] {
-				if op.wide() || fitsFormat(l, h, w, cd.unsigned) {
-					set(cd.col, l, h)
-				} else {
-					all = false
-					fl, fh := formatRange(w, cd.unsigned)
-					set(cd.col, fl, fh)
-				}
-			}
-			if all {
-				op.flags |= flagWide
-			}
-		case planAdd, planSub, planNeg:
-			var l, h int64
-			switch op.kind {
-			case planAdd:
-				l, h = addSat(lo[op.b], lo[op.a]), addSat(hi[op.b], hi[op.a])
-			case planSub:
-				l, h = addSat(lo[op.b], -hi[op.a]), addSat(hi[op.b], -lo[op.a])
-			default:
-				l, h = -hi[op.a], -lo[op.a]
-			}
-			if op.wide() || fitsFormat(l, h, w, false) {
-				op.flags |= flagWide
-			} else {
-				l, h = formatRange(w, false)
-			}
-			set(op.dst, l, h)
+	return ra
+}
+
+func (ra *ranges) set(c int32, l, h int64) {
+	ra.lo[c], ra.hi[c] = l, h
+	ra.minV, ra.maxV = min(ra.minV, l), max(ra.maxV, h)
+}
+
+func (ra *ranges) step(op *escOp, multi [][]copyDst) {
+	lo, hi, w := ra.lo, ra.hi, int(op.width)
+	switch op.kind {
+	case planClear:
+		ra.set(op.dst, 0, 0)
+	case planCopy:
+		if op.wide() || fitsFormat(lo[op.a], hi[op.a], w, op.unsigned()) {
+			op.flags |= flagWide
+			ra.set(op.dst, lo[op.a], hi[op.a])
+		} else {
+			l, h := formatRange(w, op.unsigned())
+			ra.set(op.dst, l, h)
 		}
+	case planCopyMulti:
+		// Wide only when no destination wraps; a destination the copy
+		// provably leaves intact keeps the source interval either way.
+		l, h, all := lo[op.a], hi[op.a], true
+		for _, cd := range multi[op.ext] {
+			if op.wide() || fitsFormat(l, h, w, cd.unsigned) {
+				ra.set(cd.col, l, h)
+			} else {
+				all = false
+				fl, fh := formatRange(w, cd.unsigned)
+				ra.set(cd.col, fl, fh)
+			}
+		}
+		if all {
+			op.flags |= flagWide
+		}
+	case planAdd, planSub, planNeg:
+		var l, h int64
+		switch op.kind {
+		case planAdd:
+			l, h = addSat(lo[op.b], lo[op.a]), addSat(hi[op.b], hi[op.a])
+		case planSub:
+			l, h = addSat(lo[op.b], -hi[op.a]), addSat(hi[op.b], -lo[op.a])
+		default:
+			l, h = -hi[op.a], -lo[op.a]
+		}
+		if op.wide() || fitsFormat(l, h, w, false) {
+			op.flags |= flagWide
+		} else {
+			l, h = formatRange(w, false)
+		}
+		ra.set(op.dst, l, h)
 	}
-	plan.lane = laneFor(minV, maxV)
 }
 
 // findZeroCols records every column read before it is written (in op
@@ -306,7 +348,7 @@ func (plan *ExecPlan) findZeroCols() {
 		}
 	}
 	for i := range plan.ops {
-		op := &plan.ops[i]
+		op := plan.at(i)
 		switch op.kind {
 		case planClear:
 			written[op.dst] = true
@@ -440,16 +482,30 @@ func (m *Machine) LoadRows(col, row0, n int, src []int32, stride int) {
 	words := m.col(int32(col))
 	// One store per touched word: gather its lanes in a register, wrap
 	// them, and merge under the mask of the lanes written when the run
-	// starts or ends inside the word.
-	lane := m.lane
+	// starts or ends inside the word. A whole word of a contiguous run —
+	// all but the ends of every stride-1 convolution's loads — is one
+	// bounds-checked window of the source at constant shifts.
+	lane, per := m.lane, 64>>m.lg
 	bit := uint(row0) * lane
 	w, lo := int(bit>>6), bit&63
 	for i := 0; i < n; w, lo = w+1, 0 {
-		end := min(i+int((64-lo)>>m.lg), n)
 		var raw uint64
 		sh := lo
-		for ; i < end; i, sh = i+1, sh+lane {
-			raw |= (uint64(src[i*stride]) & m.mask) << sh
+		if stride == 1 && lo == 0 && i+per <= n {
+			switch s := src[i : i+per]; len(s) {
+			case 4:
+				raw = uint64(uint16(s[0])) | uint64(uint16(s[1]))<<16 | uint64(uint16(s[2]))<<32 | uint64(uint16(s[3]))<<48
+			case 2:
+				raw = uint64(uint32(s[0])) | uint64(uint32(s[1]))<<32
+			default:
+				raw = uint64(s[0])
+			}
+			i, sh = i+per, 64
+		} else {
+			end := min(i+int((64-lo)>>m.lg), n)
+			for ; i < end; i, sh = i+1, sh+lane {
+				raw |= (uint64(src[i*stride]) & m.mask) << sh
+			}
 		}
 		val := raw&fmask + m.bias - (raw&fsign)<<1
 		if sh-lo == 64 {
@@ -491,71 +547,80 @@ func (m *Machine) Column(col int) []int64 {
 
 // Run executes the plan over all active rows. It cannot fail and does not
 // allocate: every structural error was rejected when the plan was built.
-// Ops proved wrap-free — every op of a sound compiler emission — run as
-// carry-isolated word arithmetic over whole columns; the rest take the
-// per-lane path.
+// A fast op — every Add and Sub of a sound compiler emission — is
+// carry-isolated word arithmetic over whole columns, executed straight
+// from its three indices; an escape takes runEscape.
 //
 //rtmap:noalloc
 func (m *Machine) Run() {
 	flat, w, bias := m.flat, m.words, m.bias
-	for i := range m.plan.ops {
-		op := &m.plan.ops[i]
-		if !op.wide() && op.kind != planClear {
-			m.runWrapping(op)
+	for _, op := range m.plan.ops {
+		if op.dst&opEsc != 0 {
+			m.runEscape(&m.plan.esc[op.dst&^opEsc])
 			continue
 		}
-		o := int(op.dst) * w
-		d := flat[o : o+w]
-		switch op.kind {
-		case planAdd, planSub:
-			// One loop for both, so the add/sub mix of a program costs no
-			// branch: b − a is b + ^a + 1 word-wide, whatever the lanes.
-			// add: b + a − bias; sub: b + ^a + (bias + 1).
-			neg := -uint64(op.kind - planAdd)
-			c := (bias ^ ^neg) + 1
-			oa, ob := int(op.a)*w, int(op.b)*w
-			a, b := flat[oa : oa+w][:len(d)], flat[ob : ob+w][:len(d)]
-			for k := range d {
-				d[k] = b[k] + (a[k] ^ neg) + c
-			}
-		case planNeg:
-			a := m.col(op.a)[:len(d)]
-			for k := range d {
-				d[k] = bias<<1 - a[k]
-			}
-		case planCopy:
-			copy(d, m.col(op.a))
-		case planCopyMulti:
-			for _, cd := range m.plan.multi[op.ext] {
-				copy(m.col(cd.col), m.col(op.a))
-			}
-		case planClear:
-			fill(d, bias)
+		// One expression for both, so the add/sub mix of a program costs
+		// no branch: b − a is b + ^a + 1 word-wide, whatever the lanes.
+		// add: b + a − bias; sub: b + ^a + (bias + 1).
+		neg := -uint64(op.a >> 31)
+		c := (bias ^ ^neg) + 1
+		od, oa, ob := int(op.dst)*w, int(op.a&^opSub)*w, int(op.b)*w
+		if w == 1 {
+			flat[od] = flat[ob] + (flat[oa] ^ neg) + c
+			continue
+		}
+		d := flat[od : od+w]
+		a, b := flat[oa : oa+w][:len(d)], flat[ob : ob+w][:len(d)]
+		k := 0
+		for ; k+4 <= len(d); k += 4 {
+			d4, a4, b4 := d[k:k+4:k+4], a[k:k+4:k+4], b[k:k+4:k+4]
+			d4[0] = b4[0] + (a4[0] ^ neg) + c
+			d4[1] = b4[1] + (a4[1] ^ neg) + c
+			d4[2] = b4[2] + (a4[2] ^ neg) + c
+			d4[3] = b4[3] + (a4[3] ^ neg) + c
+		}
+		for ; k < len(d); k++ {
+			d[k] = b[k] + (a[k] ^ neg) + c
 		}
 	}
 }
 
-// runWrapping executes one op whose result may leave its destination
-// format, row by row: decode the operand lanes, compute, truncate to the
-// destination's stored format, re-encode. The wrap is branchless —
-// v − ((v & sign) << 1) subtracts 2·sign exactly when the sign bit of
-// the masked value is set, and an unsigned copy destination has no sign
-// bit, so each destination of a multi-destination copy wraps with its
-// own signedness.
+// runEscape executes one op in its full form. Wide ones are word
+// arithmetic over whole columns like the fast ops; one whose result may
+// leave its destination format runs row by row: decode the operand
+// lanes, compute, truncate to the destination's stored format,
+// re-encode. The wrap is branchless — v − ((v & sign) << 1) subtracts
+// 2·sign exactly when the sign bit of the masked value is set, and an
+// unsigned copy destination has no sign bit, so each destination of a
+// multi-destination copy wraps with its own signedness.
 //
 //rtmap:noalloc
-func (m *Machine) runWrapping(op *planOp) {
-	if op.kind == planCopyMulti {
+func (m *Machine) runEscape(op *escOp) {
+	switch {
+	case op.kind == planCopyMulti:
 		for _, cd := range m.plan.multi[op.ext] {
-			m.wrapRows(op, cd.col, cd.unsigned)
+			if op.wide() {
+				copy(m.col(cd.col), m.col(op.a))
+			} else {
+				m.wrapRows(op, cd.col, cd.unsigned)
+			}
 		}
-		return
+	case op.kind == planClear:
+		fill(m.col(op.dst), m.bias)
+	case !op.wide():
+		m.wrapRows(op, op.dst, op.unsigned())
+	case op.kind == planCopy:
+		copy(m.col(op.dst), m.col(op.a))
+	case op.kind == planNeg:
+		d, a := m.col(op.dst), m.col(op.a)
+		for k := range d {
+			d[k] = m.bias<<1 - a[k]
+		}
 	}
-	m.wrapRows(op, op.dst, op.unsigned())
 }
 
 //rtmap:noalloc
-func (m *Machine) wrapRows(op *planOp, dst int32, unsigned bool) {
+func (m *Machine) wrapRows(op *escOp, dst int32, unsigned bool) {
 	mask, sign := int64(1)<<op.width-1, int64(0)
 	if !unsigned {
 		sign = int64(1) << (op.width - 1)

@@ -1,8 +1,10 @@
 package ap
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 )
 
 // randomProgram generates a valid program over nData columns with random
@@ -10,12 +12,21 @@ import (
 // the code generator produces. lane is the lane width the plan must
 // lower to: 16 keeps every column narrow, 32 makes the first column and
 // a third of the rest 16–30 bits, 64 makes them 61–64 bits (straddling
-// the wrap-identity threshold, 63, to exercise the no-wrap paths).
+// the wrap-identity threshold, 63, to exercise the no-wrap paths). The
+// last one or two columns are signed 14-bit accumulators: sums of a few
+// dozen narrow columns provably fit them, so the runs case 6 emits lower
+// to fast ops — the shape of a compiled program — cut by whatever escape
+// the other cases put between and inside them.
 func randomProgram(rng *rand.Rand, lane int) *Program {
-	nData := 3 + rng.IntN(4)
-	widths := make([]int, nData)
-	unsigned := make([]bool, nData)
+	nData, nAcc := 3+rng.IntN(4), 1+rng.IntN(2)
+	widths := make([]int, nData+nAcc)
+	unsigned := make([]bool, nData+nAcc)
+	var narrow []int // columns a 14-bit accumulator can sum dozens of
 	for i := range widths {
+		if i >= nData {
+			widths[i] = 14
+			continue
+		}
 		widths[i] = 3 + rng.IntN(6)
 		if lane > 16 && (i == 0 || rng.IntN(3) == 0) {
 			if lane == 32 {
@@ -23,6 +34,8 @@ func randomProgram(rng *rand.Rand, lane int) *Program {
 			} else {
 				widths[i] = 61 + rng.IntN(4)
 			}
+		} else {
+			narrow = append(narrow, i+1)
 		}
 		unsigned[i] = rng.IntN(3) == 0
 	}
@@ -52,7 +65,20 @@ func randomProgram(rng *rand.Rand, lane int) *Program {
 		dst := signedCols[rng.IntN(len(signedCols))]
 		w := p.Cols[dst].Width
 		pick := func() int { return allCols[rng.IntN(len(allCols))] }
-		switch rng.IntN(6) {
+		switch rng.IntN(7) {
+		case 6: // a run of wrap-free add/sub into an accumulator, 1 to 25 ops long
+			if len(narrow) == 0 {
+				continue
+			}
+			acc := nData + 1 + rng.IntN(nAcc)
+			src := func() int { return narrow[rng.IntN(len(narrow))] }
+			op := func() Opcode { return [...]Opcode{OpAdd, OpSub}[rng.IntN(2)] }
+			// An out-of-place start forgets whatever the accumulator held,
+			// so the whole run is provable: |acc| ≤ 2·255 + 24·255 < 2^13.
+			p.Instrs = append(p.Instrs, Instr{Op: op(), Dst: acc, A: src(), B: src(), Width: 14})
+			for n := [...]int{0, 0, 1, 3, 7, 24}[rng.IntN(6)]; n > 0; n-- {
+				p.Instrs = append(p.Instrs, Instr{Op: op(), Dst: acc, A: src(), B: acc, InPlace: true, Width: 14})
+			}
 		case 0: // in-place add/sub
 			op := OpAdd
 			if rng.IntN(2) == 0 {
@@ -150,16 +176,47 @@ func loadRandom(rng *rand.Rand, p *Program, rows int) [][]int64 {
 // generated for.
 var testLanes = [...]int{16, 32, 64}
 
+// runShapes records which shapes of fast-op run a set of plans has shown
+// Run: its loop enters and leaves the straight-line body at every escape,
+// so each way a run can start, end and abut another must meet WordMachine.
+type runShapes struct{ first, last, empty, single, long, backToBack bool }
+
+func (s *runShapes) see(plan *ExecPlan) {
+	n := len(plan.ops)
+	s.first = s.first || isFast(plan.ops[0])
+	s.last = s.last || isFast(plan.ops[n-1])
+	prev := -1 // length of the run before the last escape, -1 before the first
+	for i := 0; i <= n; {
+		run := 0
+		for ; i < n && isFast(plan.ops[i]); i++ {
+			run++
+		}
+		s.empty = s.empty || run == 0 && i < n && i > 0
+		s.single = s.single || run == 1
+		s.long = s.long || run >= 16
+		s.backToBack = s.backToBack || run >= 2 && prev >= 2
+		prev, i = run, i+1
+	}
+}
+
 // Property: ExecPlan Machine execution is bit-identical to the word-level
 // reference on randomized programs at every lane width — multi-destination
-// copies, wrapping and wrap-free ops, reused machines (Reset), wide
-// columns — over row counts on both sides of every word boundary. Columns
-// load in two segments cut at a random row, the way batch items land at
-// row b·n: rarely a multiple of the lane count.
+// copies, wrapping and wrap-free ops, fast-op runs of every shape, reused
+// machines (Reset), wide columns — over row counts on both sides of every
+// word boundary, among them 1, 3, 4, 5 and 17 words per column at each
+// lane width: Run's single-word form, its 4-word body alone, and the body
+// with each tail. Columns load in two segments cut at a random row, the
+// way batch items land at row b·n: rarely a multiple of the lane count.
 func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 	var m Machine // reused across trials: Reset must fully rebind state
+	var shapes runShapes
 	for _, lane := range testLanes {
-		for _, rows := range []int{1, 3, 4, 5, 31, 33, 49, 64, 65} {
+		rowSet := []int{31, 33, 49, 64, 65}
+		for _, words := range []int{1, 3, 4, 5, 17} {
+			per := 64 / lane
+			rowSet = append(rowSet, words*per, (words-1)*per+1)
+		}
+		for _, rows := range rowSet {
 			for trial := 0; trial < 8; trial++ {
 				rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0xa11ec+uint64(lane)))
 				p := randomProgram(rng, lane)
@@ -181,6 +238,7 @@ func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 					t.Fatalf("lane %d rows %d trial %d: plan lowered to %d-bit lanes\ncolumns: %+v",
 						lane, rows, trial, plan.LaneBits(), p.Cols)
 				}
+				shapes.see(plan)
 				m.Reset(plan, rows)
 
 				vals := loadRandom(rng, p, rows)
@@ -217,6 +275,9 @@ func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 				}
 			}
 		}
+	}
+	if shapes != (runShapes{true, true, true, true, true, true}) {
+		t.Fatalf("generator regressed: fast-op run shapes seen %+v, want all", shapes)
 	}
 }
 
@@ -391,6 +452,158 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	for r, w := range []int64{1, -2, -56, 127} {
 		if got := m.Column(2)[1+r]; got != w {
 			t.Fatalf("strided row %d: %d, want %d", 1+r, got, w)
+		}
+	}
+}
+
+// benchRunPlan is the shape of a compiled tile program: a prefix of
+// clears, then one unbroken run of wrap-free add/sub — ops in all, over
+// 512 8-bit inputs and 4 096 14-bit temporaries at 16-bit lanes.
+func benchRunPlan(tb testing.TB, ops int) *ExecPlan {
+	const nIn, nTmp, nClear = 512, 4096, 64
+	widths := make([]int, nIn+nTmp)
+	for i := range widths {
+		widths[i] = 8
+		if i >= nIn {
+			widths[i] = 14
+		}
+	}
+	p := buildProgram(widths, make([]bool, len(widths)))
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < ops; i++ {
+		tmp := 1 + nIn + i%nTmp
+		if i < nClear {
+			p.Instrs = append(p.Instrs, Instr{Op: OpClear, Dst: tmp, Width: 14})
+			continue
+		}
+		op := [...]Opcode{OpAdd, OpSub}[rng.IntN(2)]
+		p.Instrs = append(p.Instrs, Instr{Op: op, Dst: tmp, A: 1 + rng.IntN(nIn), B: 1 + rng.IntN(nIn), Width: 14})
+	}
+	plan, err := NewExecPlan(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if plan.LaneBits() != 16 || len(plan.esc) != nClear {
+		tb.Fatalf("bench plan lowered to %d-bit lanes with %d escapes, want 16 and %d", plan.LaneBits(), len(plan.esc), nClear)
+	}
+	return plan
+}
+
+// BenchmarkMachineRun prices op dispatch: one 50k-op plan replayed over
+// 1, 8 and 64 words per column. ns/op-pass is what one op costs however
+// few rows it advances; ns/word is what its arithmetic costs once the
+// column is long enough to hide that.
+func BenchmarkMachineRun(b *testing.B) {
+	const ops = 50_000
+	plan := benchRunPlan(b, ops)
+	for _, words := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
+			var m Machine
+			m.Reset(plan, words*4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Run()
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/ops, "ns/op-pass")
+			b.ReportMetric(ns/ops/float64(words), "ns/word")
+		})
+	}
+}
+
+// BenchmarkLoadRows prices the gather primitive per element at the run
+// lengths a convolution loads (one output row of a deep and of a shallow
+// layer), word-aligned and not, contiguous and strided.
+func BenchmarkLoadRows(b *testing.B) {
+	plan := benchRunPlan(b, 100)
+	src := make([]int32, 64)
+	for i := range src {
+		src[i] = int32(i*37 - 1000)
+	}
+	var m Machine
+	m.Reset(plan, 64)
+	for _, n := range []int{8, 32} {
+		for _, row0 := range []int{0, 1} {
+			for _, stride := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%d/row0=%d/stride=%d", n, row0, stride), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						m.LoadRows(1, row0, n, src, stride)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+				})
+			}
+		}
+	}
+}
+
+// The op stream is the interpreter's front-end memory traffic: a fast op
+// is three 32-bit column indices and nothing else.
+func TestPlanOpSize(t *testing.T) {
+	if s := unsafe.Sizeof(planOp{}); s != 12 {
+		t.Fatalf("planOp is %d bytes, want 12", s)
+	}
+}
+
+// LoadRows gathers and wraps a word at a time — whole words of a
+// contiguous run from one window of the source, the ends and strided runs
+// lane by lane — and must equal wrapping and storing one row at a time,
+// for every alignment of the first row, run lengths on both sides of one
+// and many words, every column format, and int32s far outside the format;
+// rows of a partial word that the run does not cover must survive.
+func TestLoadRowsMatchesPerLane(t *testing.T) {
+	const rows = 80
+	for _, lane := range testLanes {
+		widths := []int{4, 8, 14, 4, 8, 14}
+		switch lane {
+		case 32:
+			widths = append(widths, 30, 30) // no narrower lane holds these
+		case 64:
+			widths = append(widths, 63, 64, 63, 64)
+		}
+		unsigned := make([]bool, len(widths))
+		for i := range unsigned {
+			unsigned[i] = i/3%2 == 1
+		}
+		p := buildProgram(widths, unsigned)
+		plan, err := NewExecPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.LaneBits() != lane {
+			t.Fatalf("plan lowered to %d-bit lanes, want %d", plan.LaneBits(), lane)
+		}
+		rng := rand.New(rand.NewPCG(uint64(lane), 0x10ad))
+		var got, want Machine
+		got.Reset(plan, rows)
+		want.Reset(plan, rows)
+		for col := 1; col < len(p.Cols); col++ {
+			meta := p.Cols[col]
+			for _, stride := range []int{1, 2, 3} {
+				for row0 := 0; row0 < 64/lane; row0++ {
+					for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64} {
+						for r := 0; r < rows; r++ { // what a previous load left behind
+							v := wrap(int64(rng.Int32()), meta.Width, meta.Unsigned)
+							got.put(int32(col), r, v)
+							want.put(int32(col), r, v)
+						}
+						src := make([]int32, max(0, (n-1)*stride+1)) // exact: an over-read panics
+						for i := range src {
+							src[i] = int32(rng.Uint32()) >> (rng.UintN(4) * 8) // all magnitudes, both signs
+						}
+						got.LoadRows(col, row0, n, src, stride)
+						for i := 0; i < n; i++ {
+							want.put(int32(col), row0+i, wrap(int64(src[i*stride]), meta.Width, meta.Unsigned))
+						}
+						g, w := got.Column(col), want.Column(col)
+						for r := range w {
+							if g[r] != w[r] {
+								t.Fatalf("lane %d col %+v stride %d row0 %d n %d: row %d holds %d, want %d",
+									lane, meta, stride, row0, n, r, g[r], w[r])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

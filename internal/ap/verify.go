@@ -17,14 +17,16 @@ import "fmt"
 // value intervals Machine.Run actually produces (wide ops keep their
 // exact interval, truncating ops collapse to their destination's stored
 // format) and checks each claimed elision against them. It deliberately
-// shares no code with analyzeRanges/findZeroCols beyond the plan layout
-// itself.
+// shares no code with the lowering's range analysis or findZeroCols beyond
+// the plan layout itself: the op encoding, which auditStructure checks
+// raw, and at, its decoder — so the audit reads the array Run executes.
 
 // Invariant classes reported by AuditPlan.
 const (
 	// InvProgram: the source program fails structural validation.
 	InvProgram = "program"
-	// InvBounds: a column or side-table reference is out of range.
+	// InvBounds: a column or side-table reference is out of range, or the
+	// escapes do not number the side table in program order.
 	InvBounds = "bounds"
 	// InvWidth: an op's width disagrees with its destination column.
 	InvWidth = "width"
@@ -33,7 +35,8 @@ const (
 	// whose mask math would corrupt bits 63..64).
 	InvFlags = "flags"
 	// InvCoverage: an op kind falls outside the interpreter's opcode
-	// set — the exhaustiveness guarantee of the dispatch switch.
+	// set — the exhaustiveness guarantee of the dispatch switch — or a
+	// wide Add/Sub sits in the side table, where Run does not look for it.
 	InvCoverage = "coverage"
 	// InvAliasing: a destination aliases a column the same op still
 	// reads, so the one-pass execution diverges from the sequential
@@ -72,10 +75,11 @@ func (v Violation) String() string {
 // It proves, without trusting the lowering that built the plan:
 //
 //   - structural soundness: every column, side-table and width reference
-//     is in bounds and consistent with the column table (InvBounds,
-//     InvWidth, InvFlags), op kinds are within the interpreter's
-//     dispatch set (InvCoverage), and no op's destination aliases a
-//     column it still reads in the same pass (InvAliasing);
+//     is in bounds and consistent with the column table, and the escapes
+//     of the op stream number the side table in program order
+//     (InvBounds, InvWidth, InvFlags), op kinds are within the
+//     interpreter's dispatch set (InvCoverage), and no op's destination
+//     aliases a column it still reads in the same pass (InvAliasing);
 //   - correspondence: the op stream is exactly what the documented
 //     lowering produces from p, one op per instruction
 //     (InvCorrespondence);
@@ -139,8 +143,31 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		bad(-1, InvLane, "lane width %d is not 16, 32 or 64", plan.lane)
 	}
 
+	// The raw encoding first, so at can decode everything below: a fast
+	// op's three columns, and escapes that number the side table in
+	// program order, so each entry runs once, where the program has it.
+	nesc := 0
+	for i, raw := range plan.ops {
+		if raw.dst&opEsc == 0 {
+			if !colOK(int32(raw.dst)) || !colOK(int32(raw.a&^opSub)) || !colOK(int32(raw.b)) {
+				bad(i, InvBounds, "fast op %v names a column outside 0..%d", raw, ncols-1)
+			}
+			continue
+		}
+		if raw != (planOp{dst: opEsc | uint32(nesc)}) || nesc >= len(plan.esc) {
+			bad(i, InvBounds, "escape %v is not the bare index %d of a %d-op side table", raw, nesc, len(plan.esc))
+		}
+		nesc++
+	}
+	if nesc != len(plan.esc) {
+		bad(-1, InvBounds, "side table holds %d ops, the stream escapes %d times", len(plan.esc), nesc)
+	}
+	if len(out) > 0 {
+		return out
+	}
+
 	for i := range plan.ops {
-		op := &plan.ops[i]
+		op := plan.at(i)
 		if !colOK(op.dst) {
 			bad(i, InvBounds, "destination column %d outside 0..%d", op.dst, ncols-1)
 			continue
@@ -169,6 +196,9 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		case planAdd, planSub:
 			if !colOK(op.b) {
 				bad(i, InvBounds, "operand B column %d outside 0..%d", op.b, ncols-1)
+			}
+			if op.wide() && plan.ops[i].dst&opEsc != 0 {
+				bad(i, InvCoverage, "wide add/sub in the side table, which Run executes only as a fast op")
 			}
 		case planCopyMulti:
 			if op.ext < 0 || int(op.ext) >= len(plan.multi) {
@@ -287,7 +317,7 @@ func (plan *ExecPlan) auditCorrespondence(p *Program) []Violation {
 		return out
 	}
 	for i := range plan.ops {
-		op, x := &plan.ops[i], &want[i]
+		op, x := plan.at(i), &want[i]
 		if op.kind != x.kind {
 			bad(i, "op kind %d, program instruction lowers to %d", op.kind, x.kind)
 			continue
@@ -424,7 +454,7 @@ func (plan *ExecPlan) auditRanges() []Violation {
 		hold(-1, int32(c), l, h)
 	}
 	for i := range plan.ops {
-		op := &plan.ops[i]
+		op := plan.at(i)
 		w := int(op.width)
 		switch op.kind {
 		case planClear:
@@ -499,7 +529,7 @@ func (plan *ExecPlan) auditZeroSet() []Violation {
 		}
 	}
 	for i := range plan.ops {
-		op := &plan.ops[i]
+		op := plan.at(i)
 		switch op.kind {
 		case planClear:
 			written[op.dst] = true

@@ -81,6 +81,7 @@ func clonePlan(p *ExecPlan) *ExecPlan {
 	q := &ExecPlan{
 		cols: append([]Col(nil), p.cols...),
 		ops:  append([]planOp(nil), p.ops...),
+		esc:  append([]escOp(nil), p.esc...),
 		zero: append([]int32(nil), p.zero...),
 		lane: p.lane,
 	}
@@ -98,11 +99,40 @@ type planMutation struct {
 	apply func(rng *rand.Rand, plan *ExecPlan) bool
 }
 
-// pickOp returns the index of a random op satisfying ok, or -1.
-func pickOp(rng *rand.Rand, plan *ExecPlan, ok func(*planOp) bool) int {
+func isFast(op planOp) bool { return op.dst&opEsc == 0 }
+
+// mutateOp applies edit to the full form of a random op satisfying ok and
+// re-encodes the stream the way the lowering would (emit), so a corrupted
+// field lands wherever the encoding keeps it — an add that becomes a
+// clear moves into the side table, a may-wrap add claimed wide becomes a
+// fast op. A fast op stores neither width nor flags, so operators on
+// those pick among the escapes.
+func mutateOp(rng *rand.Rand, plan *ExecPlan, ok func(op escOp, fast bool) bool, edit func(*escOp)) bool {
+	var full []escOp
 	var cand []int
 	for i := range plan.ops {
-		if ok(&plan.ops[i]) {
+		full = append(full, plan.at(i))
+		if ok(full[i], isFast(plan.ops[i])) {
+			cand = append(cand, i)
+		}
+	}
+	if len(cand) == 0 {
+		return false
+	}
+	edit(&full[cand[rng.IntN(len(cand))]])
+	plan.ops, plan.esc = nil, nil
+	for _, op := range full {
+		plan.emit(op)
+	}
+	return true
+}
+
+// pickRaw returns the index of a random op of the encoded stream
+// satisfying ok, or -1: the operators that corrupt the encoding itself.
+func pickRaw(rng *rand.Rand, plan *ExecPlan, ok func(i int) bool) int {
+	var cand []int
+	for i := range plan.ops {
+		if ok(i) {
 			cand = append(cand, i)
 		}
 	}
@@ -112,93 +142,61 @@ func pickOp(rng *rand.Rand, plan *ExecPlan, ok func(*planOp) bool) int {
 	return cand[rng.IntN(len(cand))]
 }
 
+func anyOp(escOp, bool) bool { return true }
+
 // planMutations are the corruption operators of the mutation harness —
 // each models a distinct compiler-bug class the verifier must catch:
 // mis-lowered opcodes, perturbed operand wiring, unsound wrap-elision
-// and lane-width claims, corrupted flags/side tables, and dropped reset
-// tracking.
+// and lane-width claims, corrupted flags/side tables, dropped reset
+// tracking, and — on the encoded stream itself — a flipped sign bit, a
+// mis-numbered or dirty escape and reordered fast ops.
 var planMutations = []planMutation{
 	{"flip-kind", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(*planOp) bool { return true })
-		if i < 0 {
-			return false
-		}
-		op := &plan.ops[i]
-		op.kind = planKind((uint8(op.kind) + 1 + uint8(rng.IntN(5))) % 6)
-		return true
+		return mutateOp(rng, plan, anyOp, func(op *escOp) {
+			op.kind = planKind((uint8(op.kind) + 1 + uint8(rng.IntN(5))) % 6)
+		})
 	}},
 	{"invalid-kind", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(*planOp) bool { return true })
-		if i < 0 {
-			return false
-		}
-		plan.ops[i].kind = planKind(6 + rng.IntN(8))
-		return true
+		return mutateOp(rng, plan, anyOp, func(op *escOp) { op.kind = planKind(6 + rng.IntN(8)) })
 	}},
 	{"perturb-dst", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(*planOp) bool { return true })
-		if i < 0 {
-			return false
-		}
-		op := &plan.ops[i]
-		op.dst = (op.dst + 1) % int32(len(plan.cols))
-		return true
+		return mutateOp(rng, plan, anyOp, func(op *escOp) { op.dst = (op.dst + 1) % int32(len(plan.cols)) })
 	}},
 	{"perturb-a", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool { return op.kind != planClear })
-		if i < 0 {
-			return false
-		}
-		op := &plan.ops[i]
-		op.a = (op.a + 1) % int32(len(plan.cols))
-		return true
+		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.kind != planClear },
+			func(op *escOp) { op.a = (op.a + 1) % int32(len(plan.cols)) })
 	}},
 	{"perturb-b", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool { return op.kind == planAdd || op.kind == planSub })
-		if i < 0 {
-			return false
-		}
-		op := &plan.ops[i]
-		op.b = (op.b + 1) % int32(len(plan.cols))
-		return true
+		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.kind == planAdd || op.kind == planSub },
+			func(op *escOp) { op.b = (op.b + 1) % int32(len(plan.cols)) })
 	}},
 	{"perturb-width", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool { return op.width > 1 })
-		if i < 0 {
-			return false
-		}
-		plan.ops[i].width--
-		return true
+		return mutateOp(rng, plan, func(op escOp, fast bool) bool { return !fast && op.width > 1 },
+			func(op *escOp) { op.width-- })
 	}},
 	// Widen a claimed range: assert wrap-elision on an op the compiler's
 	// own analysis could not prove wrap-free.
 	{"claim-wide", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool { return !op.wide() && op.kind != planClear })
-		if i < 0 {
-			return false
-		}
-		plan.ops[i].flags |= flagWide
-		return true
+		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return !op.wide() && op.kind != planClear },
+			func(op *escOp) { op.flags |= flagWide })
+	}},
+	// The same claim where it costs most: a may-wrap add/sub promoted to
+	// a fast op, which Run executes with no wrap and nothing to decode.
+	{"claim-fast", func(rng *rand.Rand, plan *ExecPlan) bool {
+		return mutateOp(rng, plan, func(op escOp, _ bool) bool {
+			return !op.wide() && (op.kind == planAdd || op.kind == planSub)
+		}, func(op *escOp) { op.flags |= flagWide })
 	}},
 	// Drop the mandatory wide flag of a ≥63-bit op, whose truncating
-	// wrap constants corrupt the top bits.
+	// wrap constants corrupt the top bits (a fast op goes to the side
+	// table with it).
 	{"drop-wide", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool {
-			return op.wide() && plan.cols[op.dst].Width >= 63
-		})
-		if i < 0 {
-			return false
-		}
-		plan.ops[i].flags &^= flagWide
-		return true
+		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.wide() && plan.cols[op.dst].Width >= 63 },
+			func(op *escOp) { op.flags &^= flagWide })
 	}},
 	{"flip-sign-flag", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(*planOp) bool { return true })
-		if i < 0 {
-			return false
-		}
-		plan.ops[i].flags ^= flagUnsigned
-		return true
+		return mutateOp(rng, plan, func(_ escOp, fast bool) bool { return !fast },
+			func(op *escOp) { op.flags ^= flagUnsigned })
 	}},
 	// Narrow the lanes: claim the plan's values fit half the width the
 	// range analysis sized them to, so a carry crosses into the next row.
@@ -207,11 +205,10 @@ var planMutations = []planMutation{
 		return true
 	}},
 	{"perturb-multi-dst", func(rng *rand.Rand, plan *ExecPlan) bool {
-		i := pickOp(rng, plan, func(op *planOp) bool { return op.kind == planCopyMulti })
-		if i < 0 {
+		if len(plan.multi) == 0 {
 			return false
 		}
-		dsts := plan.multi[plan.ops[i].ext]
+		dsts := plan.multi[rng.IntN(len(plan.multi))]
 		k := rng.IntN(len(dsts))
 		dsts[k].col = (dsts[k].col + 1) % int32(len(plan.cols))
 		return true
@@ -232,6 +229,55 @@ var planMutations = []planMutation{
 		}
 		i := rng.IntN(len(plan.zero))
 		plan.zero = append(plan.zero[:i], plan.zero[i+1:]...)
+		return true
+	}},
+	// The encoded stream itself. A fast op's sign is one bit of a.
+	{"flip-sub-bit", func(rng *rand.Rand, plan *ExecPlan) bool {
+		i := pickRaw(rng, plan, func(i int) bool { return isFast(plan.ops[i]) })
+		if i < 0 {
+			return false
+		}
+		plan.ops[i].a ^= opSub
+		return true
+	}},
+	// Point an escape at another side-table entry: one op runs twice (or
+	// in the wrong place) and one not at all.
+	{"retarget-escape", func(rng *rand.Rand, plan *ExecPlan) bool {
+		i := pickRaw(rng, plan, func(i int) bool { return !isFast(plan.ops[i]) })
+		if i < 0 || len(plan.esc) < 2 {
+			return false
+		}
+		plan.ops[i].dst = opEsc | (plan.ops[i].dst&^opEsc+1+uint32(rng.IntN(len(plan.esc)-1)))%uint32(len(plan.esc))
+		return true
+	}},
+	// Operand fields of an escape are dead to Run; the audit still wants
+	// them zero, so a decoder that one day reads them cannot be surprised.
+	{"dirty-escape", func(rng *rand.Rand, plan *ExecPlan) bool {
+		i := pickRaw(rng, plan, func(i int) bool { return !isFast(plan.ops[i]) })
+		if i < 0 {
+			return false
+		}
+		if rng.IntN(2) == 0 {
+			plan.ops[i].a = 1 + uint32(rng.IntN(len(plan.cols)))
+		} else {
+			plan.ops[i].b = 1 + uint32(rng.IntN(len(plan.cols)))
+		}
+		return true
+	}},
+	// Swap two adjacent fast ops of which the second reads or rewrites
+	// what the first wrote.
+	{"swap-dependent", func(rng *rand.Rand, plan *ExecPlan) bool {
+		i := pickRaw(rng, plan, func(i int) bool {
+			if i+1 >= len(plan.ops) || !isFast(plan.ops[i]) || !isFast(plan.ops[i+1]) {
+				return false
+			}
+			p, q := plan.ops[i], plan.ops[i+1]
+			return p != q && (q.a&^opSub == p.dst || q.b == p.dst || q.dst == p.dst)
+		})
+		if i < 0 {
+			return false
+		}
+		plan.ops[i], plan.ops[i+1] = plan.ops[i+1], plan.ops[i]
 		return true
 	}},
 }
@@ -305,7 +351,7 @@ func TestAuditPlanCatchesMutations(t *testing.T) {
 			}
 		}
 	}
-	if total < 500 {
+	if total < 1300 {
 		t.Fatalf("mutation harness generated only %d mutants; generator regressed", total)
 	}
 	rate := float64(caught) / float64(total)

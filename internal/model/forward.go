@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rtmap/internal/quant"
@@ -171,10 +172,7 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 				tr.Scales[i] = s
 			case KindActQuant:
 				out := tensor.NewInt(x.Shape)
-				scale := s / float64(l.Q.Step)
-				for k, c := range x.Data {
-					out.Data[k] = RequantCode(c, scale, l.Q, l.ReLU)
-				}
+				requantInto(out.Data, x.Data, s/float64(l.Q.Step), l.Q, l.ReLU)
 				tr.Outputs[i] = out
 				tr.Scales[i] = float64(l.Q.Step)
 			case KindAdd:
@@ -224,6 +222,21 @@ func RequantCode(c int32, scale float64, q quant.Quantizer, relu bool) int32 {
 		v = q.Qp()
 	}
 	return v
+}
+
+// requantInto is RequantCode over a whole tensor, with what is per layer
+// — the mode and the clamps — decided once instead of per element.
+func requantInto(dst, src []int32, scale float64, q quant.Quantizer, relu bool) {
+	lo, hi := q.Qn(), q.Qp()
+	if relu {
+		for k, c := range src {
+			dst[k] = min(max(int32(math.RoundToEven(float64(c)*scale)), 0), hi)
+		}
+		return
+	}
+	for k, c := range src {
+		dst[k] = min(max(int32(roundToEven(float64(c)*scale)), lo), hi)
+	}
 }
 
 func roundToEven(x float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"rtmap/internal/quant"
 	"rtmap/internal/tensor"
 )
 
@@ -254,5 +255,29 @@ func TestValidateCatchesBadGraph(t *testing.T) {
 	n.Layers[2].Inputs = []int{5} // forward reference
 	if err := n.Validate(); err == nil {
 		t.Error("Validate must reject forward references")
+	}
+}
+
+// The act-quant loop hoists the mode and the clamps out of the element
+// loop; RequantCode stays the definition the peripheral model quotes. Hold
+// the loop to it for every 16-bit code, both modes, unsigned and signed
+// grids, and two scales — one with exact .5 ties, one without.
+func TestRequantLoopMatchesRequantCode(t *testing.T) {
+	src := make([]int32, 1<<16)
+	for i := range src {
+		src[i] = int32(i) - 1<<15
+	}
+	dst := make([]int32, len(src))
+	for _, q := range []quant.Quantizer{{Bits: 4, Step: 1}, {Bits: 8, Step: 1, Signed: true}} {
+		for _, relu := range []bool{true, false} {
+			for _, scale := range []float64{0.125, 0.0123} {
+				requantInto(dst, src, scale, q, relu)
+				for k, c := range src {
+					if want := RequantCode(c, scale, q, relu); dst[k] != want {
+						t.Fatalf("%v relu=%v scale=%g: code %d requantizes to %d, RequantCode says %d", q, relu, scale, c, dst[k], want)
+					}
+				}
+			}
+		}
 	}
 }

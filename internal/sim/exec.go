@@ -259,6 +259,12 @@ func taskShape(rows, tiles, strips, cols, ops, lanes, workers int) (block, perTa
 // Scratch comes from pools and programs run as precompiled ExecPlans, so
 // the steady-state call allocates nothing. Requires Config.KeepPrograms.
 func RunConvBatchInto(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int) error {
+	return runConvBatch(c, layerIdx, ins, outs, false)
+}
+
+// runConvBatch is RunConvBatchInto, or with alloc its allocating form:
+// outs arrive as empty slots and leave as fresh, already zero tensors.
+func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc bool) error {
 	plan := c.Layers[layerIdx]
 	if plan.Class != core.ClassConv {
 		return fmt.Errorf("sim: layer %d (%s) is not conv-like", layerIdx, plan.Name)
@@ -277,6 +283,10 @@ func RunConvBatchInto(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int) e
 		}
 		if in.Shape != ins[0].Shape {
 			return fmt.Errorf("sim: batch item %d shape %v != %v", b, in.Shape, ins[0].Shape)
+		}
+		if alloc {
+			outs[b] = tensor.NewInt(outShape)
+			continue
 		}
 		if outs[b].Shape != outShape {
 			return fmt.Errorf("sim: batch output %d shape %v, want %v", b, outs[b].Shape, outShape)
@@ -364,19 +374,8 @@ func (ctx *convCtx) run(layerIdx int) error {
 // accumulated OFM per batch item, bit-identical to calling RunConv per
 // item.
 func RunConvBatch(c *core.Compiled, layerIdx int, ins []*tensor.Int) ([]*tensor.Int, error) {
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("sim: empty batch")
-	}
-	plan := c.Layers[layerIdx]
-	if plan.Class != core.ClassConv {
-		return nil, fmt.Errorf("sim: layer %d (%s) is not conv-like", layerIdx, plan.Name)
-	}
-	spec := c.Net.Layers[layerIdx].ConvSpec()
 	outs := make([]*tensor.Int, len(ins))
-	for b := range ins {
-		outs[b] = tensor.NewInt(spec.OutShape(ins[b].Shape))
-	}
-	if err := RunConvBatchInto(c, layerIdx, ins, outs); err != nil {
+	if err := runConvBatch(c, layerIdx, ins, outs, true); err != nil {
 		return nil, err
 	}
 	return outs, nil
@@ -418,11 +417,7 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 // the model's layer walker: the batched AP engine, one program
 // interpretation per (strip, tile, row-block) for the whole batch.
 func convExec(c *core.Compiled) model.ConvExec {
-	return func(i int, l *model.Layer, xs, outs []*tensor.Int) error {
-		spec := l.ConvSpec()
-		for j, x := range xs {
-			outs[j] = tensor.NewInt(spec.OutShape(x.Shape))
-		}
-		return RunConvBatchInto(c, i, xs, outs)
+	return func(i int, _ *model.Layer, xs, outs []*tensor.Int) error {
+		return runConvBatch(c, i, xs, outs, true)
 	}
 }

@@ -26,38 +26,12 @@ func (p PoolSpec) check() {
 }
 
 // MaxPoolInt applies K×K max pooling. Padded positions are ignored (they
-// never win the max), matching framework semantics for ReLU-positive codes.
+// never win the max), matching framework semantics for ReLU-positive codes;
+// a window that lies wholly in the padding pools to 0.
 func MaxPoolInt(in *Int, spec PoolSpec) *Int {
 	spec.check()
 	out := NewInt(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
-	for n := 0; n < is.N; n++ {
-		for c := 0; c < is.C; c++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					first := true
-					var best int32
-					for kh := 0; kh < spec.K; kh++ {
-						ih := oh*spec.Stride + kh - spec.Pad
-						if ih < 0 || ih >= is.H {
-							continue
-						}
-						for kw := 0; kw < spec.K; kw++ {
-							iw := ow*spec.Stride + kw - spec.Pad
-							if iw < 0 || iw >= is.W {
-								continue
-							}
-							v := in.Data[is.Index(n, c, ih, iw)]
-							if first || v > best {
-								best, first = v, false
-							}
-						}
-					}
-					out.Data[os.Index(n, c, oh, ow)] = best
-				}
-			}
-		}
-	}
+	maxPool(out.Data, in.Data, out.Shape, in.Shape, spec)
 	return out
 }
 
@@ -65,35 +39,35 @@ func MaxPoolInt(in *Int, spec PoolSpec) *Int {
 func MaxPoolFloat(in *Float, spec PoolSpec) *Float {
 	spec.check()
 	out := NewFloat(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
-	for n := 0; n < is.N; n++ {
-		for c := 0; c < is.C; c++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					first := true
-					var best float32
-					for kh := 0; kh < spec.K; kh++ {
-						ih := oh*spec.Stride + kh - spec.Pad
-						if ih < 0 || ih >= is.H {
-							continue
-						}
-						for kw := 0; kw < spec.K; kw++ {
-							iw := ow*spec.Stride + kw - spec.Pad
-							if iw < 0 || iw >= is.W {
-								continue
-							}
-							v := in.Data[is.Index(n, c, ih, iw)]
-							if first || v > best {
-								best, first = v, false
-							}
+	maxPool(out.Data, in.Data, out.Shape, in.Shape, spec)
+	return out
+}
+
+func maxPool[T int32 | float32](dst, src []T, os, is Shape, spec PoolSpec) {
+	for nc := 0; nc < is.N*is.C; nc++ {
+		plane := src[nc*is.H*is.W:][:is.H*is.W]
+		out := dst[nc*os.H*os.W:][:os.H*os.W]
+		for oh := 0; oh < os.H; oh++ {
+			// Clip each window to the taps inside the input once, instead
+			// of testing every tap: rows [h0, h1) × columns [w0, w1).
+			h0, h1 := max(oh*spec.Stride-spec.Pad, 0), min(oh*spec.Stride-spec.Pad+spec.K, is.H)
+			for ow := 0; ow < os.W; ow++ {
+				w0, w1 := max(ow*spec.Stride-spec.Pad, 0), min(ow*spec.Stride-spec.Pad+spec.K, is.W)
+				var best T
+				if h0 < h1 && w0 < w1 {
+					best = plane[h0*is.W+w0]
+				}
+				for ih := h0; ih < h1; ih++ {
+					for _, v := range plane[ih*is.W:][w0:w1] {
+						if v > best {
+							best = v
 						}
 					}
-					out.Data[os.Index(n, c, oh, ow)] = best
 				}
+				out[oh*os.W+ow] = best
 			}
 		}
 	}
-	return out
 }
 
 // GlobalAvgPoolInt reduces each channel to its mean, rounded to nearest

@@ -210,6 +210,85 @@ func TestMaxPoolResNetStem(t *testing.T) {
 	}
 }
 
+// maxPoolIntRef is MaxPoolInt as first written: a 4-D index and four
+// padding tests per tap. The engine and its oracle share MaxPoolInt by
+// design, so no differential engine test can see a mistake in it; this is
+// what holds it.
+func maxPoolIntRef(in *Int, spec PoolSpec) *Int {
+	out := NewInt(spec.OutShape(in.Shape))
+	is, os := in.Shape, out.Shape
+	for n := 0; n < is.N; n++ {
+		for c := 0; c < is.C; c++ {
+			for oh := 0; oh < os.H; oh++ {
+				for ow := 0; ow < os.W; ow++ {
+					first := true
+					var best int32
+					for kh := 0; kh < spec.K; kh++ {
+						ih := oh*spec.Stride + kh - spec.Pad
+						if ih < 0 || ih >= is.H {
+							continue
+						}
+						for kw := 0; kw < spec.K; kw++ {
+							iw := ow*spec.Stride + kw - spec.Pad
+							if iw < 0 || iw >= is.W {
+								continue
+							}
+							v := in.Data[is.Index(n, c, ih, iw)]
+							if first || v > best {
+								best, first = v, false
+							}
+						}
+					}
+					out.Data[os.Index(n, c, oh, ow)] = best
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Random shapes, windows, strides and pads — windows larger than the
+// plane, 1×1 planes, pads as wide as the window (so some windows see no
+// input at all) — over values of both signs.
+func TestMaxPoolIntMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 5))
+	seen := map[string]bool{}
+	for trial := 0; trial < 2000; trial++ {
+		shape := Shape{1 + rng.IntN(2), 1 + rng.IntN(3), 1 + rng.IntN(9), 1 + rng.IntN(9)}
+		spec := PoolSpec{K: 1 + rng.IntN(4), Stride: 1 + rng.IntN(3)}
+		spec.Pad = rng.IntN(spec.K + 1)
+		if os := spec.OutShape(shape); shape.H+2*spec.Pad < spec.K || shape.W+2*spec.Pad < spec.K || os.H < 1 || os.W < 1 {
+			continue // the window does not fit even the padded plane
+		}
+		seen["pad"] = seen["pad"] || spec.Pad > 0
+		seen["K>H"] = seen["K>H"] || spec.K > shape.H
+		seen["1x1"] = seen["1x1"] || shape.H == 1 && shape.W == 1
+		seen["all-pad window"] = seen["all-pad window"] || spec.Pad >= spec.K
+		in := randInt(rng, shape, -50, 50)
+		got, want := MaxPoolInt(in, spec), maxPoolIntRef(in, spec)
+		if got.Shape != want.Shape {
+			t.Fatalf("%v %+v: shape %v, want %v", shape, spec, got.Shape, want.Shape)
+		}
+		// MaxPoolFloat is the same loop: on these small integers it must
+		// pool to the same values.
+		inF := NewFloat(shape)
+		for i, v := range in.Data {
+			inF.Data[i] = float32(v)
+		}
+		gotF := MaxPoolFloat(inF, spec)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] || gotF.Data[i] != float32(want.Data[i]) {
+				t.Fatalf("%v %+v: out[%d] = %d (float %g), want %d", shape, spec, i, got.Data[i], gotF.Data[i], want.Data[i])
+			}
+		}
+	}
+	for name, ok := range seen {
+		if !ok {
+			t.Fatalf("generator regressed: no %s case in 2000 trials", name)
+		}
+	}
+}
+
 func TestGlobalAvgPoolIntRounding(t *testing.T) {
 	in := NewInt(Shape{1, 2, 2, 2})
 	copy(in.Data, []int32{1, 2, 2, 2, -1, -2, -2, -2}) // means 1.75, -1.75
