@@ -22,7 +22,8 @@
 // 16-, 32- or 64-bit lanes, into one stream of 12-byte ops: a wrap-free
 // add/sub is three column indices and a sign bit that Run executes
 // with nothing to decode, anything else an escape to its full form. One
-// word op advances several rows, replayed over reusable arenas. All
+// word op advances several rows, replayed over reusable arenas; LoadRows
+// (a Grid per call), CopyRows and AccumulateColumn move whole words. All
 // three are proved bit-identical on randomized programs, and AuditPlan
 // re-derives every claim of the lowering from the stream Run executes.
 package ap

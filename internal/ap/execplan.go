@@ -36,6 +36,9 @@ import (
 // randomized programs at every lane width.
 type ExecPlan struct {
 	cols []Col
+	// fmts is each column's format in a byte, all a load or row copy reads
+	// of it: its width, clamped to 64, or'd with fmtUnsigned.
+	fmts []uint8
 	// ops is the program, one op per instruction: what Run executes, the
 	// analyses read and AuditPlan audits.
 	ops []planOp
@@ -62,8 +65,9 @@ type ExecPlan struct {
 type planOp struct{ dst, a, b uint32 }
 
 const (
-	opEsc = 1 << 31 // planOp.dst: escape to the side table
-	opSub = 1 << 31 // planOp.a: subtract
+	opEsc       = 1 << 31 // planOp.dst: escape to the side table
+	opSub       = 1 << 31 // planOp.a: subtract
+	fmtUnsigned = 1 << 7  // ExecPlan.fmts: the column is unsigned
 )
 
 // planKind discriminates the resolved operation variants of an escOp.
@@ -143,7 +147,13 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 	if len(p.Cols) > 1<<31-1 {
 		return nil, fmt.Errorf("ap: exec plan: %d columns overflow the op encoding", len(p.Cols))
 	}
-	plan := &ExecPlan{cols: p.Cols, ops: make([]planOp, 0, len(p.Instrs))}
+	plan := &ExecPlan{cols: p.Cols, fmts: make([]uint8, len(p.Cols)), ops: make([]planOp, 0, len(p.Instrs))}
+	for c, col := range p.Cols {
+		plan.fmts[c] = uint8(min(col.Width, 64))
+		if col.Unsigned {
+			plan.fmts[c] |= fmtUnsigned
+		}
+	}
 	ra := newRanges(p.Cols)
 	for _, ins := range p.Instrs {
 		// wrap is the identity from 63 bits up; clamp into uint8 range
@@ -453,17 +463,27 @@ func (m *Machine) put(c int32, r int, v int64) {
 	*w = *w&^(m.mask<<(bit&63)) | (uint64(v+m.one)&m.mask)<<(bit&63)
 }
 
-// LoadRows stores src[0], src[stride], … src[(n-1)·stride] into rows
-// [row0, row0+n) of col, wrapped to the column's stored format — the
-// in-place counterpart of WordMachine.SetColumn, and the gather primitive
-// of the functional simulator: one call moves a run of im2col rows
-// straight from an input-tensor row into lanes, whatever the convolution
-// stride, and row0 need not be word-aligned.
+// Grid is the shape of one load: positions [Q0, Q1) of a grid W wide go to
+// consecutive rows; q = r·W + c reads src[r·Pitch + (c−Lo)·Stride] if Lo ≤
+// c < Hi, else is a border position. A run of n is {Q1: n, W: n, Hi: n, Stride: 1}.
+type Grid struct {
+	Q0, Q1, W, Lo, Hi, Pitch, Stride int
+}
+
+// LoadRows stores grid positions [g.Q0, g.Q1) into rows row0, row0+1, …
+// of col, wrapped to its stored format: the simulator's gather, one call
+// per tap and row block. A grid with Stride 1 and Pitch W is one run, its
+// border positions put back to zero after (they must read zero before, as
+// an input column's do after Reset); any other grid is one run per row.
 //
 //rtmap:noalloc
-func (m *Machine) LoadRows(col, row0, n int, src []int32, stride int) {
-	if row0 < 0 || n < 0 || row0+n > m.rows {
-		panic(fmt.Sprintf("ap: LoadRows rows [%d,%d) outside machine rows %d", row0, row0+n, m.rows))
+func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
+	n := g.Q1 - g.Q0
+	if row0 < 0 || g.Q0 < 0 || n < 0 || row0+n > m.rows || g.Lo < 0 || g.Lo > g.Hi || g.Hi > g.W {
+		panic(fmt.Sprintf("ap: LoadRows grid %+v at row %d outside machine rows %d", g, row0, m.rows))
+	}
+	if n == 0 || g.Lo == g.Hi {
+		return
 	}
 	// The wrap to the stored format runs once per word, on all its lanes
 	// at once: keep the format's bits, add the lane offset, and subtract
@@ -471,20 +491,50 @@ func (m *Machine) LoadRows(col, row0, n int, src []int32, stride int) {
 	// borrows (the format is narrower than the lane's guarded range), an
 	// unsigned column has no sign bit, and from 63 bits up every int32
 	// already fits.
-	meta := m.plan.cols[col]
+	f := m.plan.fmts[col]
 	fmask, fsign := m.mask*m.rep, uint64(0)
-	if meta.Width < 63 {
-		fmask = (uint64(1)<<uint(meta.Width) - 1) * m.rep
-		if !meta.Unsigned {
-			fsign = uint64(1) << uint(meta.Width-1) * m.rep
+	if w := uint(f &^ fmtUnsigned); w < 63 {
+		fmask = (uint64(1)<<w - 1) * m.rep
+		if f&fmtUnsigned == 0 {
+			fsign = uint64(1) << (w - 1) * m.rep
 		}
 	}
 	words := m.col(int32(col))
-	// One store per touched word: gather its lanes in a register, wrap
-	// them, and merge under the mask of the lanes written when the run
-	// starts or ends inside the word. A whole word of a contiguous run —
-	// all but the ends of every stride-1 convolution's loads — is one
-	// bounds-checked window of the source at constant shifts.
+	row0 -= g.Q0 // the row grid position 0 would land in
+	if g.Stride == 1 && g.Pitch == g.W {
+		// q reads src[q − Lo]; c0 and c1 are the valid ends' columns in Q0's and Q1−1's rows.
+		c0, c1 := g.Q0%g.W, (g.Q1-1)%g.W
+		if c0 >= g.Hi {
+			c0 -= g.W
+		}
+		if c1 < g.Lo {
+			c1 += g.W
+		}
+		q0, q1 := g.Q0-c0+max(c0, g.Lo), g.Q1-1-c1+min(c1+1, g.Hi)
+		if q0 < q1 {
+			m.loadRun(words, row0+q0, q1-q0, src[q0-g.Lo:], 1, fmask, fsign)
+		}
+		for q := g.Q0 - c0 + g.Hi; q < q1; q += g.W {
+			for r := row0 + q; r < row0+q+g.W-g.Hi+g.Lo; r++ {
+				m.put(int32(col), r, 0)
+			}
+		}
+		return
+	}
+	for r := g.Q0 / g.W; r*g.W < g.Q1; r++ {
+		q := r * g.W
+		if c0, c1 := max(g.Lo, g.Q0-q), min(g.Hi, g.Q1-q); c0 < c1 {
+			m.loadRun(words, row0+q+c0, c1-c0, src[r*g.Pitch+(c0-g.Lo)*g.Stride:], g.Stride, fmask, fsign)
+		}
+	}
+}
+
+// loadRun stores src[0], src[stride], … src[(n-1)·stride] into rows
+// [row0, row0+n) of words, gathering, wrapping and merging one word at a
+// time; a whole word of a contiguous run is one window of the source.
+//
+//rtmap:noalloc
+func (m *Machine) loadRun(words []uint64, row0, n int, src []int32, stride int, fmask, fsign uint64) {
 	lane, per := m.lane, 64>>m.lg
 	bit := uint(row0) * lane
 	w, lo := int(bit>>6), bit&63
@@ -517,21 +567,56 @@ func (m *Machine) LoadRows(col, row0, n int, src []int32, stride int) {
 	}
 }
 
-// AccumulateColumn adds rows [row0, row0+len(dst)) of col into dst
-// without allocating — the inter-strip reduction of the functional
-// simulator.
+// CopyRows copies rows [srcRow, srcRow+n) of src to [dstRow, dstRow+n) of
+// dst by whole words, keeping the rest of dst's last word. Both first rows
+// must start a word and the columns share a format, or it panics.
+//
+//rtmap:noalloc
+func (m *Machine) CopyRows(dst, dstRow, src, srcRow, n int) {
+	per := 64 >> m.lg
+	if n < 0 || max(dstRow, srcRow)+n > m.rows || (dstRow|srcRow)&(per-1) != 0 || m.plan.fmts[dst] != m.plan.fmts[src] {
+		panic(fmt.Sprintf("ap: CopyRows %d rows from column %d row %d to column %d row %d", n, src, srcRow, dst, dstRow))
+	}
+	d, s := m.col(int32(dst))[dstRow/per:], m.col(int32(src))[srcRow/per:]
+	k := copy(d[:n/per], s)
+	if rem := uint(n-k*per) * m.lane; rem > 0 {
+		d[k] ^= (d[k] ^ s[k]) & (1<<rem - 1)
+	}
+}
+
+// AccumulateColumn adds rows [row0, row0+len(dst)) of col into dst — the
+// simulator's inter-strip reduction — one word per 4, 2 or 1 rows, lane by
+// lane only before the first word boundary and after the last.
 //
 //rtmap:noalloc
 func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
-	if row0 < 0 || row0+len(dst) > m.rows {
-		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d",
-			row0, row0+len(dst), m.rows))
+	end := row0 + len(dst)
+	if row0 < 0 || end > m.rows {
+		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d", row0, end, m.rows))
 	}
-	words := m.col(int32(col))
-	bit := uint(row0) * m.lane
-	for i := range dst {
-		dst[i] += int32(int64(words[bit>>6]>>(bit&63)&m.mask) - m.one)
-		bit += m.lane
+	per, one := 64>>m.lg, int32(m.one)
+	a := min(end, (row0+per-1)&^(per-1))
+	b := max(a, end&^(per-1))
+	for r := row0; r < a; r++ {
+		dst[r-row0] += int32(m.get(int32(col), r))
+	}
+	for r := b; r < end; r++ {
+		dst[r-row0] += int32(m.get(int32(col), r))
+	}
+	d := dst[a-row0 : b-row0]
+	for _, x := range m.col(int32(col))[a/per : b/per] {
+		if per == 4 {
+			d4 := d[:4:4]
+			d4[0] += int32(uint16(x)) - one
+			d4[1] += int32(uint16(x>>16)) - one
+			d4[2] += int32(uint16(x>>32)) - one
+			d4[3] += int32(x>>48) - one
+		} else {
+			for j := range d[:per] {
+				d[j] += int32(x>>(uint(j)*m.lane)&m.mask) - one
+			}
+		}
+		d = d[per:]
 	}
 }
 

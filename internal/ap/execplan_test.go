@@ -141,9 +141,14 @@ func randomProgram(rng *rand.Rand, lane int) *Program {
 	return p
 }
 
+// run1D is the one-row grid of an n-value run.
+func run1D(n, stride int) Grid {
+	return Grid{Q1: n, W: n, Hi: n, Pitch: n * stride, Stride: stride}
+}
+
 // setRows loads consecutive values into rows [row0, row0+len(vals)).
 func setRows(m *Machine, col, row0 int, vals []int32) {
-	m.LoadRows(col, row0, len(vals), vals, 1)
+	m.LoadRows(col, row0, vals, run1D(len(vals), 1))
 }
 
 func loadRandom(rng *rand.Rand, p *Program, rows int) [][]int64 {
@@ -448,7 +453,7 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	}
 	// Every second source element into the signed 8-bit column, starting
 	// mid-word: 200 wraps to -56.
-	m.LoadRows(2, 1, 4, []int32{1, 99, -2, 99, 200, 99, 127}, 2)
+	m.LoadRows(2, 1, []int32{1, 99, -2, 99, 200, 99, 127}, run1D(4, 2))
 	for r, w := range []int64{1, -2, -56, 127} {
 		if got := m.Column(2)[1+r]; got != w {
 			t.Fatalf("strided row %d: %d, want %d", 1+r, got, w)
@@ -511,31 +516,6 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadRows prices the gather primitive per element at the run
-// lengths a convolution loads (one output row of a deep and of a shallow
-// layer), word-aligned and not, contiguous and strided.
-func BenchmarkLoadRows(b *testing.B) {
-	plan := benchRunPlan(b, 100)
-	src := make([]int32, 64)
-	for i := range src {
-		src[i] = int32(i*37 - 1000)
-	}
-	var m Machine
-	m.Reset(plan, 64)
-	for _, n := range []int{8, 32} {
-		for _, row0 := range []int{0, 1} {
-			for _, stride := range []int{1, 2} {
-				b.Run(fmt.Sprintf("n=%d/row0=%d/stride=%d", n, row0, stride), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						m.LoadRows(1, row0, n, src, stride)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
-				})
-			}
-		}
-	}
-}
-
 // The op stream is the interpreter's front-end memory traffic: a fast op
 // is three 32-bit column indices and nothing else.
 func TestPlanOpSize(t *testing.T) {
@@ -544,66 +524,315 @@ func TestPlanOpSize(t *testing.T) {
 	}
 }
 
-// LoadRows gathers and wraps a word at a time — whole words of a
-// contiguous run from one window of the source, the ends and strided runs
-// lane by lane — and must equal wrapping and storing one row at a time,
-// for every alignment of the first row, run lengths on both sides of one
-// and many words, every column format, and int32s far outside the format;
-// rows of a partial word that the run does not cover must survive.
+// lanePlan is a load target at one lane width: every column format the
+// lane holds, signed and unsigned (columns 1–3 signed, 4–6 unsigned, and
+// so on), lowered with no instructions.
+func lanePlan(t testing.TB, lane int) (*Program, *ExecPlan) {
+	widths := []int{4, 8, 14, 4, 8, 14}
+	switch lane {
+	case 32:
+		widths = append(widths, 30, 30) // no narrower lane holds these
+	case 64:
+		widths = append(widths, 63, 64, 63, 64)
+	}
+	unsigned := make([]bool, len(widths))
+	for i := range unsigned {
+		unsigned[i] = i/3%2 == 1
+	}
+	p := buildProgram(widths, unsigned)
+	plan, err := NewExecPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.LaneBits() != lane {
+		t.Fatalf("plan lowered to %d-bit lanes, want %d", plan.LaneBits(), lane)
+	}
+	return p, plan
+}
+
+// LoadRows wraps a word at a time — a contiguous grid as one run across
+// its rows, any other grid one run per row; whole words from one window
+// of the source, the ends and strided runs lane by lane — and must equal
+// one put per position: every grid width a convolution loads on both
+// sides of a word, both strides, a contiguous pitch and a pad-0 one, 0–3
+// border columns on each side, grids that start and end mid-row and on
+// row ends, every alignment of the first row, every column format, and
+// int32s far outside the format. Rows outside the grid keep what a
+// previous load left; border positions, which read zero before the call
+// (the zero-set contract), read zero after it.
 func TestLoadRowsMatchesPerLane(t *testing.T) {
-	const rows = 80
+	const gridRows = 3
+	cases := 0
 	for _, lane := range testLanes {
-		widths := []int{4, 8, 14, 4, 8, 14}
-		switch lane {
-		case 32:
-			widths = append(widths, 30, 30) // no narrower lane holds these
-		case 64:
-			widths = append(widths, 63, 64, 63, 64)
-		}
-		unsigned := make([]bool, len(widths))
-		for i := range unsigned {
-			unsigned[i] = i/3%2 == 1
-		}
-		p := buildProgram(widths, unsigned)
-		plan, err := NewExecPlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.LaneBits() != lane {
-			t.Fatalf("plan lowered to %d-bit lanes, want %d", plan.LaneBits(), lane)
-		}
+		p, plan := lanePlan(t, lane)
+		rows := 64/lane + gridRows*32
 		rng := rand.New(rand.NewPCG(uint64(lane), 0x10ad))
 		var got, want Machine
 		got.Reset(plan, rows)
 		want.Reset(plan, rows)
-		for col := 1; col < len(p.Cols); col++ {
-			meta := p.Cols[col]
-			for _, stride := range []int{1, 2, 3} {
-				for row0 := 0; row0 < 64/lane; row0++ {
-					for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64} {
-						for r := 0; r < rows; r++ { // what a previous load left behind
-							v := wrap(int64(rng.Int32()), meta.Width, meta.Unsigned)
-							got.put(int32(col), r, v)
-							want.put(int32(col), r, v)
-						}
-						src := make([]int32, max(0, (n-1)*stride+1)) // exact: an over-read panics
-						for i := range src {
-							src[i] = int32(rng.Uint32()) >> (rng.UintN(4) * 8) // all magnitudes, both signs
-						}
-						got.LoadRows(col, row0, n, src, stride)
-						for i := 0; i < n; i++ {
-							want.put(int32(col), row0+i, wrap(int64(src[i*stride]), meta.Width, meta.Unsigned))
-						}
-						g, w := got.Column(col), want.Column(col)
-						for r := range w {
-							if g[r] != w[r] {
-								t.Fatalf("lane %d col %+v stride %d row0 %d n %d: row %d holds %d, want %d",
-									lane, meta, stride, row0, n, r, g[r], w[r])
+		for _, w := range []int{1, 3, 4, 7, 8, 32} {
+			for _, stride := range []int{1, 2} {
+				for _, pitch := range []int{w * stride, (w + 2) * stride} {
+					for lo := 0; lo <= 3 && lo < w; lo++ {
+						for rb := 0; rb <= 3 && rb < w; rb++ {
+							hi := max(lo, w-rb)
+							for _, q0 := range []int{0, 1, w - 1, w} {
+								for _, q1 := range []int{2*w - 1, 2 * w, 2*w + 1, gridRows * w} {
+									for row0 := 0; row0 < 64/lane && q0 <= q1; row0++ {
+										cases++
+										col := 1 + cases%(len(p.Cols)-1)
+										g := Grid{Q0: q0, Q1: q1, W: w, Lo: lo, Hi: hi, Pitch: pitch, Stride: stride}
+										checkGridLoad(t, rng, &got, &want, p.Cols[col], col, row0, g)
+									}
+								}
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+	if cases < 20000 {
+		t.Fatalf("only %d grid loads checked; the sweep regressed", cases)
+	}
+}
+
+// checkGridLoad runs one grid load on got and its per-position reference
+// on want, from the same random prior state, and compares every row.
+func checkGridLoad(t *testing.T, rng *rand.Rand, got, want *Machine, meta Col, col, row0 int, g Grid) {
+	t.Helper()
+	valid := func(q int) bool { c := q % g.W; return c >= g.Lo && c < g.Hi }
+	srcLen := 0 // exact: an over-read panics
+	for q := g.Q0; q < g.Q1; q++ {
+		if valid(q) {
+			srcLen = q/g.W*g.Pitch + (q%g.W-g.Lo)*g.Stride + 1
+		}
+	}
+	src := make([]int32, srcLen)
+	for i := range src {
+		src[i] = int32(rng.Uint32()) >> (rng.UintN(4) * 8) // all magnitudes, both signs
+	}
+	for r := 0; r < got.rows; r++ { // what a previous load left behind
+		v := wrap(int64(rng.Int32()), meta.Width, meta.Unsigned)
+		if q := g.Q0 + r - row0; q >= g.Q0 && q < g.Q1 && !valid(q) {
+			v = 0
+		}
+		got.put(int32(col), r, v)
+		want.put(int32(col), r, v)
+	}
+	got.LoadRows(col, row0, src, g)
+	for q := g.Q0; q < g.Q1; q++ {
+		if valid(q) {
+			v := src[q/g.W*g.Pitch+(q%g.W-g.Lo)*g.Stride]
+			want.put(int32(col), row0+q-g.Q0, wrap(int64(v), meta.Width, meta.Unsigned))
+		}
+	}
+	for r := 0; r < got.rows; r++ {
+		if a, b := got.get(int32(col), r), want.get(int32(col), r); a != b {
+			t.Fatalf("lane %d col %+v grid %+v row0 %d: row %d holds %d, want %d", got.lane, meta, g, row0, r, a, b)
+		}
+	}
+}
+
+// A grid with no valid column loads nothing, and a grid outside the
+// machine or with its valid columns outside the grid panics.
+func TestLoadRowsGridEdges(t *testing.T) {
+	_, plan := lanePlan(t, 16)
+	var m Machine
+	m.Reset(plan, 8)
+	setRows(&m, 1, 0, []int32{1, 2, 3, 4, 5, 6, 7, -8})
+	m.LoadRows(1, 0, nil, Grid{Q1: 8, W: 4, Lo: 2, Hi: 2, Pitch: 4, Stride: 1})
+	for r, v := range m.Column(1) {
+		if want := int64(r + 1); r == 7 && v != -8 || r < 7 && v != want {
+			t.Fatalf("row %d of an empty grid's column reads %d", r, v)
+		}
+	}
+	for _, g := range []Grid{
+		{Q1: 9, W: 9, Hi: 9, Pitch: 9, Stride: 1},
+		{Q0: 2, Q1: 1, W: 4, Hi: 4, Pitch: 4, Stride: 1},
+		{Q1: 4, W: 4, Lo: 3, Hi: 2, Pitch: 4, Stride: 1},
+		{Q1: 4, W: 4, Hi: 5, Pitch: 4, Stride: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("grid %+v did not panic", g)
+				}
+			}()
+			m.LoadRows(1, 0, make([]int32, 16), g)
+		}()
+	}
+}
+
+// CopyRows moves whole words between two columns of one format: equal
+// to a per-row copy for runs of none, one, a partial, a whole and several
+// words plus one row, at each lane, from and to rows on both sides of
+// each other. Every destination row outside the run — the rest of its
+// last word included — survives, and an unaligned row or a format
+// mismatch panics.
+func TestCopyRowsMatchesPerLane(t *testing.T) {
+	for _, lane := range testLanes {
+		// Two 8-bit signed columns, an 8-bit unsigned one, and one that sets
+		// the lane.
+		widths := map[int]int{16: 8, 32: 30, 64: 64}
+		const src, dst, unsigned = 1, 2, 3
+		p := buildProgram([]int{8, 8, 8, widths[lane]}, []bool{false, false, true, false})
+		plan, err := NewExecPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := 64 / lane
+		rows := 12 * per
+		rng := rand.New(rand.NewPCG(uint64(lane), 0xc0b1))
+		var m Machine
+		m.Reset(plan, rows)
+		for _, n := range []int{0, 1, per - 1, per, 5*per + 1} {
+			for _, sw := range []int{0, 1, 5} {
+				for _, dw := range []int{0, 2, 5} {
+					for r := 0; r < rows; r++ {
+						m.put(src, r, wrap(int64(rng.Int32()), 8, false))
+						m.put(dst, r, wrap(int64(rng.Int32()), 8, false))
+					}
+					from, want := m.Column(src), m.Column(dst)
+					copy(want[dw*per:dw*per+n], from[sw*per:])
+					m.CopyRows(dst, dw*per, src, sw*per, n)
+					for r, v := range m.Column(dst) {
+						if v != want[r] {
+							t.Fatalf("lane %d: %d rows from row %d to row %d: row %d holds %d, want %d",
+								lane, n, sw*per, dw*per, r, v, want[r])
+						}
+					}
+				}
+			}
+		}
+		bad := [][5]int{{dst, 0, unsigned, 0, 4}, {dst, 0, src, rows - 3, 4}}
+		if per > 1 {
+			bad = append(bad, [5]int{dst, 1, src, 0, 4}, [5]int{dst, 0, src, per - 1, 4})
+		}
+		for _, args := range bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("lane %d: CopyRows%v did not panic", lane, args)
+					}
+				}()
+				m.CopyRows(args[0], args[1], args[2], args[3], args[4])
+			}()
+		}
+	}
+}
+
+// AccumulateColumn reads whole words once for their 4, 2 or 1 rows and
+// must equal adding one lane at a time, from every alignment of the first
+// row, over runs that stay inside a word, end on a boundary, and cross
+// one or several.
+func TestAccumulateColumnMatchesPerLane(t *testing.T) {
+	for _, lane := range testLanes {
+		p, plan := lanePlan(t, lane)
+		const rows = 48
+		rng := rand.New(rand.NewPCG(uint64(lane), 0xacc))
+		var m Machine
+		m.Reset(plan, rows)
+		for col := 1; col < len(p.Cols); col++ {
+			meta := p.Cols[col]
+			for r := 0; r < rows; r++ {
+				m.put(int32(col), r, wrap(rng.Int64(), min(meta.Width, 32), meta.Unsigned))
+			}
+			for row0 := 0; row0 < 64/lane; row0++ {
+				for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33} {
+					got, want := make([]int32, n), make([]int32, n)
+					for i := range got {
+						got[i] = rng.Int32() >> 4
+						want[i] = got[i] + int32(m.get(int32(col), row0+i))
+					}
+					m.AccumulateColumn(col, row0, got)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("lane %d col %+v row0 %d n %d: row %d accumulated %d, want %d",
+								lane, meta, row0, n, row0+i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchGrids are the grids vgg9's 3×3 convolutions load at 16-bit lanes,
+// one whole output plane of rows w long: the centre kernel column (no
+// border), the left (one border column on the left of each row) and the
+// right, all contiguous; and a stride-2 centre tap over an input twice as
+// wide, one run per row.
+func benchGrids(w int) map[string]Grid {
+	n := w * w
+	return map[string]Grid{
+		"centre":  {Q1: n, W: w, Lo: 0, Hi: w, Pitch: w, Stride: 1},
+		"left":    {Q1: n, W: w, Lo: 1, Hi: w, Pitch: w, Stride: 1},
+		"right":   {Q1: n, W: w, Lo: 0, Hi: w - 1, Pitch: w, Stride: 1},
+		"stride2": {Q1: n, W: w, Lo: 0, Hi: w, Pitch: 4 * w, Stride: 2},
+	}
+}
+
+// BenchmarkLoadRows prices the gather primitive per grid position on the
+// planes vgg9 runs: w 32 (1 024 rows), 16 and 8, for each kind of tap,
+// and the one-position grid of a linear layer (w 1, whose border taps
+// are empty).
+func BenchmarkLoadRows(b *testing.B) {
+	_, plan := lanePlan(b, 16)
+	for _, w := range []int{32, 16, 8, 1} {
+		src := make([]int32, 4*w*w)
+		for i := range src {
+			src[i] = int32(i*37 - 1000)
+		}
+		var m Machine
+		m.Reset(plan, w*w)
+		for _, kind := range []string{"centre", "left", "right", "stride2"} {
+			g := benchGrids(w)[kind]
+			b.Run(fmt.Sprintf("w=%d/%s", w, kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.LoadRows(1, 0, src, g)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.Q1), "ns/elem")
+			})
+		}
+	}
+}
+
+// BenchmarkCopyRows prices a derived tap: an output plane of rows w long
+// less one row, copied one output row away, at 16-bit lanes.
+func BenchmarkCopyRows(b *testing.B) {
+	plan, err := NewExecPlan(buildProgram([]int{8, 8}, []bool{true, true}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{32, 16, 8} {
+		var m Machine
+		m.Reset(plan, w*w)
+		n := w*w - w
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.CopyRows(2, 0, 1, w, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+		})
+	}
+}
+
+// BenchmarkAccumulateColumn prices the read-back of one output channel
+// over a plane's rows, from a word boundary and from inside a word.
+func BenchmarkAccumulateColumn(b *testing.B) {
+	_, plan := lanePlan(b, 16)
+	var m Machine
+	m.Reset(plan, 1025)
+	dst := make([]int32, 1024)
+	for _, n := range []int{1024, 64} {
+		for _, row0 := range []int{0, 1} {
+			b.Run(fmt.Sprintf("n=%d/row0=%d", n, row0), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.AccumulateColumn(3, row0, dst[:n])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
 		}
 	}
 }

@@ -57,6 +57,8 @@ const (
 	// minus its guard bit — a carry would cross into the neighbouring
 	// row.
 	InvLane = "lane"
+	// InvFormat: a column's load format disagrees with its metadata.
+	InvFormat = "format"
 )
 
 // Violation is one invariant failure found by AuditPlan. Op is the plan
@@ -75,11 +77,11 @@ func (v Violation) String() string {
 // It proves, without trusting the lowering that built the plan:
 //
 //   - structural soundness: every column, side-table and width reference
-//     is in bounds and consistent with the column table, and the escapes
-//     of the op stream number the side table in program order
-//     (InvBounds, InvWidth, InvFlags), op kinds are within the
-//     interpreter's dispatch set (InvCoverage), and no op's destination
-//     aliases a column it still reads in the same pass (InvAliasing);
+//     is in bounds and consistent with the column table, as is each load
+//     format (InvFormat), the escapes of the op stream number the side
+//     table in program order (InvBounds, InvWidth, InvFlags), op kinds are
+//     within the interpreter's dispatch set (InvCoverage), and no op's
+//     destination aliases a column it still reads (InvAliasing);
 //   - correspondence: the op stream is exactly what the documented
 //     lowering produces from p, one op per instruction
 //     (InvCorrespondence);
@@ -126,10 +128,14 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		bad(-1, InvBounds, "plan has %d columns, program has %d", len(plan.cols), len(p.Cols))
 		return out
 	}
-	for c := range plan.cols {
-		if plan.cols[c] != p.Cols[c] {
-			bad(-1, InvBounds, "column %d metadata %+v differs from program %+v", c, plan.cols[c], p.Cols[c])
+	for c, col := range plan.cols {
+		if col != p.Cols[c] {
+			bad(-1, InvBounds, "column %d metadata %+v differs from program %+v", c, col, p.Cols[c])
 			return out
+		}
+		if c >= len(plan.fmts) || int(plan.fmts[c]&^fmtUnsigned) != min(col.Width, 64) ||
+			(plan.fmts[c]&fmtUnsigned != 0) != col.Unsigned {
+			bad(-1, InvFormat, "column %d of %d has no load format or one that disagrees with %+v", c, len(plan.fmts), col)
 		}
 	}
 	ncols := int32(len(plan.cols))

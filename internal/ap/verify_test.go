@@ -80,6 +80,7 @@ func TestAuditPlanRejectsBadInputs(t *testing.T) {
 func clonePlan(p *ExecPlan) *ExecPlan {
 	q := &ExecPlan{
 		cols: append([]Col(nil), p.cols...),
+		fmts: append([]uint8(nil), p.fmts...),
 		ops:  append([]planOp(nil), p.ops...),
 		esc:  append([]escOp(nil), p.esc...),
 		zero: append([]int32(nil), p.zero...),
@@ -229,6 +230,17 @@ var planMutations = []planMutation{
 		}
 		i := rng.IntN(len(plan.zero))
 		plan.zero = append(plan.zero[:i], plan.zero[i+1:]...)
+		return true
+	}},
+	// Lie about a load format: a column's entry in the format table loses
+	// a bit of width or flips its signedness, so every load wraps it wrong.
+	{"lie-load-format", func(rng *rand.Rand, plan *ExecPlan) bool {
+		c := 1 + rng.IntN(len(plan.fmts)-1)
+		if rng.IntN(2) == 0 {
+			plan.fmts[c]--
+		} else {
+			plan.fmts[c] ^= fmtUnsigned
+		}
 		return true
 	}},
 	// The encoded stream itself. A fast op's sign is one bit of a.

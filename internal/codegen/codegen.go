@@ -116,6 +116,9 @@ type TileProgram struct {
 
 	inputsOnce sync.Once
 	inputs     []InputBinding
+
+	sourcesOnce sync.Once
+	sources     []int
 }
 
 // InputBinding is one entry of TileProgram.InputBindings: virtual input
@@ -136,6 +139,26 @@ func (tp *TileProgram) Inputs() []InputBinding {
 		sort.Slice(tp.inputs, func(i, j int) bool { return tp.inputs[i].Virt < tp.inputs[j].Virt })
 	})
 	return tp.inputs
+}
+
+// TapSources returns, per entry of Inputs, the column bound to its channel
+// and kernel column in kernel row pad, or -1 if that is itself or unbound.
+// Memoized like Inputs: fw and pad are the layer's, fixed per program.
+func (tp *TileProgram) TapSources(fw, pad int) []int {
+	tp.sourcesOnce.Do(func() {
+		virt := make(map[[2]int]int, len(tp.InputBindings))
+		for v, bind := range tp.InputBindings {
+			virt[bind] = v
+		}
+		for _, in := range tp.Inputs() {
+			src, ok := virt[[2]int{in.Chan, pad*fw + in.K%fw}]
+			if !ok || src == in.Virt {
+				src = -1
+			}
+			tp.sources = append(tp.sources, src)
+		}
+	})
+	return tp.sources
 }
 
 // ExecPlan returns Prog lowered for repeated execution, built on first

@@ -18,10 +18,11 @@
 // ForwardAPBatch/RunConvBatch lay a batch's im2col rows end to end so
 // every (strip, tile) program is interpreted once per cache-sized block
 // of them through precompiled ap.ExecPlans, on lane-packed arenas each
-// task gathers straight from the input tensors, over a persistent
-// worker pool. ForwardAP is the batch-of-one wrapper. The engine is a
-// conv executor and nothing more: the layer walk, input validation and
-// the integer semantics of every other layer kind are
+// task gathers straight from the input tensors (one grid load per tap,
+// kernel rows of a stride-1 layer copied from kernel row pad), over a
+// persistent worker pool. ForwardAP is the batch-of-one wrapper. The
+// engine is a conv executor and nothing more: the layer walk, input
+// validation and the integer semantics of every other layer kind are
 // model.Network.ExecLayers, the same code model.Network.ForwardInt — the
 // one oracle — runs with the software convolution plugged in.
 package sim

@@ -59,13 +59,15 @@ func putMachine(m *ap.Machine) {
 // convCtx is the shared state of one batched conv execution; tasks index
 // into it. Pooled so the steady-state path allocates nothing.
 type convCtx struct {
-	plan  *core.LayerPlan
-	plans []*ap.ExecPlan // [strip·tiles + tile], lowered before any task runs
-	spec  tensor.ConvSpec
-	wout  int // output row length: im2col rows [oh·wout, (oh+1)·wout) share an input row
-	ins   []*tensor.Int
-	outs  []*tensor.Int
-	tile  []int // tile row offsets
+	plan   *core.LayerPlan
+	plans  []*ap.ExecPlan // [strip·tiles + tile], lowered before any task runs
+	spec   tensor.ConvSpec
+	ins    []*tensor.Int
+	outs   []*tensor.Int
+	tile   []int // tile row offsets
+	taps   []tap // [kh·Fw + kw], set per call by setTaps
+	plane  int   // elements of one input channel
+	derive bool  // stride 1, output plane = input's: a kernel column's taps lie whole rows apart
 
 	wg sync.WaitGroup
 	// mu orders the accumulation of tasks that split one output region
@@ -132,17 +134,15 @@ func runConvTask(t convTask) {
 	for s := t.s0; s < t.s1; s++ {
 		sp := &ctx.plan.StripPlans[s]
 		tp := sp.Programs[t.tile]
-		m.Reset(ctx.plans[s*tiles+t.tile], t.g1-t.g0)
-		for _, in := range tp.Inputs() {
-			if in.Chan >= len(sp.Channels) {
-				continue // plane slot unused by this strip's tail
-			}
-			ci, kh, kw := sp.Channels[in.Chan], in.K/ctx.spec.Fw, in.K%ctx.spec.Fw
-			for g := t.g0; g < t.g1; {
-				b, p0 := g/p, g%p
-				n := min(p-p0, t.g1-g)
-				ctx.gather(m, in.Virt, g-t.g0, ctx.ins[b], ci, kh, kw, p0, p0+n)
-				g += n
+		ep := ctx.plans[s*tiles+t.tile]
+		m.Reset(ep, t.g1-t.g0)
+		ins, srcs := tp.Inputs(), tp.TapSources(ctx.spec.Fw, ctx.spec.Pad)
+		// Taps with a source last: in a derivable layer they copy from it.
+		for pass := 0; pass < 2; pass++ {
+			for i, in := range ins {
+				if in.Chan < len(sp.Channels) && (pass == 1) == (ctx.derive && srcs[i] >= 0) {
+					ctx.load(m, t, in.Virt, srcs[i], sp.Channels[in.Chan], in.K, 64/ep.LaneBits())
+				}
 			}
 		}
 		m.Run()
@@ -164,38 +164,71 @@ func runConvTask(t convTask) {
 	}
 }
 
-// gather loads im2col rows [p0, p1) of one (channel, tap) of in into rows
-// [row0, …) of a machine column: per output row, the taps that land
-// inside the input are one strided run of an input row. Padding taps are
-// not written — an input column is read before it is written, so Reset
-// has already zeroed it.
+// tap is one patch position (kh, kw) over the output plane: [Q0, Q1) the
+// rows whose tap lands in the input, base the plane offset (Q0's row, Lo)
+// reads, and shift where its kernel-row-pad source holds position p's.
+type tap struct {
+	ap.Grid
+	base, shift int
+}
+
+// setTaps computes one call's taps; one never inside the input is empty.
+func (ctx *convCtx) setTaps(in, out tensor.Shape) {
+	s, pad, h, w := ctx.spec.Stride, ctx.spec.Pad, in.H, in.W
+	ctx.plane, ctx.derive, ctx.taps = h*w, s == 1 && out.H == h && out.W == w, ctx.taps[:0]
+	// first and end bound the outputs o whose tap o·s + off lies in [0, n).
+	first := func(off int) int { return (max(0, -off) + s - 1) / s }
+	end := func(off, n, nOut int) int { return min(nOut, max(0, (n-1-off+s)/s)) }
+	for kh := 0; kh < ctx.spec.Fh; kh++ {
+		oh0, oh1 := first(kh-pad), end(kh-pad, h, out.H)
+		for kw := 0; kw < ctx.spec.Fw; kw++ {
+			lo, hi := first(kw-pad), end(kw-pad, w, out.W)
+			t := tap{ap.Grid{Q0: oh0 * out.W, Q1: oh1 * out.W, W: out.W, Lo: lo, Hi: hi, Pitch: s * w, Stride: s},
+				(oh0*s+kh-pad)*w + lo*s + kw - pad, (kh - pad) * out.W}
+			if lo >= hi || oh0 >= oh1 {
+				t.Q0, t.Q1 = 0, 0
+			}
+			ctx.taps = append(ctx.taps, t)
+		}
+	}
+}
+
+// load fills column col (channel ci, tap k) per batch-item segment. In a
+// derivable layer, a segment whose first row and shift start a word (per
+// rows: the machine's own, as taskShape aligns to the layer's fewest)
+// copies what source column src holds shift rows away, gathering the rest.
 //
 //rtmap:noalloc
-func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, in *tensor.Int, ci, kh, kw, p0, p1 int) {
-	h, w := in.Shape.H, in.Shape.W
-	stride, wout := ctx.spec.Stride, ctx.wout
-	// Output columns [lo, hi) are those whose tap ow·stride + off is in
-	// [0, w).
-	off := kw - ctx.spec.Pad
-	lo, hi := 0, 0
-	if off < 0 {
-		lo = (-off + stride - 1) / stride
-	}
-	if w-1-off >= 0 {
-		hi = (w-1-off)/stride + 1
-	}
-	plane := in.Data[ci*h*w : (ci+1)*h*w]
-	oh, ow := p0/wout, p0%wout
-	for p := p0; p < p1; oh, ow = oh+1, 0 {
-		n := min(wout-ow, p1-p)
-		if ih := oh*stride + kh - ctx.spec.Pad; ih >= 0 && ih < h {
-			if a, b := max(ow, lo), min(ow+n, hi); a < b {
-				m.LoadRows(col, row0+a-ow, b-a, plane[ih*w+a*stride+off:], stride)
-			}
+func (ctx *convCtx) load(m *ap.Machine, t convTask, col, src, ci, k, per int) {
+	p, tp := ctx.plan.P, &ctx.taps[k]
+	for g := t.g0; g < t.g1; {
+		b, p0 := g/p, g%p
+		p1, row0, plane := min(p, p0+t.g1-g), g-t.g0, ctx.ins[b].Data[ci*ctx.plane:]
+		c0, c1 := max(p0, tp.Q0, p0-tp.shift), min(p1, tp.Q1, p1-tp.shift)
+		if !ctx.derive || src < 0 || (row0|tp.shift)&(per-1) != 0 || c0 >= c1 {
+			ctx.gather(m, col, row0, plane, k, p0, p1)
+		} else {
+			m.CopyRows(col, row0+c0-p0, src, row0+c0-p0+tp.shift, c1-c0)
+			ctx.gather(m, col, row0, plane, k, p0, c0)
+			ctx.gather(m, col, row0+c1-p0, plane, k, c1, p1)
 		}
-		p += n
-		row0 += n
+		g += p1 - p0
 	}
+}
+
+// gather loads positions [p0, p1) of tap k from an input plane, p0 at row
+// row0, in one grid load. Padding taps stay as Reset zeroed them.
+//
+//rtmap:noalloc
+func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, plane []int32, k, p0, p1 int) {
+	t := &ctx.taps[k]
+	a, b := max(p0, t.Q0), min(p1, t.Q1)
+	if a >= b {
+		return
+	}
+	g := t.Grid
+	g.Q0, g.Q1 = a-t.Q0, b-t.Q0
+	m.LoadRows(col, row0+a-p0, plane[t.base:], g)
 }
 
 // Task shape. Rows are independent in the word-level semantics, so the
@@ -294,7 +327,8 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 		clear(outs[b].Data)
 	}
 	ctx := ctxPool.Get().(*convCtx)
-	ctx.plan, ctx.spec, ctx.wout, ctx.ins, ctx.outs = plan, spec, outShape.W, ins, outs
+	ctx.plan, ctx.spec, ctx.ins, ctx.outs = plan, spec, ins, outs
+	ctx.setTaps(ins[0].Shape, outShape)
 	err := ctx.run(layerIdx)
 	ctx.plan, ctx.ins, ctx.outs = nil, nil, nil
 	clear(ctx.plans)

@@ -145,6 +145,134 @@ func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 	}
 }
 
+// Every way convCtx.load fills an input column, end to end against
+// ForwardInt for N ∈ {1, 3, 8} with two workers to feed: 3×3 stride-1
+// pad-1 layers whose kernel rows derive from kernel row 1 by word copies
+// (W 4, 8, 32; W 8 cuts items mid-row at N 3 and 8), one whose output
+// rows are not whole words (W 7: every tap gathered), strided grids (7×7
+// stride 2 pad 3, 1×1 stride 2), an output narrower than its input (3×3
+// pad 0), a 1×1 plane, and weights sparse enough that some kernel-row-1
+// taps are unbound, so taps that would derive from them gather instead.
+func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	midRow := false
+	for _, tc := range []struct {
+		name                   string
+		cin, cout, k, s, pad   int
+		h                      int
+		sparsity               float64
+		derive, words, unbound bool // the layer derives; its shifts are whole words; some source must be unbound
+	}{
+		{"3x3/W4", 8, 16, 3, 1, 1, 4, 0.5, true, true, false},
+		{"3x3/W8", 8, 16, 3, 1, 1, 8, 0.5, true, true, false},
+		{"3x3/W32", 4, 8, 3, 1, 1, 32, 0.5, true, true, false},
+		{"3x3/W7", 8, 16, 3, 1, 1, 7, 0.5, true, false, false},
+		{"7x7/stride2", 3, 8, 7, 2, 3, 16, 0.5, false, false, false},
+		{"1x1/stride2", 8, 8, 1, 2, 0, 8, 0.5, false, false, false},
+		{"3x3/pad0", 8, 8, 3, 1, 0, 8, 0.5, false, false, false},
+		{"3x3/plane1x1", 16, 8, 3, 1, 1, 1, 0.5, true, false, false},
+		{"3x3/sparse", 2, 2, 3, 1, 1, 8, 0.8, true, true, true},
+	} {
+		net := singleConvNet(7, tc.cin, tc.cout, tc.k, tc.s, tc.pad, tc.h, tc.sparsity)
+		c := compileNet(t, net, true)
+		plan, spec := c.Layers[0], net.Layers[0].ConvSpec()
+		ctx := &convCtx{spec: spec}
+		ctx.setTaps(net.InputShape, spec.OutShape(net.InputShape))
+		words, unbound := true, false
+		for _, tp := range plan.StripPlans[0].Programs {
+			for i, in := range tp.Inputs() {
+				kh, shift := in.K/tc.k, ctx.taps[in.K].shift
+				words = words && (kh == tc.pad || shift%4 == 0)
+				unbound = unbound || kh != tc.pad && tp.TapSources(tc.k, tc.pad)[i] < 0
+			}
+		}
+		if ctx.derive != tc.derive || ctx.derive && (words != tc.words || tc.unbound && !unbound) {
+			t.Fatalf("%s: derive %v, whole-word shifts %v, unbound sources %v; the case needs %v, %v, %v",
+				tc.name, ctx.derive, words, unbound, tc.derive, tc.words, tc.unbound)
+		}
+		for _, n := range []int{1, 3, 8} {
+			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, n)}
+			if block, _, err := ctx.shape(0); err != nil {
+				t.Fatal(err)
+			} else if out := spec.OutShape(net.InputShape); tc.derive && block < n*plan.P && block%plan.P%out.W != 0 {
+				midRow = true
+			}
+			ins := make([]*tensor.Float, n)
+			for i := range ins {
+				ins[i] = randInput(uint64(60*n+i), net.InputShape)
+			}
+			got, err := ForwardAPBatch(c, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range ins {
+				ref, err := net.ForwardInt(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertTraceEqual(t, net, got[i], ref, fmt.Sprintf("%s N=%d item %d vs ForwardInt", tc.name, n, i))
+			}
+		}
+	}
+	if !midRow {
+		t.Fatal("no derivable case cut an item mid-row; the sweep lost its point")
+	}
+}
+
+// Derivation is refused for a segment whose first row is not word-aligned
+// at the machine's own lane. taskShape aligns blocks to the fewest rows
+// per word among a layer's plans, so a layer mixing lanes hands a 16-bit
+// plan blocks whose batch items start two rows into a word; driving such
+// blocks through runConvTask must gather those segments (CopyRows would
+// panic) and still equal ForwardInt.
+func TestDeriveRefusesUnalignedSegments(t *testing.T) {
+	net := singleConvNet(9, 8, 16, 3, 1, 1, 8, 0.5)
+	c := compileNet(t, net, true)
+	plan, spec := c.Layers[0], net.Layers[0].ConvSpec()
+	const n = 2
+	ins, want, outs := make([]*tensor.Int, n), make([]*tensor.Int, n), make([]*tensor.Int, n)
+	for b := range ins {
+		tr, err := net.ForwardInt(randInput(uint64(70+b), net.InputShape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins[b], want[b] = tr.InputCodes, tr.Outputs[0]
+		outs[b] = tensor.NewInt(spec.OutShape(net.InputShape))
+	}
+	ctx := &convCtx{plan: plan, spec: spec, ins: ins, outs: outs}
+	ctx.setTaps(net.InputShape, spec.OutShape(net.InputShape))
+	if _, _, err := ctx.shape(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range ctx.plans {
+		if ep.LaneBits() != 16 {
+			t.Fatalf("plan runs %d-bit lanes; the test needs 16", ep.LaneBits())
+		}
+	}
+	if !ctx.derive || ctx.taps[0].shift%4 != 0 {
+		t.Fatal("the layer must derive with whole-word shifts: only the segment's first row may refuse")
+	}
+	off := 0
+	for _, ts := range plan.TileSizes {
+		ctx.tile = append(ctx.tile, off)
+		off += ts
+	}
+	// Blocks of P − 2 rows: the second starts two rows before item 1, whose
+	// segment then starts at machine row 2.
+	rows, block := n*plan.P, plan.P-2
+	for tile := range plan.TileSizes {
+		for g0 := 0; g0 < rows; g0 += block {
+			ctx.wg.Add(1)
+			runConvTask(convTask{ctx: ctx, tile: tile, s0: 0, s1: len(plan.StripPlans), g0: g0, g1: min(g0+block, rows)})
+		}
+	}
+	for b := range outs {
+		if !outs[b].Equal(want[b]) {
+			t.Fatalf("item %d: conv over two-row-aligned blocks != ForwardInt", b)
+		}
+	}
+}
+
 // A task must keep enough work to pay for its hand-off: every tinycnn
 // layer at batch 8 — 19 to 46 ops over at most 512 rows — stays one task
 // however many workers there are to feed.
