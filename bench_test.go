@@ -182,7 +182,7 @@ func BenchmarkEndurance(b *testing.B) {
 	}
 }
 
-// Functional AP simulation throughput (word-level machine) on a small
+// Functional AP simulation throughput (the ap.Machine engine) on a small
 // network, including the bit-exactness check against the reference.
 func BenchmarkFunctionalSimTinyCNN(b *testing.B) {
 	net := BuildTinyCNN(DefaultModelConfig())

@@ -11,8 +11,8 @@
 // bit-exactness.
 //
 // Functional simulation executes the real emitted AP programs on the
-// word-level machine (proved pass-exact against the bit-level CAM model in
-// the test suite), so use the tiny models or be prepared to wait.
+// lane-packed ap.Machine (proved bit-exact against the bit-serial LUT
+// replay in the test suite), so use the tiny models or be prepared to wait.
 package main
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -31,13 +32,11 @@ func buildTools(t *testing.T, tools ...string) string {
 
 // TestCmdSmoke builds every cmd/ binary and runs each one end-to-end on a
 // tiny model (or -h where the tool's real run would be slow), so a broken
-// flag surface or a panic in a main package fails the suite.
+// flag surface or a panic in a main package fails the suite. The tool
+// list is the cmd/ directory itself: a binary without a case fails, so an
+// added or deleted tool cannot drift from it. rtmap-serve's case is
+// TestServeSmoke.
 func TestCmdSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the command-line tools")
-	}
-	bin := buildTools(t, "rtmap-bench", "rtmap-compile", "rtmap-dfg", "rtmap-diag", "rtmap-sim", "rtmap-load", "rtmap-router", "rtmap-trace", "rtmap-vet")
-
 	cases := []struct {
 		tool string
 		args []string
@@ -49,7 +48,6 @@ func TestCmdSmoke(t *testing.T) {
 		{"rtmap-compile", []string{"-model", "tinycnn"}, "tinycnn"},
 		{"rtmap-compile", []string{"-model", "tinycnn", "-no-cse", "-serial", "-no-cache"}, "arrays"},
 		{"rtmap-dfg", []string{"-eq1"}, "unroll+CSE"},
-		{"rtmap-diag", []string{"-tiny"}, "TinyCNN RTM"},
 		{"rtmap-sim", []string{"-model", "tinycnn", "-inputs", "1"}, "OK"},
 		{"rtmap-sim", []string{"-model", "tinycnn", "-inputs", "1", "-json"}, `"ok": true`},
 		{"rtmap-load", []string{"-h"}, "closed-loop"},
@@ -59,6 +57,31 @@ func TestCmdSmoke(t *testing.T) {
 		// Lint mode over the repo: exit 0, no findings printed.
 		{"rtmap-vet", []string{"./..."}, ""},
 	}
+	tested := map[string]bool{"rtmap-serve": true}
+	for _, tc := range cases {
+		tested[tc.tool] = true
+	}
+	ents, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tools []string
+	for _, e := range ents {
+		if !e.IsDir() {
+			continue
+		}
+		if !tested[e.Name()] {
+			t.Errorf("cmd/%s has no smoke case", e.Name())
+		}
+		if e.Name() != "rtmap-serve" {
+			tools = append(tools, e.Name())
+		}
+	}
+	if testing.Short() {
+		t.Skip("builds the command-line tools")
+	}
+	bin := buildTools(t, tools...)
+
 	for _, tc := range cases {
 		name := tc.tool + " " + strings.Join(tc.args, " ")
 		cmd := exec.Command(filepath.Join(bin, tc.tool), tc.args...)

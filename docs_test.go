@@ -213,6 +213,77 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 }
 
+// TestPackageMapDocumented holds the package tables to the tree: the
+// "Package map" tables of docs/ARCHITECTURE.md name exactly the
+// directories under internal/ that hold Go files, and README's module
+// table names no package that does not exist.
+func TestPackageMapDocumented(t *testing.T) {
+	have := map[string]bool{}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			have[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(have) < 10 {
+		t.Fatalf("only %d internal packages found — running outside the repo root?", len(have))
+	}
+	section := func(file, heading string) map[string]bool {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, found := strings.Cut(string(src), "\n## "+heading+"\n")
+		if !found {
+			t.Fatalf("%s has no \"## %s\" section", file, heading)
+		}
+		body, _, _ = strings.Cut(body, "\n## ")
+		return tablePaths(body)
+	}
+	named := section(filepath.Join("docs", "ARCHITECTURE.md"), "Package map")
+	for p := range have {
+		if !named[p] {
+			t.Errorf("docs/ARCHITECTURE.md: the package map has no row for %s", p)
+		}
+	}
+	for p := range named {
+		if !have[p] {
+			t.Errorf("docs/ARCHITECTURE.md: the package map names %s, which holds no Go files", p)
+		}
+	}
+	for p := range section("README.md", "Module layout") {
+		if !have[p] {
+			t.Errorf("README.md: the module table names %s, which holds no Go files", p)
+		}
+	}
+}
+
+// tablePaths returns the internal/ paths a markdown section's table rows
+// name in backquotes in their first cell.
+func tablePaths(section string) map[string]bool {
+	paths := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[2:], " | ")
+		for i, s := range strings.Split(cell, "`") {
+			if i%2 == 1 && strings.HasPrefix(s, "internal/") {
+				paths[s] = true
+			}
+		}
+	}
+	return paths
+}
+
 // eachNonTestGoFile visits every non-test Go file of the tree, skipping
 // hidden directories and the directories skip names (slash paths).
 func eachNonTestGoFile(t *testing.T, skip []string, visit func(path string)) {

@@ -14,16 +14,16 @@
 // for the out-of-place adder the paper's printed table has two rows'
 // comments swapped (011/110 — see TestPaperTableIAdderErratum).
 //
-// Three executors interpret the same programs: Exec replays the exact
-// bit-serial pass structure on the CAM array model, WordMachine is the
-// word-level reference semantics, and ExecPlan/Machine is the
+// Two executors interpret the same programs. Exec replays the exact
+// bit-serial pass structure on a bit-plane model of the CAM array, one
+// row bitset per column bit: the reference. ExecPlan/Machine is the
 // production engine — programs lowered once, with a value-range
 // analysis that removes provably-identity wraps and packs rows into
 // 16-, 32- or 64-bit lanes, into one stream of 12-byte ops: a wrap-free
 // add/sub is three column indices and a sign bit that Run executes
 // with nothing to decode, anything else an escape to its full form. One
 // word op advances several rows, replayed over reusable arenas; LoadRows
-// (a Grid per call), CopyRows and AccumulateColumn move whole words. All
-// three are proved bit-identical on randomized programs, and AuditPlan
+// (a Grid per call), CopyRows and AccumulateColumn move whole words. The
+// two are proved bit-identical on randomized programs, and AuditPlan
 // re-derives every claim of the lowering from the stream Run executes.
 package ap

@@ -3,9 +3,6 @@ package ap
 import (
 	"math/rand/v2"
 	"testing"
-
-	"rtmap/internal/cam"
-	"rtmap/internal/energy"
 )
 
 // buildProgram lays out columns on the nanowire (carry first, then data
@@ -21,36 +18,6 @@ func buildProgram(widths []int, unsigned []bool) *Program {
 	return p
 }
 
-func newArray(t *testing.T, rows, cols int) *cam.Array {
-	t.Helper()
-	par := energy.Default()
-	return cam.New(rows, cols, par)
-}
-
-// loadCam writes per-column row values into the array nanowires.
-func loadCam(a *cam.Array, p *Program, vals [][]int64) {
-	for c := 1; c < len(p.Cols); c++ {
-		meta := p.Cols[c]
-		for r, v := range vals[c] {
-			a.LoadWord(r, c, meta.Base, meta.Width, v)
-		}
-	}
-}
-
-// readCam reads a column back, honoring unsignedness.
-func readCam(a *cam.Array, p *Program, col, rows int) []int64 {
-	meta := p.Cols[col]
-	out := make([]int64, rows)
-	for r := 0; r < rows; r++ {
-		v := a.ReadWord(r, col, meta.Base, meta.Width)
-		if meta.Unsigned && v < 0 {
-			v += 1 << uint(meta.Width)
-		}
-		out[r] = v
-	}
-	return out
-}
-
 func TestExecAddSubExhaustive(t *testing.T) {
 	// Columns: carry, A (4-bit unsigned), B (6-bit signed), R (7-bit).
 	p := buildProgram([]int{4, 6, 7}, []bool{true, false, false})
@@ -59,43 +26,28 @@ func TestExecAddSubExhaustive(t *testing.T) {
 		{Op: OpAdd, Dst: colR, A: colA, B: colB, Width: 7},
 		{Op: OpSub, Dst: colB, A: colA, B: colB, InPlace: true, Width: 6},
 	}
-	rows := 16
-	var cases [][2]int64
+	// 78 cases, one per row: the row bitsets cross a word boundary.
+	vals := make([][]int64, len(p.Cols))
 	for a := int64(0); a < 16; a += 3 {
 		for b := int64(-32); b < 32; b += 5 {
-			cases = append(cases, [2]int64{a, b})
+			vals[colA] = append(vals[colA], a)
+			vals[colB] = append(vals[colB], b)
 		}
 	}
-	for start := 0; start < len(cases); start += rows {
-		end := min(start+rows, len(cases))
-		n := end - start
-		arr := newArray(t, rows, len(p.Cols))
-		arr.SetUsedRows(n)
-		vals := make([][]int64, len(p.Cols))
-		for c := range vals {
-			vals[c] = make([]int64, rows)
+	out, err := Exec(p, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a0 := range vals[colA] {
+		b0 := vals[colB][i]
+		if want := a0 + b0; out[colR][i] != want {
+			t.Fatalf("add: %d+%d = %d, want %d", a0, b0, out[colR][i], want)
 		}
-		for i := 0; i < n; i++ {
-			vals[colA][i] = cases[start+i][0]
-			vals[colB][i] = cases[start+i][1]
-		}
-		loadCam(arr, p, vals)
-		if err := Exec(arr, p, nil); err != nil {
-			t.Fatal(err)
-		}
-		gotR := readCam(arr, p, colR, n)
-		gotB := readCam(arr, p, colB, n)
-		for i := 0; i < n; i++ {
-			a0, b0 := cases[start+i][0], cases[start+i][1]
-			if want := a0 + b0; gotR[i] != want {
-				t.Fatalf("add: %d+%d = %d, want %d", a0, b0, gotR[i], want)
-			}
-			want := b0 - a0
-			// 6-bit two's complement wrap of the in-place result.
-			want = ((want+32)%64+64)%64 - 32
-			if gotB[i] != want {
-				t.Fatalf("sub in-place: %d-%d = %d, want %d", b0, a0, gotB[i], want)
-			}
+		want := b0 - a0
+		// 6-bit two's complement wrap of the in-place result.
+		want = ((want+32)%64+64)%64 - 32
+		if out[colB][i] != want {
+			t.Fatalf("sub in-place: %d-%d = %d, want %d", b0, a0, out[colB][i], want)
 		}
 	}
 }
@@ -107,176 +59,137 @@ func TestExecNegAndCopy(t *testing.T) {
 		{Op: OpNeg, Dst: colN, A: colA, Width: 6},
 		{Op: OpCopy, Dst: colC1, Dsts: []int{colC2}, A: colA, Width: 6},
 	}
-	rows := 9
-	arr := newArray(t, rows, len(p.Cols))
-	vals := make([][]int64, len(p.Cols))
-	for c := range vals {
-		vals[c] = make([]int64, rows)
-	}
 	src := []int64{-16, -7, -1, 0, 1, 5, 9, 15, 12}
-	copy(vals[colA], src)
-	loadCam(arr, p, vals)
-	if err := Exec(arr, p, nil); err != nil {
+	// Destinations start dirty: every write must replace all their bits.
+	dirty := []int64{-32, 31, -1, 7, 0, -9, 21, 1, -2}
+	out, err := Exec(p, [][]int64{nil, src, dirty, dirty, dirty})
+	if err != nil {
 		t.Fatal(err)
 	}
-	gotN := readCam(arr, p, colN, rows)
-	gotC1 := readCam(arr, p, colC1, rows)
-	gotC2 := readCam(arr, p, colC2, rows)
 	for i, v := range src {
-		if gotN[i] != -v {
-			t.Errorf("neg(%d) = %d", v, gotN[i])
+		if out[colN][i] != -v {
+			t.Errorf("neg(%d) = %d", v, out[colN][i])
 		}
-		if gotC1[i] != v || gotC2[i] != v {
-			t.Errorf("copy(%d) = %d/%d (multi-destination write)", v, gotC1[i], gotC2[i])
-		}
-	}
-}
-
-// Property: the bit-level CAM execution agrees with the word-level
-// reference on randomized programs (random widths, signedness, in/out of
-// place ops, operand reuse).
-func TestExecMatchesWordRandomPrograms(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewPCG(uint64(trial), 0x5eed))
-		nData := 3 + rng.IntN(4)
-		widths := make([]int, nData)
-		unsigned := make([]bool, nData)
-		for i := range widths {
-			widths[i] = 3 + rng.IntN(6)
-			unsigned[i] = rng.IntN(3) == 0
-		}
-		p := buildProgram(widths, unsigned)
-
-		signedCols := []int{}
-		allCols := []int{}
-		for c := 1; c <= nData; c++ {
-			allCols = append(allCols, c)
-			if !p.Cols[c].Unsigned {
-				signedCols = append(signedCols, c)
-			}
-		}
-		if len(signedCols) == 0 {
-			continue
-		}
-		nInstr := 4 + rng.IntN(8)
-		for len(p.Instrs) < nInstr {
-			dst := signedCols[rng.IntN(len(signedCols))]
-			w := p.Cols[dst].Width
-			pick := func() int { return allCols[rng.IntN(len(allCols))] }
-			switch rng.IntN(4) {
-			case 0: // in-place add/sub: B == dst must be signed
-				op := OpAdd
-				if rng.IntN(2) == 0 {
-					op = OpSub
-				}
-				a := pick()
-				if a == dst {
-					continue
-				}
-				p.Instrs = append(p.Instrs, Instr{Op: op, Dst: dst, A: a, B: dst, InPlace: true, Width: w})
-			case 1: // out-of-place add/sub
-				op := OpAdd
-				if rng.IntN(2) == 0 {
-					op = OpSub
-				}
-				a, b := pick(), pick()
-				if a == dst || b == dst {
-					continue
-				}
-				p.Instrs = append(p.Instrs, Instr{Op: op, Dst: dst, A: a, B: b, Width: w})
-			case 2: // neg
-				a := pick()
-				if a == dst {
-					continue
-				}
-				p.Instrs = append(p.Instrs, Instr{Op: OpNeg, Dst: dst, A: a, Width: w})
-			case 3: // copy
-				a := pick()
-				if a == dst {
-					continue
-				}
-				p.Instrs = append(p.Instrs, Instr{Op: OpCopy, Dst: dst, A: a, Width: w})
-			}
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("trial %d: generated invalid program: %v", trial, err)
-		}
-
-		rows := 4 + rng.IntN(8)
-		arr := newArray(t, rows, len(p.Cols))
-		wm, err := NewWordMachine(p, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([][]int64, len(p.Cols))
-		for c := range vals {
-			vals[c] = make([]int64, rows)
-		}
-		for c := 1; c <= nData; c++ {
-			meta := p.Cols[c]
-			for r := 0; r < rows; r++ {
-				if meta.Unsigned {
-					vals[c][r] = rng.Int64N(1 << uint(meta.Width))
-				} else {
-					half := int64(1) << uint(meta.Width-1)
-					vals[c][r] = rng.Int64N(2*half) - half
-				}
-			}
-			wm.SetColumn(c, vals[c])
-		}
-		loadCam(arr, p, vals)
-
-		if err := Exec(arr, p, nil); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := wm.Run(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for c := 1; c <= nData; c++ {
-			want := wm.Column(c)
-			got := readCam(arr, p, c, rows)
-			for r := 0; r < rows; r++ {
-				if got[r] != want[r] {
-					t.Fatalf("trial %d: col %d row %d: bit-level %d != word-level %d\nprogram: %v",
-						trial, c, r, got[r], want[r], p.Instrs)
-				}
-			}
+		if out[colC1][i] != v || out[colC2][i] != v {
+			t.Errorf("copy(%d) = %d/%d (multi-destination write)", v, out[colC1][i], out[colC2][i])
 		}
 	}
 }
 
 func TestExecClear(t *testing.T) {
-	p := buildProgram([]int{4}, []bool{false})
+	p := buildProgram([]int{4, 4}, []bool{false, false})
 	p.Instrs = []Instr{{Op: OpClear, Dst: 1, Width: 4}}
-	arr := newArray(t, 4, 2)
-	vals := [][]int64{nil, {7, -8, 3, -1}}
-	loadCam(arr, p, vals)
-	if err := Exec(arr, p, nil); err != nil {
+	out, err := Exec(p, [][]int64{nil, {7, -8, 3, -1}, {7, -8, 3, -1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for r, v := range readCam(arr, p, 1, 4) {
+	for r, v := range out[1] {
 		if v != 0 {
 			t.Errorf("row %d not cleared: %d", r, v)
+		}
+		if want := []int64{7, -8, 3, -1}[r]; out[2][r] != want {
+			t.Errorf("row %d of an untouched column: %d, want %d", r, out[2][r], want)
 		}
 	}
 }
 
-func TestCostSummary(t *testing.T) {
-	p := buildProgram([]int{4, 4, 5}, []bool{false, false, false})
-	p.Instrs = []Instr{
-		{Op: OpAdd, Dst: 2, A: 1, B: 2, InPlace: true, Width: 4},
-		{Op: OpAdd, Dst: 3, A: 1, B: 2, Width: 5},
+// Exec stores what a nanowire can hold: each column truncated to its
+// width, read back per its signedness. Value columns must share one row
+// count, and a program cannot be handed more columns than it has.
+func TestExecStoresTruncated(t *testing.T) {
+	p := buildProgram([]int{4, 4}, []bool{false, true})
+	out, err := Exec(p, [][]int64{nil, {7, 8, -9}, {15, 16, -1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := p.Cost()
-	if c.AddSub != 2 || c.Instrs != 2 {
-		t.Fatalf("cost %+v", c)
+	for c, want := range [][]int64{nil, {7, -8, 7}, {15, 0, 15}} {
+		for r, w := range want {
+			if out[c][r] != w {
+				t.Errorf("column %d row %d: %d, want %d", c, r, out[c][r], w)
+			}
+		}
 	}
-	// In-place: 4 bits × 4 passes; out-of-place: 5 bits × 5 passes.
-	if c.SearchPasses != 4*4+5*5 {
-		t.Errorf("search passes %d, want %d", c.SearchPasses, 4*4+5*5)
+	if _, err := Exec(p, [][]int64{nil, {1, 2}, {1}}); err == nil {
+		t.Error("ragged value columns accepted")
 	}
-	if c.Cycles <= 0 {
-		t.Error("cycles must be positive")
+	if _, err := Exec(p, make([][]int64, 4)); err == nil {
+		t.Error("more value columns than program columns accepted")
+	}
+}
+
+// evalWords runs p one whole column at a time: every instruction is int64
+// arithmetic over the rows, wrapped to its width. This is the ISA's
+// arithmetic read straight off the opcodes, with no LUT in it. A copy
+// writes the same Width bits into every destination, and each
+// destination's own signedness decides how they read back.
+func evalWords(p *Program, vals [][]int64) [][]int64 {
+	out := make([][]int64, len(p.Cols))
+	for c, meta := range p.Cols {
+		out[c] = make([]int64, len(vals[c]))
+		for r, v := range vals[c] {
+			out[c][r] = wrap(v, meta.Width, meta.Unsigned)
+		}
+	}
+	for _, ins := range p.Instrs {
+		a, b, w := out[ins.A], out[ins.B], ins.Width
+		for _, d := range append([]int{ins.Dst}, ins.Dsts...) {
+			dst := out[d]
+			for r := range dst {
+				switch ins.Op {
+				case OpClear:
+					dst[r] = 0
+				case OpCopy:
+					dst[r] = wrap(a[r], w, p.Cols[d].Unsigned)
+				case OpAdd:
+					dst[r] = wrap(b[r]+a[r], w, false)
+				case OpSub:
+					dst[r] = wrap(b[r]-a[r], w, false)
+				case OpNeg:
+					dst[r] = wrap(-a[r], w, false)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Property: the bit-serial LUT replay computes the ISA's word-level
+// arithmetic (evalWords) on randomized programs at every lane width:
+// random widths and signedness, in- and out-of-place ops, operand reuse,
+// multi-destination copies and accumulation chains. Exec truncates widths
+// ≥ 63 as a nanowire does, where evalWords never wraps; values stay below
+// 2^47, so there the two may differ in bit 63 alone.
+func TestExecMatchesWordRandomPrograms(t *testing.T) {
+	for _, lane := range testLanes {
+		for trial := 0; trial < 16; trial++ {
+			rng := rand.New(rand.NewPCG(uint64(trial), 0x5eed+uint64(lane)))
+			p := randomProgram(rng, lane)
+			if p == nil {
+				continue
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("lane %d trial %d: generated invalid program: %v", lane, trial, err)
+			}
+			rows := 4 + rng.IntN(8)
+			vals := loadRandom(rng, p, rows)
+			got, err := Exec(p, vals)
+			if err != nil {
+				t.Fatalf("lane %d trial %d: %v", lane, trial, err)
+			}
+			want := evalWords(p, vals)
+			for c := 1; c < len(p.Cols); c++ {
+				for r := 0; r < rows; r++ {
+					g, w := got[c][r], want[c][r]
+					if p.Cols[c].Width >= 63 {
+						g, w = g<<1, w<<1
+					}
+					if g != w {
+						t.Fatalf("lane %d trial %d: col %d row %d: bit-serial %d != word-level %d\nprogram: %v",
+							lane, trial, c, r, got[c][r], want[c][r], p.Instrs)
+					}
+				}
+			}
+		}
 	}
 }
 

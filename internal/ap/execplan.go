@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// ExecPlan is a Program lowered for repeated execution. The WordMachine
-// re-validates and re-interprets the instruction list on every run and
-// re-derives each destination's wrap parameters per row; an ExecPlan does
+// ExecPlan is a Program lowered for repeated execution. Interpreting the
+// instruction list directly would re-validate it on every run and
+// re-derive each destination's wrap parameters per row; an ExecPlan does
 // all of that exactly once, at build time:
 //
 //   - the program is validated once, so execution has no error paths;
@@ -31,9 +31,9 @@ import (
 // An ExecPlan is immutable and safe to share: the functional simulator
 // builds one per TileProgram (memoized, and shared further through the
 // compiled-artifact cache) and replays it from many goroutines at once
-// through per-worker Machines. Machine execution is bit-identical to
-// WordMachine.Run — TestMachineMatchesWordRandomPrograms proves it over
-// randomized programs at every lane width.
+// through per-worker Machines. Machine execution is bit-identical to the
+// bit-serial LUT replay, Exec — TestMachineMatchesExecRandomPrograms
+// proves it over randomized programs at every lane width.
 type ExecPlan struct {
 	cols []Col
 	// fmts is each column's format in a byte, all a load or row copy reads
@@ -221,9 +221,8 @@ func addSat(a, b int64) int64 {
 }
 
 // formatRange is the value interval a column's stored format can hold.
-// Columns of width ≥ 63 never wrap (wrap() is the identity there —
-// including nominally unsigned ones, which can therefore hold negative
-// values), so their interval is the saturated "unknown" band; a 62-bit
+// The engine never wraps a column of width ≥ 63 (nominally unsigned ones
+// can therefore hold negative values), so their interval is the saturated "unknown" band; a 62-bit
 // unsigned column's upper bound exceeds the saturation band and clamps
 // to it, which fitsFormat treats as unprovable.
 func formatRange(w int, unsigned bool) (int64, int64) {
@@ -241,8 +240,8 @@ func formatRange(w int, unsigned bool) (int64, int64) {
 }
 
 // fitsFormat reports whether the interval [l, h] provably stays inside a
-// w-bit column of the given signedness without wrapping. The threshold
-// mirrors wrap() exactly: only widths ≥ 63 are unconditionally safe.
+// w-bit column of the given signedness without wrapping. Only widths
+// ≥ 63, which the engine never wraps, are unconditionally safe.
 // Saturated endpoints mean the true interval may extend beyond the
 // analysis band, so they prove nothing.
 func fitsFormat(l, h int64, w int, unsigned bool) bool {
@@ -391,7 +390,7 @@ func (plan *ExecPlan) findZeroCols() {
 // all. The 64-bit lane is the same loop with bias 0: plain
 // two's-complement int64.
 //
-// Unlike WordMachine it allocates nothing per execution: Reset rebinds
+// It allocates nothing per execution: Reset rebinds
 // the same flat arena to a (plan, rows) pair, growing the backing slice
 // only when a larger shape arrives, so a worker that replays many
 // programs reaches an allocation-free steady state. A Machine is not
@@ -412,8 +411,8 @@ type Machine struct {
 // Reset binds m to plan with the given active row count. Only the
 // columns the plan reads before writing are zeroed (the rest are fully
 // written before any op looks at them), so a reused machine behaves
-// exactly like a freshly allocated WordMachine for every observable
-// column; columns the plan neither writes nor zeroes are undefined.
+// exactly like a freshly allocated one for every observable column;
+// columns the plan neither writes nor zeroes are undefined.
 func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	if rows <= 0 {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))

@@ -183,7 +183,7 @@ var testLanes = [...]int{16, 32, 64}
 
 // runShapes records which shapes of fast-op run a set of plans has shown
 // Run: its loop enters and leaves the straight-line body at every escape,
-// so each way a run can start, end and abut another must meet WordMachine.
+// so each way a run can start, end and abut another must meet Exec.
 type runShapes struct{ first, last, empty, single, long, backToBack bool }
 
 func (s *runShapes) see(plan *ExecPlan) {
@@ -204,15 +204,22 @@ func (s *runShapes) see(plan *ExecPlan) {
 	}
 }
 
-// Property: ExecPlan Machine execution is bit-identical to the word-level
-// reference on randomized programs at every lane width — multi-destination
-// copies, wrapping and wrap-free ops, fast-op runs of every shape, reused
-// machines (Reset), wide columns — over row counts on both sides of every
-// word boundary, among them 1, 3, 4, 5 and 17 words per column at each
-// lane width: Run's single-word form, its 4-word body alone, and the body
-// with each tail. Columns load in two segments cut at a random row, the
-// way batch items land at row b·n: rarely a multiple of the lane count.
-func TestMachineMatchesWordRandomPrograms(t *testing.T) {
+// Property: ExecPlan Machine execution is bit-identical to the bit-serial
+// LUT replay (Exec) on randomized programs at every lane width —
+// multi-destination copies, wrapping and wrap-free ops, fast-op runs of
+// every shape, reused machines (Reset), wide columns — over row counts on
+// both sides of every word boundary, among them 1, 3, 4, 5 and 17 words
+// per column at each lane width: Run's single-word form, its 4-word body
+// alone, and the body with each tail. Columns load in two segments cut at
+// a random row, the way batch items land at row b·n: rarely a multiple of
+// the lane count. Exec truncates every width as a nanowire does, while
+// the engine treats widths ≥ 63 as never wrapping. Values stay below
+// 2^47 (loads below 2^31, and no program doubles one more than 16
+// times), so the two differ only where a load or a copy puts a negative
+// value in an unsigned 63-bit column: the nanowire reads it back 2^63
+// higher, and that offset reaches nothing but bit 63 of what it feeds.
+// Every bit beneath bit 63 must agree.
+func TestMachineMatchesExecRandomPrograms(t *testing.T) {
 	var m Machine // reused across trials: Reset must fully rebind state
 	var shapes runShapes
 	for _, lane := range testLanes {
@@ -231,10 +238,6 @@ func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 				if err := p.Validate(); err != nil {
 					t.Fatalf("lane %d rows %d trial %d: generated invalid program: %v", lane, rows, trial, err)
 				}
-				wm, err := NewWordMachine(p, rows)
-				if err != nil {
-					t.Fatal(err)
-				}
 				plan, err := NewExecPlan(p)
 				if err != nil {
 					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
@@ -250,31 +253,30 @@ func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 				v32 := make([]int32, rows)
 				cut := rng.IntN(rows + 1)
 				for c := 1; c < len(p.Cols); c++ {
-					wm.SetColumn(c, vals[c])
 					for r, v := range vals[c] {
 						v32[r] = int32(v)
 					}
 					setRows(&m, c, cut, v32[cut:])
 					setRows(&m, c, 0, v32[:cut])
 				}
-				if err := wm.Run(); err != nil {
+				want, err := Exec(p, vals)
+				if err != nil {
 					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
 				}
 				m.Run()
 				acc := make([]int32, rows-cut)
 				for c := 1; c < len(p.Cols); c++ {
-					want := wm.Column(c)
 					got := m.Column(c)
 					clear(acc)
 					m.AccumulateColumn(c, cut, acc)
 					for r := 0; r < rows; r++ {
-						if got[r] != want[r] {
-							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != word %d\nprogram: %v",
-								lane, rows, trial, c, r, got[r], want[r], p.Instrs)
+						if got[r]<<1 != want[c][r]<<1 {
+							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\nprogram: %v",
+								lane, rows, trial, c, r, got[r], want[c][r], p.Instrs)
 						}
-						if r >= cut && acc[r-cut] != int32(want[r]) {
-							t.Fatalf("lane %d rows %d trial %d: col %d row %d: accumulated %d != word %d",
-								lane, rows, trial, c, r, acc[r-cut], int32(want[r]))
+						if r >= cut && acc[r-cut] != int32(want[c][r]) {
+							t.Fatalf("lane %d rows %d trial %d: col %d row %d: accumulated %d != bit-serial %d",
+								lane, rows, trial, c, r, acc[r-cut], int32(want[c][r]))
 						}
 					}
 				}
@@ -288,10 +290,10 @@ func TestMachineMatchesWordRandomPrograms(t *testing.T) {
 
 // A multi-destination copy with mixed destination signedness: the bit
 // machine writes the same bits everywhere and each column reads them back
-// per its own metadata, so the word machine (and the ExecPlan machine)
-// must wrap per destination. Negative sources make an unsigned
-// destination read the raw bit pattern, not the signed value.
-func TestExecMatchesWordMixedSignCopy(t *testing.T) {
+// per its own metadata, so the ExecPlan machine must wrap per
+// destination. Negative sources make an unsigned destination read the
+// raw bit pattern, not the signed value.
+func TestMachineMatchesExecMixedSignCopy(t *testing.T) {
 	// carry, src (6b signed), d1 (6b signed), d2 (6b unsigned).
 	p := buildProgram([]int{6, 6, 6}, []bool{false, false, true})
 	const src, d1, d2 = 1, 2, 3
@@ -304,23 +306,8 @@ func TestExecMatchesWordMixedSignCopy(t *testing.T) {
 	srcVals := []int64{-32, -17, -1, 0, 1, 13, 31, -5}
 	rows := len(srcVals)
 
-	arr := newArray(t, rows, len(p.Cols))
-	vals := make([][]int64, len(p.Cols))
-	for c := range vals {
-		vals[c] = make([]int64, rows)
-	}
-	copy(vals[src], srcVals)
-	loadCam(arr, p, vals)
-	if err := Exec(arr, p, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	wm, err := NewWordMachine(p, rows)
+	bit, err := Exec(p, [][]int64{nil, srcVals})
 	if err != nil {
-		t.Fatal(err)
-	}
-	wm.SetColumn(src, srcVals)
-	if err := wm.Run(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -338,17 +325,11 @@ func TestExecMatchesWordMixedSignCopy(t *testing.T) {
 	m.Run()
 
 	for _, col := range []int{d1, d2} {
-		bit := readCam(arr, p, col, rows)
-		word := wm.Column(col)
 		pl := m.Column(col)
 		for r := 0; r < rows; r++ {
-			if word[r] != bit[r] {
-				t.Errorf("col %d row %d (src %d): word %d != bit-level %d",
-					col, r, srcVals[r], word[r], bit[r])
-			}
-			if pl[r] != bit[r] {
+			if pl[r] != bit[col][r] {
 				t.Errorf("col %d row %d (src %d): plan %d != bit-level %d",
-					col, r, srcVals[r], pl[r], bit[r])
+					col, r, srcVals[r], pl[r], bit[col][r])
 			}
 		}
 	}
@@ -378,11 +359,12 @@ func TestExecPlanOneOpPerInstruction(t *testing.T) {
 	}
 }
 
-// Width-62 destinations DO wrap (wrap() is the identity only from 63
-// up), and the range analysis must not shortcut them: doubling 2^30 up
-// to 2^62 in wide columns and copying into a 62-bit column must truncate
-// to zero on both machines. Regression for an off-by-one where the
-// analysis treated width ≥ 62 as unconditionally safe.
+// Width-62 destinations DO wrap (the engine treats only widths from 63
+// up as never wrapping), and the range analysis must not shortcut them:
+// doubling 2^30 up to 2^62 in wide columns and copying into a 62-bit
+// column must truncate to zero on both machines. Regression for an
+// off-by-one where the analysis treated width ≥ 62 as unconditionally
+// safe.
 func TestWidth62CopyWraps(t *testing.T) {
 	p := buildProgram([]int{64, 64, 62}, []bool{false, false, false})
 	const colA, colB, colD = 1, 2, 3
@@ -399,7 +381,7 @@ func TestWidth62CopyWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rows = 2
-	wm, err := NewWordMachine(p, rows)
+	bit, err := Exec(p, [][]int64{nil, {1 << 30, 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,15 +391,14 @@ func TestWidth62CopyWraps(t *testing.T) {
 	}
 	var m Machine
 	m.Reset(plan, rows)
-	wm.SetColumn(colA, []int64{1 << 30, 1 << 30})
 	setRows(&m, colA, 0, []int32{1 << 30, 1 << 30})
-	if err := wm.Run(); err != nil {
-		t.Fatal(err)
-	}
 	m.Run()
 	for r := 0; r < rows; r++ {
-		if got := wm.Column(colD)[r]; got != 0 {
-			t.Fatalf("word machine row %d: 2^62 wrapped at width 62 to %d, want 0", r, got)
+		if got := bit[colA][r]; got != 1<<62 {
+			t.Fatalf("bit-serial row %d: doubled to %d, want 2^62", r, got)
+		}
+		if got := bit[colD][r]; got != 0 {
+			t.Fatalf("bit-serial row %d: 2^62 wrapped at width 62 to %d, want 0", r, got)
 		}
 		if got := m.Column(colD)[r]; got != 0 {
 			t.Fatalf("plan machine row %d: 2^62 wrapped at width 62 to %d, want 0", r, got)
@@ -835,4 +816,19 @@ func BenchmarkAccumulateColumn(b *testing.B) {
 			})
 		}
 	}
+}
+
+// wrap truncates v to an n-bit value: two's complement for signed
+// columns, modulo 2^n for unsigned ones, and the identity from 63 bits
+// up, where the engine never wraps.
+func wrap(v int64, n int, unsigned bool) int64 {
+	if n >= 63 {
+		return v
+	}
+	mask := int64(1)<<uint(n) - 1
+	v &= mask
+	if !unsigned && v&(1<<uint(n-1)) != 0 {
+		v -= 1 << uint(n)
+	}
+	return v
 }

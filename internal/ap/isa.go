@@ -155,49 +155,3 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
-
-// CostSummary aggregates the pass/cycle cost of a program under the
-// paper's accounting: arithmetic ops cost Width LUT steps (8 cycles
-// in-place, 10 out-of-place) plus clears of fresh destinations and the
-// initial carry clear; copies cost one search+write pass per bit.
-type CostSummary struct {
-	Instrs       int
-	AddSub       int // arithmetic instruction count (the Table II metric)
-	SearchPasses int
-	WritePasses  int
-	Cycles       int
-}
-
-// Cost computes the static cost summary of the program.
-func (p *Program) Cost() CostSummary {
-	var c CostSummary
-	for _, ins := range p.Instrs {
-		c.Instrs++
-		w := ins.Width
-		switch ins.Op {
-		case OpAdd, OpSub:
-			c.AddSub++
-			passes := len(AddOut.Passes)
-			if ins.InPlace {
-				passes = len(AddIn.Passes)
-			}
-			c.SearchPasses += w * passes
-			c.WritePasses += w * passes
-			// carry clear
-			c.WritePasses++
-			if !ins.InPlace {
-				c.WritePasses += w // fresh destination clear
-			}
-		case OpNeg:
-			c.SearchPasses += w * len(NegOut.Passes)
-			c.WritePasses += w*len(NegOut.Passes) + w + 1
-		case OpCopy:
-			c.SearchPasses += w
-			c.WritePasses += w + w // copy writes + fresh dest clears
-		case OpClear:
-			c.WritePasses += w
-		}
-	}
-	c.Cycles = c.SearchPasses + c.WritePasses
-	return c
-}

@@ -187,7 +187,7 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		if int(op.width) != wantW {
 			bad(i, InvWidth, "op width %d != destination column width %d", op.width, wantW)
 		}
-		// A ≥63-bit op must be wide: wrap() is the identity there, but
+		// A ≥63-bit op must be wide: the engine never wraps there, but
 		// the mask/sign constants of the truncating path are only
 		// meaningful below 63 bits.
 		if plan.cols[op.dst].Width >= 63 && !op.wide() {
@@ -387,7 +387,7 @@ func auditSatAdd(a, b int64) int64 {
 }
 
 // auditBand is the value interval a w-bit stored column can hold. From
-// 63 bits up wrap() is the identity, so the column holds anything the
+// 63 bits up the engine never wraps, so the column holds anything the
 // analysis can represent (including negatives in nominally unsigned
 // columns).
 func auditBand(w int, unsigned bool) (int64, int64) {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -133,4 +135,150 @@ func TestBreakerUnknownNodeRefused(t *testing.T) {
 	if b.State("http://typo:1") != BreakerOpen {
 		t.Fatal("unknown node should read as open")
 	}
+}
+
+// TestBreakerSchedules drives three nodes' breakers through seeded random
+// scripts on a virtual clock: Allow at random times, every admitted
+// attempt resolved by Observe(ok), Observe(fail) or CancelTrial in random
+// order, and a Reset now and then. After every call each breaker must
+// match breakerModel, the documented state machine; at quiescence no
+// breaker may be left in trial and the open and reset counts must match
+// the model's. A failure names its seed: runBreakerScript(seed) replays
+// it.
+func TestBreakerSchedules(t *testing.T) {
+	const scripts = 2500
+	for seed := int64(1); seed <= scripts; seed++ {
+		if msg := runBreakerScript(seed); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// breakerModel is one node's breaker as BreakerState documents it: open
+// at Threshold consecutive failures, refuse inside Cooloff, then admit
+// exactly one half-open trial, which closes the breaker on success and
+// re-opens it on failure.
+type breakerModel struct {
+	state    BreakerState
+	failures int
+	openedAt time.Time
+	inTrial  bool
+}
+
+// runBreakerScript plays one random script and returns the first
+// divergence from the model ("" when there is none).
+func runBreakerScript(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	opts := BreakerOptions{
+		Threshold: 1 + rng.Intn(4),
+		Cooloff:   time.Duration(1+rng.Intn(20)) * time.Millisecond,
+	}
+	nodes := []string{"n0", "n1", "n2"}
+	b := NewBreakers(nodes, opts)
+	model := map[string]*breakerModel{}
+	for _, n := range nodes {
+		model[n] = &breakerModel{}
+	}
+	now := time.Unix(1000, 0)
+	var opens, resets int64
+	var inflight []string // the node of every admitted, unresolved attempt
+
+	open := func(m *breakerModel) {
+		m.state, m.openedAt = BreakerOpen, now
+		opens++
+	}
+	agree := func() string {
+		for _, n := range nodes {
+			m, br := model[n], b.m[n]
+			if got := b.State(n); got != m.state || br.failures != m.failures || br.inTrial != m.inTrial {
+				return fmt.Sprintf("%s is %v (failures %d, in trial %v), model %v (failures %d, in trial %v)",
+					n, got, br.failures, br.inTrial, m.state, m.failures, m.inTrial)
+			}
+		}
+		if o, r := b.Stats(); o != opens || r != resets {
+			return fmt.Sprintf("Stats() = %d opens, %d resets; model %d, %d", o, r, opens, resets)
+		}
+		return ""
+	}
+
+	for step, steps := 0, 20+rng.Intn(80); step < steps || len(inflight) > 0; step++ {
+		var what string
+		switch op := rng.Intn(10); {
+		case step >= steps || op < 3 && len(inflight) > 0:
+			// Resolve a random in-flight attempt.
+			i := rng.Intn(len(inflight))
+			n := inflight[i]
+			inflight[i] = inflight[len(inflight)-1]
+			inflight = inflight[:len(inflight)-1]
+			m := model[n]
+			switch rng.Intn(3) {
+			case 0:
+				what = "Observe(" + n + ", ok)"
+				b.Observe(n, true, now)
+				m.state, m.failures, m.inTrial = BreakerClosed, 0, false
+			case 1:
+				what = "Observe(" + n + ", fail)"
+				b.Observe(n, false, now)
+				m.inTrial = false
+				switch m.state {
+				case BreakerHalfOpen:
+					open(m)
+				case BreakerClosed:
+					if m.failures++; m.failures >= opts.Threshold {
+						open(m)
+					}
+				}
+			default:
+				what = "CancelTrial(" + n + ")"
+				b.CancelTrial(n)
+				if m.state == BreakerHalfOpen {
+					m.inTrial = false
+				}
+			}
+		case op < 7:
+			n := nodes[rng.Intn(len(nodes))]
+			m := model[n]
+			want := false
+			switch m.state {
+			case BreakerClosed:
+				want = true
+			case BreakerOpen:
+				if now.Sub(m.openedAt) >= opts.Cooloff {
+					m.state, m.inTrial, want = BreakerHalfOpen, true, true
+				}
+			case BreakerHalfOpen:
+				if !m.inTrial {
+					m.inTrial, want = true, true
+				}
+			}
+			what = "Allow(" + n + ")"
+			if got := b.Allow(n, now); got != want {
+				return fmt.Sprintf("step %d at +%v: %s = %v, model %v", step, now.Sub(time.Unix(1000, 0)), what, got, want)
+			}
+			if want {
+				inflight = append(inflight, n)
+			}
+		case op < 9:
+			now = now.Add(time.Duration(rng.Int63n(int64(opts.Cooloff))))
+			continue
+		default:
+			if rng.Intn(3) > 0 {
+				continue
+			}
+			n := nodes[rng.Intn(len(nodes))]
+			what = "Reset(" + n + ")"
+			b.Reset(n)
+			*model[n] = breakerModel{}
+			resets++
+		}
+		if msg := agree(); msg != "" {
+			return fmt.Sprintf("step %d at +%v, after %s: %s", step, now.Sub(time.Unix(1000, 0)), what, msg)
+		}
+	}
+	for _, n := range nodes {
+		if b.m[n].inTrial {
+			return fmt.Sprintf("quiescent, but %s is left in trial", n)
+		}
+	}
+	return agree()
 }

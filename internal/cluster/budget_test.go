@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -68,4 +71,64 @@ func TestLatenciesP95(t *testing.T) {
 	if got := l.P95(m, 0); got != 500*time.Millisecond {
 		t.Fatalf("post-regression p95 = %v, want 500ms", got)
 	}
+}
+
+// TestRetryBudgetSchedules plays seeded random Earn/Spend scripts over
+// several models and holds each bucket to an exact model: earning 1/k
+// tokens at a time, the balance is a whole number of k-ths, so float
+// accumulation cannot blur whether a spend is affordable (ten 0.1-earns
+// must buy one). Every Spend verdict and balance must match it, the
+// balance stays in [0, Burst], and no model spends more than
+// Burst + EarnPerRequest·earns. A failure names its seed:
+// runBudgetScript(seed) replays it.
+func TestRetryBudgetSchedules(t *testing.T) {
+	const scripts = 2500
+	for seed := int64(1); seed <= scripts; seed++ {
+		if msg := runBudgetScript(seed); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// runBudgetScript plays one random script and returns the first
+// violation ("" when there is none).
+func runBudgetScript(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	k := [...]int{1, 2, 4, 5, 8, 10}[rng.Intn(6)] // earn 1/k per request
+	burst := 1 + rng.Intn(6)
+	rb := NewRetryBudget(1/float64(k), float64(burst))
+	models := []string{"m0", "m1", "m2", "m3"}[:1+rng.Intn(4)]
+	units := map[string]int{} // balance in k-ths; a fresh bucket holds the burst
+	earns, spends := map[string]int{}, map[string]int{}
+	for _, m := range models {
+		units[m] = burst * k
+	}
+	for step, steps := 0, 50+rng.Intn(200); step < steps; step++ {
+		m := models[rng.Intn(len(models))]
+		if rng.Intn(3) > 0 {
+			rb.Earn(m)
+			earns[m]++
+			units[m] = min(units[m]+1, burst*k)
+		} else {
+			want := units[m] >= k
+			if got := rb.Spend(m); got != want {
+				return fmt.Sprintf("step %d: Spend(%s) = %v at %d/%d tokens, model %v", step, m, got, units[m], k, want)
+			}
+			if want {
+				spends[m]++
+				units[m] -= k
+			}
+		}
+		bal := rb.Balance(m)
+		if bal < 0 || bal > float64(burst) {
+			return fmt.Sprintf("step %d: %s balance %v outside [0, %d]", step, m, bal, burst)
+		}
+		if want := float64(units[m]) / float64(k); math.Abs(bal-want) > 1e-6 {
+			return fmt.Sprintf("step %d: %s balance %v, model %v", step, m, bal, want)
+		}
+		if float64(spends[m]) > float64(burst)+float64(earns[m])/float64(k)+1e-9 {
+			return fmt.Sprintf("step %d: %s spent %d with burst %d and %d earns of 1/%d", step, m, spends[m], burst, earns[m], k)
+		}
+	}
+	return ""
 }

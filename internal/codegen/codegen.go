@@ -7,7 +7,6 @@ import (
 
 	"rtmap/internal/ap"
 	"rtmap/internal/dfg"
-	"rtmap/internal/sched"
 )
 
 // Layout fixes the physical column map of one AP strip for one layer tile.
@@ -177,7 +176,7 @@ type TileBuilder struct {
 	lay  Layout
 	prog *ap.Program
 	phys []int
-	pool *sched.ColumnPool
+	pool *columnPool
 
 	accVirt  []int
 	inBind   map[int][2]int
@@ -195,7 +194,7 @@ func NewTileBuilder(lay Layout) (*TileBuilder, error) {
 	b := &TileBuilder{
 		lay:    lay,
 		prog:   &ap.Program{},
-		pool:   sched.NewColumnPool(lay.TempCols),
+		pool:   newColumnPool(lay.TempCols),
 		inBind: make(map[int][2]int),
 		inVirt: make(map[[2]int]int),
 	}
@@ -260,7 +259,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		return err
 	}
 
-	last := sched.Liveness(g)
+	last := liveness(g)
 	uses := g.UseCounts()
 
 	// Chain grouping: node n joins its left operand's group when that
@@ -323,7 +322,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		}
 		gid := group[id]
 		if groupFinal[gid] == id && refcount[id] == 0 {
-			b.pool.Put(groupPhys[gid])
+			b.pool.put(groupPhys[gid])
 			delete(groupVirt, gid)
 			delete(groupPhys, gid)
 		}
@@ -381,7 +380,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 			consume(nd.B)
 			refcount[nd.A]-- // chain value consumed structurally
 		} else {
-			phys, err := b.pool.Get()
+			phys, err := b.pool.get()
 			if err != nil {
 				return fmt.Errorf("codegen: channel %d node %d: %w", ch, i, err)
 			}
@@ -413,7 +412,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	// Advancing to the next channel slot shifts every input plane column
 	// by ActBits domains.
 	b.stats.ShiftSteps += b.lay.K * b.lay.ActBits
-	if hw := b.pool.HighWater(); hw > b.stats.TempHighWater {
+	if hw := b.pool.highWater; hw > b.stats.TempHighWater {
 		b.stats.TempHighWater = hw
 	}
 	return nil

@@ -47,8 +47,8 @@ func buildGraph(t *testing.T, seed uint64, cout, k int, sparsity float64, cse bo
 	return g
 }
 
-// Emitting a channel fragment and executing it on the word machine must
-// reproduce the DFG semantics accumulated over channels.
+// Emitting a channel fragment and replaying it pass by pass (ap.Exec)
+// must reproduce the DFG semantics accumulated over channels.
 func TestEmitAndExecuteMatchesEval(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		k := 4 + trial%6
@@ -73,10 +73,6 @@ func TestEmitAndExecuteMatchesEval(t *testing.T) {
 		}
 
 		rows := 5
-		m, err := ap.NewWordMachine(tp.Prog, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewPCG(uint64(trial), 0x77))
 		in1 := make([][]int64, k)
 		in2 := make([][]int64, k)
@@ -88,15 +84,17 @@ func TestEmitAndExecuteMatchesEval(t *testing.T) {
 				in2[ki][r] = rng.Int64N(16)
 			}
 		}
+		vals := make([][]int64, len(tp.Prog.Cols))
 		for virt, bind := range tp.InputBindings {
 			ch, ki := bind[0], bind[1]
 			if ch == 0 {
-				m.SetColumn(virt, in1[ki])
+				vals[virt] = in1[ki]
 			} else {
-				m.SetColumn(virt, in2[ki])
+				vals[virt] = in2[ki]
 			}
 		}
-		if err := m.Run(); err != nil {
+		out, err := ap.Exec(tp.Prog, vals)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < rows; r++ {
@@ -109,7 +107,7 @@ func TestEmitAndExecuteMatchesEval(t *testing.T) {
 			want1 := g1.Eval(x1)
 			want2 := g2.Eval(x2)
 			for o := 0; o < cout; o++ {
-				acc := m.Column(tp.AccVirt[o])[r]
+				acc := out[tp.AccVirt[o]][r]
 				if acc != want1[o]+want2[o] {
 					t.Fatalf("trial %d row %d out %d: acc %d, want %d",
 						trial, r, o, acc, want1[o]+want2[o])

@@ -4,5 +4,8 @@
 // chains of temporaries run in place at a shared chain width, which keeps
 // stored values sign-extended and every LUT step sound), fuses negated
 // outputs into accumulate-with-subtract, and emits one straight-line AP
-// program per (output tile × resident channel set).
+// program per (output tile × resident channel set). Temporaries come
+// from a column pool and return to it at their value's last use
+// (liveness over the slice DFG): the operational form of the paper's
+// §IV-B column allocation.
 package codegen

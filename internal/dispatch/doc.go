@@ -12,7 +12,4 @@
 // what makes the fake-clock test suite deterministic. The mechanics —
 // queues, device goroutines, HTTP — stay in internal/serve, which feeds
 // this package snapshots and applies its decisions.
-//
-// The name is "dispatch" rather than "sched" because the Go toolchain
-// reserves internal/sched inside GOROOT and tooling confuses the two.
 package dispatch

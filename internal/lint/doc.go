@@ -15,10 +15,12 @@
 //   - conventions: panic messages carry their "<pkg>: " subsystem
 //     prefix, and fmt.Errorf wraps error values with %w, matching the
 //     panic-vs-wrapped-error boundary documented in ARCHITECTURE.md;
-//   - wallclock: package dispatch must not read the process wall clock
-//     directly (time.Now, time.Sleep, timers) — scheduling runs on an
-//     injectable Clock so tests are deterministic; the RealClock
-//     adapter itself is marked //rtmap:wallclock-ok;
+//   - wallclock: packages dispatch, serve and cluster must not read the
+//     process wall clock directly (time.Now, time.Sleep, timers) —
+//     scheduling runs on an injectable Clock so tests are deterministic;
+//     the RealClock adapter itself is marked //rtmap:wallclock-ok, and
+//     the serve and cluster files that still call the clock are listed
+//     by name in wallclockExempt, a list that only shrinks;
 //   - locked-send: package serve must not send on a channel (or call
 //     Submit, which sends internally) while holding an exclusive
 //     mutex — the receiver may need the same lock to drain. Read locks

@@ -10,8 +10,14 @@ import (
 // lintSrc writes src as a single-file package in a temp dir and lints it.
 func lintSrc(t *testing.T, src string) []Finding {
 	t.Helper()
+	return lintFile(t, "f.go", src)
+}
+
+// lintFile is lintSrc with the file's name chosen.
+func lintFile(t *testing.T, name, src string) []Finding {
+	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "f.go"), []byte(src), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	findings, err := Run([]string{dir})
@@ -220,11 +226,22 @@ import "time"
 func f(t time.Time, d time.Duration) time.Time { return t.Add(d * time.Millisecond) }
 `)
 	wantRules(t, clean)
-	elsewhere := lintSrc(t, `package serve
+	elsewhere := lintSrc(t, `package model
 import "time"
 func f() time.Time { return time.Now() }
 `)
 	wantRules(t, elsewhere)
+
+	// In serve and cluster the rule holds in every file but the listed
+	// ones that still read the wall clock.
+	const now = "package cluster\nimport \"time\"\nfunc f() time.Time { return time.Now() }\n"
+	breaker := lintFile(t, "breaker.go", now)
+	wantRules(t, breaker, "wallclock")
+	if !strings.Contains(breaker[0].Msg, "package cluster") {
+		t.Errorf("message should name the package: %v", breaker[0])
+	}
+	wantRules(t, lintFile(t, "router.go", now))
+	wantRules(t, lintFile(t, "router.go", strings.Replace(now, "cluster", "serve", 1)), "wallclock")
 }
 
 func TestLockedSends(t *testing.T) {

@@ -231,7 +231,7 @@ func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, plane []int32, k, p0, p
 	m.LoadRows(col, row0+a-p0, plane[t.base:], g)
 }
 
-// Task shape. Rows are independent in the word-level semantics, so the
+// Task shape. Rows are independent in the ISA's semantics, so the
 // camRows hardware granularity is not a semantic boundary: a task runs
 // as many rows per program pass as keep its machine arena in L2, which
 // amortizes op dispatch over the block without streaming every column

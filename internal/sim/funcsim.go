@@ -13,10 +13,10 @@ import (
 // with a batch of one, strip partials are reduced, and the accumulated
 // OFM (pre-requantization) is returned. Requires Config.KeepPrograms.
 //
-// The engine's ap.Machine is bit-exact with the word-level machine and,
-// through it, with the pass-level CAM execution (proved by the ap
-// package's randomized equivalence tests), so this output is exactly
-// what the physical array would produce.
+// The engine's ap.Machine is bit-exact with the pass-by-pass LUT replay
+// of the CAM, ap.Exec (proved by the ap package's randomized equivalence
+// test), so this output is exactly what the physical array would
+// produce.
 func RunConv(c *core.Compiled, layerIdx int, in *tensor.Int) (*tensor.Int, error) {
 	if in.Shape.N != 1 {
 		return nil, fmt.Errorf("sim: functional simulation runs batch 1, got %d", in.Shape.N)
