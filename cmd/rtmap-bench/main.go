@@ -374,22 +374,18 @@ func shardSweep(name string, seed uint64, maxK int, cfg rtmap.CompileConfig) ([]
 	var rows []shardRow
 	var base float64
 	for k := 1; k <= maxK; k++ {
-		sp, err := rtmap.Partition(comp, rep, k)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := rtmap.AnalyzePipeline(comp, rep, sp)
+		pr, err := rtmap.AnalyzePipeline(comp, rep, k)
 		if err != nil {
 			return nil, err
 		}
 		var xfer int64
-		for _, st := range sp.Stages {
+		for _, st := range pr.Shard.Stages {
 			xfer += st.XferBits
 		}
 		row := shardRow{
-			Stages:             len(sp.Stages),
+			Stages:             len(pr.Stages),
 			BottleneckNS:       pr.BottleneckNS,
-			SteadyInfersPerSec: pr.SteadyInfersPerSec(),
+			SteadyInfersPerSec: pr.Batch(1, 1).InfersPerSec(),
 			FillNS:             pr.FillNS,
 			XferBits:           xfer,
 		}
@@ -400,7 +396,7 @@ func shardSweep(name string, seed uint64, maxK int, cfg rtmap.CompileConfig) ([]
 			row.Speedup = base / pr.BottleneckNS
 		}
 		rows = append(rows, row)
-		if len(sp.Stages) < k {
+		if len(pr.Stages) < k {
 			break // clamped: the network has no more layers to split
 		}
 	}
@@ -429,8 +425,8 @@ type replicaRow struct {
 }
 
 // replicaSweep compiles the named network once and prices data-parallel
-// replication at every replica count from 1 to maxR
-// (rtmap.AnalyzeReplicatedBatch).
+// replication of its one-stage pipeline at every replica count from 1 to
+// maxR (rtmap.PipelineReport.Batch).
 func replicaSweep(name string, seed uint64, maxR int, cfg rtmap.CompileConfig) ([]replicaRow, error) {
 	net, err := buildNet(name, seed)
 	if err != nil {
@@ -440,19 +436,22 @@ func replicaSweep(name string, seed uint64, maxR int, cfg rtmap.CompileConfig) (
 	if err != nil {
 		return nil, err
 	}
-	rep := rtmap.Analyze(comp)
+	pr, err := rtmap.AnalyzePipeline(comp, rtmap.Analyze(comp), 1)
+	if err != nil {
+		return nil, err
+	}
 	var rows []replicaRow
 	var base float64
 	for r := 1; r <= maxR; r++ {
-		rr := rtmap.AnalyzeReplicatedBatch(rep, 64, r)
+		br := pr.Batch(64, r)
 		row := replicaRow{
 			Replicas:         r,
-			SteadyNS:         rr.SteadyNS,
-			AggInfersPerSec:  rr.AggregateInfersPerSec(),
-			Batch64LatencyNS: rr.LatencyNS,
+			SteadyNS:         br.SteadyNS,
+			AggInfersPerSec:  br.InfersPerSec(),
+			Batch64LatencyNS: br.LatencyNS,
 		}
 		if r == 1 {
-			base = rr.AggregateInfersPerSec()
+			base = row.AggInfersPerSec
 		}
 		if base > 0 {
 			row.Speedup = row.AggInfersPerSec / base

@@ -317,19 +317,15 @@ func runDataflow(all bool, extras modelFlags, jsonOut bool, certsOut string) int
 		// Shard certification runs even when the flat audit failed: a
 		// broken transfer set is worth locating either way.
 		rep := sim.Analyze(comp)
-		costs := make([]float64, len(rep.Layers))
-		for i, lr := range rep.Layers {
-			costs[i] = lr.LatencyNS
-		}
 		for _, k := range shardCounts {
 			if k > len(comp.Layers) {
 				continue
 			}
 			sr := shardReport{Stages: k, Clean: true}
-			sp, err := core.Partition(comp, k, costs)
+			pr, err := sim.AnalyzePipeline(comp, rep, k)
 			if err != nil {
 				sr.Clean, sr.Error = false, err.Error()
-			} else if err := dataflow.AuditShard(comp, sp); err != nil {
+			} else if err := dataflow.AuditShard(comp, pr.Shard); err != nil {
 				sr.Clean = false
 				sr.Diagnostics, sr.Error = diagsOf(err)
 				report.Violations += len(sr.Diagnostics)

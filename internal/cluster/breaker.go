@@ -55,20 +55,27 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	return o
 }
 
+// Trial identifies the half-open trial an Allow admitted; zero for an
+// attempt a closed breaker let through. The attempt hands it back to
+// Observe or CancelTrial, so only the trial's own outcome can release
+// the trial slot.
+type Trial uint64
+
 // breaker is one node's circuit state.
 type breaker struct {
 	state    BreakerState
 	failures int
 	openedAt time.Time
-	inTrial  bool // half-open: a trial attempt is in flight
+	trial    Trial // half-open: the trial in flight; zero when none is
 }
 
 // Breakers is the per-node circuit-breaker table.
 type Breakers struct {
 	opts BreakerOptions
 
-	mu sync.Mutex
-	m  map[string]*breaker
+	mu     sync.Mutex
+	m      map[string]*breaker
+	trials Trial // the last Trial issued, across nodes and resets
 
 	opens  int64 // transitions to open, cumulative
 	resets int64 // Reset calls (node rejoin)
@@ -83,76 +90,78 @@ func NewBreakers(nodes []string, opts BreakerOptions) *Breakers {
 	return b
 }
 
-// Allow reports whether an attempt against node may proceed right now.
-// An open breaker past its cooloff moves to half-open and admits exactly
+// Allow reports whether an attempt against node may proceed right now,
+// and which half-open trial it is (zero when the breaker is closed). An
+// open breaker past its cooloff moves to half-open and admits exactly
 // one trial; concurrent callers during the trial are refused.
-func (b *Breakers) Allow(node string, now time.Time) bool {
+func (b *Breakers) Allow(node string, now time.Time) (Trial, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	br := b.m[node]
 	if br == nil {
-		return false
+		return 0, false
 	}
 	switch br.state {
 	case BreakerClosed:
-		return true
+		return 0, true
 	case BreakerOpen:
 		if now.Sub(br.openedAt) < b.opts.Cooloff {
-			return false
+			return 0, false
 		}
 		br.state = BreakerHalfOpen
-		br.inTrial = true
-		return true
 	case BreakerHalfOpen:
-		if br.inTrial {
-			return false
+		if br.trial != 0 {
+			return 0, false
 		}
-		br.inTrial = true
-		return true
 	}
-	return false
+	b.trials++
+	br.trial = b.trials
+	return br.trial, true
 }
 
-// CancelTrial releases a half-open trial admission whose attempt never
-// reached an outcome — budget exhaustion, backoff cancellation, a
-// dropped hedge candidate, or the router's own context ending. Every
-// Allow that admitted a trial must be balanced by Observe or
-// CancelTrial; otherwise inTrial sticks true and the node is refused
-// forever. The breaker stays half-open, so the next Allow admits a
-// fresh trial.
-func (b *Breakers) CancelTrial(node string) {
+// CancelTrial releases the half-open trial t whose attempt never reached
+// an outcome — budget exhaustion, backoff cancellation, a dropped hedge
+// candidate, or the router's own context ending. Every admitted attempt
+// that never runs must be cancelled with the Trial its Allow returned;
+// otherwise a trial sticks and the node is refused forever. Any other
+// Trial — zero, or one from an earlier half-open period — releases
+// nothing: the attempt it admitted is not the trial in flight. The
+// breaker stays half-open, so the next Allow admits a fresh trial.
+func (b *Breakers) CancelTrial(node string, t Trial) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if br := b.m[node]; br != nil && br.state == BreakerHalfOpen {
-		br.inTrial = false
+	if br := b.m[node]; br != nil && t != 0 && br.trial == t {
+		br.trial = 0
 	}
 }
 
-// Observe applies one attempt outcome. Only transport-level failures
-// and node-down rejections should be reported as failures — a 503 from
-// a shedding node is the node protecting itself, not the node dying;
-// tripping the breaker on it would amplify the overload onto the other
-// owners (the caller makes that distinction).
-func (b *Breakers) Observe(node string, ok bool, now time.Time) {
+// Observe applies the outcome of an attempt Allow admitted as t. Only
+// transport-level failures and node-down rejections should be reported
+// as failures — a 503 from a shedding node is the node protecting
+// itself, not the node dying; tripping the breaker on it would amplify
+// the overload onto the other owners (the caller makes that
+// distinction). Any success closes the breaker. A failure counts toward
+// Threshold while closed and re-opens a half-open breaker only when it is
+// the trial's own; a failure of an attempt admitted before the breaker
+// opened changes nothing once it has.
+func (b *Breakers) Observe(node string, t Trial, ok bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	br := b.m[node]
 	if br == nil {
 		return
 	}
-	if ok {
+	switch {
+	case ok:
 		br.state = BreakerClosed
 		br.failures = 0
-		br.inTrial = false
-		return
-	}
-	br.inTrial = false
-	switch br.state {
-	case BreakerHalfOpen:
+		br.trial = 0
+	case t != 0 && br.trial == t:
+		br.trial = 0
 		br.state = BreakerOpen
 		br.openedAt = now
 		b.opens++
-	case BreakerClosed:
+	case br.state == BreakerClosed:
 		br.failures++
 		if br.failures >= b.opts.Threshold {
 			br.state = BreakerOpen

@@ -15,7 +15,8 @@
 //   - Breaker: a per-node circuit breaker (closed → open → half-open)
 //     fed by proxied-attempt outcomes, so a node that fails requests
 //     faster than probes notice is shed quickly and re-admitted through
-//     a single trial request.
+//     a single trial request; only that request's own outcome or cancel
+//     (its Trial) releases the trial.
 //   - Budget: a per-model retry token bucket (retries spend, accepted
 //     requests earn a fraction) so retry storms cannot amplify an
 //     overload, plus the per-model attempt-latency tracker whose p95

@@ -462,16 +462,19 @@ func (c *call) expired(now time.Time) bool {
 // next returns the first untried owner, in ring (preference) order, that
 // is routable and whose breaker admits a request — possibly as a
 // half-open trial, which a caller that then sends nothing must release
-// (CancelTrial). "" means no owner is left; the caller takes the one it
-// uses.
-func (r *Router) next(c *call) string {
+// (CancelTrial with the returned Trial). "" means no owner is left; the
+// caller takes the one it uses.
+func (r *Router) next(c *call) (string, Trial) {
 	now := time.Now()
 	for _, n := range c.untried {
-		if r.health.State(n).Routable() && r.breakers.Allow(n, now) {
-			return n
+		if !r.health.State(n).Routable() {
+			continue
+		}
+		if trial, ok := r.breakers.Allow(n, now); ok {
+			return n, trial
 		}
 	}
-	return ""
+	return "", 0
 }
 
 // take marks node tried: no later attempt or hedge of this call goes to it.
@@ -495,7 +498,7 @@ func (r *Router) proxyWithPolicy(ctx context.Context, c *call) *proxyResult {
 		if ctx.Err() != nil || c.expired(time.Now()) {
 			break
 		}
-		node := r.next(c)
+		node, trial := r.next(c)
 		if node == "" {
 			break
 		}
@@ -506,14 +509,14 @@ func (r *Router) proxyWithPolicy(ctx context.Context, c *call) *proxyResult {
 				// Allow admitted node (possibly a half-open trial) but no
 				// attempt will run: release the trial or it leaks and the
 				// node is refused forever.
-				r.breakers.CancelTrial(node)
+				r.breakers.CancelTrial(node, trial)
 				r.metrics.budgetExhausted.Inc()
 				break
 			}
 			backoff := dispatch.Backoff(r.opts.BackoffBase, r.opts.BackoffCap, attempt-1)
 			if !sleepCtx(ctx, backoff) || c.expired(time.Now()) {
 				// Cancelled, or the deadline passed, during the backoff sleep.
-				r.breakers.CancelTrial(node)
+				r.breakers.CancelTrial(node, trial)
 				break
 			}
 			r.metrics.retries.Inc()
@@ -528,9 +531,9 @@ func (r *Router) proxyWithPolicy(ctx context.Context, c *call) *proxyResult {
 		}
 
 		if attempt == 0 && c.class == dispatch.ClassInteractive && !r.opts.DisableHedge {
-			last = r.hedgedAttempt(ctx, c, node)
+			last = r.hedgedAttempt(ctx, c, node, trial)
 		} else {
-			last = r.attempt(ctx, c, node)
+			last = r.attempt(ctx, c, node, trial)
 		}
 		if last.outcome != outcomeRetryable {
 			return last // relayed, or our own context ended
@@ -551,13 +554,13 @@ func (r *Router) proxyWithPolicy(ctx context.Context, c *call) *proxyResult {
 // a hedge fires at the next owner and the first response wins; the
 // loser's context is cancelled. Only the winner is relayed, so results
 // stay bit-exact regardless of which copy ran.
-func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string) *proxyResult {
+func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string, trial Trial) *proxyResult {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	results := make(chan *proxyResult, 2)
 	go func() {
-		results <- r.attempt(hctx, c, primary)
+		results <- r.attempt(hctx, c, primary, trial)
 	}()
 
 	delay := r.lat.P95(c.model, r.opts.HedgeFallback)
@@ -590,12 +593,13 @@ func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string) *pr
 			// Pick the next owner (the primary is already taken); spend a
 			// budget token (a hedge is a speculative retry and amplifies
 			// identically).
-			hedgeNode = r.next(c)
+			var hedgeTrial Trial
+			hedgeNode, hedgeTrial = r.next(c)
 			if hedgeNode == "" || !r.budget.Spend(c.model) {
 				if hedgeNode != "" {
 					// Allow admitted the candidate but the budget refused
 					// the hedge: release any half-open trial admission.
-					r.breakers.CancelTrial(hedgeNode)
+					r.breakers.CancelTrial(hedgeNode, hedgeTrial)
 					r.metrics.budgetExhausted.Inc()
 					hedgeNode = ""
 				}
@@ -607,9 +611,9 @@ func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string) *pr
 			}
 			c.take(hedgeNode)
 			inFlight++
-			go func(n string) {
-				results <- r.attempt(hctx, c, n)
-			}(hedgeNode)
+			go func(n string, t Trial) {
+				results <- r.attempt(hctx, c, n, t)
+			}(hedgeNode, hedgeTrial)
 		}
 	}
 	if hedgeNode != "" {
@@ -620,8 +624,8 @@ func (r *Router) hedgedAttempt(ctx context.Context, c *call, primary string) *pr
 
 // attempt issues one proxied POST /v1/infer against one node under the
 // class-derived attempt timeout, classifies the outcome, and feeds the
-// health tracker and the node's breaker.
-func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult {
+// health tracker and the node's breaker, which admitted it as trial.
+func (r *Router) attempt(ctx context.Context, c *call, node string, trial Trial) *proxyResult {
 	remaining := time.Duration(0)
 	if !c.deadline.IsZero() {
 		remaining = time.Until(c.deadline)
@@ -635,7 +639,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, node+"/v1/infer", bytes.NewReader(c.body))
 	if err != nil {
 		// Nothing was sent: release any trial admission rather than leak it.
-		r.breakers.CancelTrial(node)
+		r.breakers.CancelTrial(node, trial)
 		res.outcome, res.err, res.wall = outcomeRetryable, err, time.Since(t0)
 		return res
 	}
@@ -677,7 +681,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 			// under, and label it distinctly so routine hedge losses don't
 			// read as node errors on dashboards.
 			res.outcome = outcomeCancelled
-			r.breakers.CancelTrial(node)
+			r.breakers.CancelTrial(node, trial)
 			r.metrics.ObserveAttempt(node, attemptCancelled, res.wall)
 		case errors.Is(err, syscall.ECONNREFUSED):
 			// Connect-level refusal: nobody is listening. Safe to retry
@@ -686,7 +690,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 			// the next probe round.
 			res.outcome = outcomeRetryable
 			r.health.ReportAttempt(node, false, err)
-			r.breakers.Observe(node, false, time.Now())
+			r.breakers.Observe(node, trial, false, time.Now())
 			r.metrics.ObserveAttempt(node, attemptRefused, res.wall)
 		case errors.Is(err, context.DeadlineExceeded):
 			// The attempt timeout expired with zero response bytes: a hung
@@ -696,7 +700,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 			// against the breaker so a black-holing node stops absorbing
 			// attempts.
 			res.outcome = outcomeRetryable
-			r.breakers.Observe(node, false, time.Now())
+			r.breakers.Observe(node, trial, false, time.Now())
 			r.metrics.ObserveAttempt(node, attemptTimeout, res.wall)
 		case errors.Is(err, syscall.ECONNRESET), errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 			// The node's TCP stack tore the connection down mid-request: a
@@ -706,14 +710,14 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 			// traffic confirms a kill without waiting out a probe round.
 			res.outcome = outcomeRetryable
 			r.health.ReportAttempt(node, false, err)
-			r.breakers.Observe(node, false, time.Now())
+			r.breakers.Observe(node, trial, false, time.Now())
 			r.metrics.ObserveAttempt(node, attemptError, res.wall)
 		default:
 			// Other transport failure (DNS, TLS, malformed response). No
 			// response bytes were relayed, so retry is safe; too ambiguous
 			// as a liveness signal — let the prober decide.
 			res.outcome = outcomeRetryable
-			r.breakers.Observe(node, false, time.Now())
+			r.breakers.Observe(node, trial, false, time.Now())
 			r.metrics.ObserveAttempt(node, attemptError, res.wall)
 		}
 		return res
@@ -731,7 +735,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 			// Torn down mid-body: the same crash signal as above.
 			r.health.ReportAttempt(node, false, err)
 		}
-		r.breakers.Observe(node, false, time.Now())
+		r.breakers.Observe(node, trial, false, time.Now())
 		r.metrics.ObserveAttempt(node, attemptError, res.wall)
 		return res
 	}
@@ -742,7 +746,7 @@ func (r *Router) attempt(ctx context.Context, c *call, node string) *proxyResult
 	// protecting itself, not dying, and opening its breaker would dump
 	// its load onto the other owners.
 	r.health.ReportAttempt(node, true, nil)
-	r.breakers.Observe(node, true, time.Now())
+	r.breakers.Observe(node, trial, true, time.Now())
 
 	switch {
 	case res.status < 400:

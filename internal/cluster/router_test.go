@@ -349,7 +349,7 @@ func TestRouterRejoinResetsBreaker(t *testing.T) {
 
 	// Death: breaker opens, health confirms down.
 	for i := 0; i < 5; i++ {
-		r.breakers.Observe(node, false, time.Now())
+		r.breakers.Observe(node, 0, false, time.Now())
 	}
 	for i := 0; i < 3; i++ {
 		r.health.observe(node, false, errors.New("probe failed"), true)
@@ -454,7 +454,7 @@ func TestRouterReleasesHalfOpenTrialOnBudgetExhaustion(t *testing.T) {
 	// cooloff has elapsed: the next Allow admits a half-open trial.
 	past := time.Now().Add(-time.Minute)
 	for i := 0; i < 5; i++ {
-		r.breakers.Observe(halfOpen.ts.URL, false, past)
+		r.breakers.Observe(halfOpen.ts.URL, 0, false, past)
 	}
 	if r.breakers.State(halfOpen.ts.URL) != BreakerOpen {
 		t.Fatal("setup: breaker should be open")
@@ -472,7 +472,7 @@ func TestRouterReleasesHalfOpenTrialOnBudgetExhaustion(t *testing.T) {
 	}
 	// The trial admission must not have leaked: the node is admitted
 	// again as soon as something asks.
-	if !r.breakers.Allow(halfOpen.ts.URL, time.Now()) {
+	if !admits(r.breakers, halfOpen.ts.URL, time.Now()) {
 		t.Fatal("half-open trial leaked: node permanently refused after a budget-exhausted admission")
 	}
 }

@@ -215,16 +215,11 @@ func TestCertificateInvalidatedByArtifactChange(t *testing.T) {
 // using the analyzer's per-layer costs, as serve does.
 func shardPlan(t *testing.T, comp *core.Compiled, k int) *core.ShardPlan {
 	t.Helper()
-	rep := sim.Analyze(comp)
-	costs := make([]float64, len(rep.Layers))
-	for i, lr := range rep.Layers {
-		costs[i] = lr.LatencyNS
-	}
-	sp, err := core.Partition(comp, k, costs)
+	pr, err := sim.AnalyzePipeline(comp, sim.Analyze(comp), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp
+	return pr.Shard
 }
 
 // Partitioned zoo models — skip connections included — certify clean,

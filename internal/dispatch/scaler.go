@@ -38,8 +38,10 @@ type Signal struct {
 	MaxStages  int
 	// Throughput prices a candidate config in sustainable requests per
 	// second. The caller builds it from the sim pipeline cost model
-	// (Replicas per AnalyzePipeline bottleneck interval) calibrated
-	// against measured service time; it must be monotone in Replicas.
+	// (Replicas samples per bottleneck interval of the Stages-deep
+	// pipeline: sim.PipelineReport.Batch(1, Replicas).InfersPerSec())
+	// calibrated against measured service time; it must be monotone in
+	// Replicas.
 	Throughput func(Config) float64
 }
 

@@ -14,18 +14,20 @@
 // is the oracle tests check served logits against, and nothing in this
 // package runs it.
 //
-// There is one batch executor (Fleet.execStage): every admitted model is
-// a pipeline of K contiguous layer-range stages (core.Partition, balanced
-// on the analytic per-layer latency), and a batch advances one stage per
-// device visit. K is 1 by default — the whole model on whichever device
-// is least loaded, priced exactly as sim.AnalyzeBatch prices the batch.
-// Options.ShardStages > 1 deepens the same pipeline rather than selecting
-// another path: every stage is pinned to a distinct fleet device and
+// There is one batch executor (Fleet.execStage) and one cost model: every
+// admitted model is a pipeline of K contiguous layer-range stages that
+// sim.AnalyzePipeline partitions (balanced on the analytic per-layer
+// latency) and prices, and a batch advances one stage per device visit,
+// charged its stage's sim.StageReport.Batch price — latency, energy and
+// wear — for the items it actually runs. K is 1 by default — the whole
+// model on whichever device is least loaded, priced exactly as the
+// one-stage sim.PipelineReport.Batch prices the batch. A ShardStages
+// option above 1 deepens the same pipeline rather than selecting another
+// path: every stage is pinned to a distinct fleet device and
 // micro-batches stream device to device through the stages, so one large
 // model occupies several simulated APs concurrently instead of
-// serializing on one. Stage costs (including inter-stage activation
-// transfers) are priced by sim.AnalyzePipeline, and execution stays
-// bit-identical at every K.
+// serializing on one. Stage costs include the inter-stage activation
+// transfers, and execution stays bit-identical at every K.
 //
 // Options.Replicas > 1 adds the data-parallel ("wide") axis: every
 // admitted model gets R device-disjoint placements, batches balance

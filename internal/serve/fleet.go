@@ -17,12 +17,14 @@ import (
 // BatchInfo is the per-batch accounting attached to every result: which
 // simulated device ran the batch, how large it was, how long the item
 // waited in queues (wall time), and what the batch cost on the simulated
-// hardware (the sum of the per-stage sim.AnalyzeStageBatch prices — for
-// the default one-stage pipeline, exactly sim.AnalyzeBatch's
-// pipelined-load pricing).
+// hardware: the sum of its stages' sim.StageReport.Batch prices over the
+// items each stage ran — for the default one-stage pipeline, exactly
+// sim.PipelineReport.Batch of the live items on one replica.
 type BatchInfo struct {
 	Device int `json:"device"`
-	Size   int `json:"size"`
+	// Size counts the items the batch ran; an item that expired before
+	// execution or failed at an earlier stage drops out of it.
+	Size int `json:"size"`
 	// Replica is the data-parallel replica that served the batch; -1 for
 	// models dispatched unpinned across the whole fleet.
 	Replica int `json:"replica"`
@@ -634,7 +636,7 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 			if b.done[i] {
 				continue
 			}
-			run, err := sim.NewShardRun(b.e.comp, b.pl.shard, it.in)
+			run, err := sim.NewShardRun(b.e.comp, b.pl.pipe.Shard, it.in)
 			if err != nil {
 				b.deliver(i, itemResult{err: err})
 				continue
@@ -650,11 +652,27 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		}
 	}
 
-	br := sim.AnalyzeStageBatch(b.pl.pipeline, b.stage, len(b.items))
+	// The live runs are the stage's work: an item that expired at the gate
+	// or failed at an earlier stage has no run, and is neither executed
+	// nor priced. With none left every item has its answer already.
+	live := make([]*sim.ShardRun, 0, len(b.items))
+	idx := make([]int, 0, len(b.items))
+	for i, run := range b.runs {
+		if run != nil {
+			live = append(live, run)
+			idx = append(idx, i)
+		}
+	}
+	n := len(live)
+	if n == 0 {
+		return
+	}
+
+	br := b.pl.pipe.Stages[b.stage].Batch(n)
 	f.mu.Lock()
 	d.busyNS += br.LatencyNS
 	d.batches++
-	d.meter.Spend(br.EnergyPJ, b.pl.stageWrites[b.stage]*float64(len(b.items)))
+	d.meter.Spend(br.EnergyPJ, br.Writes)
 	f.mu.Unlock()
 	b.simNS += br.LatencyNS
 	b.simPJ += br.EnergyPJ
@@ -662,14 +680,6 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 
 	// Advance every live run one stage in one batched engine pass: the
 	// runs share their stage's program interpretations.
-	live := make([]*sim.ShardRun, 0, len(b.items))
-	idx := make([]int, 0, len(b.items))
-	for i, run := range b.runs {
-		if run != nil { // nil: failed or already delivered at an earlier stage
-			live = append(live, run)
-			idx = append(idx, i)
-		}
-	}
 	for j, err := range sim.StepBatch(live, f.layerHook(b, d.id, spanStage)) {
 		if err != nil {
 			b.deliver(idx[j], itemResult{err: err})
@@ -698,11 +708,11 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 
 	info := BatchInfo{
 		Device:         d.id,
-		Size:           len(b.items),
+		Size:           n,
 		Replica:        b.replica,
 		Requeues:       b.attempts,
 		SimLatencyNS:   b.simNS,
-		SimPerSampleNS: b.simNS / float64(len(b.items)),
+		SimPerSampleNS: b.simNS / float64(n),
 		SimEnergyPJ:    b.simPJ,
 	}
 	if k > 1 {
@@ -719,10 +729,10 @@ func (f *Fleet) execStage(d *device, b *apBatch) {
 		f.metrics.ObserveItemPhases(disp.Sub(it.enq), b.started.Sub(disp), time.Duration(b.execNS))
 	}
 	f.metrics.batches.Inc()
-	f.metrics.batchedSamples.Add(int64(len(b.items)))
+	f.metrics.batchedSamples.Add(int64(n))
 	f.metrics.simDeviceNS.Add(b.simNS)
 	f.metrics.simEnergyPJ.Add(b.simPJ)
-	b.e.est.Observe(len(b.items), time.Duration(b.execNS), f.parallelism(b))
+	b.e.est.Observe(n, time.Duration(b.execNS), f.parallelism(b))
 }
 
 // DeviceStat is a snapshot of one simulated device for /metrics.

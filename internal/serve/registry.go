@@ -114,15 +114,11 @@ type entry struct {
 	// analytic cost model against it.
 	est dispatch.DelayEstimator
 
-	// layerWrites caches sim.LayerWrites(comp) so each new stage count
-	// sums its per-stage wear costs without re-deriving the endurance model.
-	layerWrites []float64
-
-	// pipes memoizes the layer partition, its pipeline pricing and wear
-	// costs per stage count: the autoscaler flips between stage counts
-	// repeatedly and core.Partition is quadratic in layers.
+	// pipes memoizes the priced layer partition per stage count: the
+	// autoscaler flips between stage counts repeatedly and core.Partition
+	// is quadratic in layers.
 	pipeMu sync.Mutex
-	pipes  map[int]*pipePlan
+	pipes  map[int]*sim.PipelineReport
 
 	batcher *batcher
 
@@ -138,7 +134,7 @@ type entry struct {
 // placement and swaps the entry's pointer; the structs themselves are
 // never mutated after publication.
 type placement struct {
-	*pipePlan
+	pipe     *sim.PipelineReport
 	replicas []*replica
 }
 
@@ -147,54 +143,31 @@ type placement struct {
 func (e *entry) placed() *placement { return e.place.Load() }
 
 // stages returns the pipeline depth of the placement.
-func (pl *placement) stages() int { return len(pl.shard.Stages) }
+func (pl *placement) stages() int { return len(pl.pipe.Stages) }
 
 // config reports the placement as a scaler configuration.
 func (pl *placement) config() dispatch.Config {
 	return dispatch.Config{Replicas: max(1, len(pl.replicas)), Stages: pl.stages()}
 }
 
-// pipePlan is one memoized stage partition: the layer-range shard plan
-// for a stage count, its pipeline pricing, and the per-sample write wear
-// of each stage (the fleet meters cumulative device writes from it at
-// each dispatch).
-type pipePlan struct {
-	shard       *core.ShardPlan
-	pipeline    *sim.PipelineReport
-	stageWrites []float64
-}
-
-// pipePlanFor returns the entry's memoized partition for k stages,
+// pipeline returns the entry's memoized k-stage pipeline — its shard
+// plan, and the stage prices and wear the fleet meters at each dispatch —
 // computing it on first use. Requires a compiled entry (admit ran).
-func (e *entry) pipePlanFor(k int) (*pipePlan, error) {
+func (e *entry) pipeline(k int) (*sim.PipelineReport, error) {
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
-	if pp, ok := e.pipes[k]; ok {
-		return pp, nil
+	if pr, ok := e.pipes[k]; ok {
+		return pr, nil
 	}
-	costs := make([]float64, len(e.report.Layers))
-	for i, lr := range e.report.Layers {
-		costs[i] = lr.LatencyNS
-	}
-	sp, err := core.Partition(e.comp, k, costs)
+	pr, err := sim.AnalyzePipeline(e.comp, e.report, k)
 	if err != nil {
 		return nil, err
-	}
-	pr, err := sim.AnalyzePipeline(e.comp, e.report, sp)
-	if err != nil {
-		return nil, err
-	}
-	pp := &pipePlan{shard: sp, pipeline: pr, stageWrites: make([]float64, len(sp.Stages))}
-	for si, st := range sp.Stages {
-		for _, w := range e.layerWrites[st.Lo:st.Hi] {
-			pp.stageWrites[si] += w
-		}
 	}
 	if e.pipes == nil {
-		e.pipes = map[int]*pipePlan{}
+		e.pipes = map[int]*sim.PipelineReport{}
 	}
-	e.pipes[k] = pp
-	return pp, nil
+	e.pipes[k] = pr
+	return pr, nil
 }
 
 // Registry resolves Specs to compiled models. Compilation happens on
@@ -444,7 +417,6 @@ func (r *Registry) admit(e *entry) {
 	e.net = net
 	e.comp = comp
 	e.report = sim.Analyze(comp)
-	e.layerWrites = sim.LayerWrites(comp)
 	pl, err := r.buildPlacement(e, dispatch.Config{Replicas: r.replicas, Stages: r.shardStages})
 	if err != nil {
 		e.err = fmt.Errorf("serve: placing %s: %w", e.key, err)
@@ -505,11 +477,11 @@ func (r *Registry) buildNet(spec Spec) (*model.Network, error) {
 // placement the scaler can grow.
 func (r *Registry) buildPlacement(e *entry, cfg dispatch.Config) (*placement, error) {
 	k := max(1, min(cfg.Stages, r.fleet.NumLive(), len(e.comp.Layers)))
-	pp, err := e.pipePlanFor(k)
+	pr, err := e.pipeline(k)
 	if err != nil {
 		return nil, err
 	}
-	pl := &placement{pipePlan: pp}
+	pl := &placement{pipe: pr}
 	if reps := max(1, cfg.Replicas); k > 1 || reps > 1 || r.pinned {
 		pl.replicas = r.fleet.PinReplicas(reps, k)
 		if len(pl.replicas) == 0 {
@@ -635,7 +607,7 @@ func (r *Registry) Loaded() []LoadedInfo {
 		pl := e.placed()
 		if k := pl.stages(); k > 1 {
 			info.Stages = k
-			info.BottleneckNS = pl.pipeline.BottleneckNS
+			info.BottleneckNS = pl.pipe.BottleneckNS
 			info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
 		}
 		if len(pl.replicas) > 0 {

@@ -95,24 +95,24 @@ func (s *Server) scaleEntry(states map[*entry]*scalerState, e *entry, now time.T
 }
 
 // throughputModel prices candidate configurations for one entry in
-// requests per second. The shape comes from the simulator — every
-// replica retires one sample per bottleneck interval of its K-stage
-// pipeline (sim.AnalyzePipeline; at K = 1 the batch model's marginal) —
-// and the absolute scale is calibrated by the measured per-item interval
-// of the current deployment, so the simulated ns axis never has to match
-// wall time. Returns nil until a measurement exists: the scaler stays
-// quiet rather than acting on an uncalibrated model.
+// requests per second. The shape comes from the simulator — R replicas
+// of the K-stage pipeline retire one sample per bottleneck interval / R
+// (sim.PipelineReport.Batch) — and the absolute scale is calibrated by
+// the measured per-item interval of the current deployment, so the
+// simulated ns axis never has to match wall time. Returns nil until a
+// measurement exists: the scaler stays quiet rather than acting on an
+// uncalibrated model.
 func (s *Server) throughputModel(e *entry) func(dispatch.Config) float64 {
 	per := e.est.PerItem()
 	if per <= 0 {
 		return nil
 	}
 	simTP := func(c dispatch.Config) float64 {
-		pp, err := e.pipePlanFor(c.Stages)
-		if err != nil || pp.pipeline.BottleneckNS <= 0 {
+		pr, err := e.pipeline(c.Stages)
+		if err != nil {
 			return 0
 		}
-		return float64(c.Replicas) * 1e9 / pp.pipeline.BottleneckNS
+		return pr.Batch(1, c.Replicas).InfersPerSec()
 	}
 	cur := simTP(e.placed().config())
 	if cur <= 0 {

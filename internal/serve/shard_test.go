@@ -164,11 +164,14 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 // One executor, every stage count: a batch coalesced from two requests —
 // one carrying the ignored bit_exact key, one not — serves ForwardInt's
 // logits at ShardStages 0, 1 and 2. At one stage the batch is priced
-// exactly as sim.AnalyzeBatch prices it, and neither the response nor
-// /v1/models mentions a pipeline.
+// exactly as the one-stage sim.PipelineReport.Batch prices it, and
+// neither the response nor /v1/models mentions a pipeline.
 func TestOneExecutorAcrossStageCounts(t *testing.T) {
 	comp := compiledRef(t, "tinyresnet")
-	rep := sim.Analyze(comp)
+	whole, err := sim.AnalyzePipeline(comp, sim.Analyze(comp), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 3
 	inputs := workload.Inputs(comp.Net.InputShape, 2*n, 21)
 
@@ -225,8 +228,8 @@ func TestOneExecutorAcrossStageCounts(t *testing.T) {
 				if b.Size != 2*n {
 					t.Fatalf("stages=%d: batch of %d, want the two requests coalesced into %d", stages, b.Size, 2*n)
 				}
-				if br := sim.AnalyzeBatch(rep, b.Size); stages <= 1 && (b.SimLatencyNS != br.LatencyNS || b.SimEnergyPJ != br.EnergyPJ) {
-					t.Errorf("stages=%d: priced %g ns / %g pJ, AnalyzeBatch %g ns / %g pJ",
+				if br := whole.Batch(b.Size, 1); stages <= 1 && (b.SimLatencyNS != br.LatencyNS || b.SimEnergyPJ != br.EnergyPJ) {
+					t.Errorf("stages=%d: priced %g ns / %g pJ, one-stage pipeline %g ns / %g pJ",
 						stages, b.SimLatencyNS, b.SimEnergyPJ, br.LatencyNS, br.EnergyPJ)
 				}
 			}

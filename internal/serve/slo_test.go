@@ -373,3 +373,47 @@ func TestSLOAccountingAudit(t *testing.T) {
 		t.Errorf("burst produced %d distinct outcome cells; want >= 2 for a meaningful audit", outcomes)
 	}
 }
+
+// An item that expires at the execution gate is not work the device did:
+// a two-item batch with one item past its deadline charges the device,
+// the batch's result and the delay estimator exactly one item's stage
+// price and one completion.
+func TestExpiredItemsAreNotPriced(t *testing.T) {
+	s := New(Options{Devices: 1, Logf: t.Logf})
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	e, err := s.Registry().Get(Spec{Model: "tinycnn", ActBits: 4, Sparsity: 0.8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, _ := ZooShape("tinycnn")
+	ins := workload.Inputs(sh, 2, 29)
+	now := time.Now()
+	items := []*item{
+		{in: ins[0], enq: now, res: make(chan itemResult, 1)},
+		{in: ins[1], enq: now, res: make(chan itemResult, 1), deadline: now.Add(-time.Millisecond)},
+	}
+	s.fleet.Submit(newAPBatch(e, items))
+	live, dead := <-items[0].res, <-items[1].res
+	if live.err != nil || dead.err != errExpired {
+		t.Fatalf("live item: %v; expired item: %v, want errExpired", live.err, dead.err)
+	}
+	waitFor(t, "the batch to retire", func() bool { return s.fleet.Pending() == 0 })
+	if n := s.fleet.metrics.batchedSamples.Load(); n != 1 {
+		t.Errorf("%d samples counted as completed, want 1", n)
+	}
+
+	want := e.placed().pipe.Stages[0].Batch(1)
+	if got := live.info; got.Size != 1 || got.SimLatencyNS != want.LatencyNS || got.SimEnergyPJ != want.EnergyPJ {
+		t.Errorf("batch reports %d items, %g ns, %g pJ; one item's price is %g ns, %g pJ",
+			got.Size, got.SimLatencyNS, got.SimEnergyPJ, want.LatencyNS, want.EnergyPJ)
+	}
+	d := s.fleet.Stats()[0]
+	if d.SimBusyNS != want.LatencyNS || d.EnergyPJ != want.EnergyPJ || d.Writes != want.Writes {
+		t.Errorf("device charged %g ns, %g pJ, %g writes; one item's price is %g ns, %g pJ, %g writes",
+			d.SimBusyNS, d.EnergyPJ, d.Writes, want.LatencyNS, want.EnergyPJ, want.Writes)
+	}
+}

@@ -5,12 +5,16 @@
 // ap.Machine and proves bit-exactness against the software reference, and
 // the §V-C write-endurance analysis.
 //
-// The batch and pipeline cost models extend the per-inference analysis
-// to the serving layer: AnalyzeBatch prices back-to-back samples on one
-// device under the pipelined-load model, and AnalyzePipeline prices a
-// core.ShardPlan as a software pipeline across devices (stage fill and
-// marginal latencies, inter-stage activation transfer cost, bottleneck
-// throughput). ShardRun/ForwardAPSharded execute a sharded plan stage by
+// One cost model extends the per-inference analysis to the serving
+// layer: AnalyzePipeline partitions a compiled network into K stages
+// (core.Partition on the analysis' per-layer latencies) and prices the
+// result as a software pipeline across devices — stage fill and marginal
+// latencies under the pipelined-load model, inter-stage activation
+// transfer cost, per-stage wear, bottleneck throughput. StageReport.Batch
+// and PipelineReport.Batch price a batch on one stage or on R replicas
+// of the whole pipeline with the one batch formula; K = 1 is the whole
+// model on one device, priced bit-for-bit as Analyze prices it.
+// ShardRun/ForwardAPSharded execute a sharded plan stage by
 // stage, each stage isolated to the activations its predecessor shipped,
 // bit-identically to single-device execution.
 //

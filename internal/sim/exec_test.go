@@ -358,23 +358,15 @@ func TestTaskShape(t *testing.T) {
 func TestStepBatchMatchesStep(t *testing.T) {
 	net := model.TinyResNet(model.DefaultConfig())
 	c := compileNet(t, net, true)
-	rep := Analyze(c)
-	costs := make([]float64, len(rep.Layers))
-	for i, lr := range rep.Layers {
-		costs[i] = lr.LatencyNS
-	}
-	sp, err := core.Partition(c, 3, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := partitionEven(t, c, Analyze(c), 3)
 
 	const n = 4
 	ins := make([]*tensor.Float, n)
 	runs := make([]*ShardRun, n)
 	for i := range ins {
 		ins[i] = randInput(uint64(i+500), net.InputShape)
-		runs[i], err = NewShardRun(c, sp, ins[i])
-		if err != nil {
+		var err error
+		if runs[i], err = NewShardRun(c, sp, ins[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

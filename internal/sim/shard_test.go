@@ -13,15 +13,11 @@ import (
 
 func partitionEven(t *testing.T, c *core.Compiled, rep *Report, k int) *core.ShardPlan {
 	t.Helper()
-	costs := make([]float64, len(rep.Layers))
-	for i, lr := range rep.Layers {
-		costs[i] = lr.LatencyNS
-	}
-	sp, err := core.Partition(c, k, costs)
+	pr, err := AnalyzePipeline(c, rep, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp
+	return pr.Shard
 }
 
 // Sharded replay — each stage isolated to the tensors its predecessor
@@ -174,31 +170,28 @@ func TestForwardAPShardedMiniResNet(t *testing.T) {
 	}
 }
 
-// K=1 degeneracy: the pipeline cost model must collapse to the
-// single-device batch model within rounding.
+// A one-stage pipeline prices a batch exactly as the single-device
+// analysis does: its first sample is TotalLatencyNS, its energy is linear
+// in the analysis total, and the pipeline's batch is its only stage's.
 func TestAnalyzePipelineK1MatchesAnalyzeBatch(t *testing.T) {
 	net := model.TinyCNN(model.DefaultConfig())
 	c := compileNet(t, net, false)
 	rep := Analyze(c)
-	sp := partitionEven(t, c, rep, 1)
-	pr, err := AnalyzePipeline(c, rep, sp)
+	pr, err := AnalyzePipeline(c, rep, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []int{1, 4, 32} {
-		want := AnalyzeBatch(rep, b)
-		got := AnalyzePipelineBatch(pr, b)
-		if math.Abs(got.FirstNS-want.FirstNS) > 1e-9*want.FirstNS {
-			t.Errorf("b=%d: FirstNS %g, AnalyzeBatch %g", b, got.FirstNS, want.FirstNS)
+		want := pr.Stages[0].Batch(b)
+		got := pr.Batch(b, 1)
+		if got != want {
+			t.Errorf("b=%d: pipeline batch %+v, its stage's %+v", b, got, want)
 		}
-		if math.Abs(got.MarginalNS-want.MarginalNS) > 1e-9*want.MarginalNS {
-			t.Errorf("b=%d: MarginalNS %g, AnalyzeBatch %g", b, got.MarginalNS, want.MarginalNS)
+		if got.FirstNS != rep.TotalLatencyNS {
+			t.Errorf("b=%d: FirstNS %g, analysis TotalLatencyNS %g", b, got.FirstNS, rep.TotalLatencyNS)
 		}
-		if math.Abs(got.LatencyNS-want.LatencyNS) > 1e-9*want.LatencyNS {
-			t.Errorf("b=%d: LatencyNS %g, AnalyzeBatch %g", b, got.LatencyNS, want.LatencyNS)
-		}
-		if math.Abs(got.EnergyPJ-want.EnergyPJ) > 1e-9*want.EnergyPJ {
-			t.Errorf("b=%d: EnergyPJ %g, AnalyzeBatch %g", b, got.EnergyPJ, want.EnergyPJ)
+		if got.EnergyPJ != float64(b)*rep.Total.TotalPJ() {
+			t.Errorf("b=%d: EnergyPJ %g, %d × analysis %g", b, got.EnergyPJ, b, rep.Total.TotalPJ())
 		}
 	}
 }
@@ -206,12 +199,11 @@ func TestAnalyzePipelineK1MatchesAnalyzeBatch(t *testing.T) {
 func TestAnalyzePipelineAccounting(t *testing.T) {
 	net := model.TinyResNet(model.DefaultConfig())
 	c := compileNet(t, net, false)
-	rep := Analyze(c)
-	sp := partitionEven(t, c, rep, 3)
-	pr, err := AnalyzePipeline(c, rep, sp)
+	pr, err := AnalyzePipeline(c, Analyze(c), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := pr.Shard
 	if len(pr.Stages) != len(sp.Stages) {
 		t.Fatalf("%d stage reports for %d stages", len(pr.Stages), len(sp.Stages))
 	}
@@ -245,13 +237,13 @@ func TestAnalyzePipelineAccounting(t *testing.T) {
 	if math.Abs(pr.BottleneckNS-bottleneck) > 1e-12 {
 		t.Errorf("BottleneckNS %g, max occupancy %g", pr.BottleneckNS, bottleneck)
 	}
-	if pr.SteadyInfersPerSec() <= 0 {
+	if pr.Batch(1, 1).InfersPerSec() <= 0 {
 		t.Error("non-positive steady-state throughput")
 	}
 	// Per-stage batch pricing sums to more than the whole-pipeline batch
 	// only through fills; marginals must never exceed the bottleneck.
 	for si := range pr.Stages {
-		br := AnalyzeStageBatch(pr, si, 8)
+		br := pr.Stages[si].Batch(8)
 		if br.MarginalNS > pr.BottleneckNS+1e-12 {
 			t.Errorf("stage %d: marginal %g exceeds bottleneck %g", si, br.MarginalNS, pr.BottleneckNS)
 		}

@@ -202,26 +202,6 @@ func Endurance(c *Compiled, rep *Report) sim.EnduranceReport {
 	return sim.Endurance(c, rep)
 }
 
-// AnalyzeBatch prices a batch of b back-to-back inferences of an analyzed
-// network on one device under the pipelined-load model (the serving
-// layer's unit of dispatch): the first sample pays the full latency, each
-// further sample only max(compute, load) per layer, and energy scales
-// linearly.
-func AnalyzeBatch(rep *Report, b int) BatchReport { return sim.AnalyzeBatch(rep, b) }
-
-// ReplicatedBatchReport prices a batch load-balanced across device-
-// disjoint replicas (the serving layer's data-parallel axis).
-type ReplicatedBatchReport = sim.ReplicatedBatchReport
-
-// AnalyzeReplicatedBatch prices b samples dispatched across r replicas of
-// an analyzed network, each replica on its own device: the batch finishes
-// when the largest ceil(b/r) share does, the aggregate steady-state
-// inter-sample interval divides by r, and energy scales with the sample
-// count alone. r=1 degenerates to AnalyzeBatch.
-func AnalyzeReplicatedBatch(rep *Report, b, r int) ReplicatedBatchReport {
-	return sim.AnalyzeReplicatedBatch(rep, b, r)
-}
-
 // Pipeline sharding: partitioning a compiled plan into contiguous layer
 // ranges and pricing/executing them as a software pipeline across the
 // device fleet.
@@ -241,27 +221,23 @@ type (
 // Partition splits a compiled plan into (up to) k contiguous stages
 // balanced on the analytic per-layer latency of rep, minimizing the
 // bottleneck stage (exact dynamic program). k clamps to the layer count.
+// It is AnalyzePipeline's plan without the pricing.
 func Partition(c *Compiled, rep *Report, k int) (*ShardPlan, error) {
-	costs := make([]float64, len(rep.Layers))
-	for i, lr := range rep.Layers {
-		costs[i] = lr.LatencyNS
+	pr, err := sim.AnalyzePipeline(c, rep, k)
+	if err != nil {
+		return nil, err
 	}
-	return core.Partition(c, k, costs)
+	return pr.Shard, nil
 }
 
-// AnalyzePipeline prices a sharded plan as a software pipeline: stage
-// fill and steady-state latencies, inter-stage activation transfer cost
-// from the movement model, and steady-state throughput set by the
-// bottleneck stage. For a one-stage plan it matches AnalyzeBatch.
-func AnalyzePipeline(c *Compiled, rep *Report, sp *ShardPlan) (*PipelineReport, error) {
-	return sim.AnalyzePipeline(c, rep, sp)
-}
-
-// AnalyzePipelineBatch prices b samples streamed through the pipeline:
-// fill once, then one sample per bottleneck interval; energy scales
-// linearly (including inter-stage transfers).
-func AnalyzePipelineBatch(pr *PipelineReport, b int) BatchReport {
-	return sim.AnalyzePipelineBatch(pr, b)
+// AnalyzePipeline partitions c into (up to) k stages as Partition does
+// and prices the plan as a software pipeline: stage fill and steady-state
+// latencies, inter-stage activation transfer cost from the movement
+// model, and steady-state throughput set by the bottleneck stage.
+// PipelineReport.Batch prices b samples over r replicas of it; k = 1 is
+// the whole model on one device.
+func AnalyzePipeline(c *Compiled, rep *Report, k int) (*PipelineReport, error) {
+	return sim.AnalyzePipeline(c, rep, k)
 }
 
 // RunFunctionalSharded executes the compiled network stage by stage under
@@ -281,7 +257,8 @@ type (
 	ServeOptions = serve.Options
 	// InferenceServer is the batched multi-tenant inference server.
 	InferenceServer = serve.Server
-	// BatchReport is the simulated cost of a batch dispatch.
+	// BatchReport is the simulated cost of a batch dispatch
+	// (PipelineReport.Batch, StageReport.Batch).
 	BatchReport = sim.BatchReport
 )
 

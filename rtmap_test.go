@@ -2,6 +2,7 @@ package rtmap
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,9 +228,9 @@ func TestFigure4Smoke(t *testing.T) {
 }
 
 // TestShardingPublicAPI exercises the pipeline-sharding surface end to
-// end: Partition balances on the analytic latencies, AnalyzePipeline
-// collapses to AnalyzeBatch at K=1, and sharded functional replay stays
-// bit-identical to RunFunctional.
+// end: a one-stage pipeline prices exactly as the single-device analysis,
+// Partition is AnalyzePipeline's plan, and sharded functional replay
+// stays bit-identical to RunFunctional.
 func TestShardingPublicAPI(t *testing.T) {
 	net := BuildTinyResNet(DefaultModelConfig())
 	cfg := DefaultCompileConfig()
@@ -240,18 +241,14 @@ func TestShardingPublicAPI(t *testing.T) {
 	}
 	rep := Analyze(comp)
 
-	one, err := Partition(comp, rep, 1)
+	prOne, err := AnalyzePipeline(comp, rep, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prOne, err := AnalyzePipeline(comp, rep, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := AnalyzeBatch(rep, 8)
-	pipe := AnalyzePipelineBatch(prOne, 8)
-	if math.Abs(batch.LatencyNS-pipe.LatencyNS) > 1e-9*batch.LatencyNS {
-		t.Errorf("K=1 pipeline batch %g ns != AnalyzeBatch %g ns", pipe.LatencyNS, batch.LatencyNS)
+	one, eight := prOne.Batch(1, 1), prOne.Batch(8, 1)
+	if one.LatencyNS != rep.TotalLatencyNS || eight.EnergyPJ != 8*rep.Total.TotalPJ() {
+		t.Errorf("K=1 pipeline prices %g ns / %g pJ for 8, analysis %g ns each / %g pJ for 8",
+			one.LatencyNS, eight.EnergyPJ, rep.TotalLatencyNS, 8*rep.Total.TotalPJ())
 	}
 
 	sp, err := Partition(comp, rep, 3)
@@ -261,11 +258,14 @@ func TestShardingPublicAPI(t *testing.T) {
 	if len(sp.Stages) != 3 {
 		t.Fatalf("%d stages, want 3", len(sp.Stages))
 	}
-	pr, err := AnalyzePipeline(comp, rep, sp)
+	pr, err := AnalyzePipeline(comp, rep, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.BottleneckNS <= 0 || pr.SteadyInfersPerSec() <= 0 {
+	if !reflect.DeepEqual(pr.Shard, sp) {
+		t.Errorf("Partition planned %+v, AnalyzePipeline priced %+v", sp.Stages, pr.Shard.Stages)
+	}
+	if pr.BottleneckNS <= 0 || pr.Batch(1, 1).InfersPerSec() <= 0 {
 		t.Fatalf("degenerate pipeline report %+v", pr)
 	}
 
