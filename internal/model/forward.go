@@ -48,11 +48,11 @@ func (n *Network) ForwardInt(in *tensor.Float) (*IntTrace, error) {
 // isolate exactly the compute-substrate difference.
 func (n *Network) ForwardIntQuantized(in *tensor.Float,
 	conv func(x *tensor.Int, l *Layer) *tensor.Int) (*IntTrace, error) {
-	return n.forwardInt(in, func(_ int, l *Layer, xs, outs []*tensor.Int) error {
+	return n.forwardInt(in, func(_ int, l *Layer, xs, outs []*tensor.Int, _ *Requant) (bool, error) {
 		for j, x := range xs {
 			outs[j] = conv(x, l)
 		}
-		return nil
+		return false, nil
 	})
 }
 
@@ -96,31 +96,56 @@ func (n *Network) NewTrace(in *tensor.Float) (*IntTrace, error) {
 // accumulated, pre-requantization output in outs[j]. It is the only thing
 // that differs between the software reference, the AP engine and the
 // crossbar/DeepCAM baselines.
-type ConvExec func(i int, l *Layer, xs, outs []*tensor.Int) error
+//
+// rq, when non-nil, is the act-quant layer that follows layer i. An
+// executor may apply it where it finishes each block of sums — the
+// peripheral requantize step the RTM-AP fuses onto every conv — and then
+// reports fused; otherwise the walker requantizes the finished outputs.
+type ConvExec func(i int, l *Layer, xs, outs []*tensor.Int, rq *Requant) (fused bool, err error)
+
+// Requant is an act-quant layer handed to the ConvExec of the conv/linear
+// layer it reads. Outs holds its output per batch item, allocated by the
+// walker in the conv output's shape.
+type Requant struct {
+	Outs   []*tensor.Int
+	scales []float64 // per item, the walker's own: getS(in)·WScale / Q.Step
+	q      quant.Quantizer
+	relu   bool
+}
+
+// Apply requantizes item j's finished conv output codes src[lo:hi] into
+// Outs[j].Data[lo:hi].
+func (r *Requant) Apply(j int, src []int32, lo, hi int) {
+	requantInto(r.Outs[j].Data[lo:hi], src[lo:hi], r.scales[j], r.q, r.relu)
+}
 
 // ConvReference is the software-reference executor: sparse ternary
-// add/sub accumulation, item by item.
-func ConvReference(_ int, l *Layer, xs, outs []*tensor.Int) error {
+// add/sub accumulation, item by item. It never fuses.
+func ConvReference(_ int, l *Layer, xs, outs []*tensor.Int, _ *Requant) (bool, error) {
 	for j, x := range xs {
 		outs[j] = tensor.ConvIntTernarySparse(x, l.W.W, l.ConvSpec())
 	}
-	return nil
+	return false, nil
 }
 
 // LayerHook observes one layer's execution: its index and name, the
 // wall-clock start (UnixNano) and duration of the interpretation. Hooks
 // feed the sampled per-layer tracing spans of the serving stack; a nil
 // hook costs one branch per layer and no clock reads, so the untraced hot
-// path is unchanged.
+// path is unchanged. An act-quant layer its conv's executor fused reports
+// a span of ≈ 0: its requantize time sits in the conv's span.
 type LayerHook func(layer int, name string, startUnixNS, durNS int64)
 
 // ExecLayers executes the layer range [lo, hi) on every trace, reading
 // inputs from and writing outputs back to each: conv/linear layers once
 // per layer for the whole batch through conv, every other kind on its
-// exact integer semantics — written here and nowhere else. An input
-// tensor a trace does not hold is an error, so a sharded stage run proves
-// its boundary transfer set is sufficient. hook, when non-nil, is called
-// once per layer for the whole batch, not per item.
+// exact integer semantics — written here and nowhere else. An act-quant
+// layer that reads the conv/linear layer just before it, both inside
+// [lo, hi), is handed to that layer's executor as a Requant (see
+// ConvExec); its outputs are allocated once, there. An input tensor a
+// trace does not hold is an error, so a sharded stage run proves its
+// boundary transfer set is sufficient. hook, when non-nil, is called once
+// per layer for the whole batch, not per item.
 func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook LayerHook) error {
 	getT := func(tr *IntTrace, i, arg int) (*tensor.Int, error) {
 		if x := tr.InputOf(n, i, arg); x != nil {
@@ -140,6 +165,10 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 	}
 	xs := make([]*tensor.Int, len(trs))
 	outs := make([]*tensor.Int, len(trs))
+	// rq is the act layer actAt's, while its outputs wait for it; fused
+	// says the conv executor already wrote them.
+	rq := &Requant{Outs: make([]*tensor.Int, len(trs)), scales: make([]float64, len(trs))}
+	actAt, fused := -1, false
 	for i := lo; i < hi; i++ {
 		l := &n.Layers[i]
 		var start time.Time
@@ -154,9 +183,21 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 			xs[j] = x
 		}
 		if l.Kind == KindConv || l.Kind == KindLinear {
-			if err := conv(i, l, xs, outs); err != nil {
+			var epi *Requant
+			if a := i + 1; a < hi && n.Layers[a].Kind == KindActQuant && n.Layers[a].Inputs[0] == i {
+				q := &n.Layers[a]
+				out := l.ConvSpec().OutShape(xs[0].Shape)
+				for j, tr := range trs {
+					rq.Outs[j] = tensor.NewInt(out)
+					rq.scales[j] = getS(tr, l.Inputs[0]) * float64(l.WScale) / float64(q.Q.Step)
+				}
+				rq.q, rq.relu, epi, actAt = q.Q, q.ReLU, rq, a
+			}
+			ok, err := conv(i, l, xs, outs, epi)
+			if err != nil {
 				return err
 			}
+			fused = ok && epi != nil
 		}
 		for j, tr := range trs {
 			x, s := xs[j], getS(tr, l.Inputs[0])
@@ -171,8 +212,13 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 				tr.Outputs[i] = tensor.GlobalAvgPoolInt(x)
 				tr.Scales[i] = s
 			case KindActQuant:
-				out := tensor.NewInt(x.Shape)
-				requantInto(out.Data, x.Data, s/float64(l.Q.Step), l.Q, l.ReLU)
+				out := rq.Outs[j]
+				if i != actAt {
+					out = tensor.NewInt(x.Shape)
+				}
+				if i != actAt || !fused {
+					requantInto(out.Data, x.Data, s/float64(l.Q.Step), l.Q, l.ReLU)
+				}
 				tr.Outputs[i] = out
 				tr.Scales[i] = float64(l.Q.Step)
 			case KindAdd:

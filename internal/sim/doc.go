@@ -28,5 +28,10 @@
 // engine is a conv executor and nothing more: the layer walk, input
 // validation and the integer semantics of every other layer kind are
 // model.Network.ExecLayers, the same code model.Network.ForwardInt — the
-// one oracle — runs with the software convolution plugged in.
+// one oracle — runs with the software convolution plugged in. The one
+// thing the engine takes from the walker is the act-quant that follows a
+// conv (model.Requant): the task that finishes a row block's sums — for a
+// block whose strips run as separate tasks, the last of them to
+// accumulate — requantizes those rows with the walker's own code, so the
+// act layer costs no serial pass on the caller.
 package sim

@@ -19,10 +19,12 @@ import (
 // words, and every (strip, tile) program is interpreted once per
 // cache-sized block of those rows, through precompiled ap.ExecPlans,
 // pooled arenas, and a persistent worker pool. Only conv/linear layers
-// run here; the layer walk and every other layer's integer semantics are
-// model.Network.ExecLayers, shared with the software reference
-// (ForwardInt), against which TestForwardAPBatchMatchesSerial proves the
-// results bit-identical.
+// run here, with the act-quant that follows one applied by the tasks that
+// finish its row blocks (model.Requant); the layer walk and every other
+// layer's integer semantics are model.Network.ExecLayers, shared with the
+// software reference (ForwardInt), against which
+// TestForwardAPBatchMatchesSerial and TestFusedRequantMatchesForwardInt
+// prove the results bit-identical.
 
 // ctxPool recycles the per-call task state and machines the column
 // arenas, so the steady-state path allocates nothing once the shapes of
@@ -64,15 +66,19 @@ type convCtx struct {
 	spec   tensor.ConvSpec
 	ins    []*tensor.Int
 	outs   []*tensor.Int
-	tile   []int // tile row offsets
-	taps   []tap // [kh·Fw + kw], set per call by setTaps
-	plane  int   // elements of one input channel
-	derive bool  // stride 1, output plane = input's: a kernel column's taps lie whole rows apart
+	rq     *model.Requant // the following act layer, applied per finished row block; nil: none
+	tile   []int          // tile row offsets
+	taps   []tap          // [kh·Fw + kw], set per call by setTaps
+	plane  int            // elements of one input channel
+	derive bool           // stride 1, output plane = input's: a kernel column's taps lie whole rows apart
 
 	wg sync.WaitGroup
 	// mu orders the accumulation of tasks that split one output region
-	// by strip.
-	mu sync.Mutex
+	// by strip, and guards left: per (tile, block), the strip groups yet
+	// to accumulate there. The one that takes it to zero requantizes.
+	mu            sync.Mutex
+	left          []int
+	block, blocks int // rows per block, blocks per tile
 }
 
 // convTask is one (strip-group, tile, row-block) unit of work. Rows are
@@ -131,6 +137,7 @@ func runConvTask(t convTask) {
 	defer putMachine(m)
 	p, tiles := ctx.plan.P, len(ctx.tile)
 	shared := t.s1-t.s0 < len(ctx.plan.StripPlans)
+	last := !shared
 	for s := t.s0; s < t.s1; s++ {
 		sp := &ctx.plan.StripPlans[s]
 		tp := sp.Programs[t.tile]
@@ -159,7 +166,32 @@ func runConvTask(t convTask) {
 			}
 		}
 		if shared {
+			if s == t.s1-1 {
+				k := t.tile*ctx.blocks + t.g0/ctx.block
+				ctx.left[k]--
+				last = ctx.left[k] == 0
+			}
 			ctx.mu.Unlock()
+		}
+	}
+	if last && ctx.rq != nil {
+		ctx.requant(t)
+	}
+}
+
+// requant applies the fused act layer to the rows of t's output region,
+// whose sums every strip has finished.
+//
+//rtmap:noalloc
+func (ctx *convCtx) requant(t convTask) {
+	p := ctx.plan.P
+	for o := range ctx.plan.TileSizes[t.tile] {
+		base := (ctx.tile[t.tile] + o) * p
+		for g := t.g0; g < t.g1; {
+			b, p0 := g/p, g%p
+			n := min(p-p0, t.g1-g)
+			ctx.rq.Apply(b, ctx.outs[b].Data, base+p0, base+p0+n)
+			g += n
 		}
 	}
 }
@@ -292,12 +324,13 @@ func taskShape(rows, tiles, strips, cols, ops, lanes, workers int) (block, perTa
 // Scratch comes from pools and programs run as precompiled ExecPlans, so
 // the steady-state call allocates nothing. Requires Config.KeepPrograms.
 func RunConvBatchInto(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int) error {
-	return runConvBatch(c, layerIdx, ins, outs, false)
+	return runConvBatch(c, layerIdx, ins, outs, false, nil)
 }
 
 // runConvBatch is RunConvBatchInto, or with alloc its allocating form:
 // outs arrive as empty slots and leave as fresh, already zero tensors.
-func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc bool) error {
+// A non-nil rq is applied to each row block as its sums finish.
+func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc bool, rq *model.Requant) error {
 	plan := c.Layers[layerIdx]
 	if plan.Class != core.ClassConv {
 		return fmt.Errorf("sim: layer %d (%s) is not conv-like", layerIdx, plan.Name)
@@ -327,10 +360,10 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 		clear(outs[b].Data)
 	}
 	ctx := ctxPool.Get().(*convCtx)
-	ctx.plan, ctx.spec, ctx.ins, ctx.outs = plan, spec, ins, outs
+	ctx.plan, ctx.spec, ctx.ins, ctx.outs, ctx.rq = plan, spec, ins, outs, rq
 	ctx.setTaps(ins[0].Shape, outShape)
 	err := ctx.run(layerIdx)
-	ctx.plan, ctx.ins, ctx.outs = nil, nil, nil
+	ctx.plan, ctx.ins, ctx.outs, ctx.rq = nil, nil, nil, nil
 	clear(ctx.plans)
 	ctxPool.Put(ctx)
 	return err
@@ -384,6 +417,11 @@ func (ctx *convCtx) run(layerIdx int) error {
 		off += ts
 	}
 	rows, strips := len(ctx.ins)*plan.P, len(plan.StripPlans)
+	ctx.block, ctx.blocks = block, (rows+block-1)/block
+	ctx.left = ctx.left[:0]
+	for range len(plan.TileSizes) * ctx.blocks {
+		ctx.left = append(ctx.left, (strips+perTask-1)/perTask)
+	}
 	workersOnce.Do(startWorkers)
 	// The caller keeps the last task for itself: it would otherwise only
 	// wait, and a layer that is one task never pays a hand-off.
@@ -409,7 +447,7 @@ func (ctx *convCtx) run(layerIdx int) error {
 // item.
 func RunConvBatch(c *core.Compiled, layerIdx int, ins []*tensor.Int) ([]*tensor.Int, error) {
 	outs := make([]*tensor.Int, len(ins))
-	if err := runConvBatch(c, layerIdx, ins, outs, true); err != nil {
+	if err := runConvBatch(c, layerIdx, ins, outs, true, nil); err != nil {
 		return nil, err
 	}
 	return outs, nil
@@ -449,9 +487,13 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 
 // convExec is the conv/linear executor every functional run plugs into
 // the model's layer walker: the batched AP engine, one program
-// interpretation per (strip, tile, row-block) for the whole batch.
+// interpretation per (strip, tile, row-block) for the whole batch, with
+// the following act layer fused into the tasks that finish each block.
 func convExec(c *core.Compiled) model.ConvExec {
-	return func(i int, _ *model.Layer, xs, outs []*tensor.Int) error {
-		return runConvBatch(c, i, xs, outs, true)
+	return func(i int, _ *model.Layer, xs, outs []*tensor.Int, rq *model.Requant) (bool, error) {
+		if err := runConvBatch(c, i, xs, outs, true, rq); err != nil {
+			return false, err
+		}
+		return rq != nil, nil
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -58,6 +59,90 @@ func TestForwardAPBatchMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The fused epilogue, ForwardAPBatch against ForwardInt on every layer for
+// N ∈ {1, 3, 8}. Each conv/linear layer whose act-quant follows it must
+// fuse, including the miniresnet18 layer4 convs, whose two strips run as
+// separate tasks at four workers: only the last to accumulate a block may
+// requantize it. A stage boundary between a conv and its act-quant must
+// not fuse, and the stage after it requantizes.
+func TestFusedRequantMatchesForwardInt(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // strips only split to feed more than one worker
+	splitFused := false
+	for _, net := range []*model.Network{
+		model.TinyCNN(model.DefaultConfig()),
+		model.TinyResNet(model.DefaultConfig()),
+		model.MiniResNet18(model.DefaultConfig(), 32, 32),
+	} {
+		c := compileNet(t, net, true)
+		// fusable[i]: layer i is a conv/linear whose act-quant follows it.
+		fusable := make([]bool, len(net.Layers))
+		cut := -1 // a fusable conv the shard boundary separates from its act
+		for i := range net.Layers[:len(net.Layers)-1] {
+			a := &net.Layers[i+1]
+			fusable[i] = c.Layers[i].Class == core.ClassConv && a.Kind == model.KindActQuant && a.Inputs[0] == i
+			if fusable[i] && cut < 0 {
+				cut = i
+			}
+		}
+		for _, n := range []int{1, 3, 8} {
+			ins := make([]*tensor.Float, n)
+			want := make([]*model.IntTrace, n)
+			for j := range ins {
+				ins[j] = randInput(uint64(300*n+j), net.InputShape)
+				var err error
+				if want[j], err = net.ForwardInt(ins[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := ForwardAPBatch(c, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range ins {
+				assertTraceEqual(t, net, got[j], want[j], fmt.Sprintf("%s N=%d item %d", net.Name, n, j))
+			}
+
+			// The same walk observed: which layers the engine fused.
+			for _, bounds := range [][]int{{0, len(net.Layers)}, {0, cut + 1, len(net.Layers)}} {
+				fused := make([]bool, len(net.Layers))
+				exec := func(i int, l *model.Layer, xs, outs []*tensor.Int, rq *model.Requant) (bool, error) {
+					ok, err := convExec(c)(i, l, xs, outs, rq)
+					fused[i] = ok
+					if ok {
+						ctx := &convCtx{plan: c.Layers[i], ins: xs}
+						_, perTask, _ := ctx.shape(i)
+						splitFused = splitFused || perTask < len(c.Layers[i].StripPlans)
+					}
+					return ok, err
+				}
+				trs := make([]*model.IntTrace, n)
+				for j, in := range ins {
+					if trs[j], err = net.NewTrace(in); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for k := 1; k < len(bounds); k++ {
+					if err := net.ExecLayers(trs, bounds[k-1], bounds[k], exec, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, f := range fusable {
+					if wantF := f && !(len(bounds) == 3 && i == cut); fused[i] != wantF {
+						t.Fatalf("%s N=%d stages %v: layer %d (%s) fused %v, want %v",
+							net.Name, n, bounds, i, net.Layers[i].Name, fused[i], wantF)
+					}
+				}
+				for j := range ins {
+					assertTraceEqual(t, net, trs[j], want[j], fmt.Sprintf("%s N=%d stages %v item %d", net.Name, n, bounds, j))
+				}
+			}
+		}
+	}
+	if !splitFused {
+		t.Fatal("no strip-split layer fused its act-quant; the test needs one")
 	}
 }
 
@@ -452,6 +537,105 @@ func TestRunConvBatchIntoAllocFree(t *testing.T) {
 	}
 }
 
+// traceBytes is the payload of a trace's tensors: the input codes and
+// every layer output, counting a buffer two layers share (Flatten's view)
+// once.
+func traceBytes(tr *model.IntTrace) int {
+	seen := map[*int32]bool{}
+	n := 0
+	for _, x := range append([]*tensor.Int{tr.InputCodes}, tr.Outputs...) {
+		if p := &x.Data[:1][0]; !seen[p] {
+			seen[p] = true
+			n += 4 * cap(x.Data)
+		}
+	}
+	return n
+}
+
+// A call allocates each tensor of its traces once: its bytes are the
+// traces' tensors plus at most perLayerItem per layer and item (tensor
+// and trace headers, the walker's scratch), so an act-quant output
+// allocated twice — for the fused epilogue and again in the walker —
+// fails, whether or not the executor fused it. A collection that empties
+// the engine's pools mid-measurement refills them; the least of three
+// rounds is the steady state.
+func TestForwardAllocatesEachTensorOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const perLayerItem = 160
+	for _, net := range []*model.Network{
+		model.TinyCNN(model.DefaultConfig()),
+		model.MiniResNet18(model.DefaultConfig(), 32, 32),
+	} {
+		c := compileNet(t, net, true)
+		for _, n := range []int{1, 8} {
+			ins := make([]*tensor.Float, n)
+			for j := range ins {
+				ins[j] = randInput(uint64(700+j), net.InputShape)
+			}
+			var trs []*model.IntTrace
+			runs := map[string]func(){
+				"ForwardAPBatch": func() {
+					var err error
+					if trs, err = ForwardAPBatch(c, ins); err != nil {
+						t.Fatal(err)
+					}
+				},
+			}
+			// An executor that declines every Requant, as the software
+			// reference does: the walker requantizes into the tensors it
+			// allocated for the epilogue.
+			runs["declined"] = func() {
+				decline := func(i int, l *model.Layer, xs, outs []*tensor.Int, _ *model.Requant) (bool, error) {
+					return convExec(c)(i, l, xs, outs, nil)
+				}
+				trs = make([]*model.IntTrace, n)
+				for j, in := range ins {
+					var err error
+					if trs[j], err = net.NewTrace(in); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := net.ExecLayers(trs, 0, len(net.Layers), decline, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, run := range runs {
+				run() // warm the pools and every ExecPlan
+				const calls = 5
+				allocs := testing.AllocsPerRun(calls, run)
+				bytes := math.MaxInt
+				for range 3 {
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					for range calls {
+						run()
+					}
+					runtime.ReadMemStats(&m1)
+					bytes = min(bytes, int(m1.TotalAlloc-m0.TotalAlloc)/calls)
+				}
+				tensors := 0
+				for _, tr := range trs {
+					tensors += traceBytes(tr)
+				}
+				layers := len(net.Layers)
+				t.Logf("%s %s N=%d: %.0f allocs, %d B (tensors %d B, +%d B/layer/item)",
+					net.Name, name, n, allocs, bytes, tensors, (bytes-tensors)/(layers*n))
+				if limit := tensors + perLayerItem*layers*n; bytes > limit {
+					t.Errorf("%s %s N=%d: %d B per call, want <= %d (tensors %d + %d per layer and item)",
+						net.Name, name, n, bytes, limit, tensors, perLayerItem)
+				}
+				// Two allocations per layer output (header, data) and a few
+				// per trace and per call.
+				if limit := float64(n*(2*layers+8) + 8); allocs > limit {
+					t.Errorf("%s %s N=%d: %.0f allocations per call, want <= %.0f", net.Name, name, n, allocs, limit)
+				}
+			}
+		}
+	}
+}
+
 // benchNet compiles a zoo network with programs retained for the
 // functional-execution benchmarks.
 func benchNet(b *testing.B, name string) (*model.Network, *core.Compiled) {
@@ -478,11 +662,12 @@ func benchNet(b *testing.B, name string) (*model.Network, *core.Compiled) {
 	return net, c
 }
 
-// BenchmarkRunFunctional measures single-stream functional execution on
-// the batched ExecPlan engine (batch = 1). vgg9 is what the gated
-// engine_stream workload of ./benchmark runs, here under -cpuprofile's
-// reach; resnet18 is the benchmark's recorded headline. Both run only
-// without -short (a full CIFAR- or ImageNet-scale compile and inference).
+// BenchmarkRunFunctional measures functional execution on the batched
+// ExecPlan engine, batch 1 and, for vgg9, batch 8 (the gated engine_stream
+// and engine_batch workloads of ./benchmark, here under -cpuprofile's
+// reach); ns/infer divides by the batch. resnet18 is the benchmark's
+// recorded headline. vgg9 and resnet18 run only without -short (a full
+// CIFAR- or ImageNet-scale compile and inference).
 func BenchmarkRunFunctional(b *testing.B) {
 	for _, name := range []string{"tinycnn", "miniresnet18", "vgg9", "resnet18"} {
 		b.Run(name, func(b *testing.B) {
@@ -490,13 +675,24 @@ func BenchmarkRunFunctional(b *testing.B) {
 				b.Skip("full-scale functional simulation")
 			}
 			net, c := benchNet(b, name)
-			in := randInput(7, net.InputShape)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ForwardAP(c, in); err != nil {
-					b.Fatal(err)
-				}
+			batches := []int{1}
+			if name == "vgg9" {
+				batches = append(batches, 8)
+			}
+			for _, n := range batches {
+				b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+					ins := make([]*tensor.Float, n)
+					for j := range ins {
+						ins[j] = randInput(uint64(7+j), net.InputShape)
+					}
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := ForwardAPBatch(c, ins); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/infer")
+				})
 			}
 		})
 	}

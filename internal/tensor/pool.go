@@ -43,28 +43,51 @@ func MaxPoolFloat(in *Float, spec PoolSpec) *Float {
 	return out
 }
 
+// maxPool is separable and has no branch per tap: for each output row, the
+// max of its window's input rows goes column by column into a row buffer,
+// then each window takes its first column and K strided horizontal passes
+// fold in the rest. Windows are clipped to the input once per row and per
+// tap column; outputs whose window lies wholly in the padding are zeroed.
 func maxPool[T int32 | float32](dst, src []T, os, is Shape, spec PoolSpec) {
+	k, s, pad := spec.K, spec.Stride, spec.Pad
+	var buf [256]T // the row buffer, on the stack for rows up to 256 wide
+	row := buf[:]
+	if is.W > len(buf) {
+		row = make([]T, is.W)
+	}
+	row = row[:is.W]
+	// first and end bound the outputs o whose tap o·s + off lies in [0, n).
+	first := func(off int) int { return (max(0, -off) + s - 1) / s }
+	end := func(off, n, nOut int) int { return min(nOut, max(0, (n-1-off+s)/s)) }
+	// Outputs [o0, o1) of a row have a window that reaches the input.
+	o0, o1 := first(k-1-pad), end(-pad, is.W, os.W)
 	for nc := 0; nc < is.N*is.C; nc++ {
 		plane := src[nc*is.H*is.W:][:is.H*is.W]
-		out := dst[nc*os.H*os.W:][:os.H*os.W]
 		for oh := 0; oh < os.H; oh++ {
-			// Clip each window to the taps inside the input once, instead
-			// of testing every tap: rows [h0, h1) × columns [w0, w1).
-			h0, h1 := max(oh*spec.Stride-spec.Pad, 0), min(oh*spec.Stride-spec.Pad+spec.K, is.H)
-			for ow := 0; ow < os.W; ow++ {
-				w0, w1 := max(ow*spec.Stride-spec.Pad, 0), min(ow*spec.Stride-spec.Pad+spec.K, is.W)
-				var best T
-				if h0 < h1 && w0 < w1 {
-					best = plane[h0*is.W+w0]
+			out := dst[(nc*os.H+oh)*os.W:][:os.W]
+			h0, h1 := max(oh*s-pad, 0), min(oh*s-pad+k, is.H)
+			if h0 >= h1 || o0 >= o1 {
+				clear(out)
+				continue
+			}
+			copy(row, plane[h0*is.W:][:is.W])
+			for ih := h0 + 1; ih < h1; ih++ {
+				in := plane[ih*is.W:][:is.W]
+				row := row[:len(in)]
+				for w, v := range in {
+					row[w] = max(row[w], v)
 				}
-				for ih := h0; ih < h1; ih++ {
-					for _, v := range plane[ih*is.W:][w0:w1] {
-						if v > best {
-							best = v
-						}
-					}
+			}
+			clear(out[:o0])
+			clear(out[o1:])
+			for o := o0; o < o1; o++ {
+				out[o] = row[max(o*s-pad, 0)]
+			}
+			for kw := 1; kw < k; kw++ {
+				a, b := first(kw-pad), end(kw-pad, is.W, os.W)
+				for o, w := a, a*s+kw-pad; o < b; o, w = o+1, w+s {
+					out[o] = max(out[o], row[w])
 				}
-				out[oh*os.W+ow] = best
 			}
 		}
 	}

@@ -248,22 +248,13 @@ func maxPoolIntRef(in *Int, spec PoolSpec) *Int {
 }
 
 // Random shapes, windows, strides and pads — windows larger than the
-// plane, 1×1 planes, pads as wide as the window (so some windows see no
-// input at all) — over values of both signs.
+// plane, 1×1 planes, odd planes, pads as wide as the window (so some
+// windows see no input at all), several items — over values of both signs,
+// plus rows wider than maxPool's stack row buffer.
 func TestMaxPoolIntMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 5))
-	seen := map[string]bool{}
-	for trial := 0; trial < 2000; trial++ {
-		shape := Shape{1 + rng.IntN(2), 1 + rng.IntN(3), 1 + rng.IntN(9), 1 + rng.IntN(9)}
-		spec := PoolSpec{K: 1 + rng.IntN(4), Stride: 1 + rng.IntN(3)}
-		spec.Pad = rng.IntN(spec.K + 1)
-		if os := spec.OutShape(shape); shape.H+2*spec.Pad < spec.K || shape.W+2*spec.Pad < spec.K || os.H < 1 || os.W < 1 {
-			continue // the window does not fit even the padded plane
-		}
-		seen["pad"] = seen["pad"] || spec.Pad > 0
-		seen["K>H"] = seen["K>H"] || spec.K > shape.H
-		seen["1x1"] = seen["1x1"] || shape.H == 1 && shape.W == 1
-		seen["all-pad window"] = seen["all-pad window"] || spec.Pad >= spec.K
+	check := func(shape Shape, spec PoolSpec) {
+		t.Helper()
 		in := randInt(rng, shape, -50, 50)
 		got, want := MaxPoolInt(in, spec), maxPoolIntRef(in, spec)
 		if got.Shape != want.Shape {
@@ -282,10 +273,54 @@ func TestMaxPoolIntMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for _, spec := range []PoolSpec{{K: 2, Stride: 2}, {K: 3, Stride: 2, Pad: 1}, {K: 3, Stride: 1, Pad: 1}} {
+		check(Shape{2, 2, 3, 301}, spec)
+	}
+	seen := map[string]bool{}
+	for trial := 0; trial < 2000; trial++ {
+		shape := Shape{1 + rng.IntN(3), 1 + rng.IntN(3), 1 + rng.IntN(9), 1 + rng.IntN(9)}
+		spec := PoolSpec{K: 1 + rng.IntN(4), Stride: 1 + rng.IntN(3)}
+		spec.Pad = rng.IntN(spec.K + 1)
+		if os := spec.OutShape(shape); shape.H+2*spec.Pad < spec.K || shape.W+2*spec.Pad < spec.K || os.H < 1 || os.W < 1 {
+			continue // the window does not fit even the padded plane
+		}
+		seen["pad"] = seen["pad"] || spec.Pad > 0
+		seen["K>H"] = seen["K>H"] || spec.K > shape.H
+		seen["1x1"] = seen["1x1"] || shape.H == 1 && shape.W == 1
+		seen["odd HxW"] = seen["odd HxW"] || shape.H%2 == 1 && shape.W%2 == 1 && shape.H > 1
+		seen["N>1"] = seen["N>1"] || shape.N > 1
+		seen["all-pad window"] = seen["all-pad window"] || spec.Pad >= spec.K
+		check(shape, spec)
+	}
 	for name, ok := range seen {
 		if !ok {
 			t.Fatalf("generator regressed: no %s case in 2000 trials", name)
 		}
+	}
+}
+
+// BenchmarkMaxPoolInt pools vgg9's three 2×2/s2 layers and a ResNet-stem
+// 3×3/s2/p1 window; ns/op is per output.
+func BenchmarkMaxPoolInt(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		shape Shape
+		spec  PoolSpec
+	}{
+		{"vgg9_pool1", Shape{1, 64, 32, 32}, PoolSpec{K: 2, Stride: 2}},
+		{"vgg9_pool2", Shape{1, 128, 16, 16}, PoolSpec{K: 2, Stride: 2}},
+		{"vgg9_pool3", Shape{1, 256, 8, 8}, PoolSpec{K: 2, Stride: 2}},
+		{"stem_3x3s2p1", Shape{1, 64, 56, 56}, PoolSpec{K: 3, Stride: 2, Pad: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := randInt(rand.New(rand.NewPCG(3, 3)), tc.shape, 0, 255)
+			outs := tc.spec.OutShape(tc.shape).Elems()
+			b.ReportAllocs()
+			for b.Loop() {
+				MaxPoolInt(in, tc.spec)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outs), "ns/out")
+		})
 	}
 }
 
