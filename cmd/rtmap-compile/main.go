@@ -1,5 +1,7 @@
 // Command rtmap-compile runs the compilation flow on a network and prints
-// the per-layer mapping and instruction statistics:
+// the per-layer mapping and instruction statistics, with the widest column
+// table of a layer's tile programs and the widest arena slot table the
+// engine stores it in (temporaries share slots):
 //
 //	rtmap-compile -model resnet18                    # built-in model
 //	rtmap-compile -model vgg9 -bits 8 -sparsity 0.9  # other Table II points
@@ -78,6 +80,7 @@ func main() {
 	cfg := rtmap.DefaultCompileConfig()
 	cfg.CSE = !*noCSE
 	cfg.Parallel = !*serial
+	cfg.KeepPrograms = true // the slot tables come from the programs
 	if *noCache {
 		cfg.Cache = nil
 	}
@@ -91,15 +94,34 @@ func main() {
 		net.Name, net.WeightSparsity(), *bits, cfg.CSE)
 	fmt.Printf("arrays: %d × 256×256   total adds/subs: %d   energy %.2f uJ   latency %.3f ms\n\n",
 		comp.PoolArrays, comp.TotalAddSub(), rep.EnergyUJ(), rep.LatencyMS())
-	fmt.Printf("%-24s %6s %5s %5s×%-4s %5s %5s %5s %6s %9s %9s %7s\n",
-		"layer", "P", "rowG", "strip", "og", "plane", "tiles", "accW", "adds", "accumOps", "energy-uJ", "lat-us")
+	fmt.Printf("%-24s %6s %5s %5s×%-4s %5s %5s %5s %6s %9s %6s %6s %9s %7s\n",
+		"layer", "P", "rowG", "strip", "og", "plane", "tiles", "accW", "adds", "accumOps", "cols", "slots", "energy-uJ", "lat-us")
 	for i, p := range comp.Layers {
 		if p.Class != core.ClassConv {
 			continue
 		}
+		cols, slots, err := widest(p)
+		if err != nil {
+			log.Fatal(err)
+		}
 		lr := rep.Layers[i]
-		fmt.Printf("%-24s %6d %5d %5d×%-4d %5d %5d %5d %6d %9d %9.3f %7.1f\n",
+		fmt.Printf("%-24s %6d %5d %5d×%-4d %5d %5d %5d %6d %9d %6d %6d %9.3f %7.1f\n",
 			p.Name, p.P, p.RowGroups, p.Strips, p.OutGroups, p.Planes, p.Tiles, p.AccWidth,
-			p.AddSubOps, p.CG.AccumOps, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
+			p.AddSubOps, p.CG.AccumOps, cols, slots, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
 	}
+}
+
+// widest returns the largest column table among a layer's tile programs
+// and the largest slot table among their execution plans.
+func widest(p *core.LayerPlan) (cols, slots int, err error) {
+	for _, sp := range p.StripPlans {
+		for _, tp := range sp.Programs {
+			ep, err := tp.ExecPlan()
+			if err != nil {
+				return 0, 0, err
+			}
+			cols, slots = max(cols, len(tp.Prog.Cols)), max(slots, ep.Slots())
+		}
+	}
+	return cols, slots, nil
 }

@@ -20,10 +20,19 @@
 // production engine — programs lowered once, with a value-range
 // analysis that removes provably-identity wraps and packs rows into
 // 16-, 32- or 64-bit lanes, into one stream of 12-byte ops: a wrap-free
-// add/sub is three column indices and a sign bit that Run executes
+// add/sub is three arena slot indices and a sign bit that Run executes
 // with nothing to decode, anything else an escape to its full form. One
 // word op advances several rows, replayed over reusable arenas; LoadRows
 // (a Grid per call), CopyRows and AccumulateColumn move whole words. The
 // two are proved bit-identical on randomized programs, and AuditPlan
 // re-derives every claim of the lowering from the stream Run executes.
+//
+// A column marked Col.Temp is the program's own scratch, as the
+// compiler's column pool hands it out: nothing outside the program loads
+// or reads it, and its value after the program's last reference to it is
+// undefined. The lowering gives every other column — and a temp the
+// program reads before writing — a slot of its own, and lets temps whose
+// lives do not overlap share one, so a Machine's arena is as wide as the
+// most values live at once (vgg9's conv3_1: 1 448 slots for 16 329
+// columns), not as the columns a program names.
 package ap

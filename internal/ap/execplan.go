@@ -26,7 +26,11 @@ import (
 //     so one 64-bit word op advances 4, 2 or 1 CAM rows;
 //   - the columns that must read as zero at entry (read before written)
 //     are recorded, so machine reuse clears only those instead of the
-//     whole arena.
+//     whole arena;
+//   - every column gets an arena slot, and the ops name slots, not
+//     columns: a Temp column shares its slot with temporaries whose lives
+//     do not overlap its own, so the arena is as wide as the most values
+//     the program holds at once, not as the columns it names.
 //
 // An ExecPlan is immutable and safe to share: the functional simulator
 // builds one per TileProgram (memoized, and shared further through the
@@ -39,8 +43,12 @@ type ExecPlan struct {
 	// fmts is each column's format in a byte, all a load or row copy reads
 	// of it: its width, clamped to 64, or'd with fmtUnsigned.
 	fmts []uint8
-	// ops is the program, one op per instruction: what Run executes, the
-	// analyses read and AuditPlan audits.
+	// slot is each column's arena slot, and slots their count: how many
+	// columns' words a Machine's arena holds.
+	slot  []int32
+	slots int
+	// ops is the program, one op per instruction, over slots: what Run
+	// executes and AuditPlan audits.
 	ops []planOp
 	// esc holds the full form of every op that is not a fast op, in
 	// program order, indexed by the escape's planOp.dst.
@@ -48,8 +56,8 @@ type ExecPlan struct {
 	// multi is the side table of multi-destination copies, indexed by
 	// escOp.ext.
 	multi [][]copyDst
-	// zero lists the columns that must read as zero at entry: every
-	// column some op reads before any op writes it. Reset clears exactly
+	// zero lists the slots that must read as zero at entry: those of the
+	// columns some op reads before any op writes them. Reset clears exactly
 	// these on arena reuse — programs fully write everything else before
 	// looking at it, so stale rows from a previous plan are unobservable.
 	zero []int32
@@ -59,7 +67,7 @@ type ExecPlan struct {
 }
 
 // planOp is one op of the stream. A fast op — an Add or Sub proved
-// wrap-free — is dst = b ± a over whole columns: three column indices,
+// wrap-free — is dst = b ± a over whole slots: three slot indices,
 // opSub in a's spare top bit. Anything else is an escape: dst is opEsc
 // plus the op's index in ExecPlan.esc, a and b are zero.
 type planOp struct{ dst, a, b uint32 }
@@ -85,7 +93,8 @@ const (
 // copyDst is one destination of a multi-destination copy with its own
 // signedness: the hardware writes the same Width bits into every
 // destination column, and each column's metadata decides how those bits
-// read back as an integer.
+// read back as an integer. col is the destination's slot once the plan
+// is built.
 type copyDst struct {
 	col      int32
 	unsigned bool
@@ -98,8 +107,10 @@ const (
 )
 
 // escOp is the full form of one op: what an escape points at, and what
-// at decodes any op into. Wrap masks derive from width with two shifts
-// at dispatch; a multi-destination copy's list is plan.multi[ext].
+// at decodes any op into. dst, a and b are slots once the plan is built
+// (columns while NewExecPlan lowers). Wrap masks derive from width with
+// two shifts at dispatch; a multi-destination copy's list is
+// plan.multi[ext].
 type escOp struct {
 	kind  planKind
 	flags uint8
@@ -125,20 +136,43 @@ func (plan *ExecPlan) emit(op escOp) {
 }
 
 // at decodes op i into its full form — the one reader of the encoding
-// besides Run, shared by the analyses and the auditor.
+// besides Run, used by the auditor. A fast op stores no width (it never
+// wraps): its width is its destination column's, which a slot does not
+// determine, so at reports 0 and the auditor takes it from the program.
 func (plan *ExecPlan) at(i int) escOp {
 	op := plan.ops[i]
 	if op.dst&opEsc != 0 {
 		return plan.esc[op.dst&^opEsc]
 	}
-	return escOp{kind: planAdd + planKind(op.a>>31), flags: flagWide, width: uint8(min(plan.cols[op.dst].Width, 64)),
+	return escOp{kind: planAdd + planKind(op.a>>31), flags: flagWide,
 		dst: int32(op.dst), a: int32(op.a &^ opSub), b: int32(op.b)}
+}
+
+// operands puts the columns ins reads, then those it writes, in buf —
+// the order of one op, which reads all its operands first — and returns
+// them with the count of reads.
+func (ins *Instr) operands(buf []int) ([]int, int) {
+	buf = buf[:0]
+	switch ins.Op {
+	case OpAdd, OpSub:
+		buf = append(buf, ins.A, ins.B)
+	case OpNeg, OpCopy:
+		buf = append(buf, ins.A)
+	case OpClear:
+	}
+	reads := len(buf)
+	buf = append(buf, ins.Dst)
+	if ins.Op == OpCopy {
+		buf = append(buf, ins.Dsts...)
+	}
+	return buf, reads
 }
 
 // NewExecPlan validates p and lowers it one instruction to one op, in one
 // pass: the range analysis (wrap elision and lane width, see ranges)
 // judges each op as it is resolved, because its verdict picks the op's
-// encoding. The zero set is computed from the finished stream. The
+// encoding, and each column's last reference is noted. One more walk
+// finds the zero set and gives every column its slot (assignSlots). The
 // returned plan references p's column table but never mutates it.
 func NewExecPlan(p *Program) (*ExecPlan, error) {
 	if err := p.Validate(); err != nil {
@@ -155,7 +189,14 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		}
 	}
 	ra := newRanges(p.Cols)
-	for _, ins := range p.Instrs {
+	last := make([]int32, len(p.Cols)) // each column's last referencing op
+	var cols []int
+	for i := range p.Instrs {
+		ins := &p.Instrs[i]
+		cols, _ = ins.operands(cols)
+		for _, c := range cols {
+			last[c] = int32(i)
+		}
 		// wrap is the identity from 63 bits up; clamp into uint8 range
 		op := escOp{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), width: uint8(min(ins.Width, 64))}
 		if ins.Width >= 63 {
@@ -191,12 +232,13 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 		plan.emit(op)
 	}
 	plan.lane = laneFor(ra.minV, ra.maxV)
-	plan.findZeroCols()
+	plan.assignSlots(p, last)
 	return plan, nil
 }
 
-// Columns returns the number of columns the plan's programs operate on.
-func (p *ExecPlan) Columns() int { return len(p.cols) }
+// Slots returns how many slots — columns' worth of words — a Machine's
+// arena holds for the plan.
+func (p *ExecPlan) Slots() int { return p.slots }
 
 // Ops returns the resolved operation count.
 func (p *ExecPlan) Ops() int { return len(p.ops) }
@@ -344,44 +386,104 @@ func (ra *ranges) step(op *escOp, multi [][]copyDst) {
 	}
 }
 
-// findZeroCols records every column read before it is written (in op
-// order); loads may overwrite them afterwards, but an unloaded slot — a
-// strip tail's unused plane, say, or a padding tap — must read as zero.
-func (plan *ExecPlan) findZeroCols() {
-	written := make([]bool, len(plan.cols))
-	queued := make([]bool, len(plan.cols))
-	read := func(c int32) {
-		if !written[c] && !queued[c] {
-			queued[c] = true
-			plan.zero = append(plan.zero, c)
+// assignSlots is the lowering's last walk. In program order it records
+// the zero set — every column some op reads before any op writes it, which
+// an unloaded input (a strip tail's unused plane, say, or a padding tap)
+// must read as zero — and gives each column its arena slot, rewriting op
+// i from columns to slots as it passes. Every non-temp column owns a slot,
+// numbered in column order (so a program without temps keeps slot =
+// column), and so does a temp in the zero set: it lives from entry. Any
+// other temp takes a free slot, the most recently freed first, at its
+// first write, and frees it after the op of its last reference, last[c];
+// the op's destinations are placed first, so no op writes a slot it frees.
+// A temp no op names takes any slot: it has no value to keep.
+func (plan *ExecPlan) assignSlots(p *Program, last []int32) {
+	slot := make([]int32, len(p.Cols))
+	n := int32(0)
+	next := func() int32 { n++; return n - 1 }
+	for c, col := range p.Cols {
+		slot[c] = -1
+		if !col.Temp {
+			slot[c] = next()
 		}
 	}
-	for i := range plan.ops {
-		op := plan.at(i)
-		switch op.kind {
-		case planClear:
-			written[op.dst] = true
-		case planCopy, planNeg:
-			read(op.a)
-			written[op.dst] = true
-		case planCopyMulti:
-			read(op.a)
-			for _, cd := range plan.multi[op.ext] {
-				written[cd.col] = true
+	// whether some op has written each column, and whether it is in the
+	// zero set
+	written, zeroed := make([]bool, len(p.Cols)), make([]bool, len(p.Cols))
+	var free []int32 // slots no live temp holds, most recently freed last
+	var cols []int
+	reads := 0
+	for i := range p.Instrs {
+		cols, reads = p.Instrs[i].operands(cols)
+		for k, c := range cols {
+			switch {
+			case k >= reads:
+				written[c] = true
+				if slot[c] < 0 {
+					if top := len(free) - 1; top >= 0 {
+						slot[c], free = free[top], free[:top]
+					} else {
+						slot[c] = next()
+					}
+				}
+			case !written[c] && !zeroed[c]:
+				zeroed[c] = true
+				if slot[c] < 0 {
+					slot[c] = next()
+				}
+				plan.zero = append(plan.zero, slot[c])
 			}
-		case planAdd, planSub:
-			read(op.a)
-			read(op.b)
-			written[op.dst] = true
 		}
+		plan.rebind(i, slot)
+		for _, c := range cols {
+			if last[c] == int32(i) && p.Cols[c].Temp && !zeroed[c] {
+				free = append(free, slot[c])
+				last[c] = -1 // an op naming c twice frees it once
+			}
+		}
+	}
+	for c := range slot {
+		if slot[c] < 0 {
+			if len(free) == 0 {
+				free = append(free, next())
+			}
+			slot[c] = free[0]
+		}
+	}
+	plan.slot, plan.slots = slot, int(n)
+}
+
+// rebind rewrites op i's columns as their slots.
+func (plan *ExecPlan) rebind(i int, slot []int32) {
+	op := &plan.ops[i]
+	if op.dst&opEsc == 0 {
+		op.dst, op.a, op.b = uint32(slot[op.dst]), uint32(slot[op.a&^opSub])|op.a&opSub, uint32(slot[op.b])
+		return
+	}
+	e := &plan.esc[op.dst&^opEsc]
+	e.dst = slot[e.dst]
+	switch e.kind {
+	case planAdd, planSub:
+		e.b = slot[e.b]
+		fallthrough
+	case planCopy, planNeg:
+		e.a = slot[e.a]
+	case planCopyMulti:
+		e.a = slot[e.a]
+		for j := range plan.multi[e.ext] {
+			d := &plan.multi[e.ext][j]
+			d.col = slot[d.col]
+		}
+	case planClear:
 	}
 }
 
 // Machine executes an ExecPlan over reusable, lane-packed column
-// storage: every column is a run of 64-bit words holding 64/L rows each,
+// storage: every slot is a run of 64-bit words holding 64/L rows each,
 // L the plan's lane width, so one word op advances that many CAM rows at
 // once — the software image of the AP applying one add/sub program to
-// every row in parallel.
+// every row in parallel. The methods that name a column resolve its slot
+// once per call.
 //
 // A lane of L < 64 bits stores its value offset by 2^(L-2) and keeps the
 // top bit spare. Every stored lane is then below 2^(L-1), the sum of two
@@ -408,11 +510,12 @@ type Machine struct {
 	flat  []uint64
 }
 
-// Reset binds m to plan with the given active row count. Only the
-// columns the plan reads before writing are zeroed (the rest are fully
-// written before any op looks at them), so a reused machine behaves
-// exactly like a freshly allocated one for every observable column;
-// columns the plan neither writes nor zeroes are undefined.
+// Reset binds m to plan with the given active row count: an arena of
+// plan.Slots() slots. Only the slots of columns the plan reads before
+// writing are zeroed (the rest are fully written before any op looks at
+// them), so a reused machine behaves exactly like a freshly allocated one
+// for every observable column; columns the plan neither writes nor zeroes
+// are undefined, as is a Temp column after its last reference.
 func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	if rows <= 0 {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))
@@ -428,7 +531,7 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	}
 	m.rep = ^uint64(0) / m.mask
 	m.bias = uint64(m.one) * m.rep
-	if need := len(plan.cols) * m.words; cap(m.flat) < need {
+	if need := plan.slots * m.words; cap(m.flat) < need {
 		m.flat = make([]uint64, need)
 	} else {
 		m.flat = m.flat[:need]
@@ -438,9 +541,9 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	}
 }
 
-// col returns the words of one column.
-func (m *Machine) col(c int32) []uint64 {
-	return m.flat[int(c)*m.words:][:m.words]
+// col returns the words of one slot.
+func (m *Machine) col(s int32) []uint64 {
+	return m.flat[int(s)*m.words:][:m.words]
 }
 
 func fill(s []uint64, v uint64) {
@@ -449,16 +552,16 @@ func fill(s []uint64, v uint64) {
 	}
 }
 
-// get and put read and write one row of a column: the per-lane form
+// get and put read and write one row of a slot: the per-lane form
 // behind the rare wrapping ops and Column.
-func (m *Machine) get(c int32, r int) int64 {
+func (m *Machine) get(s int32, r int) int64 {
 	bit := uint(r) * m.lane
-	return int64(m.flat[int(c)*m.words+int(bit>>6)]>>(bit&63)&m.mask) - m.one
+	return int64(m.flat[int(s)*m.words+int(bit>>6)]>>(bit&63)&m.mask) - m.one
 }
 
-func (m *Machine) put(c int32, r int, v int64) {
+func (m *Machine) put(s int32, r int, v int64) {
 	bit := uint(r) * m.lane
-	w := &m.flat[int(c)*m.words+int(bit>>6)]
+	w := &m.flat[int(s)*m.words+int(bit>>6)]
 	*w = *w&^(m.mask<<(bit&63)) | (uint64(v+m.one)&m.mask)<<(bit&63)
 }
 
@@ -498,7 +601,8 @@ func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
 			fsign = uint64(1) << (w - 1) * m.rep
 		}
 	}
-	words := m.col(int32(col))
+	s := m.plan.slot[col]
+	words := m.col(s)
 	row0 -= g.Q0 // the row grid position 0 would land in
 	if g.Stride == 1 && g.Pitch == g.W {
 		// q reads src[q − Lo]; c0 and c1 are the valid ends' columns in Q0's and Q1−1's rows.
@@ -515,7 +619,7 @@ func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
 		}
 		for q := g.Q0 - c0 + g.Hi; q < q1; q += g.W {
 			for r := row0 + q; r < row0+q+g.W-g.Hi+g.Lo; r++ {
-				m.put(int32(col), r, 0)
+				m.put(s, r, 0)
 			}
 		}
 		return
@@ -576,7 +680,7 @@ func (m *Machine) CopyRows(dst, dstRow, src, srcRow, n int) {
 	if n < 0 || max(dstRow, srcRow)+n > m.rows || (dstRow|srcRow)&(per-1) != 0 || m.plan.fmts[dst] != m.plan.fmts[src] {
 		panic(fmt.Sprintf("ap: CopyRows %d rows from column %d row %d to column %d row %d", n, src, srcRow, dst, dstRow))
 	}
-	d, s := m.col(int32(dst))[dstRow/per:], m.col(int32(src))[srcRow/per:]
+	d, s := m.col(m.plan.slot[dst])[dstRow/per:], m.col(m.plan.slot[src])[srcRow/per:]
 	k := copy(d[:n/per], s)
 	if rem := uint(n-k*per) * m.lane; rem > 0 {
 		d[k] ^= (d[k] ^ s[k]) & (1<<rem - 1)
@@ -593,17 +697,17 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 	if row0 < 0 || end > m.rows {
 		panic(fmt.Sprintf("ap: AccumulateColumn rows [%d,%d) outside machine rows %d", row0, end, m.rows))
 	}
-	per, one := 64>>m.lg, int32(m.one)
+	per, one, s := 64>>m.lg, int32(m.one), m.plan.slot[col]
 	a := min(end, (row0+per-1)&^(per-1))
 	b := max(a, end&^(per-1))
 	for r := row0; r < a; r++ {
-		dst[r-row0] += int32(m.get(int32(col), r))
+		dst[r-row0] += int32(m.get(s, r))
 	}
 	for r := b; r < end; r++ {
-		dst[r-row0] += int32(m.get(int32(col), r))
+		dst[r-row0] += int32(m.get(s, r))
 	}
 	d := dst[a-row0 : b-row0]
-	for _, x := range m.col(int32(col))[a/per : b/per] {
+	for _, x := range m.col(s)[a/per : b/per] {
 		if per == 4 {
 			d4 := d[:4:4]
 			d4[0] += int32(uint16(x)) - one
@@ -622,9 +726,9 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 // Column returns a copy of a column's values (tests and debugging; the
 // hot path uses AccumulateColumn).
 func (m *Machine) Column(col int) []int64 {
-	out := make([]int64, m.rows)
+	out, s := make([]int64, m.rows), m.plan.slot[col]
 	for r := range out {
-		out[r] = m.get(int32(col), r)
+		out[r] = m.get(s, r)
 	}
 	return out
 }
@@ -632,7 +736,7 @@ func (m *Machine) Column(col int) []int64 {
 // Run executes the plan over all active rows. It cannot fail and does not
 // allocate: every structural error was rejected when the plan was built.
 // A fast op — every Add and Sub of a sound compiler emission — is
-// carry-isolated word arithmetic over whole columns, executed straight
+// carry-isolated word arithmetic over whole slots, executed straight
 // from its three indices; an escape takes runEscape.
 //
 //rtmap:noalloc

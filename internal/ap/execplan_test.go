@@ -288,6 +288,103 @@ func TestMachineMatchesExecRandomPrograms(t *testing.T) {
 	}
 }
 
+// withTemps returns a copy of p with a random subset of its
+// write-before-read columns — those whose first reference writes them —
+// marked Temp, or nil if it marked none.
+func withTemps(rng *rand.Rand, p *Program) *Program {
+	q := *p
+	q.Cols = append([]Col(nil), p.Cols...)
+	seen := make([]bool, len(q.Cols))
+	marked := false
+	for _, ins := range q.Instrs {
+		switch ins.Op {
+		case OpAdd, OpSub:
+			seen[ins.A], seen[ins.B] = true, true
+		case OpNeg, OpCopy:
+			seen[ins.A] = true
+		case OpClear:
+		}
+		for _, c := range append([]int{ins.Dst}, ins.Dsts...) {
+			if !seen[c] && c != q.Carry && rng.IntN(3) > 0 {
+				q.Cols[c].Temp, marked = true, true
+			}
+			seen[c] = true
+		}
+	}
+	if !marked {
+		return nil
+	}
+	return &q
+}
+
+// The same property when a random subset of the write-before-read columns
+// are Temp, so they share arena slots: every non-temp column must still
+// match Exec bit for bit (a temp's value after its last reference is
+// undefined), and the slot tables must come out narrower than the column
+// tables on some trials, or the test proves nothing about reuse.
+func TestMachineMatchesExecRandomTempPrograms(t *testing.T) {
+	var m Machine
+	trials, narrower := 0, 0
+	for _, lane := range testLanes {
+		for _, rows := range []int{1, 31, 64, 65, 17 * 64 / lane} {
+			for trial := 0; trial < 24; trial++ {
+				rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0x7e3b+uint64(lane)))
+				p := randomProgram(rng, lane)
+				if p == nil {
+					continue
+				}
+				if p = withTemps(rng, p); p == nil {
+					continue
+				}
+				plan, err := NewExecPlan(p)
+				if err != nil {
+					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+				}
+				if vs := AuditPlan(p, plan); len(vs) > 0 {
+					t.Fatalf("lane %d rows %d trial %d: audit: %v", lane, rows, trial, vs[0])
+				}
+				trials++
+				if plan.Slots() < len(p.Cols) {
+					narrower++
+				}
+				m.Reset(plan, rows)
+				vals := loadRandom(rng, p, rows)
+				v32 := make([]int32, rows)
+				for c := 1; c < len(p.Cols); c++ {
+					if p.Cols[c].Temp {
+						continue
+					}
+					for r, v := range vals[c] {
+						v32[r] = int32(v)
+					}
+					setRows(&m, c, 0, v32)
+				}
+				want, err := Exec(p, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Run()
+				for c := 1; c < len(p.Cols); c++ {
+					if p.Cols[c].Temp {
+						continue
+					}
+					got := m.Column(c)
+					for r := range rows {
+						if got[r]<<1 != want[c][r]<<1 {
+							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\ncolumns %+v\nprogram: %v",
+								lane, rows, trial, c, r, got[r], want[c][r], p.Cols, p.Instrs)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d programs with temps, %d stored in fewer slots than columns", trials, narrower)
+	if trials < 100 || narrower == 0 {
+		t.Fatalf("generator regressed: %d programs with temps, %d with slot reuse", trials, narrower)
+	}
+}
+
 // A multi-destination copy with mixed destination signedness: the bit
 // machine writes the same bits everywhere and each column reads them back
 // per its own metadata, so the ExecPlan machine must wrap per

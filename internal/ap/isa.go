@@ -39,12 +39,16 @@ func errUnknownOpcode(o Opcode) error {
 // Col describes one operand column of a program: where its LSB lives on
 // the nanowire (Base domain), how many bits it stores, and whether values
 // are unsigned (bits beyond Width read as 0) or signed (bit Width−1 is
-// replicated by holding the DBC at the MSB domain).
+// replicated by holding the DBC at the MSB domain). A Temp column is
+// scratch: nothing outside the program reads it, and its value after the
+// program's last reference to it is undefined, so the engine may store it
+// in an arena slot another temporary used before or uses after.
 type Col struct {
 	Name     string
 	Base     int
 	Width    int
 	Unsigned bool
+	Temp     bool
 }
 
 // Instr is one AP macro-instruction.
@@ -94,6 +98,9 @@ func (p *Program) Validate() error {
 	colOK := func(c int) bool { return c >= 0 && c < len(p.Cols) }
 	if !colOK(p.Carry) {
 		return fmt.Errorf("ap: carry column %d out of range", p.Carry)
+	}
+	if p.Cols[p.Carry].Temp {
+		return fmt.Errorf("ap: carry column %d is temp", p.Carry)
 	}
 	for i, ins := range p.Instrs {
 		if ins.Width < 1 {

@@ -17,9 +17,13 @@ import "fmt"
 // value intervals Machine.Run actually produces (wide ops keep their
 // exact interval, truncating ops collapse to their destination's stored
 // format) and checks each claimed elision against them. It deliberately
-// shares no code with the lowering's range analysis or findZeroCols beyond
+// shares no code with the lowering's range analysis or assignSlots beyond
 // the plan layout itself: the op encoding, which auditStructure checks
 // raw, and at, its decoder — so the audit reads the array Run executes.
+// Op i is instruction i: the ops name slots, and the audit takes each
+// op's columns from its instruction once it has proved the op's slots are
+// theirs (InvSlots), so the value analyses run over the program's columns
+// with the plan's claims.
 
 // Invariant classes reported by AuditPlan.
 const (
@@ -46,11 +50,17 @@ const (
 	// source program under the documented one-instruction-one-op
 	// lowering.
 	InvCorrespondence = "correspondence"
+	// InvSlots: the slot map does not store the program: a column that
+	// must own its slot (every non-temp column, and a temp read before it
+	// is written) shares it, an op writes a slot while another column
+	// that lives there is still to be read, or an op's slots are not the
+	// slot-table images of its instruction's columns.
+	InvSlots = "slots"
 	// InvMaskElision: an op claims wrapping is the identity but the
 	// re-derived value intervals cannot prove it.
 	InvMaskElision = "mask-elision"
-	// InvZeroSet: a column is read before any op writes it but is
-	// missing from the reset set, so arena reuse leaks stale rows.
+	// InvZeroSet: a column is read before any op writes it but its slot
+	// is missing from the reset set, so arena reuse leaks stale rows.
 	InvZeroSet = "zero-set"
 	// InvLane: the plan's lane width is not one the machine packs, or
 	// some column's entry band or some op's result does not fit a lane
@@ -84,17 +94,21 @@ func (v Violation) String() string {
 //     destination aliases a column it still reads (InvAliasing);
 //   - correspondence: the op stream is exactly what the documented
 //     lowering produces from p, one op per instruction
-//     (InvCorrespondence);
+//     (InvCorrespondence), over the slots the slot table gives the
+//     instruction's columns (InvSlots);
+//   - slots: by liveness re-derived from p, every column that must keep
+//     its own storage owns its slot, and no op overwrites a value still
+//     to be read (InvSlots);
 //   - mask elision: every op flagged wide provably never wraps, by a
 //     re-derived interval analysis over the machine's semantics
 //     (InvMaskElision);
 //   - lane width: by the same re-derived intervals, every value a column
 //     can hold — at entry and after every op — fits the plan's lane with
 //     its guard bit to spare (InvLane);
-//   - zero-set soundness: every column read before it is written is in
-//     the plan's reset set (InvZeroSet).
+//   - zero-set soundness: the slot of every column read before it is
+//     written is in the plan's reset set (InvZeroSet).
 //
-// A nil return means the plan is proved consistent with p under all five
+// A nil return means the plan is proved consistent with p under all six
 // invariant families. Structural violations abort the audit early (the
 // later analyses would index out of bounds); the remaining families are
 // all checked so one pass reports every independent failure.
@@ -108,11 +122,64 @@ func AuditPlan(p *Program, plan *ExecPlan) []Violation {
 	if vs := plan.auditStructure(p); len(vs) > 0 {
 		return vs
 	}
+	lv := auditLive(p)
 	var out []Violation
 	out = append(out, plan.auditCorrespondence(p)...)
-	out = append(out, plan.auditRanges()...)
-	out = append(out, plan.auditZeroSet()...)
+	out = append(out, plan.auditSlots(p, lv)...)
+	out = append(out, plan.auditRanges(p)...)
+	out = append(out, plan.auditZeroSet(p, lv)...)
 	return out
+}
+
+// auditOperands lists the columns ins reads, then those it writes, in
+// buf, and returns them with the count of reads: the audit's own reading
+// of the ISA's operand roles.
+func auditOperands(ins *Instr, buf []int) ([]int, int) {
+	buf = buf[:0]
+	switch ins.Op {
+	case OpAdd, OpSub:
+		buf = append(buf, ins.A, ins.B)
+	case OpNeg, OpCopy:
+		buf = append(buf, ins.A)
+	case OpClear:
+	}
+	reads := len(buf)
+	buf = append(buf, ins.Dst)
+	if ins.Op == OpCopy {
+		buf = append(buf, ins.Dsts...)
+	}
+	return buf, reads
+}
+
+// auditLiveness is what the slot and zero-set audits need to know of the
+// program's dataflow: per column, the op of its first read if that comes
+// before any write (-1 if none: the column is not live at entry), and the
+// op of its last read (-1 if never read).
+type auditLiveness struct {
+	entry, lastRead []int
+}
+
+func auditLive(p *Program) auditLiveness {
+	lv := auditLiveness{entry: make([]int, len(p.Cols)), lastRead: make([]int, len(p.Cols))}
+	written := make([]bool, len(p.Cols))
+	for c := range p.Cols {
+		lv.entry[c], lv.lastRead[c] = -1, -1
+	}
+	var buf []int
+	for i := range p.Instrs {
+		cols, reads := auditOperands(&p.Instrs[i], buf)
+		for _, c := range cols[:reads] {
+			if !written[c] && lv.entry[c] < 0 {
+				lv.entry[c] = i
+			}
+			lv.lastRead[c] = i
+		}
+		for _, c := range cols[reads:] {
+			written[c] = true
+		}
+		buf = cols
+	}
+	return lv
 }
 
 // auditStructure checks bounds, widths, flags, side tables, opcode
@@ -138,11 +205,20 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 			bad(-1, InvFormat, "column %d of %d has no load format or one that disagrees with %+v", c, len(plan.fmts), col)
 		}
 	}
-	ncols := int32(len(plan.cols))
-	colOK := func(c int32) bool { return c >= 0 && c < ncols }
+	if len(plan.slot) != len(plan.cols) {
+		bad(-1, InvBounds, "slot table has %d entries for %d columns", len(plan.slot), len(plan.cols))
+		return out
+	}
+	nslots := int32(plan.slots)
+	slotOK := func(s int32) bool { return s >= 0 && s < nslots }
+	for c, s := range plan.slot {
+		if !slotOK(s) {
+			bad(-1, InvBounds, "column %d in slot %d outside 0..%d", c, s, nslots-1)
+		}
+	}
 	for _, z := range plan.zero {
-		if !colOK(z) {
-			bad(-1, InvBounds, "zero-set column %d outside 0..%d", z, ncols-1)
+		if !slotOK(z) {
+			bad(-1, InvBounds, "zero-set slot %d outside 0..%d", z, nslots-1)
 		}
 	}
 	if plan.lane != 16 && plan.lane != 32 && plan.lane != 64 {
@@ -155,8 +231,8 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 	nesc := 0
 	for i, raw := range plan.ops {
 		if raw.dst&opEsc == 0 {
-			if !colOK(int32(raw.dst)) || !colOK(int32(raw.a&^opSub)) || !colOK(int32(raw.b)) {
-				bad(i, InvBounds, "fast op %v names a column outside 0..%d", raw, ncols-1)
+			if !slotOK(int32(raw.dst)) || !slotOK(int32(raw.a&^opSub)) || !slotOK(int32(raw.b)) {
+				bad(i, InvBounds, "fast op %v names a slot outside 0..%d", raw, nslots-1)
 			}
 			continue
 		}
@@ -168,19 +244,24 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 	if nesc != len(plan.esc) {
 		bad(-1, InvBounds, "side table holds %d ops, the stream escapes %d times", len(plan.esc), nesc)
 	}
+	// Op i must be instruction i for anything below to compare them.
+	if len(plan.ops) != len(p.Instrs) {
+		bad(-1, InvCorrespondence, "plan has %d ops, lowering of the program produces %d", len(plan.ops), len(p.Instrs))
+	}
 	if len(out) > 0 {
 		return out
 	}
 
 	for i := range plan.ops {
-		op := plan.at(i)
-		if !colOK(op.dst) {
-			bad(i, InvBounds, "destination column %d outside 0..%d", op.dst, ncols-1)
+		op := plan.full(p, i)
+		if !slotOK(op.dst) {
+			bad(i, InvBounds, "destination slot %d outside 0..%d", op.dst, nslots-1)
 			continue
 		}
 		// The destination's declared width, clamped the way the
 		// lowering clamps it into the op encoding.
-		wantW := plan.cols[op.dst].Width
+		dst := p.Cols[p.Instrs[i].Dst]
+		wantW := dst.Width
 		if wantW > 64 {
 			wantW = 64
 		}
@@ -190,8 +271,8 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		// A ≥63-bit op must be wide: the engine never wraps there, but
 		// the mask/sign constants of the truncating path are only
 		// meaningful below 63 bits.
-		if plan.cols[op.dst].Width >= 63 && !op.wide() {
-			bad(i, InvFlags, "%d-bit op is not flagged wide; its wrap constants corrupt the top bits", plan.cols[op.dst].Width)
+		if dst.Width >= 63 && !op.wide() {
+			bad(i, InvFlags, "%d-bit op is not flagged wide; its wrap constants corrupt the top bits", dst.Width)
 		}
 
 		readsA := true
@@ -200,8 +281,8 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 			readsA = false
 		case planCopy, planNeg:
 		case planAdd, planSub:
-			if !colOK(op.b) {
-				bad(i, InvBounds, "operand B column %d outside 0..%d", op.b, ncols-1)
+			if !slotOK(op.b) {
+				bad(i, InvBounds, "operand B slot %d outside 0..%d", op.b, nslots-1)
 			}
 			if op.wide() && plan.ops[i].dst&opEsc != 0 {
 				bad(i, InvCoverage, "wide add/sub in the side table, which Run executes only as a fast op")
@@ -212,22 +293,12 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 				continue
 			}
 			for _, cd := range plan.multi[op.ext] {
-				if !colOK(cd.col) {
-					bad(i, InvBounds, "multi-copy destination %d outside 0..%d", cd.col, ncols-1)
+				if !slotOK(cd.col) {
+					bad(i, InvBounds, "multi-copy destination slot %d outside 0..%d", cd.col, nslots-1)
 					continue
 				}
-				w := plan.cols[cd.col].Width
-				if w > 64 {
-					w = 64
-				}
-				if w != int(op.width) {
-					bad(i, InvWidth, "multi-copy destination %d has width %d, op width %d", cd.col, w, op.width)
-				}
-				if cd.unsigned != plan.cols[cd.col].Unsigned {
-					bad(i, InvFlags, "multi-copy destination %d signedness %v != column metadata %v", cd.col, cd.unsigned, plan.cols[cd.col].Unsigned)
-				}
-				if colOK(op.a) && cd.col == op.a {
-					bad(i, InvAliasing, "multi-copy destination %d aliases the source", cd.col)
+				if slotOK(op.a) && cd.col == op.a {
+					bad(i, InvAliasing, "multi-copy destination slot %d aliases the source", cd.col)
 				}
 			}
 		default:
@@ -237,8 +308,8 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 			continue
 		}
 
-		if readsA && !colOK(op.a) {
-			bad(i, InvBounds, "operand A column %d outside 0..%d", op.a, ncols-1)
+		if readsA && !slotOK(op.a) {
+			bad(i, InvBounds, "operand A slot %d outside 0..%d", op.a, nslots-1)
 			continue
 		}
 		// Signedness flag: copies wrap with the destination's declared
@@ -246,8 +317,8 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 		// the flag.
 		switch op.kind {
 		case planCopy, planCopyMulti:
-			if op.unsigned() != plan.cols[op.dst].Unsigned {
-				bad(i, InvFlags, "copy signedness flag %v != destination column metadata %v", op.unsigned(), plan.cols[op.dst].Unsigned)
+			if op.unsigned() != dst.Unsigned {
+				bad(i, InvFlags, "copy signedness flag %v != destination column metadata %v", op.unsigned(), dst.Unsigned)
 			}
 		case planClear, planAdd, planSub, planNeg:
 			if op.unsigned() {
@@ -261,6 +332,16 @@ func (plan *ExecPlan) auditStructure(p *Program) []Violation {
 	return out
 }
 
+// full is at with a fast op's width filled in from its instruction's
+// destination column, clamped as the lowering clamps an escape's.
+func (plan *ExecPlan) full(p *Program, i int) escOp {
+	op := plan.at(i)
+	if plan.ops[i].dst&opEsc == 0 {
+		op.width = uint8(min(p.Cols[p.Instrs[i].Dst].Width, 64))
+	}
+	return op
+}
+
 // xop is one op of the independently re-derived lowering the
 // correspondence audit compares the plan against.
 type xop struct {
@@ -271,94 +352,139 @@ type xop struct {
 	dsts  []copyDst
 }
 
-// expectedLowering re-derives the op stream the documented lowering
-// produces from p: one op per instruction, multi-destination copies
-// carrying their destination list.
-func expectedLowering(p *Program) []xop {
-	var out []xop
-	for _, ins := range p.Instrs {
-		w := ins.Width
-		if w > 64 {
-			w = 64
-		}
-		x := xop{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), width: uint8(w)}
-		switch ins.Op {
-		case OpClear:
-			x.kind = planClear
-		case OpAdd:
-			x.kind = planAdd
-		case OpSub:
-			x.kind = planSub
-		case OpNeg:
-			x.kind = planNeg
-		case OpCopy:
-			if len(ins.Dsts) > 0 {
-				x.kind = planCopyMulti
-				x.dsts = append(x.dsts, copyDst{int32(ins.Dst), p.Cols[ins.Dst].Unsigned})
-				for _, d := range ins.Dsts {
-					x.dsts = append(x.dsts, copyDst{int32(d), p.Cols[d].Unsigned})
-				}
-				break
-			}
-			x.kind = planCopy
-		}
-		out = append(out, x)
+// expectedOp re-derives the op the documented lowering produces from one
+// instruction of p, in columns: a multi-destination copy carries its
+// destination list.
+func expectedOp(p *Program, ins *Instr) xop {
+	w := ins.Width
+	if w > 64 {
+		w = 64
 	}
-	return out
+	x := xop{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), width: uint8(w)}
+	switch ins.Op {
+	case OpClear:
+		x.kind = planClear
+	case OpAdd:
+		x.kind = planAdd
+	case OpSub:
+		x.kind = planSub
+	case OpNeg:
+		x.kind = planNeg
+	case OpCopy:
+		if len(ins.Dsts) > 0 {
+			x.kind = planCopyMulti
+			x.dsts = append(x.dsts, copyDst{int32(ins.Dst), p.Cols[ins.Dst].Unsigned})
+			for _, d := range ins.Dsts {
+				x.dsts = append(x.dsts, copyDst{int32(d), p.Cols[d].Unsigned})
+			}
+			break
+		}
+		x.kind = planCopy
+	}
+	return x
 }
 
 // auditCorrespondence proves the plan's op stream is exactly the
 // expected lowering of p: every field the machine dispatches on must
-// match (operand columns, widths, kinds, destination lists). A
-// flipped opcode, a perturbed column index, or a corrupted
-// side table all surface here with the offending op index.
+// match (kinds, widths, destination lists — InvCorrespondence — and
+// operand slots, which must be the slot-table images of the program's
+// columns — InvSlots). A flipped opcode, a perturbed slot index, or a
+// corrupted side table all surface here with the offending op index.
 func (plan *ExecPlan) auditCorrespondence(p *Program) []Violation {
 	var out []Violation
-	bad := func(op int, format string, args ...any) {
-		out = append(out, Violation{Op: op, Invariant: InvCorrespondence, Detail: fmt.Sprintf(format, args...)})
+	bad := func(op int, inv, format string, args ...any) {
+		out = append(out, Violation{Op: op, Invariant: inv, Detail: fmt.Sprintf(format, args...)})
 	}
-	want := expectedLowering(p)
-	if len(want) != len(plan.ops) {
-		bad(-1, "plan has %d ops, lowering of the program produces %d", len(plan.ops), len(want))
-		return out
-	}
+	slot := func(c int32) int32 { return plan.slot[c] }
 	for i := range plan.ops {
-		op, x := plan.at(i), &want[i]
+		op, x := plan.full(p, i), expectedOp(p, &p.Instrs[i])
 		if op.kind != x.kind {
-			bad(i, "op kind %d, program instruction lowers to %d", op.kind, x.kind)
+			bad(i, InvCorrespondence, "op kind %d, program instruction lowers to %d", op.kind, x.kind)
 			continue
 		}
 		if op.width != x.width {
-			bad(i, "op width %d, program width %d", op.width, x.width)
+			bad(i, InvCorrespondence, "op width %d, program width %d", op.width, x.width)
 		}
 		switch op.kind {
 		case planClear, planCopy, planNeg:
-			if op.dst != x.dst {
-				bad(i, "destination %d, program destination %d", op.dst, x.dst)
+			if op.dst != slot(x.dst) {
+				bad(i, InvSlots, "destination slot %d, program destination column %d is in slot %d", op.dst, x.dst, slot(x.dst))
 			}
-			if op.kind != planClear && op.a != x.a {
-				bad(i, "operand A %d, program operand %d", op.a, x.a)
+			if op.kind != planClear && op.a != slot(x.a) {
+				bad(i, InvSlots, "operand A slot %d, program operand column %d is in slot %d", op.a, x.a, slot(x.a))
 			}
 		case planAdd, planSub:
-			if op.dst != x.dst || op.a != x.a || op.b != x.b {
-				bad(i, "operands (dst %d, a %d, b %d), program (dst %d, a %d, b %d)",
-					op.dst, op.a, op.b, x.dst, x.a, x.b)
+			if op.dst != slot(x.dst) || op.a != slot(x.a) || op.b != slot(x.b) {
+				bad(i, InvSlots, "slots (dst %d, a %d, b %d), program columns (dst %d, a %d, b %d) are in (%d, %d, %d)",
+					op.dst, op.a, op.b, x.dst, x.a, x.b, slot(x.dst), slot(x.a), slot(x.b))
 			}
 		case planCopyMulti:
-			if op.a != x.a {
-				bad(i, "operand A %d, program operand %d", op.a, x.a)
+			if op.a != slot(x.a) {
+				bad(i, InvSlots, "operand A slot %d, program operand column %d is in slot %d", op.a, x.a, slot(x.a))
 			}
 			dsts := plan.multi[op.ext]
 			if len(dsts) != len(x.dsts) {
-				bad(i, "%d multi-copy destinations, program has %d", len(dsts), len(x.dsts))
+				bad(i, InvCorrespondence, "%d multi-copy destinations, program has %d", len(dsts), len(x.dsts))
 				continue
 			}
-			for k := range dsts {
-				if dsts[k] != x.dsts[k] {
-					bad(i, "multi-copy destination %d is %+v, program has %+v", k, dsts[k], x.dsts[k])
+			for k, d := range dsts {
+				if d.unsigned != x.dsts[k].unsigned {
+					bad(i, InvCorrespondence, "multi-copy destination %d signedness %v, program column %d has %v",
+						k, d.unsigned, x.dsts[k].col, x.dsts[k].unsigned)
+				}
+				if d.col != slot(x.dsts[k].col) {
+					bad(i, InvSlots, "multi-copy destination %d in slot %d, program column %d is in slot %d",
+						k, d.col, x.dsts[k].col, slot(x.dsts[k].col))
 				}
 			}
 		}
+	}
+	return out
+}
+
+// auditSlots proves, from the liveness re-derived from p, that the slot
+// table stores the program: every column whose value must survive in its
+// own storage — a non-temp column, which the caller loads or reads
+// around the run, or a temp live at entry — owns its slot outright, and
+// no op writes a slot while another column that lives there is still to
+// be read (a non-temp column always is). With the correspondence audit's
+// proof that each op names its columns' slots, every read then finds the
+// value the program put in its column.
+func (plan *ExecPlan) auditSlots(p *Program, lv auditLiveness) []Violation {
+	var out []Violation
+	bad := func(op int, format string, args ...any) {
+		out = append(out, Violation{Op: op, Invariant: InvSlots, Detail: fmt.Sprintf(format, args...)})
+	}
+	private := func(c int) bool { return !p.Cols[c].Temp || lv.entry[c] >= 0 }
+	holder := make([]int, plan.slots) // the column whose value a slot holds
+	for s := range holder {
+		holder[s] = -1
+	}
+	for c := range p.Cols {
+		if !private(c) {
+			continue
+		}
+		if h := holder[plan.slot[c]]; h >= 0 {
+			bad(-1, "columns %d and %d both own slot %d", h, c, plan.slot[c])
+		}
+		holder[plan.slot[c]] = c
+	}
+	for c := range p.Cols {
+		if h := holder[plan.slot[c]]; !private(c) && h >= 0 {
+			bad(-1, "temp column %d shares slot %d, which column %d owns", c, plan.slot[c], h)
+		}
+	}
+	var buf []int
+	for i := range p.Instrs {
+		cols, reads := auditOperands(&p.Instrs[i], buf)
+		for _, c := range cols[reads:] {
+			s := plan.slot[c]
+			if h := holder[s]; h >= 0 && h != c && (!p.Cols[h].Temp || lv.lastRead[h] >= i) {
+				bad(i, "writes column %d into slot %d while column %d, still to be read, lives there", c, s, h)
+			}
+			holder[s] = c
+		}
+		buf = cols
 	}
 	return out
 }
@@ -440,7 +566,7 @@ func auditLaneHolds(lane uint8, l, h int64) bool {
 // over-approximates any wrap. Every interval a column ever takes must
 // fit a lane: the word arithmetic of the wide ops is only per-row
 // arithmetic while no lane carries into its neighbour.
-func (plan *ExecPlan) auditRanges() []Violation {
+func (plan *ExecPlan) auditRanges(p *Program) []Violation {
 	var out []Violation
 	bad := func(op int, format string, args ...any) {
 		out = append(out, Violation{Op: op, Invariant: InvMaskElision, Detail: fmt.Sprintf(format, args...)})
@@ -459,98 +585,68 @@ func (plan *ExecPlan) auditRanges() []Violation {
 		l, h := auditBand(col.Width, col.Unsigned)
 		hold(-1, int32(c), l, h)
 	}
-	for i := range plan.ops {
-		op := plan.at(i)
-		w := int(op.width)
-		switch op.kind {
-		case planClear:
-			hold(i, op.dst, 0, 0)
-		case planCopy:
-			l, h := lo[op.a], hi[op.a]
-			if op.wide() {
-				if !auditNoWrap(l, h, w, op.unsigned()) {
-					bad(i, "mask-free copy of [%d, %d] into a %d-bit column is not provably wrap-free", l, h, w)
-				}
-			} else {
-				l, h = auditBand(w, op.unsigned())
-			}
-			hold(i, op.dst, l, h)
-		case planCopyMulti:
-			for _, cd := range plan.multi[op.ext] {
-				l, h := lo[op.a], hi[op.a]
+	for i := range p.Instrs {
+		ins, op := &p.Instrs[i], plan.at(i)
+		wide := op.wide()
+		w := min(ins.Width, 64)
+		switch ins.Op {
+		case OpClear:
+			hold(i, int32(ins.Dst), 0, 0)
+		case OpCopy:
+			for _, d := range append([]int{ins.Dst}, ins.Dsts...) {
+				l, h, unsigned := lo[ins.A], hi[ins.A], p.Cols[d].Unsigned
 				switch {
-				case op.wide():
-					if !auditNoWrap(l, h, w, cd.unsigned) {
-						bad(i, "mask-free multi-copy of [%d, %d] into %d-bit column %d is not provably wrap-free", l, h, w, cd.col)
+				case wide:
+					if !auditNoWrap(l, h, w, unsigned) {
+						bad(i, "mask-free copy of [%d, %d] into %d-bit column %d is not provably wrap-free", l, h, w, d)
 					}
-				case auditNoWrap(l, h, w, cd.unsigned):
+				case auditNoWrap(l, h, w, unsigned):
 					// The truncating copy is provably the identity here, so
 					// the destination keeps the exact source interval — the
 					// fact later elision proofs may rest on.
 				default:
-					l, h = auditBand(w, cd.unsigned)
+					l, h = auditBand(w, unsigned)
 				}
-				hold(i, cd.col, l, h)
+				hold(i, int32(d), l, h)
 			}
-		case planAdd, planSub, planNeg:
+		case OpAdd, OpSub, OpNeg:
 			var l, h int64
-			switch op.kind {
-			case planAdd:
-				l, h = auditSatAdd(lo[op.b], lo[op.a]), auditSatAdd(hi[op.b], hi[op.a])
-			case planSub:
-				l, h = auditSatAdd(lo[op.b], -hi[op.a]), auditSatAdd(hi[op.b], -lo[op.a])
+			switch ins.Op {
+			case OpAdd:
+				l, h = auditSatAdd(lo[ins.B], lo[ins.A]), auditSatAdd(hi[ins.B], hi[ins.A])
+			case OpSub:
+				l, h = auditSatAdd(lo[ins.B], -hi[ins.A]), auditSatAdd(hi[ins.B], -lo[ins.A])
 			default:
-				l, h = -hi[op.a], -lo[op.a]
+				l, h = -hi[ins.A], -lo[ins.A]
 			}
-			if op.wide() {
+			if wide {
 				if !auditNoWrap(l, h, w, false) {
 					bad(i, "mask-free arithmetic result [%d, %d] in a %d-bit column is not provably wrap-free", l, h, w)
 				}
 			} else {
 				l, h = auditBand(w, false)
 			}
-			hold(i, op.dst, l, h)
+			hold(i, int32(ins.Dst), l, h)
 		}
 	}
 	return out
 }
 
-// auditZeroSet re-derives the columns the machine reads before any op
-// writes them — exactly the rows Machine.Reset must clear on arena
-// reuse — and requires every one of them in the plan's reset set. A
-// superset is sound (clearing more than necessary wastes a little
-// work); a missing column leaks stale values from the previous shape.
-func (plan *ExecPlan) auditZeroSet() []Violation {
+// auditZeroSet requires the slot of every column the program reads
+// before any op writes it — exactly the storage Machine.Reset must clear
+// on arena reuse — in the plan's reset set. A superset is sound (clearing
+// more than necessary wastes a little work); a missing slot leaks stale
+// values from the previous shape.
+func (plan *ExecPlan) auditZeroSet(p *Program, lv auditLiveness) []Violation {
 	var out []Violation
 	zeroed := make(map[int32]bool, len(plan.zero))
 	for _, z := range plan.zero {
 		zeroed[z] = true
 	}
-	written := make([]bool, len(plan.cols))
-	read := func(op int, c int32) {
-		if !written[c] && !zeroed[c] {
-			out = append(out, Violation{Op: op, Invariant: InvZeroSet,
-				Detail: fmt.Sprintf("column %d is read before any write but missing from the reset set", c)})
-			zeroed[c] = true // report each leaked column once
-		}
-	}
-	for i := range plan.ops {
-		op := plan.at(i)
-		switch op.kind {
-		case planClear:
-			written[op.dst] = true
-		case planCopy, planNeg:
-			read(i, op.a)
-			written[op.dst] = true
-		case planCopyMulti:
-			read(i, op.a)
-			for _, cd := range plan.multi[op.ext] {
-				written[cd.col] = true
-			}
-		case planAdd, planSub:
-			read(i, op.a)
-			read(i, op.b)
-			written[op.dst] = true
+	for c, i := range lv.entry {
+		if i >= 0 && !zeroed[plan.slot[c]] {
+			out = append(out, Violation{Op: i, Invariant: InvZeroSet,
+				Detail: fmt.Sprintf("column %d is read before any write but its slot %d is missing from the reset set", c, plan.slot[c])})
 		}
 	}
 	return out

@@ -79,12 +79,14 @@ func TestAuditPlanRejectsBadInputs(t *testing.T) {
 // original (plans are shared, immutable artifacts).
 func clonePlan(p *ExecPlan) *ExecPlan {
 	q := &ExecPlan{
-		cols: append([]Col(nil), p.cols...),
-		fmts: append([]uint8(nil), p.fmts...),
-		ops:  append([]planOp(nil), p.ops...),
-		esc:  append([]escOp(nil), p.esc...),
-		zero: append([]int32(nil), p.zero...),
-		lane: p.lane,
+		cols:  append([]Col(nil), p.cols...),
+		fmts:  append([]uint8(nil), p.fmts...),
+		slot:  append([]int32(nil), p.slot...),
+		slots: p.slots,
+		ops:   append([]planOp(nil), p.ops...),
+		esc:   append([]escOp(nil), p.esc...),
+		zero:  append([]int32(nil), p.zero...),
+		lane:  p.lane,
 	}
 	for _, m := range p.multi {
 		q.multi = append(q.multi, append([]copyDst(nil), m...))
@@ -92,12 +94,12 @@ func clonePlan(p *ExecPlan) *ExecPlan {
 	return q
 }
 
-// planMutation is one single-op corruption operator. apply mutates plan
-// in place and reports whether the operator was applicable; rng picks
-// the target op.
+// planMutation is one single-op corruption operator. apply mutates plan,
+// the lowering of p, in place and reports whether the operator was
+// applicable; rng picks the target op.
 type planMutation struct {
 	name  string
-	apply func(rng *rand.Rand, plan *ExecPlan) bool
+	apply func(rng *rand.Rand, p *Program, plan *ExecPlan) bool
 }
 
 func isFast(op planOp) bool { return op.dst&opEsc == 0 }
@@ -108,11 +110,10 @@ func isFast(op planOp) bool { return op.dst&opEsc == 0 }
 // clear moves into the side table, a may-wrap add claimed wide becomes a
 // fast op. A fast op stores neither width nor flags, so operators on
 // those pick among the escapes.
-func mutateOp(rng *rand.Rand, plan *ExecPlan, ok func(op escOp, fast bool) bool, edit func(*escOp)) bool {
-	var full []escOp
+func mutateOp(rng *rand.Rand, p *Program, plan *ExecPlan, ok func(op escOp, fast bool) bool, edit func(*escOp)) bool {
+	full := decodeAll(p, plan)
 	var cand []int
-	for i := range plan.ops {
-		full = append(full, plan.at(i))
+	for i := range full {
 		if ok(full[i], isFast(plan.ops[i])) {
 			cand = append(cand, i)
 		}
@@ -121,11 +122,82 @@ func mutateOp(rng *rand.Rand, plan *ExecPlan, ok func(op escOp, fast bool) bool,
 		return false
 	}
 	edit(&full[cand[rng.IntN(len(cand))]])
+	reencode(plan, full)
+	return true
+}
+
+// decodeAll and reencode take a plan's stream to its full forms, fast
+// ops' widths included, and back the way the lowering encodes it.
+func decodeAll(p *Program, plan *ExecPlan) []escOp {
+	full := make([]escOp, len(plan.ops))
+	for i := range full {
+		full[i] = plan.full(p, i)
+	}
+	return full
+}
+
+func reencode(plan *ExecPlan, full []escOp) {
 	plan.ops, plan.esc = nil, nil
 	for _, op := range full {
 		plan.emit(op)
 	}
-	return true
+}
+
+// remap moves column c of p to slot s and rewrites every op that names c
+// to match, the zero set too: the slot table and the stream agree, so
+// only the liveness audit can object.
+func remap(p *Program, plan *ExecPlan, c int, s int32) {
+	old, full := plan.slot[c], decodeAll(p, plan)
+	plan.slot[c] = s
+	for i, ins := range p.Instrs {
+		op := &full[i]
+		if ins.Dst == c {
+			op.dst = s
+		}
+		if ins.Op != OpClear && ins.A == c {
+			op.a = s
+		}
+		if (ins.Op == OpAdd || ins.Op == OpSub) && ins.B == c {
+			op.b = s
+		}
+		if op.kind == planCopyMulti {
+			for k, d := range append([]int{ins.Dst}, ins.Dsts...) {
+				if d == c {
+					plan.multi[op.ext][k].col = s
+				}
+			}
+		}
+	}
+	reencode(plan, full)
+	for k, z := range plan.zero {
+		if z == old {
+			plan.zero[k] = s
+		}
+	}
+}
+
+// liveSpans gives each column the op of its first write and of its last
+// read, -1 where it has none: the columns a slot mutation can collide.
+func liveSpans(p *Program) (first, last []int) {
+	first, last = make([]int, len(p.Cols)), make([]int, len(p.Cols))
+	for c := range first {
+		first[c], last[c] = -1, -1
+	}
+	for i, ins := range p.Instrs {
+		switch ins.Op {
+		case OpAdd, OpSub:
+			last[ins.A], last[ins.B] = i, i
+		case OpNeg, OpCopy:
+			last[ins.A] = i
+		case OpClear:
+		}
+		for _, c := range append([]int{ins.Dst}, ins.Dsts...) {
+			if first[c] < 0 {
+				first[c] = i
+			}
+		}
+	}
+	return first, last
 }
 
 // pickRaw returns the index of a random op of the encoded stream
@@ -152,69 +224,69 @@ func anyOp(escOp, bool) bool { return true }
 // tracking, and — on the encoded stream itself — a flipped sign bit, a
 // mis-numbered or dirty escape and reordered fast ops.
 var planMutations = []planMutation{
-	{"flip-kind", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, anyOp, func(op *escOp) {
+	{"flip-kind", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, anyOp, func(op *escOp) {
 			op.kind = planKind((uint8(op.kind) + 1 + uint8(rng.IntN(5))) % 6)
 		})
 	}},
-	{"invalid-kind", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, anyOp, func(op *escOp) { op.kind = planKind(6 + rng.IntN(8)) })
+	{"invalid-kind", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, anyOp, func(op *escOp) { op.kind = planKind(6 + rng.IntN(8)) })
 	}},
-	{"perturb-dst", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, anyOp, func(op *escOp) { op.dst = (op.dst + 1) % int32(len(plan.cols)) })
+	{"perturb-dst", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, anyOp, func(op *escOp) { op.dst = (op.dst + 1) % int32(plan.slots) })
 	}},
-	{"perturb-a", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.kind != planClear },
-			func(op *escOp) { op.a = (op.a + 1) % int32(len(plan.cols)) })
+	{"perturb-a", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, _ bool) bool { return op.kind != planClear },
+			func(op *escOp) { op.a = (op.a + 1) % int32(plan.slots) })
 	}},
-	{"perturb-b", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.kind == planAdd || op.kind == planSub },
-			func(op *escOp) { op.b = (op.b + 1) % int32(len(plan.cols)) })
+	{"perturb-b", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, _ bool) bool { return op.kind == planAdd || op.kind == planSub },
+			func(op *escOp) { op.b = (op.b + 1) % int32(plan.slots) })
 	}},
-	{"perturb-width", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, fast bool) bool { return !fast && op.width > 1 },
+	{"perturb-width", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, fast bool) bool { return !fast && op.width > 1 },
 			func(op *escOp) { op.width-- })
 	}},
 	// Widen a claimed range: assert wrap-elision on an op the compiler's
 	// own analysis could not prove wrap-free.
-	{"claim-wide", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return !op.wide() && op.kind != planClear },
+	{"claim-wide", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, _ bool) bool { return !op.wide() && op.kind != planClear },
 			func(op *escOp) { op.flags |= flagWide })
 	}},
 	// The same claim where it costs most: a may-wrap add/sub promoted to
 	// a fast op, which Run executes with no wrap and nothing to decode.
-	{"claim-fast", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, _ bool) bool {
+	{"claim-fast", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, _ bool) bool {
 			return !op.wide() && (op.kind == planAdd || op.kind == planSub)
 		}, func(op *escOp) { op.flags |= flagWide })
 	}},
 	// Drop the mandatory wide flag of a ≥63-bit op, whose truncating
 	// wrap constants corrupt the top bits (a fast op goes to the side
 	// table with it).
-	{"drop-wide", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(op escOp, _ bool) bool { return op.wide() && plan.cols[op.dst].Width >= 63 },
+	{"drop-wide", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(op escOp, _ bool) bool { return op.wide() && op.width >= 63 },
 			func(op *escOp) { op.flags &^= flagWide })
 	}},
-	{"flip-sign-flag", func(rng *rand.Rand, plan *ExecPlan) bool {
-		return mutateOp(rng, plan, func(_ escOp, fast bool) bool { return !fast },
+	{"flip-sign-flag", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		return mutateOp(rng, p, plan, func(_ escOp, fast bool) bool { return !fast },
 			func(op *escOp) { op.flags ^= flagUnsigned })
 	}},
 	// Narrow the lanes: claim the plan's values fit half the width the
 	// range analysis sized them to, so a carry crosses into the next row.
-	{"narrow-lane", func(_ *rand.Rand, plan *ExecPlan) bool {
+	{"narrow-lane", func(_ *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		plan.lane /= 2
 		return true
 	}},
-	{"perturb-multi-dst", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"perturb-multi-dst", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		if len(plan.multi) == 0 {
 			return false
 		}
 		dsts := plan.multi[rng.IntN(len(plan.multi))]
 		k := rng.IntN(len(dsts))
-		dsts[k].col = (dsts[k].col + 1) % int32(len(plan.cols))
+		dsts[k].col = (dsts[k].col + 1) % int32(plan.slots)
 		return true
 	}},
-	{"drop-op", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"drop-op", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		if len(plan.ops) == 0 {
 			return false
 		}
@@ -224,7 +296,7 @@ var planMutations = []planMutation{
 	}},
 	// Drop a reset: remove one column from the zero set, leaking stale
 	// arena rows into the next execution.
-	{"drop-zero", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"drop-zero", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		if len(plan.zero) == 0 {
 			return false
 		}
@@ -234,7 +306,7 @@ var planMutations = []planMutation{
 	}},
 	// Lie about a load format: a column's entry in the format table loses
 	// a bit of width or flips its signedness, so every load wraps it wrong.
-	{"lie-load-format", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"lie-load-format", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		c := 1 + rng.IntN(len(plan.fmts)-1)
 		if rng.IntN(2) == 0 {
 			plan.fmts[c]--
@@ -244,7 +316,7 @@ var planMutations = []planMutation{
 		return true
 	}},
 	// The encoded stream itself. A fast op's sign is one bit of a.
-	{"flip-sub-bit", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"flip-sub-bit", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		i := pickRaw(rng, plan, func(i int) bool { return isFast(plan.ops[i]) })
 		if i < 0 {
 			return false
@@ -254,7 +326,7 @@ var planMutations = []planMutation{
 	}},
 	// Point an escape at another side-table entry: one op runs twice (or
 	// in the wrong place) and one not at all.
-	{"retarget-escape", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"retarget-escape", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		i := pickRaw(rng, plan, func(i int) bool { return !isFast(plan.ops[i]) })
 		if i < 0 || len(plan.esc) < 2 {
 			return false
@@ -264,7 +336,7 @@ var planMutations = []planMutation{
 	}},
 	// Operand fields of an escape are dead to Run; the audit still wants
 	// them zero, so a decoder that one day reads them cannot be surprised.
-	{"dirty-escape", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"dirty-escape", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		i := pickRaw(rng, plan, func(i int) bool { return !isFast(plan.ops[i]) })
 		if i < 0 {
 			return false
@@ -278,7 +350,7 @@ var planMutations = []planMutation{
 	}},
 	// Swap two adjacent fast ops of which the second reads or rewrites
 	// what the first wrote.
-	{"swap-dependent", func(rng *rand.Rand, plan *ExecPlan) bool {
+	{"swap-dependent", func(rng *rand.Rand, _ *Program, plan *ExecPlan) bool {
 		i := pickRaw(rng, plan, func(i int) bool {
 			if i+1 >= len(plan.ops) || !isFast(plan.ops[i]) || !isFast(plan.ops[i+1]) {
 				return false
@@ -290,6 +362,77 @@ var planMutations = []planMutation{
 			return false
 		}
 		plan.ops[i], plan.ops[i+1] = plan.ops[i+1], plan.ops[i]
+		return true
+	}},
+	// The slot map. Two temps whose lives overlap share one slot, every
+	// op renamed to match: one overwrites the other before its last read.
+	{"merge-temps", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		first, last := liveSpans(p)
+		var pairs [][2]int
+		for a := range p.Cols {
+			for b := range p.Cols {
+				if p.Cols[a].Temp && p.Cols[b].Temp && a != b && plan.slot[a] != plan.slot[b] &&
+					first[a] >= 0 && first[a] <= first[b] && first[b] <= last[a] {
+					pairs = append(pairs, [2]int{a, b})
+				}
+			}
+		}
+		if len(pairs) == 0 {
+			return false
+		}
+		pr := pairs[rng.IntN(len(pairs))]
+		remap(p, plan, pr[1], plan.slot[pr[0]])
+		return true
+	}},
+	// A column the caller loads or reads — an accumulator, say — stored
+	// in a temp's slot.
+	{"acc-onto-temp", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		var accs, temps []int
+		for c := 1; c < len(p.Cols); c++ {
+			if p.Cols[c].Temp {
+				temps = append(temps, c)
+			} else {
+				accs = append(accs, c)
+			}
+		}
+		if len(temps) == 0 || len(accs) == 0 {
+			return false
+		}
+		remap(p, plan, accs[rng.IntN(len(accs))], plan.slot[temps[rng.IntN(len(temps))]])
+		return true
+	}},
+	// An operand read from a slot no live column holds: one a temp left
+	// before the op, or one no temp has reached yet.
+	{"operand-to-freed-slot", func(rng *rand.Rand, p *Program, plan *ExecPlan) bool {
+		first, last := liveSpans(p)
+		type cand struct {
+			op   int
+			slot int32
+		}
+		var cands []cand
+		for i, ins := range p.Instrs {
+			if ins.Op == OpClear {
+				continue
+			}
+			for s := int32(0); s < int32(plan.slots); s++ {
+				free := s != plan.slot[ins.A]
+				for c := range p.Cols {
+					if plan.slot[c] == s && (!p.Cols[c].Temp || first[c] <= i && i <= last[c]) {
+						free = false
+					}
+				}
+				if free {
+					cands = append(cands, cand{i, s})
+				}
+			}
+		}
+		if len(cands) == 0 {
+			return false
+		}
+		c := cands[rng.IntN(len(cands))]
+		full := decodeAll(p, plan)
+		full[c.op].a = c.slot
+		reencode(plan, full)
 		return true
 	}},
 }
@@ -308,6 +451,9 @@ func plansEquivalent(t *testing.T, rng *rand.Rand, p *Program, orig, mut *ExecPl
 	vals := loadRandom(rng, p, rows)
 	v32 := make([]int32, rows)
 	for c := 1; c < len(p.Cols); c++ {
+		if p.Cols[c].Temp {
+			continue // a temp is the program's own scratch: no one loads it
+		}
 		for r, v := range vals[c] {
 			v32[r] = int32(v)
 		}
@@ -317,6 +463,9 @@ func plansEquivalent(t *testing.T, rng *rand.Rand, p *Program, orig, mut *ExecPl
 	mo.Run()
 	mm.Run()
 	for c := range p.Cols {
+		if p.Cols[c].Temp {
+			continue // undefined after its last reference
+		}
 		want, got := mo.Column(c), mm.Column(c)
 		for r := 0; r < rows; r++ {
 			if want[r] != got[r] {
@@ -331,44 +480,67 @@ func plansEquivalent(t *testing.T, rng *rand.Rand, p *Program, orig, mut *ExecPl
 // known-good plans and require AuditPlan to catch ≥99.8% of them. The few
 // escapees must each be proved semantically harmless (bit-identical
 // execution against the original plan) and are logged with their
-// operator, so every survivor is enumerated and justified.
+// operator, so every survivor is enumerated and justified. Each trial
+// mutates a random program and, where it has write-before-read columns to
+// mark, its twin with temps: the slot operators need temps, and every
+// other operator must hold where the slots are shared.
 func TestAuditPlanCatchesMutations(t *testing.T) {
 	total, caught := 0, 0
 	escapees := map[string]int{}
+	slotMutants := map[string]int{}
 	for trial := 0; trial < 120; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xbadc0de))
 		p := randomProgram(rng, testLanes[trial%3])
 		if p == nil {
 			continue
 		}
-		orig, err := NewExecPlan(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		for _, p := range []*Program{p, withTemps(rng, p)} {
+			if p == nil {
+				continue
+			}
+			orig, err := NewExecPlan(p)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for _, mu := range planMutations {
+				mut := clonePlan(orig)
+				if !mu.apply(rng, p, mut) {
+					continue
+				}
+				total++
+				vs := AuditPlan(p, mut)
+				for _, v := range vs {
+					if v.Invariant == InvSlots {
+						slotMutants[mu.name]++
+						break
+					}
+				}
+				if len(vs) > 0 {
+					caught++
+					continue
+				}
+				// Escapee: only a provably harmless mutation may survive.
+				escapees[mu.name]++
+				if !plansEquivalent(t, rng, p, orig, mut) {
+					t.Fatalf("trial %d: %s mutant passed the audit but diverges from the original plan\nprogram: %v",
+						trial, mu.name, p.Instrs)
+				}
+			}
 		}
-		for _, mu := range planMutations {
-			mut := clonePlan(orig)
-			if !mu.apply(rng, mut) {
-				continue
-			}
-			total++
-			if vs := AuditPlan(p, mut); len(vs) > 0 {
-				caught++
-				continue
-			}
-			// Escapee: only a provably harmless mutation may survive.
-			escapees[mu.name]++
-			if !plansEquivalent(t, rng, p, orig, mut) {
-				t.Fatalf("trial %d: %s mutant passed the audit but diverges from the original plan\nprogram: %v",
-					trial, mu.name, p.Instrs)
-			}
+	}
+	// The slot operators must be caught as what they break, and often
+	// enough to mean it.
+	for _, name := range []string{"merge-temps", "acc-onto-temp", "operand-to-freed-slot"} {
+		if slotMutants[name] < 20 {
+			t.Fatalf("%s: %d mutants reported a slot violation, want ≥ 20 (by operator: %v)", name, slotMutants[name], slotMutants)
 		}
 	}
 	if total < 1300 {
 		t.Fatalf("mutation harness generated only %d mutants; generator regressed", total)
 	}
 	rate := float64(caught) / float64(total)
-	t.Logf("caught %d/%d mutants (%.1f%%); harmless escapees by operator: %v",
-		caught, total, 100*rate, escapees)
+	t.Logf("caught %d/%d mutants (%.1f%%); harmless escapees by operator: %v; slot violations by operator: %v",
+		caught, total, 100*rate, escapees, slotMutants)
 	for name := range escapees {
 		// Operators whose corruption can fall in the machine's dead space
 		// (op.dst of a multi-copy is ignored by Run; a wide claim the

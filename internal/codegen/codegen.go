@@ -384,7 +384,8 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 			if err != nil {
 				return fmt.Errorf("codegen: channel %d node %d: %w", ch, i, err)
 			}
-			v := b.newVirt(ap.Col{Name: fmt.Sprintf("t%d.%d", ch, i), Base: 0, Width: w}, phys)
+			// A pool column is scratch the AP recycles: Temp.
+			v := b.newVirt(ap.Col{Name: fmt.Sprintf("t%d.%d", ch, i), Base: 0, Width: w, Temp: true}, phys)
 			groupVirt[gid] = v
 			groupPhys[gid] = phys
 			bV := loc(nd.A)

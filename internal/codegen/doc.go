@@ -7,5 +7,6 @@
 // program per (output tile × resident channel set). Temporaries come
 // from a column pool and return to it at their value's last use
 // (liveness over the slice DFG): the operational form of the paper's
-// §IV-B column allocation.
+// §IV-B column allocation. Their virtual columns are marked ap.Col.Temp,
+// so the engine recycles their storage the same way.
 package codegen

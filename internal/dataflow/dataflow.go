@@ -21,6 +21,11 @@ const (
 	// InvFormat: a column's storage format (width, signedness, domain
 	// base) disagrees with the independently derived activation band.
 	InvFormat = "dataflow-format"
+	// InvTemp: a column's Temp flag disagrees with its role — the carry,
+	// an accumulator or an input (storage the engine must not recycle) is
+	// marked temp, or a temp's physical column lies outside the layout's
+	// temp pool.
+	InvTemp = "dataflow-temp"
 	// InvOverflow: a propagated value interval does not fit the
 	// accumulator width the plan allocated.
 	InvOverflow = "dataflow-overflow"

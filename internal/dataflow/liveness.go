@@ -141,6 +141,31 @@ func auditTileIO(comp *core.Compiled, name string, idx int, plan *core.LayerPlan
 	if plan.AccWidth > 0 {
 		slots = comp.Cfg.Par.DomainsPerTrack / plan.AccWidth
 	}
+
+	// Temp flags. The engine recycles a temp's storage once the program
+	// is done with it, so nothing read from outside the program may be
+	// one: not the carry, an accumulator or an input. And a temp is what
+	// the column pool hands out, the physical columns after carry, input
+	// planes and accumulators: [1 + Planes·K + ⌈TileSize/slots⌉, CAMCols).
+	if c := prog.Carry; c >= 0 && c < len(prog.Cols) && prog.Cols[c].Temp {
+		flag(-1, InvTemp, "carry column %d is marked temp", c)
+	}
+	for r, v := range tp.AccVirt {
+		if v >= 0 && v < len(prog.Cols) && prog.Cols[v].Temp {
+			flag(-1, InvTemp, "accumulator %d's column %d is marked temp", r, v)
+		}
+	}
+	for v, bind := range tp.InputBindings {
+		if v >= 0 && v < len(prog.Cols) && prog.Cols[v].Temp {
+			flag(-1, InvTemp, "input (channel %d, patch %d) column %d is marked temp", bind[0], bind[1], v)
+		}
+	}
+	tempLo := 1 + plan.Planes*plan.K + (plan.TileSize+max(slots, 1)-1)/max(slots, 1)
+	for v, col := range prog.Cols {
+		if p := tp.Phys[v]; col.Temp && (p < tempLo || p >= comp.Cfg.Par.CAMCols) {
+			flag(-1, InvTemp, "temp column %d on physical column %d, outside the temp pool [%d, %d)", v, p, tempLo, comp.Cfg.Par.CAMCols)
+		}
+	}
 	accCols := map[int]int{}
 	for r, v := range tp.AccVirt {
 		if v < 0 || v >= len(prog.Cols) {

@@ -327,6 +327,39 @@ var artifactMutations = []artifactMutation{
 		}
 		return false
 	}},
+	// Mark an accumulator Temp: the engine would recycle its storage
+	// before the sums are read back.
+	{"flag-acc-temp", func(rng *rand.Rand, c *core.Compiled) bool {
+		sites := convSites(c)
+		if len(sites) == 0 {
+			return false
+		}
+		tp := sites[rng.IntN(len(sites))].tp
+		if tp.Prog == nil || len(tp.AccVirt) == 0 {
+			return false
+		}
+		tp.Prog.Cols[tp.AccVirt[rng.IntN(len(tp.AccVirt))]].Temp = true
+		return true
+	}},
+	// Place a temp on an input plane's physical column, outside the pool.
+	{"temp-off-pool", func(rng *rand.Rand, c *core.Compiled) bool {
+		site, ok := pickSiteWithBindings(rng, c)
+		if !ok {
+			return false
+		}
+		var temps []int
+		for v, col := range site.tp.Prog.Cols {
+			if col.Temp {
+				temps = append(temps, v)
+			}
+		}
+		if len(temps) == 0 {
+			return false
+		}
+		virts := sortedVirts(site.tp)
+		site.tp.Phys[temps[rng.IntN(len(temps))]] = site.tp.Phys[virts[rng.IntN(len(virts))]]
+		return true
+	}},
 	// Add a producer weight at a dead position: the live set grows under
 	// a program that never consumes it.
 	{"add-producer-weight", func(rng *rand.Rand, c *core.Compiled) bool {

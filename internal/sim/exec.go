@@ -269,7 +269,7 @@ func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, plane []int32, k, p0, p
 // amortizes op dispatch over the block without streaming every column
 // from memory on every op that touches it.
 const (
-	// arenaBudget caps a task's machine arena (columns × words × 8 bytes).
+	// arenaBudget caps a task's machine arena (slots × words × 8 bytes).
 	arenaBudget = 2 << 20
 	// lineWords floors a block at one cache line of lanes per column:
 	// below it a task moves whole lines to use part of each.
@@ -280,8 +280,8 @@ const (
 )
 
 // taskShape sizes the tasks of one layer execution: the row-block length
-// and the strips per task. rows counts every batch item's rows; cols and
-// ops are the widest column table and the largest per-tile op count (all
+// and the strips per task. rows counts every batch item's rows; slots and
+// ops are the widest slot table and the largest per-tile op count (all
 // strips) among the layer's plans, lanes the fewest rows per word.
 //
 // Blocks start as long as arenaBudget allows. While that leaves a worker
@@ -289,7 +289,7 @@ const (
 // group runs its own ops once, so the split adds no dispatch — and then
 // blocks shorten, which re-runs every op per block: never below
 // lineWords, and neither split below handoffWork per task.
-func taskShape(rows, tiles, strips, cols, ops, lanes, workers int) (block, perTask int) {
+func taskShape(rows, tiles, strips, slots, ops, lanes, workers int) (block, perTask int) {
 	want := 1 // blocks × strip groups per tile that feed the pool
 	if workers > 1 {
 		want = (2*workers + tiles - 1) / tiles
@@ -304,7 +304,7 @@ func taskShape(rows, tiles, strips, cols, ops, lanes, workers int) (block, perTa
 		}
 		return n
 	}
-	block = min(rows, lanes*max(lineWords, arenaBudget/8/cols))
+	block = min(rows, lanes*max(lineWords, arenaBudget/8/slots))
 	n := blocks(block)
 	groups := min(strips, (want+n-1)/n, max(1, ops*block/handoffWork))
 	if n*groups < want {
@@ -376,7 +376,7 @@ func (ctx *convCtx) shape(layerIdx int) (block, perTask int, err error) {
 	plan := ctx.plan
 	tiles, strips := len(plan.TileSizes), len(plan.StripPlans)
 	ctx.plans = ctx.plans[:0]
-	cols, lanes := 1, 64
+	slots, lanes := 1, 64
 	for _, sp := range plan.StripPlans {
 		if len(sp.Programs) != tiles {
 			return 0, 0, fmt.Errorf("sim: layer %d: strip has %d programs, want %d", layerIdx, len(sp.Programs), tiles)
@@ -387,7 +387,7 @@ func (ctx *convCtx) shape(layerIdx int) (block, perTask int, err error) {
 				return 0, 0, err
 			}
 			ctx.plans = append(ctx.plans, ep)
-			cols = max(cols, ep.Columns())
+			slots = max(slots, ep.Slots())
 			lanes = min(lanes, 64/ep.LaneBits())
 		}
 	}
@@ -399,7 +399,7 @@ func (ctx *convCtx) shape(layerIdx int) (block, perTask int, err error) {
 		}
 		ops = max(ops, n)
 	}
-	block, perTask = taskShape(len(ctx.ins)*plan.P, tiles, strips, cols, ops, lanes, runtime.GOMAXPROCS(0))
+	block, perTask = taskShape(len(ctx.ins)*plan.P, tiles, strips, slots, ops, lanes, runtime.GOMAXPROCS(0))
 	return block, perTask, nil
 }
 

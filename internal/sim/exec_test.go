@@ -388,25 +388,31 @@ func TestTinyConvStaysOneTask(t *testing.T) {
 func TestTaskShape(t *testing.T) {
 	for _, tc := range []struct {
 		name                                 string
-		rows, tiles, strips, cols, ops       int
+		rows, tiles, strips, slots, ops      int
 		wantBlock, wantBlocks, wantStripsPer int
 	}{
-		// 64 rows of 16 329 columns: two blocks, each one cache line of
-		// lanes per column — the floor, not camRows, sets the block.
-		{"vgg9 conv3_1 b1", 64, 1, 1, 16329, 44099, 32, 2, 1},
-		{"vgg9 conv3_1 b8", 512, 1, 1, 16329, 44099, 64, 8, 1},
+		// 64 rows of 1 448 slots: two blocks, each one cache line of lanes
+		// per slot — the floor, not camRows, sets the block.
+		{"vgg9 conv3_1 b1", 64, 1, 1, 1448, 44099, 32, 2, 1},
+		// At batch 8 the arena would hold 512 rows; feeding two workers
+		// cuts them in four.
+		{"vgg9 conv3_1 b8", 512, 1, 1, 1448, 44099, 128, 4, 1},
+		// A table as wide as conv3_1's 16 329 columns: the budget cuts the
+		// same rows in eight.
+		{"vgg9 conv3_1 b8 by columns", 512, 1, 1, 16329, 44099, 64, 8, 1},
 		// Two strips and only two blocks: the strips split too.
-		{"vgg9 conv3_2 b1", 64, 1, 2, 16301, 88113, 32, 2, 1},
+		{"vgg9 conv3_2 b1", 64, 1, 2, 1451, 88113, 32, 2, 1},
 		// One row: nothing to split but the strips.
 		{"vgg9 fc1 b1", 1, 1, 4, 1281, 210598, 4, 1, 1},
 		{"vgg9 fc2 b1", 1, 1, 4, 321, 14056, 4, 1, 4},
 		// The arena budget, not the worker count, sets the block.
-		{"vgg9 conv1_2 b8", 8192, 1, 1, 3034, 6304, 344, 24, 1},
+		{"vgg9 conv1_2 b8", 8192, 1, 1, 656, 6304, 1368, 6, 1},
+		{"vgg9 conv1_2 b8 by columns", 8192, 1, 1, 3034, 6304, 344, 24, 1},
 		// 49 rows is under two cache lines of lanes: one block, and the two
 		// tiles' strips split instead.
-		{"resnet18 layer4 b1", 49, 2, 4, 20244, 175383, 52, 1, 2},
+		{"resnet18 layer4 b1", 49, 2, 4, 1550, 175383, 52, 1, 2},
 	} {
-		block, perTask := taskShape(tc.rows, tc.tiles, tc.strips, tc.cols, tc.ops, 4, 2)
+		block, perTask := taskShape(tc.rows, tc.tiles, tc.strips, tc.slots, tc.ops, 4, 2)
 		blocks := (tc.rows + block - 1) / block
 		if block != tc.wantBlock || blocks != tc.wantBlocks || perTask != tc.wantStripsPer {
 			t.Errorf("%s: blocks of %d rows (%d of them), %d strips per task; want %d (%d), %d",
@@ -416,17 +422,17 @@ func TestTaskShape(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 8} {
 			for rows := 1; rows < 3000; rows += 37 {
-				for _, cols := range []int{9, 300, 20000} {
+				for _, slots := range []int{9, 300, 20000} {
 					for _, ops := range []int{1, 19, 5000, 300000} {
-						block, perTask := taskShape(rows, 2, 3, cols, ops, lanes, workers)
+						block, perTask := taskShape(rows, 2, 3, slots, ops, lanes, workers)
 						words := block / lanes
 						switch {
 						case block < 1 || block%lanes != 0:
 							t.Fatalf("block of %d rows at %d rows per word", block, lanes)
 						case perTask < 1 || perTask > 3:
 							t.Fatalf("%d strips per task of 3", perTask)
-						case words >= 2*lineWords && cols*(words-1)*8 > arenaBudget:
-							t.Fatalf("rows %d cols %d: %d-word blocks overflow the arena budget", rows, cols, words)
+						case words >= 2*lineWords && slots*(words-1)*8 > arenaBudget:
+							t.Fatalf("rows %d slots %d: %d-word blocks overflow the arena budget", rows, slots, words)
 						case words < lineWords && block < rows:
 							t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
 						}
@@ -684,6 +690,12 @@ func BenchmarkRunFunctional(b *testing.B) {
 					ins := make([]*tensor.Float, n)
 					for j := range ins {
 						ins[j] = randInput(uint64(7+j), net.InputShape)
+					}
+					// One call before the loop lowers every tile program (ExecPlan
+					// builds lazily, slots included) and grows the arenas, so the
+					// timed loop is the steady state; b.Loop starts the timer.
+					if _, err := ForwardAPBatch(c, ins); err != nil {
+						b.Fatal(err)
 					}
 					b.ReportAllocs()
 					for b.Loop() {
