@@ -5,9 +5,7 @@ package rtmap
 //	Table II rows    → BenchmarkTable2_* (per network and system)
 //	Table II #Adds   → BenchmarkTable2_OpCounts_*
 //	Fig. 4 (both)    → BenchmarkFigure4
-//	§V-A CSE claim   → BenchmarkCSEReductionAverage
-//	§V-C movement    → BenchmarkMovementShare
-//	§V-C endurance   → BenchmarkEndurance
+//	the ledger       → BenchmarkLedger (Table II plus the §IV-A and §V claims)
 //
 // plus micro-benchmarks of the core primitives. Each iteration performs
 // the complete experiment (compile + analyze), so `go test -bench . -benchtime 1x`
@@ -50,13 +48,13 @@ func benchCompileAnalyze(b *testing.B, build func(ModelConfig) *Network, bits in
 	}
 }
 
-// Table II row: ResNet-18/ImageNet, RTM-AP unroll+CSE (paper: 55.04 µJ,
-// 2.46 ms, 49 arrays at 4-bit).
+// Table II row: ResNet-18/ImageNet, RTM-AP unroll+CSE at 4 bit (ledger
+// rows resnet18.rtm.*).
 func BenchmarkTable2_ResNet18_RTMAP_4bit(b *testing.B) {
 	benchCompileAnalyze(b, BuildResNet18, 4, 0.8, true)
 }
 
-// Table II row: ResNet-18 at 8-bit activations (paper: 78.56 µJ, 4.10 ms).
+// Table II row: ResNet-18 at 8-bit activations (ledger rows resnet18.rtm.*8).
 func BenchmarkTable2_ResNet18_RTMAP_8bit(b *testing.B) {
 	benchCompileAnalyze(b, BuildResNet18, 8, 0.8, true)
 }
@@ -66,24 +64,23 @@ func BenchmarkTable2_ResNet18_RTMAP_Unroll(b *testing.B) {
 	benchCompileAnalyze(b, BuildResNet18, 4, 0.8, false)
 }
 
-// Table II row: VGG-9/CIFAR10 at sparsity 0.85 (paper: 22.80 µJ, 1.24 ms,
-// 4 arrays).
+// Table II row: VGG-9/CIFAR10 at sparsity 0.85 (ledger rows vgg9.s85.*).
 func BenchmarkTable2_VGG9_RTMAP_4bit(b *testing.B) {
 	benchCompileAnalyze(b, BuildVGG9, 4, 0.85, true)
 }
 
-// Table II row: VGG-9 at sparsity 0.9 (paper: 16.13 µJ, 0.71 ms).
+// Table II row: VGG-9 at sparsity 0.9 (ledger rows vgg9.s90.*).
 func BenchmarkTable2_VGG9_RTMAP_Sparse90(b *testing.B) {
 	benchCompileAnalyze(b, BuildVGG9, 4, 0.9, true)
 }
 
-// Table II row: VGG-11/CIFAR10 at sparsity 0.85 (paper: 24.83 µJ, 2.47 ms).
+// Table II row: VGG-11/CIFAR10 at sparsity 0.85 (ledger rows vgg11.s85.*).
 func BenchmarkTable2_VGG11_RTMAP_4bit(b *testing.B) {
 	benchCompileAnalyze(b, BuildVGG11, 4, 0.85, true)
 }
 
-// Table II baseline rows: DNN+NeuroSim on ResNet-18 (paper: 104.92 µJ,
-// 9.56 ms, 41 arrays at 4-bit; 199.90 µJ, 12.2 ms at 8-bit).
+// Table II baseline rows: DNN+NeuroSim on ResNet-18 at 4 and 8 bit
+// (ledger rows resnet18.xbar.*).
 func BenchmarkTable2_ResNet18_NeuroSim(b *testing.B) {
 	net := BuildResNet18(ModelConfig{ActBits: 4, Sparsity: 0.8, Seed: 1})
 	b.ResetTimer()
@@ -96,8 +93,7 @@ func BenchmarkTable2_ResNet18_NeuroSim(b *testing.B) {
 	}
 }
 
-// Table II baseline row: DeepCAM on VGG-11 (paper: 0.49 µJ, 0.87 ms,
-// 24 arrays).
+// Table II baseline row: DeepCAM on VGG-11 (ledger rows vgg11.deepcam.*).
 func BenchmarkTable2_VGG11_DeepCAM(b *testing.B) {
 	net := BuildVGG11(ModelConfig{ActBits: 4, Sparsity: 0.85, Seed: 1})
 	b.ResetTimer()
@@ -108,7 +104,7 @@ func BenchmarkTable2_VGG11_DeepCAM(b *testing.B) {
 	}
 }
 
-// Table II "#Adds/Subs" columns (paper ResNet-18: 1499K unroll → 931K CSE).
+// Table II "#Adds/Subs" columns on ResNet-18 (ledger rows resnet18.adds.*).
 func BenchmarkTable2_OpCounts_ResNet18(b *testing.B) {
 	net := BuildResNet18(ModelConfig{ActBits: 4, Sparsity: 0.8, Seed: 1})
 	b.ResetTimer()
@@ -140,45 +136,26 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// §V-A: "the CSE optimization alone reduces the number of additions by an
-// average of 31%".
-func BenchmarkCSEReductionAverage(b *testing.B) {
+// BenchmarkLedger measures every paper number the tree reproduces once
+// per iteration (ledger.go), reporting the §V claims.
+func BenchmarkLedger(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		avg, err := CSEReductionAverage(1, SharedCompileCache())
+		l, err := Ledger(1, SharedCompileCache())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(avg*100, "%reduction")
-	}
-}
-
-// §V-C: data movement is ~3% of RTM-AP energy vs 41% for the crossbar.
-func BenchmarkMovementShare(b *testing.B) {
-	net := BuildResNet18(DefaultModelConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rtmShare, xbShare, err := MovementComparison(net, DefaultCompileConfig())
-		if err != nil {
-			b.Fatal(err)
+		for _, r := range l {
+			switch r.ID {
+			case "cse.average":
+				b.ReportMetric(r.Got, "%reduction")
+			case "movement.rtm":
+				b.ReportMetric(r.Got, "%rtm-move")
+			case "movement.xbar":
+				b.ReportMetric(r.Got, "%xbar-move")
+			case "endurance.lifetime":
+				b.ReportMetric(r.Got, "years")
+			}
 		}
-		b.ReportMetric(rtmShare*100, "%rtm-move")
-		b.ReportMetric(xbShare*100, "%xbar-move")
-	}
-}
-
-// §V-C: write endurance → ~31-year lifetime.
-func BenchmarkEndurance(b *testing.B) {
-	net := BuildResNet18(DefaultModelConfig())
-	comp, err := Compile(net, DefaultCompileConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep := Analyze(comp)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := Endurance(comp, rep)
-		b.ReportMetric(e.LifetimeYears, "years")
-		b.ReportMetric(e.MeanRewriteIntervalNS, "ns/rewrite")
 	}
 }
 

@@ -3,9 +3,8 @@
 //	rtmap-bench -table2            # Table II (all systems and networks)
 //	rtmap-bench -table2 -net vgg9  # one network section
 //	rtmap-bench -fig4              # both panels of Fig. 4 (ResNet-18)
-//	rtmap-bench -cse               # §V-A: average CSE reduction
-//	rtmap-bench -movement          # §V-C: data-movement energy shares
-//	rtmap-bench -endurance         # §V-C: write-endurance lifetime
+//	rtmap-bench -ledger            # every paper number beside its reproduction
+//	rtmap-bench -cse -json -out DIR                     # BENCH_cse.json (§V-A, from the ledger)
 //	rtmap-bench -shards 8          # pipeline-sharding throughput frontier
 //	rtmap-bench -shards 6 -net tinycnn -json -out DIR   # BENCH_shards.json
 //	rtmap-bench -replicas 4        # data-parallel replication frontier
@@ -41,9 +40,8 @@ func main() {
 	var (
 		table2    = flag.Bool("table2", false, "regenerate Table II")
 		fig4      = flag.Bool("fig4", false, "regenerate Fig. 4 (ResNet-18 per-layer)")
-		cse       = flag.Bool("cse", false, "report average CSE add/sub reduction (§V-A)")
-		movement  = flag.Bool("movement", false, "report data-movement energy shares (§V-C)")
-		endurance = flag.Bool("endurance", false, "report write-endurance lifetime (§V-C)")
+		ledger    = flag.Bool("ledger", false, "measure every paper number the tree reproduces (Table II, Eq. (1), §V) and print the reproduction ledger")
+		cse       = flag.Bool("cse", false, "report the ledger's average CSE add/sub reduction (§V-A)")
 		shards    = flag.Int("shards", 0, "sweep pipeline sharding from 1 to N stages and report the stage-count/throughput frontier")
 		replicas  = flag.Int("replicas", 0, "sweep data-parallel replication from 1 to N replicas and report the aggregate-throughput frontier")
 		sloB      = flag.Bool("slo", false, "drive a mixed-deadline workload against a static configuration and the SLO scheduler (deadline-aware batching, shedding, autoscaling) at the same offered load and compare goodput")
@@ -59,7 +57,7 @@ func main() {
 		noCache   = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
 	)
 	flag.Parse()
-	if !*table2 && !*fig4 && !*cse && !*movement && !*endurance && *shards <= 0 && *replicas <= 0 && !*sloB && !*clusterB {
+	if !*table2 && !*fig4 && !*ledger && !*cse && *shards <= 0 && *replicas <= 0 && !*sloB && !*clusterB {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -137,52 +135,30 @@ func main() {
 		addJSON("fig4", map[string]any{"energy": res.Energy, "latency": res.Latency})
 	}
 
-	if *cse {
-		progress("counting operations on all three networks")
-		avg, err := rtmap.CSEReductionAverage(*seed, compileConfig(*noCache).Cache)
+	if *ledger || *cse {
+		progress("measuring the reproduction ledger")
+		l, err := rtmap.Ledger(*seed, compileConfig(*noCache).Cache)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !*jsonOut {
-			fmt.Printf("average CSE add/sub reduction: %.1f%% (paper: 31%%)\n", avg*100)
+		if *ledger {
+			if !*jsonOut {
+				fmt.Println("\nReproduction ledger — paper vs reproduced")
+				fmt.Print(l.Markdown())
+			}
+			addJSON("ledger", l)
 		}
-		addJSON("cse", map[string]any{"avg_reduction_pct": avg * 100, "paper_pct": 31.0})
-	}
-
-	if *movement {
-		net := rtmap.BuildResNet18(rtmap.DefaultModelConfig())
-		progress("compiling ResNet-18")
-		rtmShare, xbShare, err := rtmap.MovementComparison(net, compileConfig(*noCache))
-		if err != nil {
-			log.Fatal(err)
+		if *cse {
+			for _, r := range l {
+				if r.ID != "cse.average" {
+					continue
+				}
+				if !*jsonOut {
+					fmt.Printf("average CSE add/sub reduction: %.1f%% (paper: %.0f%%)\n", r.Got, r.Paper)
+				}
+				addJSON("cse", map[string]any{"avg_reduction_pct": r.Got, "paper_pct": r.Paper})
+			}
 		}
-		if !*jsonOut {
-			fmt.Printf("data-movement energy share: RTM-AP %.1f%% (paper: ~3%%), crossbar %.1f%% (paper: 41%%)\n",
-				rtmShare*100, xbShare*100)
-		}
-		addJSON("movement", map[string]any{
-			"rtm_ap_share_pct": rtmShare * 100, "crossbar_share_pct": xbShare * 100,
-		})
-	}
-
-	if *endurance {
-		net := rtmap.BuildResNet18(rtmap.DefaultModelConfig())
-		progress("compiling ResNet-18")
-		comp, err := rtmap.Compile(net, compileConfig(*noCache))
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep := rtmap.Analyze(comp)
-		e := rtmap.Endurance(comp, rep)
-		if !*jsonOut {
-			fmt.Printf("write endurance: busiest cell (%s) rewritten every %.0f ns on average → lifetime %.1f years (paper: ~100 ns, ~31 years)\n",
-				e.WorstLayer, e.MeanRewriteIntervalNS, e.LifetimeYears)
-		}
-		addJSON("endurance", map[string]any{
-			"worst_layer":              e.WorstLayer,
-			"mean_rewrite_interval_ns": e.MeanRewriteIntervalNS,
-			"lifetime_years":           e.LifetimeYears,
-		})
 	}
 
 	if *shards > 0 {
@@ -320,7 +296,7 @@ func table2JSON(res *rtmap.Table2Result) []map[string]any {
 }
 
 // compileConfig resolves the compile configuration for the direct
-// (cse/movement/endurance/shards) paths; they reuse the shared cache
+// (ledger/shards/replicas) paths; they reuse the shared cache
 // unless -no-cache is given.
 func compileConfig(noCache bool) rtmap.CompileConfig {
 	return rtmap.CompileConfigWithCache(nil, noCache)

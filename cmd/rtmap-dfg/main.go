@@ -18,19 +18,6 @@ import (
 	"rtmap/internal/ternary"
 )
 
-// equation1 is the paper's worked MVM example (sign typos corrected; see
-// DESIGN.md §2).
-func equation1() ternary.Slice {
-	return ternary.Slice{Cout: 6, K: 6, M: []int8{
-		1, -1, 0, 1, 0, -1,
-		0, 0, -1, 1, 0, -1,
-		0, 0, 0, -1, 0, 1,
-		0, -1, 0, -1, 0, 1,
-		1, -1, 0, -1, 0, 0,
-		1, -1, -1, 1, 0, -1,
-	}}
-}
-
 func main() {
 	log.SetFlags(0)
 	var (
@@ -72,7 +59,7 @@ func main() {
 	}
 
 	if *eq1 {
-		analyze("equation1", equation1())
+		analyze("equation1", dfg.Equation1())
 	}
 	if *random > 0 {
 		rng := rand.New(rand.NewPCG(7, 7))

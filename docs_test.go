@@ -6,9 +6,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -341,6 +344,90 @@ func TestOracleOffServingPath(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && (id.Name == "ConvReference" || serving && id.Name == "ForwardInt") {
 				t.Errorf("%s: %s is the oracle's; serving code runs the engine", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+	})
+}
+
+// TestPaperValuesOnlyInLedger keeps ledger.go the one place a paper value
+// is written down: no string or float literal in another non-test Go file
+// quotes one. The values are the Paper fields of ledger.go's rows. A
+// literal quotes one when a number after the word "paper" equals any of
+// them, or when a number distinctive enough to be a quote (three or more
+// digits with a decimal point, or four or more without) equals one; a
+// decimal equals a value it rounds to, an integer only itself. Format
+// verbs are not numbers, and comments may cite what they like.
+func TestPaperValuesOnlyInLedger(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "ledger.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paper []float64
+	ast.Inspect(f, func(n ast.Node) bool {
+		kv, ok := n.(*ast.KeyValueExpr)
+		if !ok {
+			return true
+		}
+		key, isID := kv.Key.(*ast.Ident)
+		lit, isLit := kv.Value.(*ast.BasicLit)
+		if isID && isLit && key.Name == "Paper" {
+			v, err := strconv.ParseFloat(lit.Value, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paper = append(paper, v)
+		}
+		return true
+	})
+	if len(paper) < 30 {
+		t.Fatalf("only %d paper values found in ledger.go", len(paper))
+	}
+	verb := regexp.MustCompile(`%[-+# 0]*\d*(\.\d+)?[a-zA-Z%]`)
+	number := regexp.MustCompile(`\d+(\.\d+)?`)
+	equalsPaper := func(num string) bool {
+		v, _ := strconv.ParseFloat(num, 64)
+		half := 0.0
+		if _, frac, ok := strings.Cut(num, "."); ok {
+			half = 0.5 * math.Pow(10, -float64(len(frac)))
+		}
+		for _, p := range paper {
+			if math.Abs(v-p) <= half {
+				return true
+			}
+		}
+		return false
+	}
+	distinctive := func(num string) bool {
+		digits := strings.TrimLeft(strings.Replace(num, ".", "", 1), "0")
+		if strings.Contains(num, ".") {
+			return len(digits) >= 3
+		}
+		return len(digits) >= 4
+	}
+	eachNonTestGoFile(t, nil, func(path string) {
+		if path == "ledger.go" {
+			return
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING && lit.Kind != token.FLOAT {
+				return true
+			}
+			text := verb.ReplaceAllString(lit.Value, " ")
+			after := strings.Index(strings.ToLower(text), "paper")
+			for _, m := range number.FindAllStringIndex(text, -1) {
+				num := text[m[0]:m[1]]
+				if (after >= 0 && m[0] > after || distinctive(num)) && equalsPaper(num) {
+					t.Errorf("%s: %s quotes the paper's %s; read it from the ledger (ledger.go)",
+						fset.Position(lit.Pos()), lit.Value, num)
+					break
+				}
 			}
 			return true
 		})

@@ -1,9 +1,9 @@
-// Write-endurance and data-movement analysis (§V-C of the paper). RTM
-// cells sustain ~10^16 write cycles; because AP execution spreads writes
-// across 256 columns and a column is rewritten only every ~hundred
-// nanoseconds, the paper estimates a ~31-year lifetime. This example
-// reproduces that analysis per network and contrasts the data-movement
-// energy shares of RTM-AP and the crossbar baseline.
+// Write-endurance and data-movement analysis (§V-C of the paper), per
+// network: writes per inference to the busiest CAM cell, the interval
+// between its rewrites, the lifetime that follows, and the data-movement
+// energy shares of RTM-AP and the crossbar baseline. The paper's values
+// and the ResNet-18 comparison are the endurance.* and movement.* rows of
+// the reproduction ledger (go run ./cmd/rtmap-bench -ledger).
 //
 //	go run ./examples/endurance
 package main
@@ -44,6 +44,4 @@ func main() {
 			s.name, e.WritesPerInference, e.MeanRewriteIntervalNS, e.LifetimeYears,
 			100*rep.MovementShare(), 100*xb.MovementShare())
 	}
-	fmt.Println("\npaper (§V-C): rewrite ≈ every 100 ns → ≈31-year lifetime;")
-	fmt.Println("partial-result movement ≈3% of RTM-AP energy vs 41% for the crossbar.")
 }

@@ -264,3 +264,18 @@ func NaiveAccumulateOps(s ternary.Slice) int {
 	}
 	return nnz - 1
 }
+
+// Equation1 returns the 6×6 ternary matrix of the paper's Equation (1),
+// with the two sign typos of the printed matrix corrected so that the
+// paper's own substitution is consistent (x7 = x3 − x5, x8 = x0 − x1,
+// x6 = x7 + x8, y2 = −x7).
+func Equation1() ternary.Slice {
+	return ternary.Slice{Cout: 6, K: 6, M: []int8{
+		1, -1, 0, 1, 0, -1,
+		0, 0, -1, 1, 0, -1,
+		0, 0, 0, -1, 0, 1,
+		0, -1, 0, -1, 0, 1,
+		1, -1, 0, -1, 0, 0,
+		1, -1, -1, 1, 0, -1,
+	}}
+}

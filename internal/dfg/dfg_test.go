@@ -9,21 +9,6 @@ import (
 	"rtmap/internal/ternary"
 )
 
-// equation1 is the 6×6 ternary matrix of the paper's Equation (1), with
-// the two sign typos of the printed matrix corrected so that the paper's
-// own x6/x7/x8 substitution is consistent (x8 = x0 − x1; see DESIGN.md §2).
-func equation1() ternary.Slice {
-	m := []int8{
-		1, -1, 0, 1, 0, -1,
-		0, 0, -1, 1, 0, -1,
-		0, 0, 0, -1, 0, 1,
-		0, -1, 0, -1, 0, 1,
-		1, -1, 0, -1, 0, 0,
-		1, -1, -1, 1, 0, -1,
-	}
-	return ternary.Slice{Cout: 6, K: 6, M: m}
-}
-
 func refMVM(s ternary.Slice, x []int64) []int64 {
 	y := make([]int64, s.Cout)
 	for o := 0; o < s.Cout; o++ {
@@ -40,7 +25,7 @@ func refMVM(s ternary.Slice, x []int64) []int64 {
 }
 
 func TestEquation1CSE(t *testing.T) {
-	s := equation1()
+	s := Equation1()
 	// The paper: "The MVM operation in Eq. 1 originally involves 19
 	// operations and can be reduced to 7 when removing redundant
 	// expressions."
@@ -77,7 +62,7 @@ func TestEquation1CSE(t *testing.T) {
 }
 
 func TestEquation1UnrollCount(t *testing.T) {
-	g := Build(equation1(), Options{})
+	g := Build(Equation1(), Options{})
 	// MVM convention without sharing: Σ max(nnz−1, 0) = 14.
 	if got := g.NumOps(); got != 14 {
 		t.Errorf("unroll ops = %d, want 14", got)
@@ -273,7 +258,7 @@ func TestQuickCSESemantics(t *testing.T) {
 }
 
 func TestDotOutput(t *testing.T) {
-	g := Build(equation1(), Options{CSE: true})
+	g := Build(Equation1(), Options{CSE: true})
 	g.AnnotateWidths(0, 15)
 	dot := g.Dot("eq1")
 	for _, want := range []string{"digraph", "x0", "y5", "->"} {

@@ -14,7 +14,8 @@
 //     generation, accelerator mapping);
 //   - Analyze prices a compiled network with the figures of merit of §V;
 //   - RunFunctional executes the compiled AP programs bit-exactly;
-//   - Table2 and Figure4 regenerate the paper's evaluation artifacts.
+//   - Table2 and Figure4 regenerate the paper's evaluation artifacts, and
+//     Ledger sets every number of the paper beside its reproduction.
 package rtmap
 
 import (
@@ -197,7 +198,7 @@ func VerifyInput(c *Compiled, in *FloatTensor) error {
 }
 
 // Endurance estimates the device lifetime under continuous inference
-// (§V-C: the paper estimates ≈31 years for ResNet-18).
+// (§V-C; the ledger's endurance rows compare it with the paper).
 func Endurance(c *Compiled, rep *Report) sim.EnduranceReport {
 	return sim.Endurance(c, rep)
 }
