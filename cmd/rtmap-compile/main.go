@@ -1,7 +1,9 @@
 // Command rtmap-compile runs the compilation flow on a network and prints
 // the per-layer mapping and instruction statistics, with the widest column
 // table of a layer's tile programs and the widest arena slot table the
-// engine stores it in (temporaries share slots):
+// engine stores it in (temporaries share slots), then the task shape the
+// engine gives each layer at batch 1 and batch 8 on 2 workers: row blocks
+// × parts per program, and op dispatches per inference:
 //
 //	rtmap-compile -model resnet18                    # built-in model
 //	rtmap-compile -model vgg9 -bits 8 -sparsity 0.9  # other Table II points
@@ -109,6 +111,47 @@ func main() {
 			p.Name, p.P, p.RowGroups, p.Strips, p.OutGroups, p.Planes, p.Tiles, p.AccWidth,
 			p.AddSubOps, p.CG.AccumOps, cols, slots, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
 	}
+	if err := printShapes(comp); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// shapeWorkers is the pool the task shapes are printed for.
+const shapeWorkers = 2
+
+// printShapes prints each conv/linear layer's engine task shape at batch
+// 1 and batch 8, and the op dispatches of one inference summed.
+func printShapes(comp *core.Compiled) error {
+	batches := []int{1, 8}
+	fmt.Printf("\ntask shapes on %d workers: blocks×parts, op dispatches per inference\n", shapeWorkers)
+	fmt.Printf("%-24s", "layer")
+	for _, n := range batches {
+		fmt.Printf(" %10s %11s", fmt.Sprintf("b%d shape", n), "dispatches")
+	}
+	fmt.Println()
+	total := make([]float64, len(batches))
+	for i, p := range comp.Layers {
+		if p.Class != core.ClassConv {
+			continue
+		}
+		fmt.Printf("%-24s", p.Name)
+		for k, n := range batches {
+			sh, err := sim.LayerShape(comp, i, n, shapeWorkers)
+			if err != nil {
+				return err
+			}
+			per := float64(sh.Dispatches) / float64(n)
+			total[k] += per
+			fmt.Printf(" %10s %11.0f", fmt.Sprintf("%d×%d", sh.Blocks, sh.Parts), per)
+		}
+		fmt.Println()
+	}
+	fmt.Printf("%-24s", "total")
+	for k := range batches {
+		fmt.Printf(" %10s %11.0f", "", total[k])
+	}
+	fmt.Println()
+	return nil
 }
 
 // widest returns the largest column table among a layer's tile programs

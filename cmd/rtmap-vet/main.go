@@ -8,7 +8,8 @@
 //	rtmap-vet -plans                     # compile the small builtin
 //	                                     # models and audit every tile
 //	                                     # plan with the independent
-//	                                     # verifier
+//	                                     # verifier, and every part view
+//	                                     # the engine can cut it into
 //	rtmap-vet -dataflow                  # whole-model dataflow
 //	                                     # verification: cross-layer
 //	                                     # ranges, per-column liveness,
@@ -83,6 +84,7 @@ func (m *modelFlags) Set(v string) error {
 type modelReport struct {
 	Name        string                `json:"name"`
 	Programs    int                   `json:"programs"`
+	PartViews   int                   `json:"part_views,omitempty"`
 	Clean       bool                  `json:"clean"`
 	Diagnostics []verify.Diagnostic   `json:"diagnostics,omitempty"`
 	Error       string                `json:"error,omitempty"`
@@ -230,6 +232,55 @@ func diagsOf(err error) ([]verify.Diagnostic, string) {
 	return nil, err.Error()
 }
 
+// partShapes are the batches and worker counts whose task shapes pick
+// the part counts -plans audits views of.
+var partShapes = struct{ batches, workers []int }{[]int{1, 8}, []int{1, 2, 4, 8, 16}}
+
+// auditPartViews audits directly, with ap.AuditPlan, every view the
+// engine can cut comp's programs into: for each layer the part counts its
+// task shapes pick over partShapes, and 2, so every program of more than
+// one channel has views audited. VerifyCompiled proves the same views
+// sound without building them (ap.AuditParts); this cross-checks that
+// proof. views counts the views audited.
+func auditPartViews(comp *core.Compiled, name string, views *int) error {
+	var diags []verify.Diagnostic
+	for i, lp := range comp.Layers {
+		if lp.Class != core.ClassConv {
+			continue
+		}
+		counts := map[int]bool{2: true}
+		for _, n := range partShapes.batches {
+			for _, w := range partShapes.workers {
+				sh, err := sim.LayerShape(comp, i, n, w)
+				if err != nil {
+					return err
+				}
+				counts[sh.Parts] = sh.Parts > 1
+			}
+		}
+		for g, ok := range counts {
+			if !ok {
+				continue
+			}
+			for s, sp := range lp.StripPlans {
+				for t, tp := range sp.Programs {
+					ref := verify.Ref{Model: name, Layer: lp.Index, LayerName: lp.Name, Strip: s, Tile: t}
+					diags = append(diags, verify.CheckPartViews(ref, tp, g)...)
+					if parts, err := tp.Parts(g); err == nil && len(parts) > 1 {
+						*views += len(parts)
+					}
+				}
+			}
+		}
+	}
+	if len(diags) > 0 {
+		e := &verify.Error{Diags: diags}
+		e.Sort()
+		return e
+	}
+	return nil
+}
+
 func runPlans(all bool, extras modelFlags, jsonOut bool) int {
 	bad := 0
 	report := vetReport{Mode: "plans"}
@@ -242,7 +293,11 @@ func runPlans(all bool, extras modelFlags, jsonOut bool) int {
 		}
 		programs := countPrograms(comp)
 		mr := modelReport{Name: t.name, Programs: programs, Clean: true}
-		if err := core.VerifyCompiled(comp); err != nil {
+		err = core.VerifyCompiled(comp)
+		if err == nil {
+			err = auditPartViews(comp, t.name, &mr.PartViews)
+		}
+		if err != nil {
 			bad++
 			mr.Clean = false
 			mr.Diagnostics, mr.Error = diagsOf(err)
@@ -258,7 +313,7 @@ func runPlans(all bool, extras modelFlags, jsonOut bool) int {
 				}
 			}
 		} else if !jsonOut {
-			fmt.Printf("%s: %d tile programs verified clean\n", t.name, programs)
+			fmt.Printf("%s: %d tile programs and %d part views verified clean\n", t.name, programs, mr.PartViews)
 		}
 		report.Models = append(report.Models, mr)
 	}

@@ -35,4 +35,12 @@
 // lives do not overlap share one, so a Machine's arena is as wide as the
 // most values live at once (vgg9's conv3_1: 1 448 slots for 16 329
 // columns), not as the columns a program names.
+//
+// ExecPlan.Part views a plan as its leading ops followed by one range of
+// the rest — the same slots, lanes and side tables, the zero set cut to
+// the slots the view names — without lowering again. AuditParts proves,
+// in one linear pass over a program cut into a head and fragments, that
+// every such view of a run of fragments computes exactly their partial
+// sums under the whole plan's lanes and wrap-free flags, so the views
+// need no audit each.
 package ap

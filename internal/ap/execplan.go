@@ -236,6 +236,55 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 	return plan, nil
 }
 
+// Part returns a view of the plan that runs ops [0, head) and then ops
+// [lo, hi): the lowering of the program made of those instructions, over
+// the same column formats, slots, lanes and multi-copy table, built
+// without lowering again. Its escapes are copied in its own program order, and
+// its zero set is the plan's restricted to the slots its ops name, so a
+// part resets only what it reads. The view is sound when the cut is:
+// AuditParts proves that of a compiled tile program cut at its channel
+// boundaries, and AuditPlan accepts each view against its own
+// instructions.
+func (p *ExecPlan) Part(head, lo, hi int) *ExecPlan {
+	if head < 0 || head > lo || lo > hi || hi > len(p.ops) {
+		panic(fmt.Sprintf("ap: part [0, %d) ++ [%d, %d) of a %d-op plan", head, lo, hi, len(p.ops)))
+	}
+	v := &ExecPlan{cols: p.cols, fmts: p.fmts, slot: p.slot, slots: p.slots, multi: p.multi, lane: p.lane,
+		ops: make([]planOp, 0, head+hi-lo)}
+	used := make([]bool, p.slots)
+	for _, r := range [2][2]int{{0, head}, {lo, hi}} {
+		for _, op := range p.ops[r[0]:r[1]] {
+			if op.dst&opEsc == 0 {
+				used[op.dst], used[op.a&^opSub], used[op.b] = true, true, true
+				v.ops = append(v.ops, op)
+				continue
+			}
+			e := p.esc[op.dst&^opEsc]
+			used[e.dst] = true
+			switch e.kind {
+			case planAdd, planSub:
+				used[e.a], used[e.b] = true, true
+			case planCopy, planNeg:
+				used[e.a] = true
+			case planCopyMulti:
+				used[e.a] = true
+				for _, d := range p.multi[e.ext] {
+					used[d.col] = true
+				}
+			case planClear:
+			}
+			v.ops = append(v.ops, planOp{dst: opEsc | uint32(len(v.esc))})
+			v.esc = append(v.esc, e)
+		}
+	}
+	for _, z := range p.zero {
+		if used[z] {
+			v.zero = append(v.zero, z)
+		}
+	}
+	return v
+}
+
 // Slots returns how many slots — columns' worth of words — a Machine's
 // arena holds for the plan.
 func (p *ExecPlan) Slots() int { return p.slots }

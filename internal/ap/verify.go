@@ -69,6 +69,9 @@ const (
 	InvLane = "lane"
 	// InvFormat: a column's load format disagrees with its metadata.
 	InvFormat = "format"
+	// InvParts: a program cut at its fragment boundaries does not run as
+	// independent parts (AuditParts).
+	InvParts = "parts"
 )
 
 // Violation is one invariant failure found by AuditPlan. Op is the plan
@@ -647,6 +650,151 @@ func (plan *ExecPlan) auditZeroSet(p *Program, lv auditLiveness) []Violation {
 		if i >= 0 && !zeroed[plan.slot[c]] {
 			out = append(out, Violation{Op: i, Invariant: InvZeroSet,
 				Detail: fmt.Sprintf("column %d is read before any write but its slot %d is missing from the reset set", c, plan.slot[c])})
+		}
+	}
+	return out
+}
+
+// AuditParts proves, in one pass over p, that p cut into a head — the
+// instructions before starts[0] — and fragments [starts[i], starts[i+1])
+// runs as parts: the head followed by any run of fragments computes
+// exactly those fragments' partial sums in the accumulators accs. Every
+// view ExecPlan.Part builds of p's plan then holds under the whole plan's
+// lanes and wrap-free flags, and needs no audit of its own. bound[c] is
+// the fragment whose input column c is, or -1: an engine loads a part's
+// inputs by fragment. It requires:
+//
+//   - the boundaries lie in the program in order, and the head is one
+//     clear of every accumulator;
+//   - no fragment reads a column another fragment writes, before or
+//     after, or an input bound to another fragment, accumulators apart;
+//   - accumulators are written only by the head's clears and by in-place
+//     acc = acc ± x of a non-accumulator x, and read only there;
+//   - by the audit's own intervals, no accumulate can wrap (a sum of
+//     wrapped parts is not the wrapped sum), and every accumulated
+//     operand's interval contains 0, so each partial sum's interval lies
+//     inside the whole sum's.
+func AuditParts(p *Program, starts, accs, bound []int) []Violation {
+	var out []Violation
+	bad := func(op int, format string, args ...any) {
+		out = append(out, Violation{Op: op, Invariant: InvParts, Detail: fmt.Sprintf(format, args...)})
+	}
+	if len(bound) != len(p.Cols) {
+		bad(-1, "%d bound columns for a program of %d", len(bound), len(p.Cols))
+		return out
+	}
+	for i, s := range starts {
+		if s < 0 || s > len(p.Instrs) || i > 0 && s < starts[i-1] {
+			bad(-1, "fragment %d starts at instruction %d, out of order in %d instructions", i, s, len(p.Instrs))
+			return out
+		}
+	}
+	isAcc, cleared := make([]bool, len(p.Cols)), make([]bool, len(p.Cols))
+	for _, c := range accs {
+		isAcc[c] = true
+	}
+	// The fragment that wrote each non-accumulator column, and the first
+	// that read it before any write; -1 none.
+	writer, reader := make([]int32, len(p.Cols)), make([]int32, len(p.Cols))
+	lo, hi := make([]int64, len(p.Cols)), make([]int64, len(p.Cols))
+	for c, col := range p.Cols {
+		writer[c], reader[c] = -1, -1
+		lo[c], hi[c] = auditBand(col.Width, col.Unsigned)
+	}
+	f := int32(-1) // the fragment instruction i is in; -1 the head
+	read := func(i, c int) {
+		switch {
+		case isAcc[c]:
+			bad(i, "fragment %d reads accumulator %d, whose value is a partial sum in a part", f, c)
+		case bound[c] >= 0 && bound[c] != int(f):
+			bad(i, "fragment %d reads column %d, an input of fragment %d", f, c, bound[c])
+		case writer[c] >= 0 && writer[c] != f:
+			bad(i, "fragment %d reads column %d, which fragment %d writes", f, c, writer[c])
+		case writer[c] < 0 && reader[c] < 0:
+			reader[c] = f
+		}
+	}
+	var buf []int
+	for i := range p.Instrs {
+		for int(f)+1 < len(starts) && starts[f+1] <= i {
+			f++
+		}
+		ins := &p.Instrs[i]
+		if f < 0 {
+			if ins.Op != OpClear || !isAcc[ins.Dst] || cleared[ins.Dst] {
+				bad(i, "head instruction %v of column %d is not the one clear of an accumulator", ins.Op, ins.Dst)
+			}
+			cleared[ins.Dst] = true
+			lo[ins.Dst], hi[ins.Dst] = 0, 0
+			continue
+		}
+		if (ins.Op == OpAdd || ins.Op == OpSub) && isAcc[ins.Dst] {
+			if !ins.InPlace || ins.B != ins.Dst || isAcc[ins.A] {
+				bad(i, "accumulate into column %d is not an in-place %d ± x of a non-accumulator x", ins.Dst, ins.Dst)
+				continue
+			}
+			a, d := ins.A, ins.Dst
+			if lo[a] > 0 || hi[a] < 0 {
+				bad(i, "accumulated column %d holds [%d, %d], without 0: a partial sum may leave the whole sum's interval", a, lo[a], hi[a])
+			}
+			l, h := auditSatAdd(lo[d], lo[a]), auditSatAdd(hi[d], hi[a])
+			if ins.Op == OpSub {
+				l, h = auditSatAdd(lo[d], -hi[a]), auditSatAdd(hi[d], -lo[a])
+			}
+			if !auditNoWrap(l, h, min(ins.Width, 64), false) {
+				bad(i, "accumulate into column %d may wrap at [%d, %d], and a sum of wrapped parts is not the wrapped sum", d, l, h)
+			}
+			lo[d], hi[d] = l, h
+			read(i, a)
+			continue
+		}
+		cols, reads := auditOperands(ins, buf)
+		buf = cols
+		for _, c := range cols[:reads] {
+			read(i, c)
+		}
+		for _, c := range cols[reads:] {
+			if isAcc[c] {
+				bad(i, "fragment %d writes accumulator %d other than by accumulating into it", f, c)
+				continue
+			}
+			if reader[c] >= 0 && reader[c] != f {
+				bad(i, "fragment %d writes column %d, which fragment %d reads", f, c, reader[c])
+			}
+			writer[c] = f
+		}
+		// The machine's intervals: exact where the result provably fits
+		// its column, the column's band where it may wrap.
+		w := min(ins.Width, 64)
+		switch ins.Op {
+		case OpClear:
+			lo[ins.Dst], hi[ins.Dst] = 0, 0
+		case OpCopy:
+			for _, d := range cols[reads:] {
+				lo[d], hi[d] = lo[ins.A], hi[ins.A]
+				if !auditNoWrap(lo[d], hi[d], w, p.Cols[d].Unsigned) {
+					lo[d], hi[d] = auditBand(w, p.Cols[d].Unsigned)
+				}
+			}
+		case OpAdd, OpSub, OpNeg:
+			var l, h int64
+			switch ins.Op {
+			case OpAdd:
+				l, h = auditSatAdd(lo[ins.B], lo[ins.A]), auditSatAdd(hi[ins.B], hi[ins.A])
+			case OpSub:
+				l, h = auditSatAdd(lo[ins.B], -hi[ins.A]), auditSatAdd(hi[ins.B], -lo[ins.A])
+			default:
+				l, h = -hi[ins.A], -lo[ins.A]
+			}
+			if !auditNoWrap(l, h, w, false) {
+				l, h = auditBand(w, false)
+			}
+			lo[ins.Dst], hi[ins.Dst] = l, h
+		}
+	}
+	for _, c := range accs {
+		if !cleared[c] {
+			bad(-1, "accumulator %d is not cleared in the head", c)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -107,11 +108,18 @@ type TileProgram struct {
 	// index, patch position) it carries.
 	InputBindings map[int][2]int
 	AccVirt       []int // virtual accumulator columns, tile-row order
-	Stats         Stats
+	// ChanAt is the first instruction of each resident channel's
+	// fragment, in channel order; the instructions before ChanAt[0] clear
+	// the accumulators. Parts cuts the program there.
+	ChanAt []int
+	Stats  Stats
 
 	planOnce sync.Once
 	plan     *ap.ExecPlan
 	planErr  error
+
+	partsMu sync.Mutex
+	parts   map[int][]Part
 
 	inputsOnce sync.Once
 	inputs     []InputBinding
@@ -170,6 +178,70 @@ func (tp *TileProgram) ExecPlan() (*ap.ExecPlan, error) {
 	return tp.plan, tp.planErr
 }
 
+// Part is one part of a tile program: the accumulator clears, then the
+// fragments of resident channels [Chan0, Chan1), instructions [Lo, Hi).
+// Each fragment has its own temporaries, reads only its own channel's
+// inputs and touches the accumulators only by acc = acc ± x, so a part
+// computes exactly its channels' partial sums, and the parts of a program
+// sum to what the program computes. Plan is the view of the program's
+// ExecPlan that runs those instructions (ap.ExecPlan.Part); AuditParts
+// proves the cut, so no view is audited on its own.
+type Part struct {
+	Plan         *ap.ExecPlan
+	Chan0, Chan1 int
+	Lo, Hi       int
+}
+
+// Parts cuts the program into at most g parts, runs of whole channel
+// fragments balanced by op count, one per channel at most. g ≤ 1, or a
+// program of one channel, is the one part that runs everything. Memoized
+// per g, as ExecPlan is, so replay allocates nothing once a shape has
+// been seen.
+func (tp *TileProgram) Parts(g int) ([]Part, error) {
+	plan, err := tp.ExecPlan()
+	if err != nil {
+		return nil, err
+	}
+	n := len(tp.ChanAt)
+	g = max(1, min(g, n))
+	tp.partsMu.Lock()
+	defer tp.partsMu.Unlock()
+	if ps, ok := tp.parts[g]; ok {
+		return ps, nil
+	}
+	var ps []Part
+	if g == 1 {
+		ps = []Part{{Plan: plan, Chan1: math.MaxInt, Hi: len(tp.Prog.Instrs)}} // every channel
+	} else {
+		head, end := tp.ChanAt[0], len(tp.Prog.Instrs)
+		at := func(c int) int { // the first instruction of fragment c, end for c = n
+			if c == n {
+				return end
+			}
+			return tp.ChanAt[c]
+		}
+		c0 := 0
+		for k := 1; k <= g; k++ {
+			// The boundary nearest k/g of the fragments' ops, leaving
+			// each part one channel at least.
+			c1, target := c0+1, head+(end-head)*k/g
+			for c1 < n-(g-k) && at(c1+1)-target <= target-at(c1) {
+				c1++
+			}
+			if k == g {
+				c1 = n
+			}
+			ps = append(ps, Part{Plan: plan.Part(head, at(c0), at(c1)), Chan0: c0, Chan1: c1, Lo: at(c0), Hi: at(c1)})
+			c0 = c1
+		}
+	}
+	if tp.parts == nil {
+		tp.parts = make(map[int][]Part)
+	}
+	tp.parts[g] = ps
+	return ps, nil
+}
+
 // TileBuilder incrementally emits the program of one tile: accumulator
 // clears first, then one channel fragment per resident channel.
 type TileBuilder struct {
@@ -179,6 +251,7 @@ type TileBuilder struct {
 	pool *columnPool
 
 	accVirt  []int
+	chanAt   []int
 	inBind   map[int][2]int
 	inVirt   map[[2]int]int // inBind reversed: (channel, patch position) -> virtual column
 	stats    Stats
@@ -243,13 +316,17 @@ func (b *TileBuilder) inputVirt(ch, k int) int {
 // AddChannel emits the channel-wise DFG fragment of one resident channel:
 // the slice DFG g (outputs = this tile's rows, widths annotated) followed
 // by the accumulate step of every nonzero row. ch is the channel's
-// resident index within the strip (selects plane and domain slot).
+// resident index within the strip (selects plane and domain slot);
+// channels are added in resident order, so fragment i is channel i.
 func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	if b.finished {
 		return fmt.Errorf("codegen: builder already finished")
 	}
 	if ch < 0 || ch >= b.lay.ChannelCapacity() {
 		return fmt.Errorf("codegen: channel index %d beyond capacity %d", ch, b.lay.ChannelCapacity())
+	}
+	if ch != len(b.chanAt) {
+		return fmt.Errorf("codegen: channel %d added after %d channels; add them in resident order", ch, len(b.chanAt))
 	}
 	if len(g.Outputs) != b.lay.TileSize {
 		return fmt.Errorf("codegen: graph has %d outputs, tile has %d accumulators",
@@ -258,6 +335,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
+	b.chanAt = append(b.chanAt, len(b.prog.Instrs))
 
 	last := liveness(g)
 	uses := g.UseCounts()
@@ -433,6 +511,7 @@ func (b *TileBuilder) Finish() (*TileProgram, error) {
 		Phys:          b.phys,
 		InputBindings: b.inBind,
 		AccVirt:       b.accVirt,
+		ChanAt:        b.chanAt,
 		Stats:         b.stats,
 	}, nil
 }

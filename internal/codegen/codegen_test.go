@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"rtmap/internal/ap"
@@ -257,5 +259,115 @@ func TestInputColumnsUniqueAndRepeatable(t *testing.T) {
 	}
 	if len(seen) == 0 {
 		t.Fatal("tile binds no input column")
+	}
+}
+
+// Parts cuts at channel boundaries into runs of whole fragments: at most
+// one part per channel, each starting with the clears, balanced by op
+// count, and memoized per count; a count of one, or a program of one
+// channel, is the whole plan. Channels must arrive in resident order.
+func TestParts(t *testing.T) {
+	const k, cout = 9, 8
+	build := func(chans int) *TileProgram {
+		b, err := NewTileBuilder(testLayout(k, 4, 16, cout, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ch := 0; ch < chans; ch++ {
+			if err := b.AddChannel(ch, buildGraph(t, uint64(60+ch), cout, k, 0.3, true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tp, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	tp := build(4)
+	whole, err := tp.ExecPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tp.ChanAt) != 4 || tp.ChanAt[0] != cout {
+		t.Fatalf("fragments start at %v; want 4 after %d clears", tp.ChanAt, cout)
+	}
+	for g := 0; g <= 6; g++ {
+		parts, err := tp.Parts(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(1, min(g, 4)); len(parts) != want {
+			t.Fatalf("Parts(%d): %d parts, want %d", g, len(parts), want)
+		}
+		if again, _ := tp.Parts(g); &again[0] != &parts[0] {
+			t.Fatalf("Parts(%d) is not memoized", g)
+		}
+		if len(parts) == 1 {
+			if parts[0].Plan != whole {
+				t.Fatalf("Parts(%d) is not the whole plan", g)
+			}
+			continue
+		}
+		lo, most, least := cout, 0, len(tp.Prog.Instrs)
+		for i, pt := range parts {
+			if pt.Lo != lo || pt.Chan0 >= pt.Chan1 || pt.Lo != tp.ChanAt[pt.Chan0] || i > 0 && pt.Chan0 != parts[i-1].Chan1 {
+				t.Fatalf("Parts(%d): part %d is %+v after instruction %d", g, i, pt, lo)
+			}
+			if pt.Plan.Ops() != cout+pt.Hi-pt.Lo {
+				t.Fatalf("Parts(%d): part %d runs %d ops, want the clears and %d", g, i, pt.Plan.Ops(), pt.Hi-pt.Lo)
+			}
+			lo, most, least = pt.Hi, max(most, pt.Hi-pt.Lo), min(least, pt.Hi-pt.Lo)
+		}
+		if lo != len(tp.Prog.Instrs) || parts[len(parts)-1].Chan1 != 4 {
+			t.Fatalf("Parts(%d) ends at instruction %d, channel %d", g, lo, parts[len(parts)-1].Chan1)
+		}
+		// Balanced: every part is within one fragment of an even share.
+		frag := 0
+		for c := range tp.ChanAt {
+			end := len(tp.Prog.Instrs)
+			if c+1 < len(tp.ChanAt) {
+				end = tp.ChanAt[c+1]
+			}
+			frag = max(frag, end-tp.ChanAt[c])
+		}
+		if even := (len(tp.Prog.Instrs) - cout) / len(parts); most-even > frag || even-least > frag {
+			t.Fatalf("Parts(%d): parts of %d to %d instructions against %d each, fragments up to %d", g, least, most, even, frag)
+		}
+	}
+	if parts, _ := build(1).Parts(4); len(parts) != 1 {
+		t.Fatalf("a one-channel program cut into %d parts", len(parts))
+	}
+	// Engines on several goroutines cut one shared program at once: each
+	// count is cut once, and everyone gets that cut.
+	shared := build(4)
+	firsts := make([][]*Part, 8)
+	var wg sync.WaitGroup
+	for w := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := 1; g <= 4; g++ {
+				parts, err := shared.Parts(g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				firsts[w] = append(firsts[w], &parts[0])
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range firsts {
+		if !slices.Equal(firsts[w], firsts[0]) {
+			t.Fatalf("goroutine %d got another cut than goroutine 0", w)
+		}
+	}
+	b, err := NewTileBuilder(testLayout(k, 4, 16, cout, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddChannel(1, buildGraph(t, 60, cout, k, 0.3, true)); err == nil {
+		t.Fatal("channel 1 added before channel 0")
 	}
 }

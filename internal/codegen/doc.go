@@ -9,4 +9,13 @@
 // (liveness over the slice DFG): the operational form of the paper's
 // §IV-B column allocation. Their virtual columns are marked ap.Col.Temp,
 // so the engine recycles their storage the same way.
+//
+// A tile program is the accumulator clears and then one fragment per
+// resident channel, in channel order (TileProgram.ChanAt): a fragment has
+// its own temporaries, reads only its own channel's inputs and touches
+// the accumulators only by acc = acc ± x. So the clears and any run of
+// fragments compute exactly those channels' partial sums — what the
+// paper's inter-strip adder tree reduces across strips — and
+// TileProgram.Parts cuts a program there into runs balanced by op count,
+// each a view of the one lowered plan, with no op run twice.
 package codegen

@@ -49,6 +49,7 @@ func cloneCompiled(c *core.Compiled) *core.Compiled {
 				nt := &codegen.TileProgram{
 					Phys:    append([]int(nil), tp.Phys...),
 					AccVirt: append([]int(nil), tp.AccVirt...),
+					ChanAt:  append([]int(nil), tp.ChanAt...),
 					Stats:   tp.Stats,
 				}
 				if tp.Prog != nil {

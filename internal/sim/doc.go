@@ -24,14 +24,19 @@
 // of them through precompiled ap.ExecPlans, on lane-packed arenas each
 // task gathers straight from the input tensors (one grid load per tap,
 // kernel rows of a stride-1 layer copied from kernel row pad), over a
-// persistent worker pool. ForwardAP is the batch-of-one wrapper. The
+// persistent worker pool. Where feeding the workers would otherwise cut
+// rows into blocks under four cache lines a column — vgg9's conv2_1 to
+// conv3_2 at batch 1 — the task shape cuts each program into parts at
+// channel boundaries instead (codegen.TileProgram.Parts): every part
+// runs its ops once over every row, and the parts' partial sums add up
+// like the strips' do. LayerShape reports the shape a layer gets. ForwardAP is the batch-of-one wrapper. The
 // engine is a conv executor and nothing more: the layer walk, input
 // validation and the integer semantics of every other layer kind are
 // model.Network.ExecLayers, the same code model.Network.ForwardInt — the
 // one oracle — runs with the software convolution plugged in. The one
 // thing the engine takes from the walker is the act-quant that follows a
 // conv (model.Requant): the task that finishes a row block's sums — for a
-// block whose strips run as separate tasks, the last of them to
+// block whose strips or parts run as separate tasks, the last of them to
 // accumulate — requantizes those rows with the walker's own code, so the
 // act layer costs no serial pass on the caller.
 package sim

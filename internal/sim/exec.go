@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
 	"rtmap/internal/ap"
+	"rtmap/internal/codegen"
 	"rtmap/internal/core"
 	"rtmap/internal/model"
 	"rtmap/internal/tensor"
@@ -16,9 +18,10 @@ import (
 // is amortizing one program over many rows, and the engine mirrors that
 // in software — a batch of N inputs lays its im2col rows end to end in
 // one row space, every row packs into a lane of the machine's 64-bit
-// words, and every (strip, tile) program is interpreted once per
-// cache-sized block of those rows, through precompiled ap.ExecPlans,
-// pooled arenas, and a persistent worker pool. Only conv/linear layers
+// words, and every (strip, tile) program — or each of its parts, runs of
+// its channel fragments — is interpreted once per cache-sized block of
+// those rows, through precompiled ap.ExecPlans, pooled arenas, and a
+// persistent worker pool. Only conv/linear layers
 // run here, with the act-quant that follows one applied by the tasks that
 // finish its row blocks (model.Requant); the layer walk and every other
 // layer's integer semantics are model.Network.ExecLayers, shared with the
@@ -62,7 +65,8 @@ func putMachine(m *ap.Machine) {
 // into it. Pooled so the steady-state path allocates nothing.
 type convCtx struct {
 	plan   *core.LayerPlan
-	plans  []*ap.ExecPlan // [strip·tiles + tile], lowered before any task runs
+	parts  [][]codegen.Part // [strip·tiles + tile], cut before any task runs
+	nparts int              // parts per program
 	spec   tensor.ConvSpec
 	ins    []*tensor.Int
 	outs   []*tensor.Int
@@ -74,25 +78,26 @@ type convCtx struct {
 
 	wg sync.WaitGroup
 	// mu orders the accumulation of tasks that split one output region
-	// by strip, and guards left: per (tile, block), the strip groups yet
+	// by strip or part, and guards left: per (tile, block), the tasks yet
 	// to accumulate there. The one that takes it to zero requantizes.
 	mu            sync.Mutex
 	left          []int
 	block, blocks int // rows per block, blocks per tile
 }
 
-// convTask is one (strip-group, tile, row-block) unit of work. Rows are
-// numbered across the batch — item b's output position p is row b·P + p —
-// so a block may start mid-item and span several. A task that runs every
-// strip owns its output region (tile → output channels, block → output
-// positions) outright; tasks that share a region between strip groups
-// take ctx.mu around their accumulation. Either way the inter-strip
-// reduction stays exact: int32 adds commute bit for bit regardless of
-// task order.
+// convTask is one (tile, run of parts, row-block) unit of work. Part u
+// of a tile is part u mod nparts of strip u / nparts; with one part per
+// program a run of parts is a strip group. Rows are numbered across the
+// batch — item b's output position p is row b·P + p — so a block may
+// start mid-item and span several. A task that runs every part owns its
+// output region (tile → output channels, block → output positions)
+// outright; tasks that share a region take ctx.mu around their
+// accumulation. Either way the reduction of partial sums stays exact:
+// int32 adds commute bit for bit regardless of task order.
 type convTask struct {
 	ctx    *convCtx
 	tile   int
-	s0, s1 int // strips
+	u0, u1 int // parts
 	g0, g1 int // rows
 }
 
@@ -125,9 +130,9 @@ func submitConv(t convTask) {
 	}
 }
 
-// runConvTask executes one row block of one tile across its strips:
-// each strip's program runs once for the whole block, on rows gathered
-// straight from the input tensors.
+// runConvTask executes one row block of one tile across its parts: each
+// part runs once for the whole block, on the rows of its own channels
+// gathered straight from the input tensors.
 //
 //rtmap:noalloc
 func runConvTask(t convTask) {
@@ -135,20 +140,22 @@ func runConvTask(t convTask) {
 	defer ctx.wg.Done()
 	m := getMachine()
 	defer putMachine(m)
-	p, tiles := ctx.plan.P, len(ctx.tile)
-	shared := t.s1-t.s0 < len(ctx.plan.StripPlans)
+	p, tiles, parts := ctx.plan.P, len(ctx.tile), ctx.nparts
+	shared := t.u1-t.u0 < len(ctx.plan.StripPlans)*parts
 	last := !shared
-	for s := t.s0; s < t.s1; s++ {
+	for u := t.u0; u < t.u1; u++ {
+		s := u / parts
 		sp := &ctx.plan.StripPlans[s]
 		tp := sp.Programs[t.tile]
-		ep := ctx.plans[s*tiles+t.tile]
-		m.Reset(ep, t.g1-t.g0)
+		part := &ctx.parts[s*tiles+t.tile][u%parts]
+		m.Reset(part.Plan, t.g1-t.g0)
 		ins, srcs := tp.Inputs(), tp.TapSources(ctx.spec.Fw, ctx.spec.Pad)
+		c0, c1 := part.Chan0, min(part.Chan1, len(sp.Channels))
 		// Taps with a source last: in a derivable layer they copy from it.
 		for pass := 0; pass < 2; pass++ {
 			for i, in := range ins {
-				if in.Chan < len(sp.Channels) && (pass == 1) == (ctx.derive && srcs[i] >= 0) {
-					ctx.load(m, t, in.Virt, srcs[i], sp.Channels[in.Chan], in.K, 64/ep.LaneBits())
+				if c0 <= in.Chan && in.Chan < c1 && (pass == 1) == (ctx.derive && srcs[i] >= 0) {
+					ctx.load(m, t, in.Virt, srcs[i], sp.Channels[in.Chan], in.K, 64/part.Plan.LaneBits())
 				}
 			}
 		}
@@ -166,7 +173,7 @@ func runConvTask(t convTask) {
 			}
 		}
 		if shared {
-			if s == t.s1-1 {
+			if u == t.u1-1 {
 				k := t.tile*ctx.blocks + t.g0/ctx.block
 				ctx.left[k]--
 				last = ctx.left[k] == 0
@@ -180,7 +187,7 @@ func runConvTask(t convTask) {
 }
 
 // requant applies the fused act layer to the rows of t's output region,
-// whose sums every strip has finished.
+// whose sums every part has finished.
 //
 //rtmap:noalloc
 func (ctx *convCtx) requant(t convTask) {
@@ -274,23 +281,33 @@ const (
 	// lineWords floors a block at one cache line of lanes per column:
 	// below it a task moves whole lines to use part of each.
 	lineWords = 8
+	// partWords is the shortest block a row cut may leave where the
+	// programs can be cut into parts instead: below four cache lines per
+	// column, re-running every op per block costs more than each part
+	// accumulating the tile's sums over all the rows.
+	partWords = 4 * lineWords
 	// handoffWork is the ops × rows a task must keep for a split to pay
 	// for handing the other half to a worker.
 	handoffWork = 1 << 15
 )
 
-// taskShape sizes the tasks of one layer execution: the row-block length
-// and the strips per task. rows counts every batch item's rows; slots and
-// ops are the widest slot table and the largest per-tile op count (all
-// strips) among the layer's plans, lanes the fewest rows per word.
+// taskShape sizes the tasks of one layer execution: the row-block
+// length, the parts a task runs and the parts each program is cut into.
+// rows counts every batch item's rows; chans is the fewest channel
+// fragments, slots the widest slot table and ops the largest per-tile op
+// count (all strips) among the layer's programs, lanes the fewest rows
+// per word.
 //
 // Blocks start as long as arenaBudget allows. While that leaves a worker
 // with fewer than two tasks, strips split into groups first — a strip
-// group runs its own ops once, so the split adds no dispatch — and then
-// blocks shorten, which re-runs every op per block: never below
-// lineWords, and neither split below handoffWork per task.
-func taskShape(rows, tiles, strips, slots, ops, lanes, workers int) (block, perTask int) {
-	want := 1 // blocks × strip groups per tile that feed the pool
+// group runs its own ops once, so the split adds no dispatch. Then, if
+// the row cut that would feed the workers leaves blocks under partWords,
+// each strip's program is cut into parts at channel boundaries, which
+// also run their ops once; otherwise blocks shorten, which re-runs every
+// op per block: never below lineWords. No split goes below handoffWork
+// per task, and no part has less than one channel.
+func taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers int) (block, perTask, parts int) {
+	want := 1 // blocks × tasks per tile that feed the pool
 	if workers > 1 {
 		want = (2*workers + tiles - 1) / tiles
 	}
@@ -306,16 +323,40 @@ func taskShape(rows, tiles, strips, slots, ops, lanes, workers int) (block, perT
 	}
 	block = min(rows, lanes*max(lineWords, arenaBudget/8/slots))
 	n := blocks(block)
-	groups := min(strips, (want+n-1)/n, max(1, ops*block/handoffWork))
+	split := max(1, ops*block/handoffWork) // the tasks a block's work pays for
+	groups, parts := min(strips, (want+n-1)/n, split), 1
 	if n*groups < want {
 		floor := max(line, (handoffWork*groups+ops-1)/ops)
 		feed := (want + groups - 1) / groups
-		block = min(block, max((rows+feed-1)/feed, floor))
-		n = blocks(block)
+		cut := min(block, max((rows+feed-1)/feed, floor))
+		if p := min(chans, (want+n*strips-1)/(n*strips), split/strips); cut < lanes*partWords && p > 1 {
+			parts = p
+		} else {
+			block = cut
+			n = blocks(block)
+		}
 	}
 	// Even the blocks out, whole words each.
 	block = ((rows+n-1)/n + lanes - 1) / lanes * lanes
-	return block, (strips + groups - 1) / groups
+	return block, (strips + groups - 1) / groups, parts
+}
+
+// Shape is how the engine cuts one conv/linear layer's execution.
+type Shape struct {
+	Block, Blocks int // rows per block, blocks per tile
+	// PerTask is the parts a task runs, in strip order; with one part
+	// per program (Parts 1) they are whole strips.
+	PerTask, Parts int
+	// Dispatches counts the ops one call runs: every op of every part
+	// once per block — the accumulator clears once per part.
+	Dispatches int
+}
+
+// LayerShape returns the shape the engine gives layer layerIdx of c at a
+// batch of n inputs with workers workers to feed.
+func LayerShape(c *core.Compiled, layerIdx, n, workers int) (Shape, error) {
+	ctx := &convCtx{plan: c.Layers[layerIdx]}
+	return ctx.shape(layerIdx, n*ctx.plan.P, workers)
 }
 
 // RunConvBatchInto executes one compiled conv/linear layer for a batch
@@ -364,82 +405,115 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 	ctx.setTaps(ins[0].Shape, outShape)
 	err := ctx.run(layerIdx)
 	ctx.plan, ctx.ins, ctx.outs, ctx.rq = nil, nil, nil, nil
-	clear(ctx.plans)
+	clear(ctx.parts)
 	ctxPool.Put(ctx)
 	return err
 }
 
 // shape lowers every program of the layer (memoized on the tile
-// program, so tasks have no error path) and sizes the tasks from the
-// layer's extremes.
-func (ctx *convCtx) shape(layerIdx int) (block, perTask int, err error) {
+// program, so tasks have no error path), sizes the tasks of rows rows
+// from the layer's extremes, and cuts the programs as the shape says.
+func (ctx *convCtx) shape(layerIdx, rows, workers int) (Shape, error) {
 	plan := ctx.plan
 	tiles, strips := len(plan.TileSizes), len(plan.StripPlans)
-	ctx.plans = ctx.plans[:0]
-	slots, lanes := 1, 64
+	slots, lanes, chans := 1, 64, math.MaxInt
 	for _, sp := range plan.StripPlans {
 		if len(sp.Programs) != tiles {
-			return 0, 0, fmt.Errorf("sim: layer %d: strip has %d programs, want %d", layerIdx, len(sp.Programs), tiles)
+			return Shape{}, fmt.Errorf("sim: layer %d: strip has %d programs, want %d", layerIdx, len(sp.Programs), tiles)
 		}
 		for _, tp := range sp.Programs {
 			ep, err := tp.ExecPlan()
 			if err != nil {
-				return 0, 0, err
+				return Shape{}, err
 			}
-			ctx.plans = append(ctx.plans, ep)
 			slots = max(slots, ep.Slots())
 			lanes = min(lanes, 64/ep.LaneBits())
+			chans = min(chans, max(1, len(tp.ChanAt)))
 		}
 	}
 	ops := 1
 	for t := 0; t < tiles; t++ {
 		n := 0
-		for s := 0; s < strips; s++ {
-			n += ctx.plans[s*tiles+t].Ops()
+		for _, sp := range plan.StripPlans {
+			ep, _ := sp.Programs[t].ExecPlan() // lowered above
+			n += ep.Ops()
 		}
 		ops = max(ops, n)
 	}
-	block, perTask = taskShape(len(ctx.ins)*plan.P, tiles, strips, slots, ops, lanes, runtime.GOMAXPROCS(0))
-	return block, perTask, nil
+	var sh Shape
+	sh.Block, sh.PerTask, sh.Parts = taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers)
+	sh.Blocks = (rows + sh.Block - 1) / sh.Block
+	return sh, ctx.cut(&sh)
+}
+
+// cut fills ctx.parts with every program cut into sh.Parts parts, or as
+// many as the program with the fewest channels has, and counts
+// sh.Dispatches.
+func (ctx *convCtx) cut(sh *Shape) error {
+	for _, sp := range ctx.plan.StripPlans {
+		for _, tp := range sp.Programs {
+			sh.Parts = min(sh.Parts, max(1, len(tp.ChanAt)))
+		}
+	}
+	ctx.parts, ctx.nparts, sh.Dispatches = ctx.parts[:0], sh.Parts, 0
+	for _, sp := range ctx.plan.StripPlans {
+		for _, tp := range sp.Programs {
+			ps, err := tp.Parts(sh.Parts)
+			if err != nil {
+				return err
+			}
+			ctx.parts = append(ctx.parts, ps)
+			for _, pt := range ps {
+				sh.Dispatches += sh.Blocks * pt.Plan.Ops()
+			}
+		}
+	}
+	return nil
 }
 
 // run shapes the layer's tasks and executes them.
 func (ctx *convCtx) run(layerIdx int) error {
-	block, perTask, err := ctx.shape(layerIdx)
+	sh, err := ctx.shape(layerIdx, len(ctx.ins)*ctx.plan.P, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}
+	ctx.exec(sh)
+	return nil
+}
+
+// exec runs the tasks of a shape that ctx.cut has cut the programs for.
+func (ctx *convCtx) exec(sh Shape) {
 	plan := ctx.plan
+	rows := len(ctx.ins) * plan.P
 	ctx.tile = ctx.tile[:0]
 	off := 0
 	for _, ts := range plan.TileSizes {
 		ctx.tile = append(ctx.tile, off)
 		off += ts
 	}
-	rows, strips := len(ctx.ins)*plan.P, len(plan.StripPlans)
-	ctx.block, ctx.blocks = block, (rows+block-1)/block
+	units := len(plan.StripPlans) * sh.Parts
+	ctx.block, ctx.blocks = sh.Block, sh.Blocks
 	ctx.left = ctx.left[:0]
 	for range len(plan.TileSizes) * ctx.blocks {
-		ctx.left = append(ctx.left, (strips+perTask-1)/perTask)
+		ctx.left = append(ctx.left, (units+sh.PerTask-1)/sh.PerTask)
 	}
 	workersOnce.Do(startWorkers)
 	// The caller keeps the last task for itself: it would otherwise only
 	// wait, and a layer that is one task never pays a hand-off.
 	var last convTask
 	for t := range plan.TileSizes {
-		for s0 := 0; s0 < strips; s0 += perTask {
-			for g0 := 0; g0 < rows; g0 += block {
+		for u0 := 0; u0 < units; u0 += sh.PerTask {
+			for g0 := 0; g0 < rows; g0 += sh.Block {
 				if last.ctx != nil {
 					submitConv(last)
 				}
 				ctx.wg.Add(1)
-				last = convTask{ctx: ctx, tile: t, s0: s0, s1: min(s0+perTask, strips), g0: g0, g1: min(g0+block, rows)}
+				last = convTask{ctx: ctx, tile: t, u0: u0, u1: min(u0+sh.PerTask, units), g0: g0, g1: min(g0+sh.Block, rows)}
 			}
 		}
 	}
 	runConvTask(last)
 	ctx.wg.Wait()
-	return nil
 }
 
 // RunConvBatch is RunConvBatchInto with freshly allocated outputs: one

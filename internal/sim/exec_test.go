@@ -112,9 +112,8 @@ func TestFusedRequantMatchesForwardInt(t *testing.T) {
 					ok, err := convExec(c)(i, l, xs, outs, rq)
 					fused[i] = ok
 					if ok {
-						ctx := &convCtx{plan: c.Layers[i], ins: xs}
-						_, perTask, _ := ctx.shape(i)
-						splitFused = splitFused || perTask < len(c.Layers[i].StripPlans)
+						sh, _ := LayerShape(c, i, len(xs), runtime.GOMAXPROCS(0))
+						splitFused = splitFused || sh.PerTask < len(c.Layers[i].StripPlans)*sh.Parts
 					}
 					return ok, err
 				}
@@ -203,9 +202,8 @@ func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 				tc.name, len(plan.TileSizes), len(plan.StripPlans), plan.P, tc.tiles, tc.strips, tc.p)
 		}
 		if tc.splitStripsAtBatch1 {
-			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, 1)}
-			if _, perTask, err := ctx.shape(0); err != nil || perTask >= tc.strips {
-				t.Fatalf("%s: %d strips per task (err %v); the test needs them split", tc.name, perTask, err)
+			if sh, err := LayerShape(c, 0, 1, runtime.GOMAXPROCS(0)); err != nil || sh.Parts != 1 || sh.PerTask >= tc.strips {
+				t.Fatalf("%s: %+v (err %v); the test needs whole strips split", tc.name, sh, err)
 			}
 		}
 		for _, n := range []int{1, 3, 8} {
@@ -276,10 +274,9 @@ func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 				tc.name, ctx.derive, words, unbound, tc.derive, tc.words, tc.unbound)
 		}
 		for _, n := range []int{1, 3, 8} {
-			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, n)}
-			if block, _, err := ctx.shape(0); err != nil {
+			if sh, err := LayerShape(c, 0, n, runtime.GOMAXPROCS(0)); err != nil {
 				t.Fatal(err)
-			} else if out := spec.OutShape(net.InputShape); tc.derive && block < n*plan.P && block%plan.P%out.W != 0 {
+			} else if out := spec.OutShape(net.InputShape); tc.derive && sh.Block < n*plan.P && sh.Block%plan.P%out.W != 0 {
 				midRow = true
 			}
 			ins := make([]*tensor.Float, n)
@@ -301,6 +298,77 @@ func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 	}
 	if !midRow {
 		t.Fatal("no derivable case cut an item mid-row; the sweep lost its point")
+	}
+}
+
+// Programs cut into parts, every vgg9 layer against ForwardInt for N ∈
+// {1, 3}, with each conv's act-quant fused and not. The cuts are forced
+// on every layer, one part a task on four workers: 3 parts divide no
+// layer's channels, conv1_1's 3 channels are fewer than 4 wanted,
+// conv3_2's parts run in two strips, and conv1_2 at N = 3 also cuts rows.
+// Parts of one block finish in any order; the last requantizes it.
+func TestPartsMatchForwardInt(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	net := model.VGG9(model.DefaultConfig())
+	c := compileNet(t, net, true)
+	var uneven, fewer, twoStrips, blocksToo bool
+	for _, g := range []int{3, 4} {
+		for _, n := range []int{1, 3} {
+			ins := make([]*tensor.Float, n)
+			want := make([]*model.IntTrace, n)
+			for j := range ins {
+				ins[j] = randInput(uint64(500+10*n+j), net.InputShape)
+				var err error
+				if want[j], err = net.ForwardInt(ins[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, fuse := range []bool{true, false} {
+				exec := func(i int, l *model.Layer, xs, outs []*tensor.Int, rq *model.Requant) (bool, error) {
+					if !fuse {
+						rq = nil
+					}
+					plan, spec := c.Layers[i], l.ConvSpec()
+					for b := range outs {
+						outs[b] = tensor.NewInt(spec.OutShape(xs[0].Shape))
+					}
+					ctx := &convCtx{plan: plan, spec: spec, ins: xs, outs: outs, rq: rq}
+					ctx.setTaps(xs[0].Shape, outs[0].Shape)
+					sh, err := ctx.shape(i, len(xs)*plan.P, 1)
+					if err != nil {
+						return false, err
+					}
+					sh.Parts, sh.PerTask = g, 1
+					if err := ctx.cut(&sh); err != nil {
+						return false, err
+					}
+					chans := len(plan.StripPlans[0].Programs[0].ChanAt)
+					uneven = uneven || sh.Parts > 1 && chans%sh.Parts != 0
+					fewer = fewer || sh.Parts < g && sh.Parts == chans
+					twoStrips = twoStrips || sh.Parts > 1 && len(plan.StripPlans) > 1
+					blocksToo = blocksToo || sh.Parts > 1 && sh.Blocks > 1
+					ctx.exec(sh)
+					return rq != nil, nil
+				}
+				trs := make([]*model.IntTrace, n)
+				for j, in := range ins {
+					var err error
+					if trs[j], err = net.NewTrace(in); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := net.ExecLayers(trs, 0, len(net.Layers), exec, nil); err != nil {
+					t.Fatal(err)
+				}
+				for j := range ins {
+					assertTraceEqual(t, net, trs[j], want[j], fmt.Sprintf("%d parts N=%d fused %v item %d", g, n, fuse, j))
+				}
+			}
+		}
+	}
+	if !uneven || !fewer || !twoStrips || !blocksToo {
+		t.Fatalf("cuts covered: uneven %v, fewer channels than parts %v, two strips %v, blocks and parts %v; the test needs all",
+			uneven, fewer, twoStrips, blocksToo)
 	}
 }
 
@@ -326,11 +394,11 @@ func TestDeriveRefusesUnalignedSegments(t *testing.T) {
 	}
 	ctx := &convCtx{plan: plan, spec: spec, ins: ins, outs: outs}
 	ctx.setTaps(net.InputShape, spec.OutShape(net.InputShape))
-	if _, _, err := ctx.shape(0); err != nil {
+	if _, err := ctx.shape(0, n*plan.P, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, ep := range ctx.plans {
-		if ep.LaneBits() != 16 {
+	for _, ps := range ctx.parts {
+		if ep := ps[0].Plan; ep.LaneBits() != 16 {
 			t.Fatalf("plan runs %d-bit lanes; the test needs 16", ep.LaneBits())
 		}
 	}
@@ -348,7 +416,7 @@ func TestDeriveRefusesUnalignedSegments(t *testing.T) {
 	for tile := range plan.TileSizes {
 		for g0 := 0; g0 < rows; g0 += block {
 			ctx.wg.Add(1)
-			runConvTask(convTask{ctx: ctx, tile: tile, s0: 0, s1: len(plan.StripPlans), g0: g0, g1: min(g0+block, rows)})
+			runConvTask(convTask{ctx: ctx, tile: tile, u0: 0, u1: len(plan.StripPlans), g0: g0, g1: min(g0+block, rows)})
 		}
 	}
 	for b := range outs {
@@ -363,23 +431,20 @@ func TestDeriveRefusesUnalignedSegments(t *testing.T) {
 // however many workers there are to feed.
 func TestTinyConvStaysOneTask(t *testing.T) {
 	c := compileNet(t, model.TinyCNN(model.DefaultConfig()), true)
-	for _, procs := range []int{1, 2, 16} {
-		prev := runtime.GOMAXPROCS(procs)
+	for _, workers := range []int{1, 2, 16} {
 		for i, plan := range c.Layers {
 			if plan.Class != core.ClassConv {
 				continue
 			}
-			ctx := &convCtx{plan: plan, ins: make([]*tensor.Int, 8)}
-			block, perTask, err := ctx.shape(i)
+			sh, err := LayerShape(c, i, 8, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rows := 8 * plan.P; block < rows || perTask != len(plan.StripPlans) {
-				t.Errorf("GOMAXPROCS %d: %s at batch 8 splits into blocks of %d of %d rows, %d of %d strips per task",
-					procs, plan.Name, block, rows, perTask, len(plan.StripPlans))
+			if rows := 8 * plan.P; sh.Block < rows || sh.PerTask != len(plan.StripPlans) || sh.Parts != 1 {
+				t.Errorf("%d workers: %s at batch 8 splits into blocks of %d of %d rows, %d of %d strips per task, %d parts",
+					workers, plan.Name, sh.Block, rows, sh.PerTask, len(plan.StripPlans), sh.Parts)
 			}
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -387,54 +452,78 @@ func TestTinyConvStaysOneTask(t *testing.T) {
 // rows per word, 2 workers), and its invariants over a sweep.
 func TestTaskShape(t *testing.T) {
 	for _, tc := range []struct {
-		name                                 string
-		rows, tiles, strips, slots, ops      int
-		wantBlock, wantBlocks, wantStripsPer int
+		name                                   string
+		rows, tiles, strips, chans, slots, ops int
+		wantBlock, wantBlocks, wantPerTask     int
+		wantParts                              int
 	}{
-		// 64 rows of 1 448 slots: two blocks, each one cache line of lanes
-		// per slot — the floor, not camRows, sets the block.
-		{"vgg9 conv3_1 b1", 64, 1, 1, 1448, 44099, 32, 2, 1},
+		// conv1_x at batch 1: a quarter of 1 024 rows is 64 words a
+		// column, long enough to cut rows. conv1_1's 3 channels and 357
+		// ops would lose more to four parts each accumulating 64 × 1 024
+		// sums than rows lose to re-running them.
+		{"vgg9 conv1_1 b1", 1024, 1, 1, 3, 104, 357, 256, 4, 1, 1},
+		{"vgg9 conv1_2 b1", 1024, 1, 1, 64, 656, 6304, 256, 4, 1, 1},
+		// From conv2_1 on, a row cut that feeds two workers leaves blocks
+		// under four cache lines: each program runs in four parts over
+		// every row instead, and runs each op once.
+		{"vgg9 conv2_1 b1", 256, 1, 1, 64, 731, 11722, 256, 1, 1, 4},
+		{"vgg9 conv2_2 b1", 256, 1, 1, 128, 1308, 23627, 256, 1, 1, 4},
+		{"vgg9 conv3_1 b1", 64, 1, 1, 128, 1448, 44099, 64, 1, 1, 4},
 		// At batch 8 the arena would hold 512 rows; feeding two workers
-		// cuts them in four.
-		{"vgg9 conv3_1 b8", 512, 1, 1, 1448, 44099, 128, 4, 1},
+		// cuts them in four, 32 words a column: rows, not parts.
+		{"vgg9 conv3_1 b8", 512, 1, 1, 128, 1448, 44099, 128, 4, 1, 1},
 		// A table as wide as conv3_1's 16 329 columns: the budget cuts the
 		// same rows in eight.
-		{"vgg9 conv3_1 b8 by columns", 512, 1, 1, 16329, 44099, 64, 8, 1},
-		// Two strips and only two blocks: the strips split too.
-		{"vgg9 conv3_2 b1", 64, 1, 2, 1451, 88113, 32, 2, 1},
+		{"vgg9 conv3_1 b8 by columns", 512, 1, 1, 128, 16329, 44099, 64, 8, 1, 1},
+		// Two strips and only one block: the strips split, then each
+		// strip's program into two parts.
+		{"vgg9 conv3_2 b1", 64, 1, 2, 128, 1451, 88113, 64, 1, 1, 2},
 		// One row: nothing to split but the strips.
-		{"vgg9 fc1 b1", 1, 1, 4, 1281, 210598, 4, 1, 1},
-		{"vgg9 fc2 b1", 1, 1, 4, 321, 14056, 4, 1, 4},
+		{"vgg9 fc1 b1", 1, 1, 4, 1024, 1281, 210598, 4, 1, 1, 1},
+		{"vgg9 fc2 b1", 1, 1, 4, 256, 321, 14056, 4, 1, 4, 1},
 		// The arena budget, not the worker count, sets the block.
-		{"vgg9 conv1_2 b8", 8192, 1, 1, 656, 6304, 1368, 6, 1},
-		{"vgg9 conv1_2 b8 by columns", 8192, 1, 1, 3034, 6304, 344, 24, 1},
+		{"vgg9 conv1_2 b8", 8192, 1, 1, 64, 656, 6304, 1368, 6, 1, 1},
+		{"vgg9 conv1_2 b8 by columns", 8192, 1, 1, 64, 3034, 6304, 344, 24, 1, 1},
 		// 49 rows is under two cache lines of lanes: one block, and the two
 		// tiles' strips split instead.
-		{"resnet18 layer4 b1", 49, 2, 4, 1550, 175383, 52, 1, 2},
+		{"resnet18 layer4 b1", 49, 2, 4, 128, 1550, 175383, 52, 1, 2, 1},
 	} {
-		block, perTask := taskShape(tc.rows, tc.tiles, tc.strips, tc.slots, tc.ops, 4, 2)
+		block, perTask, parts := taskShape(tc.rows, tc.tiles, tc.strips, tc.chans, tc.slots, tc.ops, 4, 2)
 		blocks := (tc.rows + block - 1) / block
-		if block != tc.wantBlock || blocks != tc.wantBlocks || perTask != tc.wantStripsPer {
-			t.Errorf("%s: blocks of %d rows (%d of them), %d strips per task; want %d (%d), %d",
-				tc.name, block, blocks, perTask, tc.wantBlock, tc.wantBlocks, tc.wantStripsPer)
+		if block != tc.wantBlock || blocks != tc.wantBlocks || perTask != tc.wantPerTask || parts != tc.wantParts {
+			t.Errorf("%s: blocks of %d rows (%d of them), %d per task, %d parts; want %d (%d), %d, %d",
+				tc.name, block, blocks, perTask, parts, tc.wantBlock, tc.wantBlocks, tc.wantPerTask, tc.wantParts)
 		}
 	}
+	const tiles, strips = 2, 3
 	for _, lanes := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 8} {
+			want := (2*workers + tiles - 1) / tiles
 			for rows := 1; rows < 3000; rows += 37 {
-				for _, slots := range []int{9, 300, 20000} {
-					for _, ops := range []int{1, 19, 5000, 300000} {
-						block, perTask := taskShape(rows, 2, 3, slots, ops, lanes, workers)
-						words := block / lanes
-						switch {
-						case block < 1 || block%lanes != 0:
-							t.Fatalf("block of %d rows at %d rows per word", block, lanes)
-						case perTask < 1 || perTask > 3:
-							t.Fatalf("%d strips per task of 3", perTask)
-						case words >= 2*lineWords && slots*(words-1)*8 > arenaBudget:
-							t.Fatalf("rows %d slots %d: %d-word blocks overflow the arena budget", rows, slots, words)
-						case words < lineWords && block < rows:
-							t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
+				for _, chans := range []int{1, 2, 5, 64} {
+					for _, slots := range []int{9, 300, 20000} {
+						for _, ops := range []int{1, 19, 5000, 300000} {
+							block, perTask, parts := taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers)
+							words, blocks := block/lanes, (rows+block-1)/block
+							switch {
+							case block < 1 || block%lanes != 0:
+								t.Fatalf("block of %d rows at %d rows per word", block, lanes)
+							case perTask < 1 || perTask > strips:
+								t.Fatalf("%d strips per task of %d", perTask, strips)
+							case words >= 2*lineWords && slots*(words-1)*8 > arenaBudget:
+								t.Fatalf("rows %d slots %d: %d-word blocks overflow the arena budget", rows, slots, words)
+							case words < lineWords && block < rows:
+								t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
+							case parts < 1 || parts > chans:
+								t.Fatalf("%d channels cut into %d parts", chans, parts)
+							case parts > 1 && perTask != 1:
+								t.Fatalf("parts run %d strips a task", perTask)
+							// Parts feed the pool unless the channels or the
+							// hand-off work cap them.
+							case parts > 1 && blocks*strips*parts < want && parts < chans &&
+								strips*(parts+1)*handoffWork <= ops*min(block, rows):
+								t.Fatalf("rows %d chans %d ops %d: %d blocks × %d parts feed %d of %d", rows, chans, ops, blocks, parts, blocks*strips*parts, want)
+							}
 						}
 					}
 				}
@@ -514,32 +603,45 @@ func TestRunConvBatchIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	net := model.TinyCNN(model.DefaultConfig())
-	c := compileNet(t, net, true)
-
-	const n = 4
-	ins := make([]*tensor.Int, n)
-	outs := make([]*tensor.Int, n)
-	spec := c.Net.Layers[0].ConvSpec()
-	for b := range ins {
-		in := randInput(uint64(b+900), net.InputShape)
-		tr, err := net.ForwardInt(in)
-		if err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// tinycnn's first conv at batch 4, and at batch 1 a layer that two
+	// workers split into parts: its part views are memoized, so once
+	// cut they cost nothing per call either.
+	for _, tc := range []struct {
+		net   *model.Network
+		n     int
+		parts bool
+	}{
+		{model.TinyCNN(model.DefaultConfig()), 4, false},
+		{singleConvNet(11, 64, 64, 3, 1, 1, 8, 0.5), 1, true},
+	} {
+		c := compileNet(t, tc.net, true)
+		if sh, err := LayerShape(c, 0, tc.n, 2); err != nil || (sh.Parts > 1) != tc.parts {
+			t.Fatalf("%s at batch %d: %+v (err %v); the case needs parts %v", tc.net.Name, tc.n, sh, err, tc.parts)
 		}
-		ins[b] = tr.InputCodes
-		outs[b] = tensor.NewInt(spec.OutShape(tr.InputCodes.Shape))
-	}
-	run := func() {
-		if err := RunConvBatchInto(c, 0, ins, outs); err != nil {
-			t.Fatal(err)
+		ins := make([]*tensor.Int, tc.n)
+		outs := make([]*tensor.Int, tc.n)
+		spec := c.Net.Layers[0].ConvSpec()
+		for b := range ins {
+			in := randInput(uint64(b+900), tc.net.InputShape)
+			tr, err := tc.net.ForwardInt(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins[b] = tr.InputCodes
+			outs[b] = tensor.NewInt(spec.OutShape(tr.InputCodes.Shape))
 		}
-	}
-	for i := 0; i < 32; i++ {
-		run() // warm the pools, the worker fleet, and every ExecPlan
-	}
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Fatalf("steady-state RunConvBatchInto allocates %.1f times per call, want 0", avg)
+		run := func() {
+			if err := RunConvBatchInto(c, 0, ins, outs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			run() // warm the pools, the worker fleet, and every ExecPlan
+		}
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("%s: steady-state RunConvBatchInto allocates %.1f times per call, want 0", tc.net.Name, avg)
+		}
 	}
 }
 

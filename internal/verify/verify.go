@@ -95,29 +95,73 @@ func (e *Error) Error() string {
 	return msg
 }
 
-// CheckTileProgram audits one tile program's execution plan against its
-// source AP program (see ap.AuditPlan for the proved invariants) and
-// returns the findings located under ref. A program whose plan cannot
-// even be built is itself a finding: serving would hit the same error
-// on first execution.
-func CheckTileProgram(ref Ref, tp *codegen.TileProgram) []Diagnostic {
-	located := func(op int, invariant, detail string) Diagnostic {
-		return Diagnostic{
+// located places violations under ref.
+func located(ref Ref, vs []ap.Violation) []Diagnostic {
+	var out []Diagnostic
+	for _, v := range vs {
+		out = append(out, Diagnostic{
 			Model: ref.Model, Layer: ref.Layer, LayerName: ref.LayerName,
 			Strip: ref.Strip, Tile: ref.Tile,
-			Op: op, Invariant: invariant, Detail: detail,
-		}
+			Op: v.Op, Invariant: v.Invariant, Detail: v.Detail,
+		})
 	}
+	return out
+}
+
+// CheckTileProgram audits one tile program's execution plan against its
+// source AP program (see ap.AuditPlan for the proved invariants) and
+// proves, in one more linear pass, that the program cut at its channel
+// boundaries (ChanAt) runs as parts (ap.AuditParts): every view Parts
+// builds is then sound without an audit of its own. It returns the
+// findings located under ref. A program whose plan cannot even be built
+// is itself a finding: serving would hit the same error on first
+// execution.
+func CheckTileProgram(ref Ref, tp *codegen.TileProgram) []Diagnostic {
 	if tp == nil || tp.Prog == nil {
-		return []Diagnostic{located(-1, ap.InvProgram, "tile has no program")}
+		return located(ref, []ap.Violation{{Op: -1, Invariant: ap.InvProgram, Detail: "tile has no program"}})
 	}
 	plan, err := tp.ExecPlan()
 	if err != nil {
-		return []Diagnostic{located(-1, ap.InvProgram, err.Error())}
+		return located(ref, []ap.Violation{{Op: -1, Invariant: ap.InvProgram, Detail: err.Error()}})
+	}
+	if vs := ap.AuditPlan(tp.Prog, plan); len(vs) > 0 {
+		return located(ref, vs)
+	}
+	if len(tp.ChanAt) == 0 {
+		return nil // one part: the plan itself
+	}
+	bound := make([]int, len(tp.Prog.Cols))
+	for c := range bound {
+		bound[c] = -1
+	}
+	for v, b := range tp.InputBindings {
+		bound[v] = b[0] // fragment i is resident channel i
+	}
+	return located(ref, ap.AuditParts(tp.Prog, tp.ChanAt, tp.AccVirt, bound))
+}
+
+// CheckPartViews audits each view of tp cut into g parts directly:
+// ap.AuditPlan of the view against the program of the instructions it
+// runs, the clears and its fragments. CheckTileProgram proves the same
+// views sound without building them; this is the cross-check of that
+// proof, for tools and tests.
+func CheckPartViews(ref Ref, tp *codegen.TileProgram, g int) []Diagnostic {
+	parts, err := tp.Parts(g)
+	if err != nil {
+		return located(ref, []ap.Violation{{Op: -1, Invariant: ap.InvProgram, Detail: err.Error()}})
 	}
 	var out []Diagnostic
-	for _, v := range ap.AuditPlan(tp.Prog, plan) {
-		out = append(out, located(v.Op, v.Invariant, v.Detail))
+	for _, pt := range parts {
+		head := 0
+		if len(parts) > 1 {
+			head = tp.ChanAt[0]
+		}
+		p := &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols,
+			Instrs: append(tp.Prog.Instrs[:head:head], tp.Prog.Instrs[pt.Lo:pt.Hi]...)}
+		for _, d := range located(ref, ap.AuditPlan(p, pt.Plan)) {
+			d.Detail = fmt.Sprintf("part [%d, %d) of %d: %s", pt.Chan0, pt.Chan1, len(parts), d.Detail)
+			out = append(out, d)
+		}
 	}
 	return out
 }

@@ -3,7 +3,9 @@ package verify_test
 import (
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,4 +165,183 @@ func TestDiagnosticJSONRoundTrip(t *testing.T) {
 	if back != d {
 		t.Fatalf("round trip changed the diagnostic: %+v != %+v", back, d)
 	}
+}
+
+// Every view a compiled tile program's Parts builds passes AuditPlan
+// against the instructions it runs: the cross-check of the linear proof
+// CheckTileProgram makes instead.
+func TestPartViewsAuditClean(t *testing.T) {
+	comp := compileKept(t, model.TinyResNet(model.DefaultConfig()))
+	views := 0
+	for _, lp := range comp.Layers {
+		for s, sp := range lp.StripPlans {
+			for ti, tp := range sp.Programs {
+				ref := verify.Ref{Model: "tinyresnet", Layer: lp.Index, LayerName: lp.Name, Strip: s, Tile: ti}
+				for g := 1; g <= 8; g++ {
+					if diags := verify.CheckPartViews(ref, tp, g); len(diags) > 0 {
+						t.Fatalf("%d parts: %v", g, diags[0])
+					}
+					parts, err := tp.Parts(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					views += len(parts)
+					// No op is run twice: the parts' ops, less the clears
+					// each repeats, are the program's.
+					ops, clears := 0, 0
+					if len(parts) > 1 {
+						clears = tp.ChanAt[0]
+					}
+					for _, pt := range parts {
+						ops += pt.Plan.Ops() - clears
+					}
+					if whole, _ := tp.ExecPlan(); ops+clears != whole.Ops() {
+						t.Fatalf("%d parts run %d ops after the clears, the program %d", len(parts), ops, whole.Ops()-clears)
+					}
+				}
+			}
+		}
+	}
+	if views < 100 {
+		t.Fatalf("%d part views audited; the sweep is vacuous", views)
+	}
+}
+
+// partMutation is one compiler bug a cut at channel boundaries must not
+// survive. apply returns a mutated copy of a tile program, or nil where
+// the operator has nothing to mutate.
+type partMutation struct {
+	name  string
+	apply func(rng *rand.Rand, tp *codegen.TileProgram) *codegen.TileProgram
+}
+
+// mutated is tp with its instructions and boundaries replaced, lowered
+// afresh: a compiler that emitted the bug would lower it too.
+func mutated(tp *codegen.TileProgram, instrs []ap.Instr, chanAt []int) *codegen.TileProgram {
+	return &codegen.TileProgram{
+		Prog:          &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols, Instrs: instrs},
+		Phys:          tp.Phys,
+		InputBindings: tp.InputBindings,
+		AccVirt:       tp.AccVirt,
+		ChanAt:        chanAt,
+		Stats:         tp.Stats,
+	}
+}
+
+// fragmentOf numbers each instruction's fragment, -1 for the clears.
+func fragmentOf(tp *codegen.TileProgram) []int {
+	frag := make([]int, len(tp.Prog.Instrs))
+	f := -1
+	for i := range frag {
+		for f+1 < len(tp.ChanAt) && tp.ChanAt[f+1] <= i {
+			f++
+		}
+		frag[i] = f
+	}
+	return frag
+}
+
+var partMutations = []partMutation{
+	// A boundary moved strictly inside the fragment before or after it.
+	{"move-boundary", func(rng *rand.Rand, tp *codegen.TileProgram) *codegen.TileProgram {
+		at := append(append([]int(nil), tp.ChanAt...), len(tp.Prog.Instrs))
+		var cands [][2]int // boundary, new position
+		for j := range tp.ChanAt {
+			lo := 0
+			if j > 0 {
+				lo = at[j-1]
+			}
+			for pos := lo + 1; pos < at[j+1]; pos++ {
+				if pos != at[j] && (j > 0 || pos > at[0]) {
+					cands = append(cands, [2]int{j, pos})
+				}
+			}
+		}
+		if len(cands) == 0 {
+			return nil
+		}
+		c := cands[rng.IntN(len(cands))]
+		chanAt := append([]int(nil), tp.ChanAt...)
+		chanAt[c[0]] = c[1]
+		return mutated(tp, tp.Prog.Instrs, chanAt)
+	}},
+	// One operand of a fragment reads another fragment's temporary.
+	{"read-other-temp", func(rng *rand.Rand, tp *codegen.TileProgram) *codegen.TileProgram {
+		frag, cols := fragmentOf(tp), tp.Prog.Cols
+		temps := map[int][]int{} // fragment -> temps it writes
+		for i, ins := range tp.Prog.Instrs {
+			if frag[i] >= 0 && cols[ins.Dst].Temp {
+				temps[frag[i]] = append(temps[frag[i]], ins.Dst)
+			}
+		}
+		var reads [][2]int // instruction, operand (0 A, 1 B)
+		for i, ins := range tp.Prog.Instrs {
+			if ins.Op != ap.OpAdd && ins.Op != ap.OpSub {
+				continue
+			}
+			if cols[ins.A].Temp {
+				reads = append(reads, [2]int{i, 0})
+			}
+			if !ins.InPlace && cols[ins.B].Temp {
+				reads = append(reads, [2]int{i, 1})
+			}
+		}
+		if len(reads) == 0 || len(temps) < 2 {
+			return nil
+		}
+		r := reads[rng.IntN(len(reads))]
+		var other []int
+		for f, ts := range temps {
+			if f != frag[r[0]] {
+				other = append(other, ts...)
+			}
+		}
+		slices.Sort(other) // map order is random; the seed picks
+		instrs := append([]ap.Instr(nil), tp.Prog.Instrs...)
+		if c := other[rng.IntN(len(other))]; r[1] == 0 {
+			instrs[r[0]].A = c
+		} else {
+			instrs[r[0]].B = c
+		}
+		return mutated(tp, instrs, tp.ChanAt)
+	}},
+}
+
+// The partition proof's mutation harness: each operator, applied to the
+// multi-channel tile programs of the small zoo, must be caught as a parts
+// violation by CheckTileProgram every time.
+func TestPartsCatchMutations(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 0x9a27))
+	caught, total := map[string]int{}, map[string]int{}
+	for _, net := range []*model.Network{model.TinyCNN(model.DefaultConfig()), model.TinyResNet(model.DefaultConfig())} {
+		comp := compileKept(t, net)
+		for _, lp := range comp.Layers {
+			for s, sp := range lp.StripPlans {
+				for ti, tp := range sp.Programs {
+					ref := verify.Ref{Model: net.Name, Layer: lp.Index, LayerName: lp.Name, Strip: s, Tile: ti}
+					for trial := 0; trial < 10; trial++ {
+						for _, mu := range partMutations {
+							m := mu.apply(rng, tp)
+							if m == nil {
+								continue
+							}
+							total[mu.name]++
+							for _, d := range verify.CheckTileProgram(ref, m) {
+								if d.Invariant == ap.InvParts {
+									caught[mu.name]++
+									break
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, mu := range partMutations {
+		if total[mu.name] < 50 || caught[mu.name] != total[mu.name] {
+			t.Errorf("%s: caught %d of %d mutants; want all of ≥ 50", mu.name, caught[mu.name], total[mu.name])
+		}
+	}
+	t.Logf("caught %v of %v", caught, total)
 }
