@@ -22,7 +22,10 @@
 // 16-, 32- or 64-bit lanes, into one stream of 12-byte ops: a wrap-free
 // add/sub is three arena slot indices and a sign bit that Run executes
 // with nothing to decode, anything else an escape to its full form. One
-// word op advances several rows, replayed over reusable arenas; LoadRows
+// word op advances several rows; Run hands each stretch of fast ops to
+// one kernel call — on a CPU with AVX2 an assembly loop that advances 16
+// rows per instruction and checks every slot index against the arena,
+// elsewhere the portable Go loop — and replays over reusable arenas; LoadRows
 // (a Grid per call), CopyRows and AccumulateColumn move whole words. The
 // two are proved bit-identical on randomized programs, and AuditPlan
 // re-derives every claim of the lowering from the stream Run executes.

@@ -208,9 +208,10 @@ func (s *runShapes) see(plan *ExecPlan) {
 // LUT replay (Exec) on randomized programs at every lane width —
 // multi-destination copies, wrapping and wrap-free ops, fast-op runs of
 // every shape, reused machines (Reset), wide columns — over row counts on
-// both sides of every word boundary, among them 1, 3, 4, 5 and 17 words
-// per column at each lane width: Run's single-word form, its 4-word body
-// alone, and the body with each tail. Columns load in two segments cut at
+// both sides of every word boundary, among them 1, 3, 4, 5, 8, 9, 16 and
+// 17 words per column at each lane width: each kernel's single-word form,
+// the generic 4-word body and the AVX2 8-word body alone and with their
+// tails — under every kernel this CPU runs. Columns load in two segments cut at
 // a random row, the way batch items land at row b·n: rarely a multiple of
 // the lane count. Exec truncates every width as a nanowire does, while
 // the engine treats widths ≥ 63 as never wrapping. Values stay below
@@ -220,72 +221,74 @@ func (s *runShapes) see(plan *ExecPlan) {
 // higher, and that offset reaches nothing but bit 63 of what it feeds.
 // Every bit beneath bit 63 must agree.
 func TestMachineMatchesExecRandomPrograms(t *testing.T) {
-	var m Machine // reused across trials: Reset must fully rebind state
-	var shapes runShapes
-	for _, lane := range testLanes {
-		rowSet := []int{31, 33, 49, 64, 65}
-		for _, words := range []int{1, 3, 4, 5, 17} {
-			per := 64 / lane
-			rowSet = append(rowSet, words*per, (words-1)*per+1)
-		}
-		for _, rows := range rowSet {
-			for trial := 0; trial < 8; trial++ {
-				rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0xa11ec+uint64(lane)))
-				p := randomProgram(rng, lane)
-				if p == nil {
-					continue
-				}
-				if err := p.Validate(); err != nil {
-					t.Fatalf("lane %d rows %d trial %d: generated invalid program: %v", lane, rows, trial, err)
-				}
-				plan, err := NewExecPlan(p)
-				if err != nil {
-					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
-				}
-				if plan.LaneBits() != lane {
-					t.Fatalf("lane %d rows %d trial %d: plan lowered to %d-bit lanes\ncolumns: %+v",
-						lane, rows, trial, plan.LaneBits(), p.Cols)
-				}
-				shapes.see(plan)
-				m.Reset(plan, rows)
-
-				vals := loadRandom(rng, p, rows)
-				v32 := make([]int32, rows)
-				cut := rng.IntN(rows + 1)
-				for c := 1; c < len(p.Cols); c++ {
-					for r, v := range vals[c] {
-						v32[r] = int32(v)
+	eachKernel(t, func(t *testing.T) {
+		var m Machine // reused across trials: Reset must fully rebind state
+		var shapes runShapes
+		for _, lane := range testLanes {
+			rowSet := []int{31, 33, 49, 64, 65}
+			for _, words := range []int{1, 3, 4, 5, 8, 9, 16, 17} {
+				per := 64 / lane
+				rowSet = append(rowSet, words*per, (words-1)*per+1)
+			}
+			for _, rows := range rowSet {
+				for trial := 0; trial < 8; trial++ {
+					rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0xa11ec+uint64(lane)))
+					p := randomProgram(rng, lane)
+					if p == nil {
+						continue
 					}
-					setRows(&m, c, cut, v32[cut:])
-					setRows(&m, c, 0, v32[:cut])
-				}
-				want, err := Exec(p, vals)
-				if err != nil {
-					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
-				}
-				m.Run()
-				acc := make([]int32, rows-cut)
-				for c := 1; c < len(p.Cols); c++ {
-					got := m.Column(c)
-					clear(acc)
-					m.AccumulateColumn(c, cut, acc)
-					for r := 0; r < rows; r++ {
-						if got[r]<<1 != want[c][r]<<1 {
-							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\nprogram: %v",
-								lane, rows, trial, c, r, got[r], want[c][r], p.Instrs)
+					if err := p.Validate(); err != nil {
+						t.Fatalf("lane %d rows %d trial %d: generated invalid program: %v", lane, rows, trial, err)
+					}
+					plan, err := NewExecPlan(p)
+					if err != nil {
+						t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+					}
+					if plan.LaneBits() != lane {
+						t.Fatalf("lane %d rows %d trial %d: plan lowered to %d-bit lanes\ncolumns: %+v",
+							lane, rows, trial, plan.LaneBits(), p.Cols)
+					}
+					shapes.see(plan)
+					m.Reset(plan, rows)
+
+					vals := loadRandom(rng, p, rows)
+					v32 := make([]int32, rows)
+					cut := rng.IntN(rows + 1)
+					for c := 1; c < len(p.Cols); c++ {
+						for r, v := range vals[c] {
+							v32[r] = int32(v)
 						}
-						if r >= cut && acc[r-cut] != int32(want[c][r]) {
-							t.Fatalf("lane %d rows %d trial %d: col %d row %d: accumulated %d != bit-serial %d",
-								lane, rows, trial, c, r, acc[r-cut], int32(want[c][r]))
+						setRows(&m, c, cut, v32[cut:])
+						setRows(&m, c, 0, v32[:cut])
+					}
+					want, err := Exec(p, vals)
+					if err != nil {
+						t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+					}
+					m.Run()
+					acc := make([]int32, rows-cut)
+					for c := 1; c < len(p.Cols); c++ {
+						got := m.Column(c)
+						clear(acc)
+						m.AccumulateColumn(c, cut, acc)
+						for r := 0; r < rows; r++ {
+							if got[r]<<1 != want[c][r]<<1 {
+								t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\nprogram: %v",
+									lane, rows, trial, c, r, got[r], want[c][r], p.Instrs)
+							}
+							if r >= cut && acc[r-cut] != int32(want[c][r]) {
+								t.Fatalf("lane %d rows %d trial %d: col %d row %d: accumulated %d != bit-serial %d",
+									lane, rows, trial, c, r, acc[r-cut], int32(want[c][r]))
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	if shapes != (runShapes{true, true, true, true, true, true}) {
-		t.Fatalf("generator regressed: fast-op run shapes seen %+v, want all", shapes)
-	}
+		if shapes != (runShapes{true, true, true, true, true, true}) {
+			t.Fatalf("generator regressed: fast-op run shapes seen %+v, want all", shapes)
+		}
+	})
 }
 
 // withTemps returns a copy of p with a random subset of its
@@ -323,66 +326,68 @@ func withTemps(rng *rand.Rand, p *Program) *Program {
 // undefined), and the slot tables must come out narrower than the column
 // tables on some trials, or the test proves nothing about reuse.
 func TestMachineMatchesExecRandomTempPrograms(t *testing.T) {
-	var m Machine
-	trials, narrower := 0, 0
-	for _, lane := range testLanes {
-		for _, rows := range []int{1, 31, 64, 65, 17 * 64 / lane} {
-			for trial := 0; trial < 24; trial++ {
-				rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0x7e3b+uint64(lane)))
-				p := randomProgram(rng, lane)
-				if p == nil {
-					continue
-				}
-				if p = withTemps(rng, p); p == nil {
-					continue
-				}
-				plan, err := NewExecPlan(p)
-				if err != nil {
-					t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
-				}
-				if vs := AuditPlan(p, plan); len(vs) > 0 {
-					t.Fatalf("lane %d rows %d trial %d: audit: %v", lane, rows, trial, vs[0])
-				}
-				trials++
-				if plan.Slots() < len(p.Cols) {
-					narrower++
-				}
-				m.Reset(plan, rows)
-				vals := loadRandom(rng, p, rows)
-				v32 := make([]int32, rows)
-				for c := 1; c < len(p.Cols); c++ {
-					if p.Cols[c].Temp {
+	eachKernel(t, func(t *testing.T) {
+		var m Machine
+		trials, narrower := 0, 0
+		for _, lane := range testLanes {
+			for _, rows := range []int{1, 31, 64, 65, 17 * 64 / lane} {
+				for trial := 0; trial < 24; trial++ {
+					rng := rand.New(rand.NewPCG(uint64(trial*1000+rows), 0x7e3b+uint64(lane)))
+					p := randomProgram(rng, lane)
+					if p == nil {
 						continue
 					}
-					for r, v := range vals[c] {
-						v32[r] = int32(v)
-					}
-					setRows(&m, c, 0, v32)
-				}
-				want, err := Exec(p, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Run()
-				for c := 1; c < len(p.Cols); c++ {
-					if p.Cols[c].Temp {
+					if p = withTemps(rng, p); p == nil {
 						continue
 					}
-					got := m.Column(c)
-					for r := range rows {
-						if got[r]<<1 != want[c][r]<<1 {
-							t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\ncolumns %+v\nprogram: %v",
-								lane, rows, trial, c, r, got[r], want[c][r], p.Cols, p.Instrs)
+					plan, err := NewExecPlan(p)
+					if err != nil {
+						t.Fatalf("lane %d rows %d trial %d: %v", lane, rows, trial, err)
+					}
+					if vs := AuditPlan(p, plan); len(vs) > 0 {
+						t.Fatalf("lane %d rows %d trial %d: audit: %v", lane, rows, trial, vs[0])
+					}
+					trials++
+					if plan.Slots() < len(p.Cols) {
+						narrower++
+					}
+					m.Reset(plan, rows)
+					vals := loadRandom(rng, p, rows)
+					v32 := make([]int32, rows)
+					for c := 1; c < len(p.Cols); c++ {
+						if p.Cols[c].Temp {
+							continue
+						}
+						for r, v := range vals[c] {
+							v32[r] = int32(v)
+						}
+						setRows(&m, c, 0, v32)
+					}
+					want, err := Exec(p, vals)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Run()
+					for c := 1; c < len(p.Cols); c++ {
+						if p.Cols[c].Temp {
+							continue
+						}
+						got := m.Column(c)
+						for r := range rows {
+							if got[r]<<1 != want[c][r]<<1 {
+								t.Fatalf("lane %d rows %d trial %d: col %d row %d: plan %d != bit-serial %d\ncolumns %+v\nprogram: %v",
+									lane, rows, trial, c, r, got[r], want[c][r], p.Cols, p.Instrs)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	t.Logf("%d programs with temps, %d stored in fewer slots than columns", trials, narrower)
-	if trials < 100 || narrower == 0 {
-		t.Fatalf("generator regressed: %d programs with temps, %d with slot reuse", trials, narrower)
-	}
+		t.Logf("%d programs with temps, %d stored in fewer slots than columns", trials, narrower)
+		if trials < 100 || narrower == 0 {
+			t.Fatalf("generator regressed: %d programs with temps, %d with slot reuse", trials, narrower)
+		}
+	})
 }
 
 // A multi-destination copy with mixed destination signedness: the bit
@@ -573,24 +578,28 @@ func benchRunPlan(tb testing.TB, ops int) *ExecPlan {
 }
 
 // BenchmarkMachineRun prices op dispatch: one 50k-op plan replayed over
-// 1, 8 and 64 words per column. ns/op-pass is what one op costs however
-// few rows it advances; ns/word is what its arithmetic costs once the
-// column is long enough to hide that.
+// 1, 8 and 64 words per column under each kernel this CPU runs.
+// ns/op-pass is what one op costs however few rows it advances; ns/word
+// is what its arithmetic costs once the column is long enough to hide
+// that.
 func BenchmarkMachineRun(b *testing.B) {
 	const ops = 50_000
 	plan := benchRunPlan(b, ops)
-	for _, words := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
-			var m Machine
-			m.Reset(plan, words*4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run()
-			}
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(ns/ops, "ns/op-pass")
-			b.ReportMetric(ns/ops/float64(words), "ns/word")
-		})
+	for _, k := range fastKernels {
+		for _, words := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("kernel=%s/words=%d", k.name, words), func(b *testing.B) {
+				defer swapKernel(k.run)()
+				var m Machine
+				m.Reset(plan, words*4)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Run()
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns/ops, "ns/op-pass")
+				b.ReportMetric(ns/ops/float64(words), "ns/word")
+			})
+		}
 	}
 }
 
