@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"rtmap"
+	"rtmap/internal/model"
 )
 
 func main() {
@@ -65,6 +66,16 @@ func main() {
 		if !*quiet {
 			log.Print(s)
 		}
+	}
+	// zooNet builds a sweep network at the default build point and -seed.
+	zooNet := func(name string) *rtmap.Network {
+		cfg := model.DefaultConfig()
+		cfg.Seed = *seed
+		net, err := model.Build(name, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return net
 	}
 	save := func(name, content string) {
 		if *outDir == "" {
@@ -166,8 +177,9 @@ func main() {
 		if name == "" {
 			name = "resnet18"
 		}
+		net := zooNet(name)
 		progress(fmt.Sprintf("compiling %s for the shard sweep", name))
-		rows, err := shardSweep(name, *seed, *shards, compileConfig(*noCache))
+		rows, err := shardSweep(net, *shards, compileConfig(*noCache))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -232,8 +244,9 @@ func main() {
 		}
 		var sections []replicaSection
 		for _, name := range nets {
+			net := zooNet(name)
 			progress(fmt.Sprintf("compiling %s for the replica sweep", name))
-			rows, err := replicaSweep(name, *seed, *replicas, compileConfig(*noCache))
+			rows, err := replicaSweep(net, *replicas, compileConfig(*noCache))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -314,34 +327,9 @@ type shardRow struct {
 	Speedup float64 `json:"speedup_vs_unsharded"`
 }
 
-// buildNet constructs a sweepable network by zoo name.
-func buildNet(name string, seed uint64) (*rtmap.Network, error) {
-	mcfg := rtmap.DefaultModelConfig()
-	mcfg.Seed = seed
-	switch name {
-	case "resnet18":
-		return rtmap.BuildResNet18(mcfg), nil
-	case "miniresnet18":
-		return rtmap.BuildMiniResNet18(mcfg, 32, 32), nil
-	case "vgg9":
-		return rtmap.BuildVGG9(mcfg), nil
-	case "vgg11":
-		return rtmap.BuildVGG11(mcfg), nil
-	case "tinycnn":
-		return rtmap.BuildTinyCNN(mcfg), nil
-	case "tinyresnet":
-		return rtmap.BuildTinyResNet(mcfg), nil
-	}
-	return nil, fmt.Errorf("unknown network %q for the sweep", name)
-}
-
-// shardSweep compiles the named network once and prices its pipeline
+// shardSweep compiles the network once and prices its pipeline
 // sharding at every stage count from 1 to maxK.
-func shardSweep(name string, seed uint64, maxK int, cfg rtmap.CompileConfig) ([]shardRow, error) {
-	net, err := buildNet(name, seed)
-	if err != nil {
-		return nil, err
-	}
+func shardSweep(net *rtmap.Network, maxK int, cfg rtmap.CompileConfig) ([]shardRow, error) {
 	comp, err := rtmap.Compile(net, cfg)
 	if err != nil {
 		return nil, err
@@ -400,14 +388,10 @@ type replicaRow struct {
 	Speedup float64 `json:"speedup_vs_single"`
 }
 
-// replicaSweep compiles the named network once and prices data-parallel
+// replicaSweep compiles the network once and prices data-parallel
 // replication of its one-stage pipeline at every replica count from 1 to
 // maxR (rtmap.PipelineReport.Batch).
-func replicaSweep(name string, seed uint64, maxR int, cfg rtmap.CompileConfig) ([]replicaRow, error) {
-	net, err := buildNet(name, seed)
-	if err != nil {
-		return nil, err
-	}
+func replicaSweep(net *rtmap.Network, maxR int, cfg rtmap.CompileConfig) ([]replicaRow, error) {
 	comp, err := rtmap.Compile(net, cfg)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rtmap/internal/loadgen"
+	"rtmap/internal/model"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -156,13 +157,14 @@ func sloSweep(seed uint64, dur time.Duration, noCache bool, progress func(string
 // logits every response is checked against.
 func buildSLOWorkload(seed uint64) (*sloWorkload, error) {
 	const pool = 16
-	net, err := buildNet("tinycnn", seed)
+	cfg := model.DefaultConfig()
+	cfg.Seed = seed
+	net, err := model.Build("tinycnn", cfg)
 	if err != nil {
 		return nil, err
 	}
 	wl := &sloWorkload{}
-	sparsity := 0.8
-	req := serve.InferRequest{Model: "tinycnn", ActBits: 4, Sparsity: &sparsity, Seed: seed}
+	req := serve.InferRequest{Model: "tinycnn", ActBits: cfg.ActBits, Sparsity: &cfg.Sparsity, Seed: seed}
 	if wl.bodies, err = loadgen.Bodies(req, workload.InputData(net.InputShape, pool, seed+1000), 1); err != nil {
 		return nil, err
 	}

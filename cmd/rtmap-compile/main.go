@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"rtmap"
 	"rtmap/internal/core"
@@ -24,33 +25,17 @@ import (
 	"rtmap/internal/sim"
 )
 
-func buildNet(name string, bits int, sparsity float64, seed uint64) (*rtmap.Network, error) {
-	cfg := rtmap.ModelConfig{ActBits: bits, Sparsity: sparsity, Seed: seed}
-	switch name {
-	case "resnet18":
-		return rtmap.BuildResNet18(cfg), nil
-	case "vgg9":
-		return rtmap.BuildVGG9(cfg), nil
-	case "vgg11":
-		return rtmap.BuildVGG11(cfg), nil
-	case "tinycnn":
-		return rtmap.BuildTinyCNN(cfg), nil
-	case "tinyresnet":
-		return rtmap.BuildTinyResNet(cfg), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (resnet18|vgg9|vgg11|tinycnn|tinyresnet)", name)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtmap-compile: ")
+	def := model.DefaultConfig()
 	var (
-		modelName = flag.String("model", "", "built-in model name")
+		modelName = flag.String("model", "", "zoo model ("+strings.Join(model.ZooNames(), "|")+")")
 		jsonPath  = flag.String("json", "", "load model from JSON instead")
 		savePath  = flag.String("save", "", "serialize the model to JSON and exit")
-		bits      = flag.Int("bits", 4, "activation precision")
-		sparsity  = flag.Float64("sparsity", 0.8, "ternary weight sparsity")
-		seed      = flag.Uint64("seed", 1, "weight seed")
+		bits      = flag.Int("bits", def.ActBits, "activation precision")
+		sparsity  = flag.Float64("sparsity", def.Sparsity, "ternary weight sparsity")
+		seed      = flag.Uint64("seed", def.Seed, "weight seed")
 		noCSE     = flag.Bool("no-cse", false, "disable CSE (the `unroll` configuration)")
 		serial    = flag.Bool("serial", false, "disable the parallel lowering driver")
 		noCache   = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
@@ -63,7 +48,7 @@ func main() {
 	case *jsonPath != "":
 		net, err = model.LoadFile(*jsonPath)
 	case *modelName != "":
-		net, err = buildNet(*modelName, *bits, *sparsity, *seed)
+		net, err = model.Build(*modelName, model.Config{ActBits: *bits, Sparsity: *sparsity, Seed: *seed})
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"rtmap"
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
@@ -46,33 +48,20 @@ type simResult struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtmap-sim: ")
+	def := model.DefaultConfig()
 	var (
-		modelName = flag.String("model", "tinycnn", "model (tinycnn|tinyresnet|vgg9|vgg11|resnet18)")
+		modelName = flag.String("model", "tinycnn", "zoo model ("+strings.Join(model.ZooNames(), "|")+")")
 		inputs    = flag.Int("inputs", 3, "number of random inputs to verify")
-		bits      = flag.Int("bits", 4, "activation precision")
-		sparsity  = flag.Float64("sparsity", 0.8, "weight sparsity")
-		seed      = flag.Uint64("seed", 1, "weight/data seed")
+		bits      = flag.Int("bits", def.ActBits, "activation precision")
+		sparsity  = flag.Float64("sparsity", def.Sparsity, "weight sparsity")
+		seed      = flag.Uint64("seed", def.Seed, "weight/data seed")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable verdicts on stdout")
 	)
 	flag.Parse()
 
-	cfg := rtmap.ModelConfig{ActBits: *bits, Sparsity: *sparsity, Seed: *seed}
-	var net *rtmap.Network
-	switch *modelName {
-	case "tinycnn":
-		net = rtmap.BuildTinyCNN(cfg)
-	case "tinyresnet":
-		net = rtmap.BuildTinyResNet(cfg)
-	case "vgg9":
-		net = rtmap.BuildVGG9(cfg)
-	case "vgg11":
-		net = rtmap.BuildVGG11(cfg)
-	case "resnet18":
-		net = rtmap.BuildResNet18(cfg)
-	default:
-		log.Printf("unknown model %q", *modelName)
-		flag.Usage()
-		os.Exit(2)
+	net, err := model.Build(*modelName, model.Config{ActBits: *bits, Sparsity: *sparsity, Seed: *seed})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ins := workload.Inputs(net.InputShape, *inputs, *seed+100)

@@ -5,7 +5,7 @@
 //	                                     # enum switches, //rtmap:noalloc,
 //	                                     # panic/error conventions, clock
 //	                                     # and lock discipline)
-//	rtmap-vet -plans                     # compile the small builtin
+//	rtmap-vet -plans                     # compile the small zoo
 //	                                     # models and audit every tile
 //	                                     # plan with the independent
 //	                                     # verifier, and every part view
@@ -44,21 +44,9 @@ import (
 	"rtmap/internal/verify"
 )
 
-// builtinModels are the networks -plans and -dataflow audit, in sweep
-// order. The small ones always run; the paper zoo is gated behind -all
-// (resnet18 alone compiles for minutes).
-var builtinModels = []struct {
-	name  string
-	full  bool
-	build func(model.Config) *model.Network
-}{
-	{"tinycnn", false, model.TinyCNN},
-	{"tinyresnet", false, model.TinyResNet},
-	{"miniresnet18", false, func(c model.Config) *model.Network { return model.MiniResNet18(c, 32, 32) }},
-	{"vgg9", true, model.VGG9},
-	{"vgg11", true, model.VGG11},
-	{"resnet18", true, model.ResNet18},
-}
+// paperModels are the zoo's Table II networks: -plans and -dataflow
+// audit them only under -all (resnet18 alone compiles for minutes).
+var paperModels = map[string]bool{"vgg9": true, "vgg11": true, "resnet18": true}
 
 // shardCounts are the pipeline depths -dataflow certifies shard plans
 // for (clamped per model to its layer count).
@@ -191,15 +179,19 @@ type target struct {
 	net  *model.Network
 }
 
-// resolveTargets builds the sweep list: builtin models (paper zoo
-// behind all) plus any -model files.
+// resolveTargets builds the sweep list: the zoo in name order (the paper
+// models behind all) plus any -model files.
 func resolveTargets(all bool, extras modelFlags) []target {
 	var targets []target
-	for _, b := range builtinModels {
-		if b.full && !all {
+	for _, name := range model.ZooNames() {
+		if paperModels[name] && !all {
 			continue
 		}
-		targets = append(targets, target{b.name, b.build(model.DefaultConfig())})
+		net, err := model.Build(name, model.DefaultConfig())
+		if err != nil {
+			log.Fatal(err)
+		}
+		targets = append(targets, target{name, net})
 	}
 	for _, e := range extras {
 		net, err := model.LoadFile(e.path)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
@@ -57,6 +58,19 @@ func TestCmdSmoke(t *testing.T) {
 		// Lint mode over the repo: exit 0, no findings printed.
 		{"rtmap-vet", []string{"./..."}, ""},
 	}
+	// Bad models and build points exit 1 with one error line: the zoo
+	// names for an unknown model, the range for a bad parameter.
+	zooList := strings.Join(model.ZooNames(), "|")
+	bad := []struct {
+		tool string
+		args []string
+		want string
+	}{
+		{"rtmap-sim", []string{"-model", "tinycnn", "-bits", "9"}, "activation bits 9 out of range"},
+		{"rtmap-compile", []string{"-model", "vgg9", "-sparsity", "1"}, "sparsity 1 out of range"},
+		{"rtmap-sim", []string{"-model", "nosuch"}, zooList},
+		{"rtmap-bench", []string{"-shards", "2", "-net", "nosuch"}, zooList},
+	}
 	tested := map[string]bool{"rtmap-serve": true}
 	for _, tc := range cases {
 		tested[tc.tool] = true
@@ -95,6 +109,17 @@ func TestCmdSmoke(t *testing.T) {
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%s: output missing %q:\n%s", name, tc.want, out)
+		}
+	}
+	for _, tc := range bad {
+		name := tc.tool + " " + strings.Join(tc.args, " ")
+		out, err := exec.Command(filepath.Join(bin, tc.tool), tc.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: want exit status 1, got %v\n%s", name, err, out)
+		}
+		if lines := strings.Count(strings.TrimSpace(string(out)), "\n") + 1; lines != 1 ||
+			strings.Contains(string(out), "panic:") || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: want one error line naming %q and no panic, got:\n%s", name, tc.want, out)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rtmap/internal/loadgen"
+	"rtmap/internal/model"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -99,7 +100,7 @@ func (c *Cluster) Drive(ctx context.Context, opts DriveOptions) (*Report, error)
 
 	var variants []*driveVariant
 	for _, m := range opts.Models {
-		sh, ok := serve.ZooShape(m)
+		sh, ok := model.ZooShape(m)
 		if !ok {
 			return nil, fmt.Errorf("chaos: model %q is not in the zoo", m)
 		}

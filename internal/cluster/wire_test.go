@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rtmap/internal/dispatch"
+	"rtmap/internal/model"
 	"rtmap/internal/serve"
 	"rtmap/internal/workload"
 )
@@ -20,7 +21,7 @@ import (
 // of tinycnn's 128 values, marshalled from the client-side struct.
 func harnessBody(tb testing.TB, rows int) []byte {
 	tb.Helper()
-	sh, _ := serve.ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, err := json.Marshal(&serve.InferRequest{
 		Model: "tinycnn", Seed: 3, BitExact: true, Class: "bulk", DeadlineMS: 250,
 		Inputs: workload.InputData(sh, rows, 7),

@@ -182,7 +182,7 @@ func ArtifactHash(c *Compiled) [32]byte {
 		}
 	}
 	cfg := c.Cfg
-	w.ints(int64(cfg.TempBudget), int64(cfg.TileFloor))
+	w.ints(baseTempBudget, tileFloor)
 	w.bools(cfg.CSE, cfg.KeepPrograms)
 	w.params(cfg.Par)
 	var key [32]byte
@@ -235,7 +235,7 @@ func convKey(l *model.Layer, plan *LayerPlan, ai actInfo, cfg Config, pool int) 
 	wt := l.W
 	w.ints(int64(wt.Cout), int64(wt.Cin), int64(wt.Fh), int64(wt.Fw))
 	h.Write(int8Bytes(wt.W))
-	w.ints(int64(cfg.TempBudget), int64(cfg.TileFloor), int64(pool))
+	w.ints(baseTempBudget, tileFloor, int64(pool))
 	w.bools(cfg.CSE, cfg.KeepPrograms)
 	w.params(cfg.Par)
 	var key [32]byte

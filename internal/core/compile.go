@@ -110,12 +110,6 @@ func Compile(net *model.Network, cfg Config) (*Compiled, error) {
 	if cfg.Par.CAMRows == 0 {
 		return nil, fmt.Errorf("core: zero-valued energy parameters; use DefaultConfig")
 	}
-	if cfg.TempBudget <= 0 {
-		cfg.TempBudget = 64
-	}
-	if cfg.TileFloor <= 0 {
-		cfg.TileFloor = 32
-	}
 	shapes := net.OutShapes(1)
 
 	comp := &Compiled{Net: net, Cfg: cfg}
@@ -157,19 +151,6 @@ func Compile(net *model.Network, cfg Config) (*Compiled, error) {
 			return nil, fmt.Errorf("core: layer %d (%s): %w", i, net.Layers[i].Name, errs[i])
 		}
 		comp.Layers = append(comp.Layers, plans[i])
-	}
-	if cfg.VerifyPlans {
-		if err := VerifyCompiled(comp); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.VerifyDataflow {
-		if dataflowVerifier == nil {
-			return nil, fmt.Errorf("core: Config.VerifyDataflow set but no verifier registered (blank-import rtmap/internal/dataflow)")
-		}
-		if err := dataflowVerifier(comp); err != nil {
-			return nil, err
-		}
 	}
 	return comp, nil
 }
@@ -275,7 +256,7 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 		maxReplicas = 1
 	}
 
-	tempBudget := cfg.TempBudget
+	tempBudget := baseTempBudget
 	for attempt := 0; ; attempt++ {
 		err := planAndEmitConv(l, plan, cfg, ai, tempBudget, maxReplicas, pool)
 		if err == nil {
@@ -286,7 +267,7 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 		}
 		// Column pressure: give temporaries more room and retry.
 		tempBudget *= 2
-		if tempBudget+k+cfg.TileFloor+1 >= par.CAMCols {
+		if tempBudget+k+tileFloor+1 >= par.CAMCols {
 			return err
 		}
 	}
@@ -385,7 +366,7 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 	if g < 1 {
 		return fmt.Errorf("activation width %d exceeds nanowire domains", ai.Bits)
 	}
-	planesCap := (par.CAMCols - 1 - tempBudget - cfg.TileFloor) / k
+	planesCap := (par.CAMCols - 1 - tempBudget - tileFloor) / k
 	if planesCap < 1 {
 		return fmt.Errorf("patch size %d leaves no room for input planes (temp budget %d)", k, tempBudget)
 	}

@@ -86,7 +86,7 @@ func TestCompileResNet18Mapping(t *testing.T) {
 	}
 	// Temp budget respected.
 	for _, p := range convs {
-		if p.CG.TempHighWater > 2*cfg.TempBudget*4 {
+		if p.CG.TempHighWater > 2*baseTempBudget*4 {
 			t.Errorf("layer %s temp high water %d", p.Name, p.CG.TempHighWater)
 		}
 	}

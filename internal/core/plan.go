@@ -16,12 +16,6 @@ type Config struct {
 	// functional simulation. Off for large networks where only the cost
 	// statistics are needed.
 	KeepPrograms bool
-	// TempBudget reserves CAM columns for DFG temporaries (doubled
-	// automatically when a layer's schedule runs out).
-	TempBudget int
-	// TileFloor is the minimum accumulator-tile size the planner accepts
-	// before it stops trading tile columns for input planes.
-	TileFloor int
 	// Parallel enables the goroutine-parallel lowering driver: layers are
 	// lowered across a worker pool sized by GOMAXPROCS; when the network
 	// has fewer layers than cores, per-channel DFG construction inside
@@ -33,34 +27,25 @@ type Config struct {
 	// pool and the relevant Config fields), so config sweeps over the same
 	// network reuse lowered layers. nil disables caching.
 	Cache *Cache
-	// VerifyPlans runs the independent static plan verifier
-	// (VerifyCompiled) over every retained tile program — including
-	// cache hits — before Compile returns, failing the compile on any
-	// violated invariant. Debug/CI mode: it audits the programs
-	// KeepPrograms retains, and costs one plan-audit pass per compile,
-	// so the steady-state execution path is unaffected.
-	VerifyPlans bool
-	// VerifyDataflow runs the whole-artifact dataflow verifier (the
-	// cross-layer abstract interpreter of internal/dataflow) over the
-	// compiled result: per-column liveness and producer/consumer chains
-	// across every (strip, tile) boundary, value intervals composed
-	// across layer boundaries, and accumulator-overflow proofs. The
-	// verifier registers itself via RegisterDataflowVerifier when its
-	// package is linked in; setting this flag without that registration
-	// fails the compile rather than silently skipping the audit.
-	VerifyDataflow bool
 }
+
+const (
+	// baseTempBudget reserves CAM columns for DFG temporaries (doubled
+	// automatically when a layer's schedule runs out).
+	baseTempBudget = 48
+	// tileFloor is the minimum accumulator-tile size the planner accepts
+	// before it stops trading tile columns for input planes.
+	tileFloor = 32
+)
 
 // DefaultConfig returns the paper's unroll+CSE configuration, with the
 // parallel lowering driver and the process-wide artifact cache enabled.
 func DefaultConfig() Config {
 	return Config{
-		Par:        energy.Default(),
-		CSE:        true,
-		TempBudget: 48,
-		TileFloor:  32,
-		Parallel:   true,
-		Cache:      SharedCache,
+		Par:      energy.Default(),
+		CSE:      true,
+		Parallel: true,
+		Cache:    SharedCache,
 	}
 }
 

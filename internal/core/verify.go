@@ -2,17 +2,6 @@ package core
 
 import "rtmap/internal/verify"
 
-// dataflowVerifier is the registered whole-artifact dataflow verifier
-// (Config.VerifyDataflow). internal/dataflow installs itself here from
-// its init function: the indirection exists because dataflow imports
-// core for the artifact types, so core cannot import it back.
-var dataflowVerifier func(*Compiled) error
-
-// RegisterDataflowVerifier installs the verifier Compile runs when
-// Config.VerifyDataflow is set. Intended to be called once, from the
-// init function of the package implementing the verifier.
-func RegisterDataflowVerifier(f func(*Compiled) error) { dataflowVerifier = f }
-
 // VerifyCompiled statically audits every tile program retained in c
 // (Config.KeepPrograms) through the independent plan verifier. It
 // returns nil when every plan is proved sound, or a *verify.Error

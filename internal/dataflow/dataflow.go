@@ -37,13 +37,6 @@ const (
 	InvCertificate = "dataflow-certificate"
 )
 
-func init() {
-	core.RegisterDataflowVerifier(func(c *core.Compiled) error {
-		_, err := Check(c)
-		return err
-	})
-}
-
 // Check runs the whole-artifact dataflow verification over a compiled
 // model: the cross-layer interval propagation (with accumulator
 // overflow proofs) and, for artifacts compiled with KeepPrograms, the

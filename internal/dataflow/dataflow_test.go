@@ -26,16 +26,9 @@ func compileZoo(t *testing.T, name string) *core.Compiled {
 	if c, ok := compiledBy[name]; ok {
 		return c
 	}
-	var net *model.Network
-	switch name {
-	case "tinycnn":
-		net = model.TinyCNN(model.DefaultConfig())
-	case "tinyresnet":
-		net = model.TinyResNet(model.DefaultConfig())
-	case "miniresnet18":
-		net = model.MiniResNet18(model.DefaultConfig(), 32, 32)
-	default:
-		t.Fatalf("unknown zoo model %q", name)
+	net, err := model.Build(name, model.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.KeepPrograms = true
@@ -73,17 +66,6 @@ func TestCheckZooClean(t *testing.T) {
 				t.Errorf("%s: degenerate fact %+v", name, f)
 			}
 		}
-	}
-}
-
-// Config.VerifyDataflow routes compilation through the registered
-// verifier (this package's init).
-func TestCompileWithVerifyDataflow(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.KeepPrograms = true
-	cfg.VerifyDataflow = true
-	if _, err := core.Compile(model.TinyCNN(model.DefaultConfig()), cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -28,7 +28,8 @@
 // transfer set must equal the statically computed live set (skip
 // connections included) with exactly the declared payload bits.
 //
-// The package registers itself with core.RegisterDataflowVerifier, so
-// linking it in makes Config.VerifyDataflow work; core itself never
-// imports it back.
+// Its callers run it on compiled artifacts directly: serve admission
+// (VerifyOrCertify), `rtmap-vet -dataflow`, and the benchmark's
+// dataflow.check step. core.Compile never runs it, and core never
+// imports this package.
 package dataflow

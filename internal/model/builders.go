@@ -10,26 +10,6 @@ import (
 	"rtmap/internal/ternary"
 )
 
-// Config parameterizes the model zoo builders.
-type Config struct {
-	ActBits  int     // activation precision (4 or 8 in the paper)
-	Sparsity float64 // target ternary weight sparsity (Table II: 0.8/0.85/0.9)
-	Seed     uint64  // weight generation seed (deterministic)
-}
-
-// DefaultConfig returns the headline configuration of the paper:
-// 4-bit activations and 0.8 sparsity.
-func DefaultConfig() Config { return Config{ActBits: 4, Sparsity: 0.8, Seed: 1} }
-
-func (c Config) validate() {
-	if c.ActBits < 2 || c.ActBits > 8 {
-		panic(fmt.Sprintf("model: activation bits %d out of range", c.ActBits))
-	}
-	if c.Sparsity < 0 || c.Sparsity >= 1 {
-		panic(fmt.Sprintf("model: sparsity %v out of range", c.Sparsity))
-	}
-}
-
 // builder incrementally assembles a Network DAG.
 type builder struct {
 	net      *Network
@@ -40,7 +20,9 @@ type builder struct {
 }
 
 func newBuilder(name string, input tensor.Shape, cfg Config) *builder {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &builder{
 		net: &Network{
 			Name:       name,
@@ -150,7 +132,7 @@ func (b *builder) basicBlock(prefix string, from, cin, cout, stride int) int {
 // Fig. 4 (20 convolutional layers: stem + 16 block convs + 3 downsamples,
 // then global average pooling and a 1000-way classifier).
 func ResNet18(cfg Config) *Network {
-	b := newBuilder("resnet18-imagenet", tensor.Shape{N: 1, C: 3, H: 224, W: 224}, cfg)
+	b := newBuilder("resnet18-imagenet", resnet18Input, cfg)
 	x := b.conv("conv1", InputRef, 3, 64, 7, 2, 3)
 	x = b.qrelu("conv1.q", x)
 	x = b.maxpool("maxpool", x, 3, 2, 1)
@@ -187,7 +169,7 @@ func MiniResNet18(cfg Config, inH, inW int) *Network {
 
 // VGG9 builds the CIFAR10-scale VGG-9 (6 conv + 3 FC layers) of Table II.
 func VGG9(cfg Config) *Network {
-	b := newBuilder("vgg9-cifar10", tensor.Shape{N: 1, C: 3, H: 32, W: 32}, cfg)
+	b := newBuilder("vgg9-cifar10", cifar10Input, cfg)
 	x := InputRef
 	cin := 3
 	block := func(stage, n, cout int) {
@@ -213,7 +195,7 @@ func VGG9(cfg Config) *Network {
 
 // VGG11 builds the CIFAR10-scale VGG-11 (8 conv + 3 FC layers) of Table II.
 func VGG11(cfg Config) *Network {
-	b := newBuilder("vgg11-cifar10", tensor.Shape{N: 1, C: 3, H: 32, W: 32}, cfg)
+	b := newBuilder("vgg11-cifar10", cifar10Input, cfg)
 	x := InputRef
 	cin := 3
 	stage := 0
@@ -243,7 +225,7 @@ func VGG11(cfg Config) *Network {
 
 // TinyCNN is a small sequential network for fast functional tests.
 func TinyCNN(cfg Config) *Network {
-	b := newBuilder("tinycnn", tensor.Shape{N: 1, C: 2, H: 8, W: 8}, cfg)
+	b := newBuilder("tinycnn", tinyCNNInput, cfg)
 	x := b.conv("conv1", InputRef, 2, 4, 3, 1, 1)
 	x = b.qrelu("conv1.q", x)
 	x = b.maxpool("pool1", x, 2, 2, 0)
@@ -258,7 +240,7 @@ func TinyCNN(cfg Config) *Network {
 // TinyResNet is a small residual network exercising Add/downsample paths in
 // tests.
 func TinyResNet(cfg Config) *Network {
-	b := newBuilder("tinyresnet", tensor.Shape{N: 1, C: 3, H: 8, W: 8}, cfg)
+	b := newBuilder("tinyresnet", tinyResNetInput, cfg)
 	x := b.conv("conv1", InputRef, 3, 4, 3, 1, 1)
 	x = b.qrelu("conv1.q", x)
 	x = b.basicBlock("block1", x, 4, 4, 1)

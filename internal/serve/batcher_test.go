@@ -12,6 +12,7 @@ import (
 
 	"rtmap/internal/core"
 	"rtmap/internal/dispatch"
+	"rtmap/internal/model"
 	"rtmap/internal/tensor"
 	"rtmap/internal/workload"
 )
@@ -31,7 +32,7 @@ func testEntry(t *testing.T, fleet *Fleet, batch BatchOptions) *entry {
 
 // newItems builds n standard-class items over random tinycnn inputs.
 func newItems(n int) []*item {
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	inputs := workload.Inputs(sh, n, 5)
 	items := make([]*item, n)
 	for i := range items {
@@ -170,7 +171,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 // enqueue to execution is a small fraction of the window cap.
 func TestBatcherDispatchesToIdleFleet(t *testing.T) {
 	s, ts := testServer(t, Options{})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	const n = 50
 	queued := make([]time.Duration, n)
 	for i := range queued {
@@ -299,7 +300,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 			t.Fatalf("drained item %d: %v", i, res.err)
 		}
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	late := &item{in: tensor.NewFloat(sh), res: make(chan itemResult, 1)}
 	if err := e.batcher.submit([]*item{late}); err != errClosed {
 		t.Fatalf("submit after close: %v, want errClosed", err)
@@ -313,7 +314,7 @@ func TestBatcherCloseRace(t *testing.T) {
 	t.Cleanup(fleet.Close)
 	e := testEntry(t, fleet, BatchOptions{MaxBatch: 4, Window: time.Millisecond, Queue: 8})
 
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

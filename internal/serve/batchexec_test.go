@@ -6,15 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
 // makeItems builds n queued inference items over random inputs.
-func makeItems(t *testing.T, model string, n int, seed uint64) []*item {
+func makeItems(t *testing.T, name string, n int, seed uint64) []*item {
 	t.Helper()
-	sh, ok := ZooShape(model)
+	sh, ok := model.ZooShape(name)
 	if !ok {
-		t.Fatalf("no zoo shape for %s", model)
+		t.Fatalf("no zoo shape for %s", name)
 	}
 	ins := workload.Inputs(sh, n, seed)
 	items := make([]*item, n)
@@ -124,7 +125,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 8, 7)
 	b.ReportAllocs()
 	b.ResetTimer()

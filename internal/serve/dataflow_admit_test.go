@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rtmap/internal/core"
+	"rtmap/internal/model"
 	"rtmap/internal/verify"
 	"rtmap/internal/workload"
 )
@@ -27,7 +28,7 @@ func TestAdmitRejectsDataflowFailure(t *testing.T) {
 		return false, &verify.Error{Diags: []verify.Diagnostic{planted}}
 	}
 
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, _ := json.Marshal(InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 3)})
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -72,7 +73,7 @@ func TestAdmitCertificateHitSkipsReverification(t *testing.T) {
 	opts := Options{MaxBatch: 2, Window: time.Millisecond, Cache: cache}
 
 	_, ts1 := testServer(t, opts)
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	req := InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 3)}
 	if _, resp := postInfer(t, ts1.URL, req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d, want 200", resp.StatusCode)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rtmap/internal/model"
 )
 
 // A drain whose context expires must return promptly with the stranded
@@ -62,7 +64,7 @@ func TestDrainingServerRejectsNewInfers(t *testing.T) {
 	s, ts := testServer(t, Options{MaxBatch: 2, Window: time.Millisecond})
 
 	// Prime: the server works before the drain.
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	req := InferRequest{Model: "tinycnn", Inputs: [][]float32{make([]float32, sh.C*sh.H*sh.W)}}
 	if _, resp := postInfer(t, ts.URL, req); resp.StatusCode != 200 {
 		t.Fatalf("pre-drain infer: HTTP %d", resp.StatusCode)

@@ -23,14 +23,9 @@ func compiledRef(t *testing.T, name string) *core.Compiled {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.KeepPrograms = true
-	var net *model.Network
-	switch name {
-	case "tinycnn":
-		net = model.TinyCNN(model.Config{ActBits: 4, Sparsity: 0.8, Seed: 1})
-	case "tinyresnet":
-		net = model.TinyResNet(model.Config{ActBits: 4, Sparsity: 0.8, Seed: 1})
-	default:
-		t.Fatalf("no reference builder for %s", name)
+	net, err := model.Build(name, model.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	comp, err := core.Compile(net, cfg)
 	if err != nil {
@@ -87,7 +82,7 @@ func TestFailoverRequeueBitExact(t *testing.T) {
 
 	// Hand a batch straight to the dead device's queue — exactly the
 	// state of work queued there when the device died.
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 3, 11)
 	items := make([]*item, len(ins))
 	for i, in := range ins {
@@ -190,7 +185,7 @@ func TestFailoverUnderLoadBitExact(t *testing.T) {
 	if testing.Short() {
 		n = 12
 	}
-	sh, _ := ZooShape("tinyresnet")
+	sh, _ := model.ZooShape("tinyresnet")
 	ins := workload.Inputs(sh, n, 31)
 	items := make([]*item, n)
 	var wg sync.WaitGroup
@@ -253,7 +248,7 @@ func TestShardedFailoverBitExact(t *testing.T) {
 	if testing.Short() {
 		n = 6
 	}
-	sh, _ := ZooShape("tinyresnet")
+	sh, _ := model.ZooShape("tinyresnet")
 	ins := workload.Inputs(sh, n, 17)
 	items := make([]*item, n)
 	for i, in := range ins {
@@ -291,7 +286,7 @@ func TestFailoverExhaustionFailsCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	it := &item{in: workload.Inputs(sh, 1, 3)[0], enq: time.Now(), res: make(chan itemResult, 1)}
 	if err := e.batcher.submit([]*item{it}); err != nil {
 		t.Fatal(err)
@@ -313,7 +308,7 @@ func TestAdmitWithoutCapacityIs503(t *testing.T) {
 	if err := s.FailDevice(0); err != nil {
 		t.Fatal(err)
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 3)
 	_, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", Inputs: in})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -326,7 +321,7 @@ func TestAdmitWithoutCapacityIs503(t *testing.T) {
 // succeeding after a device failure.
 func TestReplicaHealthEndpoints(t *testing.T) {
 	s, ts := testServer(t, Options{Devices: 3, Replicas: 2, MaxBatch: 2, Window: time.Millisecond})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 5)
 	if _, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", Inputs: in}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("infer: HTTP %d", resp.StatusCode)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func wireLines(body string) string {
 // same families, types, label spellings and number formats.
 func TestMetricsWireCompat(t *testing.T) {
 	s, ts := testServer(t, Options{Devices: 1, NoCache: true}) // a shared cache would turn the certificate miss into a hit on a rerun
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, err := json.Marshal(&InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 3)})
 	if err != nil {
 		t.Fatal(err)

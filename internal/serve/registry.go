@@ -34,39 +34,22 @@ func (s Spec) Key() string {
 	return fmt.Sprintf("%s?bits=%d&sparsity=%g&seed=%d", s.Model, s.ActBits, s.Sparsity, s.Seed)
 }
 
-// zooEntry is one servable model architecture. Input shapes are recorded
-// statically so /v1/models can report them without building weights.
-type zooEntry struct {
-	build func(model.Config) *model.Network
-	shape tensor.Shape
-}
-
-// zoo lists the servable architectures (the paper's model zoo plus the
-// small test networks).
-var zoo = map[string]zooEntry{
-	"tinycnn":    {model.TinyCNN, tensor.Shape{N: 1, C: 2, H: 8, W: 8}},
-	"tinyresnet": {model.TinyResNet, tensor.Shape{N: 1, C: 3, H: 8, W: 8}},
-	"vgg9":       {model.VGG9, tensor.Shape{N: 1, C: 3, H: 32, W: 32}},
-	"vgg11":      {model.VGG11, tensor.Shape{N: 1, C: 3, H: 32, W: 32}},
-	"resnet18":   {model.ResNet18, tensor.Shape{N: 1, C: 3, H: 224, W: 224}},
-	"miniresnet18": {func(c model.Config) *model.Network { return model.MiniResNet18(c, 32, 32) },
-		tensor.Shape{N: 1, C: 3, H: 32, W: 32}},
-}
-
-// ZooModels returns the servable architecture names, sorted.
-func ZooModels() []string {
-	out := make([]string, 0, len(zoo))
-	for name := range zoo {
-		out = append(out, name)
+// spec resolves the model variant a request names. Omitted build
+// parameters take model.DefaultConfig's values (a pointer tells an
+// explicit sparsity 0 from an absent one); the error reports a build
+// point out of range.
+func (req *InferRequest) spec() (Spec, error) {
+	cfg := model.DefaultConfig()
+	if req.ActBits != 0 {
+		cfg.ActBits = req.ActBits
 	}
-	sort.Strings(out)
-	return out
-}
-
-// ZooShape returns the input shape of a zoo architecture.
-func ZooShape(name string) (tensor.Shape, bool) {
-	z, ok := zoo[name]
-	return z.shape, ok
+	if req.Sparsity != nil {
+		cfg.Sparsity = *req.Sparsity
+	}
+	if req.Seed != 0 {
+		cfg.Seed = req.Seed
+	}
+	return Spec{Model: req.Model, ActBits: cfg.ActBits, Sparsity: cfg.Sparsity, Seed: cfg.Seed}, cfg.Validate()
 }
 
 // badModelError marks an admission failure the client caused — a
@@ -260,7 +243,7 @@ func NewRegistry(compile core.Config, maxModels int, fleet *Fleet, batch BatchOp
 // registration never fails — a malformed file fails the admitting
 // request with a client error instead. Zoo names cannot be shadowed.
 func (r *Registry) RegisterModelFile(name, path string) error {
-	if _, ok := zoo[name]; ok {
+	if _, ok := model.ZooShape(name); ok {
 		return fmt.Errorf("serve: model name %q shadows a built-in zoo entry", name)
 	}
 	r.mu.Lock()
@@ -272,7 +255,7 @@ func (r *Registry) RegisterModelFile(name, path string) error {
 // Knows reports whether name is servable: a zoo architecture or a
 // registered model file.
 func (r *Registry) Knows(name string) bool {
-	if _, ok := zoo[name]; ok {
+	if _, ok := model.ZooShape(name); ok {
 		return true
 	}
 	r.mu.Lock()
@@ -284,7 +267,7 @@ func (r *Registry) Knows(name string) bool {
 // servable lists every admissible model name: the zoo plus the
 // registered file-backed models.
 func (r *Registry) servable() []string {
-	out := ZooModels()
+	out := model.ZooNames()
 	r.mu.Lock()
 	for name := range r.files {
 		out = append(out, name)
@@ -319,7 +302,7 @@ func (r *Registry) FileModels() []FileModelInfo {
 // lock, so a slow model admission does not stall traffic to resident
 // models.
 func (r *Registry) Get(spec Spec) (*entry, error) {
-	if _, ok := zoo[spec.Model]; !ok {
+	if _, ok := model.ZooShape(spec.Model); !ok {
 		if !r.Knows(spec.Model) {
 			return nil, fmt.Errorf("serve: unknown model %q (available: %v)", spec.Model, r.servable())
 		}
@@ -443,9 +426,8 @@ func (r *Registry) admit(e *entry) {
 // malformed file is a client error (HTTP 400), never a panic; an
 // unreadable path is an operator-side fault and stays an internal error.
 func (r *Registry) buildNet(spec Spec) (*model.Network, error) {
-	if z, ok := zoo[spec.Model]; ok {
-		cfg := model.Config{ActBits: spec.ActBits, Sparsity: spec.Sparsity, Seed: spec.Seed}
-		return z.build(cfg), nil
+	if _, ok := model.ZooShape(spec.Model); ok {
+		return model.Build(spec.Model, model.Config{ActBits: spec.ActBits, Sparsity: spec.Sparsity, Seed: spec.Seed})
 	}
 	r.mu.Lock()
 	path, ok := r.files[spec.Model]

@@ -9,6 +9,7 @@ import (
 
 	"rtmap/internal/core"
 	"rtmap/internal/dispatch"
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func TestRescaleRacesAdmitsAndSubmits(t *testing.T) {
 		return ne, nil
 	}
 
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	inputs := workload.Inputs(sh, 8, 5)
 
 	stop := make(chan struct{})

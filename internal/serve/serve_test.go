@@ -123,7 +123,10 @@ func TestReferenceModeMatchesBitExact(t *testing.T) {
 		{"tinyresnet", Options{ShardStages: 2}},
 	} {
 		_, ts := testServer(t, tc.opts)
-		net := zoo[tc.model].build(model.Config{ActBits: 4, Sparsity: 0.8, Seed: 1})
+		net, err := model.Build(tc.model, model.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
 		inputs := workload.Inputs(net.InputShape, 2, 7)
 		req := InferRequest{Model: tc.model}
 		want := make([][]int32, len(inputs))
@@ -159,6 +162,7 @@ func TestReferenceModeMatchesBitExact(t *testing.T) {
 
 func TestInferValidation(t *testing.T) {
 	_, ts := testServer(t, Options{})
+	one := 1.0
 	cases := []struct {
 		name string
 		req  InferRequest
@@ -168,11 +172,30 @@ func TestInferValidation(t *testing.T) {
 		{"no inputs", InferRequest{Model: "tinycnn"}, http.StatusBadRequest},
 		{"wrong length", InferRequest{Model: "tinycnn", Inputs: [][]float32{{1, 2, 3}}}, http.StatusBadRequest},
 		{"bad bits", InferRequest{Model: "tinycnn", ActBits: 99, Inputs: [][]float32{make([]float32, 128)}}, http.StatusBadRequest},
+		{"bad sparsity", InferRequest{Model: "tinycnn", Sparsity: &one, Inputs: [][]float32{make([]float32, 128)}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, resp := postInfer(t, ts.URL, tc.req)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+	}
+}
+
+// Omitted build parameters take model.DefaultConfig's values; an explicit
+// sparsity 0 is kept, not defaulted.
+func TestRequestSpecDefaults(t *testing.T) {
+	def := model.DefaultConfig()
+	zero := 0.0
+	for _, tc := range []struct {
+		req  InferRequest
+		want Spec
+	}{
+		{InferRequest{Model: "tinycnn"}, Spec{"tinycnn", def.ActBits, def.Sparsity, def.Seed}},
+		{InferRequest{Model: "vgg9", ActBits: 8, Sparsity: &zero, Seed: 3}, Spec{"vgg9", 8, 0, 3}},
+	} {
+		if got, err := tc.req.spec(); err != nil || got != tc.want {
+			t.Errorf("spec(%+v) = %+v, %v; want %+v", tc.req, got, err, tc.want)
 		}
 	}
 }
@@ -195,7 +218,7 @@ func TestHealthModelsMetrics(t *testing.T) {
 	}
 
 	// One served request must show up in the counters.
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 9)
 	if _, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", Inputs: in}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("infer: HTTP %d", resp.StatusCode)
@@ -242,7 +265,7 @@ func TestConcurrentTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			name := models[w%len(models)]
-			sh, _ := ZooShape(name)
+			sh, _ := model.ZooShape(name)
 			data := workload.InputData(sh, 2, uint64(w))
 			for i := 0; i < reqs; i++ {
 				out, resp := postInfer(t, ts.URL, InferRequest{Model: name, Inputs: data})
@@ -265,7 +288,7 @@ func TestRegistryEviction(t *testing.T) {
 	s, ts := testServer(t, Options{MaxModels: 1, MaxBatch: 2, Window: time.Millisecond})
 	for i := 0; i < 3; i++ {
 		for _, name := range []string{"tinycnn", "tinyresnet"} {
-			sh, _ := ZooShape(name)
+			sh, _ := model.ZooShape(name)
 			data := workload.InputData(sh, 1, uint64(i))
 			_, resp := postInfer(t, ts.URL, InferRequest{Model: name, Inputs: data})
 			if resp.StatusCode != http.StatusOK {

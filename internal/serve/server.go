@@ -19,6 +19,7 @@ import (
 	"rtmap/internal/core"
 	"rtmap/internal/dispatch"
 	"rtmap/internal/metrics"
+	"rtmap/internal/model"
 	"rtmap/internal/tensor"
 	"rtmap/internal/trace"
 	"rtmap/internal/verify"
@@ -387,8 +388,8 @@ type availableModel struct {
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := modelsResponse{Loaded: s.reg.Loaded()}
-	for _, name := range ZooModels() {
-		sh, _ := ZooShape(name)
+	for _, name := range model.ZooNames() {
+		sh, _ := model.ZooShape(name)
 		resp.Available = append(resp.Available, availableModel{
 			Model: name, InputNCHW: [4]int{sh.N, sh.C, sh.H, sh.W},
 		})
@@ -603,19 +604,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, KindBadRequest, "request carries more than %d inputs", s.opts.MaxInputs)
 		return
 	}
-	spec := Spec{Model: req.Model, ActBits: req.ActBits, Sparsity: 0.8, Seed: req.Seed}
+	spec, err := req.spec()
 	model = spec.Model
-	if spec.ActBits == 0 {
-		spec.ActBits = 4
-	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
-	}
-	if req.Sparsity != nil {
-		spec.Sparsity = *req.Sparsity
-	}
-	if spec.ActBits < 2 || spec.ActBits > 8 || spec.Sparsity < 0 || spec.Sparsity >= 1 {
-		fail(http.StatusBadRequest, KindBadRequest, "build parameters out of range (act_bits 2..8, sparsity [0,1))")
+	if err != nil {
+		fail(http.StatusBadRequest, KindBadRequest, "%v", err)
 		return
 	}
 

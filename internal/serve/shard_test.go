@@ -98,7 +98,7 @@ func TestShardedInferBitExact(t *testing.T) {
 // the pipeline layout of sharded residents.
 func TestShardStagesClampAndModelListing(t *testing.T) {
 	_, ts1 := testServer(t, Options{Devices: 1, ShardStages: 4})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 3)
 	out, resp := postInfer(t, ts1.URL, InferRequest{Model: "tinycnn", Inputs: in})
 	if resp.StatusCode != http.StatusOK {
@@ -135,7 +135,7 @@ func TestShardedDrainCompletesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _ := ZooShape("tinyresnet")
+	sh, _ := model.ZooShape("tinyresnet")
 	ins := workload.Inputs(sh, 6, 21)
 	items := make([]*item, len(ins))
 	for i, in := range ins {

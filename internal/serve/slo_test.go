@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rtmap/internal/dispatch"
+	"rtmap/internal/model"
 	"rtmap/internal/sim"
 	"rtmap/internal/workload"
 )
@@ -42,7 +43,7 @@ func TestFailoverMixedSLO(t *testing.T) {
 	// Three classes, three fates: an interactive item with headroom and a
 	// bulk item with no deadline survive the failover; the standard item's
 	// deadline already passed while "queued" on the dead device.
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 3, 23)
 	now := time.Now()
 	items := []*item{
@@ -145,7 +146,7 @@ func FuzzInferAdmission(f *testing.F) {
 			f.Errorf("shutdown: %v", err)
 		}
 	})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 7)
 	body, err := json.Marshal(&InferRequest{Model: "tinycnn", Inputs: in})
 	if err != nil {
@@ -225,7 +226,7 @@ func TestSLOAccountingAudit(t *testing.T) {
 	// burst must split between accepted, shed, and expired outcomes.
 	_, ts := testServer(t, Options{Devices: 1, MaxBatch: 2, Window: time.Millisecond,
 		MaxQueueDelay: 3 * time.Millisecond})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	in := workload.InputData(sh, 1, 9)
 	body, err := json.Marshal(&InferRequest{Model: "tinycnn", Inputs: in})
 	if err != nil {
@@ -389,7 +390,7 @@ func TestExpiredItemsAreNotPriced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 2, 29)
 	now := time.Now()
 	items := []*item{

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rtmap/internal/metrics"
+	"rtmap/internal/model"
 	"rtmap/internal/trace"
 	"rtmap/internal/workload"
 )
@@ -148,7 +149,7 @@ func getTraces(t *testing.T, url, query string) trace.Dump {
 // /debug/traces, grouped by name.
 func tracedSpans(t *testing.T, url, id string) map[string][]trace.Span {
 	t.Helper()
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	// Warm up untraced so the traced request's wait span measures batching,
 	// not model admission (compilation happens inside the first handler).
 	if _, resp := postInfer(t, url, InferRequest{Model: "tinycnn", BitExact: true,
@@ -282,7 +283,7 @@ func TestTracedShardedRequestEndToEnd(t *testing.T) {
 // generated ID back to the client so it can find its spans.
 func TestSampledRequestGetsGeneratedID(t *testing.T) {
 	s, ts := testServer(t, Options{MaxBatch: 2, Window: time.Millisecond, TraceSample: 1})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	_, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn",
 		Inputs: workload.InputData(sh, 1, 5)})
 	if resp.StatusCode != http.StatusOK {
@@ -307,7 +308,7 @@ func TestSampledRequestGetsGeneratedID(t *testing.T) {
 // label cardinality against hostile headers).
 func TestOversizedTraceHeaderIgnored(t *testing.T) {
 	_, ts := testServer(t, Options{MaxBatch: 2, Window: time.Millisecond})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, err := json.Marshal(&InferRequest{Model: "tinycnn",
 		Inputs: workload.InputData(sh, 1, 6)})
 	if err != nil {
@@ -353,7 +354,7 @@ func TestFailoverRequeueKeepsTrace(t *testing.T) {
 	}
 
 	const id = "failover-trace"
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 3, 11)
 	items := make([]*item, len(ins))
 	for i, in := range ins {
@@ -424,7 +425,7 @@ func BenchmarkServeSubmitTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	ins := workload.Inputs(sh, 8, 7)
 	ids := make([]string, 64)
 	for i := range ids {

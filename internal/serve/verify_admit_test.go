@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rtmap/internal/core"
+	"rtmap/internal/model"
 	"rtmap/internal/verify"
 	"rtmap/internal/workload"
 )
@@ -28,7 +29,7 @@ func TestAdmitRejectsVerifierFailure(t *testing.T) {
 		return &verify.Error{Diags: []verify.Diagnostic{planted}}
 	}
 
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, _ := json.Marshal(InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 3)})
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -68,7 +69,7 @@ func TestAdmitRejectsVerifierFailure(t *testing.T) {
 // stays at zero.
 func TestAdmitRunsRealVerifier(t *testing.T) {
 	_, ts := testServer(t, Options{MaxBatch: 2, Window: time.Millisecond})
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	_, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 3)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d, want 200", resp.StatusCode)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtmap/internal/model"
 	"rtmap/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // of tinycnn's 128 values, marshalled from the client-side struct.
 func harnessBody(tb testing.TB, rows int) []byte {
 	tb.Helper()
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	body, err := json.Marshal(&InferRequest{
 		Model: "tinycnn", Seed: 3, BitExact: true, Inputs: workload.InputData(sh, rows, 7),
 	})
@@ -119,7 +120,7 @@ func fuzzedRequest(model, class string, seed uint64) InferRequest {
 // drawn from the other arguments, which the codec must take. CI runs the
 // seed corpus (go test -run FuzzInferDecode).
 func FuzzInferDecode(f *testing.F) {
-	sh, _ := ZooShape("tinycnn")
+	sh, _ := model.ZooShape("tinycnn")
 	admission, err := json.Marshal(&InferRequest{Model: "tinycnn", Inputs: workload.InputData(sh, 1, 7)})
 	if err != nil {
 		f.Fatal(err)

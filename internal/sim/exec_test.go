@@ -26,11 +26,8 @@ func assertTraceEqual(t *testing.T, net *model.Network, got, want *model.IntTrac
 // (ForwardInt per input) for N ∈ {1, 3, 8}, on both a sequential and a
 // residual network.
 func TestForwardAPBatchMatchesSerial(t *testing.T) {
-	nets := map[string]*model.Network{
-		"tinycnn":    model.TinyCNN(model.DefaultConfig()),
-		"tinyresnet": model.TinyResNet(model.DefaultConfig()),
-	}
-	for name, net := range nets {
+	for _, name := range []string{"tinycnn", "tinyresnet"} {
+		net := zooNet(t, name)
 		c := compileNet(t, net, true)
 		for _, n := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("%s/N=%d", name, n), func(t *testing.T) {
@@ -748,19 +745,7 @@ func TestForwardAllocatesEachTensorOnce(t *testing.T) {
 // functional-execution benchmarks.
 func benchNet(b *testing.B, name string) (*model.Network, *core.Compiled) {
 	b.Helper()
-	var net *model.Network
-	switch name {
-	case "tinycnn":
-		net = model.TinyCNN(model.DefaultConfig())
-	case "miniresnet18":
-		net = model.MiniResNet18(model.DefaultConfig(), 32, 32)
-	case "vgg9":
-		net = model.VGG9(model.DefaultConfig())
-	case "resnet18":
-		net = model.ResNet18(model.DefaultConfig())
-	default:
-		b.Fatalf("unknown bench network %q", name)
-	}
+	net := zooNet(b, name)
 	cfg := core.DefaultConfig()
 	cfg.KeepPrograms = true
 	c, err := core.Compile(net, cfg)

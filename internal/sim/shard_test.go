@@ -24,11 +24,8 @@ func partitionEven(t *testing.T, c *core.Compiled, rep *Report, k int) *core.Sha
 // shipped — must stay bit-identical to the single-device functional path
 // on every stage count, including K=1, K=layer-count and over-asked K.
 func TestForwardAPShardedBitExact(t *testing.T) {
-	nets := map[string]*model.Network{
-		"tinycnn":    model.TinyCNN(model.DefaultConfig()),
-		"tinyresnet": model.TinyResNet(model.DefaultConfig()),
-	}
-	for name, net := range nets {
+	for _, name := range []string{"tinycnn", "tinyresnet"} {
+		net := zooNet(t, name)
 		c := compileNet(t, net, true)
 		rep := Analyze(c)
 		for seed := uint64(0); seed < 2; seed++ {

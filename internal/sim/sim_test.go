@@ -21,6 +21,16 @@ func randInput(seed uint64, s tensor.Shape) *tensor.Float {
 	return in
 }
 
+// zooNet builds the named zoo network at the default build point.
+func zooNet(tb testing.TB, name string) *model.Network {
+	tb.Helper()
+	net, err := model.Build(name, model.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
 func compileNet(t *testing.T, net *model.Network, keep bool) *core.Compiled {
 	t.Helper()
 	cfg := core.DefaultConfig()

@@ -7,11 +7,12 @@
 // package re-checks every retained tile program with an independent
 // abstract interpreter (ap.AuditPlan) and reports structured, fully
 // located diagnostics — model, layer, strip, tile, op index, violated
-// invariant — so a bad plan is rejected at compile or admit time instead
-// of serving wrong bits.
+// invariant — so a bad plan is rejected at admit time instead of
+// serving wrong bits.
 //
 // The package sits below internal/core: core.VerifyCompiled sweeps a
-// compiled artifact through CheckTileProgram, serve runs the same sweep
-// at model admit (failures become HTTP 400s), and `rtmap-vet -plans`
-// runs it over the builtin model zoo in CI.
+// compiled artifact through CheckTileProgram. core.Compile never runs
+// it; its callers do: serve at model admit (failures become HTTP 400s),
+// `rtmap-vet -plans` over the model zoo in CI, and the benchmark's
+// ap.audit step.
 package verify

@@ -56,17 +56,6 @@ func TestBuiltinModelPlansVerifyClean(t *testing.T) {
 	}
 }
 
-// Config.VerifyPlans makes Compile itself run the sweep (the debug/CI
-// mode serve and rtmap-vet build on).
-func TestCompileVerifyPlansFlag(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.KeepPrograms = true
-	cfg.VerifyPlans = true
-	if _, err := core.Compile(model.TinyCNN(model.DefaultConfig()), cfg); err != nil {
-		t.Fatalf("verified compile: %v", err)
-	}
-}
-
 // Diagnostics are fully located and survive the error-wrapping path the
 // serving layer relies on (errors.As to *verify.Error).
 func TestCheckTileProgramDiagnostics(t *testing.T) {
