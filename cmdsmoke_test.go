@@ -70,6 +70,7 @@ func TestCmdSmoke(t *testing.T) {
 		{"rtmap-compile", []string{"-model", "vgg9", "-sparsity", "1"}, "sparsity 1 out of range"},
 		{"rtmap-sim", []string{"-model", "nosuch"}, zooList},
 		{"rtmap-bench", []string{"-shards", "2", "-net", "nosuch"}, zooList},
+		{"rtmap-bench", []string{"-table2", "-net", "nosuch", "-samples", "0"}, `"nosuch" (networks: resnet18|vgg9|vgg11)`},
 	}
 	tested := map[string]bool{"rtmap-serve": true}
 	for _, tc := range cases {

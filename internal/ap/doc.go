@@ -22,13 +22,20 @@
 // 16-, 32- or 64-bit lanes, into one stream of 12-byte ops: a wrap-free
 // add/sub is three arena slot indices and a sign bit that Run executes
 // with nothing to decode, anything else an escape to its full form. One
-// word op advances several rows; Run hands each stretch of fast ops to
-// one kernel call — on a CPU with AVX2 an assembly loop that advances 16
-// rows per instruction and checks every slot index against the arena,
-// elsewhere the portable Go loop — and replays over reusable arenas; LoadRows
-// (a Grid per call), CopyRows and AccumulateColumn move whole words. The
-// two are proved bit-identical on randomized programs, and AuditPlan
-// re-derives every claim of the lowering from the stream Run executes.
+// word op advances several rows, over reusable arenas. The inner loops
+// form one kernel set, chosen once from CPUID: Run hands each stretch of
+// fast ops to its run kernel; LoadRows (a Grid per call) packs every
+// whole word of a contiguous run at 16-bit lanes in its pack kernel,
+// AccumulateColumn reads words back in its accumulate kernel, and
+// Requantize — the engine's fused act step, clamp(RoundToEven(c·scale),
+// lo, hi) — is its requantize kernel; SetRow stores one position and
+// CopyRows copies whole words. On a CPU with AVX2 the set is assembly
+// (16 rows per instruction; the run kernel checks every slot index
+// against the arena, the movers stay inside the slices they are given,
+// and every tail is left to the Go twin), elsewhere the portable Go
+// loops. The two executors are proved bit-identical on randomized
+// programs, each kernel is held to its Go twin, and AuditPlan re-derives
+// every claim of the lowering from the stream Run executes.
 //
 // A column marked Col.Temp is the program's own scratch, as the
 // compiler's column pool hands it out: nothing outside the program loads

@@ -621,6 +621,37 @@ type Grid struct {
 	Q0, Q1, W, Lo, Hi, Pitch, Stride int
 }
 
+// format returns the whole-word masks that wrap lanes to col's stored
+// format. The wrap runs once per word, on all its lanes at once: keep
+// the format's bits (fmask), add the lane offset, and subtract 2^width
+// where the format's sign bit (fsign) is set. No lane carries or borrows
+// (the format is narrower than the lane's guarded range), an unsigned
+// column has no sign bit, and from 63 bits up every int32 already fits.
+func (m *Machine) format(col int) (fmask, fsign uint64) {
+	f := m.plan.fmts[col]
+	fmask = m.mask * m.rep
+	if w := uint(f &^ fmtUnsigned); w < 63 {
+		fmask = (uint64(1)<<w - 1) * m.rep
+		if f&fmtUnsigned == 0 {
+			fsign = uint64(1) << (w - 1) * m.rep
+		}
+	}
+	return fmask, fsign
+}
+
+// SetRow stores v into row r of col, wrapped to its stored format: the
+// one-position load of a 1×1 input plane, with no grid to walk.
+//
+//rtmap:noalloc
+func (m *Machine) SetRow(col, r int, v int32) {
+	if r < 0 || r >= m.rows {
+		panic(fmt.Sprintf("ap: SetRow row %d outside machine rows %d", r, m.rows))
+	}
+	fmask, fsign := m.format(col)
+	x := uint64(v) & m.mask
+	m.put(m.plan.slot[col], r, int64(x&fmask)-int64((x&fsign)<<1))
+}
+
 // LoadRows stores grid positions [g.Q0, g.Q1) into rows row0, row0+1, …
 // of col, wrapped to its stored format: the simulator's gather, one call
 // per tap and row block. A grid with Stride 1 and Pitch W is one run, its
@@ -636,20 +667,7 @@ func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
 	if n == 0 || g.Lo == g.Hi {
 		return
 	}
-	// The wrap to the stored format runs once per word, on all its lanes
-	// at once: keep the format's bits, add the lane offset, and subtract
-	// 2^width where the format's sign bit is set. No lane carries or
-	// borrows (the format is narrower than the lane's guarded range), an
-	// unsigned column has no sign bit, and from 63 bits up every int32
-	// already fits.
-	f := m.plan.fmts[col]
-	fmask, fsign := m.mask*m.rep, uint64(0)
-	if w := uint(f &^ fmtUnsigned); w < 63 {
-		fmask = (uint64(1)<<w - 1) * m.rep
-		if f&fmtUnsigned == 0 {
-			fsign = uint64(1) << (w - 1) * m.rep
-		}
-	}
+	fmask, fsign := m.format(col)
 	s := m.plan.slot[col]
 	words := m.col(s)
 	row0 -= g.Q0 // the row grid position 0 would land in
@@ -683,7 +701,8 @@ func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
 
 // loadRun stores src[0], src[stride], … src[(n-1)·stride] into rows
 // [row0, row0+n) of words, gathering, wrapping and merging one word at a
-// time; a whole word of a contiguous run is one window of the source.
+// time; a whole word of a contiguous run is one window of the source,
+// and at 16-bit lanes every whole word left goes to the pack kernel.
 //
 //rtmap:noalloc
 func (m *Machine) loadRun(words []uint64, row0, n int, src []int32, stride int, fmask, fsign uint64) {
@@ -694,9 +713,13 @@ func (m *Machine) loadRun(words []uint64, row0, n int, src []int32, stride int, 
 		var raw uint64
 		sh := lo
 		if stride == 1 && lo == 0 && i+per <= n {
+			if per == 4 {
+				k := (n - i) / 4
+				kern.pack(words[w:w+k], src[i:i+4*k], fmask, fsign, m.bias)
+				i, w = i+4*k, w+k-1 // the loop steps past the last
+				continue
+			}
 			switch s := src[i : i+per]; len(s) {
-			case 4:
-				raw = uint64(uint16(s[0])) | uint64(uint16(s[1]))<<16 | uint64(uint16(s[2]))<<32 | uint64(uint16(s[3]))<<48
 			case 2:
 				raw = uint64(uint32(s[0])) | uint64(uint32(s[1]))<<32
 			default:
@@ -737,8 +760,9 @@ func (m *Machine) CopyRows(dst, dstRow, src, srcRow, n int) {
 }
 
 // AccumulateColumn adds rows [row0, row0+len(dst)) of col into dst — the
-// simulator's inter-strip reduction — one word per 4, 2 or 1 rows, lane by
-// lane only before the first word boundary and after the last.
+// simulator's inter-strip reduction — one word per 4, 2 or 1 rows (the
+// accumulate kernel's at 16-bit lanes), lane by lane only before the
+// first word boundary and after the last.
 //
 //rtmap:noalloc
 func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
@@ -755,21 +779,30 @@ func (m *Machine) AccumulateColumn(col, row0 int, dst []int32) {
 	for r := b; r < end; r++ {
 		dst[r-row0] += int32(m.get(s, r))
 	}
-	d := dst[a-row0 : b-row0]
-	for _, x := range m.col(s)[a/per : b/per] {
-		if per == 4 {
-			d4 := d[:4:4]
-			d4[0] += int32(uint16(x)) - one
-			d4[1] += int32(uint16(x>>16)) - one
-			d4[2] += int32(uint16(x>>32)) - one
-			d4[3] += int32(x>>48) - one
-		} else {
-			for j := range d[:per] {
-				d[j] += int32(x>>(uint(j)*m.lane)&m.mask) - one
-			}
+	d, words := dst[a-row0:b-row0], m.col(s)[a/per:b/per]
+	if per == 4 {
+		kern.accumulate(d, words, one)
+		return
+	}
+	for _, x := range words {
+		for j := range d[:per] {
+			d[j] += int32(x>>(uint(j)*m.lane)&m.mask) - one
 		}
 		d = d[per:]
 	}
+}
+
+// Requantize is the AP's peripheral requantize step over a run of
+// finished sums: dst[k] = clamp(RoundToEven(src[k]·scale), lo, hi) in
+// the requantize kernel, ReLU being lo = 0. The engine applies it per
+// finished row block; the software reference keeps its own loop.
+//
+//rtmap:noalloc
+func Requantize(dst, src []int32, scale float64, lo, hi int32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("ap: Requantize %d sums into %d codes", len(src), len(dst)))
+	}
+	kern.requantize(dst, src, scale, lo, hi)
 }
 
 // Column returns a copy of a column's values (tests and debugging; the
@@ -792,7 +825,7 @@ const runChunk = 1024
 // Run executes the plan over all active rows. It cannot fail and does not
 // allocate: every structural error was rejected when the plan was built.
 // Each stretch of fast ops — every Add and Sub of a sound compiler
-// emission — goes to the kernel runFast, at most runChunk ops a call;
+// emission — goes to the run kernel, at most runChunk ops a call;
 // an escape takes runEscape. A kernel that stops at a fast op that is
 // not an escape found a slot outside the arena: runFastGeneric runs
 // that op, and panics with Go's bounds error.
@@ -803,7 +836,7 @@ func (m *Machine) Run() {
 	slots := len(flat) / w
 	for i := 0; i < len(ops); {
 		chunk := ops[i:min(i+runChunk, len(ops))]
-		k := runFast(flat, chunk, w, bias, slots)
+		k := kern.run(flat, chunk, w, bias, slots)
 		i += k
 		switch {
 		case k == len(chunk):

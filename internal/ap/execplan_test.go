@@ -585,10 +585,10 @@ func benchRunPlan(tb testing.TB, ops int) *ExecPlan {
 func BenchmarkMachineRun(b *testing.B) {
 	const ops = 50_000
 	plan := benchRunPlan(b, ops)
-	for _, k := range fastKernels {
+	for _, k := range kernelSets {
 		for _, words := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("kernel=%s/words=%d", k.name, words), func(b *testing.B) {
-				defer swapKernel(k.run)()
+				defer swapKernels(k)()
 				var m Machine
 				m.Reset(plan, words*4)
 				b.ResetTimer()
@@ -646,8 +646,12 @@ func lanePlan(t testing.TB, lane int) (*Program, *ExecPlan) {
 // row ends, every alignment of the first row, every column format, and
 // int32s far outside the format. Rows outside the grid keep what a
 // previous load left; border positions, which read zero before the call
-// (the zero-set contract), read zero after it.
+// (the zero-set contract), read zero after it. Under every kernel set.
 func TestLoadRowsMatchesPerLane(t *testing.T) {
+	eachKernel(t, testLoadRowsMatchesPerLane)
+}
+
+func testLoadRowsMatchesPerLane(t *testing.T) {
 	const gridRows = 3
 	cases := 0
 	for _, lane := range testLanes {
@@ -722,8 +726,13 @@ func checkGridLoad(t *testing.T, rng *rand.Rand, got, want *Machine, meta Col, c
 }
 
 // A grid with no valid column loads nothing, and a grid outside the
-// machine or with its valid columns outside the grid panics.
+// machine or with its valid columns outside the grid panics, under every
+// kernel set.
 func TestLoadRowsGridEdges(t *testing.T) {
+	eachKernel(t, testLoadRowsGridEdges)
+}
+
+func testLoadRowsGridEdges(t *testing.T) {
 	_, plan := lanePlan(t, 16)
 	var m Machine
 	m.Reset(plan, 8)
@@ -812,8 +821,12 @@ func TestCopyRowsMatchesPerLane(t *testing.T) {
 // AccumulateColumn reads whole words once for their 4, 2 or 1 rows and
 // must equal adding one lane at a time, from every alignment of the first
 // row, over runs that stay inside a word, end on a boundary, and cross
-// one or several.
+// one or several, under every kernel set.
 func TestAccumulateColumnMatchesPerLane(t *testing.T) {
+	eachKernel(t, testAccumulateColumnMatchesPerLane)
+}
+
+func testAccumulateColumnMatchesPerLane(t *testing.T) {
 	for _, lane := range testLanes {
 		p, plan := lanePlan(t, lane)
 		const rows = 48
@@ -863,24 +876,27 @@ func benchGrids(w int) map[string]Grid {
 // BenchmarkLoadRows prices the gather primitive per grid position on the
 // planes vgg9 runs: w 32 (1 024 rows), 16 and 8, for each kind of tap,
 // and the one-position grid of a linear layer (w 1, whose border taps
-// are empty).
+// are empty), under each kernel set this CPU runs.
 func BenchmarkLoadRows(b *testing.B) {
 	_, plan := lanePlan(b, 16)
-	for _, w := range []int{32, 16, 8, 1} {
-		src := make([]int32, 4*w*w)
-		for i := range src {
-			src[i] = int32(i*37 - 1000)
-		}
-		var m Machine
-		m.Reset(plan, w*w)
-		for _, kind := range []string{"centre", "left", "right", "stride2"} {
-			g := benchGrids(w)[kind]
-			b.Run(fmt.Sprintf("w=%d/%s", w, kind), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.LoadRows(1, 0, src, g)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.Q1), "ns/elem")
-			})
+	for _, k := range kernelSets {
+		for _, w := range []int{32, 16, 8, 1} {
+			src := make([]int32, 4*w*w)
+			for i := range src {
+				src[i] = int32(i*37 - 1000)
+			}
+			var m Machine
+			m.Reset(plan, w*w)
+			for _, kind := range []string{"centre", "left", "right", "stride2"} {
+				g := benchGrids(w)[kind]
+				b.Run(fmt.Sprintf("kernel=%s/w=%d/%s", k.name, w, kind), func(b *testing.B) {
+					defer swapKernels(k)()
+					for i := 0; i < b.N; i++ {
+						m.LoadRows(1, 0, src, g)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.Q1), "ns/elem")
+				})
+			}
 		}
 	}
 }
@@ -906,20 +922,24 @@ func BenchmarkCopyRows(b *testing.B) {
 }
 
 // BenchmarkAccumulateColumn prices the read-back of one output channel
-// over a plane's rows, from a word boundary and from inside a word.
+// over a plane's rows, from a word boundary and from inside a word,
+// under each kernel set this CPU runs.
 func BenchmarkAccumulateColumn(b *testing.B) {
 	_, plan := lanePlan(b, 16)
 	var m Machine
 	m.Reset(plan, 1025)
 	dst := make([]int32, 1024)
-	for _, n := range []int{1024, 64} {
-		for _, row0 := range []int{0, 1} {
-			b.Run(fmt.Sprintf("n=%d/row0=%d", n, row0), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.AccumulateColumn(3, row0, dst[:n])
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-			})
+	for _, k := range kernelSets {
+		for _, n := range []int{1024, 64} {
+			for _, row0 := range []int{0, 1} {
+				b.Run(fmt.Sprintf("kernel=%s/n=%d/row0=%d", k.name, n, row0), func(b *testing.B) {
+					defer swapKernels(k)()
+					for i := 0; i < b.N; i++ {
+						m.AccumulateColumn(3, row0, dst[:n])
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+				})
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@ package ap
 
 func init() {
 	if hasAVX2() {
-		fastKernels = append(fastKernels, namedKernel{"avx2", runFastAVX2})
-		runFast = runFastAVX2
+		kernelSets = append(kernelSets, kernelSet{"avx2", runFastAVX2, packAVX2, accumulateAVX2, requantizeAVX2})
+		kern = kernelSets[len(kernelSets)-1]
 	}
 }
 
@@ -40,3 +40,56 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func runFastAVX2(flat []uint64, ops []planOp, w int, bias uint64, slots int) int
+
+// packAVX2 packs 4-word blocks — 16 source elements — per iteration in
+// assembly and the 0–3 words left in Go.
+//
+//rtmap:noalloc
+func packAVX2(dst []uint64, src []int32, fmask, fsign, bias uint64) {
+	k := packBlocksAVX2(dst, src, fmask, fsign, bias)
+	packGeneric(dst[k:], src[4*k:], fmask, fsign, bias)
+}
+
+// accumulateAVX2 adds 2-word blocks — 8 rows — per iteration in
+// assembly and the word left, if any, in Go.
+//
+//rtmap:noalloc
+func accumulateAVX2(dst []int32, src []uint64, one int32) {
+	k := accumulateBlocksAVX2(dst, src, one)
+	accumulateGeneric(dst[4*k:], src[k:], one)
+}
+
+// requantizeAVX2 requantizes 4-element blocks per iteration in assembly
+// and the 0–3 elements left in Go.
+//
+//rtmap:noalloc
+func requantizeAVX2(dst, src []int32, scale float64, lo, hi int32) {
+	k := requantizeBlocksAVX2(dst, src, scale, lo, hi)
+	requantizeGeneric(dst[k:], src[k:], scale, lo, hi)
+}
+
+// packBlocksAVX2 runs packGeneric over the whole 4-word blocks of the
+// words dst and src both cover and returns how many words it stored:
+// each block masks 16 elements to 16 bits, packs them to words
+// (VPACKUSDW, VPERMQ to undo its per-half order) and wraps all four
+// words at once.
+//
+//go:noescape
+func packBlocksAVX2(dst []uint64, src []int32, fmask, fsign, bias uint64) int
+
+// accumulateBlocksAVX2 runs accumulateGeneric over the whole 2-word
+// blocks of the words src and dst both cover and returns how many words
+// it read: each block widens 8 lanes to int32 (VPMOVZXWD), subtracts
+// the offset and adds them into dst.
+//
+//go:noescape
+func accumulateBlocksAVX2(dst []int32, src []uint64, one int32) int
+
+// requantizeBlocksAVX2 runs requantizeGeneric over the whole 4-element
+// blocks dst and src both cover and returns how many elements it stored:
+// convert to float64, multiply, round to nearest even (VROUNDPD $0),
+// truncate back to int32 — MinInt32 for anything out of range, as Go's
+// conversion on amd64 — and clamp.
+//
+//go:noescape
+func requantizeBlocksAVX2(dst, src []int32, scale float64, lo, hi int32) int

@@ -127,6 +127,125 @@ done:
 	MOVQ AX, ret+72(FP)
 	RET
 
+// func packBlocksAVX2(dst []uint64, src []int32, fmask, fsign, bias uint64) int
+//
+// DI dst, SI src, CX the words to store (a multiple of 4), BX the words
+// stored; Y4 fmask, Y5 fsign, Y6 bias, Y7 0xffff in every dword.
+TEXT ·packBlocksAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), DX
+	SHRQ $2, DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	ANDQ $-4, CX
+	XORQ BX, BX
+	TESTQ CX, CX
+	JEQ  packdone
+	VPBROADCASTQ fmask+48(FP), Y4
+	VPBROADCASTQ fsign+56(FP), Y5
+	VPBROADCASTQ bias+64(FP), Y6
+	VPCMPEQD Y7, Y7, Y7
+	VPSRLD   $16, Y7, Y7
+
+pack:
+	VPAND     (SI), Y7, Y0
+	VPAND     32(SI), Y7, Y1
+	VPACKUSDW Y1, Y0, Y0     // words 0, 2, 1, 3 of the block
+	VPERMQ    $0xd8, Y0, Y0  // words 0, 1, 2, 3
+	VPAND     Y4, Y0, Y1
+	VPADDQ    Y6, Y1, Y1
+	VPAND     Y5, Y0, Y2
+	VPADDQ    Y2, Y2, Y2
+	VPSUBQ    Y2, Y1, Y1     // raw&fmask + bias − (raw&fsign)<<1
+	VMOVDQU   Y1, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	ADDQ      $4, BX
+	CMPQ      BX, CX
+	JLT       pack
+	VZEROUPPER
+
+packdone:
+	MOVQ BX, ret+72(FP)
+	RET
+
+// func accumulateBlocksAVX2(dst []int32, src []uint64, one int32) int
+//
+// DI dst, SI src, CX the words to read (a multiple of 2), BX the words
+// read; Y7 one in every dword.
+TEXT ·accumulateBlocksAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SHRQ $2, DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	ANDQ $-2, CX
+	XORQ BX, BX
+	TESTQ CX, CX
+	JEQ  accdone
+	MOVL         one+48(FP), AX
+	VMOVD        AX, X7
+	VPBROADCASTD X7, Y7
+
+acc:
+	VPMOVZXWD (SI)(BX*8), Y0
+	VPSUBD    Y7, Y0, Y0
+	VPADDD    (DI), Y0, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ      $32, DI
+	ADDQ      $2, BX
+	CMPQ      BX, CX
+	JLT       acc
+	VZEROUPPER
+
+accdone:
+	MOVQ BX, ret+56(FP)
+	RET
+
+// func requantizeBlocksAVX2(dst, src []int32, scale float64, lo, hi int32) int
+//
+// DI dst, SI src, CX the elements to store (a multiple of 4), BX the
+// elements stored; Y4 scale, X5 lo and X6 hi in every lane.
+TEXT ·requantizeBlocksAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	ANDQ $-4, CX
+	XORQ BX, BX
+	TESTQ CX, CX
+	JEQ  rqdone
+	VBROADCASTSD scale+48(FP), Y4
+	MOVL         lo+56(FP), AX
+	VMOVD        AX, X5
+	VPBROADCASTD X5, X5
+	MOVL         hi+60(FP), AX
+	VMOVD        AX, X6
+	VPBROADCASTD X6, X6
+
+rq:
+	VCVTDQ2PD   (SI)(BX*4), Y0
+	VMULPD      Y4, Y0, Y0
+	VROUNDPD    $0, Y0, Y0   // to nearest, ties to even
+	VCVTTPD2DQY Y0, X0
+	VPMAXSD     X5, X0, X0
+	VPMINSD     X6, X0, X0
+	VMOVDQU     X0, (DI)(BX*4)
+	ADDQ        $4, BX
+	CMPQ        BX, CX
+	JLT         rq
+	VZEROUPPER
+
+rqdone:
+	MOVQ BX, ret+64(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

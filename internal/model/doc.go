@@ -13,9 +13,11 @@
 // Network.ExecLayers is the one layer walker and holds the only copy of the
 // integer semantics of every layer kind but conv/linear, which a ConvExec
 // computes. An act-quant that reads the conv/linear layer just before it
-// is handed to that layer's ConvExec as a Requant: the AP engine applies
-// it (requantInto, through Requant.Apply) in the tasks that finish each
-// row block, as the RTM-AP fuses requantize onto every conv; the software
-// reference (ConvReference) and the ForwardIntQuantized baselines decline,
-// and the walker requantizes.
+// is handed to that layer's ConvExec as a Requant, which exposes each
+// item's scale and clamps (Requant.Item): the AP engine applies it with
+// its own kernel in the tasks that finish each row block, as the RTM-AP
+// fuses requantize onto every conv; the software reference
+// (ConvReference) and the ForwardIntQuantized baselines decline, and the
+// walker requantizes with its own loop (requantInto), so the oracle and
+// the engine share no requantize code.
 package model

@@ -113,10 +113,17 @@ type Requant struct {
 	relu   bool
 }
 
-// Apply requantizes item j's finished conv output codes src[lo:hi] into
-// Outs[j].Data[lo:hi].
-func (r *Requant) Apply(j int, src []int32, lo, hi int) {
-	requantInto(r.Outs[j].Data[lo:hi], src[lo:hi], r.scales[j], r.q, r.relu)
+// Item returns what requantizes item j's finished conv output codes c
+// into Outs[j]: clamp(RoundToEven(c·scale), lo, hi), with the clamps of
+// the act layer's grid, lo = 0 under ReLU. The executor that fuses the
+// step runs it with its own kernel; ExecLayers and ForwardInt keep
+// requantInto, so a differential test holds the one to the other.
+func (r *Requant) Item(j int) (scale float64, lo, hi int32) {
+	lo, hi = r.q.Qn(), r.q.Qp()
+	if r.relu {
+		lo = 0
+	}
+	return r.scales[j], lo, hi
 }
 
 // ConvReference is the software-reference executor: sparse ternary

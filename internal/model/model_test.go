@@ -281,3 +281,27 @@ func TestRequantLoopMatchesRequantCode(t *testing.T) {
 		}
 	}
 }
+
+// A fusing executor sees an act layer only as Requant.Item's scale and
+// clamps, and computes clamp(RoundToEven(c·scale), lo, hi) itself: that
+// must be RequantCode for every mode and grid, ReLU over a signed grid
+// (which clamps at 0, not at the grid's floor) included.
+func TestRequantItemMatchesRequantCode(t *testing.T) {
+	for _, q := range []quant.Quantizer{{Bits: 4, Step: 1}, {Bits: 8, Step: 1, Signed: true}, {Bits: 2, Step: 1, Signed: true}} {
+		for _, relu := range []bool{true, false} {
+			r := &Requant{scales: []float64{0.5, 0.0123}, q: q, relu: relu}
+			for j, scale := range r.scales {
+				s, lo, hi := r.Item(j)
+				if s != scale {
+					t.Fatalf("%v relu=%v: item %d scale %g, want %g", q, relu, j, s, scale)
+				}
+				for c := int32(-1 << 12); c <= 1<<12; c++ {
+					got := min(max(int32(math.RoundToEven(float64(c)*s)), lo), hi)
+					if want := RequantCode(c, scale, q, relu); got != want {
+						t.Fatalf("%v relu=%v scale %g: code %d clamps to %d in [%d, %d], RequantCode says %d", q, relu, scale, c, got, lo, hi, want)
+					}
+				}
+			}
+		}
+	}
+}

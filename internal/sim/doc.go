@@ -37,6 +37,8 @@
 // thing the engine takes from the walker is the act-quant that follows a
 // conv (model.Requant): the task that finishes a row block's sums — for a
 // block whose strips or parts run as separate tasks, the last of them to
-// accumulate — requantizes those rows with the walker's own code, so the
-// act layer costs no serial pass on the caller.
+// accumulate — requantizes those rows with the scale and clamps the
+// walker hands it, in ap.Requantize's kernel, so the act layer costs no
+// serial pass on the caller and the oracle's requantize loop stays its
+// own.
 package sim

@@ -197,7 +197,8 @@ func (ctx *convCtx) requant(t convTask) {
 		for g := t.g0; g < t.g1; {
 			b, p0 := g/p, g%p
 			n := min(p-p0, t.g1-g)
-			ctx.rq.Apply(b, ctx.outs[b].Data, base+p0, base+p0+n)
+			scale, lo, hi := ctx.rq.Item(b)
+			ap.Requantize(ctx.rq.Outs[b].Data[base+p0:base+p0+n], ctx.outs[b].Data[base+p0:base+p0+n], scale, lo, hi)
 			g += n
 		}
 	}
@@ -236,10 +237,21 @@ func (ctx *convCtx) setTaps(in, out tensor.Shape) {
 // derivable layer, a segment whose first row and shift start a word (per
 // rows: the machine's own, as taskShape aligns to the layer's fewest)
 // copies what source column src holds shift rows away, gathering the rest.
+// A 1×1 plane with one output position — a linear layer's — has one
+// position per item: row g is item g's, stored without a grid, and a
+// padding tap leaves it as Reset zeroed it.
 //
 //rtmap:noalloc
 func (ctx *convCtx) load(m *ap.Machine, t convTask, col, src, ci, k, per int) {
 	p, tp := ctx.plan.P, &ctx.taps[k]
+	if ctx.plane == 1 && p == 1 {
+		if tp.Q0 < tp.Q1 {
+			for g := t.g0; g < t.g1; g++ {
+				m.SetRow(col, g-t.g0, ctx.ins[g].Data[ci+tp.base])
+			}
+		}
+		return
+	}
 	for g := t.g0; g < t.g1; {
 		b, p0 := g/p, g%p
 		p1, row0, plane := min(p, p0+t.g1-g), g-t.g0, ctx.ins[b].Data[ci*ctx.plane:]

@@ -3,6 +3,9 @@ package rtmap
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"rtmap/internal/core"
 	"rtmap/internal/deepcam"
@@ -111,16 +114,26 @@ func Table2(opt Table2Options) (*Table2Result, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
-	want := map[string]bool{}
-	for _, n := range opt.Networks {
-		want[n] = true
-	}
-	res := &Table2Result{}
-
 	specs := opt.specs
 	if specs == nil {
 		specs = table2Specs()
 	}
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = spec.key
+	}
+	want, unknown := map[string]bool{}, []string(nil)
+	for _, n := range opt.Networks {
+		want[n] = true
+		if !slices.Contains(keys, n) {
+			unknown = append(unknown, strconv.Quote(n))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("rtmap: Table II has no network %s (networks: %s)", strings.Join(unknown, ", "), strings.Join(keys, "|"))
+	}
+	res := &Table2Result{}
+
 	for _, spec := range specs {
 		if len(want) > 0 && !want[spec.key] {
 			continue

@@ -53,6 +53,20 @@ func TestTable2SmallModels(t *testing.T) {
 	}
 }
 
+// A requested network with no Table II row is an error that names each
+// such request and the networks there are, before anything is compiled:
+// a typo in -net must not read as an empty, successful run.
+func TestTable2UnknownNetwork(t *testing.T) {
+	_, err := Table2(Table2Options{Networks: []string{"vgg9", "nosuch", "vgg10"}})
+	if err == nil {
+		t.Fatal("Table2 accepted unknown networks")
+	}
+	want := `rtmap: Table II has no network "nosuch", "vgg10" (networks: resnet18|vgg9|vgg11)`
+	if err.Error() != want {
+		t.Fatalf("Table2 error %q, want %q", err, want)
+	}
+}
+
 // TestFigure4SmallModel exercises both Fig. 4 panels on a small model.
 func TestFigure4SmallModel(t *testing.T) {
 	opt := DefaultFigure4Options()
