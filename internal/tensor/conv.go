@@ -3,8 +3,7 @@ package tensor
 import "fmt"
 
 // ConvSpec describes a 2-D convolution. Weights are supplied by the caller
-// in OIHW order (Cout, Cin, Fh, Fw); this package is agnostic to whether
-// they are ternary codes or dequantized floats.
+// in OIHW order (Cout, Cin, Fh, Fw) as ternary codes in {−1, 0, 1}.
 type ConvSpec struct {
 	Cin, Cout int
 	Fh, Fw    int
@@ -22,211 +21,101 @@ func (c ConvSpec) OutShape(in Shape) Shape {
 	}
 }
 
-func (c ConvSpec) check(in Shape) {
+// check panics unless an input of shape in and nw weights fit the spec.
+func (c ConvSpec) check(in Shape, nw int) {
 	if in.C != c.Cin {
 		panic(fmt.Sprintf("tensor: conv expects %d input channels, got %d", c.Cin, in.C))
 	}
 	if c.Stride <= 0 {
 		panic("tensor: conv stride must be positive")
 	}
+	if nw != c.Cout*c.Cin*c.Fh*c.Fw {
+		panic(fmt.Sprintf("tensor: weight length %d does not match spec %+v", nw, c))
+	}
 }
 
-// ConvInt performs a direct integer convolution with int8 weights (OIHW,
-// length Cout·Cin·Fh·Fw). With ternary weights this is the pure
-// addition/subtraction computation that the AP executes; no multiplier is
-// semantically required. Zero padding is used.
-func ConvInt(in *Int, w []int8, spec ConvSpec) *Int {
-	spec.check(in.Shape)
-	if len(w) != spec.Cout*spec.Cin*spec.Fh*spec.Fw {
-		panic(fmt.Sprintf("tensor: weight length %d does not match spec %+v", len(w), spec))
-	}
-	out := NewInt(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
-	for n := 0; n < is.N; n++ {
-		for co := 0; co < spec.Cout; co++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					var acc int32
-					for ci := 0; ci < spec.Cin; ci++ {
-						wBase := ((co*spec.Cin + ci) * spec.Fh) * spec.Fw
-						for kh := 0; kh < spec.Fh; kh++ {
-							ih := oh*spec.Stride + kh - spec.Pad
-							if ih < 0 || ih >= is.H {
-								continue
-							}
-							for kw := 0; kw < spec.Fw; kw++ {
-								iw := ow*spec.Stride + kw - spec.Pad
-								if iw < 0 || iw >= is.W {
-									continue
-								}
-								wv := w[wBase+kh*spec.Fw+kw]
-								if wv == 0 {
-									continue
-								}
-								x := in.Data[is.Index(n, ci, ih, iw)]
-								if wv > 0 {
-									acc += x
-								} else {
-									acc -= x
-								}
-							}
-						}
-					}
-					out.Data[os.Index(n, co, oh, ow)] = acc
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ConvFloat performs a direct float convolution with float32 weights (OIHW).
-// Zero padding is used.
-func ConvFloat(in *Float, w []float32, spec ConvSpec) *Float {
-	spec.check(in.Shape)
-	if len(w) != spec.Cout*spec.Cin*spec.Fh*spec.Fw {
-		panic(fmt.Sprintf("tensor: weight length %d does not match spec %+v", len(w), spec))
-	}
-	out := NewFloat(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
-	for n := 0; n < is.N; n++ {
-		for co := 0; co < spec.Cout; co++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					var acc float32
-					for ci := 0; ci < spec.Cin; ci++ {
-						wBase := ((co*spec.Cin + ci) * spec.Fh) * spec.Fw
-						for kh := 0; kh < spec.Fh; kh++ {
-							ih := oh*spec.Stride + kh - spec.Pad
-							if ih < 0 || ih >= is.H {
-								continue
-							}
-							for kw := 0; kw < spec.Fw; kw++ {
-								iw := ow*spec.Stride + kw - spec.Pad
-								if iw < 0 || iw >= is.W {
-									continue
-								}
-								acc += w[wBase+kh*spec.Fw+kw] * in.Data[is.Index(n, ci, ih, iw)]
-							}
-						}
-					}
-					out.Data[os.Index(n, co, oh, ow)] = acc
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ConvFloatTernary performs a float convolution whose weights are ternary
-// codes scaled by alpha: w = alpha·t with t ∈ {−1,0,1}. It exploits
-// sparsity by iterating nonzero taps only and is the fast float reference
-// path for TWNs: out = alpha·(Σ_{t=+1} x − Σ_{t=−1} x).
-func ConvFloatTernary(in *Float, t []int8, alpha float32, spec ConvSpec) *Float {
-	spec.check(in.Shape)
-	out := NewFloat(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
-	type tap struct {
-		kh, kw int
-		neg    bool
-	}
-	taps := make([][]tap, spec.Cout*spec.Cin)
-	for co := 0; co < spec.Cout; co++ {
-		for ci := 0; ci < spec.Cin; ci++ {
-			var ts []tap
-			wBase := ((co*spec.Cin + ci) * spec.Fh) * spec.Fw
-			for kh := 0; kh < spec.Fh; kh++ {
-				for kw := 0; kw < spec.Fw; kw++ {
-					switch t[wBase+kh*spec.Fw+kw] {
-					case 1:
-						ts = append(ts, tap{kh, kw, false})
-					case -1:
-						ts = append(ts, tap{kh, kw, true})
-					}
-				}
-			}
-			taps[co*spec.Cin+ci] = ts
-		}
-	}
-	for n := 0; n < is.N; n++ {
-		for co := 0; co < spec.Cout; co++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					var acc float32
-					for ci := 0; ci < spec.Cin; ci++ {
-						for _, tp := range taps[co*spec.Cin+ci] {
-							ih := oh*spec.Stride + tp.kh - spec.Pad
-							iw := ow*spec.Stride + tp.kw - spec.Pad
-							if ih < 0 || ih >= is.H || iw < 0 || iw >= is.W {
-								continue
-							}
-							v := in.Data[is.Index(n, ci, ih, iw)]
-							if tp.neg {
-								acc -= v
-							} else {
-								acc += v
-							}
-						}
-					}
-					out.Data[os.Index(n, co, oh, ow)] = acc * alpha
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ConvIntTernarySparse is a sparsity-aware variant of ConvInt used by the
-// reference path for large networks: it iterates only over the nonzero
-// weights of each filter. Results are identical to ConvInt.
+// ConvIntTernarySparse convolves integer codes with ternary weights (OIHW,
+// zero padding): each output is the sum of the inputs under its +1 taps
+// minus those under its −1 taps — the pure addition/subtraction the AP
+// executes. It is the oracle's convolution.
 func ConvIntTernarySparse(in *Int, w []int8, spec ConvSpec) *Int {
-	spec.check(in.Shape)
+	spec.check(in.Shape, len(w))
 	out := NewInt(spec.OutShape(in.Shape))
-	is, os := in.Shape, out.Shape
+	convTernary(out.Data, in.Data, w, out.Shape, in.Shape, spec)
+	return out
+}
 
-	// Pre-extract the nonzero taps of every (co, ci) filter slice.
-	type tap struct {
-		kh, kw int
-		sign   int32
-	}
-	taps := make([][]tap, spec.Cout*spec.Cin)
-	for co := 0; co < spec.Cout; co++ {
-		for ci := 0; ci < spec.Cin; ci++ {
-			var ts []tap
-			wBase := ((co*spec.Cin + ci) * spec.Fh) * spec.Fw
-			for kh := 0; kh < spec.Fh; kh++ {
-				for kw := 0; kw < spec.Fw; kw++ {
-					switch w[wBase+kh*spec.Fw+kw] {
-					case 1:
-						ts = append(ts, tap{kh, kw, 1})
-					case -1:
-						ts = append(ts, tap{kh, kw, -1})
-					}
-				}
-			}
-			taps[co*spec.Cin+ci] = ts
-		}
-	}
-
-	for n := 0; n < is.N; n++ {
-		for co := 0; co < spec.Cout; co++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					var acc int32
-					for ci := 0; ci < spec.Cin; ci++ {
-						for _, t := range taps[co*spec.Cin+ci] {
-							ih := oh*spec.Stride + t.kh - spec.Pad
-							iw := ow*spec.Stride + t.kw - spec.Pad
-							if ih < 0 || ih >= is.H || iw < 0 || iw >= is.W {
-								continue
-							}
-							acc += t.sign * in.Data[is.Index(n, ci, ih, iw)]
-						}
-					}
-					out.Data[os.Index(n, co, oh, ow)] = acc
-				}
-			}
-		}
+// ConvFloatTernary is the float convolution of a TWN layer whose weights
+// are alpha·t, t ∈ {−1, 0, 1}: out = alpha·(Σ_{t=+1} x − Σ_{t=−1} x), the
+// sum taken first and scaled once.
+func ConvFloatTernary(in *Float, t []int8, alpha float32, spec ConvSpec) *Float {
+	spec.check(in.Shape, len(t))
+	out := NewFloat(spec.OutShape(in.Shape))
+	convTernary(out.Data, in.Data, t, out.Shape, in.Shape, spec)
+	for i := range out.Data {
+		out.Data[i] *= alpha
 	}
 	return out
+}
+
+// convTernary accumulates the ternary convolution of src into the zeroed
+// dst. Each tap's output rows and columns whose input lies inside the
+// plane are found once; then every nonzero tap of a (co, ci) filter slice
+// streams whole output rows, o[ow] ± x[ow·S + kw − P], with no test per
+// pixel. Each output sums its taps in (ci, kh, kw) order, so float results
+// round as a per-pixel loop's do.
+func convTernary[T int32 | float32](dst, src []T, w []int8, os, is Shape, spec ConvSpec) {
+	s, p, k := spec.Stride, spec.Pad, spec.Fh*spec.Fw
+	type reach struct{ oh0, oh1, ow0, ow1, x0 int } // x0: input offset of (oh0, ow0)
+	reaches := make([]reach, k)
+	for t := range reaches {
+		dh, dw := t/spec.Fw-p, t%spec.Fw-p // tap (kh, kw) reads input (oh·s + dh, ow·s + dw)
+		r := reach{firstOut(dh, s), endOut(dh, is.H, os.H, s), firstOut(dw, s), endOut(dw, is.W, os.W, s), 0}
+		r.x0 = (r.oh0*s+dh)*is.W + r.ow0*s + dw
+		if r.ow0 >= r.ow1 {
+			r.oh1 = r.oh0 // no column in reach: stream no row
+		}
+		reaches[t] = r
+	}
+	inPlane, outPlane := is.H*is.W, os.H*os.W
+	for n := range is.N {
+		for co := range spec.Cout {
+			out := dst[(n*spec.Cout+co)*outPlane:][:outPlane]
+			for ci := range spec.Cin {
+				in := src[(n*spec.Cin+ci)*inPlane:][:inPlane]
+				for t, wv := range w[(co*spec.Cin+ci)*k:][:k] {
+					if wv == 0 {
+						continue
+					}
+					r := reaches[t]
+					width := r.ow1 - r.ow0
+					for oh, x0 := r.oh0, r.x0; oh < r.oh1; oh, x0 = oh+1, x0+s*is.W {
+						addRow(out[oh*os.W+r.ow0:][:width], in[x0:][:(width-1)*s+1], s, wv < 0)
+					}
+				}
+			}
+		}
+	}
+}
+
+// addRow adds x[i·s] into o[i] for every i, or subtracts it if neg.
+func addRow[T int32 | float32](o, x []T, s int, neg bool) {
+	switch {
+	case s == 1 && neg:
+		for i, v := range x[:len(o)] {
+			o[i] -= v
+		}
+	case s == 1:
+		for i, v := range x[:len(o)] {
+			o[i] += v
+		}
+	case neg:
+		for i := range o {
+			o[i] -= x[i*s]
+		}
+	default:
+		for i := range o {
+			o[i] += x[i*s]
+		}
+	}
 }

@@ -1,6 +1,7 @@
 // Package tensor provides the dense integer and floating-point tensor
-// substrate used throughout the RTM-AP stack: NCHW tensors, padding,
-// direct and im2col-based convolution, pooling and elementwise kernels.
+// substrate used throughout the RTM-AP stack: NCHW tensors, the oracle's
+// one ternary convolution (a row-streaming direct kernel over int32 codes
+// and float32 values), pooling and elementwise kernels.
 //
 // Two element types are supported. Float tensors carry the full-precision
 // reference path (used to validate that quantized AP execution "retains

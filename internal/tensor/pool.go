@@ -56,11 +56,8 @@ func maxPool[T int32 | float32](dst, src []T, os, is Shape, spec PoolSpec) {
 		row = make([]T, is.W)
 	}
 	row = row[:is.W]
-	// first and end bound the outputs o whose tap o·s + off lies in [0, n).
-	first := func(off int) int { return (max(0, -off) + s - 1) / s }
-	end := func(off, n, nOut int) int { return min(nOut, max(0, (n-1-off+s)/s)) }
 	// Outputs [o0, o1) of a row have a window that reaches the input.
-	o0, o1 := first(k-1-pad), end(-pad, is.W, os.W)
+	o0, o1 := firstOut(k-1-pad, s), endOut(-pad, is.W, os.W, s)
 	for nc := 0; nc < is.N*is.C; nc++ {
 		plane := src[nc*is.H*is.W:][:is.H*is.W]
 		for oh := 0; oh < os.H; oh++ {
@@ -84,7 +81,7 @@ func maxPool[T int32 | float32](dst, src []T, os, is Shape, spec PoolSpec) {
 				out[o] = row[max(o*s-pad, 0)]
 			}
 			for kw := 1; kw < k; kw++ {
-				a, b := first(kw-pad), end(kw-pad, is.W, os.W)
+				a, b := firstOut(kw-pad, s), endOut(kw-pad, is.W, os.W, s)
 				for o, w := a, a*s+kw-pad; o < b; o, w = o+1, w+s {
 					out[o] = max(out[o], row[w])
 				}
@@ -140,3 +137,9 @@ func GlobalAvgPoolFloat(in *Float) *Float {
 	}
 	return out
 }
+
+// firstOut and endOut bound the outputs o ∈ [0, nOut) at stride s whose
+// input o·s + off lies in [0, n): they are [firstOut, endOut).
+func firstOut(off, s int) int { return (max(0, -off) + s - 1) / s }
+
+func endOut(off, n, nOut, s int) int { return min(nOut, max(0, (n-1-off+s)/s)) }

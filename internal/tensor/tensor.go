@@ -66,20 +66,6 @@ func (t *Int) Equal(o *Int) bool {
 	return true
 }
 
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Int) MaxAbs() int32 {
-	var m int32
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Float is a dense float32 tensor in NCHW layout.
 type Float struct {
 	Shape Shape
@@ -107,14 +93,6 @@ func (t *Float) Clone() *Float {
 	return c
 }
 
-// Scale multiplies every element by f in place and returns the receiver.
-func (t *Float) Scale(f float32) *Float {
-	for i := range t.Data {
-		t.Data[i] *= f
-	}
-	return t
-}
-
 // AddInt accumulates o (elementwise) into t. Shapes must match.
 func (t *Int) AddInt(o *Int) {
 	if t.Shape != o.Shape {
@@ -132,15 +110,6 @@ func (t *Float) AddFloat(o *Float) {
 	}
 	for i, v := range o.Data {
 		t.Data[i] += v
-	}
-}
-
-// ReLUInt clamps negative elements to zero in place.
-func (t *Int) ReLUInt() {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,50 @@ func TestConvOutDim(t *testing.T) {
 	}
 }
 
+// convRef is the per-pixel direct convolution the row-streaming kernel is
+// held to: each output sums the inputs under its nonzero taps in
+// (ci, kh, kw) order, testing every tap against the plane's bounds.
+func convRef[T int32 | float32](dst, src []T, w []int8, os, is Shape, spec ConvSpec) {
+	for n := 0; n < is.N; n++ {
+		for co := 0; co < spec.Cout; co++ {
+			for oh := 0; oh < os.H; oh++ {
+				for ow := 0; ow < os.W; ow++ {
+					var acc T
+					for ci := 0; ci < spec.Cin; ci++ {
+						wBase := ((co*spec.Cin + ci) * spec.Fh) * spec.Fw
+						for kh := 0; kh < spec.Fh; kh++ {
+							ih := oh*spec.Stride + kh - spec.Pad
+							if ih < 0 || ih >= is.H {
+								continue
+							}
+							for kw := 0; kw < spec.Fw; kw++ {
+								iw := ow*spec.Stride + kw - spec.Pad
+								if iw < 0 || iw >= is.W {
+									continue
+								}
+								x := src[is.Index(n, ci, ih, iw)]
+								if wv := w[wBase+kh*spec.Fw+kw]; wv > 0 {
+									acc += x
+								} else if wv < 0 {
+									acc -= x
+								}
+							}
+						}
+					}
+					dst[os.Index(n, co, oh, ow)] = acc
+				}
+			}
+		}
+	}
+}
+
+// convInt is convRef on an integer tensor.
+func convInt(in *Int, w []int8, spec ConvSpec) *Int {
+	out := NewInt(spec.OutShape(in.Shape))
+	convRef(out.Data, in.Data, w, out.Shape, in.Shape, spec)
+	return out
+}
+
 func TestConvIntKnownValues(t *testing.T) {
 	// 1x1x3x3 input, single 2x2 filter of all +1, stride 1, no pad.
 	in := NewInt(Shape{1, 1, 3, 3})
@@ -69,7 +114,7 @@ func TestConvIntKnownValues(t *testing.T) {
 	}
 	w := []int8{1, 1, 1, 1}
 	spec := ConvSpec{Cin: 1, Cout: 1, Fh: 2, Fw: 2, Stride: 1, Pad: 0}
-	out := ConvInt(in, w, spec)
+	out := ConvIntTernarySparse(in, w, spec)
 	want := []int32{1 + 2 + 4 + 5, 2 + 3 + 5 + 6, 4 + 5 + 7 + 8, 5 + 6 + 8 + 9}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -83,7 +128,7 @@ func TestConvIntSubtraction(t *testing.T) {
 	copy(in.Data, []int32{10, 20, 30, 40})
 	w := []int8{1, -1, -1, 1} // 10-20-30+40 = 0
 	spec := ConvSpec{Cin: 1, Cout: 1, Fh: 2, Fw: 2, Stride: 1}
-	out := ConvInt(in, w, spec)
+	out := ConvIntTernarySparse(in, w, spec)
 	if out.Data[0] != 0 {
 		t.Errorf("got %d, want 0", out.Data[0])
 	}
@@ -94,7 +139,7 @@ func TestConvIntPadding(t *testing.T) {
 	in.Data[0] = 7
 	w := []int8{1, 1, 1, 1, 1, 1, 1, 1, 1}
 	spec := ConvSpec{Cin: 1, Cout: 1, Fh: 3, Fw: 3, Stride: 1, Pad: 1}
-	out := ConvInt(in, w, spec)
+	out := ConvIntTernarySparse(in, w, spec)
 	if out.Shape.H != 1 || out.Shape.W != 1 {
 		t.Fatalf("unexpected out shape %v", out.Shape)
 	}
@@ -103,36 +148,109 @@ func TestConvIntPadding(t *testing.T) {
 	}
 }
 
-// Property: the three convolution implementations agree on random inputs.
-func TestConvImplementationsAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 60; trial++ {
-		spec := ConvSpec{
-			Cin:    1 + rng.IntN(4),
-			Cout:   1 + rng.IntN(5),
-			Fh:     1 + rng.IntN(3),
-			Fw:     1 + rng.IntN(3),
-			Stride: 1 + rng.IntN(2),
-		}
-		spec.Pad = rng.IntN(spec.Fh)
-		h := spec.Fh + rng.IntN(6)
-		w := spec.Fw + rng.IntN(6)
-		in := randInt(rng, Shape{1 + rng.IntN(2), spec.Cin, h, w}, -8, 15)
-		weights := randTernary(rng, spec.Cout*spec.Cin*spec.Fh*spec.Fw)
-
-		direct := ConvInt(in, weights, spec)
-		gemm := ConvIntGEMM(in, weights, spec)
-		sparse := ConvIntTernarySparse(in, weights, spec)
-		if !direct.Equal(gemm) {
-			t.Fatalf("trial %d: direct != GEMM for spec %+v", trial, spec)
-		}
-		if !direct.Equal(sparse) {
-			t.Fatalf("trial %d: direct != sparse for spec %+v", trial, spec)
+// A weight slice longer or shorter than the spec's filters panics, naming
+// the spec, in both wrappers.
+func TestConvWeightLengthPanics(t *testing.T) {
+	spec := ConvSpec{Cin: 2, Cout: 3, Fh: 3, Fw: 3, Stride: 1, Pad: 1}
+	in, inF := NewInt(Shape{1, 2, 4, 4}), NewFloat(Shape{1, 2, 4, 4})
+	full := 3 * 2 * 3 * 3
+	for _, nw := range []int{full - 1, full + 1} {
+		w := make([]int8, nw)
+		for name, conv := range map[string]func(){
+			"int":   func() { ConvIntTernarySparse(in, w, spec) },
+			"float": func() { ConvFloatTernary(inF, w, 0.5, spec) },
+		} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				conv()
+				return "no panic"
+			}()
+			want := fmt.Sprintf("tensor: weight length %d does not match spec %+v", nw, spec)
+			if msg != want {
+				t.Errorf("%s, %d weights: panic %q, want %q", name, nw, msg, want)
+			}
 		}
 	}
 }
 
-// Property: float conv with ±1/0 weights equals int conv on integral data.
+// The row-streaming kernel against the per-pixel reference on random
+// specs — strides 1–3, pads 0–2, kernels 1–4, planes 1–9, N 1–2 — over
+// both signs: the integer wrapper bit for bit, the float wrapper under ==
+// on non-integral inputs and a random α (both sum in (ci, kh, kw) order
+// and scale once). The generator must reach pads at least the kernel's
+// edge, taps that reach no output (their rows or columns lie wholly in
+// the padding), 1×1 planes, N = 2 and an all-zero filter.
+func TestConvImplementationsAgree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	seen := map[string]bool{}
+	trials := 0
+	for trials < 1500 {
+		spec := ConvSpec{
+			Cin: 1 + rng.IntN(3), Cout: 1 + rng.IntN(3),
+			Fh: 1 + rng.IntN(4), Fw: 1 + rng.IntN(4),
+			Stride: 1 + rng.IntN(3), Pad: rng.IntN(3),
+		}
+		shape := Shape{1 + rng.IntN(2), spec.Cin, 1 + rng.IntN(9), 1 + rng.IntN(9)}
+		if shape.H+2*spec.Pad < spec.Fh || shape.W+2*spec.Pad < spec.Fw {
+			continue // the filter does not fit even the padded plane
+		}
+		trials++
+		w := randTernary(rng, spec.Cout*spec.Cin*spec.Fh*spec.Fw)
+		if rng.IntN(20) == 0 {
+			clear(w)
+			seen["all-zero filter"] = true
+		}
+		in := randInt(rng, shape, -50, 50)
+		if got, want := ConvIntTernarySparse(in, w, spec), convInt(in, w, spec); !got.Equal(want) {
+			t.Fatalf("%v %+v: int kernel differs from the per-pixel reference", shape, spec)
+		}
+		inF := NewFloat(shape)
+		for i := range inF.Data {
+			inF.Data[i] = rng.Float32()*2 - 1
+		}
+		alpha := 0.01 + rng.Float32()
+		got := ConvFloatTernary(inF, w, alpha, spec)
+		want := make([]float32, got.Shape.Elems())
+		convRef(want, inF.Data, w, got.Shape, shape, spec)
+		for i, v := range want {
+			if got.Data[i] != v*alpha {
+				t.Fatalf("%v %+v: float out[%d] = %g, want %g", shape, spec, i, got.Data[i], v*alpha)
+			}
+		}
+		os := got.Shape
+		seen["stride 3"] = seen["stride 3"] || spec.Stride == 3
+		seen["pad >= kernel"] = seen["pad >= kernel"] || spec.Pad >= spec.Fh || spec.Pad >= spec.Fw
+		seen["tap reaching no output"] = seen["tap reaching no output"] ||
+			tapMisses(spec.Fh, shape.H, os.H, spec) || tapMisses(spec.Fw, shape.W, os.W, spec)
+		seen["1x1 plane"] = seen["1x1 plane"] || shape.H == 1 && shape.W == 1
+		seen["N=2"] = seen["N=2"] || shape.N == 2
+	}
+	for _, name := range []string{"all-zero filter", "stride 3", "pad >= kernel", "tap reaching no output", "1x1 plane", "N=2"} {
+		if !seen[name] {
+			t.Fatalf("generator regressed: no %s case in %d trials", name, trials)
+		}
+	}
+}
+
+// tapMisses reports whether some tap k < f along an axis of n inputs and
+// nOut outputs reads only padding: no output o has 0 ≤ o·S + k − P < n.
+func tapMisses(f, n, nOut int, spec ConvSpec) bool {
+	for k := range f {
+		hit := false
+		for o := range nOut {
+			if i := o*spec.Stride + k - spec.Pad; i >= 0 && i < n {
+				hit = true
+			}
+		}
+		if !hit {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: the float kernel with α = 1 on integral data equals the
+// integer reference.
 func TestConvFloatMatchesIntOnTernary(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 30; trial++ {
@@ -141,40 +259,18 @@ func TestConvFloatMatchesIntOnTernary(t *testing.T) {
 			Fh: 1 + rng.IntN(3), Fw: 1 + rng.IntN(3), Stride: 1,
 		}
 		in := randInt(rng, Shape{1, spec.Cin, spec.Fh + 3, spec.Fw + 3}, 0, 15)
-		wi := randTernary(rng, spec.Cout*spec.Cin*spec.Fh*spec.Fw)
-		wf := make([]float32, len(wi))
+		w := randTernary(rng, spec.Cout*spec.Cin*spec.Fh*spec.Fw)
 		fin := NewFloat(in.Shape)
 		for i, v := range in.Data {
 			fin.Data[i] = float32(v)
 		}
-		for i, v := range wi {
-			wf[i] = float32(v)
-		}
-		got := ConvFloat(fin, wf, spec)
-		want := ConvInt(in, wi, spec)
+		got := ConvFloatTernary(fin, w, 1, spec)
+		want := convInt(in, w, spec)
 		for i := range want.Data {
 			if int32(got.Data[i]) != want.Data[i] {
 				t.Fatalf("trial %d: mismatch at %d: %v vs %d", trial, i, got.Data[i], want.Data[i])
 			}
 		}
-	}
-}
-
-func TestIm2ColChannelShapeAndZeros(t *testing.T) {
-	in := randInt(rand.New(rand.NewPCG(5, 6)), Shape{1, 2, 4, 4}, 1, 9)
-	spec := ConvSpec{Cin: 2, Cout: 1, Fh: 3, Fw: 3, Stride: 1, Pad: 1}
-	m := Im2ColChannel(in, 0, 0, spec)
-	p := 16 // 4x4 output
-	if len(m) != 9*p {
-		t.Fatalf("len = %d, want %d", len(m), 9*p)
-	}
-	// Top-left output point, top-left patch tap is padding → zero.
-	if m[0] != 0 {
-		t.Errorf("expected padding zero, got %d", m[0])
-	}
-	// Center tap of output point (1,1) must be in[1][1]... center tap row 4.
-	if got, want := m[4*p+5], in.At(0, 0, 1, 1); got != want {
-		t.Errorf("center tap = %d, want %d", got, want)
 	}
 }
 
@@ -346,23 +442,35 @@ func TestArgmax(t *testing.T) {
 }
 
 func TestReLUAndAdd(t *testing.T) {
-	x := NewInt(Shape{1, 1, 1, 4})
-	copy(x.Data, []int32{-3, 0, 2, -1})
+	x := NewFloat(Shape{1, 1, 1, 4})
+	copy(x.Data, []float32{-3, 0, 2, -1})
 	y := x.Clone()
-	y.ReLUInt()
-	want := []int32{0, 0, 2, 0}
+	y.ReLUFloat()
+	want := []float32{0, 0, 2, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
-			t.Errorf("relu[%d] = %d, want %d", i, y.Data[i], want[i])
+			t.Errorf("relu[%d] = %g, want %g", i, y.Data[i], want[i])
 		}
 	}
-	x.AddInt(y)
+	x.AddFloat(y)
 	if x.Data[2] != 4 {
 		t.Errorf("add failed: %v", x.Data)
 	}
+
+	xi := NewInt(Shape{1, 1, 1, 4})
+	copy(xi.Data, []int32{-3, 0, 2, -1})
+	yi := NewInt(xi.Shape)
+	copy(yi.Data, []int32{0, 0, 2, 0})
+	xi.AddInt(yi)
+	for i, w := range []int32{-3, 0, 4, -1} {
+		if xi.Data[i] != w {
+			t.Errorf("AddInt[%d] = %d, want %d", i, xi.Data[i], w)
+		}
+	}
 }
 
-// quick-check: GEMM conv equals direct conv over generated configs.
+// quick-check: the row-streaming kernel equals the per-pixel reference
+// over generated configs.
 func TestQuickConvEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
@@ -374,7 +482,7 @@ func TestQuickConvEquivalence(t *testing.T) {
 		spec.Pad = rng.IntN(2)
 		in := randInt(rng, Shape{1, spec.Cin, spec.Fh + rng.IntN(4), spec.Fw + rng.IntN(4)}, -16, 16)
 		w := randTernary(rng, spec.Cout*spec.Cin*spec.Fh*spec.Fw)
-		return ConvInt(in, w, spec).Equal(ConvIntGEMM(in, w, spec))
+		return ConvIntTernarySparse(in, w, spec).Equal(convInt(in, w, spec))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -237,7 +237,7 @@ func convWithADC(x *tensor.Int, l *model.Layer, par Params) *tensor.Int {
 	}
 
 	for n := 0; n < x.Shape.N; n++ {
-		col := tensor.Im2Col(x, n, spec)
+		col := im2col(x, n, spec)
 		p := out.Shape.H * out.Shape.W
 		for co := 0; co < spec.Cout; co++ {
 			outBase := out.Shape.Index(n, co, 0, 0)
@@ -263,4 +263,32 @@ func convWithADC(x *tensor.Int, l *model.Layer, par Params) *tensor.Int {
 		}
 	}
 	return out
+}
+
+// im2col lowers batch element n of x into the (Cin·Fh·Fw) × (Hout·Wout)
+// matrix a crossbar's rows read, row-major and channel-major over rows:
+// m[(c·Fh·Fw + kh·Fw + kw)·P + oh·Wout + ow] is tap (kh, kw) of channel c
+// under output point (oh, ow), with P = Hout·Wout. Taps in the padding
+// read zero.
+func im2col(x *tensor.Int, n int, spec tensor.ConvSpec) []int32 {
+	is, os := x.Shape, spec.OutShape(x.Shape)
+	p := os.H * os.W
+	m := make([]int32, spec.Cin*spec.Fh*spec.Fw*p)
+	for c := range spec.Cin {
+		for kh := range spec.Fh {
+			for kw := range spec.Fw {
+				row := m[((c*spec.Fh+kh)*spec.Fw+kw)*p:][:p]
+				for oh := range os.H {
+					ih := oh*spec.Stride + kh - spec.Pad
+					for ow := range os.W {
+						iw := ow*spec.Stride + kw - spec.Pad
+						if ih >= 0 && ih < is.H && iw >= 0 && iw < is.W {
+							row[oh*os.W+ow] = x.At(n, c, ih, iw)
+						}
+					}
+				}
+			}
+		}
+	}
+	return m
 }

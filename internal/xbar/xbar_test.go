@@ -114,3 +114,27 @@ func TestBreakdownAdds(t *testing.T) {
 		t.Errorf("total %v, want 15", b.TotalPJ())
 	}
 }
+
+func TestIm2ColShapeAndZeros(t *testing.T) {
+	in := tensor.NewInt(tensor.Shape{N: 1, C: 2, H: 4, W: 4})
+	for i := range in.Data {
+		in.Data[i] = int32(i + 1)
+	}
+	spec := tensor.ConvSpec{Cin: 2, Cout: 1, Fh: 3, Fw: 3, Stride: 1, Pad: 1}
+	m := im2col(in, 0, spec)
+	p := 16 // 4x4 output
+	if len(m) != 2*9*p {
+		t.Fatalf("len = %d, want %d", len(m), 2*9*p)
+	}
+	// Top-left output point, top-left patch tap is padding → zero.
+	if m[0] != 0 {
+		t.Errorf("expected padding zero, got %d", m[0])
+	}
+	// The centre tap (row 4 of a channel's nine) of output point (1,1)
+	// reads input (1,1) of that channel.
+	for c := range 2 {
+		if got, want := m[(c*9+4)*p+5], in.At(0, c, 1, 1); got != want {
+			t.Errorf("channel %d centre tap = %d, want %d", c, got, want)
+		}
+	}
+}
