@@ -94,7 +94,7 @@ func main() {
 		lr := rep.Layers[i]
 		fmt.Printf("%-24s %6d %5d %5d×%-4d %5d %5d %5d %6d %9d %6d %6d %9.3f %7.1f\n",
 			p.Name, p.P, p.RowGroups, p.Strips, p.OutGroups, p.Planes, p.Tiles, p.AccWidth,
-			p.AddSubOps, p.CG.AccumOps, cols, slots, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
+			p.CG.DFGOps, p.CG.AccumOps, cols, slots, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
 	}
 	if err := printShapes(comp); err != nil {
 		log.Fatal(err)

@@ -68,35 +68,53 @@ func (l Layout) Validate() error {
 // ChannelCapacity returns how many channels one strip holds resident.
 func (l Layout) ChannelCapacity() int { return l.Planes * l.ChansPerPlane }
 
-// Stats aggregates emission statistics; all Σ-weighted by bit width so the
-// analytic cost model can price passes without retaining programs.
+// Stats is the price of tile programs, read from their instructions
+// (statsOf) and summed over tiles and strips: the cost model prices the
+// programs the engine runs and the audits prove, kept or not.
 type Stats struct {
-	DFGOps        int // add/sub instructions of the channel-wise DFG phase
-	DFGInPlace    int
-	DFGBitsIn     int // Σ widths of in-place DFG ops
-	DFGBitsOut    int // Σ widths of out-of-place DFG ops
-	AccumOps      int // accumulate instructions (accumulation phase)
-	AccumBits     int
-	Clears        int
-	ClearBits     int
-	ShiftSteps    int // estimated DBC steps (sequential bit access + channel advance)
-	TempHighWater int
+	DFGOps     int // add/sub instructions into temporaries (channel-wise DFG phase)
+	DFGBitsIn  int // Σ widths of in-place DFG ops
+	DFGBitsOut int // Σ widths of out-of-place DFG ops
+	AccumOps   int // add/sub instructions into accumulators (accumulation phase)
+	Clears     int // accumulator clears
+	ShiftSteps int // estimated DBC steps (sequential bit access + channel advance)
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(o Stats) {
 	s.DFGOps += o.DFGOps
-	s.DFGInPlace += o.DFGInPlace
 	s.DFGBitsIn += o.DFGBitsIn
 	s.DFGBitsOut += o.DFGBitsOut
 	s.AccumOps += o.AccumOps
-	s.AccumBits += o.AccumBits
 	s.Clears += o.Clears
-	s.ClearBits += o.ClearBits
 	s.ShiftSteps += o.ShiftSteps
-	if o.TempHighWater > s.TempHighWater {
-		s.TempHighWater = o.TempHighWater
+}
+
+// statsOf prices a tile program of chans channel fragments, channel slots
+// chanShift (K·ActBits) domains apart. Besides clears, codegen emits adds
+// and subs: into a Temp column a DFG op, else an accumulate. ShiftSteps
+// estimates the DBC steps: ~3 columns advance bit by bit through a DFG op,
+// 2 through an accumulate, and each input plane one slot per fragment.
+func statsOf(p *ap.Program, chans, chanShift int) Stats {
+	s := Stats{ShiftSteps: chans * chanShift}
+	for _, in := range p.Instrs {
+		switch {
+		case in.Op == ap.OpClear:
+			s.Clears++
+		case !p.Cols[in.Dst].Temp:
+			s.AccumOps++
+			s.ShiftSteps += 2 * in.Width
+		default:
+			s.DFGOps++
+			s.ShiftSteps += 3 * in.Width
+			if in.InPlace {
+				s.DFGBitsIn += in.Width
+			} else {
+				s.DFGBitsOut += in.Width
+			}
+		}
 	}
+	return s
 }
 
 // TileProgram is the emitted program of one tile on one strip, with the
@@ -112,7 +130,7 @@ type TileProgram struct {
 	// fragment, in channel order; the instructions before ChanAt[0] clear
 	// the accumulators. Parts cuts the program there.
 	ChanAt []int
-	Stats  Stats
+	Stats  Stats // Prog's price (statsOf)
 
 	planOnce sync.Once
 	plan     *ap.ExecPlan
@@ -254,7 +272,6 @@ type TileBuilder struct {
 	chanAt   []int
 	inBind   map[int][2]int
 	inVirt   map[[2]int]int // inBind reversed: (channel, patch position) -> virtual column
-	stats    Stats
 	finished bool
 }
 
@@ -281,8 +298,6 @@ func NewTileBuilder(lay Layout) (*TileBuilder, error) {
 		}, lay.AccCols[i/lay.AccSlots])
 		b.accVirt = append(b.accVirt, v)
 		b.prog.Instrs = append(b.prog.Instrs, ap.Instr{Op: ap.OpClear, Dst: v, Width: lay.AccWidth})
-		b.stats.Clears++
-		b.stats.ClearBits += lay.AccWidth
 	}
 	return b, nil
 }
@@ -371,7 +386,6 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	}
 
 	groupVirt := map[int]int{}
-	groupPhys := map[int]int{}
 	refcount := make([]int, len(g.Nodes))
 	copy(refcount, uses)
 
@@ -400,9 +414,8 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		}
 		gid := group[id]
 		if groupFinal[gid] == id && refcount[id] == 0 {
-			b.pool.put(groupPhys[gid])
+			b.pool.put(b.phys[groupVirt[gid]])
 			delete(groupVirt, gid)
-			delete(groupPhys, gid)
 		}
 	}
 
@@ -428,9 +441,6 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 			b.prog.Instrs = append(b.prog.Instrs, ap.Instr{
 				Op: opc, Dst: acc, A: src, B: acc, InPlace: true, Width: b.lay.AccWidth,
 			})
-			b.stats.AccumOps++
-			b.stats.AccumBits += b.lay.AccWidth
-			b.stats.ShiftSteps += 2 * b.lay.AccWidth
 			consume(nodeID)
 		}
 	}
@@ -453,8 +463,6 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 			b.prog.Instrs = append(b.prog.Instrs, ap.Instr{
 				Op: opc, Dst: v, A: aV, B: v, InPlace: true, Width: w,
 			})
-			b.stats.DFGInPlace++
-			b.stats.DFGBitsIn += w
 			consume(nd.B)
 			refcount[nd.A]-- // chain value consumed structurally
 		} else {
@@ -465,18 +473,14 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 			// A pool column is scratch the AP recycles: Temp.
 			v := b.newVirt(ap.Col{Name: fmt.Sprintf("t%d.%d", ch, i), Base: 0, Width: w, Temp: true}, phys)
 			groupVirt[gid] = v
-			groupPhys[gid] = phys
 			bV := loc(nd.A)
 			aV := loc(nd.B)
 			b.prog.Instrs = append(b.prog.Instrs, ap.Instr{
 				Op: opc, Dst: v, A: aV, B: bV, Width: w,
 			})
-			b.stats.DFGBitsOut += w
 			consume(nd.A)
 			consume(nd.B)
 		}
-		b.stats.DFGOps++
-		b.stats.ShiftSteps += 3 * w // sequential bit advance of ~3 involved columns
 		emitAccum(i)
 	}
 
@@ -486,13 +490,6 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		if g.Nodes[id].Kind == dfg.OpInput {
 			emitAccum(id)
 		}
-	}
-
-	// Advancing to the next channel slot shifts every input plane column
-	// by ActBits domains.
-	b.stats.ShiftSteps += b.lay.K * b.lay.ActBits
-	if hw := b.pool.highWater; hw > b.stats.TempHighWater {
-		b.stats.TempHighWater = hw
 	}
 	return nil
 }
@@ -512,6 +509,6 @@ func (b *TileBuilder) Finish() (*TileProgram, error) {
 		InputBindings: b.inBind,
 		AccVirt:       b.accVirt,
 		ChanAt:        b.chanAt,
-		Stats:         b.stats,
+		Stats:         statsOf(b.prog, len(b.chanAt), b.lay.K*b.lay.ActBits),
 	}, nil
 }

@@ -119,41 +119,62 @@ func TestEmitAndExecuteMatchesEval(t *testing.T) {
 	}
 }
 
+// The price read from a tile program must match the graphs and the
+// layout it was emitted from, field by field.
 func TestStatsAccounting(t *testing.T) {
-	g := buildGraph(t, 5, 8, 9, 0.5, true)
 	lay := testLayout(9, 4, 14, 8, 4)
 	b, err := NewTileBuilder(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddChannel(0, g); err != nil {
-		t.Fatal(err)
+	var want Stats
+	for ch := 0; ch < 2; ch++ {
+		g := buildGraph(t, uint64(5+ch), 8, 9, 0.5, ch == 0)
+		if err := b.AddChannel(ch, g); err != nil {
+			t.Fatal(err)
+		}
+		want.DFGOps += g.NumOps()
+		for _, ref := range g.Outputs {
+			if !ref.Zero {
+				want.AccumOps++
+			}
+		}
+		// §IV-C chains: an op whose left operand is a single-use op runs
+		// in place on that operand's column; a chain's ops share its
+		// widest annotated width.
+		uses, last := g.UseCounts(), liveness(g)
+		chain := make([]int, len(g.Nodes))
+		var width, size []int
+		for i, nd := range g.Nodes {
+			if (nd.Kind != dfg.OpAdd && nd.Kind != dfg.OpSub) || last[i] < 0 {
+				continue
+			}
+			if a := g.Nodes[nd.A].Kind; (a == dfg.OpAdd || a == dfg.OpSub) && uses[nd.A] == 1 {
+				chain[i] = chain[nd.A]
+			} else {
+				chain[i] = len(width)
+				width, size = append(width, 0), append(size, 0)
+			}
+			width[chain[i]] = max(width[chain[i]], nd.Bits)
+			size[chain[i]]++
+		}
+		for c, w := range width { // the chain's head runs out of place
+			want.DFGBitsOut += w
+			want.DFGBitsIn += (size[c] - 1) * w
+			want.ShiftSteps += 3 * size[c] * w
+		}
 	}
+	want.Clears = lay.TileSize
+	want.ShiftSteps += 2*lay.AccWidth*want.AccumOps + 2*lay.K*lay.ActBits
 	tp, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := tp.Stats
-	if st.DFGOps != g.NumOps() {
-		t.Errorf("DFG ops %d, want %d (graph op count)", st.DFGOps, g.NumOps())
+	if tp.Stats != want {
+		t.Errorf("stats %+v, want %+v", tp.Stats, want)
 	}
-	nonZero := 0
-	for _, ref := range g.Outputs {
-		if !ref.Zero {
-			nonZero++
-		}
-	}
-	if st.AccumOps != nonZero {
-		t.Errorf("accumulates %d, want %d (nonzero rows)", st.AccumOps, nonZero)
-	}
-	if st.Clears != 8 {
-		t.Errorf("clears %d, want 8 (one per accumulator)", st.Clears)
-	}
-	if st.DFGBitsIn+st.DFGBitsOut == 0 && g.NumOps() > 0 {
-		t.Error("no DFG bits accounted")
-	}
-	if st.TempHighWater <= 0 && g.NumOps() > 0 {
-		t.Error("no temp columns used")
+	if want.DFGBitsIn == 0 || want.DFGBitsOut == 0 {
+		t.Errorf("graphs exercise only one op form: %+v", want)
 	}
 }
 
@@ -210,12 +231,20 @@ func TestInPlaceShareOfChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := tp.Stats
-	if st.DFGOps < 10 {
+	ops, inPlace := 0, 0
+	for _, in := range tp.Prog.Instrs {
+		if in.Op != ap.OpClear && tp.Prog.Cols[in.Dst].Temp {
+			ops++
+			if in.InPlace {
+				inPlace++
+			}
+		}
+	}
+	if ops < 10 {
 		t.Skip("degenerate slice")
 	}
-	if float64(st.DFGInPlace) < 0.5*float64(st.DFGOps) {
-		t.Errorf("in-place share %d/%d too low for chain-heavy DFGs", st.DFGInPlace, st.DFGOps)
+	if float64(inPlace) < 0.5*float64(ops) {
+		t.Errorf("in-place share %d/%d too low for chain-heavy DFGs", inPlace, ops)
 	}
 }
 

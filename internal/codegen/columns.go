@@ -29,12 +29,11 @@ func liveness(g *dfg.Graph) []int {
 	return last
 }
 
-// columnPool hands out physical CAM columns and tracks the high-water
-// mark, which bounds the column budget a tile needs.
+// columnPool hands out physical CAM columns. Its free list is a stack, so
+// a returned column is reused before a fresh one is touched.
 type columnPool struct {
-	free      []int
-	inUse     map[int]bool
-	highWater int
+	free  []int
+	inUse map[int]bool
 }
 
 // newColumnPool returns a pool over the given physical column ids.
@@ -54,9 +53,6 @@ func (p *columnPool) get() (int, error) {
 	c := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	p.inUse[c] = true
-	if len(p.inUse) > p.highWater {
-		p.highWater = len(p.inUse)
-	}
 	return c, nil
 }
 

@@ -32,9 +32,6 @@ func TestColumnPoolReuse(t *testing.T) {
 	if c != a {
 		t.Errorf("expected reuse of %d, got %d", a, c)
 	}
-	if p.highWater != 2 {
-		t.Errorf("high water %d, want 2", p.highWater)
-	}
 }
 
 func TestColumnPoolExhaustion(t *testing.T) {

@@ -18,4 +18,8 @@
 // paper's inter-strip adder tree reduces across strips — and
 // TileProgram.Parts cuts a program there into runs balanced by op count,
 // each a view of the one lowered plan, with no op run twice.
+//
+// A finished program's price (TileProgram.Stats) is read from its
+// instructions, not tallied during emission: the cost model prices the
+// program the engine runs and ap.AuditPlan proves.
 package codegen

@@ -256,19 +256,21 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 		maxReplicas = 1
 	}
 
-	tempBudget := baseTempBudget
+	tempBudget, defShift := baseTempBudget, 0
 	for attempt := 0; ; attempt++ {
-		err := planAndEmitConv(l, plan, cfg, ai, tempBudget, maxReplicas, pool)
+		err := planAndEmitConv(l, plan, cfg, ai, tempBudget, defShift, maxReplicas, pool)
 		if err == nil {
 			return nil
 		}
 		if attempt >= 3 {
 			return err
 		}
-		// Column pressure: give temporaries more room and retry.
-		tempBudget *= 2
-		if tempBudget+k+tileFloor+1 >= par.CAMCols {
-			return err
+		// Column pressure: widen the temp pool while the array holds it;
+		// past that (one strip owns every free column) halve the CSE cap.
+		if 2*tempBudget+k+tileFloor+1 < par.CAMCols {
+			tempBudget *= 2
+		} else {
+			defShift++
 		}
 	}
 }
@@ -355,7 +357,7 @@ func bitsFor(v int64) int {
 }
 
 func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
-	tempBudget, maxReplicas, maxPool int) error {
+	tempBudget, defShift, maxReplicas, maxPool int) error {
 	par := cfg.Par
 	w := l.W
 	k := plan.K
@@ -477,14 +479,12 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 	// Definitions release their columns as soon as their last consumer
 	// row folds (eager accumulates), so peak liveness is well below the
 	// definition count; allow extraction past the pool size and let the
-	// retry path widen the temp pool if a layer's peak truly overflows.
-	maxDefs := 2 * (len(tempCols) - 16)
-	if maxDefs < 8 {
-		maxDefs = 8
-	}
+	// retry path widen the temp pool, or halve this cap (defShift), if a
+	// layer's peak truly overflows.
+	maxDefs := max(8, 2*(len(tempCols)-16)>>defShift)
 	opt := dfg.Options{CSE: cfg.CSE, MaxDefs: maxDefs}
 	plan.CG = codegen.Stats{}
-	plan.AddSubOps, plan.NaiveOps = 0, 0
+	plan.NaiveOps = 0
 	plan.StripPlans = nil
 	plan.TileSizes = nil
 	plan.ReduceOps, plan.ReduceBits, plan.ReduceMoveBits = 0, 0, 0
@@ -556,7 +556,6 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 		}
 
 		for c := 0; c < cin; c++ {
-			plan.AddSubOps += graphs[c].NumOps()
 			s := w.Slice(c).RowRange(rowLo, rowHi)
 			if n := s.NNZ(); n > 0 {
 				plan.NaiveOps += n - 1

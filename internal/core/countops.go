@@ -19,7 +19,7 @@ type OpCounts struct {
 // CountOps computes the slice-DFG operation counts of every conv/linear
 // layer without emitting programs (full Cout slices, no output tiling — the
 // arithmetic-level metric of §IV-A; the executed, tiled counts live in
-// LayerPlan.AddSubOps). A non-nil cache memoizes per-layer results keyed
+// LayerPlan.CG.DFGOps). A non-nil cache memoizes per-layer results keyed
 // on the weight content, so repeated sweeps over one network are free.
 func CountOps(net *model.Network, parallel bool, cache *Cache) (OpCounts, error) {
 	if err := net.Validate(); err != nil {

@@ -31,7 +31,7 @@ type Config struct {
 
 const (
 	// baseTempBudget reserves CAM columns for DFG temporaries (doubled
-	// automatically when a layer's schedule runs out).
+	// while the array holds it when a layer's schedule runs out).
 	baseTempBudget = 48
 	// tileFloor is the minimum accumulator-tile size the planner accepts
 	// before it stops trading tile columns for input planes.
@@ -121,12 +121,11 @@ type LayerPlan struct {
 	OutGroups     int // tiles processed on disjoint arrays in parallel
 	AccWidth      int // partial-sum width
 
-	// Emission statistics aggregated over (tile × channel).
+	// The price of the emitted tile programs, summed over (tile × strip);
+	// CG.DFGOps is the Table II "#Adds/Subs" count (MVM convention).
 	CG codegen.Stats
 
-	// Table II metrics.
-	AddSubOps int // DFG add/sub count (MVM convention)
-	NaiveOps  int // one-accumulate-per-nonzero convention (§IV-A "19 ops")
+	NaiveOps int // one-accumulate-per-nonzero convention (§IV-A "19 ops")
 
 	// Inter-strip accumulation (adder tree).
 	ReduceOps      int
@@ -177,7 +176,7 @@ type Compiled struct {
 func (c *Compiled) TotalAddSub() int {
 	t := 0
 	for _, l := range c.Layers {
-		t += l.AddSubOps
+		t += l.CG.DFGOps
 	}
 	return t
 }

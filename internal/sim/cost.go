@@ -62,7 +62,8 @@ func (r *Report) ConvReports() []LayerReport {
 }
 
 // Analyze estimates energy and latency for every layer of the compiled
-// network under the figures of merit in c.Cfg.Par.
+// network under the figures of merit in c.Cfg.Par. A conv layer is priced
+// from plan.CG, the counts read from the tile programs the engine runs.
 func Analyze(c *core.Compiled) *Report {
 	rep := &Report{}
 	for _, plan := range c.Layers {
@@ -103,8 +104,8 @@ func analyzeLayer(c *core.Compiled, plan *core.LayerPlan) LayerReport {
 		// periphery (readout + narrow add), accumulator clears, and the
 		// inter-strip adder tree.
 		lr.Energy.AccumPJ = rowsF * (float64(cg.AccumOps+plan.ReduceOps)*p.AccumUnitPJ +
-			float64(cg.AccumBits+plan.ReduceBits)*p.AccumReadPJPerBit +
-			float64(cg.ClearBits)*p.WritePJPerBit)
+			float64(cg.AccumOps*plan.AccWidth+plan.ReduceBits)*p.AccumReadPJPerBit +
+			float64(cg.Clears*plan.AccWidth)*p.WritePJPerBit)
 		// Shifts (sequential bit access is RTM's cheap operation).
 		lr.Energy.ShiftPJ = rowsF * float64(cg.ShiftSteps) * p.ShiftPJPerBit
 		// Movement: boundary-crossing activations plus partial-result
@@ -126,7 +127,7 @@ func analyzeLayer(c *core.Compiled, plan *core.LayerPlan) LayerReport {
 		tilePasses := float64((plan.Tiles + og - 1) / og)
 		par := float64(plan.Replicas) * float64(plan.Tiles) / tilePasses
 		cycles := float64(cg.DFGBitsIn)*8 + float64(cg.DFGBitsOut)*11 +
-			float64(cg.ClearBits) + float64(cg.DFGOps) // carry clears
+			float64(cg.Clears*plan.AccWidth) + float64(cg.DFGOps) // carry clears
 		lr.ComputeNS = cycles/par*p.CycleNS + float64(cg.ShiftSteps)/par*p.ShiftNS
 		// Digital accumulates issue pipelined alongside the DFG stream.
 		lr.ComputeNS += float64(cg.AccumOps) / par * p.AccumLatNS
