@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"rtmap/internal/core"
-	"rtmap/internal/deepcam"
 	"rtmap/internal/dfg"
 	"rtmap/internal/sim"
 	"rtmap/internal/ternary"
@@ -98,8 +97,8 @@ func BenchmarkTable2_VGG11_DeepCAM(b *testing.B) {
 	net := BuildVGG11(ModelConfig{ActBits: 4, Sparsity: 0.85, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := deepcam.Analyze(net, deepcam.Default())
-		b.ReportMetric(r.EnergyUJ(), "uJ/inf")
+		r := analyzeDeepCAM(net, defaultDeepCAM())
+		b.ReportMetric(r.EnergyPJ/1e6, "uJ/inf")
 		b.ReportMetric(float64(r.Arrays), "arrays")
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 		window     = flag.Duration("batch-window", 2*time.Millisecond, "cap on how long a non-full batch is held while every device is busy (an idle device is dispatched to at once)")
 		maxModels  = flag.Int("max-models", 4, "compiled models resident before LRU eviction")
 		shards     = flag.Int("shard-stages", 0, "serve each model as a pipeline of N layer-range stages pinned to distinct devices (0/1 = the default one-stage pipeline, the whole model on one device; clamped to -devices)")
-		replicas   = flag.Int("replicas", 1, "data-parallel copies of each model placed on disjoint devices; batches balance across live replicas and fail over on device loss")
+		replicas   = flag.Int("replicas", 1, "data-parallel copies of each model placed on disjoint devices; batches balance across live replicas and fail over on device loss (at one stage without -autoscale, 1 means one copy per device)")
 		failDev    = flag.Int("fail-device", -1, "fault injection: mark this device dead -fail-after into the run (-1 disables)")
 		failAfter  = flag.Duration("fail-after", 2*time.Second, "delay before the -fail-device fault fires")
 		queue      = flag.Int("queue", 64, "per-model queue capacity in requests and per-device queue capacity in batches")

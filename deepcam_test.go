@@ -1,4 +1,4 @@
-package deepcam
+package rtmap
 
 import (
 	"math"
@@ -9,18 +9,19 @@ import (
 	"rtmap/internal/tensor"
 )
 
+// The DeepCAM baseline row of Table II (analyzeDeepCAM).
 func TestAnalyzeVGG11Row(t *testing.T) {
 	net := model.VGG11(model.Config{ActBits: 4, Sparsity: 0.85, Seed: 1})
-	r := Analyze(net, Default())
+	r := analyzeDeepCAM(net, defaultDeepCAM())
 	// Table II: DeepCAM runs VGG-11 at well under a microjoule per
 	// inference (0.49 µJ) on 24 arrays of 512×1024.
-	if r.EnergyUJ() <= 0 || r.EnergyUJ() > 5 {
-		t.Errorf("VGG-11 energy %.3f µJ implausible vs paper's 0.49", r.EnergyUJ())
+	if uj := r.EnergyPJ / 1e6; uj <= 0 || uj > 5 {
+		t.Errorf("VGG-11 energy %.3f µJ implausible vs paper's 0.49", uj)
 	}
 	if r.Arrays < 10 || r.Arrays > 60 {
 		t.Errorf("arrays %d implausible vs paper's 24", r.Arrays)
 	}
-	if r.LatencyMS() <= 0 {
+	if r.LatencyNS <= 0 {
 		t.Error("zero latency")
 	}
 }
@@ -32,8 +33,8 @@ func TestScalingCaveat(t *testing.T) {
 	// worse for ResNet-18 than VGG-11.
 	vgg := model.VGG11(model.Config{ActBits: 4, Sparsity: 0.85, Seed: 1})
 	res := model.ResNet18(model.Config{ActBits: 4, Sparsity: 0.8, Seed: 1})
-	rv := Analyze(vgg, Default())
-	rr := Analyze(res, Default())
+	rv := analyzeDeepCAM(vgg, defaultDeepCAM())
+	rr := analyzeDeepCAM(res, defaultDeepCAM())
 	if rr.ApproxSigma <= rv.ApproxSigma {
 		t.Errorf("approximation error must grow with depth: resnet %.3f vs vgg %.3f",
 			rr.ApproxSigma, rv.ApproxSigma)
@@ -62,7 +63,7 @@ func TestForwardHashPerturbsButPreservesScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := ForwardHash(net, in, Default(), 1)
+	hash, err := forwardHash(net, in, defaultDeepCAM(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +97,9 @@ func TestForwardHashSeeded(t *testing.T) {
 	if err := model.Calibrate(net, []*tensor.Float{in}); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := ForwardHash(net, in, Default(), 7)
-	b, _ := ForwardHash(net, in, Default(), 7)
-	c, _ := ForwardHash(net, in, Default(), 8)
+	a, _ := forwardHash(net, in, defaultDeepCAM(), 7)
+	b, _ := forwardHash(net, in, defaultDeepCAM(), 7)
+	c, _ := forwardHash(net, in, defaultDeepCAM(), 8)
 	if !a.Logits().Equal(b.Logits()) {
 		t.Error("same seed must reproduce")
 	}
@@ -121,13 +122,13 @@ func abs32(v int32) int32 {
 }
 
 func TestLongerHashReducesError(t *testing.T) {
-	short := Default()
+	short := defaultDeepCAM()
 	short.HashLen = 16
-	long := Default()
+	long := defaultDeepCAM()
 	long.HashLen = 256
 	net := model.VGG11(model.Config{ActBits: 4, Sparsity: 0.85, Seed: 1})
-	rs := Analyze(net, short)
-	rl := Analyze(net, long)
+	rs := analyzeDeepCAM(net, short)
+	rl := analyzeDeepCAM(net, long)
 	if rl.ApproxSigma >= rs.ApproxSigma {
 		t.Error("longer hashes must reduce approximation error")
 	}

@@ -100,7 +100,7 @@ func TestCacheKeyedOnWeightsAndActivation(t *testing.T) {
 func TestCountOpsMemo(t *testing.T) {
 	net := model.TinyCNN(model.DefaultConfig())
 	cache := NewCache()
-	a, err := CountOps(net, true, cache)
+	a, err := CountOps(net, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCountOpsMemo(t *testing.T) {
 	if s.OpHits != 0 || s.OpMisses != len(a.PerLayer) {
 		t.Fatalf("cold count: stats %+v, want %d op misses", s, len(a.PerLayer))
 	}
-	b, err := CountOps(net, true, cache)
+	b, err := CountOps(net, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCountOpsMemo(t *testing.T) {
 		t.Fatalf("memoized counts diverge: %+v vs %+v", a, b)
 	}
 	// The memo must agree with an uncached count.
-	c, err := CountOps(net, true, nil)
+	c, err := CountOps(net, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,14 +256,22 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 		maxReplicas = 1
 	}
 
+	// Emission is a function of the layout and the CSE cap, so a retry
+	// whose wider temp pool lays the layer out as a failed attempt did,
+	// under the same cap, would fail again exactly: it is skipped.
 	tempBudget, defShift := baseTempBudget, 0
-	for attempt := 0; ; attempt++ {
-		err := planAndEmitConv(l, plan, cfg, ai, tempBudget, defShift, maxReplicas, pool)
-		if err == nil {
-			return nil
-		}
-		if attempt >= 3 {
-			return err
+	var failed convLayout
+	failedShift := 0
+	var err error
+	for attempt := 0; attempt <= 3; attempt++ {
+		lay, lerr := layOutConv(l, plan, cfg, ai, tempBudget, maxReplicas)
+		if lerr != nil {
+			err = lerr
+		} else if lay != failed || defShift != failedShift {
+			if err = planAndEmitConv(l, plan, cfg, ai, lay, defShift, pool); err == nil {
+				return nil
+			}
+			failed, failedShift = lay, defShift
 		}
 		// Column pressure: widen the temp pool while the array holds it;
 		// past that (one strip owns every free column) halve the CSE cap.
@@ -273,6 +281,7 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 			defShift++
 		}
 	}
+	return err
 }
 
 // reduceMoveBudget caps inter-strip reduction traffic at this fraction of
@@ -356,21 +365,31 @@ func bitsFor(v int64) int {
 	return b
 }
 
-func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
-	tempBudget, defShift, maxReplicas, maxPool int) error {
+// convLayout is how a conv layer occupies its arrays at one temp budget:
+// input planes of g channel slots, strips (of which replicas run side by
+// side), the accumulator width, and the column map [carry | inputs |
+// accumulators | temps] with accCols accumulator columns of slots
+// accumulators each, holding tile outputs.
+type convLayout struct {
+	g, planes, strips, replicas int
+	accW, slots, accCols, tile  int
+}
+
+// layOutConv chooses the layout of a conv layer for a temp budget.
+func layOutConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, tempBudget, maxReplicas int) (convLayout, error) {
 	par := cfg.Par
 	w := l.W
 	k := plan.K
-	cin, cout := w.Cin, w.Cout
+	cout := w.Cout
 
 	// Channel-to-domain packing: G channel slots per input plane.
 	g := par.DomainsPerTrack / ai.Bits
 	if g < 1 {
-		return fmt.Errorf("activation width %d exceeds nanowire domains", ai.Bits)
+		return convLayout{}, fmt.Errorf("activation width %d exceeds nanowire domains", ai.Bits)
 	}
 	planesCap := (par.CAMCols - 1 - tempBudget - tileFloor) / k
 	if planesCap < 1 {
-		return fmt.Errorf("patch size %d leaves no room for input planes (temp budget %d)", k, tempBudget)
+		return convLayout{}, fmt.Errorf("patch size %d leaves no room for input planes (temp budget %d)", k, tempBudget)
 	}
 	// Strip-count selection is the latency/data-movement trade of §IV-B:
 	// more parallel strips cut latency linearly but every extra strip adds
@@ -380,14 +399,6 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 	// the layer's estimated compute energy — which is what keeps overall
 	// movement near the 3% the paper reports (§V-C).
 	planes, strips := chooseStrips(l, plan, cfg, ai, g, planesCap, maxReplicas, tempBudget)
-	capacity := planes * g
-	replicas := strips
-	if replicas > maxReplicas {
-		replicas = maxReplicas
-	}
-	plan.Planes, plan.ChansPerPlane = planes, g
-	plan.Strips, plan.Replicas = strips, replicas
-	plan.LoadRounds = (strips + replicas - 1) / replicas
 
 	// Exact accumulator width from weight counts: row o's channel sum lies
 	// in [pos·lo − neg·hi, pos·hi − neg·lo] over all input channels.
@@ -412,31 +423,43 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 		}
 	}
 	if accW > par.DomainsPerTrack {
-		return fmt.Errorf("accumulator width %d exceeds %d domains", accW, par.DomainsPerTrack)
+		return convLayout{}, fmt.Errorf("accumulator width %d exceeds %d domains", accW, par.DomainsPerTrack)
 	}
-	plan.AccWidth = accW
 	// Accumulators pack along nanowire domains (§III "true multi-bit
-	// storage"): each accumulator column holds ⌊domains/accW⌋ partial sums.
+	// storage"): each accumulator column holds ⌊domains/accW⌋ partial sums,
+	// at least one by the check above.
 	slots := par.DomainsPerTrack / accW
-	if slots < 1 {
-		slots = 1
-	}
 	// Adaptive column split: accumulators take only the columns they need
 	// (domain packing covers `slots` outputs per column); everything else
 	// becomes temp space for CSE definitions and chains. tempBudget is the
 	// floor reserved for temporaries (doubled on retry).
 	availForAcc := par.CAMCols - 1 - planes*k - tempBudget
 	if availForAcc < 1 {
-		return fmt.Errorf("no columns left for accumulators (planes=%d, temps=%d)", planes, tempBudget)
+		return convLayout{}, fmt.Errorf("no columns left for accumulators (planes=%d, temps=%d)", planes, tempBudget)
 	}
-	accColCount := (cout + slots - 1) / slots
-	if accColCount > availForAcc {
-		accColCount = availForAcc
-	}
-	tile := accColCount * slots
-	if tile > cout {
-		tile = cout
-	}
+	accColCount := min((cout+slots-1)/slots, availForAcc)
+	return convLayout{
+		g: g, planes: planes, strips: strips, replicas: min(strips, maxReplicas),
+		accW: accW, slots: slots, accCols: accColCount, tile: min(accColCount*slots, cout),
+	}, nil
+}
+
+// planAndEmitConv fills the layer plan for a layout and emits its tile
+// programs, with CSE definitions capped by the temp pool halved defShift
+// times.
+func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
+	lay convLayout, defShift, maxPool int) error {
+	par := cfg.Par
+	w := l.W
+	k := plan.K
+	cin, cout := w.Cin, w.Cout
+	g, planes, strips, replicas := lay.g, lay.planes, lay.strips, lay.replicas
+	accW, slots, tile := lay.accW, lay.slots, lay.tile
+	capacity := planes * g
+	plan.Planes, plan.ChansPerPlane = planes, g
+	plan.Strips, plan.Replicas = strips, replicas
+	plan.LoadRounds = (strips + replicas - 1) / replicas
+	plan.AccWidth = accW
 	plan.TileSize = tile
 	plan.Tiles = (cout + tile - 1) / tile
 	// Output-channel tiles are independent (no cross-tile reduction), so
@@ -462,7 +485,7 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 			next++
 		}
 	}
-	accCols := make([]int, accColCount)
+	accCols := make([]int, lay.accCols)
 	for i := range accCols {
 		accCols[i] = next
 		next++

@@ -19,16 +19,14 @@ type OpCounts struct {
 // CountOps computes the slice-DFG operation counts of every conv/linear
 // layer without emitting programs (full Cout slices, no output tiling — the
 // arithmetic-level metric of §IV-A; the executed, tiled counts live in
-// LayerPlan.CG.DFGOps). A non-nil cache memoizes per-layer results keyed
-// on the weight content, so repeated sweeps over one network are free.
-func CountOps(net *model.Network, parallel bool, cache *Cache) (OpCounts, error) {
+// LayerPlan.CG.DFGOps), building each layer's slices in parallel. A
+// non-nil cache memoizes per-layer results keyed on the weight content, so
+// repeated sweeps over one network are free.
+func CountOps(net *model.Network, cache *Cache) (OpCounts, error) {
 	if err := net.Validate(); err != nil {
 		return OpCounts{}, err
 	}
-	workers := 1
-	if parallel {
-		workers = Config{Parallel: true}.workers()
-	}
+	workers := Config{Parallel: true}.workers()
 	var oc OpCounts
 	for i := range net.Layers {
 		l := &net.Layers[i]

@@ -10,23 +10,6 @@ type DeviceLoad struct {
 	Dead   bool
 }
 
-// LeastLoaded returns the index of the live device with the fewest
-// outstanding batches, ties to the least simulated busy time; -1 when
-// nothing is alive. This is the unpinned whole-fleet dispatch policy.
-func LeastLoaded(devs []DeviceLoad) int {
-	best := -1
-	for i, d := range devs {
-		if d.Dead {
-			continue
-		}
-		if best < 0 || d.Queued < devs[best].Queued ||
-			(d.Queued == devs[best].Queued && d.BusyNS < devs[best].BusyNS) {
-			best = i
-		}
-	}
-	return best
-}
-
 // ReplicaLoad is one replica placement's scheduling-relevant state: the
 // load of its head device (where batches enter the pipeline), its
 // lifetime dispatch count, and whether every device of the placement is

@@ -2,24 +2,6 @@ package dispatch
 
 import "testing"
 
-func TestLeastLoaded(t *testing.T) {
-	devs := []DeviceLoad{
-		{Queued: 2, BusyNS: 10},
-		{Queued: 1, BusyNS: 50, Dead: true},
-		{Queued: 1, BusyNS: 30},
-		{Queued: 1, BusyNS: 20},
-	}
-	if got := LeastLoaded(devs); got != 3 {
-		t.Fatalf("LeastLoaded = %d, want 3 (fewest queued, least busy, alive)", got)
-	}
-	if got := LeastLoaded([]DeviceLoad{{Dead: true}, {Dead: true}}); got != -1 {
-		t.Fatalf("all-dead fleet: %d, want -1", got)
-	}
-	if got := LeastLoaded(nil); got != -1 {
-		t.Fatalf("empty fleet: %d, want -1", got)
-	}
-}
-
 func TestPickReplica(t *testing.T) {
 	reps := []ReplicaLoad{
 		{Head: DeviceLoad{Queued: 0}, Batches: 5, Live: false}, // dead despite coolest head

@@ -18,10 +18,11 @@ import (
 )
 
 // testEntry admits tinycnn through a private registry/fleet pair sized by
-// the given batch options.
+// the given batch options, at serve.New's default placement: one
+// one-stage replica per device.
 func testEntry(t *testing.T, fleet *Fleet, batch BatchOptions) *entry {
 	t.Helper()
-	reg := NewRegistry(core.DefaultConfig(), 2, fleet, batch, 0, 1)
+	reg := NewRegistry(core.DefaultConfig(), 2, fleet, batch, dispatch.Config{Replicas: fleet.NumDevices(), Stages: 1})
 	t.Cleanup(reg.Close)
 	e, err := reg.Get(Spec{Model: "tinycnn", ActBits: 4, Sparsity: 0.8, Seed: 1})
 	if err != nil {
@@ -67,8 +68,7 @@ func submitGroup(t *testing.T, e *entry, n int) []*item {
 // holdFleet makes n head devices busy until the returned release runs:
 // each gets a batch of one already-expired item whose result channel is
 // unbuffered, so the device cancels it at stage 0 and blocks delivering
-// the cancellation. n is the fleet size for an unpinned entry, the
-// replica count for a pinned one.
+// the cancellation. n is the entry's replica count.
 func holdFleet(t *testing.T, fleet *Fleet, e *entry, n int) (release func()) {
 	t.Helper()
 	held := make([]*item, n)
@@ -225,8 +225,7 @@ func TestBatcherWakesOnDeviceFailure(t *testing.T) {
 func TestBatcherWakesOnRescale(t *testing.T) {
 	fleet := NewFleet(2, 16, nil)
 	t.Cleanup(fleet.Close)
-	reg := NewRegistry(core.DefaultConfig(), 2, fleet, BatchOptions{MaxBatch: 8, Window: time.Hour}, 0, 1)
-	reg.pinned = true
+	reg := NewRegistry(core.DefaultConfig(), 2, fleet, BatchOptions{MaxBatch: 8, Window: time.Hour}, dispatch.Config{Replicas: 1, Stages: 1})
 	t.Cleanup(reg.Close)
 	e, err := reg.Get(Spec{Model: "tinycnn", ActBits: 4, Sparsity: 0.8, Seed: 1})
 	if err != nil {
@@ -365,7 +364,7 @@ func TestFleetSpreadsLoad(t *testing.T) {
 func TestRegistryUnknownModel(t *testing.T) {
 	fleet := NewFleet(1, 4, nil)
 	t.Cleanup(fleet.Close)
-	reg := NewRegistry(core.DefaultConfig(), 2, fleet, BatchOptions{}, 0, 1)
+	reg := NewRegistry(core.DefaultConfig(), 2, fleet, BatchOptions{}, dispatch.Config{Replicas: 1, Stages: 1})
 	t.Cleanup(reg.Close)
 	if _, err := reg.Get(Spec{Model: "missing"}); err == nil {
 		t.Fatal("unknown model admitted")

@@ -20,21 +20,23 @@
 // latency) and prices, and a batch advances one stage per device visit,
 // charged its stage's sim.StageReport.Batch price — latency, energy and
 // wear — for the items it actually runs. K is 1 by default — the whole
-// model on whichever device is least loaded, priced exactly as the
-// one-stage sim.PipelineReport.Batch prices the batch. A ShardStages
-// option above 1 deepens the same pipeline rather than selecting another
-// path: every stage is pinned to a distinct fleet device and
-// micro-batches stream device to device through the stages, so one large
-// model occupies several simulated APs concurrently instead of
-// serializing on one. Stage costs include the inter-stage activation
-// transfers, and execution stays bit-identical at every K.
+// model on one device, priced exactly as the one-stage
+// sim.PipelineReport.Batch prices the batch. A ShardStages option above 1
+// deepens the same pipeline rather than selecting another path: every
+// stage is pinned to a distinct fleet device and micro-batches stream
+// device to device through the stages, so one large model occupies
+// several simulated APs concurrently instead of serializing on one. Stage
+// costs include the inter-stage activation transfers, and execution
+// stays bit-identical at every K.
 //
-// Options.Replicas > 1 adds the data-parallel ("wide") axis: every
-// admitted model gets R device-disjoint placements, batches balance
-// across live replicas, and the fault layer (FailDevice) requeues work
-// from a dead device onto a surviving replica with bounded retries —
-// re-execution is deterministic, so failover preserves bit-exact
-// results. Per-replica health is exposed on /v1/models and /metrics;
+// There is one dispatch path too: every admitted model is R
+// device-disjoint replicas of its pipeline, each batch goes to the live
+// replica whose head device has the fewest queued batches, and the fault
+// layer (FailDevice) requeues work from a dead device onto a surviving
+// replica with bounded retries — re-execution is deterministic, so
+// failover preserves bit-exact results. R is Options.Replicas, except
+// that a one-stage model that does not autoscale gets one replica per
+// device by default (New sets this starting placement). Per-replica health is exposed on /v1/models and /metrics;
 // everything /metrics exports is declared in metrics.go on an
 // internal/metrics Registry (docs/ARCHITECTURE.md "Metrics catalogue").
 // Admission failures a client can cause (a malformed model file behind

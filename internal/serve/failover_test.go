@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,7 +333,7 @@ func TestReplicaHealthEndpoints(t *testing.T) {
 		t.Fatalf("%d resident models, want 1", len(loaded))
 	}
 	li := loaded[0]
-	if li.Replicas != 2 || li.LiveReplicas == nil || *li.LiveReplicas != 2 || len(li.ReplicaDevices) != 2 {
+	if li.Replicas != 2 || li.LiveReplicas != 2 || len(li.ReplicaDevices) != 2 {
 		t.Fatalf("loaded info %+v, want 2 live replicas with devices", li)
 	}
 
@@ -340,7 +341,7 @@ func TestReplicaHealthEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	li = s.Registry().Loaded()[0]
-	if *li.LiveReplicas != 1 || li.ReplicaLive[0] || !li.ReplicaLive[1] {
+	if li.LiveReplicas != 1 || li.ReplicaLive[0] || !li.ReplicaLive[1] {
 		t.Fatalf("after failure: %+v, want exactly replica 1 live", li)
 	}
 	if _, resp := postInfer(t, ts.URL, InferRequest{Model: "tinycnn", Inputs: in}); resp.StatusCode != http.StatusOK {
@@ -363,17 +364,104 @@ func TestReplicaHealthEndpoints(t *testing.T) {
 		}
 	}
 
-	var models modelsResponse
-	mr, err := http.Get(ts.URL + "/v1/models")
+	models := getModels(t, ts.URL)
+	if len(models.Loaded) != 1 || models.Loaded[0].LiveReplicas != 1 {
+		t.Fatalf("/v1/models loaded %+v, want live_replicas 1", models.Loaded)
+	}
+}
+
+// getModels reads /v1/models.
+func getModels(t *testing.T, url string) modelsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(mr.Body).Decode(&models); err != nil {
+	defer resp.Body.Close()
+	var models modelsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
 		t.Fatal(err)
 	}
-	mr.Body.Close()
-	if len(models.Loaded) != 1 || models.Loaded[0].LiveReplicas == nil || *models.Loaded[0].LiveReplicas != 1 {
-		t.Fatalf("/v1/models loaded %+v, want live_replicas 1", models.Loaded)
+	return models
+}
+
+// Every served model is a placement, and serve.New sets its starting
+// shape in one rule: a one-stage deployment that does not autoscale gets
+// one one-device replica per device unless a replica count was asked
+// for, so any live device takes the next batch and a dead one drops out.
+// Every other configuration keeps its count. For the default, single-item
+// batches spread over the devices, and after a device failure the
+// survivors answer bit-exactly.
+func TestStartPlacementPerConfiguration(t *testing.T) {
+	comp := compiledRef(t, "tinycnn")
+	inputs := workload.Inputs(comp.Net.InputShape, 8, 17)
+	// infer posts each input as its own request, checks the logits against
+	// the compiled reference, and returns the devices that served them.
+	infer := func(t *testing.T, url string) map[int]bool {
+		t.Helper()
+		devices := map[int]bool{}
+		for i, in := range inputs {
+			out, resp := postInfer(t, url, InferRequest{Model: "tinycnn", Inputs: [][]float32{in.Data}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("input %d: HTTP %d", i, resp.StatusCode)
+			}
+			tr, err := sim.ForwardAP(comp, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := out.Results[0].Logits, tr.Logits().Data; !slices.Equal(got, want) {
+				t.Fatalf("input %d: served %v, RunFunctional %v", i, got, want)
+			}
+			devices[out.Results[0].Batch.Device] = true
+		}
+		return devices
+	}
+
+	for _, tc := range []struct {
+		name             string
+		opts             Options
+		replicas, stages int
+	}{
+		{"default", Options{}, 4, 1},
+		{"replicas 2", Options{Replicas: 2}, 2, 1},
+		{"shard-stages 2", Options{ShardStages: 2}, 1, 2},
+		{"autoscale", Options{Autoscale: true, AutoscaleInterval: time.Hour}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Devices = 4
+			s, ts := testServer(t, opts)
+			devices := infer(t, ts.URL)
+			models := getModels(t, ts.URL)
+			if len(models.Loaded) != 1 {
+				t.Fatalf("%d resident models, want 1", len(models.Loaded))
+			}
+			li := models.Loaded[0]
+			if li.Replicas != tc.replicas || li.LiveReplicas != tc.replicas || len(li.ReplicaDevices) != tc.replicas {
+				t.Fatalf("/v1/models lists %+v, want %d live replicas", li, tc.replicas)
+			}
+			for _, devs := range li.ReplicaDevices {
+				if len(devs) != tc.stages {
+					t.Fatalf("replica devices %v, want %d per replica", li.ReplicaDevices, tc.stages)
+				}
+			}
+			if tc.name != "default" {
+				return
+			}
+			if len(devices) < 2 {
+				t.Fatalf("%d single-item batches all ran on device %v; want them spread", len(inputs), devices)
+			}
+			dead := li.ReplicaDevices[0][0]
+			if err := s.FailDevice(dead); err != nil {
+				t.Fatal(err)
+			}
+			if li := getModels(t, ts.URL).Loaded[0]; li.LiveReplicas != 3 || li.ReplicaLive[0] {
+				t.Fatalf("after failing device %d: %+v, want live_replicas 3 without replica 0", dead, li)
+			}
+			if devices := infer(t, ts.URL); devices[dead] {
+				t.Fatalf("a batch ran on dead device %d", dead)
+			}
+		})
 	}
 }
 

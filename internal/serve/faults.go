@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// errNoReplica reports a batch that found no live replica (or, for
-// unpinned models, no live device) to run on. The HTTP layer maps it to
-// 503: the model is resident but its capacity is gone.
+// errNoReplica reports a batch that found no live replica to run on. The
+// HTTP layer maps it to 503: the model is resident but its capacity is
+// gone.
 var errNoReplica = errors.New("serve: no live replica for model")
 
 // errExpired reports an item cancelled because its deadline passed

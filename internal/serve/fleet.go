@@ -25,8 +25,7 @@ type BatchInfo struct {
 	// Size counts the items the batch ran; an item that expired before
 	// execution or failed at an earlier stage drops out of it.
 	Size int `json:"size"`
-	// Replica is the data-parallel replica that served the batch; -1 for
-	// models dispatched unpinned across the whole fleet.
+	// Replica is the data-parallel replica that served the batch.
 	Replica int `json:"replica"`
 	// Requeues counts device-failure failovers this batch survived before
 	// completing. Zero on the happy path.
@@ -75,7 +74,7 @@ type apBatch struct {
 	pl *placement
 
 	// Placement: the replica serving this attempt and its device list
-	// (one per stage). replica is -1 and devs nil for unpinned dispatch.
+	// (one per stage), set when the fleet places the batch.
 	replica  int
 	devs     []int
 	attempts int
@@ -98,7 +97,7 @@ type apBatch struct {
 // newAPBatch wraps coalesced items into a dispatchable batch,
 // capturing the entry's current placement.
 func newAPBatch(e *entry, items []*item) *apBatch {
-	return &apBatch{e: e, items: items, done: make([]bool, len(items)), replica: -1, pl: e.placed()}
+	return &apBatch{e: e, items: items, done: make([]bool, len(items)), pl: e.placed()}
 }
 
 // deliver hands item i its result: the one place an item of a batch is
@@ -147,14 +146,11 @@ type device struct {
 }
 
 // Fleet is the device-fleet scheduler: N simulated AP devices with
-// per-device queues. Submit places a batch on a device, blocking when
-// that device's queue is full:
-//
-//   - pinned entries pick the least-loaded live replica and go to its
-//     first device, then hop device to device through the replica's
-//     remaining stages (none, for the default one-stage pipeline);
-//   - unpinned entries go to the live device with the fewest outstanding
-//     batches (ties to the least simulated busy time).
+// per-device queues. Submit places a batch on the live replica of its
+// entry whose head device has the fewest outstanding batches, blocking
+// when that device's queue is full; the batch then hops device to device
+// through the replica's remaining stages (none, for the default
+// one-stage pipeline, which has one replica per device).
 type Fleet struct {
 	// metrics is the node's instrument set; the batchers and the model
 	// registry observe through it too.
@@ -180,11 +176,9 @@ type Fleet struct {
 	// device frees or the set of live devices changes. Guarded by mu.
 	wakers []chan struct{}
 
-	// devScratch and repScratch are reusable load-snapshot buffers for
-	// the dispatch policy functions, guarded by mu like the counters
-	// they snapshot, so the per-batch placement path stays allocation-
-	// free.
-	devScratch []dispatch.DeviceLoad
+	// repScratch is the reusable replica-load snapshot placeLocked hands
+	// dispatch.PickReplica, guarded by mu like the counters it snapshots,
+	// so the per-batch placement path stays allocation-free.
 	repScratch []dispatch.ReplicaLoad
 
 	// closeMu orders Submit's channel sends against Close closing the
@@ -249,7 +243,11 @@ func (f *Fleet) PinReplicas(r, s int) []*replica {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	order := dispatch.PlacementOrder(f.deviceLoadsLocked())
+	loads := make([]dispatch.DeviceLoad, len(f.devices))
+	for i, d := range f.devices {
+		loads[i] = dispatch.DeviceLoad{Queued: d.queued, BusyNS: d.busyNS, Dead: d.dead}
+	}
+	order := dispatch.PlacementOrder(loads)
 	if maxR := len(order) / s; r > maxR {
 		r = maxR
 	}
@@ -283,91 +281,56 @@ func (f *Fleet) ReplicaStats(reps []*replica) (live []bool, batches []int64) {
 	return live, batches
 }
 
-// deviceLoadsLocked snapshots per-device load for the dispatch policy
-// functions, reusing the fleet's scratch buffer. Called with f.mu held.
-func (f *Fleet) deviceLoadsLocked() []dispatch.DeviceLoad {
-	if cap(f.devScratch) < len(f.devices) {
-		f.devScratch = make([]dispatch.DeviceLoad, len(f.devices))
-	}
-	loads := f.devScratch[:len(f.devices)]
-	for i, d := range f.devices {
-		loads[i] = dispatch.DeviceLoad{Queued: d.queued, BusyNS: d.busyNS, Dead: d.dead}
-	}
-	return loads
-}
-
-// placeLocked routes a batch to its target device and records the
-// chosen replica on the batch, delegating the policy to the dispatch
-// package: replicated entries via dispatch.PickReplica (least head-load
-// with a round-robin tilt), unpinned entries via dispatch.LeastLoaded.
-// Returns false when nothing is alive to run the batch. Called with
-// f.mu held.
+// placeLocked routes a batch to the head device of the replica
+// dispatch.PickReplica chooses (least head-load with a round-robin tilt)
+// and records that replica on the batch. Returns false when no replica
+// is alive to run the batch. Called with f.mu held.
 func (f *Fleet) placeLocked(b *apBatch) (*device, bool) {
-	if reps := b.pl.replicas; len(reps) > 0 {
-		if cap(f.repScratch) < len(reps) {
-			f.repScratch = make([]dispatch.ReplicaLoad, len(reps))
-		}
-		loads := f.repScratch[:len(reps)]
-		for i, rep := range reps {
-			head := f.devices[rep.devs[0]]
-			loads[i] = dispatch.ReplicaLoad{
-				Head:    dispatch.DeviceLoad{Queued: head.queued, BusyNS: head.busyNS, Dead: head.dead},
-				Batches: rep.batches,
-				Live:    f.replicaLiveLocked(rep),
-			}
-		}
-		pick := dispatch.PickReplica(loads)
-		if pick < 0 {
-			return nil, false
-		}
-		best := reps[pick]
-		best.batches++
-		b.replica = best.id
-		b.devs = best.devs
-		return f.devices[best.devs[0]], true
+	reps := b.pl.replicas
+	if cap(f.repScratch) < len(reps) {
+		f.repScratch = make([]dispatch.ReplicaLoad, len(reps))
 	}
-	pick := dispatch.LeastLoaded(f.deviceLoadsLocked())
+	loads := f.repScratch[:len(reps)]
+	for i, rep := range reps {
+		head := f.devices[rep.devs[0]]
+		loads[i] = dispatch.ReplicaLoad{
+			Head:    dispatch.DeviceLoad{Queued: head.queued, BusyNS: head.busyNS, Dead: head.dead},
+			Batches: rep.batches,
+			Live:    f.replicaLiveLocked(rep),
+		}
+	}
+	pick := dispatch.PickReplica(loads)
 	if pick < 0 {
 		return nil, false
 	}
-	b.replica, b.devs = -1, nil
-	return f.devices[pick], true
+	best := reps[pick]
+	best.batches++
+	b.replica = best.id
+	b.devs = best.devs
+	return f.devices[best.devs[0]], true
 }
 
 // idleOrWake reports whether a batch dispatched to pl now would start
-// executing at once: some live replica's head device (unpinned: any live
-// device) has nothing queued. It also answers true when nothing is
-// alive, so a doomed batch still reaches Submit and fails fast with
-// errNoReplica. A false answer registers wake (capacity 1) to be
-// signalled when a device retires its last queued batch. Check and
-// registration share one hold of f.mu, and queued only changes under
-// f.mu, so the wake-up cannot be lost: a device that frees does so
-// either before the check, which then sees it, or after the
-// registration, which it then fires.
+// executing at once: some live replica's head device has nothing queued.
+// It also answers true when nothing is alive, so a doomed batch still
+// reaches Submit and fails fast with errNoReplica. A false answer
+// registers wake (capacity 1) to be signalled when a device retires its
+// last queued batch. Check and registration share one hold of f.mu, and
+// queued only changes under f.mu, so the wake-up cannot be lost: a device
+// that frees does so either before the check, which then sees it, or
+// after the registration, which it then fires.
 func (f *Fleet) idleOrWake(pl *placement, wake chan struct{}) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	alive := false
-	if len(pl.replicas) > 0 {
-		for _, rep := range pl.replicas {
-			if !f.replicaLiveLocked(rep) {
-				continue
-			}
-			if f.devices[rep.devs[0]].queued == 0 {
-				return true
-			}
-			alive = true
+	for _, rep := range pl.replicas {
+		if !f.replicaLiveLocked(rep) {
+			continue
 		}
-	} else {
-		for _, d := range f.devices {
-			if d.dead {
-				continue
-			}
-			if d.queued == 0 {
-				return true
-			}
-			alive = true
+		if f.devices[rep.devs[0]].queued == 0 {
+			return true
 		}
+		alive = true
 	}
 	if !alive {
 		return true
@@ -544,13 +507,10 @@ func (f *Fleet) expireItem(e *entry, it *item, where string) {
 }
 
 // parallelism is how many batches the batch's deployment can execute
-// concurrently: its live replicas, or the whole live fleet for unpinned
-// entries. Scales the entry's per-item interval estimate, so a dead
-// replica must not count: the queue drains at the survivors' rate.
+// concurrently: its live replicas. Scales the entry's per-item interval
+// estimate, so a dead replica must not count: the queue drains at the
+// survivors' rate.
 func (f *Fleet) parallelism(b *apBatch) int {
-	if len(b.pl.replicas) == 0 {
-		return f.NumLive()
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0

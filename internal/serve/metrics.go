@@ -200,7 +200,7 @@ func collectModels(reg *metrics.Registry, models *Registry) {
 	loaded := reg.Declare(metrics.KindGauge, "rtmap_models_loaded", "Model variants resident in the registry, admissions still compiling included.")
 	stages := reg.Declare(metrics.KindGauge, "rtmap_model_stages", "Pipeline depth the model is served at.", "model")
 	bottleneck := reg.Declare(metrics.KindGauge, "rtmap_model_sim_bottleneck_ns", "Modeled steady-state interval between samples of a pipeline deeper than one stage (ns).", "model")
-	replicas := reg.Declare(metrics.KindGauge, "rtmap_model_replicas", "Replica placements of a pinned model.", "model")
+	replicas := reg.Declare(metrics.KindGauge, "rtmap_model_replicas", "Replica placements of the model.", "model")
 	live := reg.Declare(metrics.KindGauge, "rtmap_model_replicas_live", "Replica placements whose devices are all alive.", "model")
 	depth := reg.Declare(metrics.KindGauge, "rtmap_model_queue_depth", "Samples admitted but not yet dispatched from batch formation.", "model")
 	delay := reg.Declare(metrics.KindGauge, "rtmap_model_queue_delay_est_seconds", "Queue delay admission control prices the model's backlog at: the figure it sheds on.", "model")
@@ -211,10 +211,8 @@ func collectModels(reg *metrics.Registry, models *Registry) {
 			if m.Stages > 0 {
 				s.Float(bottleneck, m.BottleneckNS, m.Key)
 			}
-			if m.Replicas > 0 {
-				s.Int(replicas, int64(m.Replicas), m.Key)
-				s.Int(live, int64(*m.LiveReplicas), m.Key)
-			}
+			s.Int(replicas, int64(m.Replicas), m.Key)
+			s.Int(live, int64(m.LiveReplicas), m.Key)
 			s.Int(depth, m.QueueDepth, m.Key)
 			s.Float(delay, m.QueueDelayEstMS/1e3, m.Key)
 		}

@@ -112,10 +112,10 @@ type entry struct {
 
 // placement is one immutable snapshot of how an entry occupies the
 // fleet: its K-stage pipeline plan (K = 1, the whole model on one device,
-// unless sharding was asked for) and the data-parallel replica placements
-// (nil for unpinned whole-fleet dispatch). Registry.Rescale builds a fresh
-// placement and swaps the entry's pointer; the structs themselves are
-// never mutated after publication.
+// unless sharding was asked for) and its device-disjoint data-parallel
+// replicas, at least one. Registry.Rescale builds a fresh placement and
+// swaps the entry's pointer; the structs themselves are never mutated
+// after publication.
 type placement struct {
 	pipe     *sim.PipelineReport
 	replicas []*replica
@@ -130,7 +130,7 @@ func (pl *placement) stages() int { return len(pl.pipe.Stages) }
 
 // config reports the placement as a scaler configuration.
 func (pl *placement) config() dispatch.Config {
-	return dispatch.Config{Replicas: max(1, len(pl.replicas)), Stages: pl.stages()}
+	return dispatch.Config{Replicas: len(pl.replicas), Stages: pl.stages()}
 }
 
 // pipeline returns the entry's memoized k-stage pipeline — its shard
@@ -161,19 +161,12 @@ func (e *entry) pipeline(k int) (*sim.PipelineReport, error) {
 // drains its queued work before shutting down, so in-flight requests
 // complete.
 type Registry struct {
-	compile     core.Config
-	maxModels   int
-	fleet       *Fleet
-	batch       BatchOptions
-	shardStages int
-	replicas    int
-
-	// pinned forces every admission onto pinned replica placements even
-	// at one replica and one stage (where dispatch would otherwise go
-	// unpinned across the whole fleet). The autoscaler needs it: replica
-	// scaling only means something when the baseline is a placement it
-	// can grow. Set by serve.New when Options.Autoscale is on.
-	pinned bool
+	compile   core.Config
+	maxModels int
+	fleet     *Fleet
+	batch     BatchOptions
+	// start is the placement every model is admitted at.
+	start dispatch.Config
 
 	// files maps file-backed model names to their JSON paths (the zoo
 	// extension). Decoding happens at admit time, so a malformed file
@@ -210,31 +203,24 @@ type BatchOptions struct {
 
 // NewRegistry returns an empty registry. The compile config is forced to
 // retain programs (every inference replays them). Every model is admitted
-// as a layer-range pipeline of shardStages stages (clamped to the live
-// fleet size and the model's layer count, and to at least the one stage
-// that holds the whole model), each stage of a deeper pipeline pinned to
-// its own fleet device. replicas > 1 places
-// that many independent copies of every model across the fleet (clamped
-// to fleet capacity); batches balance across live replicas and fail over
-// on device loss.
-func NewRegistry(compile core.Config, maxModels int, fleet *Fleet, batch BatchOptions, shardStages, replicas int) *Registry {
+// at the start placement: start.Replicas device-disjoint copies of a
+// layer-range pipeline of start.Stages stages, each stage on its own
+// fleet device (see buildPlacement for the clamps). Batches balance
+// across live replicas and fail over on device loss.
+func NewRegistry(compile core.Config, maxModels int, fleet *Fleet, batch BatchOptions, start dispatch.Config) *Registry {
 	compile.KeepPrograms = true
 	if maxModels <= 0 {
 		maxModels = 4
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
 	return &Registry{
-		compile:     compile,
-		maxModels:   maxModels,
-		fleet:       fleet,
-		batch:       batch,
-		shardStages: shardStages,
-		replicas:    replicas,
-		files:       map[string]string{},
-		entries:     map[string]*entry{},
-		fileShapes:  map[string]tensor.Shape{},
+		compile:    compile,
+		maxModels:  maxModels,
+		fleet:      fleet,
+		batch:      batch,
+		start:      start,
+		files:      map[string]string{},
+		entries:    map[string]*entry{},
+		fileShapes: map[string]tensor.Shape{},
 	}
 }
 
@@ -400,7 +386,7 @@ func (r *Registry) admit(e *entry) {
 	e.net = net
 	e.comp = comp
 	e.report = sim.Analyze(comp)
-	pl, err := r.buildPlacement(e, dispatch.Config{Replicas: r.replicas, Stages: r.shardStages})
+	pl, err := r.buildPlacement(e, r.start)
 	if err != nil {
 		e.err = fmt.Errorf("serve: placing %s: %w", e.key, err)
 		return
@@ -453,27 +439,22 @@ func (r *Registry) buildNet(spec Spec) (*model.Network, error) {
 // compiled entry: the pipeline plan (memoized per stage count) and the
 // data-parallel replica placements. The stage count clamps to the live
 // fleet size and the layer count, and is never below one; the replica
-// count clamps to live-devices/stages so placements stay device-disjoint.
-// One stage and one replica dispatch unpinned across the whole fleet —
-// unless the registry runs pinned (autoscale mode), where even 1r×1s is a
-// placement the scaler can grow.
+// count is at least one and clamps to live-devices/stages so placements
+// stay device-disjoint.
 func (r *Registry) buildPlacement(e *entry, cfg dispatch.Config) (*placement, error) {
 	k := max(1, min(cfg.Stages, r.fleet.NumLive(), len(e.comp.Layers)))
 	pr, err := e.pipeline(k)
 	if err != nil {
 		return nil, err
 	}
-	pl := &placement{pipe: pr}
-	if reps := max(1, cfg.Replicas); k > 1 || reps > 1 || r.pinned {
-		pl.replicas = r.fleet.PinReplicas(reps, k)
-		if len(pl.replicas) == 0 {
-			// Same condition as a resident model with every replica dead, so
-			// it classifies the same way (HTTP 503, not 500).
-			return nil, fmt.Errorf("%w: fewer than %d live devices for one %d-stage placement",
-				errNoReplica, k, k)
-		}
+	reps := r.fleet.PinReplicas(cfg.Replicas, k)
+	if len(reps) == 0 {
+		// Same condition as a resident model with every replica dead, so
+		// it classifies the same way (HTTP 503, not 500).
+		return nil, fmt.Errorf("%w: fewer than %d live devices for one %d-stage placement",
+			errNoReplica, k, k)
 	}
-	return pl, nil
+	return &placement{pipe: pr, replicas: reps}, nil
 }
 
 // Rescale rebuilds the entry's placement for cfg and publishes it
@@ -550,17 +531,14 @@ type LoadedInfo struct {
 	StageDevices []int   `json:"stage_devices,omitempty"`
 	BottleneckNS float64 `json:"sim_bottleneck_ns,omitempty"`
 	// Replicas describes the data-parallel placements: the device list of
-	// each replica, its liveness, and how many batches it served. Absent
-	// for unpinned models.
-	Replicas       int     `json:"replicas,omitempty"`
-	ReplicaDevices [][]int `json:"replica_devices,omitempty"`
-	ReplicaLive    []bool  `json:"replica_live,omitempty"`
-	ReplicaBatches []int64 `json:"replica_batches,omitempty"`
-	// LiveReplicas is a pointer so replicated entries always emit it —
-	// 0 is the all-replicas-dead state the health surface exists to
-	// report — while unpinned models (which have no replicas to count)
-	// omit it entirely.
-	LiveReplicas *int `json:"live_replicas,omitempty"`
+	// each replica, its liveness, and how many batches it served.
+	// LiveReplicas counts the replicas whose devices are all alive; 0 is
+	// the all-replicas-dead state the health surface exists to report.
+	Replicas       int     `json:"replicas"`
+	ReplicaDevices [][]int `json:"replica_devices"`
+	ReplicaLive    []bool  `json:"replica_live"`
+	ReplicaBatches []int64 `json:"replica_batches"`
+	LiveReplicas   int     `json:"live_replicas"`
 	// QueueDepth is the batcher's live backlog (items admitted but not
 	// yet dispatched); QueueDelayEstMS prices that backlog with the
 	// measured per-item interval — the figure admission control sheds on.
@@ -592,21 +570,13 @@ func (r *Registry) Loaded() []LoadedInfo {
 			info.BottleneckNS = pl.pipe.BottleneckNS
 			info.StageDevices = append([]int(nil), pl.replicas[0].devs...)
 		}
-		if len(pl.replicas) > 0 {
-			info.Replicas = len(pl.replicas)
-			live, batches := r.fleet.ReplicaStats(pl.replicas)
-			info.ReplicaLive = live
-			info.ReplicaBatches = batches
-			for _, rep := range pl.replicas {
-				info.ReplicaDevices = append(info.ReplicaDevices, append([]int(nil), rep.devs...))
+		info.Replicas = len(pl.replicas)
+		info.ReplicaLive, info.ReplicaBatches = r.fleet.ReplicaStats(pl.replicas)
+		for i, rep := range pl.replicas {
+			info.ReplicaDevices = append(info.ReplicaDevices, append([]int(nil), rep.devs...))
+			if info.ReplicaLive[i] {
+				info.LiveReplicas++
 			}
-			n := 0
-			for _, l := range live {
-				if l {
-					n++
-				}
-			}
-			info.LiveReplicas = &n
 		}
 		info.QueueDepth = e.batcher.depth.Load()
 		info.QueueDelayEstMS = float64(e.est.Estimate(int(info.QueueDepth)).Nanoseconds()) / 1e6

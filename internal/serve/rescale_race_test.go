@@ -25,7 +25,7 @@ import (
 func TestRescaleRacesAdmitsAndSubmits(t *testing.T) {
 	fleet := NewFleet(4, 64, nil)
 	t.Cleanup(fleet.Close)
-	reg := NewRegistry(core.DefaultConfig(), 3, fleet, BatchOptions{MaxBatch: 2, Window: time.Millisecond}, 0, 1)
+	reg := NewRegistry(core.DefaultConfig(), 3, fleet, BatchOptions{MaxBatch: 2, Window: time.Millisecond}, dispatch.Config{Replicas: 4, Stages: 1})
 	t.Cleanup(reg.Close)
 
 	spec := Spec{Model: "tinycnn", ActBits: 4, Sparsity: 0.8, Seed: 1}

@@ -42,15 +42,16 @@ type Options struct {
 	MaxModels int
 	// ShardStages is the depth of the layer-range pipeline every model is
 	// served as, clamped to Devices and the model's layer count. The
-	// default (anything <= 1) is one stage: the whole model on one device,
-	// batches dispatched to whichever is least loaded. Deeper pipelines run
-	// on the same executor, each stage pinned to its own fleet device with
-	// micro-batches streaming through the stages.
+	// default (anything <= 1) is one stage: the whole model on one device.
+	// Deeper pipelines run on the same executor, each stage pinned to its
+	// own fleet device with micro-batches streaming through the stages.
 	ShardStages int
-	// Replicas > 1 places that many independent copies of every admitted
-	// model across the fleet (device-disjoint placements, clamped to
-	// Devices/stages). Batches balance across live replicas, and work on
-	// a failed device fails over to a surviving replica.
+	// Replicas is how many independent copies of every admitted model are
+	// placed across the fleet (device-disjoint placements, clamped to
+	// Devices/stages). Batches balance across live replicas, and work on a
+	// failed device fails over to a surviving replica. The default
+	// (anything <= 1) is one replica per device for a one-stage model
+	// that does not autoscale, and one replica otherwise.
 	Replicas int
 	// FailAfter > 0 arms fault injection: device FailDevice is marked
 	// dead FailAfter after the server starts serving (the failover demo
@@ -100,8 +101,8 @@ type Options struct {
 	// Autoscale starts the scheduler that grows and shrinks every
 	// model's replica/stage placement from live queue signals, pricing
 	// candidate configurations with the simulator's pipeline cost
-	// model. Implies pinned placements (replica scaling needs a
-	// placement to grow, so even 1-replica models are pinned).
+	// model. Models start at max(1, Replicas) replicas and grow from
+	// there.
 	Autoscale bool
 	// AutoscaleInterval is the scaler's evaluation tick (default 250ms).
 	AutoscaleInterval time.Duration
@@ -204,10 +205,16 @@ func New(opts Options) *Server {
 	if opts.NoCache {
 		compile.Cache = nil
 	}
+	// The placement every model is admitted at. A one-stage model that
+	// does not autoscale gets one replica per device unless a replica
+	// count was asked for: any live device takes its next batch, and a
+	// dead device drops out (PinReplicas clamps to the live ones).
+	start := dispatch.Config{Replicas: max(1, opts.Replicas), Stages: max(1, opts.ShardStages)}
+	if start.Stages == 1 && start.Replicas == 1 && !opts.Autoscale {
+		start.Replicas = opts.Devices
+	}
 	reg := NewRegistry(compile, opts.MaxModels, fleet,
-		BatchOptions{MaxBatch: opts.MaxBatch, Window: opts.Window, Queue: opts.Queue},
-		opts.ShardStages, opts.Replicas)
-	reg.pinned = opts.Autoscale
+		BatchOptions{MaxBatch: opts.MaxBatch, Window: opts.Window, Queue: opts.Queue}, start)
 	collectModels(families, reg)
 	collectFleet(families, fleet)
 	metrics.RegisterRuntime(families)

@@ -184,10 +184,7 @@ func TestOneExecutorAcrossStageCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		heads := len(e.placed().replicas) // pinned: one head device per replica
-		if heads == 0 {
-			heads = s.fleet.NumDevices() // unpinned: any device may take the batch
-		}
+		heads := len(e.placed().replicas) // one head device per replica
 		release := holdFleet(t, s.fleet, e, heads)
 		var wg sync.WaitGroup
 		bodies := make([][]byte, 2)

@@ -100,7 +100,7 @@ func Ledger(seed uint64, cache *CompileCache) (LedgerTable, error) {
 		model.VGG9(model.Config{ActBits: 4, Sparsity: 0.85, Seed: seed}),
 		model.VGG11(model.Config{ActBits: 4, Sparsity: 0.85, Seed: seed}),
 	} {
-		oc, err := core.CountOps(net, true, cache)
+		oc, err := core.CountOps(net, cache)
 		if err != nil {
 			return nil, err
 		}

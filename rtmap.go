@@ -129,7 +129,7 @@ func Analyze(c *Compiled) *Report { return sim.Analyze(c) }
 // unroll+CSE) at the arithmetic level. Results are memoized per layer in
 // the shared compile cache.
 func CountOps(net *Network) (OpCounts, error) {
-	return core.CountOps(net, true, core.SharedCache)
+	return core.CountOps(net, core.SharedCache)
 }
 
 // RunFunctional executes the compiled network's AP programs bit-exactly on
