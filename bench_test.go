@@ -186,26 +186,34 @@ func BenchmarkFunctionalSimTinyCNN(b *testing.B) {
 }
 
 // Micro-benchmark: greedy signed-pair CSE on a deep-layer weight slice
-// (512×9 at 0.8 sparsity — the dominant compile cost).
+// (512×9, the dominant compile cost) at the zoo's default sparsity 0.8
+// and at 0.5, where each row holds about twice as many pairs.
 func BenchmarkDFGBuildCSE(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	w := ternary.Random(rng, 512, 1, 3, 3, 0.8)
-	s := w.Slice(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := dfg.Build(s, dfg.Options{CSE: true})
-		if g.NumOps() == 0 {
-			b.Fatal("empty graph")
-		}
+	for _, sparsity := range []float64{0.8, 0.5} {
+		b.Run(fmt.Sprintf("sparsity%.1f", sparsity), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			s := ternary.Random(rng, 512, 1, 3, 3, sparsity).Slice(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := dfg.Build(s, dfg.Options{CSE: true})
+				if g.NumOps() == 0 {
+					b.Fatal("empty graph")
+				}
+			}
+		})
 	}
 }
 
-// Micro-benchmark: whole-network compilation of VGG-9.
+// Micro-benchmark: whole-network compilation of VGG-9, cold: each
+// iteration compiles into an empty artifact cache, so every layer is
+// lowered (the parallel driver is active).
 func BenchmarkCompileVGG9(b *testing.B) {
 	net := BuildVGG9(ModelConfig{ActBits: 4, Sparsity: 0.85, Seed: 1})
+	cfg := core.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compile(net, core.DefaultConfig()); err != nil {
+		cfg.Cache = core.NewCache()
+		if _, err := core.Compile(net, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

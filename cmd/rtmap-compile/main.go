@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -28,19 +30,33 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtmap-compile: ")
+	if err := run(os.Args[1:], os.Stdout); errors.Is(err, errUsage) {
+		os.Exit(2)
+	} else if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// errUsage reports that neither -model nor -json was given.
+var errUsage = errors.New("no model given")
+
+// run parses the command line args and prints the compiled network's
+// tables to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("rtmap-compile", flag.ExitOnError)
 	def := model.DefaultConfig()
 	var (
-		modelName = flag.String("model", "", "zoo model ("+strings.Join(model.ZooNames(), "|")+")")
-		jsonPath  = flag.String("json", "", "load model from JSON instead")
-		savePath  = flag.String("save", "", "serialize the model to JSON and exit")
-		bits      = flag.Int("bits", def.ActBits, "activation precision")
-		sparsity  = flag.Float64("sparsity", def.Sparsity, "ternary weight sparsity")
-		seed      = flag.Uint64("seed", def.Seed, "weight seed")
-		noCSE     = flag.Bool("no-cse", false, "disable CSE (the `unroll` configuration)")
-		serial    = flag.Bool("serial", false, "disable the parallel lowering driver")
-		noCache   = flag.Bool("no-cache", false, "disable the compiled-artifact cache")
+		modelName = fs.String("model", "", "zoo model ("+strings.Join(model.ZooNames(), "|")+")")
+		jsonPath  = fs.String("json", "", "load model from JSON instead")
+		savePath  = fs.String("save", "", "serialize the model to JSON and exit")
+		bits      = fs.Int("bits", def.ActBits, "activation precision")
+		sparsity  = fs.Float64("sparsity", def.Sparsity, "ternary weight sparsity")
+		seed      = fs.Uint64("seed", def.Seed, "weight seed")
+		noCSE     = fs.Bool("no-cse", false, "disable CSE (the `unroll` configuration)")
+		serial    = fs.Bool("serial", false, "disable the parallel lowering driver")
+		noCache   = fs.Bool("no-cache", false, "disable the compiled-artifact cache")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	var net *rtmap.Network
 	var err error
@@ -50,18 +66,18 @@ func main() {
 	case *modelName != "":
 		net, err = model.Build(*modelName, model.Config{ActBits: *bits, Sparsity: *sparsity, Seed: *seed})
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *savePath != "" {
 		if err := net.SaveFile(*savePath); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("wrote %s", *savePath)
-		return
+		return nil
 	}
 
 	cfg := rtmap.DefaultCompileConfig()
@@ -73,15 +89,15 @@ func main() {
 	}
 	comp, err := rtmap.Compile(net, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep := sim.Analyze(comp)
 
-	fmt.Printf("%s  (sparsity %.2f, %d-bit activations, CSE %v)\n",
+	fmt.Fprintf(w, "%s  (sparsity %.2f, %d-bit activations, CSE %v)\n",
 		net.Name, net.WeightSparsity(), *bits, cfg.CSE)
-	fmt.Printf("arrays: %d × 256×256   total adds/subs: %d   energy %.2f uJ   latency %.3f ms\n\n",
+	fmt.Fprintf(w, "arrays: %d × 256×256   total adds/subs: %d   energy %.2f uJ   latency %.3f ms\n\n",
 		comp.PoolArrays, comp.TotalAddSub(), rep.EnergyUJ(), rep.LatencyMS())
-	fmt.Printf("%-24s %6s %5s %5s×%-4s %5s %5s %5s %6s %9s %6s %6s %9s %7s\n",
+	fmt.Fprintf(w, "%-24s %6s %5s %5s×%-4s %5s %5s %5s %6s %9s %6s %6s %9s %7s\n",
 		"layer", "P", "rowG", "strip", "og", "plane", "tiles", "accW", "adds", "accumOps", "cols", "slots", "energy-uJ", "lat-us")
 	for i, p := range comp.Layers {
 		if p.Class != core.ClassConv {
@@ -89,16 +105,14 @@ func main() {
 		}
 		cols, slots, err := widest(p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lr := rep.Layers[i]
-		fmt.Printf("%-24s %6d %5d %5d×%-4d %5d %5d %5d %6d %9d %6d %6d %9.3f %7.1f\n",
+		fmt.Fprintf(w, "%-24s %6d %5d %5d×%-4d %5d %5d %5d %6d %9d %6d %6d %9.3f %7.1f\n",
 			p.Name, p.P, p.RowGroups, p.Strips, p.OutGroups, p.Planes, p.Tiles, p.AccWidth,
 			p.CG.DFGOps, p.CG.AccumOps, cols, slots, lr.Energy.TotalPJ()/1e6, lr.LatencyNS/1e3)
 	}
-	if err := printShapes(comp); err != nil {
-		log.Fatal(err)
-	}
+	return printShapes(w, comp)
 }
 
 // shapeWorkers is the pool the task shapes are printed for.
@@ -106,20 +120,20 @@ const shapeWorkers = 2
 
 // printShapes prints each conv/linear layer's engine task shape at batch
 // 1 and batch 8, and the op dispatches of one inference summed.
-func printShapes(comp *core.Compiled) error {
+func printShapes(w io.Writer, comp *core.Compiled) error {
 	batches := []int{1, 8}
-	fmt.Printf("\ntask shapes on %d workers: blocks×parts, op dispatches per inference\n", shapeWorkers)
-	fmt.Printf("%-24s", "layer")
+	fmt.Fprintf(w, "\ntask shapes on %d workers: blocks×parts, op dispatches per inference\n", shapeWorkers)
+	fmt.Fprintf(w, "%-24s", "layer")
 	for _, n := range batches {
-		fmt.Printf(" %10s %11s", fmt.Sprintf("b%d shape", n), "dispatches")
+		fmt.Fprintf(w, " %10s %11s", fmt.Sprintf("b%d shape", n), "dispatches")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	total := make([]float64, len(batches))
 	for i, p := range comp.Layers {
 		if p.Class != core.ClassConv {
 			continue
 		}
-		fmt.Printf("%-24s", p.Name)
+		fmt.Fprintf(w, "%-24s", p.Name)
 		for k, n := range batches {
 			sh, err := sim.LayerShape(comp, i, n, shapeWorkers)
 			if err != nil {
@@ -127,15 +141,15 @@ func printShapes(comp *core.Compiled) error {
 			}
 			per := float64(sh.Dispatches) / float64(n)
 			total[k] += per
-			fmt.Printf(" %10s %11.0f", fmt.Sprintf("%d×%d", sh.Blocks, sh.Parts), per)
+			fmt.Fprintf(w, " %10s %11.0f", fmt.Sprintf("%d×%d", sh.Blocks, sh.Parts), per)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("%-24s", "total")
+	fmt.Fprintf(w, "%-24s", "total")
 	for k := range batches {
-		fmt.Printf(" %10s %11.0f", "", total[k])
+		fmt.Fprintf(w, " %10s %11.0f", "", total[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 

@@ -3,7 +3,9 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"rtmap/internal/ap"
@@ -268,10 +270,13 @@ type TileBuilder struct {
 	phys []int
 	pool *columnPool
 
-	accVirt  []int
-	chanAt   []int
-	inBind   map[int][2]int
-	inVirt   map[[2]int]int // inBind reversed: (channel, patch position) -> virtual column
+	accVirt []int
+	chanAt  []int
+	inBind  map[int][2]int
+	// inVirt reverses inBind: entry ch·K + k is 1 + the virtual column of
+	// patch position k of resident channel ch, 0 while it has none.
+	inVirt   []int
+	name     []byte // scratch for column names
 	finished bool
 }
 
@@ -286,7 +291,7 @@ func NewTileBuilder(lay Layout) (*TileBuilder, error) {
 		prog:   &ap.Program{},
 		pool:   newColumnPool(lay.TempCols),
 		inBind: make(map[int][2]int),
-		inVirt: make(map[[2]int]int),
+		inVirt: make([]int, lay.ChannelCapacity()*lay.K),
 	}
 	// Virtual column 0: carry.
 	b.prog.Carry = b.newVirt(ap.Col{Name: "carry", Base: lay.CarryBase, Width: 1}, lay.CarryCol)
@@ -308,13 +313,29 @@ func (b *TileBuilder) newVirt(c ap.Col, phys int) int {
 	return len(b.prog.Cols) - 1
 }
 
+// Reserve makes room for the fragments of graphs, so that a program's
+// instruction stream is allocated once: a fragment emits one instruction
+// per add/sub node and one accumulate per nonzero output.
+func (b *TileBuilder) Reserve(graphs []*dfg.Graph) {
+	n := 0
+	for _, g := range graphs {
+		n += g.NumOps()
+		for _, ref := range g.Outputs {
+			if !ref.Zero {
+				n++
+			}
+		}
+	}
+	b.prog.Instrs = slices.Grow(b.prog.Instrs, n)
+}
+
 // inputVirt returns (creating lazily) the virtual column of patch position
 // k for resident channel ch.
 func (b *TileBuilder) inputVirt(ch, k int) int {
-	key := [2]int{ch, k}
-	if v, ok := b.inVirt[key]; ok {
-		return v
+	if v := b.inVirt[ch*b.lay.K+k]; v > 0 {
+		return v - 1
 	}
+	key := [2]int{ch, k}
 	plane := ch / b.lay.ChansPerPlane
 	slot := ch % b.lay.ChansPerPlane
 	v := b.newVirt(ap.Col{
@@ -324,7 +345,7 @@ func (b *TileBuilder) inputVirt(ch, k int) int {
 		Unsigned: b.lay.ActUnsigned,
 	}, b.lay.InputCols[plane][k])
 	b.inBind[v] = key
-	b.inVirt[key] = v
+	b.inVirt[ch*b.lay.K+k] = v + 1
 	return v
 }
 
@@ -359,9 +380,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	// operand is a single-use op node — those ops run in place on one
 	// shared column at the chain's maximum width.
 	group := make([]int, len(g.Nodes))
-	groupWidth := map[int]int{}
-	groupFinal := map[int]int{}
-	nGroups := 0
+	var groupWidth, groupFinal []int // per group: widest node, last node
 	isOp := func(i int) bool {
 		k := g.Nodes[i].Kind
 		return k == dfg.OpAdd || k == dfg.OpSub
@@ -376,8 +395,9 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		if isOp(nd.A) && uses[nd.A] == 1 && group[nd.A] >= 0 {
 			group[i] = group[nd.A]
 		} else {
-			group[i] = nGroups
-			nGroups++
+			group[i] = len(groupWidth)
+			groupWidth = append(groupWidth, 0)
+			groupFinal = append(groupFinal, 0)
 		}
 		if g.Nodes[i].Bits > groupWidth[group[i]] {
 			groupWidth[group[i]] = g.Nodes[i].Bits
@@ -385,11 +405,15 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		groupFinal[group[i]] = i
 	}
 
-	groupVirt := map[int]int{}
+	// groupVirt is each group's virtual column while it holds one, else -1.
+	groupVirt := make([]int, len(groupWidth))
+	for i := range groupVirt {
+		groupVirt[i] = -1
+	}
 	refcount := make([]int, len(g.Nodes))
 	copy(refcount, uses)
 
-	inputIdx := make(map[int]int) // node id → patch position
+	inputIdx := make([]int, len(g.Nodes)) // node id → patch position
 	for k, id := range g.Inputs {
 		inputIdx[id] = k
 	}
@@ -399,8 +423,8 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		if g.Nodes[id].Kind == dfg.OpInput {
 			return b.inputVirt(ch, inputIdx[id])
 		}
-		v, ok := groupVirt[group[id]]
-		if !ok {
+		v := groupVirt[group[id]]
+		if v < 0 {
 			panic(fmt.Sprintf("codegen: node %d consumed before definition", id))
 		}
 		return v
@@ -415,22 +439,26 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		gid := group[id]
 		if groupFinal[gid] == id && refcount[id] == 0 {
 			b.pool.put(b.phys[groupVirt[gid]])
-			delete(groupVirt, gid)
+			groupVirt[gid] = -1
 		}
 	}
 
-	// Outputs indexed by defining node, so each row's accumulate step is
-	// emitted as soon as its value exists — releasing the row chain's
-	// column before the next row starts (otherwise every row of the tile
-	// would hold a live temp column until the end of the fragment).
-	outsByNode := make(map[int][]int)
-	for o, ref := range g.Outputs {
-		if !ref.Zero {
-			outsByNode[ref.Node] = append(outsByNode[ref.Node], o)
+	// Outputs listed by defining node, in output order, so each row's
+	// accumulate step is emitted as soon as its value exists — releasing
+	// the row chain's column before the next row starts (otherwise every
+	// row of the tile would hold a live temp column until the end of the
+	// fragment). firstOut[n] is 1 + n's first output, nextOut[o] 1 + the
+	// output after o; 0 ends a list.
+	firstOut := make([]int, len(g.Nodes))
+	nextOut := make([]int, len(g.Outputs))
+	for o := len(g.Outputs) - 1; o >= 0; o-- {
+		if ref := g.Outputs[o]; !ref.Zero {
+			nextOut[o] = firstOut[ref.Node]
+			firstOut[ref.Node] = o + 1
 		}
 	}
 	emitAccum := func(nodeID int) {
-		for _, o := range outsByNode[nodeID] {
+		for o := firstOut[nodeID] - 1; o >= 0; o = nextOut[o] - 1 {
 			ref := g.Outputs[o]
 			opc := ap.OpAdd
 			if ref.Neg {
@@ -456,7 +484,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		if nd.Kind == dfg.OpSub {
 			opc = ap.OpSub
 		}
-		if v, inPlace := groupVirt[gid]; inPlace {
+		if v := groupVirt[gid]; v >= 0 {
 			// Chain continuation: left operand already lives in the
 			// group column; operate in place.
 			aV := loc(nd.B)
@@ -471,7 +499,9 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 				return fmt.Errorf("codegen: channel %d node %d: %w", ch, i, err)
 			}
 			// A pool column is scratch the AP recycles: Temp.
-			v := b.newVirt(ap.Col{Name: fmt.Sprintf("t%d.%d", ch, i), Base: 0, Width: w, Temp: true}, phys)
+			b.name = strconv.AppendInt(append(b.name[:0], 't'), int64(ch), 10)
+			b.name = strconv.AppendInt(append(b.name, '.'), int64(i), 10)
+			v := b.newVirt(ap.Col{Name: string(b.name), Base: 0, Width: w, Temp: true}, phys)
 			groupVirt[gid] = v
 			bV := loc(nd.A)
 			aV := loc(nd.B)

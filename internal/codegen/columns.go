@@ -33,34 +33,40 @@ func liveness(g *dfg.Graph) []int {
 // a returned column is reused before a fresh one is touched.
 type columnPool struct {
 	free  []int
-	inUse map[int]bool
+	inUse []bool // by physical column id
+	used  int
 }
 
 // newColumnPool returns a pool over the given physical column ids.
 func newColumnPool(cols []int) *columnPool {
-	p := &columnPool{inUse: make(map[int]bool)}
+	p := &columnPool{}
 	p.free = append(p.free, cols...)
 	// Deterministic allocation order: lowest id first.
 	sort.Sort(sort.Reverse(sort.IntSlice(p.free)))
+	if len(cols) > 0 {
+		p.inUse = make([]bool, p.free[0]+1)
+	}
 	return p
 }
 
 // get allocates a column.
 func (p *columnPool) get() (int, error) {
 	if len(p.free) == 0 {
-		return 0, fmt.Errorf("codegen: column pool exhausted (%d in use)", len(p.inUse))
+		return 0, fmt.Errorf("codegen: column pool exhausted (%d in use)", p.used)
 	}
 	c := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	p.inUse[c] = true
+	p.used++
 	return c, nil
 }
 
 // put releases a column back to the pool.
 func (p *columnPool) put(c int) {
-	if !p.inUse[c] {
+	if c < 0 || c >= len(p.inUse) || !p.inUse[c] {
 		panic(fmt.Sprintf("codegen: releasing column %d that is not in use", c))
 	}
-	delete(p.inUse, c)
+	p.inUse[c] = false
+	p.used--
 	p.free = append(p.free, c)
 }

@@ -10,6 +10,7 @@ import (
 	"rtmap/internal/dfg"
 	"rtmap/internal/model"
 	"rtmap/internal/tensor"
+	"rtmap/internal/ternary"
 )
 
 // actInfo describes the activation format flowing out of a layer.
@@ -255,6 +256,11 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 	if maxReplicas < 1 {
 		maxReplicas = 1
 	}
+	// Every attempt and tile reads the same per-channel weight slices.
+	chans := make([]ternary.Slice, w.Cin)
+	for c := range chans {
+		chans[c] = w.Slice(c)
+	}
 
 	// Emission is a function of the layout and the CSE cap, so a retry
 	// whose wider temp pool lays the layer out as a failed attempt did,
@@ -268,7 +274,7 @@ func compileConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, pool i
 		if lerr != nil {
 			err = lerr
 		} else if lay != failed || defShift != failedShift {
-			if err = planAndEmitConv(l, plan, cfg, ai, lay, defShift, pool); err == nil {
+			if err = planAndEmitConv(l, plan, cfg, ai, chans, lay, defShift, pool); err == nil {
 				return nil
 			}
 			failed, failedShift = lay, defShift
@@ -445,10 +451,10 @@ func layOutConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo, tempBud
 }
 
 // planAndEmitConv fills the layer plan for a layout and emits its tile
-// programs, with CSE definitions capped by the temp pool halved defShift
-// times.
+// programs from the layer's per-channel weight slices chans, with CSE
+// definitions capped by the temp pool halved defShift times.
 func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
-	lay convLayout, defShift, maxPool int) error {
+	chans []ternary.Slice, lay convLayout, defShift, maxPool int) error {
 	par := cfg.Par
 	w := l.W
 	k := plan.K
@@ -535,22 +541,21 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 		tsize := rowHi - rowLo
 		plan.TileSizes = append(plan.TileSizes, tsize)
 
-		// Build (in parallel) the per-channel slice DFGs of this tile.
-		graphs := make([]*dfg.Graph, cin)
-		build := func(c int) {
-			s := w.Slice(c).RowRange(rowLo, rowHi)
-			gph := dfg.Build(s, opt)
-			gph.AnnotateWidths(ai.Lo, ai.Hi)
-			graphs[c] = gph
-		}
-		parallelFor(cin, cfg.workers(), build)
-
 		for s := 0; s < strips; s++ {
 			chLo := s * capacity
 			chHi := chLo + capacity
 			if chHi > cin {
 				chHi = cin
 			}
+			// Build (in parallel) the slice DFGs of the strip's channels
+			// for this tile. Strip by strip, an attempt whose temp pool
+			// overflows fails before the later strips' graphs are built.
+			graphs := make([]*dfg.Graph, chHi-chLo)
+			parallelFor(len(graphs), cfg.workers(), func(i int) {
+				gph := dfg.Build(chans[chLo+i].RowRange(rowLo, rowHi), opt)
+				gph.AnnotateWidths(ai.Lo, ai.Hi)
+				graphs[i] = gph
+			})
 			lay := codegen.Layout{
 				K: k, ActBits: ai.Bits, ActUnsigned: ai.Unsigned,
 				AccWidth: accW, TileSize: tsize, AccSlots: slots,
@@ -563,8 +568,9 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 			if err != nil {
 				return err
 			}
-			for c := chLo; c < chHi; c++ {
-				if err := b.AddChannel(c-chLo, graphs[c]); err != nil {
+			b.Reserve(graphs)
+			for i, gph := range graphs {
+				if err := b.AddChannel(i, gph); err != nil {
 					return fmt.Errorf("tile %d strip %d: %w", t, s, err)
 				}
 			}
@@ -579,8 +585,7 @@ func planAndEmitConv(l *model.Layer, plan *LayerPlan, cfg Config, ai actInfo,
 		}
 
 		for c := 0; c < cin; c++ {
-			s := w.Slice(c).RowRange(rowLo, rowHi)
-			if n := s.NNZ(); n > 0 {
+			if n := chans[c].RowRange(rowLo, rowHi).NNZ(); n > 0 {
 				plan.NaiveOps += n - 1
 			}
 		}

@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,22 @@ func TestZeroAndAliasRows(t *testing.T) {
 	for i := range want {
 		if out[i] != want[i] {
 			t.Errorf("out[%d] = %d, want %d", i, out[i], want[i])
+		}
+	}
+}
+
+// TestOneInputSlices holds Build's K = 1 graphs to what materialize makes
+// of the same rows, with and without CSE.
+func TestOneInputSlices(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 1))
+	for _, sp := range []float64{0, 0.5, 0.95} {
+		s := ternary.Random(rng, 300, 1, 1, 1, sp).Slice(0)
+		for _, cse := range []bool{false, true} {
+			got := Build(s, Options{CSE: cse})
+			want := materialize(buildRows(s), nil, 1, cse)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sparsity %.2f CSE %v: K = 1 graph differs from materialize's", sp, cse)
+			}
 		}
 	}
 }

@@ -36,7 +36,9 @@ func (t *IntTrace) InputOf(n *Network, i int, arg int) *tensor.Int {
 // exactly as stored in the AP's nanowires, convolutions are pure ternary
 // add/sub accumulations, and KindActQuant layers apply the fused
 // ReLU+requantize step. This is the "software accuracy" baseline the AP
-// must match bit-for-bit.
+// must match bit-for-bit. n must be valid (Validate): the zoo builders and
+// ReadJSON return only valid networks, and a network built or edited by
+// hand is validated by its maker, so no call re-scans the weights.
 func (n *Network) ForwardInt(in *tensor.Float) (*IntTrace, error) {
 	return n.forwardInt(in, ConvReference)
 }
@@ -57,9 +59,6 @@ func (n *Network) ForwardIntQuantized(in *tensor.Float,
 }
 
 func (n *Network) forwardInt(in *tensor.Float, conv ConvExec) (*IntTrace, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
 	tr, err := n.NewTrace(in)
 	if err != nil {
 		return nil, err
@@ -321,10 +320,8 @@ func scalesClose(a, b float64) bool {
 // KindActQuant sites (straight-through estimate of the integer path). With
 // quantizers disabled (Step == 0 is not allowed, so callers pass
 // fakeQuant=false) this is the FP teacher used by the accuracy harness.
+// Like ForwardInt, it takes n as valid.
 func (n *Network) ForwardFloat(in *tensor.Float, fakeQuant bool) ([]*tensor.Float, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
 	outs := make([]*tensor.Float, len(n.Layers))
 	get := func(idx int) *tensor.Float {
 		if idx == InputRef {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -101,6 +102,36 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 	for name, body := range cases {
 		if _, err := ReadJSON(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// The oracle takes its network as valid, so a document that decodes into
+// an invalid network must be refused by ReadJSON itself.
+func TestReadJSONRejectsInvalidNetwork(t *testing.T) {
+	var buf bytes.Buffer
+	if err := TinyCNN(DefaultConfig()).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		edit func(*jsonNetwork)
+		want string
+	}{
+		"forward reference": {func(d *jsonNetwork) { d.Layers[1].Inputs = []int{3} }, "not topologically earlier"},
+		"zero stride":       {func(d *jsonNetwork) { d.Layers[0].Stride = 0 }, "stride 0"},
+		"short weights":     {func(d *jsonNetwork) { d.Layers[0].Cout++ }, "data length"},
+	} {
+		var doc jsonNetwork
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&doc)
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJSON(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadJSON returned %v, want an error containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -127,6 +127,15 @@ func singleConvNet(seed uint64, cin, cout, k, stride, pad, h int, sparsity float
 		Kind: model.KindConv, Name: "conv", Inputs: []int{model.InputRef},
 		W: ternary.Random(rng, cout, cin, k, k, sparsity), WScale: 1, Stride: stride, Pad: pad,
 	})
+	return mustValidate(net)
+}
+
+// mustValidate returns a hand-built network once Validate accepts it: the
+// oracle and the compiler take their network as valid.
+func mustValidate(net *model.Network) *model.Network {
+	if err := net.Validate(); err != nil {
+		panic(err)
+	}
 	return net
 }
 
@@ -253,5 +262,5 @@ func mediumNet() *model.Network {
 	f := add(model.Layer{Kind: model.KindFlatten, Name: "flat", Inputs: []int{g}})
 	add(model.Layer{Kind: model.KindLinear, Name: "fc", Inputs: []int{f},
 		W: ternary.Random(rng, 5, 24, 1, 1, 0.5), WScale: 1, Stride: 1})
-	return net
+	return mustValidate(net)
 }

@@ -107,8 +107,11 @@ func (w *Weights) Slice(ci int) Slice {
 	k := w.Fh * w.Fw
 	s := Slice{Cout: w.Cout, K: k, M: make([]int8, w.Cout*k)}
 	for co := 0; co < w.Cout; co++ {
-		base := ((co*w.Cin + ci) * w.Fh) * w.Fw
-		copy(s.M[co*k:(co+1)*k], w.W[base:base+k])
+		// Rows are K bytes (one for a linear layer): a loop, not a copy call.
+		src, dst := w.W[(co*w.Cin+ci)*k:][:k], s.M[co*k:][:k]
+		for i := range dst {
+			dst[i] = src[i]
+		}
 	}
 	return s
 }

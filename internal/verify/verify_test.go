@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -93,6 +94,52 @@ func TestCheckTileProgramDiagnostics(t *testing.T) {
 	two := &verify.Error{Diags: append(diags, diags[0])}
 	if msg := two.Error(); !strings.Contains(msg, "and 1 more") {
 		t.Fatalf("multi-diagnostic message %q missing count", msg)
+	}
+}
+
+// core.VerifyCompiled audits programs concurrently; its diagnostics must
+// be those of a serial sweep, sorted, on any schedule.
+func TestVerifyCompiledScheduleFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := core.DefaultConfig()
+	cfg.KeepPrograms = true
+	cfg.Cache = nil // the programs are corrupted below
+	comp, err := core.Compile(model.TinyResNet(model.DefaultConfig()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []verify.Diagnostic
+	n := 0
+	for _, lp := range comp.Layers {
+		for s := range lp.StripPlans {
+			progs := lp.StripPlans[s].Programs
+			for i, tp := range progs {
+				if n%3 == 0 { // a clear past the column table, a distinct one each time
+					bad := *tp.Prog
+					bad.Instrs = append([]ap.Instr{{Op: ap.OpClear, Dst: len(bad.Cols) + n, Width: 1}}, bad.Instrs...)
+					progs[i] = &codegen.TileProgram{Prog: &bad}
+				}
+				n++
+				ref := verify.Ref{Model: comp.Net.Name, Layer: lp.Index, LayerName: lp.Name, Strip: s, Tile: i}
+				want = append(want, verify.CheckTileProgram(ref, progs[i])...)
+			}
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("%d diagnostics planted over %d programs; the check is vacuous", len(want), n)
+	}
+	verify.SortDiagnostics(want)
+	for run := 0; run < 5; run++ {
+		var got *verify.Error
+		if err := core.VerifyCompiled(comp); !errors.As(err, &got) {
+			t.Fatalf("run %d: VerifyCompiled returned %v, want a *verify.Error", run, err)
+		}
+		if !reflect.DeepEqual(got.Diags, want) {
+			t.Fatalf("run %d: diagnostics differ from the sorted serial sweep:\n got %v\nwant %v", run, got.Diags, want)
+		}
+		if msg := (&verify.Error{Diags: want}).Error(); got.Error() != msg {
+			t.Fatalf("run %d: error %q, want %q", run, got.Error(), msg)
+		}
 	}
 }
 
