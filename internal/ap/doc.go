@@ -24,7 +24,7 @@
 // with nothing to decode, anything else an escape to its full form. One
 // word op advances several rows, over reusable arenas. The inner loops
 // form one kernel set, chosen once from CPUID: Run hands each stretch of
-// fast ops to its run kernel; LoadRows (a Grid per call) packs every
+// fast ops to its run kernel; LoadRows (positions of a Grid) packs every
 // whole word of a contiguous run at 16-bit lanes in its pack kernel,
 // AccumulateColumn reads words back in its accumulate kernel, and
 // Requantize — the engine's fused act step, clamp(RoundToEven(c·scale),

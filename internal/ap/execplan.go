@@ -57,9 +57,11 @@ type ExecPlan struct {
 	// escOp.ext.
 	multi [][]copyDst
 	// zero lists the slots that must read as zero at entry: those of the
-	// columns some op reads before any op writes them. Reset clears exactly
-	// these on arena reuse — programs fully write everything else before
-	// looking at it, so stale rows from a previous plan are unobservable.
+	// columns some op reads before any op writes them. On arena reuse each
+	// is either cleared by Reset or, for a column its caller names as
+	// loaded, written on every active row by the caller's loads — programs
+	// fully write everything else before looking at it, so stale rows from
+	// a previous plan are unobservable.
 	zero []int32
 	// lane is the lane width in bits (16, 32 or 64) the Machine packs
 	// this plan's rows at.
@@ -288,6 +290,18 @@ func (p *ExecPlan) Part(head, lo, hi int) *ExecPlan {
 // Slots returns how many slots — columns' worth of words — a Machine's
 // arena holds for the plan.
 func (p *ExecPlan) Slots() int { return p.slots }
+
+// Slot is a column as a Machine's movers address it: its arena slot and
+// stored format, resolved once (ExecPlan.Slot) so that a loader moving
+// the same columns on every run looks neither up per call. A part view
+// shares its plan's slots and formats.
+type Slot struct {
+	s   int32
+	fmt uint8
+}
+
+// Slot resolves column col of the plan for the movers.
+func (p *ExecPlan) Slot(col int) Slot { return Slot{p.slot[col], p.fmts[col]} }
 
 // Ops returns the resolved operation count.
 func (p *ExecPlan) Ops() int { return len(p.ops) }
@@ -557,15 +571,23 @@ type Machine struct {
 	one   int64  // the offset of one lane (0 at 64 bits)
 	bias  uint64 // one in every lane: the encoding of an all-zero word
 	flat  []uint64
+	// loaded marks the loaded columns of the last Reset: slot s is
+	// loaded when loaded[s] == stamp, which every Reset advances.
+	loaded []uint32
+	stamp  uint32
 }
 
 // Reset binds m to plan with the given active row count: an arena of
-// plan.Slots() slots. Only the slots of columns the plan reads before
-// writing are zeroed (the rest are fully written before any op looks at
-// them), so a reused machine behaves exactly like a freshly allocated one
-// for every observable column; columns the plan neither writes nor zeroes
-// are undefined, as is a Temp column after its last reference.
-func (m *Machine) Reset(plan *ExecPlan, rows int) {
+// plan.Slots() slots. Of the zero set — the slots of columns the plan
+// reads before writing — Reset clears every slot but those of the loaded
+// columns, which the caller must write on every active row before Run
+// (LoadRows and SetRow store zero where there is nothing to load); the
+// rest are fully written before any op looks at them. So a reused machine
+// behaves exactly like a freshly allocated one for every observable
+// column; columns the plan neither writes nor zeroes are undefined, as is
+// a Temp column after its last reference and every lane past the last
+// active row.
+func (m *Machine) Reset(plan *ExecPlan, rows int, loaded []Slot) {
 	if rows <= 0 {
 		panic(fmt.Sprintf("ap: machine reset with %d rows", rows))
 	}
@@ -585,8 +607,20 @@ func (m *Machine) Reset(plan *ExecPlan, rows int) {
 	} else {
 		m.flat = m.flat[:need]
 	}
-	for _, c := range plan.zero {
-		fill(m.col(c), m.bias)
+	if len(m.loaded) < plan.slots {
+		m.loaded = make([]uint32, plan.slots)
+	}
+	if m.stamp++; m.stamp == 0 { // wrapped: no mark may match the new stamp
+		clear(m.loaded)
+		m.stamp = 1
+	}
+	for _, c := range loaded {
+		m.loaded[c.s] = m.stamp
+	}
+	for _, s := range plan.zero {
+		if m.loaded[s] != m.stamp {
+			fill(m.col(s), m.bias)
+		}
 	}
 }
 
@@ -614,21 +648,22 @@ func (m *Machine) put(s int32, r int, v int64) {
 	*w = *w&^(m.mask<<(bit&63)) | (uint64(v+m.one)&m.mask)<<(bit&63)
 }
 
-// Grid is the shape of one load: positions [Q0, Q1) of a grid W wide go to
-// consecutive rows; q = r·W + c reads src[r·Pitch + (c−Lo)·Stride] if Lo ≤
-// c < Hi, else is a border position. A run of n is {Q1: n, W: n, Hi: n, Stride: 1}.
+// Grid is the shape of a load: a grid W positions wide whose rows
+// [R0, R1) and columns [Lo, Hi) hold source values — position q = r·W + c
+// reads src[(r−R0)·Pitch + (c−Lo)·Stride] — and whose every other
+// position is a border position, which reads zero. A run of n is
+// {W: n, R1: 1, Hi: n, Pitch: n, Stride: 1}.
 type Grid struct {
-	Q0, Q1, W, Lo, Hi, Pitch, Stride int
+	W, R0, R1, Lo, Hi, Pitch, Stride int
 }
 
-// format returns the whole-word masks that wrap lanes to col's stored
-// format. The wrap runs once per word, on all its lanes at once: keep
+// format returns the whole-word masks that wrap lanes to stored format
+// f. The wrap runs once per word, on all its lanes at once: keep
 // the format's bits (fmask), add the lane offset, and subtract 2^width
 // where the format's sign bit (fsign) is set. No lane carries or borrows
 // (the format is narrower than the lane's guarded range), an unsigned
 // column has no sign bit, and from 63 bits up every int32 already fits.
-func (m *Machine) format(col int) (fmask, fsign uint64) {
-	f := m.plan.fmts[col]
+func (m *Machine) format(f uint8) (fmask, fsign uint64) {
 	fmask = m.mask * m.rep
 	if w := uint(f &^ fmtUnsigned); w < 63 {
 		fmask = (uint64(1)<<w - 1) * m.rep
@@ -639,63 +674,124 @@ func (m *Machine) format(col int) (fmask, fsign uint64) {
 	return fmask, fsign
 }
 
-// SetRow stores v into row r of col, wrapped to its stored format: the
-// one-position load of a 1×1 input plane, with no grid to walk.
+// SetRow stores v into row r of dst, wrapped to its stored format: the
+// load of a layer with one output position, with no grid to walk.
 //
 //rtmap:noalloc
-func (m *Machine) SetRow(col, r int, v int32) {
+func (m *Machine) SetRow(dst Slot, r int, v int32) {
 	if r < 0 || r >= m.rows {
 		panic(fmt.Sprintf("ap: SetRow row %d outside machine rows %d", r, m.rows))
 	}
-	fmask, fsign := m.format(col)
+	fmask, fsign := m.format(dst.fmt)
 	x := uint64(v) & m.mask
-	m.put(m.plan.slot[col], r, int64(x&fmask)-int64((x&fsign)<<1))
+	m.put(dst.s, r, int64(x&fmask)-int64((x&fsign)<<1))
 }
 
-// LoadRows stores grid positions [g.Q0, g.Q1) into rows row0, row0+1, …
-// of col, wrapped to its stored format: the simulator's gather, one call
-// per tap and row block. A grid with Stride 1 and Pitch W is one run, its
-// border positions put back to zero after (they must read zero before, as
-// an input column's do after Reset); any other grid is one run per row.
+// LoadRows stores positions [q0, q1) of grid g into rows row0, row0+1, …
+// of dst, wrapped to its stored format, and zero into the rows of border
+// positions: every row of the range is written, so a column loaded this
+// way needs no clearing by Reset. It is the simulator's gather, one call
+// per column and batch segment. With Stride 1 and Pitch W the valid
+// positions are one run, its border lanes put back to zero after; any
+// other grid is one run per row.
 //
 //rtmap:noalloc
-func (m *Machine) LoadRows(col, row0 int, src []int32, g Grid) {
-	n := g.Q1 - g.Q0
-	if row0 < 0 || g.Q0 < 0 || n < 0 || row0+n > m.rows || g.Lo < 0 || g.Lo > g.Hi || g.Hi > g.W {
-		panic(fmt.Sprintf("ap: LoadRows grid %+v at row %d outside machine rows %d", g, row0, m.rows))
+func (m *Machine) LoadRows(dst Slot, row0 int, src []int32, g *Grid, q0, q1 int) {
+	if row0 < 0 || q0 < 0 || q0 > q1 || row0+q1-q0 > m.rows || g.Lo < 0 || g.Lo > g.Hi || g.Hi > g.W || g.R0 < 0 || g.R0 > g.R1 {
+		panic(fmt.Sprintf("ap: LoadRows positions [%d, %d) of grid %+v at row %d outside machine rows %d", q0, q1, *g, row0, m.rows))
 	}
-	if n == 0 || g.Lo == g.Hi {
+	words := m.col(dst.s)
+	row0 -= q0 // the row position 0 would land in
+	// [a, b): the positions of rows [R0, R1) in the range; the rest are border.
+	a, b := max(q0, g.R0*g.W), min(q1, g.R1*g.W)
+	if a >= b || g.Lo == g.Hi {
+		m.zero(words, row0+q0, q1-q0)
 		return
 	}
-	fmask, fsign := m.format(col)
-	s := m.plan.slot[col]
-	words := m.col(s)
-	row0 -= g.Q0 // the row grid position 0 would land in
+	m.zero(words, row0+q0, a-q0)
+	m.zero(words, row0+b, q1-b)
+	fmask, fsign := m.format(dst.fmt)
+	base := g.R0 * g.W // position of src's row 0
+	// ra and rb start the rows of a and b−1: no division where the range
+	// starts and ends on the valid rows' bounds, a whole plane's load.
+	ra, rb := a, b-g.W
+	if a != base {
+		ra = a - a%g.W
+	}
+	if b != g.R1*g.W {
+		rb = b - 1 - (b-1)%g.W
+	}
 	if g.Stride == 1 && g.Pitch == g.W {
-		// q reads src[q − Lo]; c0 and c1 are the valid ends' columns in Q0's and Q1−1's rows.
-		c0, c1 := g.Q0%g.W, (g.Q1-1)%g.W
-		if c0 >= g.Hi {
-			c0 -= g.W
+		// [va, vb): a's first valid position to the end of b−1's last.
+		va, vb := max(a, ra+g.Lo), min(b, rb+g.Hi)
+		if a-ra >= g.Hi {
+			ra += g.W
+			va = ra + g.Lo
 		}
-		if c1 < g.Lo {
-			c1 += g.W
+		if b-rb <= g.Lo {
+			vb = rb - g.W + g.Hi
 		}
-		q0, q1 := g.Q0-c0+max(c0, g.Lo), g.Q1-1-c1+min(c1+1, g.Hi)
-		if q0 < q1 {
-			m.loadRun(words, row0+q0, q1-q0, src[q0-g.Lo:], 1, fmask, fsign)
+		if va >= vb {
+			m.zero(words, row0+a, b-a)
+			return
 		}
-		for q := g.Q0 - c0 + g.Hi; q < q1; q += g.W {
-			for r := row0 + q; r < row0+q+g.W-g.Hi+g.Lo; r++ {
-				m.put(s, r, 0)
+		m.loadRun(words, row0+va, vb-va, src[va-base-g.Lo:], 1, fmask, fsign)
+		// The border positions: before va and after vb, a row's border
+		// at most, and each between two rows.
+		for r := row0 + a; r < row0+va; r++ {
+			m.put(dst.s, r, 0)
+		}
+		for r := row0 + vb; r < row0+b; r++ {
+			m.put(dst.s, r, 0)
+		}
+		if g.Hi-g.Lo < g.W {
+			for q := ra + g.Hi; q < vb; q += g.W {
+				for r := row0 + q; r < row0+q+g.W-g.Hi+g.Lo; r++ {
+					m.put(dst.s, r, 0)
+				}
 			}
 		}
 		return
 	}
-	for r := g.Q0 / g.W; r*g.W < g.Q1; r++ {
-		q := r * g.W
-		if c0, c1 := max(g.Lo, g.Q0-q), min(g.Hi, g.Q1-q); c0 < c1 {
-			m.loadRun(words, row0+q+c0, c1-c0, src[r*g.Pitch+(c0-g.Lo)*g.Stride:], g.Stride, fmask, fsign)
+	for q, off := ra, (ra-base)/g.W*g.Pitch; q < b; q, off = q+g.W, off+g.Pitch {
+		c0, c1 := max(q, a), min(q+g.W, b)         // the row's positions in the range
+		v0, v1 := max(c0, q+g.Lo), min(c1, q+g.Hi) // and its valid ones
+		if v0 >= v1 {
+			m.zero(words, row0+c0, c1-c0)
+			continue
 		}
+		m.zero(words, row0+c0, v0-c0)
+		m.loadRun(words, row0+v0, v1-v0, src[off+(v0-q-g.Lo)*g.Stride:], g.Stride, fmask, fsign)
+		m.zero(words, row0+v1, c1-v1)
+	}
+}
+
+// zero stores zero into rows [r, r+n) of words, the lanes of whole words
+// at once.
+//
+//rtmap:noalloc
+func (m *Machine) zero(words []uint64, r, n int) {
+	if n > 0 {
+		m.zeroRun(words, r, n)
+	}
+}
+
+// zeroRun is zero's loop, out of line so that zero inlines and an empty
+// range, the common case, costs no call.
+//
+//rtmap:noalloc
+func (m *Machine) zeroRun(words []uint64, r, n int) {
+	for n > 0 {
+		bit := uint(r) * m.lane
+		w, lo := bit>>6, bit&63
+		k := min(n, int((64-lo)>>m.lg)) // rows in this word
+		if k<<m.lg == 64 {
+			words[w] = m.bias
+		} else {
+			msk := ^uint64(0) >> (64 - uint(k)<<m.lg) << lo
+			words[w] = words[w]&^msk | m.bias&msk
+		}
+		r, n = r+k, n-k
 	}
 }
 
@@ -747,12 +843,12 @@ func (m *Machine) loadRun(words []uint64, row0, n int, src []int32, stride int, 
 // must start a word and the columns share a format, or it panics.
 //
 //rtmap:noalloc
-func (m *Machine) CopyRows(dst, dstRow, src, srcRow, n int) {
+func (m *Machine) CopyRows(dst Slot, dstRow int, src Slot, srcRow, n int) {
 	per := 64 >> m.lg
-	if n < 0 || max(dstRow, srcRow)+n > m.rows || (dstRow|srcRow)&(per-1) != 0 || m.plan.fmts[dst] != m.plan.fmts[src] {
-		panic(fmt.Sprintf("ap: CopyRows %d rows from column %d row %d to column %d row %d", n, src, srcRow, dst, dstRow))
+	if n < 0 || max(dstRow, srcRow)+n > m.rows || (dstRow|srcRow)&(per-1) != 0 || dst.fmt != src.fmt {
+		panic(fmt.Sprintf("ap: CopyRows %d rows from slot %+v row %d to slot %+v row %d", n, src, srcRow, dst, dstRow))
 	}
-	d, s := m.col(m.plan.slot[dst])[dstRow/per:], m.col(m.plan.slot[src])[srcRow/per:]
+	d, s := m.col(dst.s)[dstRow/per:], m.col(src.s)[srcRow/per:]
 	k := copy(d[:n/per], s)
 	if rem := uint(n-k*per) * m.lane; rem > 0 {
 		d[k] ^= (d[k] ^ s[k]) & (1<<rem - 1)

@@ -2,6 +2,7 @@ package ap
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"unsafe"
@@ -143,12 +144,13 @@ func randomProgram(rng *rand.Rand, lane int) *Program {
 
 // run1D is the one-row grid of an n-value run.
 func run1D(n, stride int) Grid {
-	return Grid{Q1: n, W: n, Hi: n, Pitch: n * stride, Stride: stride}
+	return Grid{W: n, R1: 1, Hi: n, Pitch: n * stride, Stride: stride}
 }
 
 // setRows loads consecutive values into rows [row0, row0+len(vals)).
 func setRows(m *Machine, col, row0 int, vals []int32) {
-	m.LoadRows(col, row0, vals, run1D(len(vals), 1))
+	g := run1D(len(vals), 1)
+	m.LoadRows(m.plan.Slot(col), row0, vals, &g, 0, len(vals))
 }
 
 func loadRandom(rng *rand.Rand, p *Program, rows int) [][]int64 {
@@ -249,7 +251,7 @@ func TestMachineMatchesExecRandomPrograms(t *testing.T) {
 							lane, rows, trial, plan.LaneBits(), p.Cols)
 					}
 					shapes.see(plan)
-					m.Reset(plan, rows)
+					m.Reset(plan, rows, nil)
 
 					vals := loadRandom(rng, p, rows)
 					v32 := make([]int32, rows)
@@ -351,7 +353,7 @@ func TestMachineMatchesExecRandomTempPrograms(t *testing.T) {
 					if plan.Slots() < len(p.Cols) {
 						narrower++
 					}
-					m.Reset(plan, rows)
+					m.Reset(plan, rows, nil)
 					vals := loadRandom(rng, p, rows)
 					v32 := make([]int32, rows)
 					for c := 1; c < len(p.Cols); c++ {
@@ -418,7 +420,7 @@ func TestMachineMatchesExecMixedSignCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Machine
-	m.Reset(plan, rows)
+	m.Reset(plan, rows, nil)
 	v32 := make([]int32, rows)
 	for r, v := range srcVals {
 		v32[r] = int32(v)
@@ -492,7 +494,7 @@ func TestWidth62CopyWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Machine
-	m.Reset(plan, rows)
+	m.Reset(plan, rows, nil)
 	setRows(&m, colA, 0, []int32{1 << 30, 1 << 30})
 	m.Run()
 	for r := 0; r < rows; r++ {
@@ -508,6 +510,46 @@ func TestWidth62CopyWraps(t *testing.T) {
 	}
 }
 
+// Reset clears every slot of the zero set but those of the loaded
+// columns, which keep what they held; a column loaded at one Reset is
+// cleared at the next, also when the stamp wraps around.
+func TestResetLeavesLoadedColumns(t *testing.T) {
+	p := buildProgram([]int{8, 8, 8}, []bool{false, false, false})
+	p.Instrs = []Instr{{Op: OpAdd, Dst: 3, A: 1, B: 2, Width: 8}} // zero set: columns 1 and 2
+	plan, err := NewExecPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 6
+	var m Machine
+	// reset poisons columns 1 and 2, resets with the loaded columns, and
+	// checks which kept their poison.
+	reset := func(label string, loaded []int, kept1, kept2 bool) {
+		t.Helper()
+		for _, c := range []int{1, 2} {
+			setRows(&m, c, 0, []int32{9, -9, 9, -9, 9, -9})
+		}
+		var slots []Slot
+		for _, c := range loaded {
+			slots = append(slots, plan.Slot(c))
+		}
+		m.Reset(plan, rows, slots)
+		for c, kept := range map[int]bool{1: kept1, 2: kept2} {
+			for r, v := range m.Column(c) {
+				if (v != 0) != kept {
+					t.Fatalf("%s: column %d row %d reads %d after Reset", label, c, r, v)
+				}
+			}
+		}
+	}
+	m.Reset(plan, rows, []Slot{plan.Slot(2)}) // the first stamp
+	m.stamp = math.MaxUint32
+	reset("stamp wrapped to the first", nil, false, false)
+	reset("column 2 loaded", []int{2}, false, true)
+	reset("none loaded", nil, false, false)
+	reset("both loaded", []int{1, 2}, true, true)
+}
+
 // LoadRows wraps to the stored format and gathers a strided source, and
 // AccumulateColumn adds in place over a row segment — the batched
 // load/reduce primitives.
@@ -518,7 +560,7 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Machine
-	m.Reset(plan, 6)
+	m.Reset(plan, 6, nil)
 	setRows(&m, 1, 0, []int32{15, 16, 17})  // 4-bit unsigned: wraps mod 16
 	setRows(&m, 1, 3, []int32{-1, 255, 31}) // segment load at row 3
 	want := []int64{15, 0, 1, 15, 15, 15}
@@ -536,7 +578,8 @@ func TestSetColumnInt32AndAccumulate(t *testing.T) {
 	}
 	// Every second source element into the signed 8-bit column, starting
 	// mid-word: 200 wraps to -56.
-	m.LoadRows(2, 1, []int32{1, 99, -2, 99, 200, 99, 127}, run1D(4, 2))
+	g := run1D(4, 2)
+	m.LoadRows(plan.Slot(2), 1, []int32{1, 99, -2, 99, 200, 99, 127}, &g, 0, 4)
 	for r, w := range []int64{1, -2, -56, 127} {
 		if got := m.Column(2)[1+r]; got != w {
 			t.Fatalf("strided row %d: %d, want %d", 1+r, got, w)
@@ -590,7 +633,7 @@ func BenchmarkMachineRun(b *testing.B) {
 			b.Run(fmt.Sprintf("kernel=%s/words=%d", k.name, words), func(b *testing.B) {
 				defer swapKernels(k)()
 				var m Machine
-				m.Reset(plan, words*4)
+				m.Reset(plan, words*4, nil)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					m.Run()
@@ -642,11 +685,13 @@ func lanePlan(t testing.TB, lane int) (*Program, *ExecPlan) {
 // of the source, the ends and strided runs lane by lane — and must equal
 // one put per position: every grid width a convolution loads on both
 // sides of a word, both strides, a contiguous pitch and a pad-0 one, 0–3
-// border columns on each side, grids that start and end mid-row and on
-// row ends, every alignment of the first row, every column format, and
-// int32s far outside the format. Rows outside the grid keep what a
-// previous load left; border positions, which read zero before the call
-// (the zero-set contract), read zero after it. Under every kernel set.
+// border columns on each side, every row valid or only the middle one (a
+// tap with a padding row above and below), ranges that start and end
+// mid-row and on row ends, every alignment of the first row, every column
+// format, and int32s far outside the format. Every row starts poisoned:
+// each row of the range must read its value, or zero at a border
+// position, and every row outside it keeps what was there. Under every
+// kernel set.
 func TestLoadRowsMatchesPerLane(t *testing.T) {
 	eachKernel(t, testLoadRowsMatchesPerLane)
 }
@@ -659,21 +704,23 @@ func testLoadRowsMatchesPerLane(t *testing.T) {
 		rows := 64/lane + gridRows*32
 		rng := rand.New(rand.NewPCG(uint64(lane), 0x10ad))
 		var got, want Machine
-		got.Reset(plan, rows)
-		want.Reset(plan, rows)
+		got.Reset(plan, rows, nil)
+		want.Reset(plan, rows, nil)
 		for _, w := range []int{1, 3, 4, 7, 8, 32} {
 			for _, stride := range []int{1, 2} {
 				for _, pitch := range []int{w * stride, (w + 2) * stride} {
 					for lo := 0; lo <= 3 && lo < w; lo++ {
 						for rb := 0; rb <= 3 && rb < w; rb++ {
 							hi := max(lo, w-rb)
-							for _, q0 := range []int{0, 1, w - 1, w} {
-								for _, q1 := range []int{2*w - 1, 2 * w, 2*w + 1, gridRows * w} {
-									for row0 := 0; row0 < 64/lane && q0 <= q1; row0++ {
-										cases++
-										col := 1 + cases%(len(p.Cols)-1)
-										g := Grid{Q0: q0, Q1: q1, W: w, Lo: lo, Hi: hi, Pitch: pitch, Stride: stride}
-										checkGridLoad(t, rng, &got, &want, p.Cols[col], col, row0, g)
+							for _, win := range [][2]int{{0, gridRows}, {1, gridRows - 1}} {
+								for _, q0 := range []int{0, 1, w - 1, w} {
+									for _, q1 := range []int{2*w - 1, 2 * w, 2*w + 1, gridRows * w} {
+										for row0 := 0; row0 < 64/lane && q0 <= q1; row0++ {
+											cases++
+											col := 1 + cases%(len(p.Cols)-1)
+											g := Grid{W: w, R0: win[0], R1: win[1], Lo: lo, Hi: hi, Pitch: pitch, Stride: stride}
+											checkGridLoad(t, rng, &got, &want, p.Cols[col], col, row0, g, q0, q1)
+										}
 									}
 								}
 							}
@@ -683,51 +730,55 @@ func testLoadRowsMatchesPerLane(t *testing.T) {
 			}
 		}
 	}
-	if cases < 20000 {
+	if cases < 40000 {
 		t.Fatalf("only %d grid loads checked; the sweep regressed", cases)
 	}
 }
 
-// checkGridLoad runs one grid load on got and its per-position reference
-// on want, from the same random prior state, and compares every row.
-func checkGridLoad(t *testing.T, rng *rand.Rand, got, want *Machine, meta Col, col, row0 int, g Grid) {
+// checkGridLoad runs the load of positions [q0, q1) of g on got and its
+// per-position reference on want, from the same random prior state in
+// every row, and compares every row.
+func checkGridLoad(t *testing.T, rng *rand.Rand, got, want *Machine, meta Col, col, row0 int, g Grid, q0, q1 int) {
 	t.Helper()
-	valid := func(q int) bool { c := q % g.W; return c >= g.Lo && c < g.Hi }
+	valid := func(q int) bool { r, c := q/g.W, q%g.W; return r >= g.R0 && r < g.R1 && c >= g.Lo && c < g.Hi }
+	at := func(q int) int { return (q/g.W-g.R0)*g.Pitch + (q%g.W-g.Lo)*g.Stride }
 	srcLen := 0 // exact: an over-read panics
-	for q := g.Q0; q < g.Q1; q++ {
+	for q := q0; q < q1; q++ {
 		if valid(q) {
-			srcLen = q/g.W*g.Pitch + (q%g.W-g.Lo)*g.Stride + 1
+			srcLen = at(q) + 1
 		}
 	}
 	src := make([]int32, srcLen)
 	for i := range src {
 		src[i] = int32(rng.Uint32()) >> (rng.UintN(4) * 8) // all magnitudes, both signs
 	}
-	for r := 0; r < got.rows; r++ { // what a previous load left behind
+	for r := 0; r < got.rows; r++ { // what a previous plan left behind
 		v := wrap(int64(rng.Int32()), meta.Width, meta.Unsigned)
-		if q := g.Q0 + r - row0; q >= g.Q0 && q < g.Q1 && !valid(q) {
-			v = 0
-		}
 		got.put(int32(col), r, v)
 		want.put(int32(col), r, v)
 	}
-	got.LoadRows(col, row0, src, g)
-	for q := g.Q0; q < g.Q1; q++ {
+	got.LoadRows(got.plan.Slot(col), row0, src, &g, q0, q1)
+	for q := q0; q < q1; q++ {
+		v := int64(0)
 		if valid(q) {
-			v := src[q/g.W*g.Pitch+(q%g.W-g.Lo)*g.Stride]
-			want.put(int32(col), row0+q-g.Q0, wrap(int64(v), meta.Width, meta.Unsigned))
+			v = wrap(int64(src[at(q)]), meta.Width, meta.Unsigned)
 		}
+		want.put(int32(col), row0+q-q0, v)
 	}
 	for r := 0; r < got.rows; r++ {
 		if a, b := got.get(int32(col), r), want.get(int32(col), r); a != b {
-			t.Fatalf("lane %d col %+v grid %+v row0 %d: row %d holds %d, want %d", got.lane, meta, g, row0, r, a, b)
+			t.Fatalf("lane %d col %+v grid %+v [%d, %d) row0 %d: row %d holds %d, want %d", got.lane, meta, g, q0, q1, row0, r, a, b)
 		}
 	}
 }
 
-// A grid with no valid column loads nothing, and a grid outside the
-// machine or with its valid columns outside the grid panics, under every
-// kernel set.
+// From a poisoned column, positions [1, 9) of a grid 4 wide load into
+// rows [2, 10): every row of the range reads its value or, at a border
+// position, zero, and every other row keeps its poison — for a grid with
+// no valid column, one with no valid row, a strided one with neither, and
+// a contiguous and a strided one with a padding row above and below and a
+// border column on each side. A range outside the machine or a grid with
+// its valid columns or rows out of order panics. Under every kernel set.
 func TestLoadRowsGridEdges(t *testing.T) {
 	eachKernel(t, testLoadRowsGridEdges)
 }
@@ -735,27 +786,48 @@ func TestLoadRowsGridEdges(t *testing.T) {
 func testLoadRowsGridEdges(t *testing.T) {
 	_, plan := lanePlan(t, 16)
 	var m Machine
-	m.Reset(plan, 8)
-	setRows(&m, 1, 0, []int32{1, 2, 3, 4, 5, 6, 7, -8})
-	m.LoadRows(1, 0, nil, Grid{Q1: 8, W: 4, Lo: 2, Hi: 2, Pitch: 4, Stride: 1})
-	for r, v := range m.Column(1) {
-		if want := int64(r + 1); r == 7 && v != -8 || r < 7 && v != want {
-			t.Fatalf("row %d of an empty grid's column reads %d", r, v)
+	m.Reset(plan, 12, nil)
+	poison := []int32{1, 2, 3, 4, 5, 6, 7, -8, 1, 2, 3, 4}
+	src := []int32{10, 11, 12, 13, 14, 15}
+	for _, c := range []struct {
+		g    Grid
+		want []int64 // rows [2, 10)
+	}{
+		{Grid{W: 4, R1: 3, Lo: 2, Hi: 2, Pitch: 4, Stride: 1}, make([]int64, 8)},
+		{Grid{W: 4, R0: 2, R1: 2, Hi: 4, Pitch: 4, Stride: 1}, make([]int64, 8)},
+		{Grid{W: 4, R0: 1, R1: 1, Lo: 1, Hi: 3, Pitch: 8, Stride: 2}, make([]int64, 8)},
+		{Grid{W: 4, R0: 1, R1: 2, Lo: 1, Hi: 3, Pitch: 4, Stride: 1}, []int64{0, 0, 0, 0, 10, 11, 0, 0}},
+		{Grid{W: 4, R0: 1, R1: 2, Lo: 1, Hi: 3, Pitch: 8, Stride: 2}, []int64{0, 0, 0, 0, 10, 12, 0, 0}},
+	} {
+		setRows(&m, 2, 0, poison)
+		m.LoadRows(plan.Slot(2), 2, src, &c.g, 1, 9)
+		for r, v := range m.Column(2) {
+			want := int64(poison[r])
+			if r >= 2 && r < 10 {
+				want = c.want[r-2]
+			}
+			if v != want {
+				t.Fatalf("grid %+v: row %d reads %d, want %d", c.g, r, v, want)
+			}
 		}
 	}
-	for _, g := range []Grid{
-		{Q1: 9, W: 9, Hi: 9, Pitch: 9, Stride: 1},
-		{Q0: 2, Q1: 1, W: 4, Hi: 4, Pitch: 4, Stride: 1},
-		{Q1: 4, W: 4, Lo: 3, Hi: 2, Pitch: 4, Stride: 1},
-		{Q1: 4, W: 4, Hi: 5, Pitch: 4, Stride: 1},
+	for _, c := range []struct {
+		g      Grid
+		q0, q1 int
+	}{
+		{Grid{W: 13, R1: 1, Hi: 13, Pitch: 13, Stride: 1}, 0, 13},
+		{Grid{W: 4, R1: 1, Hi: 4, Pitch: 4, Stride: 1}, 2, 1},
+		{Grid{W: 4, R1: 1, Lo: 3, Hi: 2, Pitch: 4, Stride: 1}, 0, 4},
+		{Grid{W: 4, R1: 1, Hi: 5, Pitch: 4, Stride: 1}, 0, 4},
+		{Grid{W: 4, R0: 2, R1: 1, Hi: 4, Pitch: 4, Stride: 1}, 0, 4},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("grid %+v did not panic", g)
+					t.Errorf("grid %+v [%d, %d) did not panic", c.g, c.q0, c.q1)
 				}
 			}()
-			m.LoadRows(1, 0, make([]int32, 16), g)
+			m.LoadRows(plan.Slot(1), 0, make([]int32, 16), &c.g, c.q0, c.q1)
 		}()
 	}
 }
@@ -781,7 +853,7 @@ func TestCopyRowsMatchesPerLane(t *testing.T) {
 		rows := 12 * per
 		rng := rand.New(rand.NewPCG(uint64(lane), 0xc0b1))
 		var m Machine
-		m.Reset(plan, rows)
+		m.Reset(plan, rows, nil)
 		for _, n := range []int{0, 1, per - 1, per, 5*per + 1} {
 			for _, sw := range []int{0, 1, 5} {
 				for _, dw := range []int{0, 2, 5} {
@@ -791,7 +863,7 @@ func TestCopyRowsMatchesPerLane(t *testing.T) {
 					}
 					from, want := m.Column(src), m.Column(dst)
 					copy(want[dw*per:dw*per+n], from[sw*per:])
-					m.CopyRows(dst, dw*per, src, sw*per, n)
+					m.CopyRows(plan.Slot(dst), dw*per, plan.Slot(src), sw*per, n)
 					for r, v := range m.Column(dst) {
 						if v != want[r] {
 							t.Fatalf("lane %d: %d rows from row %d to row %d: row %d holds %d, want %d",
@@ -812,7 +884,7 @@ func TestCopyRowsMatchesPerLane(t *testing.T) {
 						t.Errorf("lane %d: CopyRows%v did not panic", lane, args)
 					}
 				}()
-				m.CopyRows(args[0], args[1], args[2], args[3], args[4])
+				m.CopyRows(plan.Slot(args[0]), args[1], plan.Slot(args[2]), args[3], args[4])
 			}()
 		}
 	}
@@ -832,7 +904,7 @@ func testAccumulateColumnMatchesPerLane(t *testing.T) {
 		const rows = 48
 		rng := rand.New(rand.NewPCG(uint64(lane), 0xacc))
 		var m Machine
-		m.Reset(plan, rows)
+		m.Reset(plan, rows, nil)
 		for col := 1; col < len(p.Cols); col++ {
 			meta := p.Cols[col]
 			for r := 0; r < rows; r++ {
@@ -861,15 +933,15 @@ func testAccumulateColumnMatchesPerLane(t *testing.T) {
 // benchGrids are the grids vgg9's 3×3 convolutions load at 16-bit lanes,
 // one whole output plane of rows w long: the centre kernel column (no
 // border), the left (one border column on the left of each row) and the
-// right, all contiguous; and a stride-2 centre tap over an input twice as
-// wide, one run per row.
+// right, all contiguous; the top centre tap (a padding row above); and a
+// stride-2 centre tap over an input twice as wide, one run per row.
 func benchGrids(w int) map[string]Grid {
-	n := w * w
 	return map[string]Grid{
-		"centre":  {Q1: n, W: w, Lo: 0, Hi: w, Pitch: w, Stride: 1},
-		"left":    {Q1: n, W: w, Lo: 1, Hi: w, Pitch: w, Stride: 1},
-		"right":   {Q1: n, W: w, Lo: 0, Hi: w - 1, Pitch: w, Stride: 1},
-		"stride2": {Q1: n, W: w, Lo: 0, Hi: w, Pitch: 4 * w, Stride: 2},
+		"centre":  {W: w, R1: w, Lo: 0, Hi: w, Pitch: w, Stride: 1},
+		"left":    {W: w, R1: w, Lo: 1, Hi: w, Pitch: w, Stride: 1},
+		"right":   {W: w, R1: w, Lo: 0, Hi: w - 1, Pitch: w, Stride: 1},
+		"top":     {W: w, R0: 1, R1: w, Lo: 0, Hi: w, Pitch: w, Stride: 1},
+		"stride2": {W: w, R1: w, Lo: 0, Hi: w, Pitch: 4 * w, Stride: 2},
 	}
 }
 
@@ -886,15 +958,15 @@ func BenchmarkLoadRows(b *testing.B) {
 				src[i] = int32(i*37 - 1000)
 			}
 			var m Machine
-			m.Reset(plan, w*w)
-			for _, kind := range []string{"centre", "left", "right", "stride2"} {
+			m.Reset(plan, w*w, nil)
+			for _, kind := range []string{"centre", "left", "right", "top", "stride2"} {
 				g := benchGrids(w)[kind]
 				b.Run(fmt.Sprintf("kernel=%s/w=%d/%s", k.name, w, kind), func(b *testing.B) {
 					defer swapKernels(k)()
 					for i := 0; i < b.N; i++ {
-						m.LoadRows(1, 0, src, g)
+						m.LoadRows(plan.Slot(1), 0, src, &g, 0, w*w)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.Q1), "ns/elem")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w*w), "ns/elem")
 				})
 			}
 		}
@@ -910,11 +982,11 @@ func BenchmarkCopyRows(b *testing.B) {
 	}
 	for _, w := range []int{32, 16, 8} {
 		var m Machine
-		m.Reset(plan, w*w)
+		m.Reset(plan, w*w, nil)
 		n := w*w - w
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.CopyRows(2, 0, 1, w, n)
+				m.CopyRows(plan.Slot(2), 0, plan.Slot(1), w, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 		})
@@ -927,7 +999,7 @@ func BenchmarkCopyRows(b *testing.B) {
 func BenchmarkAccumulateColumn(b *testing.B) {
 	_, plan := lanePlan(b, 16)
 	var m Machine
-	m.Reset(plan, 1025)
+	m.Reset(plan, 1025, nil)
 	dst := make([]int32, 1024)
 	for _, k := range kernelSets {
 		for _, n := range []int{1024, 64} {

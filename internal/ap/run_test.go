@@ -51,7 +51,7 @@ func TestKernelSelection(t *testing.T) {
 func guardedMachine(plan *ExecPlan, rows int, vals map[int][]int32) *Machine {
 	m := &Machine{flat: make([]uint64, 0, plan.Slots()*rows+64)} // a slot holds at most rows words
 	fill(m.flat[:cap(m.flat)], 0x5a5a_5a5a_5a5a_5a5a)
-	m.Reset(plan, rows)
+	m.Reset(plan, rows, nil)
 	for c, v := range vals {
 		setRows(m, c, 0, v)
 	}
@@ -183,7 +183,7 @@ func TestRunAcrossChunks(t *testing.T) {
 			rows := words * 4
 			vals := loadRandom(rng, p, rows)
 			var m Machine
-			m.Reset(plan, rows)
+			m.Reset(plan, rows, nil)
 			v32 := make([]int32, rows)
 			for c := 1; c <= nIn; c++ {
 				for r, v := range vals[c] {
@@ -212,7 +212,7 @@ func TestRunAllocFree(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, words := range []int{1, 8, 64} {
 			var m Machine
-			m.Reset(plan, words*4)
+			m.Reset(plan, words*4, nil)
 			if n := testing.AllocsPerRun(10, m.Run); n != 0 {
 				t.Fatalf("words %d: Run allocates %v times", words, n)
 			}
@@ -233,14 +233,14 @@ func TestMoverVectorTails(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(16, 0x7a11))
 		var got, want Machine
-		got.Reset(plan, rows)
-		want.Reset(plan, rows)
+		got.Reset(plan, rows, nil)
+		want.Reset(plan, rows, nil)
 		for col := 1; col < len(p.Cols); col++ {
 			for words := 0; words <= 12; words++ {
 				for row0 := 0; row0 < 4; row0++ {
 					for _, tail := range []int{0, 1, 3} {
 						n := (4-row0)%4 + 4*words + tail
-						checkGridLoad(t, rng, &got, &want, p.Cols[col], col, row0, run1D(n, 1))
+						checkGridLoad(t, rng, &got, &want, p.Cols[col], col, row0, run1D(n, 1), 0, n)
 						acc, ref := make([]int32, n), make([]int32, n)
 						for i := range acc {
 							acc[i] = rng.Int32() >> 4

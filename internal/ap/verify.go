@@ -636,8 +636,9 @@ func (plan *ExecPlan) auditRanges(p *Program) []Violation {
 }
 
 // auditZeroSet requires the slot of every column the program reads
-// before any op writes it — exactly the storage Machine.Reset must clear
-// on arena reuse — in the plan's reset set. A superset is sound (clearing
+// before any op writes it — exactly the storage that must read zero on
+// arena reuse, which Machine.Reset clears but for the columns its caller
+// loads — in the plan's reset set. A superset is sound (clearing
 // more than necessary wastes a little work); a missing slot leaks stale
 // values from the previous shape.
 func (plan *ExecPlan) auditZeroSet(p *Program, lv auditLiveness) []Violation {

@@ -446,8 +446,8 @@ func plansEquivalent(t *testing.T, rng *rand.Rand, p *Program, orig, mut *ExecPl
 	t.Helper()
 	const rows = 5
 	var mo, mm Machine
-	mo.Reset(orig, rows)
-	mm.Reset(mut, rows)
+	mo.Reset(orig, rows, nil)
+	mm.Reset(mut, rows, nil)
 	vals := loadRandom(rng, p, rows)
 	v32 := make([]int32, rows)
 	for c := 1; c < len(p.Cols); c++ {

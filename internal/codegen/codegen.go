@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -138,54 +137,9 @@ type TileProgram struct {
 	plan     *ap.ExecPlan
 	planErr  error
 
-	partsMu sync.Mutex
+	partsMu sync.Mutex // guards parts and loads
 	parts   map[int][]Part
-
-	inputsOnce sync.Once
-	inputs     []InputBinding
-
-	sourcesOnce sync.Once
-	sources     []int
-}
-
-// InputBinding is one entry of TileProgram.InputBindings: virtual input
-// column Virt carries patch position K of resident channel Chan.
-type InputBinding struct {
-	Virt, Chan, K int
-}
-
-// Inputs returns InputBindings in virtual-column order, built on first
-// use and memoized like ExecPlan. Replay walks it once per task: a slice
-// in arena order instead of a map in random order.
-func (tp *TileProgram) Inputs() []InputBinding {
-	tp.inputsOnce.Do(func() {
-		tp.inputs = make([]InputBinding, 0, len(tp.InputBindings))
-		for v, bind := range tp.InputBindings {
-			tp.inputs = append(tp.inputs, InputBinding{Virt: v, Chan: bind[0], K: bind[1]})
-		}
-		sort.Slice(tp.inputs, func(i, j int) bool { return tp.inputs[i].Virt < tp.inputs[j].Virt })
-	})
-	return tp.inputs
-}
-
-// TapSources returns, per entry of Inputs, the column bound to its channel
-// and kernel column in kernel row pad, or -1 if that is itself or unbound.
-// Memoized like Inputs: fw and pad are the layer's, fixed per program.
-func (tp *TileProgram) TapSources(fw, pad int) []int {
-	tp.sourcesOnce.Do(func() {
-		virt := make(map[[2]int]int, len(tp.InputBindings))
-		for v, bind := range tp.InputBindings {
-			virt[bind] = v
-		}
-		for _, in := range tp.Inputs() {
-			src, ok := virt[[2]int{in.Chan, pad*fw + in.K%fw}]
-			if !ok || src == in.Virt {
-				src = -1
-			}
-			tp.sources = append(tp.sources, src)
-		}
-	})
-	return tp.sources
+	loads   map[int][]PartLoads
 }
 
 // ExecPlan returns Prog lowered for repeated execution, built on first
@@ -222,12 +176,17 @@ func (tp *TileProgram) Parts(g int) ([]Part, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(tp.ChanAt)
-	g = max(1, min(g, n))
 	tp.partsMu.Lock()
 	defer tp.partsMu.Unlock()
+	return tp.cut(plan, g), nil
+}
+
+// cut is Parts under partsMu.
+func (tp *TileProgram) cut(plan *ap.ExecPlan, g int) []Part {
+	n := len(tp.ChanAt)
+	g = max(1, min(g, n))
 	if ps, ok := tp.parts[g]; ok {
-		return ps, nil
+		return ps
 	}
 	var ps []Part
 	if g == 1 {
@@ -259,7 +218,101 @@ func (tp *TileProgram) Parts(g int) ([]Part, error) {
 		tp.parts = make(map[int][]Part)
 	}
 	tp.parts[g] = ps
-	return ps, nil
+	return ps
+}
+
+// Tap is where one patch position of a layer reads a channel's input
+// plane, the same for every channel. Grid spans the layer's whole output
+// plane: its valid rows and columns are the output positions whose patch
+// position lands inside the input, and a tap with none is a padding tap.
+// Base is the offset in the plane of the grid's first source element.
+// In a layer whose kernel rows lie whole output rows apart, From is the
+// patch position of kernel row pad in the tap's kernel column, whose
+// column holds the tap's rows Shift rows further on; elsewhere, and for
+// kernel row pad itself, From is -1.
+type Tap struct {
+	Grid        ap.Grid
+	Base        int
+	From, Shift int
+}
+
+// Load is one input column's entry in a part's load list: column Col,
+// resolved to its slot and format, loads its tap's Grid from the layer's
+// input tensor, whose element Base is the grid's first source element.
+// A nonzero Shift, a whole number of the plan's words, says that column
+// Src of the same channel holds this column's rows Shift rows on: the
+// rows it has a source for may be copied from it. Shift 0: no source.
+type Load struct {
+	Col, Src ap.Slot
+	Grid     ap.Grid
+	Base     int
+	Shift    int
+}
+
+// PartLoads is the load list of one part: an entry for each input column
+// of the part's channels whose tap lands in the input, in column order
+// with the columns that copy from another last, so every source is
+// loaded before a column copies from it. Cols are the entries' columns,
+// the ones ap.Machine.Reset leaves to the loads; a padding tap's column
+// is in none and stays as Reset clears it.
+type PartLoads struct {
+	Loads []Load
+	Cols  []ap.Slot
+}
+
+// Loads returns the load lists of Parts(g)'s parts over a layer's taps
+// (one per patch position), the input channel of each resident channel
+// and the size of a channel plane. Memoized per g like Parts: the
+// geometry is the layer's, fixed per program (the compile cache keys a
+// program on its layer's shapes), so a later call's is not read.
+func (tp *TileProgram) Loads(g int, taps []Tap, channels []int, plane int) ([]PartLoads, error) {
+	plan, err := tp.ExecPlan()
+	if err != nil {
+		return nil, err
+	}
+	tp.partsMu.Lock()
+	defer tp.partsMu.Unlock()
+	ps := tp.cut(plan, g)
+	if ls, ok := tp.loads[len(ps)]; ok {
+		return ls, nil
+	}
+	cols := make([]int, 0, len(tp.InputBindings))
+	virt := make([]int, len(tp.ChanAt)*len(taps)) // ch·K + k: 1 + the column bound to it, 0: none
+	for v, bind := range tp.InputBindings {
+		cols = append(cols, v)
+		virt[bind[0]*len(taps)+bind[1]] = v + 1
+	}
+	slices.Sort(cols)
+	ls := make([]PartLoads, len(ps))
+	for i, pt := range ps {
+		per := 64 / pt.Plan.LaneBits()
+		var copies []Load
+		for _, v := range cols {
+			bind := tp.InputBindings[v]
+			ch, t := bind[0], &taps[bind[1]]
+			if ch < pt.Chan0 || ch >= pt.Chan1 || t.Grid.R0 == t.Grid.R1 || t.Grid.Lo == t.Grid.Hi {
+				continue
+			}
+			ld := Load{Col: pt.Plan.Slot(v), Grid: t.Grid, Base: channels[ch]*plane + t.Base}
+			if t.From >= 0 && t.Shift&(per-1) == 0 {
+				if src := virt[ch*len(taps)+t.From]; src > 0 {
+					ld.Src, ld.Shift = pt.Plan.Slot(src-1), t.Shift
+					copies = append(copies, ld)
+					continue
+				}
+			}
+			ls[i].Loads = append(ls[i].Loads, ld)
+		}
+		ls[i].Loads = append(ls[i].Loads, copies...)
+		for _, ld := range ls[i].Loads {
+			ls[i].Cols = append(ls[i].Cols, ld.Col)
+		}
+	}
+	if tp.loads == nil {
+		tp.loads = make(map[int][]PartLoads)
+	}
+	tp.loads[len(ps)] = ls
+	return ls, nil
 }
 
 // TileBuilder incrementally emits the program of one tile: accumulator
@@ -277,7 +330,15 @@ type TileBuilder struct {
 	// patch position k of resident channel ch, 0 while it has none.
 	inVirt   []int
 	name     []byte // scratch for column names
+	frag     fragment
 	finished bool
+}
+
+// fragment is AddChannel's per-node and per-group scratch, kept by the
+// builder so that a tile of thousands of fragments allocates it once.
+type fragment struct {
+	last, uses, group, refcount, inputIdx, firstOut, nextOut []int // per node (nextOut: per output)
+	groupWidth, groupFinal, groupVirt                        []int // per chain group
 }
 
 // NewTileBuilder lays out carry and accumulators and emits the initial
@@ -314,10 +375,12 @@ func (b *TileBuilder) newVirt(c ap.Col, phys int) int {
 }
 
 // Reserve makes room for the fragments of graphs, so that a program's
-// instruction stream is allocated once: a fragment emits one instruction
-// per add/sub node and one accumulate per nonzero output.
+// instruction stream and column tables are allocated once: a fragment
+// emits one instruction per add/sub node and one accumulate per nonzero
+// output, and names a column for each input it reads and each chain of
+// ops it starts (AddChannel).
 func (b *TileBuilder) Reserve(graphs []*dfg.Graph) {
-	n := 0
+	n, cols := 0, 0
 	for _, g := range graphs {
 		n += g.NumOps()
 		for _, ref := range g.Outputs {
@@ -325,8 +388,27 @@ func (b *TileBuilder) Reserve(graphs []*dfg.Graph) {
 				n++
 			}
 		}
+		uses := g.UseCounts(b.frag.uses)
+		for i, nd := range g.Nodes {
+			switch {
+			case uses[i] == 0:
+			case nd.Kind == dfg.OpInput:
+				cols++
+			case !isOp(g, nd.A) || uses[nd.A] != 1:
+				cols++
+			}
+		}
+		b.frag.uses = uses
 	}
 	b.prog.Instrs = slices.Grow(b.prog.Instrs, n)
+	b.prog.Cols = slices.Grow(b.prog.Cols, cols)
+	b.phys = slices.Grow(b.phys, cols)
+}
+
+// isOp reports whether node i of g is an add or a sub.
+func isOp(g *dfg.Graph, i int) bool {
+	k := g.Nodes[i].Kind
+	return k == dfg.OpAdd || k == dfg.OpSub
 }
 
 // inputVirt returns (creating lazily) the virtual column of patch position
@@ -373,26 +455,22 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	}
 	b.chanAt = append(b.chanAt, len(b.prog.Instrs))
 
-	last := liveness(g)
-	uses := g.UseCounts()
+	f := &b.frag
+	f.last = liveness(g, f.last)
+	f.uses = g.UseCounts(f.uses)
+	last, uses := f.last, f.uses
 
 	// Chain grouping: node n joins its left operand's group when that
 	// operand is a single-use op node — those ops run in place on one
 	// shared column at the chain's maximum width.
-	group := make([]int, len(g.Nodes))
-	var groupWidth, groupFinal []int // per group: widest node, last node
-	isOp := func(i int) bool {
-		k := g.Nodes[i].Kind
-		return k == dfg.OpAdd || k == dfg.OpSub
-	}
-	for i := range g.Nodes {
-		group[i] = -1
-	}
+	f.group = fill(f.group, len(g.Nodes), -1)
+	group := f.group
+	groupWidth, groupFinal := f.groupWidth[:0], f.groupFinal[:0] // per group: widest node, last node
 	for i, nd := range g.Nodes {
-		if !isOp(i) || last[i] < 0 {
+		if !isOp(g, i) || last[i] < 0 {
 			continue
 		}
-		if isOp(nd.A) && uses[nd.A] == 1 && group[nd.A] >= 0 {
+		if isOp(g, nd.A) && uses[nd.A] == 1 && group[nd.A] >= 0 {
 			group[i] = group[nd.A]
 		} else {
 			group[i] = len(groupWidth)
@@ -405,15 +483,16 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 		groupFinal[group[i]] = i
 	}
 
-	// groupVirt is each group's virtual column while it holds one, else -1.
-	groupVirt := make([]int, len(groupWidth))
-	for i := range groupVirt {
-		groupVirt[i] = -1
-	}
-	refcount := make([]int, len(g.Nodes))
-	copy(refcount, uses)
+	f.groupWidth, f.groupFinal = groupWidth, groupFinal
 
-	inputIdx := make([]int, len(g.Nodes)) // node id → patch position
+	// groupVirt is each group's virtual column while it holds one, else -1.
+	f.groupVirt = fill(f.groupVirt, len(groupWidth), -1)
+	groupVirt := f.groupVirt
+	f.refcount = append(f.refcount[:0], uses...)
+	refcount := f.refcount
+
+	f.inputIdx = fill(f.inputIdx, len(g.Nodes), 0) // node id → patch position
+	inputIdx := f.inputIdx
 	for k, id := range g.Inputs {
 		inputIdx[id] = k
 	}
@@ -449,8 +528,8 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 	// row of the tile would hold a live temp column until the end of the
 	// fragment). firstOut[n] is 1 + n's first output, nextOut[o] 1 + the
 	// output after o; 0 ends a list.
-	firstOut := make([]int, len(g.Nodes))
-	nextOut := make([]int, len(g.Outputs))
+	f.firstOut, f.nextOut = fill(f.firstOut, len(g.Nodes), 0), fill(f.nextOut, len(g.Outputs), 0)
+	firstOut, nextOut := f.firstOut, f.nextOut
 	for o := len(g.Outputs) - 1; o >= 0; o-- {
 		if ref := g.Outputs[o]; !ref.Zero {
 			nextOut[o] = firstOut[ref.Node]
@@ -475,7 +554,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 
 	// Emit DFG ops, draining each value's accumulates eagerly.
 	for i, nd := range g.Nodes {
-		if !isOp(i) || last[i] < 0 {
+		if !isOp(g, i) || last[i] < 0 {
 			continue
 		}
 		gid := group[i]

@@ -142,7 +142,7 @@ func TestStatsAccounting(t *testing.T) {
 		// §IV-C chains: an op whose left operand is a single-use op runs
 		// in place on that operand's column; a chain's ops share its
 		// widest annotated width.
-		uses, last := g.UseCounts(), liveness(g)
+		uses, last := g.UseCounts(nil), liveness(g, nil)
 		chain := make([]int, len(g.Nodes))
 		var width, size []int
 		for i, nd := range g.Nodes {
@@ -272,18 +272,17 @@ func TestInputColumnsUniqueAndRepeatable(t *testing.T) {
 	}
 	a, b := build(), build()
 	if !reflect.DeepEqual(a.Prog, b.Prog) || !reflect.DeepEqual(a.Phys, b.Phys) ||
-		!reflect.DeepEqual(a.AccVirt, b.AccVirt) || !reflect.DeepEqual(a.Inputs(), b.Inputs()) {
+		!reflect.DeepEqual(a.AccVirt, b.AccVirt) || !reflect.DeepEqual(a.InputBindings, b.InputBindings) {
 		t.Fatal("two builds of one tile differ")
 	}
 	seen := map[[2]int]bool{}
-	for _, in := range a.Inputs() {
-		key := [2]int{in.Chan, in.K}
+	for v, key := range a.InputBindings {
 		if seen[key] {
-			t.Errorf("channel %d position %d bound to two columns", in.Chan, in.K)
+			t.Errorf("channel %d position %d bound to two columns", key[0], key[1])
 		}
 		seen[key] = true
-		if got, want := a.Prog.Cols[in.Virt].Name, fmt.Sprintf("x[ch%d][%d]", in.Chan, in.K); got != want {
-			t.Errorf("column %d is %s, bound as %s", in.Virt, got, want)
+		if got, want := a.Prog.Cols[v].Name, fmt.Sprintf("x[ch%d][%d]", key[0], key[1]); got != want {
+			t.Errorf("column %d is %s, bound as %s", v, got, want)
 		}
 	}
 	if len(seen) == 0 {

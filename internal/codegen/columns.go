@@ -8,13 +8,11 @@ import (
 )
 
 // liveness computes, for every node of g, the index of its last consumer
-// in node order. Outputs (and negated aliases) are consumed by the
-// accumulation phase after all nodes, encoded as len(Nodes).
-func liveness(g *dfg.Graph) []int {
-	last := make([]int, len(g.Nodes))
-	for i := range last {
-		last[i] = -1
-	}
+// in node order, in buf's storage when it has room. Outputs (and negated
+// aliases) are consumed by the accumulation phase after all nodes,
+// encoded as len(Nodes).
+func liveness(g *dfg.Graph, buf []int) []int {
+	last := fill(buf, len(g.Nodes), -1)
 	for i, nd := range g.Nodes {
 		if nd.Kind == dfg.OpAdd || nd.Kind == dfg.OpSub {
 			last[nd.A] = i
@@ -27,6 +25,18 @@ func liveness(g *dfg.Graph) []int {
 		}
 	}
 	return last
+}
+
+// fill returns n copies of v, in buf's storage when it has room.
+func fill(buf []int, n, v int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }
 
 // columnPool hands out physical CAM columns. Its free list is a stack, so

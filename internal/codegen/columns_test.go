@@ -11,7 +11,7 @@ func TestLivenessChain(t *testing.T) {
 	// ((x0+x1)+x2) → node ids: 0,1,2 inputs; 3=add(0,1); 4=add(3,2).
 	s := ternary.Slice{Cout: 1, K: 3, M: []int8{1, 1, 1}}
 	g := dfg.Build(s, dfg.Options{})
-	last := liveness(g)
+	last := liveness(g, nil)
 	if last[3] != 4 {
 		t.Errorf("intermediate last use %d, want 4", last[3])
 	}

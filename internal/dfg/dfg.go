@@ -99,9 +99,10 @@ func (g *Graph) Validate() error {
 }
 
 // UseCounts returns, per node, how many times it is consumed (by other
-// nodes or as an output; negated aliases count as uses).
-func (g *Graph) UseCounts() []int {
-	uses := make([]int, len(g.Nodes))
+// nodes or as an output; negated aliases count as uses), in buf's storage
+// when it has room.
+func (g *Graph) UseCounts(buf []int) []int {
+	uses := resize(buf, len(g.Nodes))
 	for _, nd := range g.Nodes {
 		if nd.Kind == OpAdd || nd.Kind == OpSub {
 			uses[nd.A]++
@@ -114,6 +115,16 @@ func (g *Graph) UseCounts() []int {
 		}
 	}
 	return uses
+}
+
+// resize returns n zeros, in buf's storage when it has room.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Eval evaluates the graph on one input vector (length = len(Inputs)) and

@@ -22,9 +22,11 @@
 // ForwardAPBatch/RunConvBatch lay a batch's im2col rows end to end so
 // every (strip, tile) program is interpreted once per cache-sized block
 // of them through precompiled ap.ExecPlans, on lane-packed arenas each
-// task gathers straight from the input tensors (one grid load per tap,
-// kernel rows of a stride-1 layer copied from kernel row pad), over a
-// persistent worker pool. Where feeding the workers would otherwise cut
+// task loads straight from the input tensors through its part's load
+// list (codegen.TileProgram.Loads: one grid load per input column and
+// batch item, kernel rows of a stride-1 layer copied from kernel row
+// pad, every row of a listed column written, so Reset clears only the
+// columns no load names), over a persistent worker pool. Where feeding the workers would otherwise cut
 // rows into blocks under four cache lines a column — vgg9's conv2_1 to
 // conv3_2 at batch 1 — the task shape cuts each program into parts at
 // channel boundaries instead (codegen.TileProgram.Parts): every part

@@ -65,16 +65,16 @@ func putMachine(m *ap.Machine) {
 // into it. Pooled so the steady-state path allocates nothing.
 type convCtx struct {
 	plan   *core.LayerPlan
-	parts  [][]codegen.Part // [strip·tiles + tile], cut before any task runs
-	nparts int              // parts per program
+	parts  [][]codegen.Part      // [strip·tiles + tile], cut before any task runs
+	loads  [][]codegen.PartLoads // the parts' load lists, likewise
+	nparts int                   // parts per program
 	spec   tensor.ConvSpec
 	ins    []*tensor.Int
 	outs   []*tensor.Int
 	rq     *model.Requant // the following act layer, applied per finished row block; nil: none
 	tile   []int          // tile row offsets
-	taps   []tap          // [kh·Fw + kw], set per call by setTaps
+	taps   []codegen.Tap  // [kh·Fw + kw], set per call by setTaps
 	plane  int            // elements of one input channel
-	derive bool           // stride 1, output plane = input's: a kernel column's taps lie whole rows apart
 
 	wg sync.WaitGroup
 	// mu orders the accumulation of tasks that split one output region
@@ -132,7 +132,13 @@ func submitConv(t convTask) {
 
 // runConvTask executes one row block of one tile across its parts: each
 // part runs once for the whole block, on the rows of its own channels
-// gathered straight from the input tensors.
+// loaded straight from the input tensors by its load list. Every load
+// writes every row of its column, so Reset clears only the columns no
+// load names. A layer of one output position loads one row per item. Any
+// other loads batch item by batch item: a column with a source copies
+// the rows the source holds when the item's first row starts a word (per
+// rows: the machine's own, as taskShape aligns to the layer's fewest),
+// and gathers the rest.
 //
 //rtmap:noalloc
 func runConvTask(t convTask) {
@@ -144,33 +150,56 @@ func runConvTask(t convTask) {
 	shared := t.u1-t.u0 < len(ctx.plan.StripPlans)*parts
 	last := !shared
 	for u := t.u0; u < t.u1; u++ {
-		s := u / parts
-		sp := &ctx.plan.StripPlans[s]
-		tp := sp.Programs[t.tile]
-		part := &ctx.parts[s*tiles+t.tile][u%parts]
-		m.Reset(part.Plan, t.g1-t.g0)
-		ins, srcs := tp.Inputs(), tp.TapSources(ctx.spec.Fw, ctx.spec.Pad)
-		c0, c1 := part.Chan0, min(part.Chan1, len(sp.Channels))
-		// Taps with a source last: in a derivable layer they copy from it.
-		for pass := 0; pass < 2; pass++ {
-			for i, in := range ins {
-				if c0 <= in.Chan && in.Chan < c1 && (pass == 1) == (ctx.derive && srcs[i] >= 0) {
-					ctx.load(m, t, in.Virt, srcs[i], sp.Channels[in.Chan], in.K, 64/part.Plan.LaneBits())
+		s, k := u/parts, u/parts*tiles+t.tile
+		tp := ctx.plan.StripPlans[s].Programs[t.tile]
+		part, loads := &ctx.parts[k][u%parts], &ctx.loads[k][u%parts]
+		m.Reset(part.Plan, t.g1-t.g0, loads.Cols)
+		if p == 1 {
+			for i := range loads.Loads {
+				ld := &loads.Loads[i]
+				for g := t.g0; g < t.g1; g++ {
+					m.SetRow(ld.Col, g-t.g0, ctx.ins[g].Data[ld.Base])
 				}
+			}
+		} else {
+			per := 64 / part.Plan.LaneBits()
+			for g := t.g0; g < t.g1; {
+				b, p0 := g/p, g%p
+				p1, row0, src := min(p, p0+t.g1-g), g-t.g0, ctx.ins[b].Data
+				for i := range loads.Loads {
+					ld := &loads.Loads[i]
+					if ld.Shift != 0 && row0&(per-1) == 0 {
+						// The positions of the tap's grid whose source rows lie in the item too.
+						c0 := max(p0, ld.Grid.R0*ld.Grid.W, p0-ld.Shift)
+						c1 := min(p1, ld.Grid.R1*ld.Grid.W, p1-ld.Shift)
+						if c0 < c1 {
+							m.CopyRows(ld.Col, row0+c0-p0, ld.Src, row0+c0-p0+ld.Shift, c1-c0)
+							if p0 < c0 {
+								m.LoadRows(ld.Col, row0, src[ld.Base:], &ld.Grid, p0, c0)
+							}
+							if c1 < p1 {
+								m.LoadRows(ld.Col, row0+c1-p0, src[ld.Base:], &ld.Grid, c1, p1)
+							}
+							continue
+						}
+					}
+					m.LoadRows(ld.Col, row0, src[ld.Base:], &ld.Grid, p0, p1)
+				}
+				g += p1 - p0
 			}
 		}
 		m.Run()
 		if shared {
 			ctx.mu.Lock()
 		}
-		for o, accV := range tp.AccVirt {
-			base := (ctx.tile[t.tile] + o) * p
-			for g := t.g0; g < t.g1; {
-				b, p0 := g/p, g%p
-				n := min(p-p0, t.g1-g)
-				m.AccumulateColumn(accV, g-t.g0, ctx.outs[b].Data[base+p0:base+p0+n])
-				g += n
+		for g := t.g0; g < t.g1; {
+			b, p0 := g/p, g%p
+			n, out := min(p-p0, t.g1-g), ctx.outs[b].Data
+			for o, accV := range tp.AccVirt {
+				at := (ctx.tile[t.tile]+o)*p + p0
+				m.AccumulateColumn(accV, g-t.g0, out[at:at+n])
 			}
+			g += n
 		}
 		if shared {
 			if u == t.u1-1 {
@@ -204,18 +233,14 @@ func (ctx *convCtx) requant(t convTask) {
 	}
 }
 
-// tap is one patch position (kh, kw) over the output plane: [Q0, Q1) the
-// rows whose tap lands in the input, base the plane offset (Q0's row, Lo)
-// reads, and shift where its kernel-row-pad source holds position p's.
-type tap struct {
-	ap.Grid
-	base, shift int
-}
-
-// setTaps computes one call's taps; one never inside the input is empty.
+// setTaps computes one call's taps, one per patch position (kh, kw):
+// the output positions whose patch position lands inside the input, and
+// where. A stride-1 layer whose output plane is its input's derives:
+// kernel row kh's taps are kernel row pad's, (kh − pad) output rows on.
 func (ctx *convCtx) setTaps(in, out tensor.Shape) {
 	s, pad, h, w := ctx.spec.Stride, ctx.spec.Pad, in.H, in.W
-	ctx.plane, ctx.derive, ctx.taps = h*w, s == 1 && out.H == h && out.W == w, ctx.taps[:0]
+	derive := s == 1 && out.H == h && out.W == w
+	ctx.plane, ctx.taps = h*w, ctx.taps[:0]
 	// first and end bound the outputs o whose tap o·s + off lies in [0, n).
 	first := func(off int) int { return (max(0, -off) + s - 1) / s }
 	end := func(off, n, nOut int) int { return min(nOut, max(0, (n-1-off+s)/s)) }
@@ -223,63 +248,17 @@ func (ctx *convCtx) setTaps(in, out tensor.Shape) {
 		oh0, oh1 := first(kh-pad), end(kh-pad, h, out.H)
 		for kw := 0; kw < ctx.spec.Fw; kw++ {
 			lo, hi := first(kw-pad), end(kw-pad, w, out.W)
-			t := tap{ap.Grid{Q0: oh0 * out.W, Q1: oh1 * out.W, W: out.W, Lo: lo, Hi: hi, Pitch: s * w, Stride: s},
-				(oh0*s+kh-pad)*w + lo*s + kw - pad, (kh - pad) * out.W}
-			if lo >= hi || oh0 >= oh1 {
-				t.Q0, t.Q1 = 0, 0
+			t := codegen.Tap{From: -1}
+			if lo < hi && oh0 < oh1 { // else a padding tap
+				t.Grid = ap.Grid{W: out.W, R0: oh0, R1: oh1, Lo: lo, Hi: hi, Pitch: s * w, Stride: s}
+				t.Base = (oh0*s+kh-pad)*w + lo*s + kw - pad
+			}
+			if derive && kh != pad {
+				t.From, t.Shift = pad*ctx.spec.Fw+kw, (kh-pad)*out.W
 			}
 			ctx.taps = append(ctx.taps, t)
 		}
 	}
-}
-
-// load fills column col (channel ci, tap k) per batch-item segment. In a
-// derivable layer, a segment whose first row and shift start a word (per
-// rows: the machine's own, as taskShape aligns to the layer's fewest)
-// copies what source column src holds shift rows away, gathering the rest.
-// A 1×1 plane with one output position — a linear layer's — has one
-// position per item: row g is item g's, stored without a grid, and a
-// padding tap leaves it as Reset zeroed it.
-//
-//rtmap:noalloc
-func (ctx *convCtx) load(m *ap.Machine, t convTask, col, src, ci, k, per int) {
-	p, tp := ctx.plan.P, &ctx.taps[k]
-	if ctx.plane == 1 && p == 1 {
-		if tp.Q0 < tp.Q1 {
-			for g := t.g0; g < t.g1; g++ {
-				m.SetRow(col, g-t.g0, ctx.ins[g].Data[ci+tp.base])
-			}
-		}
-		return
-	}
-	for g := t.g0; g < t.g1; {
-		b, p0 := g/p, g%p
-		p1, row0, plane := min(p, p0+t.g1-g), g-t.g0, ctx.ins[b].Data[ci*ctx.plane:]
-		c0, c1 := max(p0, tp.Q0, p0-tp.shift), min(p1, tp.Q1, p1-tp.shift)
-		if !ctx.derive || src < 0 || (row0|tp.shift)&(per-1) != 0 || c0 >= c1 {
-			ctx.gather(m, col, row0, plane, k, p0, p1)
-		} else {
-			m.CopyRows(col, row0+c0-p0, src, row0+c0-p0+tp.shift, c1-c0)
-			ctx.gather(m, col, row0, plane, k, p0, c0)
-			ctx.gather(m, col, row0+c1-p0, plane, k, c1, p1)
-		}
-		g += p1 - p0
-	}
-}
-
-// gather loads positions [p0, p1) of tap k from an input plane, p0 at row
-// row0, in one grid load. Padding taps stay as Reset zeroed them.
-//
-//rtmap:noalloc
-func (ctx *convCtx) gather(m *ap.Machine, col, row0 int, plane []int32, k, p0, p1 int) {
-	t := &ctx.taps[k]
-	a, b := max(p0, t.Q0), min(p1, t.Q1)
-	if a >= b {
-		return
-	}
-	g := t.Grid
-	g.Q0, g.Q1 = a-t.Q0, b-t.Q0
-	m.LoadRows(col, row0+a-p0, plane[t.base:], g)
 }
 
 // Task shape. Rows are independent in the ISA's semantics, so the
@@ -400,8 +379,8 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 		if in.Shape.N != 1 {
 			return fmt.Errorf("sim: functional simulation runs batch-of-1 tensors, got N=%d", in.Shape.N)
 		}
-		if in.Shape != ins[0].Shape {
-			return fmt.Errorf("sim: batch item %d shape %v != %v", b, in.Shape, ins[0].Shape)
+		if s := in.Shape; s.C != plan.InC || s.H != plan.InH || s.W != plan.InW {
+			return fmt.Errorf("sim: batch item %d shape %v, layer %d (%s) compiled for %dx%dx%d", b, s, layerIdx, plan.Name, plan.InC, plan.InH, plan.InW)
 		}
 		if alloc {
 			outs[b] = tensor.NewInt(outShape)
@@ -418,6 +397,7 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 	err := ctx.run(layerIdx)
 	ctx.plan, ctx.ins, ctx.outs, ctx.rq = nil, nil, nil, nil
 	clear(ctx.parts)
+	clear(ctx.loads)
 	ctxPool.Put(ctx)
 	return err
 }
@@ -493,9 +473,22 @@ func (ctx *convCtx) run(layerIdx int) error {
 	return nil
 }
 
+// list fills ctx.loads with the load lists of every program cut into
+// parts parts, over the call's taps.
+func (ctx *convCtx) list(parts int) {
+	ctx.loads = ctx.loads[:0]
+	for _, sp := range ctx.plan.StripPlans {
+		for _, tp := range sp.Programs {
+			ls, _ := tp.Loads(parts, ctx.taps, sp.Channels, ctx.plane) // lowered by shape
+			ctx.loads = append(ctx.loads, ls)
+		}
+	}
+}
+
 // exec runs the tasks of a shape that ctx.cut has cut the programs for.
 func (ctx *convCtx) exec(sh Shape) {
 	plan := ctx.plan
+	ctx.list(sh.Parts)
 	rows := len(ctx.ins) * plan.P
 	ctx.tile = ctx.tile[:0]
 	off := 0

@@ -3,9 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"rtmap/internal/ap"
 	"rtmap/internal/core"
 	"rtmap/internal/model"
 	"rtmap/internal/tensor"
@@ -225,7 +229,27 @@ func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 	}
 }
 
-// Every way convCtx.load fills an input column, end to end against
+// loadPathCases are single conv layers that take every way a task loads
+// an input column (see TestRunConvBatchLoadPathsMatchForwardInt).
+var loadPathCases = []struct {
+	name                   string
+	cin, cout, k, s, pad   int
+	h                      int
+	sparsity               float64
+	derive, words, unbound bool // the layer derives; its shifts are whole words; some source must be unbound
+}{
+	{"3x3/W4", 8, 16, 3, 1, 1, 4, 0.5, true, true, false},
+	{"3x3/W8", 8, 16, 3, 1, 1, 8, 0.5, true, true, false},
+	{"3x3/W32", 4, 8, 3, 1, 1, 32, 0.5, true, true, false},
+	{"3x3/W7", 8, 16, 3, 1, 1, 7, 0.5, true, false, false},
+	{"7x7/stride2", 3, 8, 7, 2, 3, 16, 0.5, false, false, false},
+	{"1x1/stride2", 8, 8, 1, 2, 0, 8, 0.5, false, false, false},
+	{"3x3/pad0", 8, 8, 3, 1, 0, 8, 0.5, false, false, false},
+	{"3x3/plane1x1", 16, 8, 3, 1, 1, 1, 0.5, true, false, false},
+	{"3x3/sparse", 2, 2, 3, 1, 1, 8, 0.8, true, true, true},
+}
+
+// Every way a task's load list fills an input column, end to end against
 // ForwardInt for N ∈ {1, 3, 8} with two workers to feed: 3×3 stride-1
 // pad-1 layers whose kernel rows derive from kernel row 1 by word copies
 // (W 4, 8, 32; W 8 cuts items mid-row at N 3 and 8), one whose output
@@ -236,39 +260,53 @@ func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	midRow := false
-	for _, tc := range []struct {
-		name                   string
-		cin, cout, k, s, pad   int
-		h                      int
-		sparsity               float64
-		derive, words, unbound bool // the layer derives; its shifts are whole words; some source must be unbound
-	}{
-		{"3x3/W4", 8, 16, 3, 1, 1, 4, 0.5, true, true, false},
-		{"3x3/W8", 8, 16, 3, 1, 1, 8, 0.5, true, true, false},
-		{"3x3/W32", 4, 8, 3, 1, 1, 32, 0.5, true, true, false},
-		{"3x3/W7", 8, 16, 3, 1, 1, 7, 0.5, true, false, false},
-		{"7x7/stride2", 3, 8, 7, 2, 3, 16, 0.5, false, false, false},
-		{"1x1/stride2", 8, 8, 1, 2, 0, 8, 0.5, false, false, false},
-		{"3x3/pad0", 8, 8, 3, 1, 0, 8, 0.5, false, false, false},
-		{"3x3/plane1x1", 16, 8, 3, 1, 1, 1, 0.5, true, false, false},
-		{"3x3/sparse", 2, 2, 3, 1, 1, 8, 0.8, true, true, true},
-	} {
+	for _, tc := range loadPathCases {
 		net := singleConvNet(7, tc.cin, tc.cout, tc.k, tc.s, tc.pad, tc.h, tc.sparsity)
 		c := compileNet(t, net, true)
 		plan, spec := c.Layers[0], net.Layers[0].ConvSpec()
 		ctx := &convCtx{spec: spec}
 		ctx.setTaps(net.InputShape, spec.OutShape(net.InputShape))
-		words, unbound := true, false
-		for _, tp := range plan.StripPlans[0].Programs {
-			for i, in := range tp.Inputs() {
-				kh, shift := in.K/tc.k, ctx.taps[in.K].shift
-				words = words && (kh == tc.pad || shift%4 == 0)
-				unbound = unbound || kh != tc.pad && tp.TapSources(tc.k, tc.pad)[i] < 0
+		derive, words, unbound := false, true, false
+		for _, tap := range ctx.taps {
+			derive = derive || tap.From >= 0
+			words = words && (tap.From < 0 || tap.Shift%4 == 0)
+		}
+		// Every bound column whose tap has a bound source copies from it
+		// when the shifts are whole words; the rest gather.
+		for _, sp := range plan.StripPlans {
+			for _, tp := range sp.Programs {
+				virt := map[[2]int]int{}
+				for v, bind := range tp.InputBindings {
+					virt[bind] = v
+				}
+				ep, err := tp.ExecPlan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				copies := map[ap.Slot]ap.Slot{}
+				for v, bind := range tp.InputBindings {
+					if from := ctx.taps[bind[1]].From; from >= 0 {
+						src, ok := virt[[2]int{bind[0], from}]
+						unbound = unbound || !ok
+						if ok && words {
+							copies[ep.Slot(v)] = ep.Slot(src)
+						}
+					}
+				}
+				ls, err := tp.Loads(1, ctx.taps, sp.Channels, ctx.plane)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ld := range ls[0].Loads {
+					if src, ok := copies[ld.Col]; ok != (ld.Shift != 0) || ok && src != ld.Src {
+						t.Fatalf("%s: column %+v copies from %+v (shift %d), want %+v (bound source %v)", tc.name, ld.Col, ld.Src, ld.Shift, src, ok)
+					}
+				}
 			}
 		}
-		if ctx.derive != tc.derive || ctx.derive && (words != tc.words || tc.unbound && !unbound) {
+		if derive != tc.derive || derive && (words != tc.words || tc.unbound && !unbound) {
 			t.Fatalf("%s: derive %v, whole-word shifts %v, unbound sources %v; the case needs %v, %v, %v",
-				tc.name, ctx.derive, words, unbound, tc.derive, tc.words, tc.unbound)
+				tc.name, derive, words, unbound, tc.derive, tc.words, tc.unbound)
 		}
 		for _, n := range []int{1, 3, 8} {
 			if sh, err := LayerShape(c, 0, n, runtime.GOMAXPROCS(0)); err != nil {
@@ -296,6 +334,107 @@ func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 	if !midRow {
 		t.Fatal("no derivable case cut an item mid-row; the sweep lost its point")
 	}
+}
+
+// dirtyMachines leaves n machines of the engine's free list full of
+// garbage: a larger plan's 64-bit lanes — random loads and their sums —
+// in every word of an arena of 601 slots × 512 words, past the arena
+// budget that bounds a task's, so no task that takes one grows a fresh,
+// zeroed arena. Read as narrower lanes the words are neither zero nor
+// valid lane values.
+func dirtyMachines(t *testing.T, n int) {
+	t.Helper()
+	const ins, rows = 300, 512
+	p := &ap.Program{Cols: []ap.Col{{Name: "carry", Width: 1}}}
+	for c := 1; c <= 2*ins; c++ {
+		p.Cols = append(p.Cols, ap.Col{Name: fmt.Sprint("c", c), Width: 64})
+		if c > ins {
+			p.Instrs = append(p.Instrs, ap.Instr{Op: ap.OpAdd, Dst: c, A: c - ins, B: 1 + (c-ins)%ins, Width: 64})
+		}
+	}
+	plan, err := ap.NewExecPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(uint64(n), 0xd1a7))
+	src := make([]int32, rows)
+	g := ap.Grid{W: rows, R1: 1, Hi: rows, Pitch: rows, Stride: 1}
+	ms := make([]*ap.Machine, n)
+	for i := range ms {
+		ms[i] = getMachine()
+		ms[i].Reset(plan, rows, nil)
+		for c := 1; c <= ins; c++ {
+			for r := range src {
+				src[r] = int32(rng.Uint32())
+			}
+			ms[i].LoadRows(plan.Slot(c), 0, src, &g, 0, rows)
+		}
+		ms[i].Run()
+	}
+	for _, m := range ms {
+		putMachine(m)
+	}
+}
+
+// The loaders against arenas another plan left dirty: every layer of
+// loadPathCases, and vgg9's conv3_2 — two strips, a 64-position plane —
+// cut into four parts a task, each at N ∈ {1, 3, 8} on freshly dirtied
+// machines, bit-exact against ForwardInt. A load that leaves a row of its
+// range unwritten, or a column that Reset leaves to loads that never
+// come, reads garbage.
+func TestGarbageArenasMatchForwardInt(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const dirty = 8 // machines: more than the tasks that run at once
+	check := func(name string, c *core.Compiled, li int, exec func(ins, outs []*tensor.Int) error) {
+		net := c.Net
+		for _, n := range []int{1, 3, 8} {
+			ins, want, outs := make([]*tensor.Int, n), make([]*tensor.Int, n), make([]*tensor.Int, n)
+			for b := range ins {
+				tr, err := net.ForwardInt(randInput(uint64(80*n+b), net.InputShape))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins[b], want[b] = tr.InputCodes, tr.Outputs[li]
+				if in := net.Layers[li].Inputs[0]; in != model.InputRef {
+					ins[b] = tr.Outputs[in]
+				}
+				outs[b] = tensor.NewInt(want[b].Shape)
+			}
+			dirtyMachines(t, dirty)
+			if err := exec(ins, outs); err != nil {
+				t.Fatal(err)
+			}
+			for b := range outs {
+				if !outs[b].Equal(want[b]) {
+					t.Fatalf("%s N=%d item %d: conv on dirty arenas != ForwardInt", name, n, b)
+				}
+			}
+		}
+	}
+	for _, tc := range loadPathCases {
+		c := compileNet(t, singleConvNet(7, tc.cin, tc.cout, tc.k, tc.s, tc.pad, tc.h, tc.sparsity), true)
+		check(tc.name, c, 0, func(ins, outs []*tensor.Int) error { return RunConvBatchInto(c, 0, ins, outs) })
+	}
+	c := compileNet(t, model.VGG9(model.DefaultConfig()), true)
+	li := slices.IndexFunc(c.Net.Layers, func(l model.Layer) bool { return l.Name == "conv3_2" })
+	check("vgg9 conv3_2 in parts", c, li, func(ins, outs []*tensor.Int) error {
+		plan := c.Layers[li]
+		if len(plan.StripPlans) != 2 {
+			t.Fatalf("conv3_2 compiled to %d strips; the test needs two", len(plan.StripPlans))
+		}
+		ctx := &convCtx{plan: plan, spec: c.Net.Layers[li].ConvSpec(), ins: ins, outs: outs}
+		ctx.setTaps(ins[0].Shape, outs[0].Shape)
+		sh, err := ctx.shape(li, len(ins)*plan.P, 1)
+		if err != nil {
+			return err
+		}
+		sh.Parts, sh.PerTask = 4, 1
+		if err := ctx.cut(&sh); err != nil {
+			return err
+		}
+		ctx.exec(sh)
+		return nil
+	})
 }
 
 // Programs cut into parts, every vgg9 layer against ForwardInt for N ∈
@@ -399,9 +538,10 @@ func TestDeriveRefusesUnalignedSegments(t *testing.T) {
 			t.Fatalf("plan runs %d-bit lanes; the test needs 16", ep.LaneBits())
 		}
 	}
-	if !ctx.derive || ctx.taps[0].shift%4 != 0 {
+	if ctx.taps[0].From < 0 || ctx.taps[0].Shift%4 != 0 {
 		t.Fatal("the layer must derive with whole-word shifts: only the segment's first row may refuse")
 	}
+	ctx.list(1)
 	off := 0
 	for _, ts := range plan.TileSizes {
 		ctx.tile = append(ctx.tile, off)
@@ -797,35 +937,64 @@ func BenchmarkRunFunctional(b *testing.B) {
 	}
 }
 
-// BenchmarkRunConvBatch measures one conv layer at increasing batch
-// sizes; ns/op is divided by the batch so the per-inference amortization
-// is directly visible.
+// BenchmarkRunConvBatch measures one conv layer's steady state at
+// increasing batch sizes; ns/op is divided by the batch so the
+// per-inference amortization is directly visible. The first conv of tinycnn and miniresnet18, and
+// vgg9's conv3_2 — P 64, two strips, cut into parts at batch 1: the
+// loads move 16 words a column — which runs only without -short (a
+// CIFAR-scale compile).
 func BenchmarkRunConvBatch(b *testing.B) {
-	for _, name := range []string{"tinycnn", "miniresnet18"} {
-		net, c := benchNet(b, name)
-		for _, batch := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/batch%d", name, batch), func(b *testing.B) {
-				ins := make([]*tensor.Int, batch)
-				outs := make([]*tensor.Int, batch)
-				spec := c.Net.Layers[0].ConvSpec()
-				for i := range ins {
-					tr, err := net.ForwardInt(randInput(uint64(i), net.InputShape))
-					if err != nil {
+	for _, tc := range []struct {
+		net, layer string // layer "": the first
+		batches    []int
+	}{
+		{"tinycnn", "", []int{1, 4, 8}},
+		{"miniresnet18", "", []int{1, 4, 8}},
+		{"vgg9", "conv3_2", []int{1, 8}},
+	} {
+		b.Run(strings.TrimSuffix(tc.net+"/"+tc.layer, "/"), func(b *testing.B) {
+			if testing.Short() && tc.net == "vgg9" {
+				b.Skip("CIFAR-scale compile")
+			}
+			net, c := benchNet(b, tc.net)
+			li := 0
+			for i, l := range net.Layers {
+				if l.Name == tc.layer {
+					li = i
+				}
+			}
+			spec := c.Net.Layers[li].ConvSpec()
+			for _, batch := range tc.batches {
+				b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+					ins := make([]*tensor.Int, batch)
+					outs := make([]*tensor.Int, batch)
+					for i := range ins {
+						tr, err := net.ForwardInt(randInput(uint64(i), net.InputShape))
+						if err != nil {
+							b.Fatal(err)
+						}
+						ins[i] = tr.InputCodes
+						if in := net.Layers[li].Inputs[0]; in != model.InputRef {
+							ins[i] = tr.Outputs[in]
+						}
+						outs[i] = tensor.NewInt(spec.OutShape(ins[i].Shape))
+					}
+					// One call before the timer lowers the programs and
+					// builds the parts and load lists this shape runs.
+					if err := RunConvBatchInto(c, li, ins, outs); err != nil {
 						b.Fatal(err)
 					}
-					ins[i] = tr.InputCodes
-					outs[i] = tensor.NewInt(spec.OutShape(tr.InputCodes.Shape))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := RunConvBatchInto(c, 0, ins, outs); err != nil {
-						b.Fatal(err)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := RunConvBatchInto(c, li, ins, outs); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/infer")
-			})
-		}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/infer")
+				})
+			}
+		})
 	}
 }
