@@ -46,6 +46,20 @@
 // most values live at once (vgg9's conv3_1: 1 448 slots for 16 329
 // columns), not as the columns a program names.
 //
+// A compiled artifact keeps its tables live for as long as it is served:
+// each tile's Program beside its ExecPlan, for the audits and the part
+// cuts — 399 433 instructions for vgg9, 1.8 million for resnet18. None
+// of them holds a pointer. A column is known by its index (it has no
+// name), and a copy's extra destinations are a span of the program's
+// Dsts table, not a slice of their own; planOp, escOp, Slot and Grid are
+// indices and counts. The runtime allocates such tables as no-scan
+// memory, so the collector never walks them. One slice field in Instr
+// and one string in Col would put every element back on its books —
+// 31.9 MB of scan work a cycle for a live vgg9 — and the per-inference
+// traces start a cycle every few dozen calls.
+// TestArtifactTablesPointerFree pins the element types, and sim's
+// TestCompiledArtifactNotScanned the runtime's own reading.
+//
 // ExecPlan.Part views a plan as its leading ops followed by one range of
 // the rest — the same slots, lanes and side tables, the zero set cut to
 // the slots the view names — without lowering again. AuditParts proves,

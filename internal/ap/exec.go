@@ -36,7 +36,7 @@ func Exec(p *Program, vals [][]int64) ([][]int64, error) {
 
 	for idx, ins := range p.Instrs {
 		if err := execInstr(a, p, ins, carryCol, carryBase); err != nil {
-			return nil, fmt.Errorf("ap: instr %d (%v): %w", idx, ins, err)
+			return nil, fmt.Errorf("ap: instr %d (%s): %w", idx, p.InstrString(idx), err)
 		}
 	}
 	out := make([][]int64, len(p.Cols))
@@ -76,7 +76,7 @@ func execInstr(a *bitArray, p *Program, ins Instr, carryCol, carryBase int) erro
 
 	case OpCopy:
 		src := operand{ins.A, p.Cols[ins.A]}
-		dests := append([]int{ins.Dst}, ins.Dsts...)
+		dests := append([]int{ins.Dst}, p.ExtraDsts(&ins)...)
 		for k := 0; k < ins.Width; k++ {
 			clear := make([]keyBit, 0, len(dests))
 			for _, d := range dests {

@@ -9,13 +9,20 @@ import (
 // columns back to back) and returns the program skeleton.
 func buildProgram(widths []int, unsigned []bool) *Program {
 	p := &Program{Carry: 0}
-	p.Cols = append(p.Cols, Col{Name: "carry", Base: 0, Width: 1})
+	p.Cols = append(p.Cols, Col{Base: 0, Width: 1})
 	base := 1
 	for i, w := range widths {
-		p.Cols = append(p.Cols, Col{Name: "c", Base: base, Width: w, Unsigned: unsigned[i]})
+		p.Cols = append(p.Cols, Col{Base: base, Width: w, Unsigned: unsigned[i]})
 		base += w
 	}
 	return p
+}
+
+// extraDsts appends ds to p's destination table and returns their span,
+// the Extra of a copy that writes them besides its Dst.
+func extraDsts(p *Program, ds ...int) Span {
+	p.Dsts = append(p.Dsts, ds...)
+	return Span{Off: int32(len(p.Dsts) - len(ds)), N: int32(len(ds))}
 }
 
 func TestExecAddSubExhaustive(t *testing.T) {
@@ -57,7 +64,7 @@ func TestExecNegAndCopy(t *testing.T) {
 	const colA, colN, colC1, colC2 = 1, 2, 3, 4
 	p.Instrs = []Instr{
 		{Op: OpNeg, Dst: colN, A: colA, Width: 6},
-		{Op: OpCopy, Dst: colC1, Dsts: []int{colC2}, A: colA, Width: 6},
+		{Op: OpCopy, Dst: colC1, Extra: extraDsts(p, colC2), A: colA, Width: 6},
 	}
 	src := []int64{-16, -7, -1, 0, 1, 5, 9, 15, 12}
 	// Destinations start dirty: every write must replace all their bits.
@@ -132,7 +139,7 @@ func evalWords(p *Program, vals [][]int64) [][]int64 {
 	}
 	for _, ins := range p.Instrs {
 		a, b, w := out[ins.A], out[ins.B], ins.Width
-		for _, d := range append([]int{ins.Dst}, ins.Dsts...) {
+		for _, d := range append([]int{ins.Dst}, p.ExtraDsts(&ins)...) {
 			dst := out[d]
 			for r := range dst {
 				switch ins.Op {
@@ -201,7 +208,13 @@ func TestValidateRejections(t *testing.T) {
 		{Op: OpAdd, Dst: 1, A: 2, B: 2, Width: 3},                // width != dst width
 		{Op: OpAdd, Dst: 0, A: 1, B: 2, Width: 1},                // carry as dst
 		{Op: OpCopy, Dst: 2, A: 2, Width: 4},                     // copy onto itself
+		// The extra-destination table holds column 2.
+		{Op: OpCopy, Dst: 1, A: 2, Width: 4, Extra: Span{N: 1}},          // extra dest is the source
+		{Op: OpCopy, Dst: 1, A: 2, Width: 4, Extra: Span{Off: 1, N: 1}},  // run past the table
+		{Op: OpCopy, Dst: 2, A: 1, Width: 4, Extra: Span{Off: -1, N: 1}}, // run before the table
+		{Op: OpAdd, Dst: 1, A: 2, B: 2, Width: 4, Extra: Span{N: 1}},     // extra dests on an add
 	}
+	p.Dsts = []int{2}
 	for i, ins := range bad {
 		p.Instrs = []Instr{ins}
 		if err := p.Validate(); err == nil {

@@ -150,10 +150,10 @@ func (plan *ExecPlan) at(i int) escOp {
 		dst: int32(op.dst), a: int32(op.a &^ opSub), b: int32(op.b)}
 }
 
-// operands puts the columns ins reads, then those it writes, in buf —
-// the order of one op, which reads all its operands first — and returns
-// them with the count of reads.
-func (ins *Instr) operands(buf []int) ([]int, int) {
+// operands puts the columns ins, an instruction of p, reads, then those
+// it writes, in buf — the order of one op, which reads all its operands
+// first — and returns them with the count of reads.
+func (p *Program) operands(ins *Instr, buf []int) ([]int, int) {
 	buf = buf[:0]
 	switch ins.Op {
 	case OpAdd, OpSub:
@@ -165,7 +165,7 @@ func (ins *Instr) operands(buf []int) ([]int, int) {
 	reads := len(buf)
 	buf = append(buf, ins.Dst)
 	if ins.Op == OpCopy {
-		buf = append(buf, ins.Dsts...)
+		buf = append(buf, p.ExtraDsts(ins)...)
 	}
 	return buf, reads
 }
@@ -195,7 +195,7 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 	var cols []int
 	for i := range p.Instrs {
 		ins := &p.Instrs[i]
-		cols, _ = ins.operands(cols)
+		cols, _ = p.operands(ins, cols)
 		for _, c := range cols {
 			last[c] = int32(i)
 		}
@@ -212,10 +212,10 @@ func NewExecPlan(p *Program) (*ExecPlan, error) {
 			if p.Cols[ins.Dst].Unsigned {
 				op.flags |= flagUnsigned
 			}
-			if len(ins.Dsts) > 0 {
+			if extra := p.ExtraDsts(ins); len(extra) > 0 {
 				op.kind = planCopyMulti
 				dsts := []copyDst{{int32(ins.Dst), p.Cols[ins.Dst].Unsigned}}
-				for _, d := range ins.Dsts {
+				for _, d := range extra {
 					dsts = append(dsts, copyDst{int32(d), p.Cols[d].Unsigned})
 				}
 				op.ext = int32(len(plan.multi))
@@ -477,7 +477,7 @@ func (plan *ExecPlan) assignSlots(p *Program, last []int32) {
 	var cols []int
 	reads := 0
 	for i := range p.Instrs {
-		cols, reads = p.Instrs[i].operands(cols)
+		cols, reads = p.operands(&p.Instrs[i], cols)
 		for k, c := range cols {
 			switch {
 			case k >= reads:

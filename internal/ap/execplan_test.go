@@ -113,13 +113,13 @@ func randomProgram(rng *rand.Rand, lane int) *Program {
 			if a == dst {
 				continue
 			}
-			ins := Instr{Op: OpCopy, Dst: dst, A: a, Width: w}
+			var extra []int
 			for _, d := range sameWidth(dst) {
 				if d != a && rng.IntN(3) == 0 {
-					ins.Dsts = append(ins.Dsts, d)
+					extra = append(extra, d)
 				}
 			}
-			p.Instrs = append(p.Instrs, ins)
+			p.Instrs = append(p.Instrs, Instr{Op: OpCopy, Dst: dst, A: a, Width: w, Extra: extraDsts(p, extra...)})
 		case 5: // copy followed by an accumulation chain (the codegen shape)
 			a := pick()
 			if a == dst {
@@ -309,7 +309,7 @@ func withTemps(rng *rand.Rand, p *Program) *Program {
 			seen[ins.A] = true
 		case OpClear:
 		}
-		for _, c := range append([]int{ins.Dst}, ins.Dsts...) {
+		for _, c := range append([]int{ins.Dst}, q.ExtraDsts(&ins)...) {
 			if !seen[c] && c != q.Carry && rng.IntN(3) > 0 {
 				q.Cols[c].Temp, marked = true, true
 			}
@@ -402,7 +402,7 @@ func TestMachineMatchesExecMixedSignCopy(t *testing.T) {
 	p := buildProgram([]int{6, 6, 6}, []bool{false, false, true})
 	const src, d1, d2 = 1, 2, 3
 	p.Instrs = []Instr{
-		{Op: OpCopy, Dst: d1, Dsts: []int{d2}, A: src, Width: 6},
+		{Op: OpCopy, Dst: d1, Extra: extraDsts(p, d2), A: src, Width: 6},
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -647,10 +647,15 @@ func BenchmarkMachineRun(b *testing.B) {
 }
 
 // The op stream is the interpreter's front-end memory traffic: a fast op
-// is three 32-bit column indices and nothing else.
+// is three 32-bit column indices and nothing else. A program keeps its
+// instructions beside the plan for the audits, so they are held to
+// their packed size too: Op and InPlace share a word.
 func TestPlanOpSize(t *testing.T) {
 	if s := unsafe.Sizeof(planOp{}); s != 12 {
 		t.Fatalf("planOp is %d bytes, want 12", s)
+	}
+	if s := unsafe.Sizeof(Instr{}); s != 48 {
+		t.Fatalf("Instr is %d bytes, want 48", s)
 	}
 }
 

@@ -134,10 +134,10 @@ func AuditPlan(p *Program, plan *ExecPlan) []Violation {
 	return out
 }
 
-// auditOperands lists the columns ins reads, then those it writes, in
-// buf, and returns them with the count of reads: the audit's own reading
-// of the ISA's operand roles.
-func auditOperands(ins *Instr, buf []int) ([]int, int) {
+// auditOperands lists the columns ins, an instruction of p, reads, then
+// those it writes, in buf, and returns them with the count of reads: the
+// audit's own reading of the ISA's operand roles.
+func auditOperands(p *Program, ins *Instr, buf []int) ([]int, int) {
 	buf = buf[:0]
 	switch ins.Op {
 	case OpAdd, OpSub:
@@ -149,7 +149,7 @@ func auditOperands(ins *Instr, buf []int) ([]int, int) {
 	reads := len(buf)
 	buf = append(buf, ins.Dst)
 	if ins.Op == OpCopy {
-		buf = append(buf, ins.Dsts...)
+		buf = append(buf, p.ExtraDsts(ins)...)
 	}
 	return buf, reads
 }
@@ -170,7 +170,7 @@ func auditLive(p *Program) auditLiveness {
 	}
 	var buf []int
 	for i := range p.Instrs {
-		cols, reads := auditOperands(&p.Instrs[i], buf)
+		cols, reads := auditOperands(p, &p.Instrs[i], buf)
 		for _, c := range cols[:reads] {
 			if !written[c] && lv.entry[c] < 0 {
 				lv.entry[c] = i
@@ -374,10 +374,10 @@ func expectedOp(p *Program, ins *Instr) xop {
 	case OpNeg:
 		x.kind = planNeg
 	case OpCopy:
-		if len(ins.Dsts) > 0 {
+		if extra := p.ExtraDsts(ins); len(extra) > 0 {
 			x.kind = planCopyMulti
 			x.dsts = append(x.dsts, copyDst{int32(ins.Dst), p.Cols[ins.Dst].Unsigned})
-			for _, d := range ins.Dsts {
+			for _, d := range extra {
 				x.dsts = append(x.dsts, copyDst{int32(d), p.Cols[d].Unsigned})
 			}
 			break
@@ -479,7 +479,7 @@ func (plan *ExecPlan) auditSlots(p *Program, lv auditLiveness) []Violation {
 	}
 	var buf []int
 	for i := range p.Instrs {
-		cols, reads := auditOperands(&p.Instrs[i], buf)
+		cols, reads := auditOperands(p, &p.Instrs[i], buf)
 		for _, c := range cols[reads:] {
 			s := plan.slot[c]
 			if h := holder[s]; h >= 0 && h != c && (!p.Cols[h].Temp || lv.lastRead[h] >= i) {
@@ -596,7 +596,7 @@ func (plan *ExecPlan) auditRanges(p *Program) []Violation {
 		case OpClear:
 			hold(i, int32(ins.Dst), 0, 0)
 		case OpCopy:
-			for _, d := range append([]int{ins.Dst}, ins.Dsts...) {
+			for _, d := range append([]int{ins.Dst}, p.ExtraDsts(ins)...) {
 				l, h, unsigned := lo[ins.A], hi[ins.A], p.Cols[d].Unsigned
 				switch {
 				case wide:
@@ -749,7 +749,7 @@ func AuditParts(p *Program, starts, accs, bound []int) []Violation {
 			read(i, a)
 			continue
 		}
-		cols, reads := auditOperands(ins, buf)
+		cols, reads := auditOperands(p, ins, buf)
 		buf = cols
 		for _, c := range cols[:reads] {
 			read(i, c)

@@ -161,7 +161,7 @@ func remap(p *Program, plan *ExecPlan, c int, s int32) {
 			op.b = s
 		}
 		if op.kind == planCopyMulti {
-			for k, d := range append([]int{ins.Dst}, ins.Dsts...) {
+			for k, d := range append([]int{ins.Dst}, p.ExtraDsts(&ins)...) {
 				if d == c {
 					plan.multi[op.ext][k].col = s
 				}
@@ -191,7 +191,7 @@ func liveSpans(p *Program) (first, last []int) {
 			last[ins.A] = i
 		case OpClear:
 		}
-		for _, c := range append([]int{ins.Dst}, ins.Dsts...) {
+		for _, c := range append([]int{ins.Dst}, p.ExtraDsts(&ins)...) {
 			if first[c] < 0 {
 				first[c] = i
 			}

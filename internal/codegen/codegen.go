@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 
 	"rtmap/internal/ap"
@@ -329,7 +328,6 @@ type TileBuilder struct {
 	// inVirt reverses inBind: entry ch·K + k is 1 + the virtual column of
 	// patch position k of resident channel ch, 0 while it has none.
 	inVirt   []int
-	name     []byte // scratch for column names
 	frag     fragment
 	finished bool
 }
@@ -355,10 +353,9 @@ func NewTileBuilder(lay Layout) (*TileBuilder, error) {
 		inVirt: make([]int, lay.ChannelCapacity()*lay.K),
 	}
 	// Virtual column 0: carry.
-	b.prog.Carry = b.newVirt(ap.Col{Name: "carry", Base: lay.CarryBase, Width: 1}, lay.CarryCol)
+	b.prog.Carry = b.newVirt(ap.Col{Base: lay.CarryBase, Width: 1}, lay.CarryCol)
 	for i := 0; i < lay.TileSize; i++ {
 		v := b.newVirt(ap.Col{
-			Name:  fmt.Sprintf("acc%d", i),
 			Base:  lay.AccBase + (i%lay.AccSlots)*lay.AccWidth,
 			Width: lay.AccWidth,
 		}, lay.AccCols[i/lay.AccSlots])
@@ -377,7 +374,7 @@ func (b *TileBuilder) newVirt(c ap.Col, phys int) int {
 // Reserve makes room for the fragments of graphs, so that a program's
 // instruction stream and column tables are allocated once: a fragment
 // emits one instruction per add/sub node and one accumulate per nonzero
-// output, and names a column for each input it reads and each chain of
+// output, and adds a column for each input it reads and each chain of
 // ops it starts (AddChannel).
 func (b *TileBuilder) Reserve(graphs []*dfg.Graph) {
 	n, cols := 0, 0
@@ -421,7 +418,6 @@ func (b *TileBuilder) inputVirt(ch, k int) int {
 	plane := ch / b.lay.ChansPerPlane
 	slot := ch % b.lay.ChansPerPlane
 	v := b.newVirt(ap.Col{
-		Name:     fmt.Sprintf("x[ch%d][%d]", ch, k),
 		Base:     b.lay.InputBase + slot*b.lay.ActBits,
 		Width:    b.lay.ActBits,
 		Unsigned: b.lay.ActUnsigned,
@@ -578,9 +574,7 @@ func (b *TileBuilder) AddChannel(ch int, g *dfg.Graph) error {
 				return fmt.Errorf("codegen: channel %d node %d: %w", ch, i, err)
 			}
 			// A pool column is scratch the AP recycles: Temp.
-			b.name = strconv.AppendInt(append(b.name[:0], 't'), int64(ch), 10)
-			b.name = strconv.AppendInt(append(b.name, '.'), int64(i), 10)
-			v := b.newVirt(ap.Col{Name: string(b.name), Base: 0, Width: w, Temp: true}, phys)
+			v := b.newVirt(ap.Col{Base: 0, Width: w, Temp: true}, phys)
 			groupVirt[gid] = v
 			bV := loc(nd.A)
 			aV := loc(nd.B)

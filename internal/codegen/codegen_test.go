@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -250,8 +249,9 @@ func TestInPlaceShareOfChains(t *testing.T) {
 
 // The builder finds an operand's column through a reverse index kept
 // beside the bindings. Two fresh builders fed the same fragments must emit
-// the same tile, and each (channel, position) must own exactly the column
-// named after it — a lookup that missed would mint a second one.
+// the same tile, and each (channel, position) must own exactly one column,
+// at its channel's domain slot on its position's physical column — a
+// lookup that missed would mint a second one.
 func TestInputColumnsUniqueAndRepeatable(t *testing.T) {
 	const k, cout = 9, 8
 	build := func() *TileProgram {
@@ -275,14 +275,22 @@ func TestInputColumnsUniqueAndRepeatable(t *testing.T) {
 		!reflect.DeepEqual(a.AccVirt, b.AccVirt) || !reflect.DeepEqual(a.InputBindings, b.InputBindings) {
 		t.Fatal("two builds of one tile differ")
 	}
+	lay := testLayout(k, 4, 16, cout, 2)
 	seen := map[[2]int]bool{}
 	for v, key := range a.InputBindings {
 		if seen[key] {
 			t.Errorf("channel %d position %d bound to two columns", key[0], key[1])
 		}
 		seen[key] = true
-		if got, want := a.Prog.Cols[v].Name, fmt.Sprintf("x[ch%d][%d]", key[0], key[1]); got != want {
-			t.Errorf("column %d is %s, bound as %s", v, got, want)
+		// The column is the channel's domain slot of position k's
+		// physical column, at the layout's activation format.
+		ch, pos := key[0], key[1]
+		want := ap.Col{Base: lay.InputBase + ch%lay.ChansPerPlane*lay.ActBits, Width: lay.ActBits, Unsigned: lay.ActUnsigned}
+		if got := a.Prog.Cols[v]; got != want {
+			t.Errorf("column %d bound to channel %d position %d is %+v, want %+v", v, ch, pos, got, want)
+		}
+		if got, want := a.Phys[v], lay.InputCols[ch/lay.ChansPerPlane][pos]; got != want {
+			t.Errorf("column %d bound to channel %d position %d lives on physical column %d, want %d", v, ch, pos, got, want)
 		}
 	}
 	if len(seen) == 0 {

@@ -57,6 +57,7 @@ func cloneCompiled(c *core.Compiled) *core.Compiled {
 						Carry:  tp.Prog.Carry,
 						Cols:   append([]ap.Col(nil), tp.Prog.Cols...),
 						Instrs: append([]ap.Instr(nil), tp.Prog.Instrs...),
+						Dsts:   append([]int(nil), tp.Prog.Dsts...),
 					}
 					nt.Prog = p
 				}

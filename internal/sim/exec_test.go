@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
@@ -345,9 +346,9 @@ func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 func dirtyMachines(t *testing.T, n int) {
 	t.Helper()
 	const ins, rows = 300, 512
-	p := &ap.Program{Cols: []ap.Col{{Name: "carry", Width: 1}}}
+	p := &ap.Program{Cols: []ap.Col{{Width: 1}}}
 	for c := 1; c <= 2*ins; c++ {
-		p.Cols = append(p.Cols, ap.Col{Name: fmt.Sprint("c", c), Width: 64})
+		p.Cols = append(p.Cols, ap.Col{Width: 64})
 		if c > ins {
 			p.Instrs = append(p.Instrs, ap.Instr{Op: ap.OpAdd, Dst: c, A: c - ins, B: 1 + (c-ins)%ins, Width: 64})
 		}
@@ -782,6 +783,56 @@ func TestRunConvBatchIntoAllocFree(t *testing.T) {
 	}
 }
 
+// metricValue reads one runtime/metrics sample: a uint64 count of bytes,
+// or a float64 of seconds.
+func metricValue(name string) metrics.Value {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value
+}
+
+// A compiled network stays live as long as it is served, and its tile
+// programs, plans, parts and load lists are held in pointer-free tables
+// (ap.TestArtifactTablesPointerFree pins the element types): allocated
+// as no-scan memory, they add almost nothing to the heap a GC cycle must
+// scan — the collector's "/gc/scan/heap:bytes", the scan work of the
+// last cycle. The bound is 2 bytes per plan op; a pointer or a string
+// in Instr or Col reads ≈ 80 on vgg9.
+func TestCompiledArtifactNotScanned(t *testing.T) {
+	// vgg9 under -short too: its cold compile and run take ≈ 0.2 s, and
+	// a smaller model's fixed headers (tinyresnet: 16 KB for 298 plan
+	// ops) would swamp a per-op bound.
+	const name = "vgg9"
+	net := zooNet(t, name)
+	in := []*tensor.Float{randInput(5, net.InputShape)}
+	runtime.GC()
+	before := metricValue("/gc/scan/heap:bytes").Uint64()
+	c := compileNet(t, net, true)
+	if _, err := ForwardAPBatch(c, in); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	grew := int64(metricValue("/gc/scan/heap:bytes").Uint64()) - int64(before)
+	ops := 0
+	for _, lp := range c.Layers {
+		for _, sp := range lp.StripPlans {
+			for _, tp := range sp.Programs {
+				plan, err := tp.ExecPlan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ops += plan.Ops()
+			}
+		}
+	}
+	runtime.KeepAlive(c)
+	t.Logf("%s: scannable heap grew %d bytes with the artifact live: %.3f bytes per plan op (%d ops)",
+		name, grew, float64(grew)/float64(ops), ops)
+	if grew > 2*int64(ops) {
+		t.Errorf("%s: scannable heap grew %d bytes for %d plan ops, want at most 2 bytes an op", name, grew, ops)
+	}
+}
+
 // traceBytes is the payload of a trace's tensors: the input codes and
 // every layer output, counting a buffer two layers share (Flatten's view)
 // once.
@@ -895,10 +946,16 @@ func benchNet(b *testing.B, name string) (*model.Network, *core.Compiled) {
 	return net, c
 }
 
+// gcCPU is the runtime's estimate of the CPU time the garbage collector
+// spent, marking and pauses, summed over every core; the runtime adds to
+// it as each cycle ends.
+const gcCPU = "/cpu/classes/gc/total:cpu-seconds"
+
 // BenchmarkRunFunctional measures functional execution on the batched
 // ExecPlan engine, batch 1 and, for vgg9, batch 8 (the gated engine_stream
 // and engine_batch workloads of ./benchmark, here under -cpuprofile's
-// reach); ns/infer divides by the batch. resnet18 is the benchmark's
+// reach); ns/infer divides by the batch, and so does gc-ms/infer, the
+// collector's CPU time over the timed loop. resnet18 is the benchmark's
 // recorded headline. vgg9 and resnet18 run only without -short (a full
 // CIFAR- or ImageNet-scale compile and inference).
 func BenchmarkRunFunctional(b *testing.B) {
@@ -925,12 +982,15 @@ func BenchmarkRunFunctional(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
+					gc := metricValue(gcCPU).Float64()
 					for b.Loop() {
 						if _, err := ForwardAPBatch(c, ins); err != nil {
 							b.Fatal(err)
 						}
 					}
+					gc = metricValue(gcCPU).Float64() - gc
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/infer")
+					b.ReportMetric(gc*1e3/float64(b.N*n), "gc-ms/infer")
 				})
 			}
 		})

@@ -156,7 +156,7 @@ func CheckPartViews(ref Ref, tp *codegen.TileProgram, g int) []Diagnostic {
 		if len(parts) > 1 {
 			head = tp.ChanAt[0]
 		}
-		p := &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols,
+		p := &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols, Dsts: tp.Prog.Dsts,
 			Instrs: append(tp.Prog.Instrs[:head:head], tp.Prog.Instrs[pt.Lo:pt.Hi]...)}
 		for _, d := range located(ref, ap.AuditPlan(p, pt.Plan)) {
 			d.Detail = fmt.Sprintf("part [%d, %d) of %d: %s", pt.Chan0, pt.Chan1, len(parts), d.Detail)

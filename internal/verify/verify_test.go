@@ -74,7 +74,7 @@ func TestCheckTileProgramDiagnostics(t *testing.T) {
 
 	// A structurally invalid program must fail the sweep, not execution.
 	badProg := &ap.Program{
-		Cols:   []ap.Col{{Name: "carry", Width: 1}, {Name: "c", Width: 4}},
+		Cols:   []ap.Col{{Width: 1}, {Width: 4}},
 		Instrs: []ap.Instr{{Op: ap.OpClear, Dst: 99, Width: 4}},
 	}
 	diags = verify.CheckTileProgram(ref, &codegen.TileProgram{Prog: badProg})
@@ -255,7 +255,7 @@ type partMutation struct {
 // afresh: a compiler that emitted the bug would lower it too.
 func mutated(tp *codegen.TileProgram, instrs []ap.Instr, chanAt []int) *codegen.TileProgram {
 	return &codegen.TileProgram{
-		Prog:          &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols, Instrs: instrs},
+		Prog:          &ap.Program{Carry: tp.Prog.Carry, Cols: tp.Prog.Cols, Instrs: instrs, Dsts: tp.Prog.Dsts},
 		Phys:          tp.Phys,
 		InputBindings: tp.InputBindings,
 		AccVirt:       tp.AccVirt,
