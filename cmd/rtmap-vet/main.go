@@ -1,24 +1,23 @@
-// Command rtmap-vet is the project's static-analysis gate. It has three
-// modes, all run by CI:
+// Command rtmap-vet is the project's static-analysis gate. It has two
+// modes, both run by CI:
 //
 //	rtmap-vet ./...                      # lint packages (exhaustive
 //	                                     # enum switches, //rtmap:noalloc,
 //	                                     # panic/error conventions, clock
 //	                                     # and lock discipline)
-//	rtmap-vet -plans                     # compile the small zoo
-//	                                     # models and audit every tile
-//	                                     # plan with the independent
-//	                                     # verifier, and every part view
-//	                                     # the engine can cut it into
-//	rtmap-vet -dataflow                  # whole-model dataflow
-//	                                     # verification: cross-layer
-//	                                     # ranges, per-column liveness,
-//	                                     # shard-plan certification, and
-//	                                     # plan certificates
+//	rtmap-vet -plans                     # compile each small zoo model
+//	                                     # once and run the admission
+//	                                     # proof (plan audit and dataflow
+//	                                     # check), the part-view
+//	                                     # cross-check and the shard-plan
+//	                                     # audits over it
 //	rtmap-vet -plans -all                # include the full paper zoo
-//	rtmap-vet -plans -model name=net.json  # audit a serialized model
-//	rtmap-vet -dataflow -certs-out dir   # also write the certificates
+//	rtmap-vet -plans -model name=net.json  # prove a serialized model
+//	rtmap-vet -plans -certs-out dir      # also write the certificates
 //	rtmap-vet -json <mode>               # machine-readable output
+//
+// -dataflow, alone or with -plans, is the older spelling of -plans and
+// prints the same report.
 //
 // With -json, each mode emits one JSON object on stdout — findings and
 // diagnostics in deterministic order — instead of text. Exit status is
@@ -44,12 +43,12 @@ import (
 	"rtmap/internal/verify"
 )
 
-// paperModels are the zoo's Table II networks: -plans and -dataflow
-// audit them only under -all (resnet18 alone compiles for minutes).
+// paperModels are the zoo's Table II networks: -plans proves them only
+// under -all, which takes the sweep from about 3 s to about 9 s.
 var paperModels = map[string]bool{"vgg9": true, "vgg11": true, "resnet18": true}
 
-// shardCounts are the pipeline depths -dataflow certifies shard plans
-// for (clamped per model to its layer count).
+// shardCounts are the pipeline depths -plans certifies shard plans for
+// (skipped for a model with fewer layers).
 var shardCounts = []int{2, 4}
 
 // modelFlags collects repeated -model name=path arguments.
@@ -117,25 +116,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtmap-vet: ")
 	var (
-		plans    = flag.Bool("plans", false, "audit compiled execution plans instead of linting packages")
-		dflow    = flag.Bool("dataflow", false, "whole-model dataflow verification and plan certificates")
-		all      = flag.Bool("all", false, "with -plans/-dataflow: include the full paper zoo (vgg9, vgg11, resnet18)")
+		plans    = flag.Bool("plans", false, "prove compiled models instead of linting packages: the admission proof, part views and shard plans")
+		dflow    = flag.Bool("dataflow", false, "older spelling of -plans")
+		all      = flag.Bool("all", false, "with -plans: include the full paper zoo (vgg9, vgg11, resnet18)")
 		jsonOut  = flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
-		certsOut = flag.String("certs-out", "", "with -dataflow: write each clean model's certificate into this directory")
+		certsOut = flag.String("certs-out", "", "with -plans: write each clean model's certificate into this directory")
 		extras   modelFlags
 	)
-	flag.Var(&extras, "model", "with -plans/-dataflow: also audit a serialized model, as name=path (repeatable)")
+	flag.Var(&extras, "model", "with -plans: also prove a serialized model, as name=path (repeatable)")
 	flag.Parse()
 
-	if *plans && *dflow {
-		log.Print("-plans and -dataflow are separate modes")
-		os.Exit(2)
-	}
-	switch {
-	case *dflow:
-		os.Exit(runDataflow(*all, extras, *jsonOut, *certsOut))
-	case *plans:
-		os.Exit(runPlans(*all, extras, *jsonOut))
+	if *plans || *dflow {
+		os.Exit(runModels(*all, extras, *jsonOut, *certsOut))
 	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -231,9 +223,9 @@ var partShapes = struct{ batches, workers []int }{[]int{1, 8}, []int{1, 2, 4, 8,
 // auditPartViews audits directly, with ap.AuditPlan, every view the
 // engine can cut comp's programs into: for each layer the part counts its
 // task shapes pick over partShapes, and 2, so every program of more than
-// one channel has views audited. VerifyCompiled proves the same views
-// sound without building them (ap.AuditParts); this cross-checks that
-// proof. views counts the views audited.
+// one channel has views audited. The admission proof proves the same
+// views sound without building them (ap.AuditParts); this cross-checks
+// that proof. views counts the views audited.
 func auditPartViews(comp *core.Compiled, name string, views *int) error {
 	var diags []verify.Diagnostic
 	for i, lp := range comp.Layers {
@@ -273,7 +265,16 @@ func auditPartViews(comp *core.Compiled, name string, views *int) error {
 	return nil
 }
 
-func runPlans(all bool, extras modelFlags, jsonOut bool) int {
+// runModels compiles each target once and runs over it the admission
+// proof (dataflow.VerifyOrCertify: the plan audit and the dataflow
+// check), the part-view cross-check and the shard-plan audits; with
+// certsOut it writes each clean model's certificate there.
+func runModels(all bool, extras modelFlags, jsonOut bool, certsOut string) int {
+	if certsOut != "" {
+		if err := os.MkdirAll(certsOut, 0o755); err != nil {
+			log.Fatalf("-certs-out: %v", err)
+		}
+	}
 	bad := 0
 	report := vetReport{Mode: "plans"}
 	for _, t := range resolveTargets(all, extras) {
@@ -283,9 +284,9 @@ func runPlans(all bool, extras modelFlags, jsonOut bool) int {
 		if err != nil {
 			log.Fatalf("%s: compile: %v", t.name, err)
 		}
-		programs := countPrograms(comp)
-		mr := modelReport{Name: t.name, Programs: programs, Clean: true}
-		err = core.VerifyCompiled(comp)
+		mr := modelReport{Name: t.name, Programs: countPrograms(comp), Clean: true}
+
+		cert, _, err := dataflow.VerifyOrCertify(comp, nil)
 		if err == nil {
 			err = auditPartViews(comp, t.name, &mr.PartViews)
 		}
@@ -301,51 +302,8 @@ func runPlans(all bool, extras modelFlags, jsonOut bool) int {
 				if mr.Error != "" {
 					fmt.Printf("%s: %s\n", t.name, mr.Error)
 				} else {
-					fmt.Printf("%s: %d violation(s) across %d programs\n", t.name, len(mr.Diagnostics), programs)
+					fmt.Printf("%s: %d violation(s) across %d programs\n", t.name, len(mr.Diagnostics), mr.Programs)
 				}
-			}
-		} else if !jsonOut {
-			fmt.Printf("%s: %d tile programs and %d part views verified clean\n", t.name, programs, mr.PartViews)
-		}
-		report.Models = append(report.Models, mr)
-	}
-	if jsonOut {
-		emitJSON(report)
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runDataflow(all bool, extras modelFlags, jsonOut bool, certsOut string) int {
-	if certsOut != "" {
-		if err := os.MkdirAll(certsOut, 0o755); err != nil {
-			log.Fatalf("-certs-out: %v", err)
-		}
-	}
-	bad := 0
-	report := vetReport{Mode: "dataflow"}
-	for _, t := range resolveTargets(all, extras) {
-		cfg := core.DefaultConfig()
-		cfg.KeepPrograms = true
-		comp, err := core.Compile(t.net, cfg)
-		if err != nil {
-			log.Fatalf("%s: compile: %v", t.name, err)
-		}
-		mr := modelReport{Name: t.name, Programs: countPrograms(comp), Clean: true}
-
-		cert, err := dataflow.Check(comp)
-		if err != nil {
-			bad++
-			mr.Clean = false
-			mr.Diagnostics, mr.Error = diagsOf(err)
-			report.Violations += len(mr.Diagnostics)
-			if !jsonOut {
-				for _, d := range mr.Diagnostics {
-					fmt.Println(d)
-				}
-				fmt.Printf("%s: dataflow verification failed (%d violation(s))\n", t.name, len(mr.Diagnostics))
 			}
 		} else {
 			mr.Certificate = cert
@@ -361,8 +319,8 @@ func runDataflow(all bool, extras modelFlags, jsonOut bool, certsOut string) int
 			}
 		}
 
-		// Shard certification runs even when the flat audit failed: a
-		// broken transfer set is worth locating either way.
+		// Shard certification runs even when the proof failed: a broken
+		// transfer set is worth locating either way.
 		rep := sim.Analyze(comp)
 		for _, k := range shardCounts {
 			if k > len(comp.Layers) {
@@ -396,8 +354,8 @@ func runDataflow(all bool, extras modelFlags, jsonOut bool, certsOut string) int
 					shards = append(shards, fmt.Sprintf("k=%d ok", sr.Stages))
 				}
 			}
-			fmt.Printf("%s: certified %d programs, artifact %s (%s)\n",
-				t.name, mr.Programs, cert.Artifact[:12], strings.Join(shards, ", "))
+			fmt.Printf("%s: certified %d programs and %d part views, artifact %s (%s)\n",
+				t.name, mr.Programs, mr.PartViews, cert.Artifact[:12], strings.Join(shards, ", "))
 		}
 		report.Models = append(report.Models, mr)
 	}

@@ -55,6 +55,9 @@ func TestCmdSmoke(t *testing.T) {
 		{"rtmap-router", []string{"-h"}, "health probe period"},
 		{"rtmap-trace", []string{"-h"}, "/debug/traces"},
 		{"rtmap-vet", []string{"-h"}, "plans"},
+		// The older spelling reaches the one model mode: the part-view
+		// cross-check runs beside the admission proof.
+		{"rtmap-vet", []string{"-dataflow"}, "tinycnn: certified 3 programs and 6 part views"},
 		// Lint mode over the repo: exit 0, no findings printed.
 		{"rtmap-vet", []string{"./..."}, ""},
 	}

@@ -39,7 +39,7 @@ type CacheStats struct {
 	OpMisses int
 	// CertHits / CertMisses count certificate lookups: a hit means the
 	// artifact was admitted on a stored PlanCertificate without
-	// re-running the dataflow verifier.
+	// re-running the admission proof.
 	CertHits   int
 	CertMisses int
 }
@@ -150,11 +150,10 @@ func (c *Cache) PutCertificate(key [32]byte, cert any) {
 
 // ArtifactHash content-addresses a compiled artifact: the full network
 // definition (shapes, quantizer grids, weights, layer wiring) plus every
-// Config field that changes the emitted plans. Config.Parallel, the
-// cache pointer and the verification flags are excluded — none of them
-// alters the lowered output. Certificates stored under this hash are
-// therefore valid exactly as long as the artifact they certify is
-// byte-identical.
+// Config field that changes the emitted plans. Config.Parallel and the
+// cache pointer are excluded — neither alters the lowered output.
+// Certificates stored under this hash are therefore valid exactly as
+// long as the artifact they certify is byte-identical.
 func ArtifactHash(c *Compiled) [32]byte {
 	h := sha256.New()
 	w := &keyWriter{h: h}

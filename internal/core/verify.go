@@ -14,9 +14,12 @@ import (
 // are audited in parallel, on as many goroutines as GOMAXPROCS, largest
 // first; each writes its diagnostics into its own slot, and the
 // diagnostics are then sorted, so the error does not depend on the
-// schedule. Plans are memoized on their tile programs, so a sweep right
-// after compilation also pre-builds the plans the simulator would build
-// lazily.
+// schedule. Its callers are dataflow.VerifyOrCertify (the admission
+// proof of serve and rtmap-vet) and the benchmark's ap.audit step.
+// Plans are memoized on their tile programs, so a sweep right after
+// compilation also pre-builds the plans the simulator would build
+// lazily; on a certificate hit the sweep does not run, and the first
+// batch lowers the plans instead.
 func VerifyCompiled(c *Compiled) error {
 	type audit struct {
 		ref verify.Ref

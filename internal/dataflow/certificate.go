@@ -3,6 +3,7 @@ package dataflow
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"rtmap/internal/core"
@@ -31,11 +32,13 @@ type LayerFact struct {
 	AccWidth int    `json:"acc_width,omitempty"`
 }
 
-// Certificate is the machine-readable proof a clean Check emits: the
-// artifact it certifies (content-addressed through core.ArtifactHash),
-// how many tile programs the audit covered, and the per-layer facts.
-// A certificate is only ever produced for an artifact the full
-// verification passed on, so holding one is holding the proof.
+// Certificate is the machine-readable record of the admission proof:
+// the artifact it certifies (content-addressed through
+// core.ArtifactHash), how many tile programs the audit covered, and the
+// per-layer facts. A certificate is stored (VerifyOrCertify) or written
+// (rtmap-vet -certs-out) only for an artifact both passes of the proof
+// were clean on — the plan audit (core.VerifyCompiled) and the seam
+// check (Check) — so holding one is holding the proof.
 type Certificate struct {
 	Version  int         `json:"version"`
 	Artifact string      `json:"artifact"`
@@ -98,13 +101,13 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 	return &c, nil
 }
 
-// Validate re-runs the full verification over comp and proves the
+// Validate re-runs the admission proof over comp and proves the
 // certificate matches: same format version, same artifact hash, and
 // fact-for-fact identical derived ranges. Any disagreement — a
 // corrupted certificate, or one that certifies a different artifact —
 // is a *verify.Error under the dataflow-certificate invariant.
 func (c *Certificate) Validate(comp *core.Compiled) error {
-	fresh, err := Check(comp)
+	fresh, err := prove(comp)
 	if err != nil {
 		return err
 	}
@@ -144,11 +147,12 @@ func (c *Certificate) Validate(comp *core.Compiled) error {
 	return e
 }
 
-// VerifyOrCertify is the admission entry point: a stored certificate
-// for the artifact's content hash is trusted as the proof (hit=true,
-// no re-verification); otherwise the artifact is verified from scratch
-// and, when clean, its fresh certificate persisted for the next
-// admission. A nil cache degrades to plain verification.
+// VerifyOrCertify is the admission proof. A stored certificate for the
+// artifact's content hash is trusted as the proof (hit=true) and neither
+// pass runs. Otherwise the artifact is proved from scratch — the plan
+// audit and the seam check, see prove — and, when both are clean, its
+// fresh certificate is stored for the next admission. A nil cache
+// degrades to the plain proof.
 func VerifyOrCertify(comp *core.Compiled, cache *core.Cache) (*Certificate, bool, error) {
 	var key [32]byte
 	if cache != nil {
@@ -159,7 +163,7 @@ func VerifyOrCertify(comp *core.Compiled, cache *core.Cache) (*Certificate, bool
 			}
 		}
 	}
-	cert, err := Check(comp)
+	cert, err := prove(comp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -167,4 +171,32 @@ func VerifyOrCertify(comp *core.Compiled, cache *core.Cache) (*Certificate, bool
 		cache.PutCertificate(key, cert)
 	}
 	return cert, false, nil
+}
+
+// prove runs both passes of the admission proof over comp: the plan
+// audit (core.VerifyCompiled: every tile program's ExecPlan, and its cut
+// into parts) and the seam check (Check). Both always run, so a refuted
+// artifact yields one *verify.Error with the located diagnostics of both
+// in canonical order; the certificate comes back only when both are
+// clean.
+func prove(comp *core.Compiled) (*Certificate, error) {
+	audit := core.VerifyCompiled(comp)
+	cert, check := Check(comp)
+	var diags []verify.Diagnostic
+	for _, err := range []error{audit, check} {
+		var ve *verify.Error
+		switch {
+		case err == nil:
+		case errors.As(err, &ve):
+			diags = append(diags, ve.Diags...)
+		default:
+			return nil, err
+		}
+	}
+	if len(diags) > 0 {
+		e := &verify.Error{Diags: diags}
+		e.Sort()
+		return nil, e
+	}
+	return cert, nil
 }

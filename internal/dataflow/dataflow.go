@@ -41,9 +41,12 @@ const (
 // model: the cross-layer interval propagation (with accumulator
 // overflow proofs) and, for artifacts compiled with KeepPrograms, the
 // per-column liveness and producer/consumer audit across every
-// (strip, tile) program boundary. A clean artifact yields its
-// PlanCertificate; a dirty one yields a *verify.Error whose located
-// diagnostics are in canonical order.
+// (strip, tile) program boundary. A clean artifact yields the facts of
+// its PlanCertificate; a dirty one yields a *verify.Error whose located
+// diagnostics are in canonical order. Check is the seam pass of the
+// admission proof only: it does not audit the plans, so a certificate
+// is stored (VerifyOrCertify) or written (rtmap-vet) only after
+// core.VerifyCompiled is clean too.
 func Check(comp *core.Compiled) (*Certificate, error) {
 	bands, diags := deriveRanges(comp)
 	diags = append(diags, auditLiveness(comp)...)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rtmap/internal/ap"
 	"rtmap/internal/core"
 	"rtmap/internal/model"
 	"rtmap/internal/sim"
@@ -108,6 +109,9 @@ func TestCertificateRoundTrip(t *testing.T) {
 	}
 }
 
+// diagAt is a diagnostic's tile program location.
+type diagAt struct{ layer, strip, tile int }
+
 func asVerifyError(err error, out **verify.Error) bool {
 	ve, ok := err.(*verify.Error)
 	if ok {
@@ -116,8 +120,10 @@ func asVerifyError(err error, out **verify.Error) bool {
 	return ok
 }
 
-// VerifyOrCertify pays a full verification exactly once per artifact
-// hash: the first admission misses and persists, later admissions hit.
+// VerifyOrCertify pays the full admission proof exactly once per
+// artifact hash: the first admission misses and persists, later
+// admissions hit and run neither pass. A corruption only the plan audit
+// can see is refuted on a miss.
 func TestVerifyOrCertifyCaches(t *testing.T) {
 	comp := compileZoo(t, "tinycnn")
 	cache := core.NewCache()
@@ -141,6 +147,54 @@ func TestVerifyOrCertifyCaches(t *testing.T) {
 	}
 	if st := cache.Stats(); st.CertHits != 1 || st.CertMisses != 1 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", st.CertHits, st.CertMisses)
+	}
+
+	// A channel boundary moved one instruction into the next fragment
+	// (TestPartsCatchMutations' move-boundary operator) changes neither
+	// the artifact hash nor anything Check reads: only the plan audit's
+	// parts proof refutes it.
+	bad := cloneCompiled(comp)
+	var at *diagAt
+	for _, lp := range bad.Layers {
+		for s, sp := range lp.StripPlans {
+			for ti, tp := range sp.Programs {
+				if at != nil || tp == nil || len(tp.ChanAt) < 3 || tp.ChanAt[1]+1 >= tp.ChanAt[2] {
+					continue
+				}
+				tp.ChanAt[1]++
+				at = &diagAt{lp.Index, s, ti}
+			}
+		}
+	}
+	if at == nil {
+		t.Fatal("no tile program of three or more fragments to corrupt")
+	}
+	if _, err := Check(bad); err != nil {
+		t.Fatalf("Check sees the moved boundary (%v); the case does not isolate the plan audit", err)
+	}
+
+	// Once the clean artifact is certified, the corrupted one of the same
+	// hash hits: neither pass runs.
+	cert3, hit, err := VerifyOrCertify(bad, cache)
+	if err != nil || !hit || cert3 != cert1 {
+		t.Fatalf("certified hash: hit=%v err=%v same certificate=%v, want a hit running neither pass", hit, err, cert3 == cert1)
+	}
+
+	// On a fresh cache the proof runs and the plan audit refutes it,
+	// located at the corrupted program, and no certificate is stored.
+	fresh := core.NewCache()
+	_, hit, err = VerifyOrCertify(bad, fresh)
+	var ve *verify.Error
+	if hit || !asVerifyError(err, &ve) {
+		t.Fatalf("corrupted plan on a fresh cache: hit=%v err=%v, want a *verify.Error", hit, err)
+	}
+	for _, d := range ve.Diags {
+		if d.Invariant != ap.InvParts || (diagAt{d.Layer, d.Strip, d.Tile}) != *at {
+			t.Fatalf("diagnostic %v, want %s at layer %d strip %d tile %d", d, ap.InvParts, at.layer, at.strip, at.tile)
+		}
+	}
+	if _, ok := fresh.GetCertificate(core.ArtifactHash(bad)); ok {
+		t.Fatal("a refuted artifact left a certificate behind")
 	}
 
 	// nil cache degrades to plain verification.

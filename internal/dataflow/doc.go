@@ -16,11 +16,13 @@
 //     ternary weights, so a rerouted, duplicated or dropped producer
 //     column is caught before anything executes.
 //
-// A clean artifact yields a PlanCertificate: a machine-readable JSON
-// record of the strengthened cross-layer ranges, content-addressed by
-// core.ArtifactHash through the artifact cache. Serve admission trusts
-// a stored certificate instead of re-verifying (certificate hit), and
-// the planned bit-sliced/JIT interpreter can consume the certified
+// VerifyOrCertify is the admission proof: the plan audit
+// (core.VerifyCompiled) and Check, with one *verify.Error for both. An
+// artifact both are clean on yields a PlanCertificate: a machine-readable
+// JSON record of the strengthened cross-layer ranges, content-addressed
+// by core.ArtifactHash through the artifact cache. Serve admission
+// trusts a stored certificate instead of re-proving (certificate hit),
+// and the planned bit-sliced/JIT interpreter can consume the certified
 // ranges to justify branch-free lanes.
 //
 // AuditShard extends the same treatment to core.Partition shard plans:
@@ -29,7 +31,7 @@
 // connections included) with exactly the declared payload bits.
 //
 // Its callers run it on compiled artifacts directly: serve admission
-// (VerifyOrCertify), `rtmap-vet -dataflow`, and the benchmark's
-// dataflow.check step. core.Compile never runs it, and core never
-// imports this package.
+// and `rtmap-vet -plans` (VerifyOrCertify), and the benchmark's
+// dataflow.check step (Check). core.Compile never runs it, and core
+// never imports this package.
 package dataflow

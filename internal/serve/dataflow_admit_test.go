@@ -15,16 +15,17 @@ import (
 	"rtmap/internal/workload"
 )
 
-// A model the dataflow verifier refutes must never be admitted: HTTP
-// 400 with the located diagnostics, no resident entry, and the failure
-// counted on /metrics as rtmap_dataflow_verify_failures_total.
+// A model the dataflow check refutes must never be admitted: HTTP 400
+// with the located diagnostics, no resident entry, and the failure
+// counted on /metrics as rtmap_plan_verify_failures_total, the one
+// series both passes of the admission proof share.
 func TestAdmitRejectsDataflowFailure(t *testing.T) {
 	s, ts := testServer(t, Options{MaxBatch: 2, Window: time.Millisecond})
 	planted := verify.Diagnostic{
 		Model: "tinycnn", Layer: 2, LayerName: "q1", Strip: -1, Tile: -1,
 		Op: -1, Invariant: "dataflow-overflow", Detail: "injected for test",
 	}
-	s.reg.dataflowVerify = func(*core.Compiled) (bool, error) {
+	s.reg.verify = func(*core.Compiled) (bool, error) {
 		return false, &verify.Error{Diags: []verify.Diagnostic{planted}}
 	}
 
@@ -58,13 +59,13 @@ func TestAdmitRejectsDataflowFailure(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	mb, _ := io.ReadAll(mresp.Body)
-	if !strings.Contains(string(mb), "rtmap_dataflow_verify_failures_total 1") {
-		t.Fatalf("/metrics missing rtmap_dataflow_verify_failures_total 1:\n%s", mb)
+	if !strings.Contains(string(mb), "rtmap_plan_verify_failures_total 1") {
+		t.Fatalf("/metrics missing rtmap_plan_verify_failures_total 1:\n%s", mb)
 	}
 }
 
-// The first admission of an artifact pays the full dataflow
-// verification and persists a certificate; a later admission of the
+// The first admission of an artifact pays the full admission proof and
+// persists a certificate; a later admission of the
 // identical artifact (here: a second server sharing the artifact cache)
 // trusts the stored certificate instead of re-verifying. The cache's
 // own hit/miss counters are the proof that verification was skipped.

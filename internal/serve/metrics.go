@@ -60,8 +60,7 @@ func className(i int) string { return dispatch.Class(i).String() }
 type Metrics struct {
 	requests, inferences, errors, batches, batchedSamples *metrics.Counter
 	requeues, deviceFailures, scaleUps, scaleDowns        *metrics.Counter
-	planVerifyFails, dataflowVerifyFails                  *metrics.Counter
-	certHits, certMisses                                  *metrics.Counter
+	planVerifyFails, certHits, certMisses                 *metrics.Counter
 	simDeviceNS, simEnergyPJ                              *metrics.FloatCounter
 
 	batchClose                  [dispatch.NumCloseReasons]*metrics.Counter // by dispatch.CloseReason
@@ -87,20 +86,19 @@ func NewMetrics(reg *metrics.Registry, stages int) *Metrics {
 		return reg.Declare(metrics.KindCounter, name, help, labels...)
 	}
 	m := &Metrics{
-		requests:            counter("rtmap_requests_total", "POST /v1/infer requests finished, whatever their outcome.").Counter(),
-		inferences:          counter("rtmap_inferences_total", "Input samples served in successful requests.").Counter(),
-		errors:              counter("rtmap_request_errors_total", "Requests answered with any 4xx or 5xx.").Counter(),
-		batches:             counter("rtmap_batches_total", "Batches that ran to completion on the fleet.").Counter(),
-		batchedSamples:      counter("rtmap_batched_samples_total", "Samples in completed batches; over rtmap_batches_total, the mean batch size.").Counter(),
-		simDeviceNS:         counter("rtmap_sim_device_ns_total", "Modeled device latency of completed batches, summed over stages (cost model, ns).").FloatCounter(),
-		simEnergyPJ:         counter("rtmap_sim_energy_pj_total", "Modeled energy of completed batches (cost model, pJ).").FloatCounter(),
-		requeues:            counter("rtmap_requeued_batches_total", "Batches requeued off a dead device onto a surviving replica.").Counter(),
-		deviceFailures:      counter("rtmap_device_failures_total", "Devices marked dead.").Counter(),
-		planVerifyFails:     counter("rtmap_plan_verify_failures_total", "Model admissions rejected because a compiled plan failed static verification.").Counter(),
-		dataflowVerifyFails: counter("rtmap_dataflow_verify_failures_total", "Model admissions rejected by the whole-artifact dataflow verifier.").Counter(),
-		certHits:            counter("rtmap_certificate_hits_total", "Admissions proved by a stored plan certificate instead of re-verification.").Counter(),
-		certMisses:          counter("rtmap_certificate_misses_total", "Admissions that paid a full dataflow verification (and stored its certificate).").Counter(),
-		lat:                 reg.Declare(metrics.KindHistogram, "rtmap_request_seconds", "Wall time of a /v1/infer request inside the handler.").Histogram(latencyBuckets),
+		requests:        counter("rtmap_requests_total", "POST /v1/infer requests finished, whatever their outcome.").Counter(),
+		inferences:      counter("rtmap_inferences_total", "Input samples served in successful requests.").Counter(),
+		errors:          counter("rtmap_request_errors_total", "Requests answered with any 4xx or 5xx.").Counter(),
+		batches:         counter("rtmap_batches_total", "Batches that ran to completion on the fleet.").Counter(),
+		batchedSamples:  counter("rtmap_batched_samples_total", "Samples in completed batches; over rtmap_batches_total, the mean batch size.").Counter(),
+		simDeviceNS:     counter("rtmap_sim_device_ns_total", "Modeled device latency of completed batches, summed over stages (cost model, ns).").FloatCounter(),
+		simEnergyPJ:     counter("rtmap_sim_energy_pj_total", "Modeled energy of completed batches (cost model, pJ).").FloatCounter(),
+		requeues:        counter("rtmap_requeued_batches_total", "Batches requeued off a dead device onto a surviving replica.").Counter(),
+		deviceFailures:  counter("rtmap_device_failures_total", "Devices marked dead.").Counter(),
+		planVerifyFails: counter("rtmap_plan_verify_failures_total", "Model admissions rejected because the compiled artifact failed the admission proof: the plan audit or the dataflow check.").Counter(),
+		certHits:        counter("rtmap_certificate_hits_total", "Admissions proved by a stored plan certificate instead of re-verification.").Counter(),
+		certMisses:      counter("rtmap_certificate_misses_total", "Admissions that paid the full admission proof (and stored its certificate).").Counter(),
+		lat:             reg.Declare(metrics.KindHistogram, "rtmap_request_seconds", "Wall time of a /v1/infer request inside the handler.").Histogram(latencyBuckets),
 	}
 	closes := counter("rtmap_batch_close_total", "Batches leaving formation, by the rule that closed them: full, idle device, deadline pressure, window cap, drain.", "reason")
 	for why := range m.batchClose {

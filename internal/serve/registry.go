@@ -174,18 +174,14 @@ type Registry struct {
 	// crash.
 	files map[string]string
 
-	// planVerify statically audits every compiled artifact before it is
-	// placed on the fleet; nil selects core.VerifyCompiled. A failing
-	// plan is a badModelError (HTTP 400) and the model is never loaded.
-	// Tests inject failing verifiers here.
-	planVerify func(*core.Compiled) error
-	// dataflowVerify runs the whole-artifact dataflow verifier over an
-	// admitted artifact, returning whether a stored PlanCertificate was
-	// trusted (hit) instead of re-verifying. nil selects
-	// dataflow.VerifyOrCertify against the registry's compile cache, so
-	// re-admitting an evicted model skips the verification pass
-	// entirely. Tests inject failing or counting verifiers here.
-	dataflowVerify func(*core.Compiled) (bool, error)
+	// verify is the admission proof every compiled artifact must pass
+	// before it is placed on the fleet, reporting whether a stored
+	// certificate was trusted (hit). nil selects dataflow.VerifyOrCertify
+	// against the registry's compile cache, so re-admitting an evicted,
+	// unchanged model skips both passes. A refuted artifact is a
+	// badModelError (HTTP 400) and is never loaded. Tests inject failing
+	// or counting verifiers here.
+	verify func(*core.Compiled) (hit bool, err error)
 
 	mu         sync.Mutex
 	seq        int64
@@ -347,35 +343,25 @@ func (r *Registry) admit(e *entry) {
 		e.err = fmt.Errorf("serve: compiling %s: %w", e.key, err)
 		return
 	}
-	// Static plan verification gates admission: an artifact whose
-	// execution plans fail the independent audit never reaches the fleet.
-	// The failure classifies as a client-caused model problem (the model
-	// definition lowered to an unsound plan), so the HTTP layer answers
-	// 400 with the structured diagnostics rather than serving wrong bits.
-	verifyPlans := r.planVerify
-	if verifyPlans == nil {
-		verifyPlans = core.VerifyCompiled
-	}
-	if err := verifyPlans(comp); err != nil {
-		r.fleet.metrics.planVerifyFails.Inc()
-		e.err = &badModelError{fmt.Errorf("serve: verifying %s: %w", e.key, err)}
-		return
-	}
-	// Whole-artifact dataflow verification gates admission the same way,
-	// but through the certificate cache: a content-addressed certificate
-	// from an earlier admission of the identical artifact is trusted as
-	// the proof, so only first-time admissions pay the verification pass.
-	verifyDataflow := r.dataflowVerify
-	if verifyDataflow == nil {
-		verifyDataflow = func(c *core.Compiled) (bool, error) {
+	// The admission proof gates the fleet: an artifact whose plans fail
+	// the independent audit, or whose seams fail the dataflow check,
+	// never reaches it. The failure classifies as a client-caused model
+	// problem (the model definition lowered to an unsound artifact), so
+	// the HTTP layer answers 400 with the structured diagnostics rather
+	// than serving wrong bits. A content-addressed certificate from an
+	// earlier admission of the identical artifact is trusted as the
+	// proof, so only first-time admissions pay the passes.
+	verify := r.verify
+	if verify == nil {
+		verify = func(c *core.Compiled) (bool, error) {
 			_, hit, err := dataflow.VerifyOrCertify(c, r.compile.Cache)
 			return hit, err
 		}
 	}
-	hit, err := verifyDataflow(comp)
+	hit, err := verify(comp)
 	if err != nil {
-		r.fleet.metrics.dataflowVerifyFails.Inc()
-		e.err = &badModelError{fmt.Errorf("serve: verifying %s dataflow: %w", e.key, err)}
+		r.fleet.metrics.planVerifyFails.Inc()
+		e.err = &badModelError{fmt.Errorf("serve: verifying %s: %w", e.key, err)}
 		return
 	}
 	if hit {

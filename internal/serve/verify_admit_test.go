@@ -15,7 +15,7 @@ import (
 	"rtmap/internal/workload"
 )
 
-// A model whose plans fail static verification must never be admitted:
+// A model whose plans fail the plan audit must never be admitted:
 // the request gets HTTP 400 with the located diagnostics in the body,
 // the registry keeps no resident entry, and the failure is counted on
 // /metrics as rtmap_plan_verify_failures_total.
@@ -25,8 +25,8 @@ func TestAdmitRejectsVerifierFailure(t *testing.T) {
 		Model: "tinycnn", Layer: 1, LayerName: "conv1", Strip: 0, Tile: 2,
 		Op: 7, Invariant: "mask-elision", Detail: "injected for test",
 	}
-	s.reg.planVerify = func(*core.Compiled) error {
-		return &verify.Error{Diags: []verify.Diagnostic{planted}}
+	s.reg.verify = func(*core.Compiled) (bool, error) {
+		return false, &verify.Error{Diags: []verify.Diagnostic{planted}}
 	}
 
 	sh, _ := model.ZooShape("tinycnn")

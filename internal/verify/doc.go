@@ -12,7 +12,8 @@
 //
 // The package sits below internal/core: core.VerifyCompiled sweeps a
 // compiled artifact through CheckTileProgram. core.Compile never runs
-// it; its callers do: serve at model admit (failures become HTTP 400s),
-// `rtmap-vet -plans` over the model zoo in CI, and the benchmark's
-// ap.audit step.
+// it; its callers do: dataflow.VerifyOrCertify, the admission proof that
+// serve runs at model admit (failures become HTTP 400s) and `rtmap-vet
+// -plans` runs over the model zoo in CI, and the benchmark's ap.audit
+// step.
 package verify
