@@ -135,7 +135,7 @@ func printShapes(w io.Writer, comp *core.Compiled) error {
 		}
 		fmt.Fprintf(w, "%-24s", p.Name)
 		for k, n := range batches {
-			sh, err := sim.LayerShape(comp, i, n, shapeWorkers)
+			sh, err := sim.LayerShape(comp, i, n, shapeWorkers, true)
 			if err != nil {
 				return err
 			}

@@ -222,10 +222,11 @@ var partShapes = struct{ batches, workers []int }{[]int{1, 8}, []int{1, 2, 4, 8,
 
 // auditPartViews audits directly, with ap.AuditPlan, every view the
 // engine can cut comp's programs into: for each layer the part counts its
-// task shapes pick over partShapes, and 2, so every program of more than
-// one channel has views audited. The admission proof proves the same
-// views sound without building them (ap.AuditParts); this cross-checks
-// that proof. views counts the views audited.
+// task shapes pick over partShapes, with the following max-pool fused (a
+// whole walk) and without (a stage cut before the pool), and 2, so every
+// program of more than one channel has views audited. The admission proof
+// proves the same views sound without building them (ap.AuditParts);
+// this cross-checks that proof. views counts the views audited.
 func auditPartViews(comp *core.Compiled, name string, views *int) error {
 	var diags []verify.Diagnostic
 	for i, lp := range comp.Layers {
@@ -235,11 +236,13 @@ func auditPartViews(comp *core.Compiled, name string, views *int) error {
 		counts := map[int]bool{2: true}
 		for _, n := range partShapes.batches {
 			for _, w := range partShapes.workers {
-				sh, err := sim.LayerShape(comp, i, n, w)
-				if err != nil {
-					return err
+				for _, pooled := range []bool{true, false} {
+					sh, err := sim.LayerShape(comp, i, n, w, pooled)
+					if err != nil {
+						return err
+					}
+					counts[sh.Parts] = sh.Parts > 1
 				}
-				counts[sh.Parts] = sh.Parts > 1
 			}
 		}
 		for g, ok := range counts {

@@ -14,10 +14,12 @@
 // integer semantics of every layer kind but conv/linear, which a ConvExec
 // computes. An act-quant that reads the conv/linear layer just before it
 // is handed to that layer's ConvExec as a Requant, which exposes each
-// item's scale and clamps (Requant.Item): the AP engine applies it with
-// its own kernel in the tasks that finish each row block, as the RTM-AP
-// fuses requantize onto every conv; the software reference
-// (ConvReference) and the ForwardIntQuantized baselines decline, and the
-// walker requantizes with its own loop (requantInto), so the oracle and
-// the engine share no requantize code.
+// item's scale and clamps (Requant.Item), and with it a following 2×2
+// max-pool whose windows tile the conv output (FusablePool,
+// Requant.Pool): the AP engine applies both with its own loops in the
+// tasks that finish each row block, as the RTM-AP fuses requantize onto
+// every conv; the software reference (ConvReference) and the
+// ForwardIntQuantized baselines decline, and the walker requantizes and
+// pools with its own loops (requantInto, tensor.MaxPoolIntInto), so the
+// oracle and the engine share no requantize or pool code.
 package model

@@ -96,17 +96,27 @@ func (n *Network) NewTrace(in *tensor.Float) (*IntTrace, error) {
 // that differs between the software reference, the AP engine and the
 // crossbar/DeepCAM baselines.
 //
-// rq, when non-nil, is the act-quant layer that follows layer i. An
-// executor may apply it where it finishes each block of sums — the
-// peripheral requantize step the RTM-AP fuses onto every conv — and then
-// reports fused; otherwise the walker requantizes the finished outputs.
+// rq, when non-nil, is the act-quant layer that follows layer i, and
+// with it the max-pool that follows that if rq.Pool is set. An executor
+// may apply the whole epilogue where it finishes each block of sums — the
+// peripheral requantize step the RTM-AP fuses onto every conv, then the
+// pool of the finished window rows — and then reports fused; otherwise
+// the walker requantizes and pools the finished outputs.
 type ConvExec func(i int, l *Layer, xs, outs []*tensor.Int, rq *Requant) (fused bool, err error)
 
 // Requant is an act-quant layer handed to the ConvExec of the conv/linear
 // layer it reads. Outs holds its output per batch item, allocated by the
 // walker in the conv output's shape.
+//
+// Pool says the 2×2 stride-2 max-pool that reads the act layer comes
+// with it (FusablePool): its windows tile the conv output exactly, so any
+// run of whole window rows — 2·W output positions of one item — pools on
+// its own. Pooled holds that layer's output per item, allocated beside
+// Outs.
 type Requant struct {
 	Outs   []*tensor.Int
+	Pooled []*tensor.Int
+	Pool   bool
 	scales []float64 // per item, the walker's own: getS(in)·WScale / Q.Step
 	q      quant.Quantizer
 	relu   bool
@@ -125,6 +135,22 @@ func (r *Requant) Item(j int) (scale float64, lo, hi int32) {
 	return r.scales[j], lo, hi
 }
 
+// FusablePool reports whether ExecLayers hands conv/linear layer i's
+// executor the max-pool behind its act-quant, given out, layer i's output
+// shape: layer i+2 must be a max-pool reading the act-quant at i+1 that
+// reads i, with 2×2 windows at stride 2, no padding, tiling out's height
+// and width — every pool of vgg9, vgg11 and tinycnn. Any other pool —
+// the overlapping 3×3 s2 p1 stem of resnet18 — stays in the walker.
+func (n *Network) FusablePool(i int, out tensor.Shape) bool {
+	a, p := i+1, i+2
+	if p >= len(n.Layers) || n.Layers[a].Kind != KindActQuant || n.Layers[a].Inputs[0] != i {
+		return false
+	}
+	l := &n.Layers[p]
+	return l.Kind == KindMaxPool && l.Inputs[0] == a && l.Pool == tensor.PoolSpec{K: 2, Stride: 2} &&
+		out.H%2 == 0 && out.W%2 == 0
+}
+
 // ConvReference is the software-reference executor: sparse ternary
 // add/sub accumulation, item by item. It never fuses.
 func ConvReference(_ int, l *Layer, xs, outs []*tensor.Int, _ *Requant) (bool, error) {
@@ -138,8 +164,9 @@ func ConvReference(_ int, l *Layer, xs, outs []*tensor.Int, _ *Requant) (bool, e
 // wall-clock start (UnixNano) and duration of the interpretation. Hooks
 // feed the sampled per-layer tracing spans of the serving stack; a nil
 // hook costs one branch per layer and no clock reads, so the untraced hot
-// path is unchanged. An act-quant layer its conv's executor fused reports
-// a span of ≈ 0: its requantize time sits in the conv's span.
+// path is unchanged. An act-quant or max-pool layer its conv's executor
+// fused reports a span of ≈ 0: its requantize and pool time sit in the
+// conv's span.
 type LayerHook func(layer int, name string, startUnixNS, durNS int64)
 
 // ExecLayers executes the layer range [lo, hi) on every trace, reading
@@ -148,7 +175,8 @@ type LayerHook func(layer int, name string, startUnixNS, durNS int64)
 // exact integer semantics — written here and nowhere else. An act-quant
 // layer that reads the conv/linear layer just before it, both inside
 // [lo, hi), is handed to that layer's executor as a Requant (see
-// ConvExec); its outputs are allocated once, there. An input tensor a
+// ConvExec), and so is a max-pool after it that FusablePool accepts and
+// [lo, hi) holds; their outputs are allocated once, there. An input tensor a
 // trace does not hold is an error, so a sharded stage run proves its
 // boundary transfer set is sufficient. hook, when non-nil, is called once
 // per layer for the whole batch, not per item.
@@ -171,10 +199,12 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 	}
 	xs := make([]*tensor.Int, len(trs))
 	outs := make([]*tensor.Int, len(trs))
-	// rq is the act layer actAt's, while its outputs wait for it; fused
-	// says the conv executor already wrote them.
-	rq := &Requant{Outs: make([]*tensor.Int, len(trs)), scales: make([]float64, len(trs))}
-	actAt, fused := -1, false
+	// rq is the act layer actAt's, and the max-pool poolAt's, while their
+	// outputs wait for them; fused says the conv executor already wrote
+	// them. Outs and Pooled share one backing array.
+	epi := make([]*tensor.Int, 2*len(trs))
+	rq := &Requant{Outs: epi[:len(trs):len(trs)], Pooled: epi[len(trs):], scales: make([]float64, len(trs))}
+	actAt, poolAt, fused := -1, -1, false
 	for i := lo; i < hi; i++ {
 		l := &n.Layers[i]
 		var start time.Time
@@ -189,21 +219,28 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 			xs[j] = x
 		}
 		if l.Kind == KindConv || l.Kind == KindLinear {
-			var epi *Requant
+			var offer *Requant
 			if a := i + 1; a < hi && n.Layers[a].Kind == KindActQuant && n.Layers[a].Inputs[0] == i {
 				q := &n.Layers[a]
 				out := l.ConvSpec().OutShape(xs[0].Shape)
+				rq.Pool, poolAt = false, -1
+				if a+1 < hi && n.FusablePool(i, out) {
+					rq.Pool, poolAt = true, a+1
+				}
 				for j, tr := range trs {
 					rq.Outs[j] = tensor.NewInt(out)
+					if rq.Pool {
+						rq.Pooled[j] = tensor.NewInt(n.Layers[poolAt].Pool.OutShape(out))
+					}
 					rq.scales[j] = getS(tr, l.Inputs[0]) * float64(l.WScale) / float64(q.Q.Step)
 				}
-				rq.q, rq.relu, epi, actAt = q.Q, q.ReLU, rq, a
+				rq.q, rq.relu, offer, actAt = q.Q, q.ReLU, rq, a
 			}
-			ok, err := conv(i, l, xs, outs, epi)
+			ok, err := conv(i, l, xs, outs, offer)
 			if err != nil {
 				return err
 			}
-			fused = ok && epi != nil
+			fused = ok && offer != nil
 		}
 		for j, tr := range trs {
 			x, s := xs[j], getS(tr, l.Inputs[0])
@@ -212,7 +249,14 @@ func (n *Network) ExecLayers(trs []*IntTrace, lo, hi int, conv ConvExec, hook La
 				tr.Outputs[i] = outs[j]
 				tr.Scales[i] = s * float64(l.WScale)
 			case KindMaxPool:
-				tr.Outputs[i] = tensor.MaxPoolInt(x, l.Pool)
+				if i != poolAt {
+					tr.Outputs[i] = tensor.MaxPoolInt(x, l.Pool)
+				} else {
+					if !fused {
+						tensor.MaxPoolIntInto(rq.Pooled[j], x, l.Pool)
+					}
+					tr.Outputs[i] = rq.Pooled[j]
+				}
 				tr.Scales[i] = s
 			case KindGlobalAvgPool:
 				tr.Outputs[i] = tensor.GlobalAvgPoolInt(x)

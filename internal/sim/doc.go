@@ -36,11 +36,14 @@
 // validation and the integer semantics of every other layer kind are
 // model.Network.ExecLayers, the same code model.Network.ForwardInt — the
 // one oracle — runs with the software convolution plugged in. The one
-// thing the engine takes from the walker is the act-quant that follows a
-// conv (model.Requant): the task that finishes a row block's sums — for a
-// block whose strips or parts run as separate tasks, the last of them to
-// accumulate — requantizes those rows with the scale and clamps the
-// walker hands it, in ap.Requantize's kernel, so the act layer costs no
-// serial pass on the caller and the oracle's requantize loop stays its
-// own.
+// thing the engine takes from the walker is the epilogue that follows a
+// conv (model.Requant): its act-quant, and the 2×2 stride-2 max-pool
+// after that when the walker hands one (Requant.Pool). The task that
+// finishes a row block's sums — for a block whose strips or parts run as
+// separate tasks, the last of them to accumulate — requantizes those rows
+// with the scale and clamps the walker hands it, in ap.Requantize's
+// kernel, then max-pools them with its own loop (poolRows): taskShape
+// makes every block whole rows of the pool's windows. So neither layer
+// costs a serial pass on the caller, and the oracle's requantize and
+// pool loops stay its own.
 package sim

@@ -22,11 +22,12 @@ import (
 // its channel fragments — is interpreted once per cache-sized block of
 // those rows, through precompiled ap.ExecPlans, pooled arenas, and a
 // persistent worker pool. Only conv/linear layers
-// run here, with the act-quant that follows one applied by the tasks that
-// finish its row blocks (model.Requant); the layer walk and every other
-// layer's integer semantics are model.Network.ExecLayers, shared with the
-// software reference (ForwardInt), against which
-// TestForwardAPBatchMatchesSerial and TestFusedRequantMatchesForwardInt
+// run here, with the act-quant that follows one, and a non-overlapping
+// max-pool after that, applied by the tasks that finish its row blocks
+// (model.Requant); the layer walk and every other layer's integer
+// semantics are model.Network.ExecLayers, shared with the software
+// reference (ForwardInt), against which TestForwardAPBatchMatchesSerial,
+// TestFusedRequantMatchesForwardInt and TestFusedPoolMatchesForwardInt
 // prove the results bit-identical.
 
 // ctxPool recycles the per-call task state and machines the column
@@ -71,7 +72,7 @@ type convCtx struct {
 	spec   tensor.ConvSpec
 	ins    []*tensor.Int
 	outs   []*tensor.Int
-	rq     *model.Requant // the following act layer, applied per finished row block; nil: none
+	rq     *model.Requant // the following act layer and pool, applied per finished row block; nil: none
 	tile   []int          // tile row offsets
 	taps   []codegen.Tap  // [kh·Fw + kw], set per call by setTaps
 	plane  int            // elements of one input channel
@@ -215,20 +216,45 @@ func runConvTask(t convTask) {
 	}
 }
 
-// requant applies the fused act layer to the rows of t's output region,
-// whose sums every part has finished.
+// requant applies the fused epilogue to the rows of t's output region,
+// whose sums every part has finished: the act layer, channel by channel
+// and item by item, then the max-pool, if the walker handed one, of the
+// rows just requantized. taskShape makes every block whole window rows,
+// so an item's rows in the block pool on their own.
 //
 //rtmap:noalloc
 func (ctx *convCtx) requant(t convTask) {
-	p := ctx.plan.P
+	p, rq, w := ctx.plan.P, ctx.rq, ctx.plan.OutW
 	for o := range ctx.plan.TileSizes[t.tile] {
 		base := (ctx.tile[t.tile] + o) * p
 		for g := t.g0; g < t.g1; {
 			b, p0 := g/p, g%p
 			n := min(p-p0, t.g1-g)
-			scale, lo, hi := ctx.rq.Item(b)
-			ap.Requantize(ctx.rq.Outs[b].Data[base+p0:base+p0+n], ctx.outs[b].Data[base+p0:base+p0+n], scale, lo, hi)
+			scale, lo, hi := rq.Item(b)
+			act := rq.Outs[b].Data[base+p0 : base+p0+n]
+			ap.Requantize(act, ctx.outs[b].Data[base+p0:base+p0+n], scale, lo, hi)
+			if rq.Pool {
+				// Whole window rows: base + p0 is a multiple of 2·W.
+				poolRows(rq.Pooled[b].Data[(base+p0)/4:][:n/4], act, w)
+			}
 			g += n
+		}
+	}
+}
+
+// poolRows max-pools src, whole rows of 2×2 windows over a plane w
+// wide, into dst: each two rows of src make one row of w/2 in dst. It is
+// the engine's own loop; the walker pools with tensor.MaxPoolIntInto, and
+// TestFusedPoolMatchesForwardInt holds the one to the other.
+//
+//rtmap:noalloc
+func poolRows(dst, src []int32, w int) {
+	wo := w / 2
+	for ; len(src) > 0; dst, src = dst[wo:], src[2*w:] {
+		out, r0, r1 := dst[:wo], src[:2*wo], src[w:][:2*wo]
+		for o := range out {
+			i := 2 * o
+			out[o] = max(max(r0[i], r1[i]), max(r0[i+1], r1[i+1]))
 		}
 	}
 }
@@ -287,7 +313,8 @@ const (
 // rows counts every batch item's rows; chans is the fewest channel
 // fragments, slots the widest slot table and ops the largest per-tile op
 // count (all strips) among the layer's programs, lanes the fewest rows
-// per word.
+// per word, window the rows of one row of a fused max-pool's windows
+// (2·W; 1 without one), a whole number of which fill every item.
 //
 // Blocks start as long as arenaBudget allows. While that leaves a worker
 // with fewer than two tasks, strips split into groups first — a strip
@@ -296,24 +323,30 @@ const (
 // each strip's program is cut into parts at channel boundaries, which
 // also run their ops once; otherwise blocks shorten, which re-runs every
 // op per block: never below lineWords. No split goes below handoffWork
-// per task, and no part has less than one channel.
-func taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers int) (block, perTask, parts int) {
+// per task, and no part has less than one channel. Last, blocks even out
+// to whole words and whole window rows, which may take one over the
+// arena budget by less than a window.
+func taskShape(rows, tiles, strips, chans, slots, ops, lanes, window, workers int) (block, perTask, parts int) {
 	want := 1 // blocks × tasks per tile that feed the pool
 	if workers > 1 {
 		want = (2*workers + tiles - 1) / tiles
 	}
 	line := lanes * lineWords
+	unit := lanes / gcd(lanes, window) * window // a window row in whole words
+	// even is the length n blocks even out to, whole units each.
+	even := func(n int) int { return ((rows+n-1)/n + unit - 1) / unit * unit }
 	// blocks counts the blocks of a given length, folding a last block
-	// shorter than a cache line into the others.
+	// shorter than a cache line into the others, once evened out.
 	blocks := func(block int) int {
 		n := (rows + block - 1) / block
 		if rows/n < line {
 			n = max(1, rows/line)
 		}
-		return n
+		return (rows + even(n) - 1) / even(n)
 	}
 	block = min(rows, lanes*max(lineWords, arenaBudget/8/slots))
 	n := blocks(block)
+	block = min(rows, even(n))
 	split := max(1, ops*block/handoffWork) // the tasks a block's work pays for
 	groups, parts := min(strips, (want+n-1)/n, split), 1
 	if n*groups < want {
@@ -327,9 +360,14 @@ func taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers int) (bloc
 			n = blocks(block)
 		}
 	}
-	// Even the blocks out, whole words each.
-	block = ((rows+n-1)/n + lanes - 1) / lanes * lanes
-	return block, (strips + groups - 1) / groups, parts
+	return even(n), (strips + groups - 1) / groups, parts
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Shape is how the engine cuts one conv/linear layer's execution.
@@ -344,9 +382,16 @@ type Shape struct {
 }
 
 // LayerShape returns the shape the engine gives layer layerIdx of c at a
-// batch of n inputs with workers workers to feed.
-func LayerShape(c *core.Compiled, layerIdx, n, workers int) (Shape, error) {
+// batch of n inputs with workers workers to feed. pooled says the walk
+// hands the layer the max-pool FusablePool accepts, as a walk of the
+// whole network does; a stage cut between the conv and that pool runs
+// the shape of pooled false.
+func LayerShape(c *core.Compiled, layerIdx, n, workers int, pooled bool) (Shape, error) {
 	ctx := &convCtx{plan: c.Layers[layerIdx]}
+	out := tensor.Shape{N: 1, C: ctx.plan.OutC, H: ctx.plan.OutH, W: ctx.plan.OutW}
+	if pooled && c.Net.FusablePool(layerIdx, out) {
+		ctx.rq = &model.Requant{Pool: true}
+	}
 	return ctx.shape(layerIdx, n*ctx.plan.P, workers)
 }
 
@@ -404,7 +449,8 @@ func runConvBatch(c *core.Compiled, layerIdx int, ins, outs []*tensor.Int, alloc
 
 // shape lowers every program of the layer (memoized on the tile
 // program, so tasks have no error path), sizes the tasks of rows rows
-// from the layer's extremes, and cuts the programs as the shape says.
+// from the layer's extremes and ctx.rq's pool, and cuts the programs as
+// the shape says.
 func (ctx *convCtx) shape(layerIdx, rows, workers int) (Shape, error) {
 	plan := ctx.plan
 	tiles, strips := len(plan.TileSizes), len(plan.StripPlans)
@@ -432,8 +478,12 @@ func (ctx *convCtx) shape(layerIdx, rows, workers int) (Shape, error) {
 		}
 		ops = max(ops, n)
 	}
+	window := 1
+	if ctx.rq != nil && ctx.rq.Pool {
+		window = 2 * plan.OutW
+	}
 	var sh Shape
-	sh.Block, sh.PerTask, sh.Parts = taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers)
+	sh.Block, sh.PerTask, sh.Parts = taskShape(rows, tiles, strips, chans, slots, ops, lanes, window, workers)
 	sh.Blocks = (rows + sh.Block - 1) / sh.Block
 	return sh, ctx.cut(&sh)
 }
@@ -567,7 +617,8 @@ func ForwardAPBatchHook(c *core.Compiled, ins []*tensor.Float, hook LayerHook) (
 // convExec is the conv/linear executor every functional run plugs into
 // the model's layer walker: the batched AP engine, one program
 // interpretation per (strip, tile, row-block) for the whole batch, with
-// the following act layer fused into the tasks that finish each block.
+// the following act layer, and the max-pool the walker hands with it,
+// fused into the tasks that finish each block.
 func convExec(c *core.Compiled) model.ConvExec {
 	return func(i int, _ *model.Layer, xs, outs []*tensor.Int, rq *model.Requant) (bool, error) {
 		if err := runConvBatch(c, i, xs, outs, true, rq); err != nil {

@@ -114,7 +114,7 @@ func TestFusedRequantMatchesForwardInt(t *testing.T) {
 					ok, err := convExec(c)(i, l, xs, outs, rq)
 					fused[i] = ok
 					if ok {
-						sh, _ := LayerShape(c, i, len(xs), runtime.GOMAXPROCS(0))
+						sh, _ := LayerShape(c, i, len(xs), runtime.GOMAXPROCS(0), rq != nil && rq.Pool)
 						splitFused = splitFused || sh.PerTask < len(c.Layers[i].StripPlans)*sh.Parts
 					}
 					return ok, err
@@ -144,6 +144,205 @@ func TestFusedRequantMatchesForwardInt(t *testing.T) {
 	}
 	if !splitFused {
 		t.Fatal("no strip-split layer fused its act-quant; the test needs one")
+	}
+}
+
+// The fused pool, every layer against ForwardInt, and every max-pool
+// output against tensor.MaxPoolInt of its input in the same trace. Each
+// conv whose act feeds a non-overlapping pool must pool in the tasks
+// that requantize, on machines from a dirtied free list:
+//   - vgg9 at N ∈ {1, 3, 8} in the engine's own task shapes, for two
+//     workers and four;
+//   - vgg9 with every pooled layer forced into parts run one a task, so
+//     a block's tasks are parts of one strip or strips of conv3_2 and the
+//     last to accumulate pools, in blocks of one window row and of three,
+//     which start mid-item and span items;
+//   - vgg11's two-tile conv4_2 and conv5_2 (P = 16 and 4) in blocks of
+//     one window row, at N ∈ {1, 3};
+//   - a shard cut between act and pool, and one between conv and act:
+//     neither fuses the pool, and the stage after it pools;
+//   - miniresnet18, whose 3×3 s2 p1 stem pool overlaps and stays in the
+//     walker.
+func TestFusedPoolMatchesForwardInt(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const dirty = 8 // machines: more than the tasks that run at once
+	type forced struct {
+		windows, parts int // block length in window rows; parts a task. 0: the engine's
+	}
+	var midItem, shared bool
+	// walk runs net over ins, stage by stage, with each pooled layer's
+	// shape forced as f says, and reports the layers that fused a pool.
+	walk := func(c *core.Compiled, ins []*tensor.Float, bounds []int, f forced) ([]*model.IntTrace, []bool) {
+		net := c.Net
+		pooled := make([]bool, len(net.Layers))
+		exec := func(i int, l *model.Layer, xs, outs []*tensor.Int, rq *model.Requant) (bool, error) {
+			if rq == nil || !rq.Pool || f.windows == 0 {
+				ok, err := convExec(c)(i, l, xs, outs, rq)
+				pooled[i] = ok && rq != nil && rq.Pool
+				return ok, err
+			}
+			plan, spec := c.Layers[i], l.ConvSpec()
+			for b := range outs {
+				outs[b] = tensor.NewInt(spec.OutShape(xs[0].Shape))
+			}
+			ctx := &convCtx{plan: plan, spec: spec, ins: xs, outs: outs, rq: rq}
+			ctx.setTaps(xs[0].Shape, outs[0].Shape)
+			rows := len(xs) * plan.P
+			sh, err := ctx.shape(i, rows, runtime.GOMAXPROCS(0))
+			if err != nil {
+				return false, err
+			}
+			sh.Block = min(rows, f.windows*2*plan.OutW)
+			sh.Blocks = (rows + sh.Block - 1) / sh.Block
+			if f.parts > 0 {
+				sh.Parts, sh.PerTask = f.parts, 1
+			}
+			if err := ctx.cut(&sh); err != nil {
+				return false, err
+			}
+			midItem = midItem || sh.Block%plan.P != 0 && sh.Block < rows
+			shared = shared || sh.PerTask < len(plan.StripPlans)*sh.Parts
+			ctx.exec(sh)
+			pooled[i] = true
+			return true, nil
+		}
+		trs := make([]*model.IntTrace, len(ins))
+		for j, in := range ins {
+			var err error
+			if trs[j], err = net.NewTrace(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirtyMachines(t, dirty)
+		for k := 1; k < len(bounds); k++ {
+			if err := net.ExecLayers(trs, bounds[k-1], bounds[k], exec, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return trs, pooled
+	}
+	// check holds trs to ForwardInt and every pool to its input's, and
+	// the layers that fused a pool to want.
+	check := func(net *model.Network, trs, want []*model.IntTrace, pooled, wantPooled []bool, label string) {
+		t.Helper()
+		for j := range trs {
+			assertTraceEqual(t, net, trs[j], want[j], fmt.Sprintf("%s item %d", label, j))
+			for i, l := range net.Layers {
+				if l.Kind == model.KindMaxPool && !trs[j].Outputs[i].Equal(tensor.MaxPoolInt(trs[j].Outputs[l.Inputs[0]], l.Pool)) {
+					t.Fatalf("%s item %d: %s is not the max-pool of its input", label, j, l.Name)
+				}
+			}
+		}
+		if !slices.Equal(pooled, wantPooled) {
+			t.Fatalf("%s: layers that fused a pool %v, want %v", label, pooled, wantPooled)
+		}
+	}
+	// inputs returns n inputs and their ForwardInt traces; a batch of
+	// fewer takes a prefix, as the oracle is most of the test's time.
+	inputs := func(net *model.Network, n int) ([]*tensor.Float, []*model.IntTrace) {
+		ins, want := make([]*tensor.Float, n), make([]*model.IntTrace, n)
+		for j := range ins {
+			ins[j] = randInput(uint64(900+j), net.InputShape)
+			var err error
+			if want[j], err = net.ForwardInt(ins[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ins, want
+	}
+	// fusable marks the convs a whole walk hands a pool.
+	fusable := func(c *core.Compiled) []bool {
+		out := make([]bool, len(c.Net.Layers))
+		for i, p := range c.Layers {
+			s := tensor.Shape{N: 1, C: p.OutC, H: p.OutH, W: p.OutW}
+			out[i] = p.Class == core.ClassConv && c.Net.FusablePool(i, s)
+		}
+		return out
+	}
+
+	vgg9 := compileNet(t, model.VGG9(model.DefaultConfig()), true)
+	all := []int{0, len(vgg9.Net.Layers)}
+	want9 := fusable(vgg9)
+	for i, l := range vgg9.Net.Layers {
+		if want9[i] != slices.Contains([]string{"conv1_2", "conv2_2", "conv3_2"}, l.Name) {
+			t.Fatalf("vgg9 %s: pool handed %v", l.Name, want9[i])
+		}
+	}
+	ins8, want8 := inputs(vgg9.Net, 8)
+	for _, n := range []int{1, 3, 8} {
+		ins, want := ins8[:n], want8[:n]
+		// Two workers cut conv1_2 at N = 8 by the arena budget alone,
+		// where only the window alignment keeps blocks whole windows.
+		for _, w := range []int{2, 4} {
+			runtime.GOMAXPROCS(w)
+			trs, pooled := walk(vgg9, ins, all, forced{})
+			check(vgg9.Net, trs, want, pooled, want9, fmt.Sprintf("vgg9 N=%d on %d workers", n, w))
+		}
+		if n != 3 {
+			continue
+		}
+		for _, f := range []forced{{1, 2}, {3, 4}, {3, 0}} {
+			trs, pooled := walk(vgg9, ins, all, f)
+			check(vgg9.Net, trs, want, pooled, want9, fmt.Sprintf("vgg9 N=%d %+v", n, f))
+		}
+		// The stage cuts: conv3_2 | act | pool3.
+		li := slices.IndexFunc(vgg9.Net.Layers, func(l model.Layer) bool { return l.Name == "conv3_2" })
+		for _, cut := range []int{li + 1, li + 2} {
+			trs, pooled := walk(vgg9, ins, []int{0, cut, len(vgg9.Net.Layers)}, forced{})
+			wantCut := slices.Clone(want9)
+			wantCut[li] = false
+			check(vgg9.Net, trs, want, pooled, wantCut, fmt.Sprintf("vgg9 N=%d cut at %d", n, cut))
+		}
+	}
+	if !midItem || !shared {
+		t.Fatalf("blocks that start mid-item %v, blocks shared by tasks %v; the test needs both", midItem, shared)
+	}
+
+	vgg11 := compileNet(t, model.VGG11(model.DefaultConfig()), true)
+	want11 := fusable(vgg11)
+	for _, name := range []string{"conv4_2", "conv5_2"} {
+		li := slices.IndexFunc(vgg11.Net.Layers, func(l model.Layer) bool { return l.Name == name })
+		if p := vgg11.Layers[li]; !want11[li] || len(p.TileSizes) < 2 {
+			t.Fatalf("vgg11 %s: pool handed %v, %d tiles; the test needs a pooled layer of several tiles", name, want11[li], len(p.TileSizes))
+		}
+	}
+	ins3, want3 := inputs(vgg11.Net, 3)
+	for _, n := range []int{1, 3} {
+		ins, want := ins3[:n], want3[:n]
+		trs, pooled := walk(vgg11, ins, []int{0, len(vgg11.Net.Layers)}, forced{1, 0})
+		check(vgg11.Net, trs, want, pooled, want11, fmt.Sprintf("vgg11 N=%d one window row a block", n))
+	}
+
+	mini := compileNet(t, model.MiniResNet18(model.DefaultConfig(), 32, 32), true)
+	if slices.Contains(fusable(mini), true) {
+		t.Fatal("miniresnet18's overlapping stem pool is handed to its conv")
+	}
+	ins, want := inputs(mini.Net, 3)
+	trs, pooled := walk(mini, ins, []int{0, len(mini.Net.Layers)}, forced{})
+	check(mini.Net, trs, want, pooled, make([]bool, len(mini.Net.Layers)), "miniresnet18 N=3")
+}
+
+// poolRows against tensor.MaxPoolInt's 2×2 stride-2 pool, each plane
+// pooled in runs of whole window rows of random length, as the tasks of a
+// layer pool their blocks.
+func TestPoolRowsMatchesMaxPoolInt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, hw := range [][2]int{{1, 1}, {2, 5}, {4, 3}, {6, 8}} {
+		in := tensor.NewInt(tensor.Shape{N: 1, C: 3, H: 2 * hw[0], W: 2 * hw[1]})
+		for i := range in.Data {
+			in.Data[i] = rng.Int32N(31) - 15
+		}
+		want := tensor.MaxPoolInt(in, tensor.PoolSpec{K: 2, Stride: 2})
+		got := tensor.NewInt(want.Shape)
+		win := 2 * in.Shape.W // rows of one window row
+		for p := 0; p < len(in.Data); {
+			n := min(len(in.Data)-p, win*(1+rng.IntN(3)))
+			poolRows(got.Data[p/4:][:n/4], in.Data[p:p+n], in.Shape.W)
+			p += n
+		}
+		if !got.Equal(want) {
+			t.Fatalf("on %v: poolRows != MaxPoolInt", in.Shape)
+		}
 	}
 }
 
@@ -204,7 +403,7 @@ func TestRunConvBatchSplitsMatchForwardInt(t *testing.T) {
 				tc.name, len(plan.TileSizes), len(plan.StripPlans), plan.P, tc.tiles, tc.strips, tc.p)
 		}
 		if tc.splitStripsAtBatch1 {
-			if sh, err := LayerShape(c, 0, 1, runtime.GOMAXPROCS(0)); err != nil || sh.Parts != 1 || sh.PerTask >= tc.strips {
+			if sh, err := LayerShape(c, 0, 1, runtime.GOMAXPROCS(0), true); err != nil || sh.Parts != 1 || sh.PerTask >= tc.strips {
 				t.Fatalf("%s: %+v (err %v); the test needs whole strips split", tc.name, sh, err)
 			}
 		}
@@ -310,7 +509,7 @@ func TestRunConvBatchLoadPathsMatchForwardInt(t *testing.T) {
 				tc.name, derive, words, unbound, tc.derive, tc.words, tc.unbound)
 		}
 		for _, n := range []int{1, 3, 8} {
-			if sh, err := LayerShape(c, 0, n, runtime.GOMAXPROCS(0)); err != nil {
+			if sh, err := LayerShape(c, 0, n, runtime.GOMAXPROCS(0), true); err != nil {
 				t.Fatal(err)
 			} else if out := spec.OutShape(net.InputShape); tc.derive && sh.Block < n*plan.P && sh.Block%plan.P%out.W != 0 {
 				midRow = true
@@ -574,7 +773,7 @@ func TestTinyConvStaysOneTask(t *testing.T) {
 			if plan.Class != core.ClassConv {
 				continue
 			}
-			sh, err := LayerShape(c, i, 8, workers)
+			sh, err := LayerShape(c, i, 8, workers, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -586,47 +785,61 @@ func TestTinyConvStaysOneTask(t *testing.T) {
 	}
 }
 
-// taskShape on the shapes the budget was taken on (vgg9 and resnet18, 4
-// rows per word, 2 workers), and its invariants over a sweep.
+// taskShape on the shapes the budget was taken on (vgg9, vgg11 and
+// resnet18, 4 rows per word, 2 workers), and its invariants over a sweep.
+// window is the rows of one row of the fused max-pool's windows: 2·W for
+// a conv whose act feeds a 2×2 pool, 1 for the rest.
 func TestTaskShape(t *testing.T) {
 	for _, tc := range []struct {
-		name                                   string
-		rows, tiles, strips, chans, slots, ops int
-		wantBlock, wantBlocks, wantPerTask     int
-		wantParts                              int
+		name                                           string
+		rows, tiles, strips, chans, slots, ops, window int
+		wantBlock, wantBlocks, wantPerTask             int
+		wantParts                                      int
 	}{
 		// conv1_x at batch 1: a quarter of 1 024 rows is 64 words a
 		// column, long enough to cut rows. conv1_1's 3 channels and 357
 		// ops would lose more to four parts each accumulating 64 × 1 024
 		// sums than rows lose to re-running them.
-		{"vgg9 conv1_1 b1", 1024, 1, 1, 3, 104, 357, 256, 4, 1, 1},
-		{"vgg9 conv1_2 b1", 1024, 1, 1, 64, 656, 6304, 256, 4, 1, 1},
+		{"vgg9 conv1_1 b1", 1024, 1, 1, 3, 104, 357, 1, 256, 4, 1, 1},
+		{"vgg9 conv1_2 b1", 1024, 1, 1, 64, 656, 6304, 64, 256, 4, 1, 1},
 		// From conv2_1 on, a row cut that feeds two workers leaves blocks
 		// under four cache lines: each program runs in four parts over
 		// every row instead, and runs each op once.
-		{"vgg9 conv2_1 b1", 256, 1, 1, 64, 731, 11722, 256, 1, 1, 4},
-		{"vgg9 conv2_2 b1", 256, 1, 1, 128, 1308, 23627, 256, 1, 1, 4},
-		{"vgg9 conv3_1 b1", 64, 1, 1, 128, 1448, 44099, 64, 1, 1, 4},
+		{"vgg9 conv2_1 b1", 256, 1, 1, 64, 731, 11722, 1, 256, 1, 1, 4},
+		{"vgg9 conv2_2 b1", 256, 1, 1, 128, 1308, 23627, 32, 256, 1, 1, 4},
+		{"vgg9 conv3_1 b1", 64, 1, 1, 128, 1448, 44099, 1, 64, 1, 1, 4},
 		// At batch 8 the arena would hold 512 rows; feeding two workers
 		// cuts them in four, 32 words a column: rows, not parts.
-		{"vgg9 conv3_1 b8", 512, 1, 1, 128, 1448, 44099, 128, 4, 1, 1},
+		{"vgg9 conv3_1 b8", 512, 1, 1, 128, 1448, 44099, 1, 128, 4, 1, 1},
 		// A table as wide as conv3_1's 16 329 columns: the budget cuts the
 		// same rows in eight.
-		{"vgg9 conv3_1 b8 by columns", 512, 1, 1, 128, 16329, 44099, 64, 8, 1, 1},
+		{"vgg9 conv3_1 b8 by columns", 512, 1, 1, 128, 16329, 44099, 1, 64, 8, 1, 1},
 		// Two strips and only one block: the strips split, then each
 		// strip's program into two parts.
-		{"vgg9 conv3_2 b1", 64, 1, 2, 128, 1451, 88113, 64, 1, 1, 2},
+		{"vgg9 conv3_2 b1", 64, 1, 2, 128, 1451, 88113, 16, 64, 1, 1, 2},
 		// One row: nothing to split but the strips.
-		{"vgg9 fc1 b1", 1, 1, 4, 1024, 1281, 210598, 4, 1, 1, 1},
-		{"vgg9 fc2 b1", 1, 1, 4, 256, 321, 14056, 4, 1, 4, 1},
-		// The arena budget, not the worker count, sets the block.
-		{"vgg9 conv1_2 b8", 8192, 1, 1, 64, 656, 6304, 1368, 6, 1, 1},
-		{"vgg9 conv1_2 b8 by columns", 8192, 1, 1, 64, 3034, 6304, 344, 24, 1, 1},
+		{"vgg9 fc1 b1", 1, 1, 4, 1024, 1281, 210598, 1, 4, 1, 1, 1},
+		{"vgg9 fc2 b1", 1, 1, 4, 256, 321, 14056, 1, 4, 1, 4, 1},
+		// The arena budget, not the worker count, sets the block: 1 366
+		// rows, which whole words would make 1 368 and whole rows of
+		// pool1's windows (64 rows) make 1 408, still in six blocks.
+		{"vgg9 conv1_2 b8", 8192, 1, 1, 64, 656, 6304, 64, 1408, 6, 1, 1},
+		{"vgg9 conv1_2 b8 by columns", 8192, 1, 1, 64, 3034, 6304, 1, 344, 24, 1, 1},
+		// Windows of 64 rows round the same budget's 342 rows up to 384:
+		// 22 blocks, each at most a window over the budget.
+		{"vgg9 conv1_2 b8 by columns, pooled", 8192, 1, 1, 64, 3034, 6304, 64, 384, 22, 1, 1},
+		// vgg11's last convs before a pool: a 4×4 and a 2×2 plane, whose
+		// window rows (8 and 4 rows) are whole words. Under two cache
+		// lines of lanes even at batch 8: one block, and the tiles'
+		// strips split.
+		{"vgg11 conv4_2 b1", 16, 2, 4, 128, 1552, 232480, 8, 16, 1, 2, 1},
+		{"vgg11 conv4_2 b8", 128, 2, 4, 128, 1552, 232480, 8, 128, 1, 2, 1},
+		{"vgg11 conv5_2 b1", 4, 2, 4, 128, 1553, 232242, 4, 4, 1, 2, 1},
 		// 49 rows is under two cache lines of lanes: one block, and the two
 		// tiles' strips split instead.
-		{"resnet18 layer4 b1", 49, 2, 4, 128, 1550, 175383, 52, 1, 2, 1},
+		{"resnet18 layer4 b1", 49, 2, 4, 128, 1550, 175383, 1, 52, 1, 2, 1},
 	} {
-		block, perTask, parts := taskShape(tc.rows, tc.tiles, tc.strips, tc.chans, tc.slots, tc.ops, 4, 2)
+		block, perTask, parts := taskShape(tc.rows, tc.tiles, tc.strips, tc.chans, tc.slots, tc.ops, 4, tc.window, 2)
 		blocks := (tc.rows + block - 1) / block
 		if block != tc.wantBlock || blocks != tc.wantBlocks || perTask != tc.wantPerTask || parts != tc.wantParts {
 			t.Errorf("%s: blocks of %d rows (%d of them), %d per task, %d parts; want %d (%d), %d, %d",
@@ -637,30 +850,41 @@ func TestTaskShape(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 8} {
 			want := (2*workers + tiles - 1) / tiles
-			for rows := 1; rows < 3000; rows += 37 {
-				for _, chans := range []int{1, 2, 5, 64} {
-					for _, slots := range []int{9, 300, 20000} {
-						for _, ops := range []int{1, 19, 5000, 300000} {
-							block, perTask, parts := taskShape(rows, tiles, strips, chans, slots, ops, lanes, workers)
-							words, blocks := block/lanes, (rows+block-1)/block
-							switch {
-							case block < 1 || block%lanes != 0:
-								t.Fatalf("block of %d rows at %d rows per word", block, lanes)
-							case perTask < 1 || perTask > strips:
-								t.Fatalf("%d strips per task of %d", perTask, strips)
-							case words >= 2*lineWords && slots*(words-1)*8 > arenaBudget:
-								t.Fatalf("rows %d slots %d: %d-word blocks overflow the arena budget", rows, slots, words)
-							case words < lineWords && block < rows:
-								t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
-							case parts < 1 || parts > chans:
-								t.Fatalf("%d channels cut into %d parts", chans, parts)
-							case parts > 1 && perTask != 1:
-								t.Fatalf("parts run %d strips a task", perTask)
-							// Parts feed the pool unless the channels or the
-							// hand-off work cap them.
-							case parts > 1 && blocks*strips*parts < want && parts < chans &&
-								strips*(parts+1)*handoffWork <= ops*min(block, rows):
-								t.Fatalf("rows %d chans %d ops %d: %d blocks × %d parts feed %d of %d", rows, chans, ops, blocks, parts, blocks*strips*parts, want)
+			// Rows are whole items, and items whole window rows.
+			for _, window := range []int{1, 4, 8, 9, 28, 64} {
+				for rows := window; rows < 3000; rows += window * (1 + 37/window) {
+					for _, chans := range []int{1, 2, 5, 64} {
+						for _, slots := range []int{9, 300, 20000} {
+							for _, ops := range []int{1, 19, 5000, 300000} {
+								block, perTask, parts := taskShape(rows, tiles, strips, chans, slots, ops, lanes, window, workers)
+								words, blocks := block/lanes, (rows+block-1)/block
+								// unit is one window row in whole words.
+								unit := lanes / gcd(lanes, window) * window
+								switch {
+								case block < 1 || block%lanes != 0:
+									t.Fatalf("block of %d rows at %d rows per word", block, lanes)
+								case block%window != 0 || (rows-(blocks-1)*block)%window != 0:
+									t.Fatalf("rows %d: blocks of %d rows cut %d-row windows", rows, block, window)
+								case (blocks-1)*block >= rows || blocks*block < rows:
+									t.Fatalf("rows %d: %d blocks of %d rows", rows, blocks, block)
+								case perTask < 1 || perTask > strips:
+									t.Fatalf("%d strips per task of %d", perTask, strips)
+								// Over the budget by at most a window row: one
+								// word, as whole words alone allow, without one.
+								case (block-unit)/lanes+1 >= 2*lineWords && slots*(block-unit)/lanes*8 > arenaBudget:
+									t.Fatalf("rows %d slots %d window %d: %d-word blocks overflow the arena budget by more than a window", rows, slots, window, words)
+								case words < lineWords && block < rows:
+									t.Fatalf("rows %d: %d-word blocks are below a cache line", rows, words)
+								case parts < 1 || parts > chans:
+									t.Fatalf("%d channels cut into %d parts", chans, parts)
+								case parts > 1 && perTask != 1:
+									t.Fatalf("parts run %d strips a task", perTask)
+								// Parts feed the pool unless the channels or the
+								// hand-off work cap them.
+								case parts > 1 && blocks*strips*parts < want && parts < chans &&
+									strips*(parts+1)*handoffWork <= ops*min(block, rows):
+									t.Fatalf("rows %d chans %d ops %d lanes %d window %d slots %d workers %d: %d blocks × %d parts feed %d of %d", rows, chans, ops, lanes, window, slots, workers, blocks, parts, blocks*strips*parts, want)
+								}
 							}
 						}
 					}
@@ -754,7 +978,7 @@ func TestRunConvBatchIntoAllocFree(t *testing.T) {
 		{singleConvNet(11, 64, 64, 3, 1, 1, 8, 0.5), 1, true},
 	} {
 		c := compileNet(t, tc.net, true)
-		if sh, err := LayerShape(c, 0, tc.n, 2); err != nil || (sh.Parts > 1) != tc.parts {
+		if sh, err := LayerShape(c, 0, tc.n, 2, true); err != nil || (sh.Parts > 1) != tc.parts {
 			t.Fatalf("%s at batch %d: %+v (err %v); the case needs parts %v", tc.net.Name, tc.n, sh, err, tc.parts)
 		}
 		ins := make([]*tensor.Int, tc.n)

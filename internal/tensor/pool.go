@@ -35,6 +35,16 @@ func MaxPoolInt(in *Int, spec PoolSpec) *Int {
 	return out
 }
 
+// MaxPoolIntInto is MaxPoolInt into a caller-owned out of the pooled
+// shape.
+func MaxPoolIntInto(out, in *Int, spec PoolSpec) {
+	spec.check()
+	if want := spec.OutShape(in.Shape); out.Shape != want {
+		panic(fmt.Sprintf("tensor: pool output shape %v, want %v", out.Shape, want))
+	}
+	maxPool(out.Data, in.Data, out.Shape, in.Shape, spec)
+}
+
 // MaxPoolFloat applies K×K max pooling on a float tensor.
 func MaxPoolFloat(in *Float, spec PoolSpec) *Float {
 	spec.check()
